@@ -4,7 +4,9 @@ Three subcommands:
 
   analyze   full pipeline for one pair: monodromy construction, invariant
             form by two independent routes, signature, Q-rank certificate,
-            unipotent witness hunt.
+            unipotent witness hunt.  This module builds each of those
+            objects once per command and hands it to the next stage; no
+            later stage rebuilds one from the polynomials.
   pad       degree padding of a quintic pair; verifies the isometric
             embedding and re-certifies the rank bound with lifted seeds.
   examples  recheck the built-in worked-example table against exact
@@ -28,15 +30,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import corpus, linalg
-from .monodromy import (ORTHOGONAL, HyperPair, PairValidationError,
+from .monodromy import (ORTHOGONAL, HyperPair, PairType, PairValidationError,
                         build_pair, classify_type, scalar_shift)
-from .padding import (DEFAULT_EXPONENT, PaddedPair, embed_vector,
-                      isometry_check, pad_pair, remainder_coeff_check)
+from .padding import (DEFAULT_EXPONENT, embed_vector, isometry_check,
+                      pad_pair, remainder_coeff_check)
 from .parsing import PolyParseError, parse_poly
 from .polynomials import IntPoly, cyclo_factor, render, root_parameters
 from .quadform import (OracleMismatchError, QuadSpace, invariant_space,
                        q_rank, signature, signature_interlace)
-from .witness import WitnessReport, arithmeticity_report
+from .witness import (OUT_OF_SCOPE, WitnessContext, WitnessReport,
+                      arithmeticity_report)
 
 SCHEMA_VERSION = "orthomono/1"
 DEFAULT_SEARCH_BOUND = 3
@@ -124,32 +127,13 @@ def _ms(seconds: float) -> int:
     return int(round(seconds * 1000))
 
 
-def build_report(f_text: str, g_text: str,
-                 search_bound: int = DEFAULT_SEARCH_BOUND,
-                 word_bound: int = DEFAULT_WORD_BOUND,
-                 seeds: Sequence[Sequence[int]] = (),
-                 run_witness: bool = True) -> dict:
-    """Analysis document for one pair given as polynomial text.
-
-    Raises PolyParseError or PairValidationError for bad input and
-    OracleMismatchError when independent routes disagree; the command
-    layer maps those to exit codes 2 and 3.
-    """
-    t0 = time.perf_counter()
-    f = parse_poly(f_text)
-    g = parse_poly(g_text)
-    # Odd-degree pairs with constants (1, -1) are off by the x -> -x
-    # substitution; fix that silently but record it.
-    shifted = (f.is_monic and g.is_monic and f.degree == g.degree
-               and f.degree % 2 == 1 and f(0) == 1 and g(0) == -1)
-    if shifted:
-        f, g = scalar_shift(f), scalar_shift(g)
-    pair_type = classify_type(f, g)
-    t1 = time.perf_counter()
-
-    doc = {
+def _new_doc(inputs: dict, f: IntPoly, g: IntPoly, pair_type: PairType,
+             shifted: bool) -> dict:
+    """Report skeleton for a classified pair; the form and rank fields
+    stay None until the analysis fills them in."""
+    return {
         "schema_version": SCHEMA_VERSION,
-        "input": {"f": f_text, "g": g_text},
+        "input": inputs,
         "derived": {
             "n": f.degree,
             "type": pair_type.kind,
@@ -164,32 +148,61 @@ def build_report(f_text: str, g_text: str,
         "witness": None,
     }
 
+
+def _form_fields(doc: dict, pair: HyperPair) -> tuple[QuadSpace,
+                                                       tuple[int, int]]:
+    """Build the route-checked form and its signature once, record them
+    in doc, and hand both back for the rank and witness stages."""
+    space = invariant_space(pair)
+    sig = signature(space)
+    doc["derived"]["det_A"] = _det_int(pair.A)
+    doc["derived"]["det_B"] = _det_int(pair.B)
+    doc["derived"]["det_C"] = _det_int(pair.C)
+    doc["gram"] = _gram_json(space)
+    doc["signature"] = {"p": sig[0], "q": sig[1],
+                        "interlace_abs_diff": _interlace_abs_diff(
+                            pair.f, pair.g, sig)}
+    return space, sig
+
+
+def build_report(f_text: str, g_text: str,
+                 search_bound: int = DEFAULT_SEARCH_BOUND,
+                 word_bound: int = DEFAULT_WORD_BOUND) -> dict:
+    """Analysis document for one pair given as polynomial text.
+
+    Pair, form, signature, Q-rank certificate and witness context are
+    each built once here and handed down.  Raises PolyParseError or
+    PairValidationError for bad input and OracleMismatchError when
+    independent routes disagree; the command layer maps those to exit
+    codes 2 and 3.
+    """
+    t0 = time.perf_counter()
+    f = parse_poly(f_text)
+    g = parse_poly(g_text)
+    # Odd-degree pairs with constants (1, -1) are off by the x -> -x
+    # substitution; fix that silently but record it.
+    shifted = (f.is_monic and g.is_monic and f.degree == g.degree
+               and f.degree % 2 == 1 and f(0) == 1 and g(0) == -1)
+    if shifted:
+        f, g = scalar_shift(f), scalar_shift(g)
+    pair_type = classify_type(f, g)
+    t1 = time.perf_counter()
+
+    doc = _new_doc({"f": f_text, "g": g_text}, f, g, pair_type, shifted)
     if pair_type.kind == ORTHOGONAL:
         pair = build_pair(f, g)
-        space = invariant_space(pair)
-        sig = signature(space)
-        doc["derived"]["det_A"] = _det_int(pair.A)
-        doc["derived"]["det_B"] = _det_int(pair.B)
-        doc["derived"]["det_C"] = _det_int(pair.C)
-        doc["gram"] = _gram_json(space)
-        doc["signature"] = {"p": sig[0], "q": sig[1],
-                            "interlace_abs_diff": _interlace_abs_diff(f, g, sig)}
+        space, sig = _form_fields(doc, pair)
         t2 = time.perf_counter()
-        if run_witness:
-            rep = arithmeticity_report(f, g, search_bound, word_bound,
-                                       seeds=seeds)
-            cert = rep.rank_certificate
-        else:
-            rep = None
-            cert = q_rank(pair, search_bound, seeds=seeds, space=space)
+        ctx = WitnessContext(pair, space)
+        cert = q_rank(space, sig, search_bound)
         doc["q_rank"] = _certificate_json(cert)
-        if rep is not None:
-            doc["witness"] = _witness_json(rep)
+        doc["witness"] = _witness_json(arithmeticity_report(
+            ctx, sig, cert, search_bound, word_bound))
     else:
         # Symplectic pairs carry no symmetric invariant form; report the
         # classification and stop.
         t2 = t1
-        doc["witness"] = {"conclusion": "out-of-scope(symplectic)",
+        doc["witness"] = {"conclusion": OUT_OF_SCOPE,
                           "epsilon": None, "unipotent": None,
                           "translation_rank": None, "caveats": []}
 
@@ -235,17 +248,18 @@ def build_pad_report(f0_text: str, g0_text: str, p_text: str, q_text: str,
             f"padding embedding failed the {failed} check; the direct "
             "construction and the base form disagree")
 
-    base = build_pair(f0, g0)
-    base_cert = q_rank(base, search_bound)
+    base_space = invariant_space(build_pair(f0, g0))
+    base_cert = q_rank(base_space, signature(base_space), search_bound)
     seeds = tuple(embed_vector(pp, w) for w in base_cert.isotropic_witnesses)
     t2 = time.perf_counter()
 
-    doc = build_report(render(pp.f), render(pp.g), search_bound=search_bound,
-                       seeds=seeds, run_witness=False)
+    doc = _new_doc({"f0": f0_text, "g0": g0_text, "P": p_text, "Q": q_text,
+                    "d": d}, pp.f, pp.g, classify_type(pp.f, pp.g), False)
+    space, sig = _form_fields(doc, pp.pair)
+    doc["q_rank"] = _certificate_json(
+        q_rank(space, sig, search_bound, seeds=seeds))
     t3 = time.perf_counter()
 
-    doc["input"] = {"f0": f0_text, "g0": g0_text, "P": p_text, "Q": q_text,
-                    "d": d}
     doc["padding"] = {
         "m": pp.m,
         "n": pp.f.degree,
@@ -356,22 +370,28 @@ def _run_batch(args) -> int:
             raw = raw.strip()
             if not raw:
                 continue
+            problem = None
             try:
                 item = json.loads(raw)
-                if not isinstance(item, dict) or "f" not in item or "g" not in item:
-                    raise PolyParseError(
-                        'batch lines must be objects with "f" and "g"')
-                doc = build_report(str(item["f"]), str(item["g"]),
-                                   search_bound=args.search_bound,
-                                   word_bound=args.word_bound)
-                code = EXIT_OK
             except json.JSONDecodeError as exc:
-                code, doc = EXIT_VALIDATION, {"error": {
-                    "kind": "validation", "message": f"bad JSON line: {exc}"}}
-                doc["input"] = {"raw": raw}
-            except Exception as exc:  # noqa: BLE001
-                code, doc = _failure_doc(exc)
-                doc["input"] = {"f": item.get("f"), "g": item.get("g")}
+                problem = f"bad JSON line: {exc}"
+            else:
+                if not (isinstance(item, dict) and "f" in item
+                        and "g" in item):
+                    problem = 'batch lines must be objects with "f" and "g"'
+            if problem is not None:
+                code, doc = EXIT_VALIDATION, {
+                    "error": {"kind": "validation", "message": problem},
+                    "input": {"raw": raw}}
+            else:
+                try:
+                    doc = build_report(str(item["f"]), str(item["g"]),
+                                       search_bound=args.search_bound,
+                                       word_bound=args.word_bound)
+                    code = EXIT_OK
+                except Exception as exc:  # noqa: BLE001
+                    code, doc = _failure_doc(exc)
+                    doc["input"] = {"f": item["f"], "g": item["g"]}
             worst = max(worst, code)
             out_lines.append(json.dumps(doc, sort_keys=True))
     text = "\n".join(out_lines) + ("\n" if out_lines else "")

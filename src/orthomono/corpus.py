@@ -30,7 +30,7 @@ from .monodromy import HyperPair, build_pair
 from .parsing import parse_poly
 from .polynomials import IntPoly, divrem, render
 from .quadform import (RankCertificate, cyclic_gram_row, gram_invariance,
-                       invariant_space, q_rank)
+                       invariant_space, q_rank, signature)
 from .witness import GroupElement, line_stabilizer_test, reflect, \
     reflection_matrix
 
@@ -287,7 +287,7 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
         return DatumResult(d.label, _matrix_text(stated),
                            _matrix_text(found), found == stated, d.erratum)
     if d.kind == "witt":
-        cert = q_rank(ctx.pair, bound)
+        cert = q_rank(ctx.space, signature(ctx.space), bound)
         found = f"[{cert.lo}, {cert.hi}]"
         if cert.obstructions:
             o = cert.obstructions[0]

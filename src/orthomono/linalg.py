@@ -156,12 +156,10 @@ def primitive_integer(vec: Vec) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def int_row_kernel(row: Sequence[int]) -> list[list[int]]:
-    """Basis of the lattice {x in Z^n : row . x = 0} for an integer row.
-
-    Column-eliminates the row by unimodular operations; the columns that map
-    to zero form the kernel basis.  Deterministic.
-    """
+def _column_eliminate(row: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """(r0, u) with u unimodular and row . u = (r0, 0, ..., 0), where
+    |r0| is the gcd of the row, by extended-gcd column operations.
+    Deterministic."""
     n = len(row)
     r = list(row)
     u = identity(n)  # columns of u are the generators
@@ -182,6 +180,17 @@ def int_row_kernel(row: Sequence[int]) -> list[list[int]]:
             u[k][0] = s * c0 + t * ci
             u[k][i] = -b * c0 + a * ci
         r[0], r[i] = g, 0
+    return r[0], u
+
+
+def int_row_kernel(row: Sequence[int]) -> list[list[int]]:
+    """Basis of the lattice {x in Z^n : row . x = 0} for an integer row.
+
+    Column-eliminates the row by unimodular operations; the columns that map
+    to zero form the kernel basis.  Deterministic.
+    """
+    n = len(row)
+    _, u = _column_eliminate(row)
     return [[u[k][j] for k in range(n)] for j in range(1, n)]
 
 
@@ -204,25 +213,8 @@ def unimodular_with_first_row(c: Sequence[int]) -> list[list[int]]:
     """Integer matrix with determinant +-1 whose first row is the primitive
     vector c."""
     n = len(c)
-    r = list(c)
-    u = identity(n)
-    for i in range(1, n):
-        if r[i] == 0:
-            continue
-        if r[0] == 0:
-            r[0], r[i] = r[i], r[0]
-            for k in range(n):
-                u[k][0], u[k][i] = u[k][i], u[k][0]
-            continue
-        g = math.gcd(r[0], r[i])
-        s, t = _extgcd(r[0], r[i])
-        a, b = r[0] // g, r[i] // g
-        for k in range(n):
-            c0, ci = u[k][0], u[k][i]
-            u[k][0] = s * c0 + t * ci
-            u[k][i] = -b * c0 + a * ci
-        r[0], r[i] = g, 0
-    if abs(r[0]) != 1:
+    r0, u = _column_eliminate(c)
+    if abs(r0) != 1:
         raise ValueError("vector is not primitive")
     inv = inverse(u)
     out = [[int(x) for x in row] for row in inv]

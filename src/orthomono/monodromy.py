@@ -100,7 +100,8 @@ class HyperPair:
     v: tuple[int, ...]  # coefficients over 1, x, ..., x^{n-1}
 
 
-def _int_matrix(m) -> tuple[tuple[int, ...], ...]:
+def int_matrix(m) -> tuple[tuple[int, ...], ...]:
+    """m as a tuple of int rows; raises if any entry is not integral."""
     out = []
     for row in m:
         r = []
@@ -136,7 +137,7 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
 
     a = companion(f)
     b = companion(g)
-    c = _int_matrix(linalg.mat_mul(linalg.inverse(a), b))
+    c = int_matrix(linalg.mat_mul(linalg.inverse(a), b))
     w = g - f  # degree <= n-1 since both monic of degree n
     wvec = [w.coeff(i) for i in range(n)]
     v = tuple(int(x) for x in linalg.mat_vec(linalg.inverse(a), wvec))

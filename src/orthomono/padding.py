@@ -26,7 +26,8 @@ class PaddedPair:
 
     embedding is the 5 x n integer matrix whose row k holds the
     cyclic-basis coordinates of A^k v, i.e. the image of A0^k v0; a base
-    witness in coordinates w lifts to w @ embedding.
+    witness in coordinates w lifts to w @ embedding.  pair is the
+    validated HyperPair of the composed (f, g).
     """
     f0: IntPoly
     g0: IntPoly
@@ -36,6 +37,7 @@ class PaddedPair:
     f: IntPoly
     g: IntPoly
     embedding: tuple[tuple[int, ...], ...]
+    pair: HyperPair
 
     @property
     def m(self) -> int:
@@ -68,15 +70,9 @@ def pad_pair(f0: IntPoly, g0: IntPoly, P: IntPoly, Q: IntPoly,
             "fails for this (P, Q)")
     n = f.degree
     embedding = tuple(tuple(int(i == j) for j in range(n)) for i in range(5))
-    pp = PaddedPair(f0=f0, g0=g0, P=P, Q=Q, d=d, f=f, g=g,
-                    embedding=embedding)
-    build_padded(pp)  # full structural validation of the composed pair
-    return pp
-
-
-def build_padded(pp: PaddedPair) -> HyperPair:
-    """HyperPair of the composed (f, g), re-running all pair validation."""
-    return build_pair(pp.f, pp.g)
+    # build_pair runs the full structural validation of the composed pair
+    return PaddedPair(f0=f0, g0=g0, P=P, Q=Q, d=d, f=f, g=g,
+                      embedding=embedding, pair=build_pair(f, g))
 
 
 def remainder_coeff_check(pp: PaddedPair) -> bool:

@@ -537,20 +537,19 @@ def find_anisotropy_certificate(diagonal: Sequence[Fraction],
     return None, notes
 
 
-def q_rank(pair: HyperPair, bound: int,
-           seeds: Sequence[Sequence[int]] = (),
-           space: QuadSpace | None = None) -> RankCertificate:
-    """Q-rank interval [lo, hi] with witnesses and obstructions attached.
+def q_rank(space: QuadSpace, sig: tuple[int, int], bound: int,
+           seeds: Sequence[Sequence[int]] = ()) -> RankCertificate:
+    """Q-rank interval [lo, hi] of the form with signature sig, with
+    witnesses and obstructions attached.
 
     lo comes from greedy plane splitting, hi from the residual signature;
     hi is tightened to lo when an anisotropy certificate closes the
     residual, and for a real-isotropic residual in >= 5 variables the
     search bound is doubled (a rational witness is guaranteed to exist)
-    until found or the enumeration cap intervenes.
+    until found or the enumeration cap intervenes.  hi is cross-checked
+    against min(p, q).
     """
-    if space is None:
-        space = invariant_space(pair)
-    p, q = signature(space)
+    p, q = sig
     current_bound = bound
     while True:
         cert = witt_decompose(space, current_bound, seeds=seeds)

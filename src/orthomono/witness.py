@@ -10,6 +10,10 @@ full translation group of the parabolic fixing the line through eps.
 Each group element carries both its matrix and the word over
 {A, A^-1, B, B^-1, C, C[coords]} that produced it, and the two are
 cross-checked at construction, so every certificate is replayable.
+
+arithmeticity_report runs the witness hunt alone: the pair, form,
+signature and Q-rank certificate it needs are built by the caller and
+passed in.
 """
 from __future__ import annotations
 
@@ -20,12 +24,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .monodromy import (HyperPair, PairType, PairValidationError, build_pair,
-                        classify_type, SYMPLECTIC)
-from .polynomials import IntPoly
+from .monodromy import HyperPair, PairValidationError, int_matrix
 from .quadform import (QuadSpace, RankCertificate, SearchBudgetError,
-                       _canonical, _gram_of, invariant_space, isotropic_search,
-                       q_rank, signature)
+                       _canonical, _gram_of, isotropic_search)
 
 WITNESSED = "witnessed-arithmetic"
 INCONCLUSIVE = "inconclusive"
@@ -60,12 +61,6 @@ class LineStabilizer:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    f: IntPoly
-    g: IntPoly
-    n: int
-    pair_type: PairType
-    signature: tuple[int, int] | None
-    rank_certificate: RankCertificate | None
     epsilon: tuple[int, ...] | None
     unipotent: GroupElement | None
     translation_rank: int | None
@@ -80,19 +75,6 @@ CAVEATS = (
     "finite-index theorem for higher-rank lattices; this report verifies "
     "that theorem's hypotheses mechanically and does not re-prove it.",
 )
-
-
-def _intify(m) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for row in m:
-        r = []
-        for x in row:
-            x = Fraction(x)
-            if x.denominator != 1:
-                raise ValueError("expected an integral matrix")
-            r.append(int(x))
-        out.append(tuple(r))
-    return tuple(out)
 
 
 def _render_reflection(w: Sequence[int]) -> str:
@@ -112,10 +94,10 @@ class WitnessContext:
     """Cyclic-basis generators and form for one validated pair, with a
     cached orbit of v under short words for the witness search."""
 
-    def __init__(self, pair: HyperPair, space: QuadSpace | None = None):
+    def __init__(self, pair: HyperPair, space: QuadSpace):
         self.pair = pair
         self.n = pair.n
-        self.space = space if space is not None else invariant_space(pair)
+        self.space = space
         self.gram = _gram_of(self.space)
         n = self.n
         # multiplication by x has the same matrix in the cyclic basis
@@ -124,9 +106,9 @@ class WitnessContext:
         trow = [int(self.gram[0][j]) for j in range(n)]
         self.C = tuple(tuple((1 if i == j else 0) - (trow[j] if i == 0 else 0)
                              for j in range(n)) for i in range(n))
-        self.A_inv = _intify(linalg.inverse(self.A))
-        self.B = _intify(linalg.mat_mul(self.A, self.C))
-        self.B_inv = _intify(linalg.inverse(self.B))
+        self.A_inv = int_matrix(linalg.inverse(self.A))
+        self.B = int_matrix(linalg.mat_mul(self.A, self.C))
+        self.B_inv = int_matrix(linalg.inverse(self.B))
         self._gens = {"A": self.A, "A^-1": self.A_inv, "B": self.B,
                       "B^-1": self.B_inv, "C": self.C}
         for name, m in self._gens.items():
@@ -150,14 +132,14 @@ class WitnessContext:
         m = linalg.identity(self.n)
         for token in word:
             m = linalg.mat_mul(m, self.token_matrix(token))
-        m = _intify(m)
+        m = int_matrix(m)
         self._check_isometry(m, " ".join(word) if word else "identity")
         return GroupElement(word=tuple(word), matrix=m)
 
     def verified(self, word: Sequence[str], matrix) -> GroupElement:
         """GroupElement with both invariants checked: the matrix preserves
         the form and equals the evaluated word."""
-        matrix = _intify(matrix)
+        matrix = int_matrix(matrix)
         if self.element(word).matrix != matrix:
             raise ValueError("matrix does not match its word")
         return GroupElement(word=tuple(word), matrix=matrix)
@@ -174,15 +156,15 @@ class WitnessContext:
         n, v = self.n, self.v
         minus: dict = {}
         plus: dict = {}
-        seen = {_intify(linalg.identity(n))}
+        seen = {int_matrix(linalg.identity(n))}
         idx = 0
-        frontier = [(_intify(linalg.identity(n)), ())]
+        frontier = [(int_matrix(linalg.identity(n)), ())]
         for _ in range(word_bound):
             grown = []
             for matrix, word in frontier:
                 for token in ("A", "A^-1", "C"):
-                    m = _intify(linalg.mat_mul(matrix,
-                                               self.token_matrix(token)))
+                    m = int_matrix(linalg.mat_mul(matrix,
+                                                  self.token_matrix(token)))
                     if m in seen:
                         continue
                     seen.add(m)
@@ -218,7 +200,8 @@ def reflection_matrix(H, w: Sequence[int]) -> GroupElement:
     cols = [reflect(gram, w, [int(i == j) for i in range(n)])
             for j in range(n)]
     try:
-        matrix = _intify([[cols[j][i] for j in range(n)] for i in range(n)])
+        matrix = int_matrix([[cols[j][i] for j in range(n)]
+                             for i in range(n)])
     except ValueError:
         raise ValueError(
             f"reflection about {tuple(w)} is not integral") from None
@@ -231,9 +214,9 @@ def reflection_matrix(H, w: Sequence[int]) -> GroupElement:
 
 def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
     """g h g^-1 with the concatenated word."""
-    g_inv = _intify(linalg.inverse(g.matrix))
-    matrix = _intify(linalg.mat_mul(g.matrix,
-                                    linalg.mat_mul(h.matrix, g_inv)))
+    g_inv = int_matrix(linalg.inverse(g.matrix))
+    matrix = int_matrix(linalg.mat_mul(g.matrix,
+                                       linalg.mat_mul(h.matrix, g_inv)))
     word = g.word + h.word + _inverse_word(g.word)
     return GroupElement(word=word, matrix=matrix)
 
@@ -342,11 +325,8 @@ def translation_vector(u: GroupElement, eps: Sequence[int], H
     return _translation(u.matrix, eps, quotient, linalg.inverse(qgram))
 
 
-def unipotent_from_reflections(pair: HyperPair, eps: Sequence[int],
-                               word_bound: int = 8,
-                               space: QuadSpace | None = None,
-                               ctx: WitnessContext | None = None
-                               ) -> GroupElement | None:
+def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
+                               word_bound: int) -> GroupElement | None:
     """Search words g over {A, A^-1, C} (shortest first, lexicographic
     tie-break) for g(v) with g(v) -+ v = +-eps; the returned element is
     u = C_{g(v)} C_v, verified nontrivial and inside the unipotent
@@ -355,8 +335,6 @@ def unipotent_from_reflections(pair: HyperPair, eps: Sequence[int],
     None when the bounded search finds nothing; that is a report outcome,
     not an error.
     """
-    if ctx is None:
-        ctx = WitnessContext(pair, space)
     gram, v = ctx.gram, ctx.v
     eps = tuple(int(x) for x in eps)
     if linalg.vec_dot(eps, gram, eps) != 0:
@@ -378,7 +356,7 @@ def unipotent_from_reflections(pair: HyperPair, eps: Sequence[int],
             continue
         cx = reflection_matrix(gram, x)
         cv = reflection_matrix(gram, v)
-        u_matrix = _intify(linalg.mat_mul(cx.matrix, cv.matrix))
+        u_matrix = int_matrix(linalg.mat_mul(cx.matrix, cv.matrix))
         u_word = word + ("C",) + _inverse_word(word) + ("C",)
         u = ctx.verified(u_word, u_matrix)
         if u.is_identity:
@@ -458,7 +436,7 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     rank = linalg.rank(vectors)
     if rank >= limit:
         return rank
-    layer = [_intify(linalg.identity(n))]
+    layer = [int_matrix(linalg.identity(n))]
     seen = set(layer)
     spent = 0
     for _ in range(3):
@@ -466,13 +444,13 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
         progressed = False
         for prev in layer:
             for r in reflections:
-                m = _intify(linalg.mat_mul(prev, r.matrix))
+                m = int_matrix(linalg.mat_mul(prev, r.matrix))
                 if m in seen:
                     continue
                 seen.add(m)
                 grown.append(m)
-                m_inv = _intify(linalg.inverse(m))
-                conj = _intify(linalg.mat_mul(
+                m_inv = int_matrix(linalg.inverse(m))
+                conj = int_matrix(linalg.mat_mul(
                     m, linalg.mat_mul(u.matrix, m_inv)))
                 t = _translation(conj, eps, quotient, qgram_inv)
                 trial = vectors + [list(t)]
@@ -491,12 +469,11 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     return rank
 
 
-def arithmeticity_report(f: IntPoly, g: IntPoly, search_bound: int = 3,
-                         word_bound: int = 8,
-                         seeds: Sequence[Sequence[int]] = ()
-                         ) -> WitnessReport:
-    """Full verification pass: classify, dual-route form, signature,
-    Q-rank certificate, then the unipotent witness hunt.
+def arithmeticity_report(ctx: WitnessContext, sig: tuple[int, int],
+                         cert: RankCertificate, search_bound: int,
+                         word_bound: int) -> WitnessReport:
+    """The unipotent witness hunt for an orthogonal pair whose form has
+    signature sig and Q-rank certificate cert.
 
     witnessed-arithmetic requires all of: real rank >= 2, a verified
     nontrivial unipotent fixing an isotropic line, and reflection
@@ -504,27 +481,19 @@ def arithmeticity_report(f: IntPoly, g: IntPoly, search_bound: int = 3,
     Anything less is reported as inconclusive, with whatever partial
     evidence was found embedded in the report.
     """
-    pair_type = classify_type(f, g)
-    if pair_type.kind == SYMPLECTIC:
-        return WitnessReport(
-            f=f, g=g, n=f.degree, pair_type=pair_type, signature=None,
-            rank_certificate=None, epsilon=None, unipotent=None,
-            translation_rank=None, conclusion=OUT_OF_SCOPE, caveats=CAVEATS)
-    pair = build_pair(f, g)
-    ctx = WitnessContext(pair)
-    p, q = signature(ctx.space)
-    cert = q_rank(pair, search_bound, seeds=seeds, space=ctx.space)
+    p, q = sig
+    n = ctx.n
     epsilon = None
     unipotent = None
     translation_rank = None
-    if min(p, q) >= 1 and pair.n >= 3:
+    if min(p, q) >= 1 and n >= 3:
         try:
             candidates = isotropic_search(ctx.space, search_bound)
         except SearchBudgetError:
             candidates = list(cert.isotropic_witnesses)
         best = -1
         for eps in candidates:
-            u = unipotent_from_reflections(pair, eps, word_bound, ctx=ctx)
+            u = unipotent_from_reflections(ctx, eps, word_bound)
             if u is None:
                 continue
             refl = [reflection_matrix(ctx.gram, w)
@@ -534,13 +503,12 @@ def arithmeticity_report(f: IntPoly, g: IntPoly, search_bound: int = 3,
             if rank > best:
                 best, epsilon, unipotent, translation_rank = \
                     rank, tuple(eps), u, rank
-            if rank == pair.n - 2:
+            if rank == n - 2:
                 break
     witnessed = (min(p, q) >= 2 and unipotent is not None
-                 and translation_rank == pair.n - 2)
+                 and translation_rank == n - 2)
     return WitnessReport(
-        f=f, g=g, n=pair.n, pair_type=pair_type, signature=(p, q),
-        rank_certificate=cert, epsilon=epsilon, unipotent=unipotent,
+        epsilon=epsilon, unipotent=unipotent,
         translation_rank=translation_rank,
         conclusion=WITNESSED if witnessed else INCONCLUSIVE,
         caveats=CAVEATS)

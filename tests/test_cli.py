@@ -173,19 +173,24 @@ def test_json_flag_writes_file(capsys, tmp_path):
 # -------------------------------------------------------------------- batch
 
 def test_batch(capsys, tmp_path):
+    malformed = ["[1,2]", '"str"', '{"f": 5}']
     lines = [json.dumps({"f": "x^2-1", "g": "x^2+x+1"}),
              "not json",
-             json.dumps({"f": BASE_F, "g": BASE_G})]
+             json.dumps({"f": BASE_F, "g": BASE_G})] + malformed
     path = tmp_path / "pairs.jsonl"
     path.write_text("\n".join(lines) + "\n")
     code, cap = run(capsys, "analyze", "--batch", str(path))
     assert code == 2  # worst record wins
     records = [json.loads(ln) for ln in cap.out.splitlines()]
-    assert len(records) == 3
+    assert len(records) == 6
     assert records[0]["derived"]["type"] == "orthogonal"
     assert records[1]["error"]["kind"] == "validation"
     assert records[1]["input"] == {"raw": "not json"}
     assert records[2]["witness"]["conclusion"] == "witnessed-arithmetic"
+    # valid JSON that is not an {"f", "g"} object gets its own record
+    for raw, record in zip(malformed, records[3:]):
+        assert record["error"]["kind"] == "validation"
+        assert record["input"] == {"raw": raw}
 
 
 def test_batch_all_good_exits_0(capsys, tmp_path):

@@ -4,9 +4,8 @@ import pytest
 
 from orthomono import linalg
 from orthomono.monodromy import PairValidationError, build_pair
-from orthomono.padding import (DEFAULT_EXPONENT, PaddedPair, build_padded,
-                               embed_vector, isometry_check, pad_pair,
-                               remainder_coeff_check)
+from orthomono.padding import (DEFAULT_EXPONENT, PaddedPair, embed_vector,
+                               isometry_check, pad_pair, remainder_coeff_check)
 from orthomono.parsing import parse_poly
 from orthomono.quadform import invariant_space, q_rank, signature
 
@@ -25,19 +24,19 @@ def test_listed_families(family):
     assert pp.f.degree == 17
     assert remainder_coeff_check(pp)
     assert isometry_check(pp)
-    build_padded(pp)  # the composed pair passes full validation
+    # pad_pair built the composed pair through full validation
+    assert (pp.pair.f, pp.pair.g) == (pp.f, pp.g)
 
 
-def test_padded_rank_bound_inherits(base_pair):
-    base_cert = q_rank(base_pair, 3)
+def test_padded_rank_bound_inherits(base_space):
+    base_cert = q_rank(base_space, signature(base_space), 3)
     assert base_cert.lo == 2
     pp = pad_pair(F0, G0, FAMILY_P[1], FAMILY_Q)
-    padded = build_padded(pp)
-    space = invariant_space(padded)
+    space = invariant_space(pp.pair)
     seeds = [embed_vector(pp, w) for w in base_cert.isotropic_witnesses]
     for seed in seeds:
         assert linalg.vec_dot(seed, space.gram, seed) == 0
-    cert = q_rank(padded, 3, seeds=seeds, space=space)
+    cert = q_rank(space, signature(space), 3, seeds=seeds)
     assert cert.lo >= 2
     assert cert.hi >= cert.lo
     assert cert.notes  # at this size the search runs into its budget
@@ -45,7 +44,7 @@ def test_padded_rank_bound_inherits(base_pair):
 
 def test_embedding_is_isometric_on_grams(base_space):
     pp = pad_pair(F0, G0, FAMILY_P[2], FAMILY_Q)
-    space = invariant_space(build_padded(pp))
+    space = invariant_space(pp.pair)
     for i in range(5):
         for j in range(5):
             assert linalg.vec_dot(pp.embedding[i], space.gram,
@@ -104,7 +103,7 @@ def test_checks_catch_a_broken_pad():
     good = pad_pair(F0, G0, FAMILY_P[1], FAMILY_Q)
     bad = PaddedPair(f0=F0, g0=G0, P=FAMILY_P[1], Q=FAMILY_Q, d=6,
                      f=good.f, g=G0 * parse_poly("x^12+x^11+1"),
-                     embedding=good.embedding)
+                     embedding=good.embedding, pair=good.pair)
     assert not remainder_coeff_check(bad)
     assert not isometry_check(bad)
 
@@ -114,6 +113,6 @@ def test_padded_signature_extends_base(base_space):
     # so min(p, q) cannot drop
     p0, q0 = signature(base_space)
     pp = pad_pair(F0, G0, FAMILY_P[1], FAMILY_Q)
-    p, q = signature(invariant_space(build_padded(pp)))
+    p, q = signature(invariant_space(pp.pair))
     assert p >= min(p0, q0) and q >= min(p0, q0)
     assert p + q == 17

@@ -68,8 +68,8 @@ def test_q_rank_certificates_are_coherent(cyclotomic_pairs):
         if pair.n > 6:
             continue
         space = invariant_space(pair)
-        cert = q_rank(pair, 1, space=space)
         p, q = signature(space.gram)
+        cert = q_rank(space, (p, q), 1)
         assert cert.lo <= cert.hi <= min(p, q)
         assert len(cert.isotropic_witnesses) == cert.lo
         assert len(cert.residual_diagonal) == pair.n - 2 * cert.lo

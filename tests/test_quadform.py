@@ -224,21 +224,24 @@ def test_witt_definite():
     assert cert.obstructions == ()
 
 
-def test_q_rank_base(base_pair):
-    cert = q_rank(base_pair, 3)
+def test_q_rank_base(base_space):
+    cert = q_rank(base_space, signature(base_space), 3)
     assert (cert.lo, cert.hi) == (2, 2)
     assert cert.isotropic_witnesses == ((0, 0, 1, 0, -1), (1, 1, -1, -1, 1))
     assert cert.residual_diagonal == (F(8),)
     assert cert.notes == ()
 
 
-def test_q_rank_seeded(base_pair, base_space):
-    seeded = q_rank(base_pair, 3, seeds=((0, 0, 1, 0, -1),), space=base_space)
+def test_q_rank_seeded(base_space):
+    seeded = q_rank(base_space, signature(base_space), 3,
+                    seeds=((0, 0, 1, 0, -1),))
     assert (seeded.lo, seeded.hi) == (2, 2)
 
 
 def test_q_rank_anisotropic_residual():
-    cert = q_rank(pair_of("(x-1)*(x^2+1)*(x^2+x+1)", "(x+1)*(x^5-1)/(x-1)"), 3)
+    space = invariant_space(pair_of("(x-1)*(x^2+1)*(x^2+x+1)",
+                                    "(x+1)*(x^5-1)/(x-1)"))
+    cert = q_rank(space, signature(space), 3)
     assert (cert.lo, cert.hi) == (1, 1)
     assert cert.isotropic_witnesses == ((0, 0, 0, 1, -1),)
     assert cert.residual_diagonal == (F(-2), F(14), F(20, 7))
@@ -248,14 +251,15 @@ def test_q_rank_anisotropic_residual():
 
 
 def test_q_rank_degree_one():
-    cert = q_rank(pair_of("x-1", "x+1"), 3)
+    space = invariant_space(pair_of("x-1", "x+1"))
+    cert = q_rank(space, signature(space), 3)
     assert (cert.lo, cert.hi) == (0, 0)
     assert cert.residual_diagonal == (F(2),)
     assert cert.obstructions == ()
 
 
-def test_q_rank_matches_witt_on_the_gram(base_pair, base_space):
+def test_q_rank_matches_witt_on_the_gram(base_space):
     direct = witt_decompose(base_space, 3)
-    via_pair = q_rank(base_pair, 3, space=base_space)
+    via_pair = q_rank(base_space, signature(base_space), 3)
     assert (direct.lo, direct.hi) == (via_pair.lo, via_pair.hi)
     assert direct.isotropic_witnesses == via_pair.isotropic_witnesses

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from orthomono import linalg
+from orthomono import cli, linalg
 from orthomono.monodromy import build_pair
 from orthomono.parsing import parse_poly
-from orthomono.quadform import q_rank
+from orthomono.quadform import invariant_space, q_rank, signature
 from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
                                GroupElement, WitnessContext,
                                arithmeticity_report, conjugate,
@@ -18,8 +18,8 @@ from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
 
 
 @pytest.fixture(scope="module")
-def ctx(base_pair):
-    return WitnessContext(base_pair)
+def ctx(base_pair, base_space):
+    return WitnessContext(base_pair, base_space)
 
 
 def e(k, n=5):
@@ -106,7 +106,7 @@ def test_word_orbit_deterministic_and_cached(ctx):
     first = ctx.word_orbit(4)
     again = ctx.word_orbit(4)
     assert first == again
-    fresh = WitnessContext(ctx.pair).word_orbit(4)
+    fresh = WitnessContext(ctx.pair, ctx.space).word_orbit(4)
     assert first[0] == fresh[0] and first[1] == fresh[1]
 
 
@@ -188,19 +188,18 @@ def test_translation_moves_under_conjugation(ctx, u):
 # ----------------------------------------------------------------- searches
 
 def test_unipotent_from_reflections(ctx, u):
-    found = unipotent_from_reflections(ctx.pair, EPS, ctx=ctx)
+    found = unipotent_from_reflections(ctx, EPS, 8)
     assert found.word == ("A", "A", "C", "A^-1", "A^-1", "C")
     assert found.matrix == u.matrix
 
 
 def test_unipotent_search_can_come_up_empty(ctx):
-    assert unipotent_from_reflections(ctx.pair, EPS, word_bound=1,
-                                      ctx=ctx) is None
+    assert unipotent_from_reflections(ctx, EPS, 1) is None
 
 
 def test_unipotent_search_validates_eps(ctx):
     with pytest.raises(ValueError, match="isotropic"):
-        unipotent_from_reflections(ctx.pair, e(0), ctx=ctx)
+        unipotent_from_reflections(ctx, e(0), 8)
 
 
 def test_integral_reflection_vectors(ctx):
@@ -241,38 +240,45 @@ def test_span_rank_validation(ctx, u):
 
 # ------------------------------------------------------------------- reports
 
+def hunt(pair):
+    """Signature, rank certificate and witness report, as analyze runs
+    them, with search bound 3 and word bound 8."""
+    space = invariant_space(pair)
+    sig = signature(space)
+    cert = q_rank(space, sig, 3)
+    return sig, cert, arithmeticity_report(WitnessContext(pair, space), sig,
+                                           cert, 3, 8)
+
+
 def test_report_base(base_pair):
-    rep = arithmeticity_report(base_pair.f, base_pair.g)
+    sig, cert, rep = hunt(base_pair)
     assert rep.conclusion == WITNESSED
-    assert rep.signature == (3, 2)
+    assert sig == (3, 2)
     assert rep.translation_rank == 3
     assert rep.epsilon == (0, 1, 0, 0, -1)
     assert rep.unipotent.word == ("A", "C", "A^-1", "C", "A^-1", "C",
                                   "A", "C", "A", "C", "A^-1", "C")
     assert len(rep.caveats) == 2
-    direct = q_rank(base_pair, 3)
-    assert (rep.rank_certificate.lo, rep.rank_certificate.hi) == \
-        (direct.lo, direct.hi)
+    assert (cert.lo, cert.hi) == (2, 2)
 
 
 def test_report_deterministic(base_pair):
-    a = arithmeticity_report(base_pair.f, base_pair.g)
-    b = arithmeticity_report(base_pair.f, base_pair.g)
-    assert a == b
+    assert hunt(base_pair) == hunt(base_pair)
 
 
 def test_report_symplectic():
-    rep = arithmeticity_report(parse_poly("x^2-x+1"), parse_poly("x^2+x+1"))
-    assert rep.conclusion == OUT_OF_SCOPE
-    assert rep.signature is None
-    assert rep.rank_certificate is None
-    assert rep.unipotent is None
+    # symplectic pairs stop at classification, before any witness hunt
+    doc = cli.build_report("x^2-x+1", "x^2+x+1")
+    assert doc["witness"]["conclusion"] == OUT_OF_SCOPE
+    assert doc["signature"] is None
+    assert doc["q_rank"] is None
+    assert doc["witness"]["unipotent"] is None
 
 
 def test_report_degree_one():
-    rep = arithmeticity_report(parse_poly("x-1"), parse_poly("x+1"))
+    sig, cert, rep = hunt(build_pair(parse_poly("x-1"), parse_poly("x+1")))
     assert rep.conclusion == INCONCLUSIVE
-    assert rep.signature == (1, 0)
-    assert (rep.rank_certificate.lo, rep.rank_certificate.hi) == (0, 0)
+    assert sig == (1, 0)
+    assert (cert.lo, cert.hi) == (0, 0)
     assert rep.epsilon is None
     assert rep.unipotent is None
