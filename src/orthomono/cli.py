@@ -429,10 +429,24 @@ def cmd_paper_suite(args) -> int:
 
 # --------------------------------------------------------------- arg parsing
 
+def _search_bound(text: str) -> int:
+    """--search-bound value: an int of at least 1, since the Q-rank bound
+    doubling never leaves a bound of 0 or less."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND,
-                     help="coefficient bound for the isotropic vector search "
-                          "(default %(default)s)")
+    sub.add_argument("--search-bound", type=_search_bound,
+                     default=DEFAULT_SEARCH_BOUND,
+                     help="coefficient bound for the isotropic vector search, "
+                          "at least 1 (default %(default)s)")
     sub.add_argument("--word-bound", type=int, default=DEFAULT_WORD_BOUND,
                      help="maximum reflection-word length in the witness "
                           "hunt (default %(default)s)")

@@ -106,10 +106,12 @@ def int_matrix(m) -> tuple[tuple[int, ...], ...]:
     for row in m:
         r = []
         for x in row:
-            x = Fraction(x)
-            if x.denominator != 1:
-                raise PairValidationError("expected an integral matrix")
-            r.append(int(x))
+            if type(x) is not int:
+                x = Fraction(x)
+                if x.denominator != 1:
+                    raise PairValidationError("expected an integral matrix")
+                x = int(x)
+            r.append(x)
         out.append(tuple(r))
     return tuple(out)
 

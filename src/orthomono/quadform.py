@@ -7,7 +7,6 @@ is exact; there are no tolerances anywhere in this module.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,9 +207,18 @@ def invariant_space(pair: HyperPair) -> QuadSpace:
     return cyc
 
 
-def _gram_of(space_or_gram) -> list[list[Fraction]]:
+def _gram_of(space_or_gram) -> list[list]:
+    """The Gram matrix as lists of int entries when every entry is
+    integral (the cyclic Gram always is), of Fraction entries otherwise.
+
+    This is the one place the number domain is chosen: the searches and
+    the reflection calculus run on whatever it returns without a branch,
+    in int arithmetic on every integral form."""
     gram = getattr(space_or_gram, "gram", space_or_gram)
-    return [[Fraction(x) for x in row] for row in gram]
+    rows = [[Fraction(x) for x in row] for row in gram]
+    if all(x.denominator == 1 for row in rows for x in row):
+        return [[int(x) for x in row] for row in rows]
+    return rows
 
 
 def diagonalize(space_or_gram) -> tuple[tuple[Fraction, ...],
@@ -223,7 +231,7 @@ def diagonalize(space_or_gram) -> tuple[tuple[Fraction, ...],
     some off-diagonal (i,j) is not, apply e_i -> e_i + e_j first.  Zero
     diagonal entries survive only for degenerate inputs.
     """
-    m = _gram_of(space_or_gram)
+    m = [[Fraction(x) for x in row] for row in _gram_of(space_or_gram)]
     n = len(m)
     t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -293,11 +301,6 @@ def signature_interlace(alpha: Sequence[Fraction], beta: Sequence[Fraction]
     return abs(total)
 
 
-def _box(dim: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """All tuples in [-bound, bound]^dim, lexicographic order."""
-    return itertools.product(range(-bound, bound + 1), repeat=dim)
-
-
 def _canonical(c: tuple[int, ...]) -> bool:
     """Primitive with positive first nonzero entry."""
     lead = next((x for x in c if x != 0), None)
@@ -307,6 +310,38 @@ def _canonical(c: tuple[int, ...]) -> bool:
     for x in c:
         g = math.gcd(g, x)
     return g == 1
+
+
+def _box_solutions(gram: Sequence[Sequence], bound: int, value=0
+                   ) -> Iterator[tuple[int, ...]]:
+    """Canonical tuples c in [-bound, bound]^dim with c.G.c = value, in
+    lexicographic order, lazily; G must be symmetric.
+
+    Depth first over the coordinates, carrying the form's value on the
+    prefix and G times the prefix, so a node costs O(dim) and a full tuple
+    one quadratic in its last coordinate."""
+    if gram:
+        yield from _box_walk(gram, range(-bound, bound + 1), value, (), 0,
+                             [0] * len(gram))
+
+
+def _box_walk(gram, span: range, value, prefix: tuple[int, ...], q,
+              g_prefix: list) -> Iterator[tuple[int, ...]]:
+    # q = prefix.G.prefix and g_prefix = G prefix, prefix zero-padded
+    k = len(prefix)
+    lin, diag = 2 * g_prefix[k], gram[k][k]
+    if k == len(gram) - 1:
+        for t in span:
+            if q + t * (lin + diag * t) == value:
+                c = prefix + (t,)
+                if _canonical(c):
+                    yield c
+        return
+    row = gram[k]  # column k, by symmetry
+    for t in span:
+        yield from _box_walk(gram, span, value, prefix + (t,),
+                             q + t * (lin + diag * t),
+                             [a + t * b for a, b in zip(g_prefix, row)])
 
 
 def isotropic_search(space_or_gram, bound: int,
@@ -319,11 +354,7 @@ def isotropic_search(space_or_gram, bound: int,
         raise SearchBudgetError(
             f"bounded search over {(2 * bound + 1) ** dim} tuples exceeds "
             f"the cap {cap}")
-    found = []
-    for c in _box(dim, bound):
-        if _canonical(c) and linalg.vec_dot(c, gram, c) == 0:
-            found.append(c)
-    return found
+    return list(_box_solutions(gram, bound))
 
 
 def _int_kernel(rows: list[list[int]], n: int) -> list[list[int]]:
@@ -386,17 +417,17 @@ def witt_decompose(space_or_gram, bound: int,
                     f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
                     "lower bound may not be tight")
                 break
-            for c in _box(k, bound):
-                if not _canonical(c):
-                    continue
-                x = tuple(sum(c[j] * basis[j][i] for j in range(k))
-                          for i in range(n))
-                if linalg.vec_dot(x, gram, x) == 0:
-                    lead = next(t for t in x if t != 0)
-                    w = x if lead > 0 else tuple(-t for t in x)
-                    break
-            if w is None:
+            # search in lattice coordinates against the restricted Gram;
+            # c.(B^T G B).c = x.G.x for x = B c, so the hit is unchanged
+            restricted = [[linalg.vec_dot(bi, gram, bj) for bj in basis]
+                          for bi in basis]
+            c = next(_box_solutions(restricted, bound), None)
+            if c is None:
                 break
+            x = tuple(sum(c[j] * basis[j][i] for j in range(k))
+                      for i in range(n))
+            lead = next(t for t in x if t != 0)
+            w = x if lead > 0 else tuple(-t for t in x)
         # partner: first current-lattice vector pairing nontrivially with
         # w while keeping every unused seed orthogonal (so later stages
         # can still accept them)
@@ -547,8 +578,11 @@ def q_rank(space: QuadSpace, sig: tuple[int, int], bound: int,
     residual, and for a real-isotropic residual in >= 5 variables the
     search bound is doubled (a rational witness is guaranteed to exist)
     until found or the enumeration cap intervenes.  hi is cross-checked
-    against min(p, q).
+    against min(p, q).  A bound below 1 is a ValueError: the doubling
+    would never leave it.
     """
+    if bound < 1:
+        raise ValueError(f"search bound must be at least 1, got {bound}")
     p, q = sig
     current_bound = bound
     while True:

@@ -26,7 +26,7 @@ from typing import Sequence
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
 from .quadform import (QuadSpace, RankCertificate, SearchBudgetError,
-                       _canonical, _gram_of, isotropic_search)
+                       _box_solutions, _gram_of, isotropic_search)
 
 WITNESSED = "witnessed-arithmetic"
 INCONCLUSIVE = "inconclusive"
@@ -108,7 +108,11 @@ class WitnessContext:
                              for j in range(n)) for i in range(n))
         self.A_inv = int_matrix(linalg.inverse(self.A))
         self.B = int_matrix(linalg.mat_mul(self.A, self.C))
-        self.B_inv = int_matrix(linalg.inverse(self.B))
+        # B = A C with C an involution, so B^-1 = C A^-1
+        self.B_inv = int_matrix(linalg.mat_mul(self.C, self.A_inv))
+        if not linalg.mat_eq(linalg.mat_mul(self.B, self.B_inv),
+                             linalg.identity(n)):
+            raise PairValidationError("C A^-1 does not invert B")
         self._gens = {"A": self.A, "A^-1": self.A_inv, "B": self.B,
                       "B^-1": self.B_inv, "C": self.C}
         for name, m in self._gens.items():
@@ -194,17 +198,28 @@ def reflect(H, w: Sequence[int], x: Sequence):
 
 def reflection_matrix(H, w: Sequence[int]) -> GroupElement:
     """GroupElement of the reflection about w; the matrix must come out
-    integral to participate in group computations."""
+    integral to participate in group computations.
+
+    Column j is reflect(H, w, e_j) = e_j - (2 (Gw)_j / w.w) w, built
+    entry by entry with an exact-divisibility test in place of a
+    division."""
     gram = _gram_of(H)
     n = len(gram)
-    cols = [reflect(gram, w, [int(i == j) for i in range(n)])
-            for j in range(n)]
-    try:
-        matrix = int_matrix([[cols[j][i] for j in range(n)]
-                             for i in range(n)])
-    except ValueError:
-        raise ValueError(
-            f"reflection about {tuple(w)} is not integral") from None
+    gw = linalg.mat_vec(gram, w)
+    ww = sum(a * b for a, b in zip(w, gw))
+    if ww == 0:
+        raise ValueError("cannot reflect about an isotropic vector")
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            shift, rest = divmod(2 * gw[j] * w[i], ww)
+            if rest != 0:
+                raise ValueError(
+                    f"reflection about {tuple(w)} is not integral")
+            row.append(int(i == j) - shift)
+        rows.append(tuple(row))
+    matrix = tuple(rows)
     mt = linalg.transpose(matrix)
     if not linalg.mat_eq(linalg.mat_mul(mt, linalg.mat_mul(gram, matrix)),
                          gram):
@@ -263,9 +278,8 @@ def orthocomplement(H, eps: Sequence[int]
 def _parallel_factor(d: Sequence, eps: Sequence[int]) -> Fraction | None:
     """lambda with d = lambda * eps, or None if d is not parallel."""
     idx = next(i for i, x in enumerate(eps) if x != 0)
-    lam = Fraction(d[idx], eps[idx])
-    if all(Fraction(di) == lam * ei for di, ei in zip(d, eps)):
-        return lam
+    if all(di * eps[idx] == d[idx] * ei for di, ei in zip(d, eps)):
+        return Fraction(d[idx], eps[idx])
     return None
 
 
@@ -284,8 +298,7 @@ def line_stabilizer_test(g: GroupElement, eps: Sequence[int], H
     if radical:
         _, quotient = orthocomplement(gram, eps)
         for w in quotient:
-            d = [Fraction(a) - b for a, b in
-                 zip(linalg.mat_vec(g.matrix, w), w)]
+            d = [a - b for a, b in zip(linalg.mat_vec(g.matrix, w), w)]
             if _parallel_factor(d, eps) is None:
                 radical = False
                 break
@@ -298,7 +311,7 @@ def _translation(matrix, eps, quotient, qgram_inv) -> tuple[Fraction, ...]:
     with precomputed quotient data; raises if not parallel."""
     phi = []
     for w in quotient:
-        d = [Fraction(a) - b for a, b in zip(linalg.mat_vec(matrix, w), w)]
+        d = [a - b for a, b in zip(linalg.mat_vec(matrix, w), w)]
         lam = _parallel_factor(d, eps)
         if lam is None:
             raise ValueError("element is not in the unipotent radical")
@@ -375,18 +388,19 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
     search.  Deduplicated by sign, deterministic order."""
     gram, n = ctx.gram, ctx.n
     eps = tuple(int(x) for x in eps)
-    candidates: list[tuple[int, ...]] = []
+    images: list[tuple[int, ...]] = []
     x = ctx.v
     for _ in range(n):
-        candidates.append(tuple(int(a) for a in x))
+        images.append(tuple(int(a) for a in x))
         x = tuple(int(a) for a in linalg.mat_vec(ctx.A, x))
     perp, _ = orthocomplement(gram, eps)
-    candidates.extend(perp)
+    candidates = itertools.chain(images, perp)
     if (2 * search_bound + 1) ** n <= cap:
-        candidates.extend(
-            c for c in itertools.product(
-                range(-search_bound, search_bound + 1), repeat=n)
-            if _canonical(c))
+        # lazily: the scan usually stops at MAX_SPAN_REFLECTIONS long
+        # before the box is exhausted
+        candidates = itertools.chain(
+            candidates, _box_solutions(gram, search_bound, 2))
+    g_eps = linalg.mat_vec(gram, eps)
     out: list[tuple[int, ...]] = []
     seen = set()
     for w in candidates:
@@ -397,9 +411,9 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
         if canon in seen:
             continue
         seen.add(canon)
-        if linalg.vec_dot(canon, gram, canon) != 2:
+        if sum(a * b for a, b in zip(canon, g_eps)) != 0:
             continue
-        if linalg.vec_dot(canon, gram, eps) != 0:
+        if linalg.vec_dot(canon, gram, canon) != 2:
             continue
         out.append(canon)
         if len(out) >= MAX_SPAN_REFLECTIONS:
@@ -415,7 +429,8 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
 
     Stops early when the rank reaches limit (default n - 2, the dimension
     of the full translation group), when the conjugate budget runs out,
-    or after a whole product layer adds no rank.
+    or after a whole product layer adds no rank.  Every reflection must
+    fix the line through eps and be its own inverse.
     """
     gram = _gram_of(H)
     n = len(gram)
@@ -424,38 +439,42 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
         limit = n - 2
     if not line_stabilizer_test(u, eps, gram).in_unipotent_radical:
         raise ValueError("u is not in the unipotent radical")
+    identity = int_matrix(linalg.identity(n))
     for r in reflections:
         if not line_stabilizer_test(r, eps, gram).fixes_line:
             raise ValueError("every reflection must fix the line through eps")
+        if int_matrix(linalg.mat_mul(r.matrix, r.matrix)) != identity:
+            raise ValueError("every reflection must be an involution")
     _, quotient = orthocomplement(gram, eps)
     qgram = [[linalg.vec_dot(wi, gram, wj) for wj in quotient]
              for wi in quotient]
     qgram_inv = linalg.inverse(qgram)
 
-    vectors = [list(_translation(u.matrix, eps, quotient, qgram_inv))]
-    rank = linalg.rank(vectors)
+    echelon: list[tuple[int, list[Fraction]]] = []
+    rank = int(_echelon_insert(
+        echelon, _translation(u.matrix, eps, quotient, qgram_inv)))
     if rank >= limit:
         return rank
-    layer = [int_matrix(linalg.identity(n))]
-    seen = set(layer)
+    # each product travels with its inverse: (prev r)^-1 = r prev^-1,
+    # since every reflection is its own inverse
+    layer = [(identity, identity)]
+    seen = {identity}
     spent = 0
     for _ in range(3):
         grown = []
         progressed = False
-        for prev in layer:
+        for prev, prev_inv in layer:
             for r in reflections:
                 m = int_matrix(linalg.mat_mul(prev, r.matrix))
                 if m in seen:
                     continue
                 seen.add(m)
-                grown.append(m)
-                m_inv = int_matrix(linalg.inverse(m))
+                m_inv = int_matrix(linalg.mat_mul(r.matrix, prev_inv))
+                grown.append((m, m_inv))
                 conj = int_matrix(linalg.mat_mul(
                     m, linalg.mat_mul(u.matrix, m_inv)))
                 t = _translation(conj, eps, quotient, qgram_inv)
-                trial = vectors + [list(t)]
-                if linalg.rank(trial) > rank:
-                    vectors = trial
+                if _echelon_insert(echelon, t):
                     rank += 1
                     progressed = True
                     if rank >= limit:
@@ -467,6 +486,24 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
             break
         layer = grown
     return rank
+
+
+def _echelon_insert(echelon: list[tuple[int, list[Fraction]]],
+                    vec: Sequence) -> bool:
+    """Reduce vec against the echelon rows (pivot column, row with a 1 at
+    the pivot); if something is left, append it and return True, so the
+    rank of the rows seen so far grows by one."""
+    rest = [Fraction(x) for x in vec]
+    for col, row in echelon:
+        if rest[col] != 0:
+            f = rest[col]
+            rest = [a - f * b for a, b in zip(rest, row)]
+    col = next((i for i, x in enumerate(rest) if x != 0), None)
+    if col is None:
+        return False
+    pv = rest[col]
+    echelon.append((col, [x / pv for x in rest]))
+    return True
 
 
 def arithmeticity_report(ctx: WitnessContext, sig: tuple[int, int],

@@ -144,6 +144,18 @@ def test_analyze_missing_arguments(capsys):
     assert "--batch" in cap.err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--f", BASE_F, "--g", BASE_G],
+    ["pad", "--f0", BASE_F, "--g0", BASE_G, "--P", "y^2+y+1", "--Q", "y^2+1"],
+    ["examples"]], ids=["analyze", "pad", "examples"])
+def test_search_bound_below_one_exits_2(capsys, command, bound):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + [f"--search-bound={bound}"])
+    assert exc.value.code == 2
+    assert "--search-bound: must be at least 1" in capsys.readouterr().err
+
+
 def test_oracle_failure_exits_3(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise OracleMismatchError("routes disagree")

@@ -5,14 +5,16 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from orthomono import linalg
 from orthomono.corpus import ENTRIES
 from orthomono.monodromy import build_pair
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import cyclo_factor, root_parameters
-from orthomono.quadform import (gram_invariance, invariant_space, q_rank,
-                                signature, signature_interlace)
-from orthomono.witness import reflect
+from orthomono.quadform import (_gram_of, gram_invariance, invariant_space,
+                                q_rank, signature, signature_interlace)
+from orthomono.witness import reflect, reflection_matrix
 
 from conftest import random_unimodular
 
@@ -79,16 +81,58 @@ def test_q_rank_certificates_are_coherent(cyclotomic_pairs):
             assert next(x for x in w if x != 0) > 0
 
 
+def reflection_by_columns(G, w):
+    """The reference matrix: column j is reflect(G, w, e_j)."""
+    n = len(G)
+    cols = [reflect(G, w, [int(i == j) for i in range(n)]) for j in range(n)]
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
 def test_reflections_preserve_the_form(cyclotomic_pairs):
     rng = random.Random(7)
     pairs = [p for p in built(cyclotomic_pairs) if p.n >= 2][:10]
+    seen = {"unit": 0, "integral": 0, "not integral": 0}
     for pair in pairs:
-        G = gram_invariance(pair).gram
+        std = gram_invariance(pair)
+        G = std.gram
         v = pair.v
         x = tuple(rng.randint(-4, 4) for _ in range(pair.n))
         y = reflect(G, v, x)
         assert reflect(G, v, y) == tuple(Fraction(a) for a in x)
         assert linalg.vec_dot(y, G, y) == linalg.vec_dot(x, G, x)
+
+        # the int reflection on the cyclic Gram against its reference
+        cyc = invariant_space(pair)
+        H = _gram_of(cyc)
+        assert all(type(a) is int for row in H for a in row)
+        assert all(type(a) is Fraction for row in _gram_of(std) for a in row)
+        axes = []
+        w = tuple(int(i == 0) for i in range(pair.n))
+        for _ in range(pair.n):  # v, A v, ..., A^{n-1} v
+            axes.append(w)
+            w = tuple(linalg.mat_vec(pair.A, w))
+        units = 0
+        for _ in range(400):
+            w = tuple(rng.randint(-2, 2) for _ in range(pair.n))
+            norm = linalg.vec_dot(w, H, w)
+            if norm in (-2, -1, 1, 2) and units < 4:
+                axes.append(w)
+                units += 1
+                seen["unit"] += 1
+            elif norm != 0 and len(axes) < pair.n + 8:
+                axes.append(w)
+        for w in axes:
+            reference = reflection_by_columns(H, w)
+            if all(a.denominator == 1 for row in reference for a in row):
+                seen["integral"] += 1
+                matrix = reflection_matrix(cyc, w).matrix
+                assert linalg.mat_eq(matrix, reference)
+                assert all(type(a) is int for row in matrix for a in row)
+            else:
+                seen["not integral"] += 1
+                with pytest.raises(ValueError, match="not integral"):
+                    reflection_matrix(cyc, w)
+    assert all(count > 0 for count in seen.values()), seen
 
 
 def test_signature_survives_unimodular_congruence():

@@ -258,6 +258,14 @@ def test_q_rank_degree_one():
     assert cert.obstructions == ()
 
 
+def test_q_rank_rejects_bound_below_one(base_space):
+    # the bound-doubling loop never leaves a bound of 0 or less; on the
+    # base quintic that was a search that never ended
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            q_rank(base_space, signature(base_space), bound)
+
+
 def test_q_rank_matches_witt_on_the_gram(base_space):
     direct = witt_decompose(base_space, 3)
     via_pair = q_rank(base_space, signature(base_space), 3)

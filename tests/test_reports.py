@@ -1,0 +1,148 @@
+"""Byte-identity gate: every canonical report below, with its `timings`
+block removed, is pinned by SHA-256 together with the command's exit code.
+
+The cases are the 11 worked examples, the random cyclotomic pairs of
+degree <= 6 from the shared battery, the ten pads of the base quintic that
+exit 0 (the nine coprime degree-2 choices of (P, Q) and P = Q = 1) and
+`examples --json`.  A performance change must leave every digest alone;
+a change that alters a report on purpose updates the digests here and
+records the new values, and why, in CHANGES.md.
+"""
+import hashlib
+
+import pytest
+
+from orthomono import cli, corpus
+from orthomono.polynomials import render
+
+from conftest import BASE_F, BASE_G, random_cyclotomic_pairs
+
+PADS = (("1", "1"),
+        ("y^2-y+1", "y^2+1"), ("y^2-y+1", "y^2+y+1"),
+        ("y^2-y+1", "y^2+2*y+1"), ("y^2+1", "y^2-y+1"),
+        ("y^2+1", "y^2+y+1"), ("y^2+1", "y^2+2*y+1"),
+        ("y^2+y+1", "y^2-y+1"), ("y^2+y+1", "y^2+1"),
+        ("y^2+y+1", "y^2+2*y+1"))
+
+
+def _cases() -> list[tuple[str, list[str]]]:
+    cases = [(f"entry-{e.name}", ["analyze", "--f", e.f_text, "--g", e.g_text])
+             for e in corpus.ENTRIES]
+    for i, (f, g) in enumerate(random_cyclotomic_pairs()):
+        if f.degree <= 6:
+            cases.append((f"battery-{i:02d}",
+                          ["analyze", "--f", render(f), "--g", render(g)]))
+    for P, Q in PADS:
+        cases.append((f"pad({P},{Q})", ["pad", "--f0", BASE_F, "--g0", BASE_G,
+                                        "--P", P, "--Q", Q]))
+    cases.append(("examples", ["examples"]))
+    return cases
+
+
+CASES = _cases()
+
+# label: (exit code, SHA-256 of the canonical report without `timings`)
+DIGESTS = {
+    "entry-base": (
+        0, "08c6172cc106d3686310a9339b0a5e830ff3703f13406b172e878132a83a5a12"),
+    "entry-ex01": (
+        0, "3cec620dd2b1212dc141edf0f816b815d6b6cca217431ad43558172edaae4233"),
+    "entry-ex02": (
+        0, "3cd546486356acaf19015bb649a07c2501adf2a46364d4f002710818ab56ac5e"),
+    "entry-ex03": (
+        0, "9d59ada5977d6e3d3a283f8507357148f81a78c796572e006a3814f02d21eac1"),
+    "entry-ex04": (
+        0, "a40dcc46cfa0aff84bf74913c04fc8153b4287d53f366f7245e8d733a613cda8"),
+    "entry-ex05": (
+        0, "59a80592f0af854c370ec3c0e20193e0676679ad45d9fedda76287ffa524922f"),
+    "entry-ex06": (
+        0, "adb743891fe0b9483bc4f8558cdf1d61c4b7c3b844b2adb442e8f035891f2da9"),
+    "entry-ex07": (
+        0, "07fc4b2c7bb496ef411c75c0333b35e9b2c3bab91c1452913d6d22287ec7669a"),
+    "entry-ex08": (
+        0, "7b28dd41c93a80d38a8ac0dcfe9aac88cad0ae18944e5b5ca1fef01728b92efc"),
+    "entry-ex09": (
+        0, "decbfbd99e324b7828c2ab905d141bfb8b735c685880a50aa922e88d04340837"),
+    "entry-ex10": (
+        0, "f3cd847fa66a2ed719180e732fc8be4a2af5959e839d970b393321c07dd3fd92"),
+    "battery-04": (
+        0, "c1696f67a308f7e523771a05194131b642c89fd0fb2127f80271bdd9147cff5b"),
+    "battery-06": (
+        0, "c324214dd09c4f90e9016f13784f7e57fc96c1b9b5fe04282ee8d2c83270157d"),
+    "battery-07": (
+        0, "483ce248e3109fd354f2dad213c22a0974beb0ce5017feed9575bc81b5d201bf"),
+    "battery-08": (
+        0, "735248707c3e6543dd26a9465aee225ec769a6d4bfec2e4d310e03e1d579544c"),
+    "battery-10": (
+        0, "0d8ec6a6e0b21c807f094b962c721ed072640519e5aae9ee5158e89354180a1b"),
+    "battery-12": (
+        0, "df04a94e5ffd4738d8f7ecc2cd81315c8515570ecd67c0bbf1d0972f02ecdaec"),
+    "battery-13": (
+        0, "70e071a8bffb2a55ebcb652902daca4a7c70bba4a8fc374cd378bdcebdfdae3b"),
+    "battery-16": (
+        0, "9ad0482b63ee7ffc83ee4ef135199c1f5d5ba659339238c24810d458038fa9e4"),
+    "battery-17": (
+        0, "d516c41d654e03600b7122117c8f14c9ca3130a4270f2c49157235480578e825"),
+    "battery-19": (
+        0, "f77fabff571c35865cb6b8a60ea9a5bf8cccf3edadaa227e9cfa3a141d0ef071"),
+    "battery-21": (
+        0, "f63d60cbe870f9ce51828098dff5b5e8dd45a6087e9e9ff9488141af771fb63d"),
+    "battery-26": (
+        0, "c83e37fe1375125e64f217b08e8903bf7e29a6b7d9941624526e92494634e506"),
+    "battery-29": (
+        0, "daee13774a6382c5f3601f3ccf639606a2dcb89efd349ff7b987759af8531a16"),
+    "battery-30": (
+        0, "6ed24a419f2a49533590b11792de6b7e86c2f3f90f18ce2714e9b1e0235e1733"),
+    "battery-31": (
+        0, "045d179da954bf96f75daa3a8168f7c422c1ce46169592cd4a25a2be309e3a58"),
+    "battery-37": (
+        0, "aa38023bb195554fdb2b9f29fc676d51006bc0389b01410af5ce997fb447fe82"),
+    "battery-39": (
+        0, "a5b7449db75c87663cae042aa8b69925080c80ce6002d83e4e4169d1d9ddaab5"),
+    "battery-40": (
+        0, "560e0a073e38d9e39a5e54485891a3c0369cb66fa6bf266277df8e46a7719f5b"),
+    "battery-41": (
+        0, "447d99c68398872c36ec6e6a5240ea5f2c4d72cb934df0711c6fde869675a8ab"),
+    "battery-42": (
+        0, "8a0d537d409b27823bfda30efb2be68d3fec9dc35ccb1083f4ad92d2114f50db"),
+    "battery-43": (
+        0, "8ff64dc35347e4ccf726b85caa7625840f5327ae9f24f731bf7cad61cf0863f3"),
+    "pad(1,1)": (
+        0, "8a0f234f0a1c7e714944a881e6cb74a14fb1eaf13b2dc0c20e26e6c43155bb00"),
+    "pad(y^2-y+1,y^2+1)": (
+        0, "7897657bde36efe0c7a38a05abbc0c5719381a5751f462332dc888b8c207569d"),
+    "pad(y^2-y+1,y^2+y+1)": (
+        0, "95e7add9ec183dd7bb1d7afc85a834322ee97b941fd82146197f83408de17b3c"),
+    "pad(y^2-y+1,y^2+2*y+1)": (
+        0, "4c70a4aa012fcc19c2f64c1be2d0048962b3d8e98daf1ad9d8bca289f590b817"),
+    "pad(y^2+1,y^2-y+1)": (
+        0, "7ce9958434231d4bf429881412b8970e7afe209a94d00468929bd223440bdac4"),
+    "pad(y^2+1,y^2+y+1)": (
+        0, "5ea2232e4cf1b9e6d9a50eafa1f40f83699feb0e1e1a3624e84ddd4722c3d3bd"),
+    "pad(y^2+1,y^2+2*y+1)": (
+        0, "e24074ef19ab8e30ac46b220829214b75079b476f2ecf6d6e55d18204aa4657a"),
+    "pad(y^2+y+1,y^2-y+1)": (
+        0, "75737d3fee20733c4ae9e4ecb417003f0cb734c4f77214515a04a640a0c48acf"),
+    "pad(y^2+y+1,y^2+1)": (
+        0, "c4f06cd995bcc68627e3dc401d4de09a045163ccdfb5f9bd254ec358062b98b2"),
+    "pad(y^2+y+1,y^2+2*y+1)": (
+        0, "6018c780c98550fc54b89a7bed1d7652b46413fbcafe753641615db98a900ee7"),
+    "examples": (
+        0, "8cf3dd1dbe7fc3ca4411f9403eb4d92b225a99a063ae4c36294a691a0a3f2071"),
+}
+
+
+def test_every_case_is_pinned():
+    assert [label for label, _ in CASES] == list(DIGESTS)
+
+
+@pytest.mark.parametrize("label, argv", CASES, ids=[c[0] for c in CASES])
+def test_report_is_byte_identical(label, argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = cli.main(argv + ["--quiet", "--json", str(out)])
+    capsys.readouterr()
+    doc = cli.parse_report(out.read_text())
+    doc.pop("timings", None)
+    text = cli.serialize_report(doc)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (code, digest) == DIGESTS[label]

@@ -236,6 +236,10 @@ def test_span_rank_validation(ctx, u):
     a = ctx.element(("A",))
     with pytest.raises(ValueError, match="fix the line"):
         span_rank_witness(u, [a], EPS, ctx.gram)
+    # u fixes the line but is no involution, so it cannot carry its own
+    # inverse through the conjugate products
+    with pytest.raises(ValueError, match="involution"):
+        span_rank_witness(u, [u], EPS, ctx.gram)
 
 
 # ------------------------------------------------------------------- reports
