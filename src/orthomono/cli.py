@@ -23,6 +23,7 @@ two independent computation routes disagreed on the same quantity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -456,7 +457,10 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
                      help="suppress stdout output (files still written)")
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="orthomono",
         description="Exact invariant-form analysis of hypergeometric "

@@ -1,11 +1,15 @@
 """Exact linear algebra over Q and Z: lists of lists of Fraction/int.
 
 Everything is deterministic (pivot = first usable row/column) and exact;
-no floating point.  Matrices are row-major.
+no floating point.  Matrices are row-major.  rref, det and inverse (and
+through rref rank, nullspace and coordinates) run one fraction-free
+elimination over int rows; a rational input is cleared of denominators
+on entry, and Fractions appear only in the results.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,11 +27,11 @@ def transpose(m: Mat) -> list[list]:
 
 def mat_mul(a: Mat, b: Mat) -> list[list]:
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: Mat, x: Vec) -> list:
-    return [sum(c * v for c, v in zip(row, x)) for row in a]
+    return [sum(map(operator.mul, row, x)) for row in a]
 
 
 def vec_dot(x: Vec, g: Mat, y: Vec):
@@ -42,29 +46,64 @@ def mat_eq(a: Mat, b: Mat) -> bool:
     )
 
 
-def rref(m: Mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows = [[Fraction(x) for x in row] for row in m]
+def clear_denominators(m: Mat) -> tuple[list[list[int]], int]:
+    """(den * m, den) for a matrix of int or Fraction entries, with den
+    the least common denominator of its entries, so den * m is int."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in m], den
+
+
+def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of int rows, in place
+    (Bareiss, Math. Comp. 22, 1968).
+
+    Pivot rule: the first row at or below the current one with a nonzero
+    entry in the column.  Every row is updated as
+    (pivot * row - row[c] * pivot row) / previous pivot, a division that is
+    always exact, so each entry stays a minor of the input.  On return the
+    first len(pivots) rows are d times the reduced row echelon rows, and
+    the rest are zero.  Returns (pivot columns, d, sign of the row
+    permutation); for a square matrix of full rank d * sign is its
+    determinant.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    prev = 1
+    sign = 1
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        top = rows[r]
+        pv = top[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                rows[i] = [(pv * x - f * y) // prev
+                           for x, y in zip(rows[i], top)]
+            elif pv != prev:
+                rows[i] = [pv * x // prev for x in rows[i]]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return pivots, prev, sign
+
+
+def rref(m: Mat) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot column indices."""
+    rows, _ = clear_denominators(m)
+    pivots, d, _ = _eliminate(rows)
+    return [[Fraction(x, d) for x in row] for row in rows], pivots
 
 
 def rank(m: Mat) -> int:
@@ -72,34 +111,24 @@ def rank(m: Mat) -> int:
 
 
 def det(m: Mat) -> Fraction:
-    rows = [[Fraction(x) for x in row] for row in m]
-    n = len(rows)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
+    rows, den = clear_denominators(m)
+    pivots, d, sign = _eliminate(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    return Fraction(sign * d, den ** len(rows))
 
 
-def inverse(m: Mat) -> list[list[Fraction]]:
+def inverse(m: Mat) -> list[list]:
+    """Inverse of a square matrix: int entries where they are integral,
+    Fraction entries elsewhere."""
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    reduced, pivots = rref(aug)
+    aug, _ = clear_denominators([list(row) + [int(i == j) for j in range(n)]
+                                 for i, row in enumerate(m)])
+    pivots, d, _ = _eliminate(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced[:n]]
+    return [[x // d if x % d == 0 else Fraction(x, d) for x in row[n:]]
+            for row in aug[:n]]
 
 
 def nullspace(m: Mat) -> list[list[Fraction]]:
@@ -212,17 +241,13 @@ def _extgcd(a: int, b: int) -> tuple[int, int]:
 def unimodular_with_first_row(c: Sequence[int]) -> list[list[int]]:
     """Integer matrix with determinant +-1 whose first row is the primitive
     vector c."""
-    n = len(c)
     r0, u = _column_eliminate(c)
     if abs(r0) != 1:
         raise ValueError("vector is not primitive")
-    inv = inverse(u)
-    out = [[int(x) for x in row] for row in inv]
+    out = inverse(u)
     if out[0] != list(c):
-        # c . u = (-1, 0, ..., 0); flip the first column of u
-        for k in range(n):
-            u[k][0] = -u[k][0]
-        inv = inverse(u)
-        out = [[int(x) for x in row] for row in inv]
+        # c . u = (-1, 0, ..., 0): flipping the first column of u negates
+        # the first row of its inverse
+        out[0] = [-x for x in out[0]]
     assert out[0] == list(c)
     return out

@@ -98,6 +98,7 @@ class HyperPair:
     B: tuple[tuple[int, ...], ...]
     C: tuple[tuple[int, ...], ...]
     v: tuple[int, ...]  # coefficients over 1, x, ..., x^{n-1}
+    A_inv: tuple[tuple[int, ...], ...]
 
 
 def int_matrix(m) -> tuple[tuple[int, ...], ...]:
@@ -139,10 +140,11 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
 
     a = companion(f)
     b = companion(g)
-    c = int_matrix(linalg.mat_mul(linalg.inverse(a), b))
+    a_inv = int_matrix(linalg.inverse(a))  # f(0) = -1, so A is unimodular
+    c = int_matrix(linalg.mat_mul(a_inv, b))
     w = g - f  # degree <= n-1 since both monic of degree n
     wvec = [w.coeff(i) for i in range(n)]
-    v = tuple(int(x) for x in linalg.mat_vec(linalg.inverse(a), wvec))
+    v = tuple(linalg.mat_vec(a_inv, wvec))
 
     # structural re-verification
     ident = linalg.identity(n)
@@ -164,4 +166,4 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
     if [cm1[i][n - 1] for i in range(n)] != [-x for x in v]:
         raise PairValidationError("(C - 1) x^{n-1} must equal -v")
 
-    return HyperPair(f=f, g=g, n=n, A=a, B=b, C=c, v=v)
+    return HyperPair(f=f, g=g, n=n, A=a, B=b, C=c, v=v, A_inv=a_inv)

@@ -43,7 +43,8 @@ class SearchBudgetError(RuntimeError):
 @dataclass(frozen=True)
 class QuadSpace:
     dim: int
-    gram: tuple[tuple[Fraction, ...], ...]
+    # int entries for the cyclic Gram, Fraction entries for the standard one
+    gram: tuple[tuple[int | Fraction, ...], ...]
     basis_label: str
     # columns of base_change are the cyclic basis vectors v, Av, ... in
     # standard coordinates; None when no second basis is attached
@@ -99,8 +100,8 @@ def cyclic_gram_row(f: IntPoly, g: IntPoly, count: int | None = None
     return tuple(row)
 
 
-def _toeplitz(row: Sequence, n: int) -> list[list[Fraction]]:
-    return [[Fraction(row[abs(i - j)]) for j in range(n)] for i in range(n)]
+def _toeplitz(row: Sequence, n: int) -> list[list]:
+    return [[row[abs(i - j)] for j in range(n)] for i in range(n)]
 
 
 def cyclic_basis_matrix(pair: HyperPair) -> tuple[tuple[int, ...], ...]:
@@ -164,34 +165,36 @@ def gram_invariance(pair: HyperPair) -> QuadSpace:
         raise PairValidationError(
             f"invariant-form solution space has dimension {len(kernel)}, "
             "expected 1 (imprimitive or degenerate input)")
-    s = kernel[0]
-    h = _toeplitz(s, n)
+    # an int multiple of the solution; H = 2 h / (v.h.v) whatever it is
+    h = _toeplitz(linalg.primitive_integer(kernel[0]), n)
     scale = linalg.vec_dot(pair.v, h, pair.v)
     if scale == 0:
         raise PairValidationError("invariant form is degenerate on v")
-    factor = Fraction(2) / scale
-    h = [[x * factor for x in hrow] for hrow in h]
     # cross-check: pairing against v extracts the top coefficient,
     # so H v must be the last standard basis vector
     hv = linalg.mat_vec(h, pair.v)
-    if hv != [Fraction(int(i == n - 1)) for i in range(n)]:
+    if [2 * x for x in hv] != [scale * int(i == n - 1) for i in range(n)]:
+        hv = [Fraction(2 * x, scale) for x in hv]
         raise OracleMismatchError("H v must equal the x^{n-1} coordinate "
                                   f"functional, got {hv}")
     if linalg.det(h) == 0:
         raise PairValidationError("invariant form is degenerate")
-    return QuadSpace(dim=n, gram=tuple(tuple(r) for r in h),
+    return QuadSpace(dim=n, gram=tuple(tuple(Fraction(2 * x, scale)
+                                             for x in r) for r in h),
                      basis_label=STANDARD)
 
 
 def change_basis(space: QuadSpace, m: Sequence[Sequence], label: str = "custom"
                  ) -> QuadSpace:
-    """Gram -> M^T Gram M for invertible M."""
+    """Gram -> M^T Gram M for invertible integer M, multiplied out in int
+    arithmetic on the Gram cleared of its common denominator."""
     if linalg.det(m) == 0:
         raise ValueError("basis change matrix is singular")
-    mt = linalg.transpose(m)
-    gram = linalg.mat_mul(mt, linalg.mat_mul(space.gram, m))
+    gram, den = linalg.clear_denominators(space.gram)
+    gram = linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(gram, m))
     return QuadSpace(dim=space.dim,
-                     gram=tuple(tuple(Fraction(x) for x in r) for r in gram),
+                     gram=tuple(tuple(Fraction(x, den) for x in r)
+                                for r in gram),
                      basis_label=label)
 
 
@@ -209,12 +212,15 @@ def invariant_space(pair: HyperPair) -> QuadSpace:
 
 def _gram_of(space_or_gram) -> list[list]:
     """The Gram matrix as lists of int entries when every entry is
-    integral (the cyclic Gram always is), of Fraction entries otherwise.
+    integral (the cyclic Gram always is, and holds ints already), of
+    Fraction entries otherwise.
 
     This is the one place the number domain is chosen: the searches and
     the reflection calculus run on whatever it returns without a branch,
     in int arithmetic on every integral form."""
     gram = getattr(space_or_gram, "gram", space_or_gram)
+    if all(type(x) is int for row in gram for x in row):
+        return [list(row) for row in gram]
     rows = [[Fraction(x) for x in row] for row in gram]
     if all(x.denominator == 1 for row in rows for x in row):
         return [[int(x) for x in row] for row in rows]
@@ -230,27 +236,33 @@ def diagonalize(space_or_gram) -> tuple[tuple[Fraction, ...],
     swapping it into place; if every remaining diagonal entry is zero but
     some off-diagonal (i,j) is not, apply e_i -> e_i + e_j first.  Zero
     diagonal entries survive only for degenerate inputs.
-    """
-    m = [[Fraction(x) for x in row] for row in _gram_of(space_or_gram)]
-    n = len(m)
-    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
-    def col_op(dst: int, src: int, factor: Fraction) -> None:
-        # column dst += factor * column src, symmetrically on rows
-        for i in range(n):
-            m[i][dst] += factor * m[i][src]
-        for j in range(n):
-            m[dst][j] += factor * m[src][j]
-        for i in range(n):
-            t[i][dst] += factor * t[i][src]
+    The elimination is fraction-free (Bareiss) on den * G with int
+    entries: before step i the trailing block is d_i times the rational
+    one, and each not yet final column of T is an int column divided by
+    d_i, where d_i is the previous pivot (d_0 = 1).  Both divisions by d_i
+    below are exact, so diagonal entry i is pivot i / (d_i * den) and
+    column i of T is its int column / d_i.
+    """
+    m, den = linalg.clear_denominators(_gram_of(space_or_gram))
+    n = len(m)
+    cols = linalg.identity(n)  # cols[j] is the int column j of T
+    diag: list[Fraction] = []
+    prev = 1
+
+    def col_add(dst: int, src: int) -> None:
+        # column dst += column src, symmetrically on rows
+        for k in range(n):
+            m[k][dst] += m[k][src]
+        for k in range(n):
+            m[dst][k] += m[src][k]
+        cols[dst] = [a + b for a, b in zip(cols[dst], cols[src])]
 
     def col_swap(a: int, b: int) -> None:
-        for i in range(n):
-            m[i][a], m[i][b] = m[i][b], m[i][a]
-        for j in range(n):
-            m[a][j], m[b][j] = m[b][j], m[a][j]
-        for i in range(n):
-            t[i][a], t[i][b] = t[i][b], t[i][a]
+        for k in range(n):
+            m[k][a], m[k][b] = m[k][b], m[k][a]
+        m[a], m[b] = m[b], m[a]
+        cols[a], cols[b] = cols[b], cols[a]
 
     for i in range(n):
         if m[i][i] == 0:
@@ -263,15 +275,26 @@ def diagonalize(space_or_gram) -> tuple[tuple[Fraction, ...],
                 if off is None:
                     break  # remaining block is zero; degenerate input
                 r, c = off
-                col_op(r, c, Fraction(1))
+                col_add(r, c)
                 if r != i:
                     col_swap(i, r)
         pivot = m[i][i]
+        top = m[i]
         for j in range(i + 1, n):
-            if m[i][j] != 0:
-                col_op(j, i, -m[i][j] / pivot)
-    diag = tuple(m[i][i] for i in range(n))
-    return diag, tuple(tuple(row) for row in t)
+            f = top[j]
+            row = m[j]
+            for k in range(i + 1, n):
+                row[k] = (pivot * row[k] - f * top[k]) // prev
+            cols[j] = [(pivot * a - f * b) // prev
+                       for a, b in zip(cols[j], cols[i])]
+        diag.append(Fraction(pivot, prev * den))
+        cols[i] = [Fraction(a, prev) for a in cols[i]]
+        prev = pivot
+    # after a break the trailing block is zero and shares the last d_i
+    for i in range(len(diag), n):
+        diag.append(Fraction(0))
+        cols[i] = [Fraction(a, prev) for a in cols[i]]
+    return tuple(diag), tuple(zip(*cols))
 
 
 def signature(space_or_gram) -> tuple[int, int]:
@@ -361,12 +384,10 @@ def _int_kernel(rows: list[list[int]], n: int) -> list[list[int]]:
     """Basis of the integer kernel lattice of the given integer rows."""
     basis = linalg.identity(n)
     for r in rows:
-        projected = [sum(r[i] * b[i] for i in range(n)) for b in basis]
+        projected = linalg.mat_vec(basis, r)
         if all(x == 0 for x in projected):
             continue
-        coeffs = linalg.int_row_kernel(projected)
-        basis = [[sum(c[j] * basis[j][i] for j in range(len(basis)))
-                  for i in range(n)] for c in coeffs]
+        basis = linalg.mat_mul(linalg.int_row_kernel(projected), basis)
     return basis
 
 
@@ -386,7 +407,9 @@ def witt_decompose(space_or_gram, bound: int,
     current orthogonal-complement lattice), pairs it with a deterministic
     non-orthogonal partner, restricts to the complement of the plane, and
     repeats.  lo = planes split; the leftover block is diagonalized.
-    Stages whose enumeration would exceed the cap stop with a note.
+    Stages whose enumeration would exceed the cap stop with a note; a
+    stage whose lattice is definite stops without a search, since it has
+    no isotropic vector.
     """
     gram = _gram_of(space_or_gram)
     n = len(gram)
@@ -399,7 +422,13 @@ def witt_decompose(space_or_gram, bound: int,
         basis = _int_kernel(constraints, n)
         k = len(basis)
         if k == 0:
+            residual_diag: tuple[Fraction, ...] = ()
             break
+        # restricted Gram B^T G B, whose diagonalization is the residual
+        # one when this stage is the last
+        restricted = linalg.mat_mul(
+            basis, linalg.mat_mul(gram, linalg.transpose(basis)))
+        residual_diag, _ = diagonalize(restricted)
         # isotropic vector: unused seeds first, then bounded search
         w: tuple[int, ...] | None = None
         for s in pending:
@@ -417,10 +446,11 @@ def witt_decompose(space_or_gram, bound: int,
                     f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
                     "lower bound may not be tight")
                 break
+            if all(d > 0 for d in residual_diag) or \
+                    all(d < 0 for d in residual_diag):
+                break  # definite: the search could only come back empty
             # search in lattice coordinates against the restricted Gram;
             # c.(B^T G B).c = x.G.x for x = B c, so the hit is unchanged
-            restricted = [[linalg.vec_dot(bi, gram, bj) for bj in basis]
-                          for bi in basis]
             c = next(_box_solutions(restricted, bound), None)
             if c is None:
                 break
@@ -453,13 +483,6 @@ def witt_decompose(space_or_gram, bound: int,
         constraints.append(_scaled_int_row(gram, w))
         constraints.append(_scaled_int_row(gram, partner))
 
-    basis = _int_kernel(constraints, n)
-    if basis:
-        res_gram = [[linalg.vec_dot(bi, gram, bj) for bj in basis]
-                    for bi in basis]
-        residual_diag, _ = diagonalize(res_gram)
-    else:
-        residual_diag = ()
     pr = sum(1 for d in residual_diag if d > 0)
     qr = sum(1 for d in residual_diag if d < 0)
     lo = len(witnesses)

@@ -106,7 +106,7 @@ class WitnessContext:
         trow = [int(self.gram[0][j]) for j in range(n)]
         self.C = tuple(tuple((1 if i == j else 0) - (trow[j] if i == 0 else 0)
                              for j in range(n)) for i in range(n))
-        self.A_inv = int_matrix(linalg.inverse(self.A))
+        self.A_inv = pair.A_inv
         self.B = int_matrix(linalg.mat_mul(self.A, self.C))
         # B = A C with C an involution, so B^-1 = C A^-1
         self.B_inv = int_matrix(linalg.mat_mul(self.C, self.A_inv))
@@ -430,7 +430,7 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     Stops early when the rank reaches limit (default n - 2, the dimension
     of the full translation group), when the conjugate budget runs out,
     or after a whole product layer adds no rank.  Every reflection must
-    fix the line through eps and be its own inverse.
+    map eps to a multiple of itself and be its own inverse.
     """
     gram = _gram_of(H)
     n = len(gram)
@@ -441,7 +441,7 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
         raise ValueError("u is not in the unipotent radical")
     identity = int_matrix(linalg.identity(n))
     for r in reflections:
-        if not line_stabilizer_test(r, eps, gram).fixes_line:
+        if _parallel_factor(linalg.mat_vec(r.matrix, eps), eps) is None:
             raise ValueError("every reflection must fix the line through eps")
         if int_matrix(linalg.mat_mul(r.matrix, r.matrix)) != identity:
             raise ValueError("every reflection must be an involution")
@@ -450,7 +450,7 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
              for wi in quotient]
     qgram_inv = linalg.inverse(qgram)
 
-    echelon: list[tuple[int, list[Fraction]]] = []
+    echelon: list[tuple[int, list[int]]] = []
     rank = int(_echelon_insert(
         echelon, _translation(u.matrix, eps, quotient, qgram_inv)))
     if rank >= limit:
@@ -488,21 +488,22 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     return rank
 
 
-def _echelon_insert(echelon: list[tuple[int, list[Fraction]]],
+def _echelon_insert(echelon: list[tuple[int, list[int]]],
                     vec: Sequence) -> bool:
-    """Reduce vec against the echelon rows (pivot column, row with a 1 at
-    the pivot); if something is left, append it and return True, so the
-    rank of the rows seen so far grows by one."""
-    rest = [Fraction(x) for x in vec]
+    """Reduce vec, cleared to a primitive int vector, against the echelon
+    rows (pivot column, int row) without fractions; if something is left,
+    append it and return True, so the rank of the rows seen so far grows
+    by one."""
+    rest = list(linalg.primitive_integer(vec))
     for col, row in echelon:
-        if rest[col] != 0:
-            f = rest[col]
-            rest = [a - f * b for a, b in zip(rest, row)]
-    col = next((i for i, x in enumerate(rest) if x != 0), None)
-    if col is None:
+        f = rest[col]
+        if f:
+            pv = row[col]
+            rest = [pv * a - f * b for a, b in zip(rest, row)]
+    if not any(rest):
         return False
-    pv = rest[col]
-    echelon.append((col, [x / pv for x in rest]))
+    rest = list(linalg.primitive_integer(rest))
+    echelon.append((next(i for i, x in enumerate(rest) if x), rest))
     return True
 
 

@@ -1,10 +1,11 @@
 """Exact rational matrix kernel: cross-checked against brute-force
-oracles on small matrices."""
+oracles on small matrices, and the fraction-free elimination against the
+Fraction Gaussian elimination it replaced, kept here as the reference."""
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orthomono import linalg
 
@@ -31,6 +32,144 @@ def det_oracle(m):
             prod *= Fraction(m[i][perm[i]])
         total += sign * prod
     return total
+
+
+# ------------------------------------------- Fraction elimination reference
+
+def ref_rref(m):
+    rows = [[Fraction(x) for x in row] for row in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def ref_det(m):
+    rows = [[Fraction(x) for x in row] for row in m]
+    n = len(rows)
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            sign = -sign
+        pv = rows[c][c]
+        result *= pv
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / pv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return sign * result
+
+
+def ref_inverse(m):
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    reduced, pivots = ref_rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in reduced[:n]]
+
+
+def ref_nullspace(m):
+    reduced, pivots = ref_rref(m)
+    ncols = len(m[0]) if m else 0
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_coordinates(rows, target):
+    k = len(rows)
+    aug = [[Fraction(rows[j][i]) for j in range(k)] + [Fraction(target[i])]
+           for i in range(len(target))]
+    reduced, pivots = ref_rref(aug)
+    if k in pivots:
+        return None
+    coeffs = [Fraction(0)] * k
+    for r, pc in enumerate(pivots):
+        coeffs[pc] = reduced[r][k]
+    return coeffs
+
+
+small = st.integers(-3, 3)
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+entries = st.one_of(ints, small, rationals)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Int or rational matrices up to 5 x 6; small entries make singular
+    ones common, and a rank-deficient product is drawn outright now and
+    then."""
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, max(1, min(nrows, ncols) - 1)))
+        left = draw(st.lists(st.lists(small, min_size=k, max_size=k),
+                             min_size=nrows, max_size=nrows))
+        right = draw(st.lists(st.lists(entries, min_size=ncols,
+                                       max_size=ncols),
+                              min_size=k, max_size=k))
+        return linalg.mat_mul(left, right)
+    return draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=300)
+@given(matrices())
+def test_kernel_matches_fraction_reference(m):
+    assert linalg.rref(m) == ref_rref(m)
+    assert linalg.rank(m) == len(ref_rref(m)[1])
+    assert linalg.nullspace(m) == ref_nullspace(m)
+    for j in range(len(m[0])):  # a column of m lies in the span
+        column = [row[j] for row in m]
+        assert linalg.coordinates(linalg.transpose(m), column) == \
+            ref_coordinates(linalg.transpose(m), column)
+    target = [Fraction(1, 3)] * len(m)
+    assert linalg.coordinates(linalg.transpose(m), target) == \
+        ref_coordinates(linalg.transpose(m), target)
+
+
+@settings(max_examples=300)
+@given(matrices(square=True))
+def test_det_and_inverse_match_fraction_reference(m):
+    assert linalg.det(m) == ref_det(m)
+    try:
+        expected = ref_inverse(m)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            linalg.inverse(m)
+        return
+    inv = linalg.inverse(m)
+    assert inv == expected
+    assert all(type(x) is int for row in inv for x in row
+               if Fraction(x).denominator == 1)
 
 
 def test_identity_and_transpose():

@@ -3,13 +3,14 @@ certificates, pinned to independently derived values."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orthomono import linalg
 from orthomono.monodromy import build_pair
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import IntPoly, divrem
-from orthomono.quadform import (CYCLIC, OracleMismatchError, anisotropy_certificate,
+from orthomono.quadform import (CYCLIC, OracleMismatchError, _gram_of,
+                                anisotropy_certificate,
                                 change_basis, cyclic_gram_row, diagonalize,
                                 find_anisotropy_certificate, gram_invariance,
                                 gram_remainder, invariant_space,
@@ -120,6 +121,86 @@ def test_diagonalize_degenerate():
 def test_diagonalize_random_symmetric(m):
     gram = [[m[i][j] + m[j][i] for j in range(4)] for i in range(4)]
     check_congruence(gram)
+
+
+def ref_diagonalize(gram):
+    """The Fraction congruence diagonalization that diagonalize replaced,
+    with the same pivot rule; the reference for its (diag, T)."""
+    m = [[Fraction(x) for x in row] for row in gram]
+    n = len(m)
+    t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def col_op(dst, src, factor):
+        for i in range(n):
+            m[i][dst] += factor * m[i][src]
+        for j in range(n):
+            m[dst][j] += factor * m[src][j]
+        for i in range(n):
+            t[i][dst] += factor * t[i][src]
+
+    def col_swap(a, b):
+        for i in range(n):
+            m[i][a], m[i][b] = m[i][b], m[i][a]
+        for j in range(n):
+            m[a][j], m[b][j] = m[b][j], m[a][j]
+        for i in range(n):
+            t[i][a], t[i][b] = t[i][b], t[i][a]
+
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
+            if j is not None:
+                col_swap(i, j)
+            else:
+                off = next(((r, c) for r in range(i, n)
+                            for c in range(r + 1, n) if m[r][c] != 0), None)
+                if off is None:
+                    break
+                r, c = off
+                col_op(r, c, Fraction(1))
+                if r != i:
+                    col_swap(i, r)
+        pivot = m[i][i]
+        for j in range(i + 1, n):
+            if m[i][j] != 0:
+                col_op(j, i, -m[i][j] / pivot)
+    return tuple(m[i][i] for i in range(n)), tuple(tuple(row) for row in t)
+
+
+@st.composite
+def symmetric(draw):
+    """Symmetric int or rational matrices up to 6 x 6: zero diagonals
+    (the off-diagonal pivot step) and singular ones are common."""
+    n = draw(st.integers(1, 6))
+    entry = draw(st.sampled_from((
+        st.integers(-4, 4), st.integers(-60, 60),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))))
+    m = [[0] * n for _ in range(n)]
+    zero_diag = draw(st.booleans())
+    for i in range(n):
+        for j in range(i, n):
+            x = 0 if i == j and zero_diag else draw(entry)
+            m[i][j] = m[j][i] = x
+    return m
+
+
+@settings(max_examples=300)
+@given(symmetric())
+def test_diagonalize_matches_fraction_reference(m):
+    diag, t = diagonalize(m)
+    assert (diag, t) == ref_diagonalize(m)
+    assert all(type(x) is Fraction for x in diag)
+    assert all(type(x) is Fraction for row in t for x in row)
+
+
+def test_cyclic_gram_holds_ints(base_space, cyclotomic_pairs):
+    spaces = [base_space] + [invariant_space(build_pair(f, g))
+                             for f, g in cyclotomic_pairs[:12]]
+    for space in spaces:
+        assert all(type(x) is int for row in space.gram for x in row)
+        rows = _gram_of(space)
+        assert rows == [list(row) for row in space.gram]
+        assert all(type(row) is list for row in rows)
 
 
 # ---------------------------------------------------------------- signatures
