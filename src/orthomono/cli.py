@@ -30,7 +30,7 @@ import time
 from fractions import Fraction
 from typing import Sequence
 
-from . import corpus, linalg
+from . import corpus
 from .monodromy import (ORTHOGONAL, HyperPair, PairType, PairValidationError,
                         build_pair, classify_type, scalar_shift)
 from .padding import (DEFAULT_EXPONENT, embed_vector, isometry_check,
@@ -156,9 +156,9 @@ def _form_fields(doc: dict, pair: HyperPair) -> tuple[QuadSpace,
     in doc, and hand both back for the rank and witness stages."""
     space = invariant_space(pair)
     sig = signature(space)
-    doc["derived"]["det_A"] = _det_int(pair.A)
-    doc["derived"]["det_B"] = _det_int(pair.B)
-    doc["derived"]["det_C"] = _det_int(pair.C)
+    doc["derived"]["det_A"] = pair.det_A
+    doc["derived"]["det_B"] = pair.det_B
+    doc["derived"]["det_C"] = pair.det_C
     doc["gram"] = _gram_json(space)
     doc["signature"] = {"p": sig[0], "q": sig[1],
                         "interlace_abs_diff": _interlace_abs_diff(
@@ -213,12 +213,6 @@ def build_report(f_text: str, g_text: str,
                       "witness_ms": _ms(t3 - t2),
                       "total_ms": _ms(t3 - t0)}
     return doc
-
-
-def _det_int(matrix) -> int:
-    value = Fraction(linalg.det(matrix))
-    assert value.denominator == 1
-    return int(value)
 
 
 def build_pad_report(f0_text: str, g0_text: str, p_text: str, q_text: str,

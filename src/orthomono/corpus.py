@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -31,8 +32,8 @@ from .parsing import parse_poly
 from .polynomials import IntPoly, divrem, render
 from .quadform import (RankCertificate, cyclic_gram_row, gram_invariance,
                        invariant_space, q_rank, signature)
-from .witness import GroupElement, line_stabilizer_test, reflect, \
-    reflection_matrix
+from .witness import (GroupElement, WitnessContext, _render_reflection,
+                      line_stabilizer_test, reflect)
 
 DEFAULT_BOUND = 3
 
@@ -166,7 +167,7 @@ def _matrix_text(m) -> str:
 
 class _Context:
     """Shared per-entry state: the pair, the cyclic Gram and t-row, and
-    lazily built reflection generators for the word data."""
+    a lazily built witness context that evaluates the reflection words."""
 
     def __init__(self, entry: Entry):
         self.f = parse_poly(entry.f_text)
@@ -174,7 +175,10 @@ class _Context:
         self.pair = build_pair(self.f, self.g)
         self.space = invariant_space(self.pair)
         self.trow = cyclic_gram_row(self.f, self.g)
-        self._reflections: dict[int, GroupElement] = {}
+
+    @cached_property
+    def witness(self) -> WitnessContext:
+        return WitnessContext(self.pair, self.space)
 
     def dot(self, a: Sequence, b: Sequence) -> Fraction:
         return linalg.vec_dot(a, self.space.gram, b)
@@ -184,23 +188,13 @@ class _Context:
         power = IntPoly.monomial(k - 1) * (self.g - self.f)
         return divrem(power, self.f)[1]
 
-    def reflection(self, k: int) -> GroupElement:
-        if k not in self._reflections:
-            axis = tuple(int(i == k) for i in range(self.pair.n))
-            self._reflections[k] = reflection_matrix(self.space.gram, axis)
-        return self._reflections[k]
-
     def word_matrix(self, word: Sequence[int]) -> GroupElement:
         """Product of reflections about A^k v, leftmost applied last,
         matching the written order C_{A^k1 v} C_{A^k2 v} ..."""
-        m = linalg.identity(self.pair.n)
-        tokens: tuple[str, ...] = ()
-        for k in word:
-            r = self.reflection(k)
-            m = linalg.mat_mul(m, r.matrix)
-            tokens = tokens + r.word
-        matrix = tuple(tuple(int(x) for x in row) for row in m)
-        return GroupElement(word=tokens, matrix=matrix)
+        n = self.pair.n
+        return self.witness.element(tuple(
+            _render_reflection(tuple(int(i == k) for i in range(n)))
+            for k in word))
 
 
 def _eval_poly(ctx: _Context, spec: tuple, stated) -> tuple[str, str, bool]:

@@ -1,8 +1,8 @@
 """Exact linear algebra over Q and Z: lists of lists of Fraction/int.
 
 Everything is deterministic (pivot = first usable row/column) and exact;
-no floating point.  Matrices are row-major.  rref, det and inverse (and
-through rref rank, nullspace and coordinates) run one fraction-free
+no floating point.  Matrices are row-major.  rref, rank, det and inverse
+(and through rref nullspace and coordinates) run one fraction-free
 elimination over int rows; a rational input is cleared of denominators
 on entry, and Fractions appear only in the results.
 """
@@ -107,7 +107,8 @@ def rref(m: Mat) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    rows, _ = clear_denominators(m)
+    return len(_eliminate(rows)[0])
 
 
 def det(m: Mat) -> Fraction:

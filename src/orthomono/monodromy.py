@@ -99,6 +99,10 @@ class HyperPair:
     C: tuple[tuple[int, ...], ...]
     v: tuple[int, ...]  # coefficients over 1, x, ..., x^{n-1}
     A_inv: tuple[tuple[int, ...], ...]
+    # determinants, computed once for the structural checks
+    det_A: int
+    det_B: int
+    det_C: int
 
 
 def int_matrix(m) -> tuple[tuple[int, ...], ...]:
@@ -148,9 +152,10 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
 
     # structural re-verification
     ident = linalg.identity(n)
-    if abs(linalg.det(a)) != 1 or abs(linalg.det(b)) != 1:
+    det_a, det_b, det_c = (int(linalg.det(m)) for m in (a, b, c))
+    if abs(det_a) != 1 or abs(det_b) != 1:
         raise PairValidationError("companion matrices must be unimodular")
-    if linalg.det(c) != -1:
+    if det_c != -1:
         raise PairValidationError("C must have determinant -1")
     if not linalg.mat_eq(linalg.mat_mul(c, c), ident):
         raise PairValidationError("C^2 must be the identity")
@@ -166,4 +171,5 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
     if [cm1[i][n - 1] for i in range(n)] != [-x for x in v]:
         raise PairValidationError("(C - 1) x^{n-1} must equal -v")
 
-    return HyperPair(f=f, g=g, n=n, A=a, B=b, C=c, v=v, A_inv=a_inv)
+    return HyperPair(f=f, g=g, n=n, A=a, B=b, C=c, v=v, A_inv=a_inv,
+                     det_A=det_a, det_B=det_b, det_C=det_c)

@@ -8,7 +8,7 @@ is exact; there are no tolerances anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -186,10 +186,9 @@ def gram_invariance(pair: HyperPair) -> QuadSpace:
 
 def change_basis(space: QuadSpace, m: Sequence[Sequence], label: str = "custom"
                  ) -> QuadSpace:
-    """Gram -> M^T Gram M for invertible integer M, multiplied out in int
-    arithmetic on the Gram cleared of its common denominator."""
-    if linalg.det(m) == 0:
-        raise ValueError("basis change matrix is singular")
+    """Gram -> M^T Gram M for invertible integer M (not checked here: the
+    caller passes cyclic_basis_matrix, which has checked it), multiplied
+    out in int arithmetic on the Gram cleared of its common denominator."""
     gram, den = linalg.clear_denominators(space.gram)
     gram = linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(gram, m))
     return QuadSpace(dim=space.dim,
@@ -367,16 +366,15 @@ def _box_walk(gram, span: range, value, prefix: tuple[int, ...], q,
                              [a + t * b for a, b in zip(g_prefix, row)])
 
 
-def isotropic_search(space_or_gram, bound: int,
-                     cap: int = SEARCH_CAP) -> list[tuple[int, ...]]:
+def isotropic_search(space_or_gram, bound: int) -> list[tuple[int, ...]]:
     """All primitive isotropic vectors with coefficients in
     [-bound, bound], deduplicated by sign, lexicographic order."""
     gram = _gram_of(space_or_gram)
     dim = len(gram)
-    if (2 * bound + 1) ** dim > cap:
+    if (2 * bound + 1) ** dim > SEARCH_CAP:
         raise SearchBudgetError(
             f"bounded search over {(2 * bound + 1) ** dim} tuples exceeds "
-            f"the cap {cap}")
+            f"the cap {SEARCH_CAP}")
     return list(_box_solutions(gram, bound))
 
 
@@ -399,15 +397,14 @@ def _scaled_int_row(space_gram, vec: Sequence[int]) -> list[int]:
 
 
 def witt_decompose(space_or_gram, bound: int,
-                   seeds: Sequence[Sequence[int]] = (),
-                   cap: int = SEARCH_CAP) -> RankCertificate:
+                   seeds: Sequence[Sequence[int]] = ()) -> RankCertificate:
     """Greedy hyperbolic-plane splitting.
 
     Finds an isotropic vector (seeds first, then bounded search in the
     current orthogonal-complement lattice), pairs it with a deterministic
     non-orthogonal partner, restricts to the complement of the plane, and
     repeats.  lo = planes split; the leftover block is diagonalized.
-    Stages whose enumeration would exceed the cap stop with a note; a
+    Stages whose enumeration would exceed SEARCH_CAP stop with a note; a
     stage whose lattice is definite stops without a search, since it has
     no isotropic vector.
     """
@@ -440,7 +437,7 @@ def witt_decompose(space_or_gram, bound: int,
                 pending = [q for q in pending if q != s]
                 break
         if w is None:
-            if (2 * bound + 1) ** k > cap:
+            if (2 * bound + 1) ** k > SEARCH_CAP:
                 notes.append(
                     f"stage {len(witnesses) + 1}: search over "
                     f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
@@ -513,15 +510,14 @@ def squarefree_class(d: Fraction) -> int:
     return out if n > 0 else -out
 
 
-def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int,
-                           work_cap: int = CERT_WORK_CAP) -> bool:
+def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int) -> bool:
     """True iff sum d_i x_i^2 has no primitive zero mod p^k, verified by
     exhaustive residue counting (one convolution per coordinate, so the
     work is dim * modulus^2, never an enumeration of tuples).  Success
     certifies Q-anisotropy of the diagonal form.
 
-    Raises SearchBudgetError when the (p, k, dim) instance is over the
-    work cap; inputs outside the documented limits are rejected.
+    Raises SearchBudgetError when the (p, k, dim) instance is over
+    CERT_WORK_CAP; inputs outside the documented limits are rejected.
     """
     dim = len(diagonal)
     if dim > CERT_MAX_DIM or p > CERT_MAX_PRIME or k > CERT_MAX_EXPONENT:
@@ -551,7 +547,7 @@ def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int,
     def count_zeros(modulus: int) -> int:
         if modulus == 1:
             return 1
-        if dim * modulus * modulus > work_cap:
+        if dim * modulus * modulus > CERT_WORK_CAP:
             raise SearchBudgetError(
                 f"certificate counting mod {modulus} exceeds the work cap")
         return residue_counts(diagonal, modulus)[0]
@@ -567,8 +563,7 @@ def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int,
     return primitive == 0
 
 
-def find_anisotropy_certificate(diagonal: Sequence[Fraction],
-                                work_cap: int = CERT_WORK_CAP
+def find_anisotropy_certificate(diagonal: Sequence[Fraction]
                                 ) -> tuple[Obstruction | None, list[str]]:
     """Scan (k ascending, then p ascending) for an exhaustive-checking
     anisotropy certificate of the squarefree-reduced diagonal form.
@@ -581,7 +576,7 @@ def find_anisotropy_certificate(diagonal: Sequence[Fraction],
     for k in range(1, CERT_MAX_EXPONENT + 1):
         for p in _PRIMES:
             try:
-                if anisotropy_certificate(reduced, p, k, work_cap=work_cap):
+                if anisotropy_certificate(reduced, p, k):
                     return Obstruction(
                         prime=p, exponent=k,
                         statement=(f"diagonal form {tuple(reduced)} has no "
@@ -622,27 +617,17 @@ def q_rank(space: QuadSpace, sig: tuple[int, int], bound: int,
             obstruction, notes = find_anisotropy_certificate(
                 cert.residual_diagonal)
             if obstruction is not None:
-                return RankCertificate(
-                    lo=cert.lo, hi=cert.lo,
-                    isotropic_witnesses=cert.isotropic_witnesses,
-                    residual_diagonal=cert.residual_diagonal,
-                    obstructions=(obstruction,),
-                    notes=cert.notes + tuple(notes))
-            return RankCertificate(
-                lo=cert.lo, hi=cert.hi,
-                isotropic_witnesses=cert.isotropic_witnesses,
-                residual_diagonal=cert.residual_diagonal,
-                notes=cert.notes + tuple(notes) + (
+                return replace(cert, hi=cert.lo, obstructions=(obstruction,),
+                               notes=cert.notes + tuple(notes))
+            return replace(
+                cert, notes=cert.notes + tuple(notes) + (
                     "interval open: residual neither split nor certified "
                     "anisotropic within the configured bounds",))
         if residual_dim >= 5 and min(pr, qr) >= 1:
             doubled = current_bound * 2
             if (2 * doubled + 1) ** residual_dim > SEARCH_CAP:
-                return RankCertificate(
-                    lo=cert.lo, hi=cert.hi,
-                    isotropic_witnesses=cert.isotropic_witnesses,
-                    residual_diagonal=cert.residual_diagonal,
-                    notes=cert.notes + (
+                return replace(
+                    cert, notes=cert.notes + (
                         "a rational isotropic vector exists in the "
                         "residual (indefinite, >= 5 variables) but the "
                         "bounded search stopped at the enumeration cap",))

@@ -38,6 +38,8 @@ _TOKEN_INVERSE = {"A": "A^-1", "A^-1": "A", "B": "B^-1", "B^-1": "B"}
 # saturates within the first layer or two
 SPAN_BUDGET = 600
 MAX_SPAN_REFLECTIONS = 12
+# enumeration ceiling for the ambient box of integral_reflection_vectors
+AMBIENT_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,13 @@ def _inverse_word(word: Sequence[str]) -> tuple[str, ...]:
     return tuple(_TOKEN_INVERSE.get(t, t) for t in reversed(word))
 
 
+def _check_isometry(gram, m, label: str) -> None:
+    """Raise unless m^T G m = G."""
+    if not linalg.mat_eq(linalg.mat_mul(linalg.transpose(m),
+                                        linalg.mat_mul(gram, m)), gram):
+        raise PairValidationError(f"{label} does not preserve the form")
+
+
 class WitnessContext:
     """Cyclic-basis generators and form for one validated pair, with a
     cached orbit of v under short words for the witness search."""
@@ -103,9 +112,7 @@ class WitnessContext:
         # multiplication by x has the same matrix in the cyclic basis
         self.A = pair.A
         self.v = tuple(int(i == 0) for i in range(n))
-        trow = [int(self.gram[0][j]) for j in range(n)]
-        self.C = tuple(tuple((1 if i == j else 0) - (trow[j] if i == 0 else 0)
-                             for j in range(n)) for i in range(n))
+        self.C = reflection_matrix(self.gram, self.v).matrix
         self.A_inv = pair.A_inv
         self.B = int_matrix(linalg.mat_mul(self.A, self.C))
         # B = A C with C an involution, so B^-1 = C A^-1
@@ -115,15 +122,10 @@ class WitnessContext:
             raise PairValidationError("C A^-1 does not invert B")
         self._gens = {"A": self.A, "A^-1": self.A_inv, "B": self.B,
                       "B^-1": self.B_inv, "C": self.C}
-        for name, m in self._gens.items():
-            self._check_isometry(m, name)
+        # reflection_matrix has checked C already
+        for name in ("A", "A^-1", "B", "B^-1"):
+            _check_isometry(self.gram, self._gens[name], name)
         self._orbits: dict[int, tuple[dict, dict]] = {}
-
-    def _check_isometry(self, m, label: str) -> None:
-        mt = linalg.transpose(m)
-        if not linalg.mat_eq(linalg.mat_mul(mt, linalg.mat_mul(self.gram, m)),
-                             self.gram):
-            raise PairValidationError(f"{label} does not preserve the form")
 
     def token_matrix(self, token: str):
         if token in self._gens:
@@ -137,7 +139,7 @@ class WitnessContext:
         for token in word:
             m = linalg.mat_mul(m, self.token_matrix(token))
         m = int_matrix(m)
-        self._check_isometry(m, " ".join(word) if word else "identity")
+        _check_isometry(self.gram, m, " ".join(word) if word else "identity")
         return GroupElement(word=tuple(word), matrix=m)
 
     def verified(self, word: Sequence[str], matrix) -> GroupElement:
@@ -220,11 +222,9 @@ def reflection_matrix(H, w: Sequence[int]) -> GroupElement:
             row.append(int(i == j) - shift)
         rows.append(tuple(row))
     matrix = tuple(rows)
-    mt = linalg.transpose(matrix)
-    if not linalg.mat_eq(linalg.mat_mul(mt, linalg.mat_mul(gram, matrix)),
-                         gram):
-        raise ValueError("reflection does not preserve the form")
-    return GroupElement(word=(_render_reflection(w),), matrix=matrix)
+    word = _render_reflection(w)
+    _check_isometry(gram, matrix, word)
+    return GroupElement(word=(word,), matrix=matrix)
 
 
 def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -275,12 +275,33 @@ def orthocomplement(H, eps: Sequence[int]
     return basis, basis[1:]
 
 
-def _parallel_factor(d: Sequence, eps: Sequence[int]) -> Fraction | None:
-    """lambda with d = lambda * eps, or None if d is not parallel."""
+def _parallel_factor(d: Sequence[int], eps: Sequence[int]) -> int | None:
+    """The integer lambda with d = lambda * eps, or None if there is none.
+    For an integral d and a primitive eps, None means d is not parallel."""
     idx = next(i for i, x in enumerate(eps) if x != 0)
-    if all(di * eps[idx] == d[idx] * ei for di, ei in zip(d, eps)):
-        return Fraction(d[idx], eps[idx])
+    lam = d[idx] // eps[idx]
+    if all(a == lam * b for a, b in zip(d, eps)):
+        return lam
     return None
+
+
+def _radical_factors(matrix, eps: tuple[int, ...],
+                     quotient: Sequence[Sequence[int]]) -> list[int] | None:
+    """The integers lambda_w with g(w) = w + lambda_w eps, one per quotient
+    representative w of orthocomplement(), or None when g is not in the
+    unipotent radical of the parabolic fixing the line through eps (it
+    moves eps, or moves some w off w + line).  lambda_w is an integer
+    because eps is primitive."""
+    if list(linalg.mat_vec(matrix, eps)) != list(eps):
+        return None
+    factors = []
+    for w in quotient:
+        lam = _parallel_factor(
+            [a - b for a, b in zip(linalg.mat_vec(matrix, w), w)], eps)
+        if lam is None:
+            return None
+        factors.append(lam)
+    return factors
 
 
 def line_stabilizer_test(g: GroupElement, eps: Sequence[int], H
@@ -288,35 +309,14 @@ def line_stabilizer_test(g: GroupElement, eps: Sequence[int], H
     """How g interacts with the isotropic line through eps: preserves it,
     fixes eps itself, and acts trivially on both the line and
     eps-perp/line (the unipotent-radical condition)."""
-    gram = _gram_of(H)
     eps = tuple(int(x) for x in eps)
-    image = linalg.mat_vec(g.matrix, eps)
-    lam = _parallel_factor(image, eps)
-    fixes_line = lam is not None
-    fixes_vector = bool(fixes_line and lam == 1)
-    radical = fixes_vector
-    if radical:
-        _, quotient = orthocomplement(gram, eps)
-        for w in quotient:
-            d = [a - b for a, b in zip(linalg.mat_vec(g.matrix, w), w)]
-            if _parallel_factor(d, eps) is None:
-                radical = False
-                break
-    return LineStabilizer(fixes_line=fixes_line, fixes_vector=fixes_vector,
+    lam = _parallel_factor(linalg.mat_vec(g.matrix, eps), eps)
+    fixes_vector = lam == 1
+    radical = fixes_vector and _radical_factors(
+        g.matrix, eps, orthocomplement(H, eps)[1]) is not None
+    return LineStabilizer(fixes_line=lam is not None,
+                          fixes_vector=fixes_vector,
                           in_unipotent_radical=radical)
-
-
-def _translation(matrix, eps, quotient, qgram_inv) -> tuple[Fraction, ...]:
-    """Quotient coordinates of the translation datum of a radical element
-    with precomputed quotient data; raises if not parallel."""
-    phi = []
-    for w in quotient:
-        d = [a - b for a, b in zip(linalg.mat_vec(matrix, w), w)]
-        lam = _parallel_factor(d, eps)
-        if lam is None:
-            raise ValueError("element is not in the unipotent radical")
-        phi.append(lam)
-    return tuple(Fraction(c) for c in linalg.mat_vec(qgram_inv, phi))
 
 
 def translation_vector(u: GroupElement, eps: Sequence[int], H
@@ -328,14 +328,15 @@ def translation_vector(u: GroupElement, eps: Sequence[int], H
     """
     gram = _gram_of(H)
     eps = tuple(int(x) for x in eps)
-    status = line_stabilizer_test(u, eps, gram)
-    if not status.in_unipotent_radical:
-        raise ValueError("element is not in the unipotent radical")
     _, quotient = orthocomplement(gram, eps)
+    factors = _radical_factors(u.matrix, eps, quotient)
+    if factors is None:
+        raise ValueError("element is not in the unipotent radical")
     qgram = [[linalg.vec_dot(wi, gram, wj) for wj in quotient]
              for wi in quotient]
     # the form descends nondegenerately to the quotient, so t is unique
-    return _translation(u.matrix, eps, quotient, linalg.inverse(qgram))
+    return tuple(Fraction(c)
+                 for c in linalg.mat_vec(linalg.inverse(qgram), factors))
 
 
 def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
@@ -368,8 +369,7 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
                 linalg.vec_dot(eps, gram, x) != 0:
             continue
         cx = reflection_matrix(gram, x)
-        cv = reflection_matrix(gram, v)
-        u_matrix = int_matrix(linalg.mat_mul(cx.matrix, cv.matrix))
+        u_matrix = int_matrix(linalg.mat_mul(cx.matrix, ctx.C))
         u_word = word + ("C",) + _inverse_word(word) + ("C",)
         u = ctx.verified(u_word, u_matrix)
         if u.is_identity:
@@ -380,22 +380,19 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
 
 
 def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
-                                search_bound: int = 3,
-                                cap: int = 200_000) -> list[tuple[int, ...]]:
+                                search_bound: int = 3
+                                ) -> list[tuple[int, ...]]:
     """Norm-2 vectors orthogonal to eps, whose reflections are therefore
     integral and fix the line through eps: the images A^k v, the
     perp-basis vectors, then (dimension permitting) a bounded ambient
     search.  Deduplicated by sign, deterministic order."""
     gram, n = ctx.gram, ctx.n
     eps = tuple(int(x) for x in eps)
-    images: list[tuple[int, ...]] = []
-    x = ctx.v
-    for _ in range(n):
-        images.append(tuple(int(a) for a in x))
-        x = tuple(int(a) for a in linalg.mat_vec(ctx.A, x))
+    # A^k v is the k-th unit vector of the cyclic basis
+    images = (tuple(row) for row in linalg.identity(n))
     perp, _ = orthocomplement(gram, eps)
     candidates = itertools.chain(images, perp)
-    if (2 * search_bound + 1) ** n <= cap:
+    if (2 * search_bound + 1) ** n <= AMBIENT_CAP:
         # lazily: the scan usually stops at MAX_SPAN_REFLECTIONS long
         # before the box is exhausted
         candidates = itertools.chain(
@@ -422,22 +419,24 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
 
 
 def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
-                      eps: Sequence[int], H, limit: int | None = None,
-                      budget: int = SPAN_BUDGET) -> int:
+                      eps: Sequence[int], H) -> int:
     """Rank over Q of the translation vectors of the conjugates of u by
     products (length <= 3) of the given reflections.
 
-    Stops early when the rank reaches limit (default n - 2, the dimension
-    of the full translation group), when the conjugate budget runs out,
-    or after a whole product layer adds no rank.  Every reflection must
-    map eps to a multiple of itself and be its own inverse.
+    The rank is that of the integer vectors from _radical_factors: the
+    translation vectors are their images under the inverse quotient Gram,
+    an invertible map.  Stops early when the rank reaches n - 2, the
+    dimension of the full translation group, when SPAN_BUDGET conjugates
+    are spent, or after a whole product layer adds no rank.  Every
+    reflection must map eps to a multiple of itself and be its own
+    inverse.
     """
     gram = _gram_of(H)
     n = len(gram)
     eps = tuple(int(x) for x in eps)
-    if limit is None:
-        limit = n - 2
-    if not line_stabilizer_test(u, eps, gram).in_unipotent_radical:
+    _, quotient = orthocomplement(gram, eps)
+    factors = _radical_factors(u.matrix, eps, quotient)
+    if factors is None:
         raise ValueError("u is not in the unipotent radical")
     identity = int_matrix(linalg.identity(n))
     for r in reflections:
@@ -445,15 +444,10 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
             raise ValueError("every reflection must fix the line through eps")
         if int_matrix(linalg.mat_mul(r.matrix, r.matrix)) != identity:
             raise ValueError("every reflection must be an involution")
-    _, quotient = orthocomplement(gram, eps)
-    qgram = [[linalg.vec_dot(wi, gram, wj) for wj in quotient]
-             for wi in quotient]
-    qgram_inv = linalg.inverse(qgram)
 
     echelon: list[tuple[int, list[int]]] = []
-    rank = int(_echelon_insert(
-        echelon, _translation(u.matrix, eps, quotient, qgram_inv)))
-    if rank >= limit:
+    rank = int(_echelon_insert(echelon, factors))
+    if rank >= n - 2:
         return rank
     # each product travels with its inverse: (prev r)^-1 = r prev^-1,
     # since every reflection is its own inverse
@@ -471,16 +465,16 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
                 seen.add(m)
                 m_inv = int_matrix(linalg.mat_mul(r.matrix, prev_inv))
                 grown.append((m, m_inv))
-                conj = int_matrix(linalg.mat_mul(
-                    m, linalg.mat_mul(u.matrix, m_inv)))
-                t = _translation(conj, eps, quotient, qgram_inv)
-                if _echelon_insert(echelon, t):
+                # m fixes the line, so the conjugate stays in the radical
+                conj = linalg.mat_mul(m, linalg.mat_mul(u.matrix, m_inv))
+                if _echelon_insert(echelon,
+                                   _radical_factors(conj, eps, quotient)):
                     rank += 1
                     progressed = True
-                    if rank >= limit:
+                    if rank >= n - 2:
                         return rank
                 spent += 1
-                if spent >= budget:
+                if spent >= SPAN_BUDGET:
                     return rank
         if not progressed and rank > 0:
             break
@@ -489,12 +483,12 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
 
 
 def _echelon_insert(echelon: list[tuple[int, list[int]]],
-                    vec: Sequence) -> bool:
-    """Reduce vec, cleared to a primitive int vector, against the echelon
-    rows (pivot column, int row) without fractions; if something is left,
-    append it and return True, so the rank of the rows seen so far grows
-    by one."""
-    rest = list(linalg.primitive_integer(vec))
+                    vec: Sequence[int]) -> bool:
+    """Reduce the int vector vec against the echelon rows (pivot column,
+    primitive int row) without fractions; if something is left, append
+    it and return True, so the rank of the rows seen so far grows by
+    one."""
+    rest = list(vec)
     for col, row in echelon:
         f = rest[col]
         if f:
@@ -502,8 +496,9 @@ def _echelon_insert(echelon: list[tuple[int, list[int]]],
             rest = [pv * a - f * b for a, b in zip(rest, row)]
     if not any(rest):
         return False
-    rest = list(linalg.primitive_integer(rest))
-    echelon.append((next(i for i, x in enumerate(rest) if x), rest))
+    g = math.gcd(*rest)
+    echelon.append((next(i for i, x in enumerate(rest) if x),
+                    [x // g for x in rest]))
     return True
 
 

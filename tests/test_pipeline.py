@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from orthomono import cli, corpus, monodromy, quadform
+from orthomono import cli, corpus, linalg, monodromy, quadform
 
 from conftest import BASE_F, BASE_G
 
@@ -54,3 +54,19 @@ def test_pad_builds_base_and_padded_objects_once(calls):
 def test_worked_example_builds_each_object_once(calls, entry):
     corpus.evaluate_entry(entry)
     assert calls == each(1)
+
+
+def test_analyze_takes_each_determinant_once(monkeypatch):
+    # det A, det B and det C in build_pair, the cyclic basis matrix, and
+    # the invariance-route form: five distinct matrices, one det each
+    seen = []
+    original = linalg.det
+
+    def counted(m):
+        seen.append(tuple(map(tuple, m)))
+        return original(m)
+    monkeypatch.setattr(linalg, "det", counted)
+    doc = cli.build_report(BASE_F, BASE_G)
+    assert (doc["derived"]["det_A"], doc["derived"]["det_B"],
+            doc["derived"]["det_C"]) == (1, -1, -1)
+    assert len(seen) == len(set(seen)) == 5

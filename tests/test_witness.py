@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthomono import cli, linalg
+from orthomono import cli, corpus, linalg
 from orthomono.monodromy import build_pair
 from orthomono.parsing import parse_poly
 from orthomono.quadform import invariant_space, q_rank, signature
@@ -15,6 +15,7 @@ from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
                                line_stabilizer_test, orthocomplement, reflect,
                                reflection_matrix, span_rank_witness,
                                translation_vector, unipotent_from_reflections)
+from orthomono.witness import _radical_factors
 
 
 @pytest.fixture(scope="module")
@@ -286,3 +287,58 @@ def test_report_degree_one():
     assert (cert.lo, cert.hi) == (0, 0)
     assert rep.epsilon is None
     assert rep.unipotent is None
+
+
+# ------------------------------------------------------- radical factors
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_radical_factors_on_worked_pair(entry):
+    # the witnessed (eps, u) of the pair, conjugated by every product of
+    # at most two of its span reflections
+    pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
+    space = invariant_space(pair)
+    sig = signature(space)
+    ctx = WitnessContext(pair, space)
+    rep = arithmeticity_report(ctx, sig, q_rank(space, sig, 3), 3, 8)
+    eps, u = rep.epsilon, rep.unipotent
+    refl = [reflection_matrix(ctx.gram, w)
+            for w in integral_reflection_vectors(ctx, eps)]
+    products = [ctx.element(())] + refl + [ctx.element(a.word + b.word)
+                                           for a in refl for b in refl]
+    conjugates = [conjugate(m, u) for m in products]
+    _, quotient = orthocomplement(ctx.gram, eps)
+
+    factors = [_radical_factors(c.matrix, eps, quotient) for c in conjugates]
+    translations = [translation_vector(c, eps, ctx.gram) for c in conjugates]
+    for k in range(1, len(conjugates) + 1):
+        assert linalg.rank(factors[:k]) == linalg.rank(translations[:k])
+    assert linalg.rank(factors) == rep.translation_rank
+
+    # the products themselves include elements outside the radical
+    elements = conjugates + products + [ctx.element((t,))
+                                        for t in ("A", "B", "C")]
+    outcomes = set()
+    for g in elements:
+        radical = line_stabilizer_test(g, eps, ctx.gram).in_unipotent_radical
+        assert (_radical_factors(g.matrix, eps, quotient) is None) \
+            == (not radical)
+        outcomes.add(radical)
+    assert outcomes == {True, False}
+
+    # x -> x + phi(x) eps moves each w by phi(w) eps; it fixes eps when
+    # phi(eps) = 0 and sends eps to -eps when phi(eps) = -2
+    def shear(phi):
+        return tuple(tuple(int(i == j) + eps[i] * phi[j]
+                           for j in range(pair.n)) for i in range(pair.n))
+    q0 = linalg.mat_vec(ctx.gram, quotient[0])  # q0 . eps = 0
+    assert _radical_factors(shear(q0), eps, quotient) \
+        == [linalg.vec_dot(quotient[0], ctx.gram, w) for w in quotient]
+    # column 0 of the inverse of a unimodular matrix with first row eps
+    # pairs with eps to 1
+    c = [row[0] for row in linalg.inverse(
+        linalg.unimodular_with_first_row(eps))]
+    flip = GroupElement((), shear([-2 * x for x in c]))
+    assert _radical_factors(flip.matrix, eps, quotient) is None
+    st = line_stabilizer_test(flip, eps, ctx.gram)
+    assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
+        == (True, False, False)
