@@ -424,9 +424,10 @@ def cmd_paper_suite(args) -> int:
 
 # --------------------------------------------------------------- arg parsing
 
-def _search_bound(text: str) -> int:
-    """--search-bound value: an int of at least 1, since the Q-rank bound
-    doubling never leaves a bound of 0 or less."""
+def _at_least_one(text: str) -> int:
+    """--search-bound and --word-bound value: an int of at least 1.  The
+    Q-rank bound doubling never leaves a bound of 0 or less, and a word
+    bound below 1 walks no orbit at all."""
     try:
         value = int(text)
     except ValueError:
@@ -438,13 +439,14 @@ def _search_bound(text: str) -> int:
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--search-bound", type=_search_bound,
+    sub.add_argument("--search-bound", type=_at_least_one,
                      default=DEFAULT_SEARCH_BOUND,
                      help="coefficient bound for the isotropic vector search, "
                           "at least 1 (default %(default)s)")
-    sub.add_argument("--word-bound", type=int, default=DEFAULT_WORD_BOUND,
+    sub.add_argument("--word-bound", type=_at_least_one,
+                     default=DEFAULT_WORD_BOUND,
                      help="maximum reflection-word length in the witness "
-                          "hunt (default %(default)s)")
+                          "hunt, at least 1 (default %(default)s)")
     sub.add_argument("--json", metavar="PATH", default=None,
                      help="also write the report to PATH")
     sub.add_argument("--quiet", action="store_true",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, build_pair
-from .polynomials import IntPoly, divrem, gcd
+from .polynomials import MAX_DEGREE, IntPoly, divrem, gcd
 from .quadform import cyclic_gram_row, _toeplitz
 
 DEFAULT_EXPONENT = 6
@@ -62,6 +62,10 @@ def pad_pair(f0: IntPoly, g0: IntPoly, P: IntPoly, Q: IntPoly,
         raise PairValidationError("P and Q must be coprime")
     if d < 1:
         raise PairValidationError("composition exponent must be >= 1")
+    if d * P.degree + 5 > MAX_DEGREE:
+        raise PairValidationError(
+            f"padded degree d*m + 5 = {d * P.degree + 5} is above the "
+            f"degree limit {MAX_DEGREE}")
     f = f0 * P.compose_monomial(d)
     g = g0 * Q.compose_monomial(d)
     if gcd(f, g).degree != 0:

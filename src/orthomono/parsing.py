@@ -13,10 +13,15 @@ Grammar (whitespace is ignored):
 variable name defaults to 'x' (padding factors use 'y').  Products bind
 tighter than top-level sums, so "x^5-1" and "(x+1)*(x^2+1)^2" both parse
 as written.  Errors carry the offset into the input where parsing failed.
+
+Every power, product and 'Phi(d)' is checked against MAX_DEGREE before it
+is built, and so is every exponent, even of a constant: an input that would
+exceed the limit is a PolyParseError, never a long computation.
 """
 from __future__ import annotations
 
-from .polynomials import IntPoly, ONE, cyclotomic, exact_div
+from .polynomials import (MAX_DEGREE, IntPoly, ONE, cyclotomic, euler_phi,
+                          exact_div)
 
 
 class PolyParseError(ValueError):
@@ -33,6 +38,11 @@ class _Parser:
 
     def error(self, message: str) -> PolyParseError:
         return PolyParseError(message, self.pos)
+
+    def check_degree(self, degree: int, what: str, pos: int) -> None:
+        if degree > MAX_DEGREE:
+            raise PolyParseError(f"{what} is above the degree limit "
+                                 f"{MAX_DEGREE}", pos)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -54,7 +64,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # beyond the interpreter's digit limit
+            raise PolyParseError("integer literal too long", start) from None
 
     def full(self) -> IntPoly:
         negate = self.peek() == "-"
@@ -78,6 +91,8 @@ class _Parser:
             self.pos += 1
             rhs = self.term()
             if op == "*":
+                self.check_degree(value.degree + rhs.degree, "product",
+                                  op_pos)
                 value = value * rhs
             else:
                 try:
@@ -90,7 +105,10 @@ class _Parser:
         value = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            value = value ** self.posint()
+            pos = self.pos
+            e = self.posint()
+            self.check_degree(max(e, value.degree * e), "power", pos)
+            value = value ** e
         return value
 
     def atom(self) -> IntPoly:
@@ -102,6 +120,10 @@ class _Parser:
             self.eat(")")
             if d < 1:
                 raise self.error("Phi index must be >= 1")
+            # phi(d) >= sqrt(d/2), so a larger d is over the limit too
+            if d > 2 * MAX_DEGREE ** 2 or euler_phi(d) > MAX_DEGREE:
+                raise self.error(f"Phi({d}) is above the degree limit "
+                                 f"{MAX_DEGREE}")
             return cyclotomic(d)
         if self.peek() == "(":
             self.pos += 1
@@ -138,7 +160,9 @@ class _Parser:
             power = 1
             if self.peek() == "^":
                 self.pos += 1
+                pos = self.pos
                 power = self.posint()
+                self.check_degree(power, "power", pos)
             return IntPoly.monomial(power, coeff)
         if saw_coeff:
             return IntPoly.constant(coeff)

@@ -21,6 +21,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+# Largest polynomial degree, and so pair dimension n, that parse_poly and
+# pad_pair accept.  analyze of x^127 -+ 1 takes seconds and x^255 -+ 1
+# tens of seconds; the largest worked example has degree 29.
+MAX_DEGREE = 128
+
 
 @dataclass(frozen=True)
 class IntPoly:

@@ -151,38 +151,44 @@ class WitnessContext:
         return GroupElement(word=tuple(word), matrix=matrix)
 
     def word_orbit(self, word_bound: int) -> tuple[dict, dict]:
-        """Breadth-first orbit of v under words in {A, A^-1, C} up to the
-        bound, deduplicated by matrix, shortest-lexicographic first.
+        """Breadth-first orbit of v under words in {A, A^-1, C} of length
+        1 to word_bound, walked on the images g(v) themselves.
+
+        The word t1...tk sends v to T1(T2(...Tk(v))), so prepending a
+        token to a word is one matrix-vector product on its image.  Level
+        k+1 takes each new image from the least (token, parent) pair that
+        reaches it, tokens ordered A, A^-1, C and parents in level-k
+        order; every image thus carries its shortest-lexicographic word,
+        and images are indexed in the order of those words.  v itself is
+        never recorded.
 
         Returns (minus, plus): maps from g(v) - v resp. g(v) + v to
-        (discovery index, word, g(v)), first discovery kept.
+        (discovery index, word, g(v)).
         """
+        if word_bound < 1:
+            raise ValueError(f"word bound must be at least 1, got {word_bound}")
         if word_bound in self._orbits:
             return self._orbits[word_bound]
-        n, v = self.n, self.v
+        v = self.v
+        tokens = [(t, self._gens[t]) for t in ("A", "A^-1", "C")]
         minus: dict = {}
         plus: dict = {}
-        seen = {int_matrix(linalg.identity(n))}
-        idx = 0
-        frontier = [(int_matrix(linalg.identity(n)), ())]
+        seen = {v}
+        level = [(v, ())]
         for _ in range(word_bound):
-            grown = []
-            for matrix, word in frontier:
-                for token in ("A", "A^-1", "C"):
-                    m = int_matrix(linalg.mat_mul(matrix,
-                                                  self.token_matrix(token)))
-                    if m in seen:
-                        continue
-                    seen.add(m)
-                    w = word + (token,)
-                    grown.append((m, w))
-                    x = tuple(m[i][0] for i in range(n))  # image of v = e_0
-                    key_minus = tuple(a - b for a, b in zip(x, v))
-                    key_plus = tuple(a + b for a, b in zip(x, v))
-                    minus.setdefault(key_minus, (idx, w, x))
-                    plus.setdefault(key_plus, (idx, w, x))
-                    idx += 1
-            frontier = grown
+            # token-major, so the first pair to reach an image is the least
+            grown: dict = {}
+            for token, m in tokens:
+                for y, word in level:
+                    x = tuple(linalg.mat_vec(m, y))
+                    if x not in seen and x not in grown:
+                        grown[x] = (token,) + word
+            seen.update(grown)
+            for x, word in grown.items():
+                entry = (len(minus), word, x)
+                minus[tuple(a - b for a, b in zip(x, v))] = entry
+                plus[tuple(a + b for a, b in zip(x, v))] = entry
+            level = list(grown.items())
         self._orbits[word_bound] = (minus, plus)
         return minus, plus
 

@@ -1,9 +1,14 @@
 """Command line surface: report construction, serialization, exit codes."""
 import copy
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import orthomono
 from orthomono import cli
 from orthomono.quadform import OracleMismatchError
 
@@ -156,6 +161,18 @@ def test_search_bound_below_one_exits_2(capsys, command, bound):
     assert "--search-bound: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--f", BASE_F, "--g", BASE_G],
+    ["pad", "--f0", BASE_F, "--g0", BASE_G, "--P", "y^2+y+1", "--Q", "y^2+1"],
+    ["examples"]], ids=["analyze", "pad", "examples"])
+def test_word_bound_below_one_exits_2(capsys, command, bound):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + [f"--word-bound={bound}"])
+    assert exc.value.code == 2
+    assert "--word-bound: must be at least 1" in capsys.readouterr().err
+
+
 def test_oracle_failure_exits_3(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise OracleMismatchError("routes disagree")
@@ -210,6 +227,69 @@ def test_batch_all_good_exits_0(capsys, tmp_path):
     path.write_text(json.dumps({"f": "x^2-1", "g": "x^2+x+1"}) + "\n")
     code, cap = run(capsys, "analyze", "--batch", str(path))
     assert code == 0
+
+
+def test_batch_line_over_the_degree_limit(capsys, tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps({"f": "x^30000000-1", "g": "x^30000000+1"})
+                    + "\n" + json.dumps({"f": BASE_F, "g": BASE_G}) + "\n")
+    code, cap = run(capsys, "analyze", "--batch", str(path))
+    assert code == 2
+    bad, good = [json.loads(ln) for ln in cap.out.splitlines()]
+    assert bad["error"]["kind"] == "validation"
+    assert "degree limit" in bad["error"]["message"]
+    assert good["witness"]["conclusion"] == "witnessed-arithmetic"
+
+
+# ------------------------------------------------------------- input limits
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(orthomono.__file__)))
+
+
+def run_module(*argv, memory_bytes=None, timeout=60):
+    """`python -m orthomono argv...` in a child process, optionally under an
+    address-space limit like `ulimit -v`."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "orthomono", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout,
+                          preexec_fn=limit if memory_bytes else None)
+
+
+@pytest.mark.parametrize("f, g", [
+    ("x^30000000-1", "x^30000000+1"),
+    ("Phi(1)*Phi(100000)", "Phi(2)*Phi(4)"),
+], ids=["huge-power", "huge-phi"])
+def test_inputs_over_the_degree_limit_exit_2(f, g):
+    # at 400 MB the unchecked power died with a MemoryError traceback
+    proc = run_module("analyze", "--f", f, "--g", g,
+                      memory_bytes=400_000_000)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["error"]["kind"] == "validation"
+    assert "degree limit" in doc["error"]["message"]
+
+
+def test_pad_over_the_degree_limit_exits_2(capsys):
+    # d*m + 5 = 62*2 + 5 = 129; d = 61 gives 127 and is accepted
+    code, cap = run(capsys, "pad", "--f0", BASE_F, "--g0", BASE_G,
+                    "--P", "y^2+y+1", "--Q", "y^2+1", "--d", "62")
+    assert code == 2
+    doc = json.loads(cap.out)
+    assert doc["error"]["kind"] == "validation"
+    assert "129 is above the degree limit 128" in doc["error"]["message"]
+    code, cap = run(capsys, "pad", "--f0", BASE_F, "--g0", BASE_G,
+                    "--P", "y^2+y+1", "--Q", "y^2+1", "--d", "1000000000")
+    assert code == 2
+
+
+def test_python_dash_m_runs_the_command_line():
+    proc = run_module("examples", "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == SUMMARY + "\n"
 
 
 # ---------------------------------------------------------------------- pad

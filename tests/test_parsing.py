@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orthomono.parsing import PolyParseError, parse_poly
-from orthomono.polynomials import IntPoly, cyclotomic, render
+from orthomono.polynomials import MAX_DEGREE, IntPoly, cyclotomic, render
 
 
 def coeffs(text: str, var: str = "x") -> tuple[int, ...]:
@@ -105,6 +105,49 @@ def test_truncated_input_is_a_parse_error(text):
 def test_division_by_zero():
     with pytest.raises(PolyParseError):
         parse_poly("(x+1)/0")
+
+
+# ------------------------------------------------------------ input limits
+
+def test_degree_limit_is_inclusive():
+    assert parse_poly(f"x^{MAX_DEGREE}-1").degree == MAX_DEGREE
+    assert parse_poly("(x+1)^64*(x-1)^64").degree == MAX_DEGREE
+    assert parse_poly("Phi(510)").degree == 128   # the largest index
+    assert parse_poly("Phi(128)*x^64").degree == MAX_DEGREE
+    assert parse_poly(f"2^{MAX_DEGREE}") == IntPoly((2 ** MAX_DEGREE,))
+
+
+@pytest.mark.parametrize("text, pos", [
+    (f"x^{MAX_DEGREE + 1}-1", 2),          # monomial power
+    ("x^30000000-1", 2),
+    ("2x^" + "9" * 40, 3),
+    (f"(x+1)^{MAX_DEGREE + 1}", 6),         # power of a sum
+    ("(x^2+1)^65", 8),
+    (f"2^{MAX_DEGREE + 1}", 2),             # exponent of a constant
+    ("(x^100+1)*(x^29-1)", 9),             # product
+    ("x^100*x^29", 5),
+])
+def test_degree_limit_rejects_before_building(text, pos):
+    with pytest.raises(PolyParseError, match="degree limit") as info:
+        parse_poly(text)
+    assert info.value.pos == pos
+
+
+@pytest.mark.parametrize("text", [
+    "Phi(257)",                  # phi = 256
+    "Phi(1)*Phi(100000)",
+    "Phi(32760)",                # phi = 6912; building it takes minutes
+    "Phi(" + "7" * 200 + ")",    # beyond the phi(d) >= sqrt(d/2) cutoff
+])
+def test_phi_index_limit(text):
+    with pytest.raises(PolyParseError, match="degree limit"):
+        parse_poly(text)
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    with pytest.raises(PolyParseError, match="too long") as info:
+        parse_poly("x^2+" + "1" * 5000)
+    assert info.value.pos == 4
 
 
 # ------------------------------------------------------------- round trips

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from orthomono import cli, corpus, linalg
-from orthomono.monodromy import build_pair
+from orthomono.monodromy import build_pair, int_matrix
 from orthomono.parsing import parse_poly
+from orthomono.polynomials import render
 from orthomono.quadform import invariant_space, q_rank, signature
 from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
                                GroupElement, WitnessContext,
@@ -16,6 +17,8 @@ from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
                                reflection_matrix, span_rank_witness,
                                translation_vector, unipotent_from_reflections)
 from orthomono.witness import _radical_factors
+
+from conftest import BASE_F, BASE_G, random_cyclotomic_pairs
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +112,77 @@ def test_word_orbit_deterministic_and_cached(ctx):
     assert first == again
     fresh = WitnessContext(ctx.pair, ctx.space).word_orbit(4)
     assert first[0] == fresh[0] and first[1] == fresh[1]
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+def test_word_orbit_rejects_bound_below_one(ctx, bound):
+    with pytest.raises(ValueError, match="at least 1"):
+        ctx.word_orbit(bound)
+
+
+def _matrix_word_orbit(ctx, word_bound):
+    """Reference: the orbit walked over matrices, breadth first, each new
+    matrix extended by A, A^-1, C in turn and deduplicated by matrix, the
+    first discovery of each key kept.  A nontrivial word that fixes v is
+    recorded here under the keys 0 (minus) and 2v (plus)."""
+    n, v = ctx.n, ctx.v
+    minus, plus = {}, {}
+    identity = int_matrix(linalg.identity(n))
+    seen = {identity}
+    idx = 0
+    frontier = [(identity, ())]
+    for _ in range(word_bound):
+        grown = []
+        for matrix, word in frontier:
+            for token in ("A", "A^-1", "C"):
+                m = int_matrix(linalg.mat_mul(matrix, ctx.token_matrix(token)))
+                if m in seen:
+                    continue
+                seen.add(m)
+                w = word + (token,)
+                grown.append((m, w))
+                x = tuple(m[i][0] for i in range(n))
+                minus.setdefault(tuple(a - b for a, b in zip(x, v)),
+                                 (idx, w, x))
+                plus.setdefault(tuple(a + b for a, b in zip(x, v)),
+                                (idx, w, x))
+                idx += 1
+        frontier = grown
+    return minus, plus
+
+
+def _orbit_cases():
+    cases = [pytest.param(e.f_text, e.g_text, 8, id=e.name)
+             for e in corpus.ENTRIES]
+    cases += [pytest.param(render(f), render(g), 8, id=f"battery-{i:02d}")
+              for i, (f, g) in enumerate(random_cyclotomic_pairs())
+              if f.degree <= 7]
+    cases.append(pytest.param(BASE_F, BASE_G, 10, id="base-bound-10"))
+    return cases
+
+
+@pytest.mark.parametrize("f_text, g_text, bound", _orbit_cases())
+def test_word_orbit_matches_matrix_reference(f_text, g_text, bound):
+    pair = build_pair(parse_poly(f_text), parse_poly(g_text))
+    ctx = WitnessContext(pair, invariant_space(pair))
+    v = ctx.v
+    v_keys = (tuple(0 for _ in v), tuple(2 * a for a in v))
+    for got, want, v_key in zip(ctx.word_orbit(bound),
+                                _matrix_word_orbit(ctx, bound), v_keys):
+        # the image walk never records v itself
+        assert all(x != v for _, _, x in got.values())
+        fixed = {key for key, (_, _, x) in want.items() if x == v}
+        assert fixed <= {v_key}
+        assert set(got) == set(want) - fixed
+        assert {key: entry[1:] for key, entry in got.items()} \
+            == {key: entry[1:] for key, entry in want.items()
+                if key not in fixed}
+        # the same relative order of discovery indices
+        assert [entry[1:] for entry in sorted(got.values())] \
+            == [entry[1:] for entry in sorted(want.values())
+                if entry[2] != v]
+    for _, word, x in ctx.word_orbit(bound)[0].values():
+        assert tuple(row[0] for row in ctx.element(word).matrix) == x
 
 
 # ------------------------------------------------------------ orthocomplement
