@@ -3,8 +3,9 @@ block removed, is pinned by SHA-256 together with the command's exit code.
 
 The cases are the 11 worked examples, all 50 random cyclotomic pairs of
 the shared battery (degree <= 12), the ten pads of the base quintic that
-exit 0 (the nine coprime degree-2 choices of (P, Q) and P = Q = 1) and
-`examples --json`.  A performance change must leave every digest alone;
+exit 0 (the nine coprime degree-2 choices of (P, Q) and P = Q = 1),
+`examples --json`, and three inputs that fail validation (exit 2): a pair
+sharing Phi(3), P = Q, and coprime P, Q whose padded f and g share x - 1.  A performance change must leave every digest alone;
 a change that alters a report on purpose updates the digests here and
 records the new values, and why, in CHANGES.md.
 """
@@ -35,6 +36,12 @@ def _cases() -> list[tuple[str, list[str]]]:
         cases.append((f"pad({P},{Q})", ["pad", "--f0", BASE_F, "--g0", BASE_G,
                                         "--P", P, "--Q", Q]))
     cases.append(("examples", ["examples"]))
+    cases.append(("invalid-analyze-shared-factor",
+                  ["analyze", "--f", "x^3-1", "--g", "(x^2+x+1)*(x+1)"]))
+    for P, Q in (("y^2+1", "y^2+1"), ("y^2+1", "y^2-2*y+1")):
+        cases.append((f"invalid-pad({P},{Q})",
+                      ["pad", "--f0", BASE_F, "--g0", BASE_G,
+                       "--P", P, "--Q", Q]))
     return cases
 
 
@@ -186,6 +193,12 @@ DIGESTS = {
         0, "6018c780c98550fc54b89a7bed1d7652b46413fbcafe753641615db98a900ee7"),
     "examples": (
         0, "8cf3dd1dbe7fc3ca4411f9403eb4d92b225a99a063ae4c36294a691a0a3f2071"),
+    "invalid-analyze-shared-factor": (
+        2, "e36054796a87775ec1c0b973a345a4441769143e1e394dc786a55dd908f5bb82"),
+    "invalid-pad(y^2+1,y^2+1)": (
+        2, "bd86e7f47b76d008e5d5ab69b0cf80e47ee6081ccb9891aa76f8740aa02f75ef"),
+    "invalid-pad(y^2+1,y^2-2*y+1)": (
+        2, "47b1f50e3ffd1fc63ab0d7f5371abf4067b250ade1eef0c3e9abced932f7c529"),
 }
 
 
