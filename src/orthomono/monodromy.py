@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .polynomials import IntPoly, gcd
+from .polynomials import IntPoly
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
@@ -99,6 +99,8 @@ class HyperPair:
     C: tuple[tuple[int, ...], ...]
     v: tuple[int, ...]  # coefficients over 1, x, ..., x^{n-1}
     A_inv: tuple[tuple[int, ...], ...]
+    # columns v, Av, ..., A^{n-1}v: the cyclic basis in standard coordinates
+    S: tuple[tuple[int, ...], ...]
     # determinants, computed once for the structural checks
     det_A: int
     det_B: int
@@ -122,7 +124,7 @@ def int_matrix(m) -> tuple[tuple[int, ...], ...]:
 
 
 def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
-    """Validate (f, g) and construct A, B, C, v, re-verifying every
+    """Validate (f, g) and construct A, B, C, v and S, re-verifying every
     structural identity rather than trusting the formulas."""
     if not f.is_monic or not g.is_monic:
         raise PairValidationError("f and g must be monic")
@@ -139,8 +141,6 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
         raise PairValidationError(
             f"need f(0) = -1 and g(0) = 1, got f(0) = {f(0)}, "
             f"g(0) = {g(0)}{hint}")
-    if gcd(f, g).degree != 0:
-        raise PairValidationError("f and g must be coprime")
 
     a = companion(f)
     b = companion(g)
@@ -149,6 +149,15 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
     w = g - f  # degree <= n-1 since both monic of degree n
     wvec = [w.coeff(i) for i in range(n)]
     v = tuple(linalg.mat_vec(a_inv, wvec))
+    # v = x^-1 (g - f) mod f is a cyclic vector of A iff it is a unit mod
+    # f, iff gcd(f, g) = 1, as x is a unit when f(0) = -1: det S != 0 is
+    # exactly coprimality
+    cols = [v]
+    for _ in range(n - 1):
+        cols.append(linalg.mat_vec(a, cols[-1]))
+    s = tuple(zip(*cols))
+    if linalg.det(s) == 0:
+        raise PairValidationError("f and g must be coprime")
 
     # structural re-verification
     ident = linalg.identity(n)
@@ -171,5 +180,5 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
     if [cm1[i][n - 1] for i in range(n)] != [-x for x in v]:
         raise PairValidationError("(C - 1) x^{n-1} must equal -v")
 
-    return HyperPair(f=f, g=g, n=n, A=a, B=b, C=c, v=v, A_inv=a_inv,
+    return HyperPair(f=f, g=g, n=n, A=a, B=b, C=c, v=v, A_inv=a_inv, S=s,
                      det_A=det_a, det_B=det_b, det_C=det_c)

@@ -47,7 +47,9 @@ class PaddedPair:
 def pad_pair(f0: IntPoly, g0: IntPoly, P: IntPoly, Q: IntPoly,
              d: int = DEFAULT_EXPONENT) -> PaddedPair:
     """Compose and validate a padded pair; every hypothesis failure is
-    reported by name rather than propagating as a downstream surprise."""
+    reported by name rather than propagating as a downstream surprise.
+    build_pair checks that the composed f and g are coprime, which
+    coprime P and Q do not ensure (Q(x^d) may share a factor with f0)."""
     if f0.degree != 5 or g0.degree != 5:
         raise PairValidationError("base pair must have degree 5")
     if f0(0) != -1 or g0(0) != 1:
@@ -68,10 +70,6 @@ def pad_pair(f0: IntPoly, g0: IntPoly, P: IntPoly, Q: IntPoly,
             f"degree limit {MAX_DEGREE}")
     f = f0 * P.compose_monomial(d)
     g = g0 * Q.compose_monomial(d)
-    if gcd(f, g).degree != 0:
-        raise PairValidationError(
-            "padded f and g are not coprime; the construction's hypothesis "
-            "fails for this (P, Q)")
     n = f.degree
     embedding = tuple(tuple(int(i == j) for j in range(n)) for i in range(5))
     # build_pair runs the full structural validation of the composed pair

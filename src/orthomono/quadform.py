@@ -16,9 +16,6 @@ from . import linalg
 from .monodromy import HyperPair, PairValidationError
 from .polynomials import IntPoly, divrem
 
-STANDARD = "standard"
-CYCLIC = "cyclic"
-
 # enumeration ceiling for bounded vector searches (number of tuples)
 SEARCH_CAP = 5_000_000
 
@@ -45,10 +42,6 @@ class QuadSpace:
     dim: int
     # int entries for the cyclic Gram, Fraction entries for the standard one
     gram: tuple[tuple[int | Fraction, ...], ...]
-    basis_label: str
-    # columns of base_change are the cyclic basis vectors v, Av, ... in
-    # standard coordinates; None when no second basis is attached
-    base_change: tuple[tuple[int, ...], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -104,19 +97,6 @@ def _toeplitz(row: Sequence, n: int) -> list[list]:
     return [[row[abs(i - j)] for j in range(n)] for i in range(n)]
 
 
-def cyclic_basis_matrix(pair: HyperPair) -> tuple[tuple[int, ...], ...]:
-    """Columns v, Av, ..., A^{n-1}v in standard coordinates; invertible
-    for every valid pair (the A^k v form a basis)."""
-    n = pair.n
-    cols = [list(pair.v)]
-    for _ in range(n - 1):
-        cols.append([int(x) for x in linalg.mat_vec(pair.A, cols[-1])])
-    s = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    if linalg.det(s) == 0:
-        raise PairValidationError("v, Av, ..., A^{n-1}v are dependent")
-    return s
-
-
 def gram_remainder(pair: HyperPair) -> QuadSpace:
     """Cyclic-basis Gram matrix from remainder top-coefficients; Toeplitz
     by A-invariance, entry (0,0) = 2 by normalization."""
@@ -126,10 +106,7 @@ def gram_remainder(pair: HyperPair) -> QuadSpace:
         raise OracleMismatchError(
             f"v.v must be 2 by normalization, computed {row[0]}")
     gram = _toeplitz(row, pair.n)
-    return QuadSpace(dim=pair.n,
-                     gram=tuple(tuple(r) for r in gram),
-                     basis_label=CYCLIC,
-                     base_change=cyclic_basis_matrix(pair))
+    return QuadSpace(dim=pair.n, gram=tuple(tuple(r) for r in gram))
 
 
 def gram_invariance(pair: HyperPair) -> QuadSpace:
@@ -180,28 +157,26 @@ def gram_invariance(pair: HyperPair) -> QuadSpace:
     if linalg.det(h) == 0:
         raise PairValidationError("invariant form is degenerate")
     return QuadSpace(dim=n, gram=tuple(tuple(Fraction(2 * x, scale)
-                                             for x in r) for r in h),
-                     basis_label=STANDARD)
+                                             for x in r) for r in h))
 
 
-def change_basis(space: QuadSpace, m: Sequence[Sequence], label: str = "custom"
-                 ) -> QuadSpace:
+def change_basis(space: QuadSpace, m: Sequence[Sequence]) -> QuadSpace:
     """Gram -> M^T Gram M for invertible integer M (not checked here: the
-    caller passes cyclic_basis_matrix, which has checked it), multiplied
-    out in int arithmetic on the Gram cleared of its common denominator."""
+    caller passes the cyclic basis pair.S, whose det build_pair has
+    checked), multiplied out in int arithmetic on the Gram cleared of its
+    common denominator."""
     gram, den = linalg.clear_denominators(space.gram)
     gram = linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(gram, m))
     return QuadSpace(dim=space.dim,
                      gram=tuple(tuple(Fraction(x, den) for x in r)
-                                for r in gram),
-                     basis_label=label)
+                                for r in gram))
 
 
 def invariant_space(pair: HyperPair) -> QuadSpace:
     """Cyclic-basis form agreed by both independent routes."""
     cyc = gram_remainder(pair)
     std = gram_invariance(pair)
-    via_std = change_basis(std, cyc.base_change, label=CYCLIC)
+    via_std = change_basis(std, pair.S)
     if not linalg.mat_eq(via_std.gram, cyc.gram):
         raise OracleMismatchError(
             "remainder-route and invariance-route Gram matrices disagree: "

@@ -312,6 +312,16 @@ def test_pad_rejects_common_factor(capsys):
     assert json.loads(cap.out)["error"]["kind"] == "validation"
 
 
+def test_pad_rejects_padded_pair_that_is_not_coprime(capsys):
+    # P and Q are coprime, but Q(x^6) = (x^6 - 1)^2 shares x - 1 with f0
+    code, cap = run(capsys, "pad", "--f0", "x^5-1",
+                    "--g0", "(x+1)*(x^2+1)^2",
+                    "--P", "y^2+1", "--Q", "y^2-2y+1")
+    assert code == 2
+    assert json.loads(cap.out)["error"] == {
+        "kind": "validation", "message": "f and g must be coprime"}
+
+
 # ----------------------------------------------------------------- examples
 
 def test_examples_command(capsys):

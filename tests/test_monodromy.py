@@ -1,5 +1,7 @@
 """Pair construction: companion matrices, the reflection C, and the
 validation that rejects malformed input."""
+import random
+
 import pytest
 
 from orthomono import linalg
@@ -7,7 +9,7 @@ from orthomono.monodromy import (ORTHOGONAL, SYMPLECTIC, PairValidationError,
                                  build_pair, classify_type, companion,
                                  imprimitivity_flag, scalar_shift)
 from orthomono.parsing import parse_poly
-from orthomono.polynomials import IntPoly
+from orthomono.polynomials import IntPoly, cyclotomic, euler_phi, gcd
 
 
 def P(text: str) -> IntPoly:
@@ -65,6 +67,53 @@ def test_c_is_a_inverse_b(base_pair):
 def test_build_pair_rejects(f_text, g_text, fragment):
     with pytest.raises(PairValidationError, match=fragment):
         build_pair(P(f_text), P(g_text))
+
+
+def _pair_with_constants(rng, n, shared_degree):
+    """Monic f, g of degree n with f(0) = -1, g(0) = 1 and small random
+    middle coefficients; when shared_degree > 0 both carry a common
+    product h of cyclotomics of that degree, the cofactors taking
+    constant terms -h(0) and h(0) (h(0) = +-1)."""
+    h = IntPoly((1,))
+    while h.degree < shared_degree:
+        d = rng.choice([d for d in range(1, 43)
+                        if euler_phi(d) <= shared_degree - h.degree])
+        h = h * cyclotomic(d)
+    m = n - h.degree
+
+    def cofactor(c0):
+        mid = [rng.randint(-2, 2) for _ in range(m - 1)]
+        return IntPoly(tuple([c0] + mid + [1]))
+    return h * cofactor(-h(0)), h * cofactor(h(0))
+
+
+def test_build_pair_rejects_exactly_the_non_coprime_pairs():
+    # det S != 0 is build_pair's whole coprimality check; gcd is the
+    # reference, on pairs about half of which share a cyclotomic factor
+    rng = random.Random(20261018)
+    shared = rejected = 0
+    count = 1200
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        forced = n > 1 and rng.random() < 0.5
+        f, g = _pair_with_constants(rng, n, rng.randint(1, n - 1)
+                                    if forced else 0)
+        shared += forced
+        coprime = gcd(f, g).degree == 0
+        assert not (forced and coprime)
+        try:
+            pair = build_pair(f, g)
+        except PairValidationError as exc:
+            assert "coprime" in str(exc) and not coprime, (f, g, exc)
+            rejected += 1
+            continue
+        assert coprime, (f, g)
+        col = list(pair.v)
+        for k in range(n):
+            assert [row[k] for row in pair.S] == col, (f, g, k)
+            col = linalg.mat_vec(pair.A, col)
+    assert shared >= 0.4 * count
+    assert shared <= rejected < count
 
 
 def test_normalization_hint_mentions_scalar_shift():

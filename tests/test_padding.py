@@ -91,6 +91,7 @@ def test_higher_multiplicity_family():
     ("x^5-1", "(x+1)*(x^2+1)^2", "(y^3+1)", "(y^2+1)", 6, "equal degree"),
     ("x^5-1", "(x+1)*(x^2+1)^2", "(y^2+y+2)", "(y^2+1)", 6, "constant term 1"),
     ("x^5-1", "(x+1)*(x^2+1)^2", "(y^2+1)", "(y^2+1)", 6, "coprime"),
+    ("x^5-1", "(x+1)*(x^2+1)^2", "(y^2+1)", "(y^2-2y+1)", 6, "coprime"),
     ("x^5-1", "(x+1)*(x^2+1)^2", "(y^2+y+1)", "(y^2+1)", 0, "exponent"),
 ])
 def test_pad_pair_rejects(f0, g0, P, Q, d, fragment):

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from orthomono import cli, corpus, linalg, monodromy, quadform
+from orthomono import cli, corpus, linalg, monodromy, polynomials, quadform
 
 from conftest import BASE_F, BASE_G
 
@@ -14,14 +14,13 @@ BUILDERS = ((monodromy, "build_pair"), (quadform, "invariant_space"),
             (quadform, "signature"), (quadform, "q_rank"))
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Calls per builder, counted through every package namespace that
+def _counted(monkeypatch, functions) -> Counter:
+    """Calls per function, counted through every package namespace that
     binds it, so a call made by any module is seen."""
     counts = Counter()
     modules = [m for key, m in sys.modules.items()
                if key == "orthomono" or key.startswith("orthomono.")]
-    for owner, name in BUILDERS:
+    for owner, name in functions:
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -32,6 +31,16 @@ def calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, counted)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return _counted(monkeypatch, BUILDERS)
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    return _counted(monkeypatch, ((polynomials, "gcd"),))
 
 
 def each(times):
@@ -57,8 +66,8 @@ def test_worked_example_builds_each_object_once(calls, entry):
 
 
 def test_analyze_takes_each_determinant_once(monkeypatch):
-    # det A, det B and det C in build_pair, the cyclic basis matrix, and
-    # the invariance-route form: five distinct matrices, one det each
+    # det S (the coprimality check), det A, det B and det C in build_pair,
+    # and the invariance-route form: five distinct matrices, one det each
     seen = []
     original = linalg.det
 
@@ -70,3 +79,22 @@ def test_analyze_takes_each_determinant_once(monkeypatch):
     assert (doc["derived"]["det_A"], doc["derived"]["det_B"],
             doc["derived"]["det_C"]) == (1, -1, -1)
     assert len(seen) == len(set(seen)) == 5
+
+
+# build_pair certifies coprimality by det S, so the only polynomial gcd
+# left is pad's check that the user's P and Q are coprime
+
+def test_analyze_takes_no_polynomial_gcd(gcd_calls):
+    cli.build_report(BASE_F, BASE_G)
+    assert gcd_calls["gcd"] == 0
+
+
+def test_pad_takes_one_polynomial_gcd(gcd_calls):
+    cli.build_pad_report(BASE_F, BASE_G, "y^2+y+1", "y^2+1")
+    assert gcd_calls["gcd"] == 1
+
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_worked_example_takes_no_polynomial_gcd(gcd_calls, entry):
+    corpus.evaluate_entry(entry)
+    assert gcd_calls["gcd"] == 0

@@ -198,7 +198,7 @@ DIGESTS = {
     "invalid-pad(y^2+1,y^2+1)": (
         2, "bd86e7f47b76d008e5d5ab69b0cf80e47ee6081ccb9891aa76f8740aa02f75ef"),
     "invalid-pad(y^2+1,y^2-2*y+1)": (
-        2, "47b1f50e3ffd1fc63ab0d7f5371abf4067b250ade1eef0c3e9abced932f7c529"),
+        2, "e36054796a87775ec1c0b973a345a4441769143e1e394dc786a55dd908f5bb82"),
 }
 
 
