@@ -315,28 +315,70 @@ def _box_solutions(gram: Sequence[Sequence], bound: int, value=0
     lexicographic order, lazily; G must be symmetric.
 
     Depth first over the coordinates, carrying the form's value on the
-    prefix and G times the prefix, so a node costs O(dim) and a full tuple
-    one quadratic in its last coordinate."""
-    if gram:
-        yield from _box_walk(gram, range(-bound, bound + 1), value, (), 0,
-                             [0] * len(gram))
+    prefix and G times the prefix, so a node costs O(dim).  The frame of
+    the second-to-last coordinate loops over it inline and solves for the
+    last one as an integer quadratic, so no frame is opened per leaf."""
+    if not gram:
+        return
+    # on den * G the values are ints, and den * value must be one too
+    gram, den = linalg.clear_denominators(gram)
+    value = Fraction(value) * den
+    if value.denominator != 1:
+        return
+    yield from _box_walk(gram, bound, int(value), (), 0, [0] * len(gram))
 
 
-def _box_walk(gram, span: range, value, prefix: tuple[int, ...], q,
+def _quadratic_roots(a: int, b: int, c: int, bound: int) -> list[int]:
+    """The integers s in [-bound, bound] with a s^2 + b s + c = 0,
+    ascending and without repeats."""
+    if a == 0:
+        if b == 0:
+            return list(range(-bound, bound + 1)) if c == 0 else []
+        s, rest = divmod(-c, b)
+        return [s] if rest == 0 and -bound <= s <= bound else []
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    r = math.isqrt(disc)
+    if r * r != disc:
+        return []
+    roots = set()
+    for num in (-b - r, -b + r):
+        s, rest = divmod(num, 2 * a)
+        if rest == 0 and -bound <= s <= bound:
+            roots.add(s)
+    return sorted(roots)
+
+
+def _box_walk(gram, bound: int, value: int, prefix: tuple[int, ...], q: int,
               g_prefix: list) -> Iterator[tuple[int, ...]]:
-    # q = prefix.G.prefix and g_prefix = G prefix, prefix zero-padded
+    # q = prefix.G.prefix and g_prefix = G prefix, prefix zero-padded; the
+    # value with coordinate k set to t is q + t (2 (G prefix)_k + G_kk t)
     k = len(prefix)
+    last = len(gram) - 1
+    span = range(-bound, bound + 1)
+    if k == last:  # a one-dimensional form
+        for s in _quadratic_roots(gram[k][k], 2 * g_prefix[k], q - value,
+                                  bound):
+            if _canonical(prefix + (s,)):
+                yield prefix + (s,)
+        return
     lin, diag = 2 * g_prefix[k], gram[k][k]
-    if k == len(gram) - 1:
+    if k == last - 1:
+        lin_last, diag_last = 2 * g_prefix[last], gram[last][last]
+        cross = 2 * gram[k][last]
         for t in span:
-            if q + t * (lin + diag * t) == value:
-                c = prefix + (t,)
+            pre = prefix + (t,)
+            for s in _quadratic_roots(diag_last, lin_last + cross * t,
+                                      q + t * (lin + diag * t) - value,
+                                      bound):
+                c = pre + (s,)
                 if _canonical(c):
                     yield c
         return
     row = gram[k]  # column k, by symmetry
     for t in span:
-        yield from _box_walk(gram, span, value, prefix + (t,),
+        yield from _box_walk(gram, bound, value, prefix + (t,),
                              q + t * (lin + diag * t),
                              [a + t * b for a, b in zip(g_prefix, row)])
 

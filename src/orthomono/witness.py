@@ -25,8 +25,8 @@ from typing import Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
-from .quadform import (QuadSpace, RankCertificate, SearchBudgetError,
-                       _box_solutions, _gram_of, isotropic_search)
+from .quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
+                       RankCertificate, _box_solutions, _canonical, _gram_of)
 
 WITNESSED = "witnessed-arithmetic"
 INCONCLUSIVE = "inconclusive"
@@ -126,6 +126,7 @@ class WitnessContext:
         for name in ("A", "A^-1", "B", "B^-1"):
             _check_isometry(self.gram, self._gens[name], name)
         self._orbits: dict[int, tuple[dict, dict]] = {}
+        self._perps: dict[tuple[int, ...], tuple[list, list]] = {}
 
     def token_matrix(self, token: str):
         if token in self._gens:
@@ -149,6 +150,14 @@ class WitnessContext:
         if self.element(word).matrix != matrix:
             raise ValueError("matrix does not match its word")
         return GroupElement(word=tuple(word), matrix=matrix)
+
+    def perp(self, eps: Sequence[int]
+             ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """orthocomplement(self.gram, eps), built once per eps."""
+        eps = tuple(int(x) for x in eps)
+        if eps not in self._perps:
+            self._perps[eps] = orthocomplement(self.gram, eps)
+        return self._perps[eps]
 
     def word_orbit(self, word_bound: int) -> tuple[dict, dict]:
         """Breadth-first orbit of v under words in {A, A^-1, C} of length
@@ -281,6 +290,14 @@ def orthocomplement(H, eps: Sequence[int]
     return basis, basis[1:]
 
 
+def _perp_of(H, eps: tuple[int, ...]):
+    """orthocomplement(H, eps), through the cache of H when H is a
+    WitnessContext."""
+    if isinstance(H, WitnessContext):
+        return H.perp(eps)
+    return orthocomplement(H, eps)
+
+
 def _parallel_factor(d: Sequence[int], eps: Sequence[int]) -> int | None:
     """The integer lambda with d = lambda * eps, or None if there is none.
     For an integral d and a primitive eps, None means d is not parallel."""
@@ -314,12 +331,13 @@ def line_stabilizer_test(g: GroupElement, eps: Sequence[int], H
                          ) -> LineStabilizer:
     """How g interacts with the isotropic line through eps: preserves it,
     fixes eps itself, and acts trivially on both the line and
-    eps-perp/line (the unipotent-radical condition)."""
+    eps-perp/line (the unipotent-radical condition).  H is the form, or a
+    WitnessContext, whose perp basis of eps is then reused."""
     eps = tuple(int(x) for x in eps)
     lam = _parallel_factor(linalg.mat_vec(g.matrix, eps), eps)
     fixes_vector = lam == 1
     radical = fixes_vector and _radical_factors(
-        g.matrix, eps, orthocomplement(H, eps)[1]) is not None
+        g.matrix, eps, _perp_of(H, eps)[1]) is not None
     return LineStabilizer(fixes_line=lam is not None,
                           fixes_vector=fixes_vector,
                           in_unipotent_radical=radical)
@@ -334,10 +352,17 @@ def translation_vector(u: GroupElement, eps: Sequence[int], H
     """
     gram = _gram_of(H)
     eps = tuple(int(x) for x in eps)
-    _, quotient = orthocomplement(gram, eps)
+    _, quotient = _perp_of(H, eps)
     factors = _radical_factors(u.matrix, eps, quotient)
     if factors is None:
         raise ValueError("element is not in the unipotent radical")
+    return _translation_coordinates(gram, quotient, factors)
+
+
+def _translation_coordinates(gram, quotient: Sequence[Sequence[int]],
+                             factors: Sequence[int]) -> tuple[Fraction, ...]:
+    """The coordinates t, in the quotient basis, of the vector a with
+    (w . a) = lambda_w for every quotient representative w."""
     qgram = [[linalg.vec_dot(wi, gram, wj) for wj in quotient]
              for wi in quotient]
     # the form descends nondegenerately to the quotient, so t is unique
@@ -380,7 +405,7 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
         u = ctx.verified(u_word, u_matrix)
         if u.is_identity:
             continue
-        if line_stabilizer_test(u, eps, gram).in_unipotent_radical:
+        if line_stabilizer_test(u, eps, ctx).in_unipotent_radical:
             return u
     return None
 
@@ -396,7 +421,7 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
     eps = tuple(int(x) for x in eps)
     # A^k v is the k-th unit vector of the cyclic basis
     images = (tuple(row) for row in linalg.identity(n))
-    perp, _ = orthocomplement(gram, eps)
+    perp, _ = ctx.perp(eps)
     candidates = itertools.chain(images, perp)
     if (2 * search_bound + 1) ** n <= AMBIENT_CAP:
         # lazily: the scan usually stops at MAX_SPAN_REFLECTIONS long
@@ -429,52 +454,68 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     """Rank over Q of the translation vectors of the conjugates of u by
     products (length <= 3) of the given reflections.
 
-    The rank is that of the integer vectors from _radical_factors: the
-    translation vectors are their images under the inverse quotient Gram,
-    an invertible map.  Stops early when the rank reaches n - 2, the
-    dimension of the full translation group, when SPAN_BUDGET conjugates
-    are spent, or after a whole product layer adds no rank.  Every
-    reflection must map eps to a multiple of itself and be its own
-    inverse.
+    u moves each x in eps-perp by (x . a) eps, where a = sum t_w w over
+    the quotient representatives w and t is translation_vector(u).  A product m fixes the line, m(eps) = mu eps, so
+    m u m^-1 moves x by mu (x . m a) eps: the lambda vector of a conjugate
+    is mu ((w . m a))_w over the quotient representatives w, and no
+    inverse or conjugate matrix is needed to rank it.  The rank is that of
+    these vectors, which the inverse quotient Gram maps invertibly onto
+    the translation vectors.  Each conjugate that raises the rank is also
+    built as a matrix, and its _radical_factors must agree; a disagreement
+    raises OracleMismatchError.
+
+    Stops early when the rank reaches n - 2, the dimension of the full
+    translation group, when SPAN_BUDGET conjugates are spent, or after a
+    whole product layer adds no rank.  Every reflection must map eps to a
+    multiple of itself and be its own inverse.  H is the form, or a
+    WitnessContext, whose perp basis of eps is then reused.
     """
     gram = _gram_of(H)
     n = len(gram)
     eps = tuple(int(x) for x in eps)
-    _, quotient = orthocomplement(gram, eps)
+    _, quotient = _perp_of(H, eps)
     factors = _radical_factors(u.matrix, eps, quotient)
     if factors is None:
         raise ValueError("u is not in the unipotent radical")
     identity = int_matrix(linalg.identity(n))
+    signs = []
     for r in reflections:
-        if _parallel_factor(linalg.mat_vec(r.matrix, eps), eps) is None:
+        sign = _parallel_factor(linalg.mat_vec(r.matrix, eps), eps)
+        if sign is None:
             raise ValueError("every reflection must fix the line through eps")
         if int_matrix(linalg.mat_mul(r.matrix, r.matrix)) != identity:
             raise ValueError("every reflection must be an involution")
+        signs.append(sign)
 
     echelon: list[tuple[int, list[int]]] = []
     rank = int(_echelon_insert(echelon, factors))
     if rank >= n - 2:
         return rank
-    # each product travels with its inverse: (prev r)^-1 = r prev^-1,
-    # since every reflection is its own inverse
-    layer = [(identity, identity)]
+    # den * a is an int vector, so den * lambda is too
+    t = _translation_coordinates(gram, quotient, factors)
+    den = math.lcm(*(c.denominator for c in t))
+    a = linalg.mat_vec(linalg.transpose(quotient), [int(c * den) for c in t])
+    g_quotient = [linalg.mat_vec(gram, w) for w in quotient]
+    # each product travels with its sign mu and its reflection indices
+    layer = [(identity, 1, ())]
     seen = {identity}
     spent = 0
     for _ in range(3):
         grown = []
         progressed = False
-        for prev, prev_inv in layer:
-            for r in reflections:
+        for prev, prev_sign, prev_word in layer:
+            for i, r in enumerate(reflections):
                 m = int_matrix(linalg.mat_mul(prev, r.matrix))
                 if m in seen:
                     continue
                 seen.add(m)
-                m_inv = int_matrix(linalg.mat_mul(r.matrix, prev_inv))
-                grown.append((m, m_inv))
-                # m fixes the line, so the conjugate stays in the radical
-                conj = linalg.mat_mul(m, linalg.mat_mul(u.matrix, m_inv))
-                if _echelon_insert(echelon,
-                                   _radical_factors(conj, eps, quotient)):
+                sign, word = prev_sign * signs[i], prev_word + (i,)
+                grown.append((m, sign, word))
+                lam = [sign * x for x in linalg.mat_vec(
+                    g_quotient, linalg.mat_vec(m, a))]
+                if _echelon_insert(echelon, lam):
+                    _check_conjugate(u, m, [reflections[j] for j in word],
+                                     eps, quotient, den, lam)
                     rank += 1
                     progressed = True
                     if rank >= n - 2:
@@ -486,6 +527,24 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
             break
         layer = grown
     return rank
+
+
+def _check_conjugate(u: GroupElement, m, product: Sequence[GroupElement],
+                     eps: tuple[int, ...], quotient, den: int,
+                     lam: list[int]) -> None:
+    """Second route for one conjugate: m u m^-1 as a matrix, where m is
+    the product of the given involutions and m^-1 their product in
+    reverse order, must move the quotient representatives by
+    lam / den."""
+    m_inv = product[-1].matrix
+    for r in reversed(product[:-1]):
+        m_inv = linalg.mat_mul(m_inv, r.matrix)
+    conj = linalg.mat_mul(m, linalg.mat_mul(u.matrix, m_inv))
+    factors = _radical_factors(conj, eps, quotient)
+    if factors is None or [den * x for x in factors] != lam:
+        raise OracleMismatchError(
+            f"conjugate by {len(product)} reflections: translation "
+            f"{lam} / {den} from m a, {factors} from the matrix")
 
 
 def _echelon_insert(echelon: list[tuple[int, list[int]]],
@@ -508,6 +567,29 @@ def _echelon_insert(echelon: list[tuple[int, list[int]]],
     return True
 
 
+def orbit_candidates(ctx: WitnessContext, search_bound: int,
+                     word_bound: int) -> list[tuple[int, ...]]:
+    """The hits of isotropic_search(ctx.space, search_bound) that can
+    yield a unipotent, found without walking the box: the sign-canonical
+    primitive isotropic eps in [-search_bound, search_bound]^n with +-eps
+    a key g(v) -+ v of word_orbit(word_bound), in lexicographic order.
+
+    g(v).g(v) = v.v = 2, so (g(v) -+ v)^2 = 0 iff g(v).v = +-2."""
+    minus, plus = ctx.word_orbit(word_bound)
+    g_v = linalg.mat_vec(ctx.gram, ctx.v)
+    found = set()
+    for store, pairing in ((minus, 2), (plus, -2)):
+        for key, (_, _, x) in store.items():
+            if sum(a * b for a, b in zip(x, g_v)) != pairing or \
+                    any(abs(c) > search_bound for c in key):
+                continue
+            if not _canonical(key):
+                key = tuple(-c for c in key)
+            if _canonical(key):
+                found.add(key)
+    return sorted(found)
+
+
 def arithmeticity_report(ctx: WitnessContext, sig: tuple[int, int],
                          cert: RankCertificate, search_bound: int,
                          word_bound: int) -> WitnessReport:
@@ -526,10 +608,12 @@ def arithmeticity_report(ctx: WitnessContext, sig: tuple[int, int],
     unipotent = None
     translation_rank = None
     if min(p, q) >= 1 and n >= 3:
-        try:
-            candidates = isotropic_search(ctx.space, search_bound)
-        except SearchBudgetError:
+        if (2 * search_bound + 1) ** n > SEARCH_CAP:
+            # the box search's cap, kept for now: beyond it the hunt tries
+            # the Q-rank witnesses only, not the orbit differences
             candidates = list(cert.isotropic_witnesses)
+        else:
+            candidates = orbit_candidates(ctx, search_bound, word_bound)
         best = -1
         for eps in candidates:
             u = unipotent_from_reflections(ctx, eps, word_bound)
@@ -538,7 +622,7 @@ def arithmeticity_report(ctx: WitnessContext, sig: tuple[int, int],
             refl = [reflection_matrix(ctx.gram, w)
                     for w in integral_reflection_vectors(ctx, eps,
                                                          search_bound)]
-            rank = span_rank_witness(u, refl, eps, ctx.gram)
+            rank = span_rank_witness(u, refl, eps, ctx)
             if rank > best:
                 best, epsilon, unipotent, translation_rank = \
                     rank, tuple(eps), u, rank
