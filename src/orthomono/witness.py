@@ -455,10 +455,10 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     products (length <= 3) of the given reflections.
 
     u moves each x in eps-perp by (x . a) eps, where a = sum t_w w over
-    the quotient representatives w and t is translation_vector(u).  A product m fixes the line, m(eps) = mu eps, so
-    m u m^-1 moves x by mu (x . m a) eps: the lambda vector of a conjugate
-    is mu ((w . m a))_w over the quotient representatives w, and no
-    inverse or conjugate matrix is needed to rank it.  The rank is that of
+    the quotient representatives w and t is translation_vector(u).  A
+    product m fixes the line, m(eps) = mu eps, so m u m^-1 moves x by
+    mu (x . m a) eps: the lambda vector of a conjugate is mu ((w . m a))_w,
+    and no inverse or conjugate matrix is needed to rank it.  The rank is that of
     these vectors, which the inverse quotient Gram maps invertibly onto
     the translation vectors.  Each conjugate that raises the rank is also
     built as a matrix, and its _radical_factors must agree; a disagreement
