@@ -458,9 +458,9 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     the quotient representatives w and t is translation_vector(u).  A
     product m fixes the line, m(eps) = mu eps, so m u m^-1 moves x by
     mu (x . m a) eps: the lambda vector of a conjugate is mu ((w . m a))_w,
-    and no inverse or conjugate matrix is needed to rank it.  The rank is that of
-    these vectors, which the inverse quotient Gram maps invertibly onto
-    the translation vectors.  Each conjugate that raises the rank is also
+    and no inverse or conjugate matrix is needed to rank it.  The rank is
+    that of these vectors, which the inverse quotient Gram maps invertibly
+    onto the translation vectors.  Each conjugate that raises the rank is also
     built as a matrix, and its _radical_factors must agree; a disagreement
     raises OracleMismatchError.
 
