@@ -301,12 +301,7 @@ def signature_interlace(alpha: Sequence[Fraction], beta: Sequence[Fraction]
 def _canonical(c: tuple[int, ...]) -> bool:
     """Primitive with positive first nonzero entry."""
     lead = next((x for x in c if x != 0), None)
-    if lead is None or lead < 0:
-        return False
-    g = 0
-    for x in c:
-        g = math.gcd(g, x)
-    return g == 1
+    return lead is not None and lead > 0 and math.gcd(*c) == 1
 
 
 def _box_solutions(gram: Sequence[Sequence], bound: int, value=0

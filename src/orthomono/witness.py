@@ -574,19 +574,25 @@ def orbit_candidates(ctx: WitnessContext, search_bound: int,
     primitive isotropic eps in [-search_bound, search_bound]^n with +-eps
     a key g(v) -+ v of word_orbit(word_bound), in lexicographic order.
 
-    g(v).g(v) = v.v = 2, so (g(v) -+ v)^2 = 0 iff g(v).v = +-2."""
-    minus, plus = ctx.word_orbit(word_bound)
-    g_v = linalg.mat_vec(ctx.gram, ctx.v)
+    g(v).g(v) = v.v = 2, so (g(v) -+ v)^2 = 0 iff g(v).v = +-2; each
+    image is the entry of one key of each map."""
+    images = [x for _, _, x in ctx.word_orbit(word_bound)[0].values()]
+    v = ctx.v
     found = set()
-    for store, pairing in ((minus, 2), (plus, -2)):
-        for key, (_, _, x) in store.items():
-            if sum(a * b for a, b in zip(x, g_v)) != pairing or \
-                    any(abs(c) > search_bound for c in key):
-                continue
-            if not _canonical(key):
-                key = tuple(-c for c in key)
-            if _canonical(key):
-                found.add(key)
+    pairings = linalg.mat_vec(images, linalg.mat_vec(ctx.gram, v))
+    for x, pairing in zip(images, pairings):
+        if pairing == 2:
+            key = tuple(a - b for a, b in zip(x, v))
+        elif pairing == -2:
+            key = tuple(a + b for a, b in zip(x, v))
+        else:
+            continue
+        if max(map(abs, key)) > search_bound:
+            continue
+        if not _canonical(key):
+            key = tuple(-c for c in key)
+        if _canonical(key):
+            found.add(key)
     return sorted(found)
 
 

@@ -6,7 +6,8 @@ from collections import Counter
 
 import pytest
 
-from orthomono import cli, corpus, linalg, monodromy, polynomials, quadform
+from orthomono import (cli, corpus, linalg, monodromy, polynomials, quadform,
+                       witness)
 
 from conftest import BASE_F, BASE_G
 
@@ -98,3 +99,28 @@ def test_pad_takes_one_polynomial_gcd(gcd_calls):
 def test_worked_example_takes_no_polynomial_gcd(gcd_calls, entry):
     corpus.evaluate_entry(entry)
     assert gcd_calls["gcd"] == 0
+
+
+# the hunt takes its candidates from the word orbit, not from the box, and
+# builds one perp basis per eps that yields a unipotent (span_rank_witness
+# runs once for each such eps)
+
+@pytest.fixture
+def hunt_calls(monkeypatch):
+    return _counted(monkeypatch, ((quadform, "isotropic_search"),
+                                  (witness, "orthocomplement"),
+                                  (witness, "span_rank_witness")))
+
+
+def test_analyze_walks_no_isotropic_box(hunt_calls):
+    doc = cli.build_report(BASE_F, BASE_G)
+    assert doc["witness"]["conclusion"] == "witnessed-arithmetic"
+    assert hunt_calls["isotropic_search"] == 0
+
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_analyze_builds_one_perp_basis_per_eps(hunt_calls, entry):
+    cli.build_report(entry.f_text, entry.g_text)
+    assert hunt_calls["isotropic_search"] == 0
+    assert hunt_calls["orthocomplement"] \
+        == hunt_calls["span_rank_witness"] >= 1

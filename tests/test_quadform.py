@@ -1,5 +1,7 @@
 """Invariant form, diagonalization, signatures, and rational isotropy
 certificates, pinned to independently derived values."""
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,8 @@ from orthomono import linalg
 from orthomono.monodromy import build_pair
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import IntPoly, divrem
-from orthomono.quadform import (OracleMismatchError, _gram_of,
+from orthomono.quadform import (OracleMismatchError, _box_solutions,
+                                _canonical, _gram_of,
                                 anisotropy_certificate,
                                 change_basis, cyclic_gram_row, diagonalize,
                                 find_anisotropy_certificate, gram_invariance,
@@ -287,6 +290,59 @@ def test_isotropic_search_base(base_space):
 def test_isotropic_search_definite():
     assert isotropic_search([[2]], 3) == []
     assert isotropic_search([[1, 0], [0, 3]], 4) == []
+
+
+_BLOCKS = ([[2]], [[1]], [[2, 1], [1, 2]], [[3, 1], [1, 1]], [[-2]],
+           [[-1, 1], [1, -2]], [[0, 1], [1, 0]], [[1, 0], [0, -1]],
+           [[1, 2], [2, 1]], [[0]], [[0, 2], [2, -1]])
+
+
+def _box_case(rng: random.Random, i: int):
+    """A symmetric int Gram of dimension 1-6: random entries, with zero
+    diagonals, with a zero row, or block diagonal from definite,
+    indefinite and degenerate blocks; every fourth a Fraction copy."""
+    dim = rng.randint(1, 6)
+    bound = rng.choice([b for b in (1, 2, 3) if (2 * b + 1) ** dim <= 1000])
+    gram = [[0] * dim for _ in range(dim)]
+    kind = i % 4
+    if kind == 3:
+        k = 0
+        while k < dim:
+            block = rng.choice([b for b in _BLOCKS if len(b) <= dim - k])
+            for a, row in enumerate(block):
+                for b, x in enumerate(row):
+                    gram[k + a][k + b] = x
+            k += len(block)
+    else:
+        for a in range(dim):
+            for b in range(a, dim):
+                gram[a][b] = gram[b][a] = rng.randint(-3, 3)
+        if kind == 1:
+            for a in range(dim):
+                gram[a][a] = 0
+        if kind == 2:
+            z = rng.randrange(dim)
+            for a in range(dim):
+                gram[a][z] = gram[z][a] = 0
+    value = rng.randint(-2, 2)
+    if i % 8 == 7:
+        gram = [[Fraction(x, 2) for x in row] for row in gram]
+        value = Fraction(value, 2)
+    return gram, bound, value
+
+
+@pytest.mark.parametrize("chunk", range(5))
+def test_box_walk_matches_product_enumeration(chunk):
+    rng = random.Random(20261018 + chunk)
+    for i in range(100):
+        gram, bound, value = _box_case(rng, i)
+        want = [c for c in itertools.product(range(-bound, bound + 1),
+                                             repeat=len(gram))
+                if _canonical(c) and linalg.vec_dot(c, gram, c) == value]
+        assert list(_box_solutions(gram, bound, value)) == want, \
+            (gram, bound, value)
+        assert next(_box_solutions(gram, bound, value), None) \
+            == (want[0] if want else None)
 
 
 # ------------------------------------------------------------------ witt / q

@@ -4,19 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from orthomono import cli, corpus, linalg
+from orthomono import cli, corpus, linalg, witness
 from orthomono.monodromy import build_pair, int_matrix
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import render
-from orthomono.quadform import invariant_space, q_rank, signature
+from orthomono.quadform import (SEARCH_CAP, OracleMismatchError,
+                                invariant_space, isotropic_search, q_rank,
+                                signature)
 from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
                                GroupElement, WitnessContext,
                                arithmeticity_report, conjugate,
                                integral_reflection_vectors,
-                               line_stabilizer_test, orthocomplement, reflect,
-                               reflection_matrix, span_rank_witness,
-                               translation_vector, unipotent_from_reflections)
-from orthomono.witness import _radical_factors
+                               line_stabilizer_test, orbit_candidates,
+                               orthocomplement, reflect, reflection_matrix,
+                               span_rank_witness, translation_vector,
+                               unipotent_from_reflections)
+from orthomono.witness import (_echelon_insert, _parallel_factor,
+                               _radical_factors)
 
 from conftest import BASE_F, BASE_G, random_cyclotomic_pairs
 
@@ -416,3 +420,134 @@ def test_radical_factors_on_worked_pair(entry):
     st = line_stabilizer_test(flip, eps, ctx.gram)
     assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
         == (True, False, False)
+
+
+# ------------------------------------------------ candidates from the orbit
+
+def _pair_cases(max_degree=12):
+    cases = [pytest.param(e.f_text, e.g_text, id=e.name)
+             for e in corpus.ENTRIES]
+    cases += [pytest.param(render(f), render(g), id=f"battery-{i:02d}")
+              for i, (f, g) in enumerate(random_cyclotomic_pairs())
+              if f.degree <= max_degree]
+    return cases
+
+
+@pytest.mark.parametrize("f_text, g_text", _pair_cases())
+def test_orbit_candidates_equal_box_hits_with_orbit_keys(f_text, g_text):
+    pair = build_pair(parse_poly(f_text), parse_poly(g_text))
+    ctx = WitnessContext(pair, invariant_space(pair))
+    for bound in (1, 2, 3):
+        if (2 * bound + 1) ** ctx.n > SEARCH_CAP:
+            continue
+        hits = isotropic_search(ctx.space, bound)
+        for word_bound in (4, 8):
+            minus, plus = ctx.word_orbit(word_bound)
+            keyed = [e for e in hits
+                     if any(k in minus or k in plus
+                            for k in (e, tuple(-x for x in e)))]
+            assert orbit_candidates(ctx, bound, word_bound) == keyed
+
+
+# ------------------------------------------------ span rank, matrix route
+
+def _matrix_span_rank(u, reflections, eps, H):
+    """Reference: the span rank with every conjugate m u m^-1 built as a
+    matrix, each product carrying its inverse, and ranked by its
+    _radical_factors; the same layers, seen set and SPAN_BUDGET stop."""
+    gram = witness._gram_of(H)
+    n = len(gram)
+    eps = tuple(eps)
+    _, quotient = orthocomplement(gram, eps)
+    identity = int_matrix(linalg.identity(n))
+    for r in reflections:
+        assert _parallel_factor(linalg.mat_vec(r.matrix, eps), eps) \
+            is not None
+        assert int_matrix(linalg.mat_mul(r.matrix, r.matrix)) == identity
+    echelon = []
+    rank = int(_echelon_insert(echelon,
+                               _radical_factors(u.matrix, eps, quotient)))
+    if rank >= n - 2:
+        return rank
+    layer = [(identity, identity)]
+    seen = {identity}
+    spent = 0
+    for _ in range(3):
+        grown = []
+        progressed = False
+        for prev, prev_inv in layer:
+            for r in reflections:
+                m = int_matrix(linalg.mat_mul(prev, r.matrix))
+                if m in seen:
+                    continue
+                seen.add(m)
+                m_inv = int_matrix(linalg.mat_mul(r.matrix, prev_inv))
+                grown.append((m, m_inv))
+                conj = linalg.mat_mul(m, linalg.mat_mul(u.matrix, m_inv))
+                if _echelon_insert(echelon,
+                                   _radical_factors(conj, eps, quotient)):
+                    rank += 1
+                    progressed = True
+                    if rank >= n - 2:
+                        return rank
+                spent += 1
+                if spent >= witness.SPAN_BUDGET:
+                    return rank
+        if not progressed and rank > 0:
+            break
+        layer = grown
+    return rank
+
+
+# the battery pairs whose report carries a unipotent at search bound 3
+# and word bound 8
+UNIPOTENT_BATTERY = (7, 13, 20, 21, 26, 29, 31, 32, 37, 40, 43, 45)
+
+
+def _span_cases():
+    battery = random_cyclotomic_pairs()
+    return [pytest.param(e.f_text, e.g_text, id=e.name)
+            for e in corpus.ENTRIES] + [
+        pytest.param(render(battery[i][0]), render(battery[i][1]),
+                     id=f"battery-{i:02d}") for i in UNIPOTENT_BATTERY]
+
+
+@pytest.mark.parametrize("f_text, g_text", _span_cases())
+def test_span_rank_matches_matrix_reference(monkeypatch, f_text, g_text):
+    pair = build_pair(parse_poly(f_text), parse_poly(g_text))
+    _, _, rep = hunt(pair)
+    eps, u = rep.epsilon, rep.unipotent
+    assert u is not None
+    ctx = WitnessContext(pair, invariant_space(pair))
+    refl = [reflection_matrix(ctx.gram, w)
+            for w in integral_reflection_vectors(ctx, eps)]
+    assert span_rank_witness(u, refl, eps, ctx) \
+        == _matrix_span_rank(u, refl, eps, ctx.gram) == rep.translation_rank
+    for k in range(1, 5):
+        assert span_rank_witness(u, refl[:k], eps, ctx.gram) \
+            == _matrix_span_rank(u, refl[:k], eps, ctx.gram)
+    for budget in (5, 50):
+        monkeypatch.setattr(witness, "SPAN_BUDGET", budget)
+        assert span_rank_witness(u, refl, eps, ctx.gram) \
+            == _matrix_span_rank(u, refl, eps, ctx.gram)
+
+
+@pytest.mark.parametrize("skew", ["shifted", "off-radical"])
+def test_span_rank_routes_disagreeing_raise(monkeypatch, ctx, u, skew):
+    # the first _radical_factors call is u's own; every later one is the
+    # matrix route of a conjugate that raised the rank
+    refl = [reflection_matrix(ctx.gram, w) for w in (e(0), e(1), VPRIME)]
+    original = _radical_factors
+    calls = []
+
+    def skewed(matrix, eps, quotient):
+        factors = original(matrix, eps, quotient)
+        calls.append(matrix)
+        if len(calls) == 1:
+            return factors
+        return None if skew == "off-radical" else \
+            [factors[0] + 1] + factors[1:]
+    monkeypatch.setattr(witness, "_radical_factors", skewed)
+    with pytest.raises(OracleMismatchError, match="conjugate"):
+        span_rank_witness(u, refl, EPS, ctx.gram)
+    assert len(calls) == 2
