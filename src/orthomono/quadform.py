@@ -351,7 +351,6 @@ def _box_walk(gram, bound: int, value: int, prefix: tuple[int, ...], q: int,
     # value with coordinate k set to t is q + t (2 (G prefix)_k + G_kk t)
     k = len(prefix)
     last = len(gram) - 1
-    span = range(-bound, bound + 1)
     if k == last:  # a one-dimensional form
         for s in _quadratic_roots(gram[k][k], 2 * g_prefix[k], q - value,
                                   bound):
@@ -359,6 +358,7 @@ def _box_walk(gram, bound: int, value: int, prefix: tuple[int, ...], q: int,
                 yield prefix + (s,)
         return
     lin, diag = 2 * g_prefix[k], gram[k][k]
+    span = range(-bound, bound + 1)
     if k == last - 1:
         lin_last, diag_last = 2 * g_prefix[last], gram[last][last]
         cross = 2 * gram[k][last]

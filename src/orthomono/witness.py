@@ -615,8 +615,8 @@ def arithmeticity_report(ctx: WitnessContext, sig: tuple[int, int],
     translation_rank = None
     if min(p, q) >= 1 and n >= 3:
         if (2 * search_bound + 1) ** n > SEARCH_CAP:
-            # the box search's cap, kept for now: beyond it the hunt tries
-            # the Q-rank witnesses only, not the orbit differences
+            # over the box search's cap the hunt tries the Q-rank
+            # witnesses only, not the orbit differences
             candidates = list(cert.isotropic_witnesses)
         else:
             candidates = orbit_candidates(ctx, search_bound, word_bound)
