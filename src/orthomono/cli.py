@@ -37,13 +37,13 @@ from .padding import (DEFAULT_EXPONENT, embed_vector, isometry_check,
                       pad_pair, remainder_coeff_check)
 from .parsing import PolyParseError, parse_poly
 from .polynomials import IntPoly, cyclo_factor, render, root_parameters
-from .quadform import (OracleMismatchError, QuadSpace, invariant_space,
-                       q_rank, signature, signature_interlace)
+from .quadform import (DEFAULT_SEARCH_BOUND, OracleMismatchError, QuadSpace,
+                       invariant_space, q_rank, signature,
+                       signature_interlace)
 from .witness import (OUT_OF_SCOPE, WitnessContext, WitnessReport,
                       arithmeticity_report)
 
 SCHEMA_VERSION = "orthomono/1"
-DEFAULT_SEARCH_BOUND = 3
 DEFAULT_WORD_BOUND = 8
 
 EXIT_OK = 0
@@ -358,37 +358,46 @@ def cmd_analyze(args) -> int:
 def _run_batch(args) -> int:
     """One JSON object {"f": ..., "g": ...} per line; a bad line yields an
     error record in place of its report and the batch keeps going."""
+    try:
+        with open(args.batch, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        sys.stderr.write(f"cannot read --batch {args.batch}: "
+                         f"{exc.strerror}\n")
+        return EXIT_VALIDATION
+    except UnicodeDecodeError as exc:
+        sys.stderr.write(f"--batch {args.batch} is not UTF-8: {exc}\n")
+        return EXIT_VALIDATION
     worst = EXIT_OK
     out_lines: list[str] = []
-    with open(args.batch) as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            problem = None
+    for raw in lines:
+        raw = raw.strip()
+        if not raw:
+            continue
+        problem = None
+        try:
+            item = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            problem = f"bad JSON line: {exc}"
+        else:
+            if not (isinstance(item, dict) and "f" in item
+                    and "g" in item):
+                problem = 'batch lines must be objects with "f" and "g"'
+        if problem is not None:
+            code, doc = EXIT_VALIDATION, {
+                "error": {"kind": "validation", "message": problem},
+                "input": {"raw": raw}}
+        else:
             try:
-                item = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                problem = f"bad JSON line: {exc}"
-            else:
-                if not (isinstance(item, dict) and "f" in item
-                        and "g" in item):
-                    problem = 'batch lines must be objects with "f" and "g"'
-            if problem is not None:
-                code, doc = EXIT_VALIDATION, {
-                    "error": {"kind": "validation", "message": problem},
-                    "input": {"raw": raw}}
-            else:
-                try:
-                    doc = build_report(str(item["f"]), str(item["g"]),
-                                       search_bound=args.search_bound,
-                                       word_bound=args.word_bound)
-                    code = EXIT_OK
-                except Exception as exc:  # noqa: BLE001
-                    code, doc = _failure_doc(exc)
-                    doc["input"] = {"f": item["f"], "g": item["g"]}
-            worst = max(worst, code)
-            out_lines.append(json.dumps(doc, sort_keys=True))
+                doc = build_report(str(item["f"]), str(item["g"]),
+                                   search_bound=args.search_bound,
+                                   word_bound=args.word_bound)
+                code = EXIT_OK
+            except Exception as exc:  # noqa: BLE001
+                code, doc = _failure_doc(exc)
+                doc["input"] = {"f": item["f"], "g": item["g"]}
+        worst = max(worst, code)
+        out_lines.append(json.dumps(doc, sort_keys=True))
     text = "\n".join(out_lines) + ("\n" if out_lines else "")
     if args.json:
         with open(args.json, "w") as fh:
@@ -497,7 +506,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        if args.json is None or exc.filename != args.json:
+            raise
+        sys.stderr.write(f"cannot write --json {args.json}: "
+                         f"{exc.strerror}\n")
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -27,15 +27,13 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg
-from .monodromy import HyperPair, build_pair
+from .monodromy import build_pair
 from .parsing import parse_poly
 from .polynomials import IntPoly, divrem, render
-from .quadform import (RankCertificate, cyclic_gram_row, gram_invariance,
-                       invariant_space, q_rank, signature)
+from .quadform import (DEFAULT_SEARCH_BOUND, cyclic_gram_row,
+                       gram_invariance, invariant_space, q_rank, signature)
 from .witness import (GroupElement, WitnessContext, _render_reflection,
                       line_stabilizer_test, reflect)
-
-DEFAULT_BOUND = 3
 
 ERRATA = {
     "dropped-term": "the stated Av omits the 4x^2 term of g - f; every "
@@ -291,13 +289,14 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
     raise ValueError(f"unknown datum kind {d.kind!r}")
 
 
-def evaluate_entry(entry: Entry, bound: int = DEFAULT_BOUND) -> EntryResult:
+def evaluate_entry(entry: Entry,
+                   bound: int = DEFAULT_SEARCH_BOUND) -> EntryResult:
     ctx = _Context(entry)
     results = tuple(_eval_datum(ctx, d, bound) for d in entry.data)
     return EntryResult(name=entry.name, title=entry.title, results=results)
 
 
-def run_suite(bound: int = DEFAULT_BOUND) -> SuiteResult:
+def run_suite(bound: int = DEFAULT_SEARCH_BOUND) -> SuiteResult:
     return SuiteResult(tuple(evaluate_entry(e, bound) for e in ENTRIES))
 
 

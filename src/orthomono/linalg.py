@@ -170,20 +170,14 @@ def primitive_integer(vec: Vec) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector whose first
     nonzero entry is positive."""
     fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
-    lead = next(c for c in ints if c != 0)
-    if lead < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    lcm = math.lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (lcm // f.denominator) for f in fracs]
+    g = math.gcd(*ints)
+    if g == 0:
+        return tuple(ints)  # the zero vector
+    if next(c for c in ints if c != 0) < 0:
+        g = -g
+    return tuple(c // g for c in ints)
 
 
 def _column_eliminate(row: Sequence[int]) -> tuple[int, list[list[int]]]:

@@ -20,7 +20,7 @@ exceed the limit is a PolyParseError, never a long computation.
 """
 from __future__ import annotations
 
-from .polynomials import (MAX_DEGREE, IntPoly, ONE, cyclotomic, euler_phi,
+from .polynomials import (MAX_DEGREE, IntPoly, cyclotomic, euler_phi,
                           exact_div)
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 # Largest polynomial degree, and so pair dimension n, that parse_poly and
 # pad_pair accept.  analyze of x^127 -+ 1 takes seconds and x^255 -+ 1
@@ -214,17 +214,12 @@ def gcd(a: IntPoly, b: IntPoly) -> IntPoly:
         fa, fb = fb, fa
     if not fa:
         return IntPoly(())
-    lcm_den = 1
-    for c in fa:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    ints = [int(c * lcm_den) for c in fa]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-    ints = [c // content for c in ints]
+    lcm_den = math.lcm(*(c.denominator for c in fa))
+    ints = [c.numerator * (lcm_den // c.denominator) for c in fa]
+    content = math.gcd(*ints)
     if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPoly(tuple(ints))
+        content = -content
+    return IntPoly(tuple(c // content for c in ints))
 
 
 def euler_phi(d: int) -> int:

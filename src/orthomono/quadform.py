@@ -7,10 +7,11 @@ is exact; there are no tolerances anywhere in this module.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError
@@ -18,6 +19,9 @@ from .polynomials import IntPoly, divrem
 
 # enumeration ceiling for bounded vector searches (number of tuples)
 SEARCH_CAP = 5_000_000
+
+# default coefficient bound of the isotropic and reflection-vector searches
+DEFAULT_SEARCH_BOUND = 3
 
 # anisotropy certificates: exhaustive mod-p^k checking stays desk-scale
 CERT_MAX_DIM = 4
@@ -390,24 +394,6 @@ def isotropic_search(space_or_gram, bound: int) -> list[tuple[int, ...]]:
     return list(_box_solutions(gram, bound))
 
 
-def _int_kernel(rows: list[list[int]], n: int) -> list[list[int]]:
-    """Basis of the integer kernel lattice of the given integer rows."""
-    basis = linalg.identity(n)
-    for r in rows:
-        projected = linalg.mat_vec(basis, r)
-        if all(x == 0 for x in projected):
-            continue
-        basis = linalg.mat_mul(linalg.int_row_kernel(projected), basis)
-    return basis
-
-
-def _scaled_int_row(space_gram, vec: Sequence[int]) -> list[int]:
-    """G.vec cleared to a primitive integer row (same kernel)."""
-    gv = linalg.mat_vec(space_gram, vec)
-    prim = linalg.primitive_integer(gv)
-    return list(prim)
-
-
 def witt_decompose(space_or_gram, bound: int,
                    seeds: Sequence[Sequence[int]] = ()) -> RankCertificate:
     """Greedy hyperbolic-plane splitting.
@@ -419,24 +405,28 @@ def witt_decompose(space_or_gram, bound: int,
     Stages whose enumeration would exceed SEARCH_CAP stop with a note; a
     stage whose lattice is definite stops without a search, since it has
     no isotropic vector.
+
+    The current lattice is carried from stage to stage as a basis B (rows,
+    in ambient coordinates) and its restricted Gram R = B G B^T, starting
+    from B = I and R = G.  A split plane (w, partner) cuts it once per new
+    row, primitive(G w) and then primitive(G partner): a row whose
+    projection B row is zero is skipped, and otherwise K = the integer
+    kernel of the projection gives B <- K B and R <- K R K^T.
     """
     gram = _gram_of(space_or_gram)
     n = len(gram)
+    basis, restricted = linalg.identity(n), gram
     witnesses: list[tuple[int, ...]] = []
-    constraints: list[list[int]] = []
+    constraints: list[tuple[int, ...]] = []
     notes: list[str] = []
     pending = [tuple(int(x) for x in s) for s in seeds]
 
     while True:
-        basis = _int_kernel(constraints, n)
         k = len(basis)
         if k == 0:
             residual_diag: tuple[Fraction, ...] = ()
             break
-        # restricted Gram B^T G B, whose diagonalization is the residual
-        # one when this stage is the last
-        restricted = linalg.mat_mul(
-            basis, linalg.mat_mul(gram, linalg.transpose(basis)))
+        # the residual diagonal when this stage is the last
         residual_diag, _ = diagonalize(restricted)
         # isotropic vector: unused seeds first, then bounded search
         w: tuple[int, ...] | None = None
@@ -459,7 +449,7 @@ def witt_decompose(space_or_gram, bound: int,
                     all(d < 0 for d in residual_diag):
                 break  # definite: the search could only come back empty
             # search in lattice coordinates against the restricted Gram;
-            # c.(B^T G B).c = x.G.x for x = B c, so the hit is unchanged
+            # c.(B G B^T).c = x.G.x for x = c B, so the hit is unchanged
             c = next(_box_solutions(restricted, bound), None)
             if c is None:
                 break
@@ -467,30 +457,34 @@ def witt_decompose(space_or_gram, bound: int,
                       for i in range(n))
             lead = next(t for t in x if t != 0)
             w = x if lead > 0 else tuple(-t for t in x)
-        # partner: first current-lattice vector pairing nontrivially with
-        # w while keeping every unused seed orthogonal (so later stages
-        # can still accept them)
-        lat_rows = [b for b in basis]
-        seed_rows = [_scaled_int_row(gram, s) for s in pending]
-        partner = None
-        candidates: Iterable[list[int]] = lat_rows
-        pairs = [[bi + bj for bi, bj in zip(lat_rows[i], lat_rows[j])]
-                 for i in range(len(lat_rows)) for j in range(i + 1, len(lat_rows))]
-        for u in list(candidates) + pairs:
-            if linalg.vec_dot(w, gram, u) == 0:
-                continue
-            if all(sum(r[i] * u[i] for i in range(n)) == 0
-                   for r in seed_rows) or not pending:
-                partner = u
-                break
+        # partner: first current-lattice vector, the basis rows and then
+        # the sums of two of them, pairing nontrivially with w while
+        # keeping every unused seed orthogonal (so later stages can still
+        # accept them)
+        seed_rows = [linalg.primitive_integer(linalg.mat_vec(gram, s))
+                     for s in pending]
+        sums = ([a + b for a, b in zip(bi, bj)]
+                for bi, bj in itertools.combinations(basis, 2))
+        partner = next(
+            (u for u in itertools.chain(basis, sums)
+             if linalg.vec_dot(w, gram, u) != 0
+             and (all(sum(r[i] * u[i] for i in range(n)) == 0
+                      for r in seed_rows) or not pending)), None)
         if partner is None:
             # w is in the radical of the restricted lattice; cannot split
             notes.append(f"stage {len(witnesses) + 1}: isotropic vector "
                          "without a pairing partner; stopped")
             break
         witnesses.append(w)
-        constraints.append(_scaled_int_row(gram, w))
-        constraints.append(_scaled_int_row(gram, partner))
+        for vec in (w, partner):
+            row = linalg.primitive_integer(linalg.mat_vec(gram, vec))
+            constraints.append(row)
+            projected = linalg.mat_vec(basis, row)
+            if any(x != 0 for x in projected):
+                cut = linalg.int_row_kernel(projected)
+                basis = linalg.mat_mul(cut, basis)
+                restricted = linalg.mat_mul(
+                    cut, linalg.mat_mul(restricted, linalg.transpose(cut)))
 
     pr = sum(1 for d in residual_diag if d > 0)
     qr = sum(1 for d in residual_diag if d < 0)
@@ -619,8 +613,6 @@ def q_rank(space: QuadSpace, sig: tuple[int, int], bound: int,
         cert = witt_decompose(space, current_bound, seeds=seeds)
         _check_certificate(space, cert)
         residual_dim = len(cert.residual_diagonal)
-        pr = sum(1 for d in cert.residual_diagonal if d > 0)
-        qr = sum(1 for d in cert.residual_diagonal if d < 0)
         if cert.hi > min(p, q):
             raise OracleMismatchError("certificate hi exceeds min(p, q)")
         if cert.lo == cert.hi:
@@ -635,7 +627,8 @@ def q_rank(space: QuadSpace, sig: tuple[int, int], bound: int,
                 cert, notes=cert.notes + tuple(notes) + (
                     "interval open: residual neither split nor certified "
                     "anisotropic within the configured bounds",))
-        if residual_dim >= 5 and min(pr, qr) >= 1:
+        # lo < hi = lo + min(pr, qr): the residual is indefinite
+        if residual_dim >= 5:
             doubled = current_bound * 2
             if (2 * doubled + 1) ** residual_dim > SEARCH_CAP:
                 return replace(

@@ -25,8 +25,9 @@ from typing import Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
-from .quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
-                       RankCertificate, _box_solutions, _canonical, _gram_of)
+from .quadform import (DEFAULT_SEARCH_BOUND, SEARCH_CAP, OracleMismatchError,
+                       QuadSpace, RankCertificate, _box_solutions, _canonical,
+                       _gram_of)
 
 WITNESSED = "witnessed-arithmetic"
 INCONCLUSIVE = "inconclusive"
@@ -411,7 +412,7 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
 
 
 def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
-                                search_bound: int = 3
+                                search_bound: int = DEFAULT_SEARCH_BOUND
                                 ) -> list[tuple[int, ...]]:
     """Norm-2 vectors orthogonal to eps, whose reflections are therefore
     integral and fix the line through eps: the images A^k v, the

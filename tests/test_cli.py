@@ -241,6 +241,49 @@ def test_batch_line_over_the_degree_limit(capsys, tmp_path):
     assert good["witness"]["conclusion"] == "witnessed-arithmetic"
 
 
+# ------------------------------------------------------- files that fail
+
+def _one_line_naming(err, path):
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+def test_batch_missing_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "absent.jsonl"
+    code, cap = run(capsys, "analyze", "--batch", str(path))
+    assert code == 2
+    assert cap.out == ""
+    _one_line_naming(cap.err, path)
+
+
+def test_batch_file_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_bytes(b'{"f": "x^2-1", "g": "x^2+x+1"}\n\xff\xfe\n')
+    code, cap = run(capsys, "analyze", "--batch", str(path))
+    assert code == 2
+    assert cap.out == ""
+    _one_line_naming(cap.err, path)
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--f", BASE_F, "--g", BASE_G],
+    ["analyze", "--f", "x^5-", "--g", "x+1"],
+    ["analyze", "--batch", None],
+    ["pad", "--f0", BASE_F, "--g0", BASE_G, "--P", "y^2+y+1", "--Q", "y^2+1"],
+    ["examples"]],
+    ids=["analyze", "analyze-invalid", "analyze-batch", "pad", "examples"])
+def test_json_into_missing_directory_exits_2(capsys, tmp_path, command):
+    batch = tmp_path / "pairs.jsonl"
+    batch.write_text(json.dumps({"f": BASE_F, "g": BASE_G}) + "\n")
+    out = tmp_path / "absent" / "report.json"
+    argv = [str(batch) if a is None else a for a in command]
+    code, cap = run(capsys, *argv, "--json", str(out))
+    assert code == 2
+    assert cap.out == ""
+    _one_line_naming(cap.err, out)
+
+
 # ------------------------------------------------------------- input limits
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(orthomono.__file__)))

@@ -124,3 +124,31 @@ def test_analyze_builds_one_perp_basis_per_eps(hunt_calls, entry):
     assert hunt_calls["isotropic_search"] == 0
     assert hunt_calls["orthocomplement"] \
         == hunt_calls["span_rank_witness"] >= 1
+
+
+# the Witt pass carries its lattice and restricted Gram from stage to
+# stage, starting from B = I and R = G, so a definite form, which stops at
+# stage 1, multiplies no matrices there
+
+def test_definite_witt_pass_multiplies_no_matrices(monkeypatch):
+    inside = []
+    counts = Counter()
+    original_witt, original_mul = quadform.witt_decompose, linalg.mat_mul
+
+    def witt(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original_witt(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def mat_mul(a, b):
+        counts["inside" if inside else "outside"] += 1
+        return original_mul(a, b)
+    monkeypatch.setattr(quadform, "witt_decompose", witt)
+    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+    doc = cli.build_report("Phi(1)*Phi(3)*Phi(5)", "Phi(2)*Phi(4)*Phi(8)")
+    assert (doc["signature"]["p"], doc["signature"]["q"]) == (7, 0)
+    assert (doc["q_rank"]["lo"], doc["q_rank"]["hi"]) == (0, 0)
+    assert counts["inside"] == 0
+    assert counts["outside"] >= 1

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthomono import linalg
+from orthomono import corpus, linalg
 from orthomono.monodromy import build_pair
+from orthomono.padding import embed_vector, pad_pair
 from orthomono.parsing import parse_poly
-from orthomono.polynomials import IntPoly, divrem
-from orthomono.quadform import (OracleMismatchError, _box_solutions,
+from orthomono.polynomials import IntPoly, divrem, render
+from orthomono.quadform import (SEARCH_CAP, OracleMismatchError,
+                                RankCertificate, _box_solutions,
                                 _canonical, _gram_of,
                                 anisotropy_certificate,
                                 change_basis, cyclic_gram_row, diagonalize,
@@ -20,6 +22,10 @@ from orthomono.quadform import (OracleMismatchError, _box_solutions,
                                 isotropic_search, q_rank, signature,
                                 signature_interlace, squarefree_class,
                                 witt_decompose)
+
+from conftest import (BASE_F, BASE_G, random_cyclotomic_pairs,
+                      random_unimodular)
+from test_reports import PADS
 
 F = Fraction
 
@@ -409,3 +415,185 @@ def test_q_rank_matches_witt_on_the_gram(base_space):
     via_pair = q_rank(base_space, signature(base_space), 3)
     assert (direct.lo, direct.hi) == (via_pair.lo, via_pair.hi)
     assert direct.isotropic_witnesses == via_pair.isotropic_witnesses
+
+
+# ------------------------------------------- witt, rebuilt-lattice reference
+
+def _int_kernel(rows, n):
+    """Basis of the integer kernel lattice of the given integer rows."""
+    basis = linalg.identity(n)
+    for r in rows:
+        projected = linalg.mat_vec(basis, r)
+        if all(x == 0 for x in projected):
+            continue
+        basis = linalg.mat_mul(linalg.int_row_kernel(projected), basis)
+    return basis
+
+
+def _scaled_int_row(space_gram, vec):
+    """G.vec cleared to a primitive integer row (same kernel)."""
+    return list(linalg.primitive_integer(linalg.mat_vec(space_gram, vec)))
+
+
+def _reference_witt_decompose(space_or_gram, bound, seeds=()):
+    """Reference: the greedy splitting with every stage's lattice rebuilt
+    from all constraints so far and its restricted Gram B G B^T rebuilt
+    from the full form, the partner candidates listed in full."""
+    gram = _gram_of(space_or_gram)
+    n = len(gram)
+    witnesses = []
+    constraints = []
+    notes = []
+    pending = [tuple(int(x) for x in s) for s in seeds]
+    while True:
+        basis = _int_kernel(constraints, n)
+        k = len(basis)
+        if k == 0:
+            residual_diag = ()
+            break
+        restricted = linalg.mat_mul(
+            basis, linalg.mat_mul(gram, linalg.transpose(basis)))
+        residual_diag, _ = diagonalize(restricted)
+        w = None
+        for s in pending:
+            in_lattice = all(
+                sum(r[i] * s[i] for i in range(n)) == 0 for r in constraints)
+            if in_lattice and linalg.vec_dot(s, gram, s) == 0 \
+                    and any(x != 0 for x in s):
+                w = s
+                pending = [q for q in pending if q != s]
+                break
+        if w is None:
+            if (2 * bound + 1) ** k > SEARCH_CAP:
+                notes.append(
+                    f"stage {len(witnesses) + 1}: search over "
+                    f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
+                    "lower bound may not be tight")
+                break
+            if all(d > 0 for d in residual_diag) or \
+                    all(d < 0 for d in residual_diag):
+                break
+            c = next(_box_solutions(restricted, bound), None)
+            if c is None:
+                break
+            x = tuple(sum(c[j] * basis[j][i] for j in range(k))
+                      for i in range(n))
+            lead = next(t for t in x if t != 0)
+            w = x if lead > 0 else tuple(-t for t in x)
+        lat_rows = [b for b in basis]
+        seed_rows = [_scaled_int_row(gram, s) for s in pending]
+        partner = None
+        pairs = [[bi + bj for bi, bj in zip(lat_rows[i], lat_rows[j])]
+                 for i in range(len(lat_rows))
+                 for j in range(i + 1, len(lat_rows))]
+        for u in list(lat_rows) + pairs:
+            if linalg.vec_dot(w, gram, u) == 0:
+                continue
+            if all(sum(r[i] * u[i] for i in range(n)) == 0
+                   for r in seed_rows) or not pending:
+                partner = u
+                break
+        if partner is None:
+            notes.append(f"stage {len(witnesses) + 1}: isotropic vector "
+                         "without a pairing partner; stopped")
+            break
+        witnesses.append(w)
+        constraints.append(_scaled_int_row(gram, w))
+        constraints.append(_scaled_int_row(gram, partner))
+    pr = sum(1 for d in residual_diag if d > 0)
+    qr = sum(1 for d in residual_diag if d < 0)
+    lo = len(witnesses)
+    return RankCertificate(lo=lo, hi=lo + min(pr, qr),
+                           isotropic_witnesses=tuple(witnesses),
+                           residual_diagonal=residual_diag,
+                           notes=tuple(notes))
+
+
+def _same_witt(gram, bound, seeds=()):
+    got = witt_decompose(gram, bound, seeds=seeds)
+    # repr tells an int from an equal Fraction, which == does not
+    assert repr(got) == repr(_reference_witt_decompose(gram, bound, seeds)), \
+        (gram, bound, seeds)
+    return got
+
+
+def _witt_pairs():
+    cases = [pytest.param(e.f_text, e.g_text, id=e.name)
+             for e in corpus.ENTRIES]
+    cases += [pytest.param(render(f), render(g), id=f"battery-{i:02d}")
+              for i, (f, g) in enumerate(random_cyclotomic_pairs())]
+    return cases
+
+
+@pytest.mark.parametrize("f_text, g_text", _witt_pairs())
+def test_witt_matches_rebuilt_lattice_reference(f_text, g_text):
+    space = invariant_space(pair_of(f_text, g_text))
+    for bound in (1, 2, 3):
+        _same_witt(space, bound)
+
+
+# at bound 1 the stage after the seeds walks a 13-dimensional box, about
+# a second per pad and implementation, so one pad stands for the rest there
+@pytest.mark.parametrize("P, Q, bound", [(P, Q, b) for P, Q in PADS
+                                         for b in (2, 3)]
+                         + [("y^2+y+1", "y^2+1", 1)])
+def test_witt_matches_reference_on_pads_with_lifted_seeds(P, Q, bound):
+    f0, g0 = parse_poly(BASE_F), parse_poly(BASE_G)
+    pp = pad_pair(f0, g0, parse_poly(P, var="y"), parse_poly(Q, var="y"))
+    seeds = tuple(embed_vector(pp, w) for w in witt_decompose(
+        invariant_space(build_pair(f0, g0)), bound).isotropic_witnesses)
+    assert seeds
+    _same_witt(invariant_space(pp.pair), bound, seeds)
+
+
+def _witt_case(rng: random.Random, i: int):
+    """A symmetric int Gram of dimension 1-7: random entries, with a zero
+    row (a radical), or block diagonal from definite, indefinite,
+    hyperbolic and degenerate blocks, plain or congruent under a random
+    unimodular matrix; every eighth a Fraction copy.  Every third case
+    takes seeds: isotropic vectors of the form and a random vector."""
+    dim = rng.randint(1, 7)
+    gram = [[0] * dim for _ in range(dim)]
+    kind = i % 4
+    if kind >= 2:
+        k = 0
+        while k < dim:
+            block = rng.choice([b for b in _BLOCKS if len(b) <= dim - k])
+            for a, row in enumerate(block):
+                for b, x in enumerate(row):
+                    gram[k + a][k + b] = x
+            k += len(block)
+        if kind == 3:
+            m = random_unimodular(rng, dim)
+            gram = linalg.mat_mul(linalg.transpose(m),
+                                  linalg.mat_mul(gram, m))
+    else:
+        for a in range(dim):
+            for b in range(a, dim):
+                gram[a][b] = gram[b][a] = rng.randint(-3, 3)
+        if kind == 1:
+            z = rng.randrange(dim)
+            for a in range(dim):
+                gram[a][z] = gram[z][a] = 0
+    seeds = []
+    if i % 3 == 0:
+        hits = list(itertools.islice(_box_solutions(gram, 1), 3))
+        seeds = rng.sample(hits, min(len(hits), 2))
+        seeds.append(tuple(rng.randint(-2, 2) for _ in range(dim)))
+    if i % 8 == 7:
+        gram = [[Fraction(x, 2) for x in row] for row in gram]
+    return gram, rng.choice((1, 2)), seeds
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_witt_matches_reference_on_random_grams(chunk):
+    rng = random.Random(20261019 + chunk)
+    stops = set()
+    for i in range(80):
+        gram, bound, seeds = _witt_case(rng, i)
+        cert = _same_witt(gram, bound, seeds)
+        stops.update(note.split(": ", 1)[1] for note in cert.notes)
+        if cert.lo and cert.residual_diagonal == ():
+            stops.add("empty lattice")
+    assert {"isotropic vector without a pairing partner; stopped",
+            "empty lattice"} <= stops
