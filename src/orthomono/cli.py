@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -355,6 +356,20 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _reject_number(text: str):
+    """parse_constant hook: NaN and +-Infinity are not strict JSON, and a
+    record echoing one would not be either."""
+    raise ValueError(f"{text} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    """parse_float hook: a literal such as 1e400 would read as infinity."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is out of the range of a float")
+    return x
+
+
 def _run_batch(args) -> int:
     """One JSON object {"f": ..., "g": ...} per line; a bad line yields an
     error record in place of its report and the batch keeps going."""
@@ -376,8 +391,12 @@ def _run_batch(args) -> int:
             continue
         problem = None
         try:
-            item = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            item = json.loads(raw, parse_constant=_reject_number,
+                              parse_float=_finite_float)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError, an int literal over the
+            # interpreter's digit limit and the two hooks above;
+            # RecursionError a line nested deeper than the decoder goes
             problem = f"bad JSON line: {exc}"
         else:
             if not (isinstance(item, dict) and "f" in item

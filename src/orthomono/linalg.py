@@ -1,10 +1,10 @@
 """Exact linear algebra over Q and Z: lists of lists of Fraction/int.
 
 Everything is deterministic (pivot = first usable row/column) and exact;
-no floating point.  Matrices are row-major.  rref, rank, det and inverse
-(and through rref nullspace and coordinates) run one fraction-free
-elimination over int rows; a rational input is cleared of denominators
-on entry, and Fractions appear only in the results.
+no floating point.  Matrices are row-major.  rref, rank, det, inverse,
+nullspace and coordinates each run one fraction-free elimination over
+int rows; a rational input is cleared of denominators on entry, and a
+Fraction is built only for an entry of the result.
 """
 from __future__ import annotations
 
@@ -135,7 +135,8 @@ def inverse(m: Mat) -> list[list]:
 def nullspace(m: Mat) -> list[list[Fraction]]:
     """Basis of the right kernel over Q, one vector per free column,
     free columns in ascending order."""
-    reduced, pivots = rref(m)
+    rows, _ = clear_denominators(m)
+    pivots, d, _ = _eliminate(rows)
     ncols = len(m[0]) if m else 0
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -143,7 +144,7 @@ def nullspace(m: Mat) -> list[list[Fraction]]:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+            v[pc] = Fraction(-rows[r][fc], d)
         basis.append(v)
     return basis
 
@@ -155,14 +156,14 @@ def coordinates(rows: Mat, target: Vec) -> list[Fraction] | None:
         return None if any(x != 0 for x in target) else []
     k = len(rows)
     n = len(rows[0])
-    aug = [[Fraction(rows[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(n)]
-    reduced, pivots = rref(aug)
+    aug, _ = clear_denominators([[rows[j][i] for j in range(k)] + [target[i]]
+                                 for i in range(n)])
+    pivots, d, _ = _eliminate(aug)
     if k in pivots:
         return None
     coeffs = [Fraction(0)] * k
     for r, pc in enumerate(pivots):
-        coeffs[pc] = reduced[r][k]
+        coeffs[pc] = Fraction(aug[r][k], d)
     return coeffs
 
 

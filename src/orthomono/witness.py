@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -102,36 +103,60 @@ def _check_isometry(gram, m, label: str) -> None:
 
 class WitnessContext:
     """Cyclic-basis generators and form for one validated pair, with a
-    cached orbit of v under short words for the witness search."""
+    cached orbit of v under short words for the witness search.
+
+    Construction checks only that A preserves the Gram, the one explicit
+    check of the reported form's A-invariance.  C, B and B^-1 are built
+    and checked on first use, so a pair whose hunt never runs (a definite
+    form, or a box over the cap with lo = 0) never builds them."""
 
     def __init__(self, pair: HyperPair, space: QuadSpace):
         self.pair = pair
         self.n = pair.n
         self.space = space
         self.gram = _gram_of(self.space)
-        n = self.n
         # multiplication by x has the same matrix in the cyclic basis
         self.A = pair.A
-        self.v = tuple(int(i == 0) for i in range(n))
-        self.C = reflection_matrix(self.gram, self.v).matrix
         self.A_inv = pair.A_inv
-        self.B = int_matrix(linalg.mat_mul(self.A, self.C))
-        # B = A C with C an involution, so B^-1 = C A^-1
-        self.B_inv = int_matrix(linalg.mat_mul(self.C, self.A_inv))
-        if not linalg.mat_eq(linalg.mat_mul(self.B, self.B_inv),
-                             linalg.identity(n)):
-            raise PairValidationError("C A^-1 does not invert B")
-        self._gens = {"A": self.A, "A^-1": self.A_inv, "B": self.B,
-                      "B^-1": self.B_inv, "C": self.C}
-        # reflection_matrix has checked C already
-        for name in ("A", "A^-1", "B", "B^-1"):
-            _check_isometry(self.gram, self._gens[name], name)
+        self.v = tuple(int(i == 0) for i in range(self.n))
+        _check_isometry(self.gram, self.A, "A")
         self._orbits: dict[int, tuple[dict, dict]] = {}
         self._perps: dict[tuple[int, ...], tuple[list, list]] = {}
 
+    @cached_property
+    def generators(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """The matrices of the tokens A, A^-1, B, B^-1 and C, each
+        checked to preserve the form."""
+        c = reflection_matrix(self.gram, self.v).matrix
+        b = int_matrix(linalg.mat_mul(self.A, c))
+        # B = A C with C an involution, so B^-1 = C A^-1
+        b_inv = int_matrix(linalg.mat_mul(c, self.A_inv))
+        if not linalg.mat_eq(linalg.mat_mul(b, b_inv),
+                             linalg.identity(self.n)):
+            raise PairValidationError("C A^-1 does not invert B")
+        gens = {"A": self.A, "A^-1": self.A_inv, "B": b, "B^-1": b_inv,
+                "C": c}
+        # reflection_matrix has checked C, and __init__ A
+        for name in ("A^-1", "B", "B^-1"):
+            _check_isometry(self.gram, gens[name], name)
+        return gens
+
+    @property
+    def C(self):
+        return self.generators["C"]
+
+    @property
+    def B(self):
+        return self.generators["B"]
+
+    @property
+    def B_inv(self):
+        return self.generators["B^-1"]
+
     def token_matrix(self, token: str):
-        if token in self._gens:
-            return self._gens[token]
+        gens = self.generators
+        if token in gens:
+            return gens[token]
         if token.startswith("C[") and token.endswith("]"):
             return reflection_matrix(self.gram, _parse_reflection(token)).matrix
         raise ValueError(f"unknown word token {token!r}")
@@ -180,7 +205,7 @@ class WitnessContext:
         if word_bound in self._orbits:
             return self._orbits[word_bound]
         v = self.v
-        tokens = [(t, self._gens[t]) for t in ("A", "A^-1", "C")]
+        tokens = [(t, self.generators[t]) for t in ("A", "A^-1", "C")]
         minus: dict = {}
         plus: dict = {}
         seen = {v}

@@ -2,6 +2,7 @@
 of random coprime cyclotomic pairs for property checks."""
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -13,6 +14,13 @@ from orthomono.quadform import QuadSpace, invariant_space
 
 BASE_F = "x^5-1"
 BASE_G = "(x+1)*(x^2+1)^2"
+
+
+def strict_json(text: str):
+    """json.loads that also refuses NaN and +-Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture(scope="session")

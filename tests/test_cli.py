@@ -12,7 +12,7 @@ import orthomono
 from orthomono import cli
 from orthomono.quadform import OracleMismatchError
 
-from conftest import BASE_F, BASE_G
+from conftest import BASE_F, BASE_G, strict_json
 
 SUMMARY = "142 stated values checked, 0 unexplained, " \
     "9 catalogued misprints confirmed"
@@ -239,6 +239,27 @@ def test_batch_line_over_the_degree_limit(capsys, tmp_path):
     assert bad["error"]["kind"] == "validation"
     assert "degree limit" in bad["error"]["message"]
     assert good["witness"]["conclusion"] == "witnessed-arithmetic"
+
+
+@pytest.mark.parametrize("bad", [
+    "[" * 100_000,
+    '{"f": 1' + "0" * 4400 + ', "g": "x+1"}',
+    '{"f": NaN, "g": "x+1"}',
+    '{"f": "x-1", "g": -Infinity}',
+    '{"f": 1e400, "g": "x+1"}',
+], ids=["deep-nesting", "long-int", "nan", "infinity", "float-overflow"])
+def test_batch_line_json_cannot_take(capsys, tmp_path, bad):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(bad + "\n" + json.dumps({"f": "x^2-1", "g": "x^2+x+1"})
+                    + "\n")
+    code, cap = run(capsys, "analyze", "--batch", str(path))
+    assert code == 2
+    records = [strict_json(ln) for ln in cap.out.splitlines()]
+    assert len(records) == 2
+    assert records[0]["error"]["kind"] == "validation"
+    assert records[0]["error"]["message"].startswith("bad JSON line")
+    assert records[0]["input"] == {"raw": bad}
+    assert records[1]["derived"]["type"] == "orthogonal"
 
 
 # ------------------------------------------------------- files that fail

@@ -1,6 +1,7 @@
 """One analysis pipeline: every command builds each per-pair object (pair,
 form, signature, Q-rank certificate) once and hands it down, instead of
 letting later stages rebuild it from the polynomials."""
+import functools
 import sys
 from collections import Counter
 
@@ -152,3 +153,42 @@ def test_definite_witt_pass_multiplies_no_matrices(monkeypatch):
     assert (doc["q_rank"]["lo"], doc["q_rank"]["hi"]) == (0, 0)
     assert counts["inside"] == 0
     assert counts["outside"] >= 1
+
+
+# the hunt's generators C, B and B^-1 are built on first use, so a pair
+# whose hunt never runs builds no reflection at all
+
+@pytest.fixture
+def reflection_calls(monkeypatch):
+    return _counted(monkeypatch, ((witness, "reflection_matrix"),))
+
+
+def test_definite_pair_builds_no_reflection(reflection_calls):
+    doc = cli.build_report("Phi(1)*Phi(3)*Phi(5)", "Phi(2)*Phi(4)*Phi(8)")
+    assert (doc["signature"]["p"], doc["signature"]["q"]) == (7, 0)
+    assert reflection_calls["reflection_matrix"] == 0
+
+
+def test_pair_over_the_cap_with_no_witness_builds_no_reflection(
+        reflection_calls):
+    doc = cli.build_report("Phi(1)*Phi(7)*Phi(9)",
+                           "Phi(2)*Phi(4)^2*Phi(12)*Phi(10)")
+    assert doc["derived"]["n"] == 13
+    assert (doc["q_rank"]["lo"], doc["q_rank"]["hi"]) == (0, 6)
+    assert doc["q_rank"]["witnesses"] == []
+    assert reflection_calls["reflection_matrix"] == 0
+
+
+def test_analyze_builds_the_generators_once(monkeypatch):
+    built = []
+    build = witness.WitnessContext.generators.func
+
+    def counted(self):
+        built.append(self)
+        return build(self)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(witness.WitnessContext, "generators")
+    monkeypatch.setattr(witness.WitnessContext, "generators", prop)
+    doc = cli.build_report(BASE_F, BASE_G)
+    assert doc["witness"]["conclusion"] == "witnessed-arithmetic"
+    assert len(built) == 1

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from orthomono import cli, corpus, linalg, witness
-from orthomono.monodromy import build_pair, int_matrix
+from orthomono.monodromy import PairValidationError, build_pair, int_matrix
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import render
-from orthomono.quadform import (SEARCH_CAP, OracleMismatchError,
+from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
                                 invariant_space, isotropic_search, q_rank,
                                 signature)
 from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
@@ -103,6 +103,17 @@ def test_context_generators_preserve_form(ctx):
     for m in (ctx.A, ctx.A_inv, ctx.B, ctx.B_inv, ctx.C):
         assert linalg.mat_eq(
             linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(H, m)), H)
+
+
+def test_context_rejects_a_gram_that_A_does_not_preserve(base_pair,
+                                                          base_space):
+    # the generators are built on first use, but A's check runs at once
+    gram = [list(row) for row in base_space.gram]
+    gram[0][1] += 1
+    gram[1][0] += 1
+    bent = QuadSpace(dim=base_space.dim, gram=tuple(map(tuple, gram)))
+    with pytest.raises(PairValidationError, match="A does not preserve"):
+        WitnessContext(base_pair, bent)
 
 
 def test_verified_rejects_mismatch(ctx):
