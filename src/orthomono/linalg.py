@@ -1,10 +1,11 @@
 """Exact linear algebra over Q and Z: lists of lists of Fraction/int.
 
 Everything is deterministic (pivot = first usable row/column) and exact;
-no floating point.  Matrices are row-major.  rref, rank, det, inverse,
+no floating point.  Matrices are row-major.  rank, det, inverse,
 nullspace and coordinates each run one fraction-free elimination over
 int rows; a rational input is cleared of denominators on entry, and a
-Fraction is built only for an entry of the result.
+Fraction is built only for an entry of the result.  det_mod runs the
+elimination over GF(p), and nonsingular takes it first.
 """
 from __future__ import annotations
 
@@ -99,13 +100,6 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
-def rref(m: Mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows, _ = clear_denominators(m)
-    pivots, d, _ = _eliminate(rows)
-    return [[Fraction(x, d) for x in row] for row in rows], pivots
-
-
 def rank(m: Mat) -> int:
     rows, _ = clear_denominators(m)
     return len(_eliminate(rows)[0])
@@ -117,6 +111,40 @@ def det(m: Mat) -> Fraction:
     if len(pivots) < len(rows):
         return Fraction(0)
     return Fraction(sign * d, den ** len(rows))
+
+
+# the fixed prime of the determinant certificate: the Mersenne prime 2^61 - 1
+DET_PRIME = 2 ** 61 - 1
+
+
+def det_mod(m: Sequence[Sequence[int]], p: int) -> int:
+    """det m mod p for a square int matrix and a prime p, by Gaussian
+    elimination over GF(p) on the trailing block."""
+    rows = [[x % p for x in row] for row in m]
+    d = 1
+    while rows:
+        k = next((k for k, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            return 0
+        top = rows.pop(k)  # moving row k to the top has sign (-1)^k
+        pv = top[0]
+        d = d * (p - pv if k % 2 else pv) % p
+        inv = pow(pv, -1, p)
+        tail = top[1:]
+        reduced = []
+        for row in rows:
+            f = row[0] * inv % p
+            reduced.append([(x - f * y) % p for x, y in zip(row[1:], tail)]
+                           if f else row[1:])
+        rows = reduced
+    return d
+
+
+def nonsingular(m: Sequence[Sequence[int]]) -> bool:
+    """det m != 0 for a square int matrix.  A nonzero determinant mod
+    DET_PRIME certifies it; only a zero residue takes the exact determinant,
+    so the answer is exact either way."""
+    return det_mod(m, DET_PRIME) != 0 or det(m) != 0
 
 
 def inverse(m: Mat) -> list[list]:

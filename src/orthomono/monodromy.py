@@ -156,7 +156,7 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
     for _ in range(n - 1):
         cols.append(linalg.mat_vec(a, cols[-1]))
     s = tuple(zip(*cols))
-    if linalg.det(s) == 0:
+    if not linalg.nonsingular(s):
         raise PairValidationError("f and g must be coprime")
 
     # structural re-verification

@@ -23,6 +23,10 @@ from __future__ import annotations
 from .polynomials import (MAX_DEGREE, IntPoly, cyclotomic, euler_phi,
                           exact_div)
 
+# a posint is ASCII digits; str.isdigit would also take other scripts'
+# digits and superscripts such as '²'
+_DIGITS = frozenset("0123456789")
+
 
 class PolyParseError(ValueError):
     def __init__(self, message: str, pos: int):
@@ -60,7 +64,7 @@ class _Parser:
     def posint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
@@ -151,7 +155,7 @@ class _Parser:
         self.skip_ws()
         coeff = 1
         saw_coeff = False
-        if self.pos < len(self.text) and self.text[self.pos].isdigit():
+        if self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             coeff = self.posint()
             saw_coeff = True
         self.skip_ws()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -46,6 +46,10 @@ class QuadSpace:
     dim: int
     # int entries for the cyclic Gram, Fraction entries for the standard one
     gram: tuple[tuple[int | Fraction, ...], ...]
+    # congruence_diagonal(gram), when the builder has taken it:
+    # invariant_space does, so signature and the first Witt stage share it
+    diagonal: tuple[Fraction, ...] | None = field(default=None,
+                                                   compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -115,13 +119,24 @@ def gram_remainder(pair: HyperPair) -> QuadSpace:
 
 def gram_invariance(pair: HyperPair) -> QuadSpace:
     """Standard-basis Gram matrix solved from the invariance equations
-    {A^T H A = H, B^T H B = H, H symmetric}, scaled so v.v = 2.
+    {A^T H A = H, B^T H B = H, H symmetric}, scaled so v.v = 2: the
+    Fraction form 2 h / scale of _invariance_solution."""
+    h, scale = _invariance_solution(pair)
+    return QuadSpace(dim=pair.n, gram=tuple(tuple(Fraction(2 * x, scale)
+                                                  for x in r) for r in h))
+
+
+def _invariance_solution(pair: HyperPair) -> tuple[list[list[int]], int]:
+    """(h, scale): the primitive int solution h of the invariance equations
+    and scale = v.h.v, so that H = 2 h / scale.
 
     Independent of gram_remainder.  Any symmetric solution of
     A^T H A = H is Toeplitz in the standard basis (for i, j <= n-2 the
     (i,j) entry of A^T H A is H[i+1][j+1]), so the solver parametrizes
     H by its first row s_0 .. s_{n-1} and imposes the remaining boundary
-    equations coming from the last columns of A and B.
+    equations coming from the last columns of A and B.  Whether H is
+    degenerate is left to invariant_space, which reads it off the
+    diagonal of the agreed form.
     """
     _require_orthogonal(pair)
     n = pair.n
@@ -158,34 +173,32 @@ def gram_invariance(pair: HyperPair) -> QuadSpace:
         hv = [Fraction(2 * x, scale) for x in hv]
         raise OracleMismatchError("H v must equal the x^{n-1} coordinate "
                                   f"functional, got {hv}")
-    if linalg.det(h) == 0:
-        raise PairValidationError("invariant form is degenerate")
-    return QuadSpace(dim=n, gram=tuple(tuple(Fraction(2 * x, scale)
-                                             for x in r) for r in h))
-
-
-def change_basis(space: QuadSpace, m: Sequence[Sequence]) -> QuadSpace:
-    """Gram -> M^T Gram M for invertible integer M (not checked here: the
-    caller passes the cyclic basis pair.S, whose det build_pair has
-    checked), multiplied out in int arithmetic on the Gram cleared of its
-    common denominator."""
-    gram, den = linalg.clear_denominators(space.gram)
-    gram = linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(gram, m))
-    return QuadSpace(dim=space.dim,
-                     gram=tuple(tuple(Fraction(x, den) for x in r)
-                                for r in gram))
+    return h, scale
 
 
 def invariant_space(pair: HyperPair) -> QuadSpace:
-    """Cyclic-basis form agreed by both independent routes."""
+    """Cyclic-basis form agreed by both independent routes, carrying its
+    congruence diagonal.
+
+    The routes are compared in ints: the invariance route's H = 2 h / scale
+    in the cyclic basis S (det S != 0, checked by build_pair) is
+    S^T H S, so the check is 2 S^T h S == scale G_cyc.  The agreed form is
+    degenerate iff its diagonal has a zero, which is a validation error."""
     cyc = gram_remainder(pair)
-    std = gram_invariance(pair)
-    via_std = change_basis(std, pair.S)
-    if not linalg.mat_eq(via_std.gram, cyc.gram):
+    h, scale = _invariance_solution(pair)
+    s = pair.S
+    via_std = linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(h, s))
+    if any(2 * x != scale * y for row, cyc_row in zip(via_std, cyc.gram)
+           for x, y in zip(row, cyc_row)):
+        via_std = tuple(tuple(Fraction(2 * x, scale) for x in row)
+                        for row in via_std)
         raise OracleMismatchError(
             "remainder-route and invariance-route Gram matrices disagree: "
-            f"{cyc.gram} vs {via_std.gram}")
-    return cyc
+            f"{cyc.gram} vs {via_std}")
+    diag = congruence_diagonal(cyc)
+    if any(d == 0 for d in diag):
+        raise PairValidationError("invariant form is degenerate")
+    return replace(cyc, diagonal=diag)
 
 
 def _gram_of(space_or_gram) -> list[list]:
@@ -214,6 +227,21 @@ def diagonalize(space_or_gram) -> tuple[tuple[Fraction, ...],
     swapping it into place; if every remaining diagonal entry is zero but
     some off-diagonal (i,j) is not, apply e_i -> e_i + e_j first.  Zero
     diagonal entries survive only for degenerate inputs.
+    """
+    diag, cols = _congruence(space_or_gram, with_t=True)
+    return diag, tuple(zip(*cols))
+
+
+def congruence_diagonal(space_or_gram) -> tuple[Fraction, ...]:
+    """The diagonal of diagonalize, from the same elimination with no
+    column of T built; every caller in the package needs only this."""
+    return _congruence(space_or_gram, with_t=False)[0]
+
+
+def _congruence(space_or_gram, with_t: bool
+                ) -> tuple[tuple[Fraction, ...], list | None]:
+    """(diagonal, the columns of T when with_t, else None) by the pivot
+    rule of diagonalize.
 
     The elimination is fraction-free (Bareiss) on den * G with int
     entries: before step i the trailing block is d_i times the rational
@@ -224,7 +252,7 @@ def diagonalize(space_or_gram) -> tuple[tuple[Fraction, ...],
     """
     m, den = linalg.clear_denominators(_gram_of(space_or_gram))
     n = len(m)
-    cols = linalg.identity(n)  # cols[j] is the int column j of T
+    cols = linalg.identity(n) if with_t else None  # cols[j]: int column j
     diag: list[Fraction] = []
     prev = 1
 
@@ -234,13 +262,15 @@ def diagonalize(space_or_gram) -> tuple[tuple[Fraction, ...],
             m[k][dst] += m[k][src]
         for k in range(n):
             m[dst][k] += m[src][k]
-        cols[dst] = [a + b for a, b in zip(cols[dst], cols[src])]
+        if with_t:
+            cols[dst] = [a + b for a, b in zip(cols[dst], cols[src])]
 
     def col_swap(a: int, b: int) -> None:
         for k in range(n):
             m[k][a], m[k][b] = m[k][b], m[k][a]
         m[a], m[b] = m[b], m[a]
-        cols[a], cols[b] = cols[b], cols[a]
+        if with_t:
+            cols[a], cols[b] = cols[b], cols[a]
 
     for i in range(n):
         if m[i][i] == 0:
@@ -258,26 +288,33 @@ def diagonalize(space_or_gram) -> tuple[tuple[Fraction, ...],
                     col_swap(i, r)
         pivot = m[i][i]
         top = m[i]
+        tail = top[i + 1:]
         for j in range(i + 1, n):
             f = top[j]
             row = m[j]
-            for k in range(i + 1, n):
-                row[k] = (pivot * row[k] - f * top[k]) // prev
-            cols[j] = [(pivot * a - f * b) // prev
-                       for a, b in zip(cols[j], cols[i])]
+            row[i + 1:] = [(pivot * a - f * b) // prev
+                           for a, b in zip(row[i + 1:], tail)]
+            if with_t:
+                cols[j] = [(pivot * a - f * b) // prev
+                           for a, b in zip(cols[j], cols[i])]
         diag.append(Fraction(pivot, prev * den))
-        cols[i] = [Fraction(a, prev) for a in cols[i]]
+        if with_t:
+            cols[i] = [Fraction(a, prev) for a in cols[i]]
         prev = pivot
     # after a break the trailing block is zero and shares the last d_i
     for i in range(len(diag), n):
         diag.append(Fraction(0))
-        cols[i] = [Fraction(a, prev) for a in cols[i]]
-    return tuple(diag), tuple(zip(*cols))
+        if with_t:
+            cols[i] = [Fraction(a, prev) for a in cols[i]]
+    return tuple(diag), cols
 
 
 def signature(space_or_gram) -> tuple[int, int]:
-    """(p, q) = counts of positive and negative diagonal entries."""
-    diag, _ = diagonalize(space_or_gram)
+    """(p, q) = counts of positive and negative diagonal entries, read off
+    the diagonal a QuadSpace carries when it has one."""
+    diag = getattr(space_or_gram, "diagonal", None)
+    if diag is None:
+        diag = congruence_diagonal(space_or_gram)
     if any(d == 0 for d in diag):
         raise ValueError("degenerate form has no signature")
     p = sum(1 for d in diag if d > 0)
@@ -420,6 +457,8 @@ def witt_decompose(space_or_gram, bound: int,
     constraints: list[tuple[int, ...]] = []
     notes: list[str] = []
     pending = [tuple(int(x) for x in s) for s in seeds]
+    # the first stage's R is G, whose diagonal a QuadSpace may carry
+    carried = getattr(space_or_gram, "diagonal", None)
 
     while True:
         k = len(basis)
@@ -427,7 +466,9 @@ def witt_decompose(space_or_gram, bound: int,
             residual_diag: tuple[Fraction, ...] = ()
             break
         # the residual diagonal when this stage is the last
-        residual_diag, _ = diagonalize(restricted)
+        residual_diag = carried if carried is not None \
+            else congruence_diagonal(restricted)
+        carried = None
         # isotropic vector: unused seeds first, then bounded search
         w: tuple[int, ...] | None = None
         for s in pending:

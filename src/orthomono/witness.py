@@ -268,15 +268,6 @@ def reflection_matrix(H, w: Sequence[int]) -> GroupElement:
     return GroupElement(word=(word,), matrix=matrix)
 
 
-def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:
-    """g h g^-1 with the concatenated word."""
-    g_inv = int_matrix(linalg.inverse(g.matrix))
-    matrix = int_matrix(linalg.mat_mul(g.matrix,
-                                       linalg.mat_mul(h.matrix, g_inv)))
-    word = g.word + h.word + _inverse_word(g.word)
-    return GroupElement(word=word, matrix=matrix)
-
-
 def orthocomplement(H, eps: Sequence[int]
                     ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """(basis of eps-perp containing eps, quotient representatives).
@@ -367,22 +358,6 @@ def line_stabilizer_test(g: GroupElement, eps: Sequence[int], H
     return LineStabilizer(fixes_line=lam is not None,
                           fixes_vector=fixes_vector,
                           in_unipotent_radical=radical)
-
-
-def translation_vector(u: GroupElement, eps: Sequence[int], H
-                       ) -> tuple[Fraction, ...]:
-    """The quotient vector t with u(w) = w + (w.t) eps on eps-perp,
-    written in the quotient basis of orthocomplement().
-
-    Zero iff u restricts to the identity on eps-perp.
-    """
-    gram = _gram_of(H)
-    eps = tuple(int(x) for x in eps)
-    _, quotient = _perp_of(H, eps)
-    factors = _radical_factors(u.matrix, eps, quotient)
-    if factors is None:
-        raise ValueError("element is not in the unipotent radical")
-    return _translation_coordinates(gram, quotient, factors)
 
 
 def _translation_coordinates(gram, quotient: Sequence[Sequence[int]],
@@ -481,7 +456,7 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     products (length <= 3) of the given reflections.
 
     u moves each x in eps-perp by (x . a) eps, where a = sum t_w w over
-    the quotient representatives w and t is translation_vector(u).  A
+    the quotient representatives w and t = _translation_coordinates of u.  A
     product m fixes the line, m(eps) = mu eps, so m u m^-1 moves x by
     mu (x . m a) eps: the lambda vector of a conjugate is mu ((w . m a))_w,
     and no inverse or conjugate matrix is needed to rank it.  The rank is

@@ -5,11 +5,12 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import orthomono
-from orthomono import cli
+from orthomono import cli, quadform
 from orthomono.quadform import OracleMismatchError
 
 from conftest import BASE_F, BASE_G, strict_json
@@ -181,6 +182,22 @@ def test_oracle_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     doc = json.loads(cap.out)
     assert doc["error"]["kind"] == "oracle-mismatch"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--f", BASE_F, "--g", BASE_G],
+    ["pad", "--f0", BASE_F, "--g0", BASE_G, "--P", "y^2+y+1", "--Q", "y^2+1"]],
+    ids=["analyze", "pad"])
+def test_degenerate_form_exits_2(capsys, monkeypatch, command):
+    # coprime f, g always give a nondegenerate form, so a zero pivot on the
+    # diagonal of the agreed Gram is simulated here
+    original = quadform.congruence_diagonal
+    monkeypatch.setattr(quadform, "congruence_diagonal",
+                        lambda gram: original(gram)[:-1] + (Fraction(0),))
+    code, cap = run(capsys, *command)
+    assert code == 2
+    assert json.loads(cap.out)["error"] == {
+        "kind": "validation", "message": "invariant form is degenerate"}
 
 
 def test_quiet_suppresses_stdout(capsys):

@@ -18,7 +18,8 @@ FUZZ = settings(deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow])
 
 GRAMMAR_TOKENS = ("x", "y", "Phi(", "(", ")", "+", "-", "*", "/", "^", " ",
-                  "0", "1", "2", "3", "5", "7", "12", "128", "129")
+                  "0", "1", "2", "3", "5", "7", "12", "128", "129",
+                  "\u0663", "\u00b2")  # Arabic-Indic three, superscript two
 
 
 def parses_or_rejects(text, var="x"):

@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package imports a name it never
-uses.  The package's __init__.py is exempt, since its imports are the
-public re-exports, and so is `from __future__`."""
+uses, and every public function has a caller in the package or is
+exported.  The package's __init__.py is exempt from the first check,
+since its imports are the public re-exports, and so is `from __future__`."""
 import ast
 import pathlib
 
@@ -36,3 +37,44 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+# public functions with no caller in the package that stay, and why
+UNCALLED_KEPT = {
+    "isotropic_search": "perfbench/tracer.py spans it by name, and the "
+                        "tests use it as the reference box search",
+    "parse_report": "the reader of the canonical report text that "
+                    "serialize_report writes",
+}
+
+
+def _uncalled_functions(sources: dict[str, str], exported) -> list[str]:
+    """Module-level public functions of the given sources whose name no
+    source uses, as a name or an attribute, and that are not exported."""
+    defined, used = {}, set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and \
+                    not node.name.startswith("_"):
+                defined[node.name] = name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{module}: {fn}" for fn, module in defined.items()
+                  if fn not in used and fn not in exported)
+
+
+def test_finds_an_uncalled_function():
+    sources = {"a.py": "def f():\n    return g()\n\ndef g():\n    pass\n",
+               "b.py": "def h():\n    pass\n\ndef _k():\n    pass\n"}
+    assert _uncalled_functions(sources, ()) == ["a.py: f", "b.py: h"]
+    assert _uncalled_functions(sources, ("f",)) == ["b.py: h"]
+
+
+def test_every_public_function_has_a_caller_or_is_exported():
+    sources = {p.name: p.read_text() for p in MODULES}
+    exported = set(orthomono.__all__) | set(UNCALLED_KEPT)
+    assert _uncalled_functions(sources, exported) == []

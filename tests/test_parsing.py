@@ -150,6 +150,21 @@ def test_overlong_integer_literal_is_a_parse_error():
     assert info.value.pos == 4
 
 
+# an integer is ASCII digits: str.isdigit also accepts other scripts'
+# digits, which int() reads, and superscripts, which it does not
+
+def test_non_ascii_digit_is_not_an_integer():
+    with pytest.raises(PolyParseError, match="expected an integer") as info:
+        parse_poly("x^\u0663-1")  # Arabic-Indic three
+    assert info.value.pos == 2
+
+
+def test_superscript_digit_is_not_an_integer():
+    for text in ("x^\u00b2", "Phi(\u00b2)"):
+        with pytest.raises(PolyParseError, match="expected an integer"):
+            parse_poly(text)
+
+
 # ------------------------------------------------------------- round trips
 
 @given(st.lists(st.integers(-99, 99), max_size=9))

@@ -9,6 +9,7 @@ import pytest
 
 from orthomono import (cli, corpus, linalg, monodromy, polynomials, quadform,
                        witness)
+from orthomono.parsing import parse_poly
 
 from conftest import BASE_F, BASE_G
 
@@ -68,19 +69,60 @@ def test_worked_example_builds_each_object_once(calls, entry):
 
 
 def test_analyze_takes_each_determinant_once(monkeypatch):
-    # det S (the coprimality check), det A, det B and det C in build_pair,
-    # and the invariance-route form: five distinct matrices, one det each
-    seen = []
-    original = linalg.det
+    # det A, det B and det C exactly in build_pair, and det S (the
+    # coprimality check) only mod DET_PRIME, as its residue is nonzero:
+    # three distinct matrices, one exact det each, and none of the
+    # invariance-route form
+    s = monodromy.build_pair(parse_poly(BASE_F), parse_poly(BASE_G)).S
+    seen, residues = [], []
+    original, original_mod = linalg.det, linalg.det_mod
 
     def counted(m):
         seen.append(tuple(map(tuple, m)))
         return original(m)
+
+    def counted_mod(m, p):
+        residues.append((tuple(map(tuple, m)), p))
+        return original_mod(m, p)
     monkeypatch.setattr(linalg, "det", counted)
+    monkeypatch.setattr(linalg, "det_mod", counted_mod)
     doc = cli.build_report(BASE_F, BASE_G)
     assert (doc["derived"]["det_A"], doc["derived"]["det_B"],
             doc["derived"]["det_C"]) == (1, -1, -1)
-    assert len(seen) == len(set(seen)) == 5
+    assert len(seen) == len(set(seen)) == 3
+    assert residues == [(s, linalg.DET_PRIME)]
+
+
+# invariant_space takes the one congruence diagonal of the agreed form;
+# signature and the first Witt stage read it, each later Witt stage
+# eliminates its smaller lattice once, and no elimination builds T
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    dims = []
+    original = quadform.congruence_diagonal
+
+    def counted(space_or_gram):
+        dims.append(len(quadform._gram_of(space_or_gram)))
+        return original(space_or_gram)
+    monkeypatch.setattr(quadform, "congruence_diagonal", counted)
+    return dims, _counted(monkeypatch, ((quadform, "diagonalize"),))
+
+
+def test_analyze_takes_one_congruence_elimination_per_lattice(eliminations):
+    dims, builds = eliminations
+    doc = cli.build_report(BASE_F, BASE_G)
+    assert doc["q_rank"]["lo"] == 2
+    assert dims == [5, 3, 1]
+    assert builds["diagonalize"] == 0
+
+
+def test_definite_analyze_takes_one_congruence_elimination(eliminations):
+    dims, builds = eliminations
+    doc = cli.build_report("Phi(1)*Phi(3)*Phi(5)", "Phi(2)*Phi(4)*Phi(8)")
+    assert doc["signature"] == {"p": 7, "q": 0, "interlace_abs_diff": 7}
+    assert dims == [7]
+    assert builds["diagonalize"] == 0
 
 
 # build_pair certifies coprimality by det S, so the only polynomial gcd

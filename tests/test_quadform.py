@@ -12,11 +12,12 @@ from orthomono.monodromy import build_pair
 from orthomono.padding import embed_vector, pad_pair
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import IntPoly, divrem, render
-from orthomono.quadform import (SEARCH_CAP, OracleMismatchError,
+from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
                                 RankCertificate, _box_solutions,
                                 _canonical, _gram_of,
                                 anisotropy_certificate,
-                                change_basis, cyclic_gram_row, diagonalize,
+                                congruence_diagonal, cyclic_gram_row,
+                                diagonalize,
                                 find_anisotropy_certificate, gram_invariance,
                                 gram_remainder, invariant_space,
                                 isotropic_search, q_rank, signature,
@@ -36,6 +37,13 @@ def P(text):
 
 def pair_of(f_text, g_text):
     return build_pair(P(f_text), P(g_text))
+
+
+def change_basis(space, m):
+    """Reference: the form in the basis given by the columns of m,
+    M^T G M, multiplied out over Q."""
+    gram = linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(space.gram, m))
+    return QuadSpace(dim=space.dim, gram=tuple(map(tuple, gram)))
 
 
 # ------------------------------------------------------------------ the form
@@ -131,6 +139,34 @@ def test_diagonalize_degenerate():
 def test_diagonalize_random_symmetric(m):
     gram = [[m[i][j] + m[j][i] for j in range(4)] for i in range(4)]
     check_congruence(gram)
+
+
+# the pipeline's elimination builds no T; its diagonal is diagonalize's
+
+@pytest.mark.parametrize("gram", [[[0, 1], [1, 0]], [[0, 0], [0, 0]],
+                                  [[1, 1], [1, 1]], [[0, 0], [0, -3]], []])
+def test_congruence_diagonal_on_zero_diagonal_and_degenerate(gram):
+    assert congruence_diagonal(gram) == diagonalize(gram)[0]
+
+
+@given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+                min_size=4, max_size=4))
+def test_congruence_diagonal_random_symmetric(m):
+    gram = [[m[i][j] + m[j][i] for j in range(4)] for i in range(4)]
+    assert congruence_diagonal(gram) == diagonalize(gram)[0]
+
+
+def test_congruence_diagonal_on_the_box_families():
+    # random, zero-diagonal, zero-row and block Grams, some Fraction
+    rng = random.Random(20261018)
+    for i in range(200):
+        gram = _box_case(rng, i)[0]
+        assert congruence_diagonal(gram) == diagonalize(gram)[0]
+
+
+def test_invariant_space_carries_its_diagonal(base_space):
+    assert base_space.diagonal == diagonalize(base_space.gram)[0]
+    assert signature(base_space) == signature(base_space.gram) == (3, 2)
 
 
 def ref_diagonalize(gram):

@@ -9,20 +9,42 @@ from orthomono.monodromy import PairValidationError, build_pair, int_matrix
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import render
 from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
-                                invariant_space, isotropic_search, q_rank,
-                                signature)
+                                _gram_of, invariant_space, isotropic_search,
+                                q_rank, signature)
 from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
                                GroupElement, WitnessContext,
-                               arithmeticity_report, conjugate,
+                               arithmeticity_report,
                                integral_reflection_vectors,
                                line_stabilizer_test, orbit_candidates,
                                orthocomplement, reflect, reflection_matrix,
-                               span_rank_witness, translation_vector,
+                               span_rank_witness,
                                unipotent_from_reflections)
-from orthomono.witness import (_echelon_insert, _parallel_factor,
-                               _radical_factors)
+from orthomono.witness import (_echelon_insert, _inverse_word,
+                               _parallel_factor, _perp_of, _radical_factors,
+                               _translation_coordinates)
 
 from conftest import BASE_F, BASE_G, random_cyclotomic_pairs
+
+
+def conjugate(g, h):
+    """Reference: g h g^-1 as a matrix, with the concatenated word."""
+    g_inv = int_matrix(linalg.inverse(g.matrix))
+    matrix = int_matrix(linalg.mat_mul(g.matrix,
+                                       linalg.mat_mul(h.matrix, g_inv)))
+    return GroupElement(word=g.word + h.word + _inverse_word(g.word),
+                        matrix=matrix)
+
+
+def translation_vector(u, eps, H):
+    """Reference: the quotient vector t with u(w) = w + (w.t) eps on
+    eps-perp, in the quotient basis of orthocomplement(), read off u's
+    matrix; zero iff u restricts to the identity on eps-perp."""
+    eps = tuple(int(x) for x in eps)
+    _, quotient = _perp_of(H, eps)
+    factors = _radical_factors(u.matrix, eps, quotient)
+    if factors is None:
+        raise ValueError("element is not in the unipotent radical")
+    return _translation_coordinates(_gram_of(H), quotient, factors)
 
 
 @pytest.fixture(scope="module")
