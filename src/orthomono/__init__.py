@@ -8,8 +8,7 @@ rank, and hunts for the unipotent elements that witness arithmeticity.
 Everything is computed over Z and Q; no floats anywhere.
 """
 from .monodromy import (HyperPair, PairType, PairValidationError, build_pair,
-                        classify_type, companion, imprimitivity_flag,
-                        scalar_shift)
+                        classify_type, companion, scalar_shift)
 from .padding import PaddedPair, embed_vector, isometry_check, pad_pair, \
     remainder_coeff_check
 from .parsing import PolyParseError, parse_poly
@@ -32,9 +31,8 @@ __all__ = [
     "RankCertificate", "WitnessReport", "anisotropy_certificate",
     "arithmeticity_report", "build_pair", "classify_type", "companion",
     "cyclo_factor", "cyclotomic", "diagonalize", "embed_vector",
-    "imprimitivity_flag", "invariant_space", "isometry_check",
-    "line_stabilizer_test", "pad_pair", "parse_poly", "q_rank",
-    "reflection_matrix", "remainder_coeff_check", "render", "root_parameters",
-    "scalar_shift", "signature", "signature_interlace", "span_rank_witness",
-    "witt_decompose",
+    "invariant_space", "isometry_check", "line_stabilizer_test", "pad_pair",
+    "parse_poly", "q_rank", "reflection_matrix", "remainder_coeff_check",
+    "render", "root_parameters", "scalar_shift", "signature",
+    "signature_interlace", "span_rank_witness", "witt_decompose",
 ]

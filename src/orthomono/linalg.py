@@ -4,8 +4,8 @@ Everything is deterministic (pivot = first usable row/column) and exact;
 no floating point.  Matrices are row-major.  rank, det, inverse,
 nullspace and coordinates each run one fraction-free elimination over
 int rows; a rational input is cleared of denominators on entry, and a
-Fraction is built only for an entry of the result.  det_mod runs the
-elimination over GF(p), and nonsingular takes it first.
+Fraction is built only for an entry of the result.  nonsingular first
+runs the elimination over GF(DET_PRIME).
 """
 from __future__ import annotations
 
@@ -117,9 +117,10 @@ def det(m: Mat) -> Fraction:
 DET_PRIME = 2 ** 61 - 1
 
 
-def det_mod(m: Sequence[Sequence[int]], p: int) -> int:
-    """det m mod p for a square int matrix and a prime p, by Gaussian
-    elimination over GF(p) on the trailing block."""
+def _det_mod(m: Sequence[Sequence[int]]) -> int:
+    """det m mod DET_PRIME for a square int matrix, by Gaussian
+    elimination over GF(DET_PRIME) on the trailing block."""
+    p = DET_PRIME
     rows = [[x % p for x in row] for row in m]
     d = 1
     while rows:
@@ -144,7 +145,7 @@ def nonsingular(m: Sequence[Sequence[int]]) -> bool:
     """det m != 0 for a square int matrix.  A nonzero determinant mod
     DET_PRIME certifies it; only a zero residue takes the exact determinant,
     so the answer is exact either way."""
-    return det_mod(m, DET_PRIME) != 0 or det(m) != 0
+    return _det_mod(m) != 0 or det(m) != 0
 
 
 def inverse(m: Mat) -> list[list]:

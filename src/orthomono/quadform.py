@@ -7,9 +7,10 @@ is exact; there are no tolerances anywhere in this module.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -46,10 +47,13 @@ class QuadSpace:
     dim: int
     # int entries for the cyclic Gram, Fraction entries for the standard one
     gram: tuple[tuple[int | Fraction, ...], ...]
-    # congruence_diagonal(gram), when the builder has taken it:
-    # invariant_space does, so signature and the first Witt stage share it
-    diagonal: tuple[Fraction, ...] | None = field(default=None,
-                                                   compare=False, repr=False)
+
+    @functools.cached_property
+    def diagonal(self) -> tuple[Fraction, ...]:
+        """congruence_diagonal(gram), taken on first use and kept, so
+        invariant_space, signature and the first Witt stage share one
+        elimination."""
+        return congruence_diagonal(self.gram)
 
 
 @dataclass(frozen=True)
@@ -195,10 +199,9 @@ def invariant_space(pair: HyperPair) -> QuadSpace:
         raise OracleMismatchError(
             "remainder-route and invariance-route Gram matrices disagree: "
             f"{cyc.gram} vs {via_std}")
-    diag = congruence_diagonal(cyc)
-    if any(d == 0 for d in diag):
+    if any(d == 0 for d in cyc.diagonal):
         raise PairValidationError("invariant form is degenerate")
-    return replace(cyc, diagonal=diag)
+    return cyc
 
 
 def _gram_of(space_or_gram) -> list[list]:
@@ -216,6 +219,13 @@ def _gram_of(space_or_gram) -> list[list]:
     if all(x.denominator == 1 for row in rows for x in row):
         return [[int(x) for x in row] for row in rows]
     return rows
+
+
+def _diagonal_of(space_or_gram) -> tuple[Fraction, ...]:
+    """A QuadSpace's kept diagonal, or the diagonal of a bare Gram."""
+    if isinstance(space_or_gram, QuadSpace):
+        return space_or_gram.diagonal
+    return congruence_diagonal(space_or_gram)
 
 
 def diagonalize(space_or_gram) -> tuple[tuple[Fraction, ...],
@@ -310,11 +320,9 @@ def _congruence(space_or_gram, with_t: bool
 
 
 def signature(space_or_gram) -> tuple[int, int]:
-    """(p, q) = counts of positive and negative diagonal entries, read off
-    the diagonal a QuadSpace carries when it has one."""
-    diag = getattr(space_or_gram, "diagonal", None)
-    if diag is None:
-        diag = congruence_diagonal(space_or_gram)
+    """(p, q) = counts of positive and negative entries of the congruence
+    diagonal, a QuadSpace's kept one."""
+    diag = _diagonal_of(space_or_gram)
     if any(d == 0 for d in diag):
         raise ValueError("degenerate form has no signature")
     p = sum(1 for d in diag if d > 0)
@@ -457,8 +465,8 @@ def witt_decompose(space_or_gram, bound: int,
     constraints: list[tuple[int, ...]] = []
     notes: list[str] = []
     pending = [tuple(int(x) for x in s) for s in seeds]
-    # the first stage's R is G, whose diagonal a QuadSpace may carry
-    carried = getattr(space_or_gram, "diagonal", None)
+    # the first stage's R is G; a QuadSpace keeps its diagonal
+    carried = _diagonal_of(space_or_gram)
 
     while True:
         k = len(basis)

@@ -45,6 +45,8 @@ UNCALLED_KEPT = {
                         "tests use it as the reference box search",
     "parse_report": "the reader of the canonical report text that "
                     "serialize_report writes",
+    "imprimitivity_flag": "tested in test_monodromy; no report carries "
+                          "the flag yet",
 }
 
 

@@ -75,22 +75,22 @@ def test_analyze_takes_each_determinant_once(monkeypatch):
     # invariance-route form
     s = monodromy.build_pair(parse_poly(BASE_F), parse_poly(BASE_G)).S
     seen, residues = [], []
-    original, original_mod = linalg.det, linalg.det_mod
+    original, original_mod = linalg.det, linalg._det_mod
 
     def counted(m):
         seen.append(tuple(map(tuple, m)))
         return original(m)
 
-    def counted_mod(m, p):
-        residues.append((tuple(map(tuple, m)), p))
-        return original_mod(m, p)
+    def counted_mod(m):
+        residues.append(tuple(map(tuple, m)))
+        return original_mod(m)
     monkeypatch.setattr(linalg, "det", counted)
-    monkeypatch.setattr(linalg, "det_mod", counted_mod)
+    monkeypatch.setattr(linalg, "_det_mod", counted_mod)
     doc = cli.build_report(BASE_F, BASE_G)
     assert (doc["derived"]["det_A"], doc["derived"]["det_B"],
             doc["derived"]["det_C"]) == (1, -1, -1)
     assert len(seen) == len(set(seen)) == 3
-    assert residues == [(s, linalg.DET_PRIME)]
+    assert residues == [s]
 
 
 # invariant_space takes the one congruence diagonal of the agreed form;

@@ -1,5 +1,6 @@
 """Invariant form, diagonalization, signatures, and rational isotropy
 certificates, pinned to independently derived values."""
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orthomono import corpus, linalg
+from orthomono import corpus, linalg, quadform
 from orthomono.monodromy import build_pair
 from orthomono.padding import embed_vector, pad_pair
 from orthomono.parsing import parse_poly
@@ -167,6 +168,60 @@ def test_congruence_diagonal_on_the_box_families():
 def test_invariant_space_carries_its_diagonal(base_space):
     assert base_space.diagonal == diagonalize(base_space.gram)[0]
     assert signature(base_space) == signature(base_space.gram) == (3, 2)
+
+
+def test_the_diagonal_follows_the_gram():
+    # the diagonal is worked out from the Gram, so it cannot be set apart
+    # from it, and a replaced Gram gets its own
+    with pytest.raises(TypeError):
+        QuadSpace(dim=1, gram=((1,),), diagonal=(F(-1),))
+    space = QuadSpace(dim=1, gram=((1,),))
+    assert space.diagonal == (1,) and signature(space) == (1, 0)
+    flipped = dataclasses.replace(space, gram=((-1,),))
+    assert flipped.diagonal == (-1,) and signature(flipped) == (0, 1)
+
+
+# invariant_space compares the routes in ints, 2 S^T h S == scale G_cyc;
+# one entry off on either side raises, with the two Grams in the message
+
+def _bumped(gram, i=0, j=1):
+    rows = [list(r) for r in gram]
+    rows[i][j] += 1
+    rows[j][i] += 1
+    return tuple(map(tuple, rows))
+
+
+def _mismatch(cyc_gram, via_std_gram):
+    return ("remainder-route and invariance-route Gram matrices disagree: "
+            f"{cyc_gram} vs {via_std_gram}")
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (3, 4)])
+def test_route_check_catches_a_remainder_route_change(monkeypatch,
+                                                      base_pair, i, j):
+    original = quadform.gram_remainder
+    monkeypatch.setattr(quadform, "gram_remainder", lambda pair: QuadSpace(
+        dim=pair.n, gram=_bumped(original(pair).gram, i, j)))
+    cyc = original(base_pair)
+    with pytest.raises(OracleMismatchError) as err:
+        invariant_space(base_pair)
+    via_std = tuple(tuple(F(x) for x in row) for row in cyc.gram)
+    assert str(err.value) == _mismatch(_bumped(cyc.gram, i, j), via_std)
+
+
+def test_route_check_catches_an_invariance_route_change(monkeypatch,
+                                                        base_pair):
+    h, scale = quadform._invariance_solution(base_pair)
+    monkeypatch.setattr(quadform, "_invariance_solution",
+                        lambda pair: (_bumped(h), scale))
+    with pytest.raises(OracleMismatchError) as err:
+        invariant_space(base_pair)
+    std = QuadSpace(dim=5, gram=tuple(tuple(F(2 * x, scale) for x in row)
+                                      for row in _bumped(h)))
+    via_std = change_basis(std, base_pair.S).gram
+    assert via_std != gram_remainder(base_pair).gram
+    assert str(err.value) == _mismatch(gram_remainder(base_pair).gram,
+                                       via_std)
 
 
 def ref_diagonalize(gram):
