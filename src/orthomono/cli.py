@@ -18,7 +18,9 @@ except for the timings block.  Every rational is serialized as an exact
 
 Exit codes: 0 when the analysis completed (including a clean inconclusive
 verdict or an out-of-scope symplectic pair), 2 for invalid input, 3 when
-two independent computation routes disagreed on the same quantity.
+two independent computation routes disagreed on the same quantity, or
+when a batch line's analysis raised any other error (its record has kind
+"internal"); outside a batch such an error propagates.
 """
 from __future__ import annotations
 
@@ -55,6 +57,8 @@ EXIT_ORACLE = 3
 # ---------------------------------------------------------------- JSON layer
 
 def _rat(x) -> str:
+    if type(x) is int:
+        return f"{x}/1"
     fr = Fraction(x)
     return f"{fr.numerator}/{fr.denominator}"
 
@@ -329,14 +333,16 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _failure_doc(exc: Exception) -> tuple[int, dict]:
+def _failure_doc(exc: Exception) -> tuple[int, dict] | None:
+    """(exit code, error record) for a failure the exit codes name, None
+    for any other exception."""
     if isinstance(exc, (PolyParseError, PairValidationError)):
         return EXIT_VALIDATION, {"error": {"kind": "validation",
                                            "message": str(exc)}}
     if isinstance(exc, OracleMismatchError):
         return EXIT_ORACLE, {"error": {"kind": "oracle-mismatch",
                                        "message": str(exc)}}
-    raise exc
+    return None
 
 
 def cmd_analyze(args) -> int:
@@ -349,9 +355,11 @@ def cmd_analyze(args) -> int:
         doc = build_report(args.f, args.g, search_bound=args.search_bound,
                            word_bound=args.word_bound)
     except Exception as exc:  # noqa: BLE001 - mapped or re-raised
-        code, doc = _failure_doc(exc)
-        _emit(doc, args)
-        return code
+        failure = _failure_doc(exc)
+        if failure is None:
+            raise
+        _emit(failure[1], args)
+        return failure[0]
     _emit(doc, args)
     return EXIT_OK
 
@@ -372,7 +380,9 @@ def _finite_float(text: str) -> float:
 
 def _run_batch(args) -> int:
     """One JSON object {"f": ..., "g": ...} per line; a bad line yields an
-    error record in place of its report and the batch keeps going."""
+    error record in place of its report and the batch keeps going.  The
+    exit code is the worst of the lines', an internal error counting as
+    exit 3."""
     try:
         with open(args.batch, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -412,8 +422,12 @@ def _run_batch(args) -> int:
                                    search_bound=args.search_bound,
                                    word_bound=args.word_bound)
                 code = EXIT_OK
-            except Exception as exc:  # noqa: BLE001
-                code, doc = _failure_doc(exc)
+            except Exception as exc:  # noqa: BLE001 - one line's failure
+                # an exception the exit codes do not name is an internal
+                # error of this line, and the batch goes on
+                code, doc = _failure_doc(exc) or (EXIT_ORACLE, {"error": {
+                    "kind": "internal",
+                    "message": f"{type(exc).__name__}: {exc}"}})
                 doc["input"] = {"f": item["f"], "g": item["g"]}
         worst = max(worst, code)
         out_lines.append(json.dumps(doc, sort_keys=True))
@@ -430,10 +444,12 @@ def cmd_pad(args) -> int:
     try:
         doc = build_pad_report(args.f0, args.g0, args.P, args.Q, d=args.d,
                                search_bound=args.search_bound)
-    except Exception as exc:  # noqa: BLE001
-        code, doc = _failure_doc(exc)
-        _emit(doc, args)
-        return code
+    except Exception as exc:  # noqa: BLE001 - mapped or re-raised
+        failure = _failure_doc(exc)
+        if failure is None:
+            raise
+        _emit(failure[1], args)
+        return failure[0]
     _emit(doc, args)
     return EXIT_OK
 

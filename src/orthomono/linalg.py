@@ -1,11 +1,12 @@
 """Exact linear algebra over Q and Z: lists of lists of Fraction/int.
 
 Everything is deterministic (pivot = first usable row/column) and exact;
-no floating point.  Matrices are row-major.  rank, det, inverse,
-nullspace and coordinates each run one fraction-free elimination over
-int rows; a rational input is cleared of denominators on entry, and a
-Fraction is built only for an entry of the result.  nonsingular first
-runs the elimination over GF(DET_PRIME).
+no floating point.  Matrices are row-major.  rank, det, inverse and
+coordinates each run one fraction-free elimination over int rows; a
+rational input is cleared of denominators on entry, and a Fraction is
+built only for an entry of the result.  The elimination that inverts a
+matrix also yields its determinant.  nonsingular first runs the
+elimination over GF(DET_PRIME).
 """
 from __future__ import annotations
 
@@ -148,34 +149,26 @@ def nonsingular(m: Sequence[Sequence[int]]) -> bool:
     return _det_mod(m) != 0 or det(m) != 0
 
 
+def _inverse_det(m: Mat) -> tuple[list[list], Fraction]:
+    """(inverse, determinant) of a square matrix from the one elimination
+    of [m | I]: the inverse has int entries where they are integral and
+    Fraction entries elsewhere, and the determinant is read off the last
+    pivot, as in det."""
+    n = len(m)
+    aug, den = clear_denominators([list(row) + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(m)])
+    pivots, d, sign = _eliminate(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    inv = [[x // d if x % d == 0 else Fraction(x, d) for x in row[n:]]
+           for row in aug[:n]]
+    return inv, Fraction(sign * d, den ** n)
+
+
 def inverse(m: Mat) -> list[list]:
     """Inverse of a square matrix: int entries where they are integral,
     Fraction entries elsewhere."""
-    n = len(m)
-    aug, _ = clear_denominators([list(row) + [int(i == j) for j in range(n)]
-                                 for i, row in enumerate(m)])
-    pivots, d, _ = _eliminate(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[x // d if x % d == 0 else Fraction(x, d) for x in row[n:]]
-            for row in aug[:n]]
-
-
-def nullspace(m: Mat) -> list[list[Fraction]]:
-    """Basis of the right kernel over Q, one vector per free column,
-    free columns in ascending order."""
-    rows, _ = clear_denominators(m)
-    pivots, d, _ = _eliminate(rows)
-    ncols = len(m[0]) if m else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-rows[r][fc], d)
-        basis.append(v)
-    return basis
+    return _inverse_det(m)[0]
 
 
 def coordinates(rows: Mat, target: Vec) -> list[Fraction] | None:
@@ -198,10 +191,14 @@ def coordinates(rows: Mat, target: Vec) -> list[Fraction] | None:
 
 def primitive_integer(vec: Vec) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector whose first
-    nonzero entry is positive."""
-    fracs = [Fraction(x) for x in vec]
-    lcm = math.lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (lcm // f.denominator) for f in fracs]
+    nonzero entry is positive.  An int vector is divided by its content
+    with no Fraction built."""
+    if all(type(x) is int for x in vec):
+        ints = vec
+    else:
+        fracs = [Fraction(x) for x in vec]
+        lcm = math.lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (lcm // f.denominator) for f in fracs]
     g = math.gcd(*ints)
     if g == 0:
         return tuple(ints)  # the zero vector

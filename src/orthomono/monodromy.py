@@ -144,7 +144,9 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
 
     a = companion(f)
     b = companion(g)
-    a_inv = int_matrix(linalg.inverse(a))  # f(0) = -1, so A is unimodular
+    # f(0) = -1, so A is unimodular; det A comes with its inverse
+    a_inv, det_a = linalg._inverse_det(a)
+    a_inv = int_matrix(a_inv)
     c = int_matrix(linalg.mat_mul(a_inv, b))
     w = g - f  # degree <= n-1 since both monic of degree n
     wvec = [w.coeff(i) for i in range(n)]
@@ -159,26 +161,28 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
     if not linalg.nonsingular(s):
         raise PairValidationError("f and g must be coprime")
 
-    # structural re-verification
-    ident = linalg.identity(n)
-    det_a, det_b, det_c = (int(linalg.det(m)) for m in (a, b, c))
+    # structural re-verification.  C - 1 kills 1, x, ..., x^{n-2} and
+    # sends x^{n-1} to -v; given that, C = 1 - v e_{n-1}^T, so det C is
+    # its corner entry, C^2 = 1 iff C fixes C e_{n-1}, and C - 1 has
+    # rank one iff v != 0
+    for j in range(n - 1):
+        if any(c[i][j] != (i == j) for i in range(n)):
+            raise PairValidationError("C - 1 must vanish on x^j for j < n-1")
+    last = [c[i][n - 1] for i in range(n)]
+    e_last = [int(i == n - 1) for i in range(n)]
+    if [x - y for x, y in zip(last, e_last)] != [-x for x in v]:
+        raise PairValidationError("(C - 1) x^{n-1} must equal -v")
+    det_a, det_b, det_c = int(det_a), int(linalg.det(b)), c[n - 1][n - 1]
     if abs(det_a) != 1 or abs(det_b) != 1:
         raise PairValidationError("companion matrices must be unimodular")
     if det_c != -1:
         raise PairValidationError("C must have determinant -1")
-    if not linalg.mat_eq(linalg.mat_mul(c, c), ident):
+    if linalg.mat_vec(c, last) != e_last:
         raise PairValidationError("C^2 must be the identity")
-    cm1 = [[c[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-    if linalg.rank(cm1) != 1:
+    if not any(v):
         raise PairValidationError("C - 1 must have rank one")
     if list(linalg.mat_vec(a, v)) != wvec:
         raise PairValidationError("A v must equal g - f")
-    # C - 1 kills 1, x, ..., x^{n-2} and sends x^{n-1} to -v
-    for j in range(n - 1):
-        if any(cm1[i][j] != 0 for i in range(n)):
-            raise PairValidationError("C - 1 must vanish on x^j for j < n-1")
-    if [cm1[i][n - 1] for i in range(n)] != [-x for x in v]:
-        raise PairValidationError("(C - 1) x^{n-1} must equal -v")
 
     return HyperPair(f=f, g=g, n=n, A=a, B=b, C=c, v=v, A_inv=a_inv, S=s,
                      det_A=det_a, det_B=det_b, det_C=det_c)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # Largest polynomial degree, and so pair dimension n, that parse_poly and
 # pad_pair accept.  analyze of x^127 -+ 1 takes seconds and x^255 -+ 1
@@ -143,18 +143,27 @@ def divrem(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """
     if not b.is_monic:
         raise ValueError("divisor must be monic")
-    rem = list(a.coeffs)
-    db = b.degree
-    if len(rem) - 1 < db:
-        return IntPoly(()), a
+    quot, rem = _divrem_coeffs(a.coeffs, b.coeffs)
+    return IntPoly(tuple(quot)), IntPoly(tuple(rem))
+
+
+def _divrem_coeffs(a: Sequence[int], b: Sequence[int]
+                   ) -> tuple[list[int], list[int]]:
+    """divrem on ascending coefficient lists, b monic and nonzero: the
+    quotient, and the remainder as deg b coefficients, neither trimmed.
+    A dividend of degree below deg b is its own remainder."""
+    db = len(b) - 1
+    rem = list(a)
+    if len(rem) <= db:
+        return [], rem
     quot = [0] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if c:
             quot[i - db] = c
-            for j, bj in enumerate(b.coeffs):
-                rem[i - db + j] -= c * bj
-    return IntPoly(tuple(quot)), IntPoly(tuple(rem))
+            rem[i - db:i + 1] = [x - c * y
+                                 for x, y in zip(rem[i - db:i + 1], b)]
+    return quot, rem[:db]
 
 
 def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -279,24 +288,25 @@ def cyclo_factor(f: IntPoly) -> CycloFactorization:
     """
     if not f.is_monic:
         raise ValueError("cyclo_factor expects a monic polynomial")
-    rem = f
+    rem = list(f.coeffs)
     found: list[tuple[int, int]] = []
     limit = 2 * max(f.degree, 1) ** 2 + 1
     for d in range(1, limit + 1):
-        if rem.degree < 1:
+        if len(rem) < 2:
             break
-        if euler_phi(d) > rem.degree:
+        if euler_phi(d) > len(rem) - 1:
             continue
+        phi_d = cyclotomic(d).coeffs
         mult = 0
         while True:
-            q, r = divrem(rem, cyclotomic(d))
-            if not r.is_zero:
+            q, r = _divrem_coeffs(rem, phi_d)
+            if any(r):
                 break
             rem = q
             mult += 1
         if mult:
             found.append((d, mult))
-    return CycloFactorization(tuple(found), rem)
+    return CycloFactorization(tuple(found), IntPoly(tuple(rem)))
 
 
 def root_parameters(fac: CycloFactorization) -> tuple[Fraction, ...]:

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError
-from .polynomials import IntPoly, divrem
+from .polynomials import IntPoly, _divrem_coeffs
 
 # enumeration ceiling for bounded vector searches (number of tuples)
 SEARCH_CAP = 5_000_000
@@ -94,14 +94,19 @@ def cyclic_gram_row(f: IntPoly, g: IntPoly, count: int | None = None
         raise PairValidationError("gram row needs monic f with f(0) = -1")
     if count is None:
         count = n
-    # 1/x mod f, valid exactly because f(0) = -1
-    inv_x = IntPoly(tuple(f.coeffs[1:]))
-    x = IntPoly((0, 1))
-    r = divrem(inv_x * (g - f), f)[1]
+    fc = f.coeffs
+    # w = (g - f) mod f, then r = w / x mod f: as f(0) = -1, w + w_0 f
+    # has constant term 0, so r is it shifted down one place
+    w = _divrem_coeffs((g - f).coeffs, fc)[1]
+    w += [0] * (n + 1 - len(w))
+    r = [a + w[0] * b for a, b in zip(w[1:], fc[1:])]
     row = []
     for _ in range(count):
-        row.append(r.coeff(n - 1))
-        r = divrem(r * x, f)[1]
+        top = r[-1]
+        row.append(top)
+        # r <- x r mod f: shift up, then fold the top coefficient back
+        # through x^n = -(f_0 + ... + f_{n-1} x^{n-1})
+        r = [-top * fc[0]] + [a - top * b for a, b in zip(r, fc[1:n])]
     return tuple(row)
 
 
@@ -160,13 +165,19 @@ def _invariance_solution(pair: HyperPair) -> tuple[list[list[int]], int]:
                 eq[abs(k - l)] += last[k] * last[l]
         eq[0] -= 1
         rows.append(eq)
-    kernel = linalg.nullspace(rows)
-    if len(kernel) != 1:
+    pivots, d, _ = linalg._eliminate(rows)
+    if len(pivots) != n - 1:
         raise PairValidationError(
-            f"invariant-form solution space has dimension {len(kernel)}, "
+            f"invariant-form solution space has dimension {n - len(pivots)}, "
             "expected 1 (imprimitive or degenerate input)")
-    # an int multiple of the solution; H = 2 h / (v.h.v) whatever it is
-    h = _toeplitz(linalg.primitive_integer(kernel[0]), n)
+    # rows[k] is d times the reduced row of pivot k, so the kernel vector
+    # with free entry d has entry -rows[k][free] at pivot k: an int
+    # multiple of the solution, and H = 2 h / (v.h.v) whatever it is
+    free = next(c for c in range(n) if c not in pivots)
+    first = [d] * n
+    for k, c in enumerate(pivots):
+        first[c] = -rows[k][free]
+    h = _toeplitz(linalg.primitive_integer(first), n)
     scale = linalg.vec_dot(pair.v, h, pair.v)
     if scale == 0:
         raise PairValidationError("invariant form is degenerate on v")
@@ -333,17 +344,25 @@ def signature_interlace(alpha: Sequence[Fraction], beta: Sequence[Fraction]
                         ) -> int:
     """|p - q| from the interlacing count: with alpha sorted ascending,
     m_j = #{k : beta_k < alpha_j} and the result is |sum (-1)^{j+m_j}|
-    over 1-based j."""
+    over 1-based j.
+
+    Both lists are sorted once as ints over a common denominator, and
+    one merge pass reads off every m_j and any value the lists share."""
     if len(alpha) != len(beta):
         raise ValueError("parameter lists must have equal length")
-    a = sorted(Fraction(x) for x in alpha)
-    b = sorted(Fraction(x) for x in beta)
-    if set(a) & set(b):
-        raise ValueError("parameter lists must be disjoint")
+    fa, fb = ([x if isinstance(x, Fraction) else Fraction(x) for x in xs]
+              for xs in (alpha, beta))
+    den = math.lcm(*(x.denominator for x in fa), *(x.denominator for x in fb))
+    a, b = (sorted(x.numerator * (den // x.denominator) for x in xs)
+            for xs in (fa, fb))
     total = 0
+    m = 0
     for j, aj in enumerate(a, start=1):
-        m = sum(1 for bk in b if bk < aj)
-        total += (-1) ** (j + m)
+        while m < len(b) and b[m] < aj:
+            m += 1
+        if m < len(b) and b[m] == aj:
+            raise ValueError("parameter lists must be disjoint")
+        total += -1 if (j + m) % 2 else 1
     return abs(total)
 
 

@@ -279,6 +279,40 @@ def test_batch_line_json_cannot_take(capsys, tmp_path, bad):
     assert records[1]["derived"]["type"] == "orthogonal"
 
 
+def _raise_on_middle_line(monkeypatch):
+    original = cli.build_report
+
+    def build_report(f_text, g_text, **kwargs):
+        if f_text == "x^3-1":
+            raise ValueError("not a mapped failure")
+        return original(f_text, g_text, **kwargs)
+    monkeypatch.setattr(cli, "build_report", build_report)
+
+
+def test_batch_keeps_going_on_an_unmapped_error(capsys, tmp_path,
+                                               monkeypatch):
+    _raise_on_middle_line(monkeypatch)
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("\n".join(json.dumps(item) for item in (
+        {"f": "x^2-1", "g": "x^2+x+1"}, {"f": "x^3-1", "g": "x^3+1"},
+        {"f": BASE_F, "g": BASE_G})) + "\n")
+    code, cap = run(capsys, "analyze", "--batch", str(path))
+    assert code == 3
+    first, middle, last = [strict_json(ln) for ln in cap.out.splitlines()]
+    assert first["derived"]["type"] == "orthogonal"
+    assert middle == {"error": {"kind": "internal",
+                                "message": "ValueError: not a mapped failure"},
+                      "input": {"f": "x^3-1", "g": "x^3+1"}}
+    assert last["witness"]["conclusion"] == "witnessed-arithmetic"
+
+
+def test_single_command_reraises_an_unmapped_error(capsys, monkeypatch):
+    _raise_on_middle_line(monkeypatch)
+    with pytest.raises(ValueError, match="not a mapped failure"):
+        cli.main(["analyze", "--f", "x^3-1", "--g", "x^3+1"])
+    assert capsys.readouterr().out == ""
+
+
 # ------------------------------------------------------- files that fail
 
 def _one_line_naming(err, path):

@@ -1,8 +1,10 @@
 """Source hygiene: no module in the package imports a name it never
-uses, and every public function has a caller in the package or is
-exported.  The package's __init__.py is exempt from the first check,
+uses, every public function has a caller in the package or is
+exported, and every function the benchmark's tracer looks up by name
+exists.  The package's __init__.py is exempt from the first check,
 since its imports are the public re-exports, and so is `from __future__`."""
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -47,6 +49,8 @@ UNCALLED_KEPT = {
                     "serialize_report writes",
     "imprimitivity_flag": "tested in test_monodromy; no report carries "
                           "the flag yet",
+    "rank": "perfbench/tracer.py counts linalg.rank by name and its "
+            "install fails on a missing one; the tests use it",
 }
 
 
@@ -80,3 +84,32 @@ def test_every_public_function_has_a_caller_or_is_exported():
     sources = {p.name: p.read_text() for p in MODULES}
     exported = set(orthomono.__all__) | set(UNCALLED_KEPT)
     assert _uncalled_functions(sources, exported) == []
+
+
+# the benchmark's tracer rebinds these (module, attribute) names of the
+# package, and fails its traced run on one that does not resolve
+TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer_table(name: str) -> tuple:
+    tree = ast.parse(TRACER.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {TRACER}")
+
+
+@pytest.mark.parametrize("table", ["SPANNED", "COUNTED"])
+def test_every_traced_name_resolves(table):
+    entries = _tracer_table(table)
+    assert entries
+    missing = []
+    for module_name, attr in entries:
+        owner = importlib.import_module(f"orthomono.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from orthomono import linalg
+from orthomono import corpus, linalg
 from orthomono.monodromy import (ORTHOGONAL, SYMPLECTIC, PairValidationError,
                                  build_pair, classify_type, companion,
                                  imprimitivity_flag, scalar_shift)
@@ -55,6 +55,58 @@ def test_reflection_properties(base_pair):
 def test_c_is_a_inverse_b(base_pair):
     p = base_pair
     assert linalg.mat_eq(linalg.mat_mul(p.A, p.C), p.B)
+
+
+# build_pair checks C through its one nontrivial column; a C that is not
+# 1 - v e_{n-1}^T, however it is wrong, must still be rejected
+
+def _wrong_c(monkeypatch, change):
+    original = linalg.mat_mul
+
+    def mat_mul(a, b):  # build_pair's one product is C = A^-1 B
+        c = [list(row) for row in original(a, b)]
+        change(c, len(c))
+        return c
+    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+
+
+def _bump(i, j):
+    def change(c, n):
+        c[i % n][j % n] += 1
+    return change
+
+
+@pytest.mark.parametrize("change, fragment", [
+    (_bump(0, 0), "vanish on x\\^j"),       # diagonal, off the last column
+    (_bump(3, 1), "vanish on x\\^j"),       # below the diagonal
+    (_bump(0, -2), "vanish on x\\^j"),      # next to the last column
+    (_bump(0, -1), "must equal -v"),         # last column, off the corner
+    (_bump(-1, -1), "must equal -v"),        # the corner
+], ids=["diagonal", "below-diagonal", "next-to-last", "last-column",
+        "corner"])
+def test_build_pair_rejects_a_wrong_c(monkeypatch, change, fragment):
+    _wrong_c(monkeypatch, change)
+    with pytest.raises(PairValidationError, match=fragment):
+        build_pair(P("x^5-1"), P("(x+1)*(x^2+1)^2"))
+
+
+def _reported_determinants_are_exact(pairs):
+    for f, g in pairs:
+        pair = build_pair(f, g)
+        assert (pair.det_A, pair.det_B, pair.det_C) == tuple(
+            linalg.det(m) for m in (pair.A, pair.B, pair.C)), (f, g)
+        assert all(type(d) is int for d in
+                   (pair.det_A, pair.det_B, pair.det_C))
+
+
+def test_reported_determinants_are_exact_on_the_worked_examples():
+    _reported_determinants_are_exact(
+        (P(entry.f_text), P(entry.g_text)) for entry in corpus.ENTRIES)
+
+
+def test_reported_determinants_are_exact_on_the_battery(cyclotomic_pairs):
+    assert len(cyclotomic_pairs) == 50
+    _reported_determinants_are_exact(cyclotomic_pairs)
 
 
 @pytest.mark.parametrize("f_text, g_text, fragment", [

@@ -69,11 +69,11 @@ def test_worked_example_builds_each_object_once(calls, entry):
 
 
 def test_analyze_takes_each_determinant_once(monkeypatch):
-    # det A, det B and det C exactly in build_pair, and det S (the
-    # coprimality check) only mod DET_PRIME, as its residue is nonzero:
-    # three distinct matrices, one exact det each, and none of the
-    # invariance-route form
-    s = monodromy.build_pair(parse_poly(BASE_F), parse_poly(BASE_G)).S
+    # det B is the one exact det: det A comes off the elimination that
+    # inverts A, det C is C's corner entry once its columns are checked,
+    # and det S (the coprimality check) is taken only mod DET_PRIME, as
+    # its residue is nonzero
+    pair = monodromy.build_pair(parse_poly(BASE_F), parse_poly(BASE_G))
     seen, residues = [], []
     original, original_mod = linalg.det, linalg._det_mod
 
@@ -89,8 +89,32 @@ def test_analyze_takes_each_determinant_once(monkeypatch):
     doc = cli.build_report(BASE_F, BASE_G)
     assert (doc["derived"]["det_A"], doc["derived"]["det_B"],
             doc["derived"]["det_C"]) == (1, -1, -1)
-    assert len(seen) == len(set(seen)) == 3
-    assert residues == [s]
+    assert seen == [pair.B]
+    assert residues == [pair.S]
+
+
+def test_build_pair_takes_two_eliminations_and_one_product(monkeypatch):
+    # the inverse of A (with det A) and det B; C = A^-1 B is the one
+    # matrix product, and no rank is taken
+    inside = []
+    counts = Counter()
+    original_build = monodromy.build_pair
+
+    def build_pair(*args):
+        inside.append(True)
+        try:
+            return original_build(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(monodromy, "build_pair", build_pair)
+    for name in ("_eliminate", "mat_mul", "rank"):
+        def counted(*args, _name=name, _original=getattr(linalg, name)):
+            if inside:
+                counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    monodromy.build_pair(parse_poly(BASE_F), parse_poly(BASE_G))
+    assert counts == {"_eliminate": 2, "mat_mul": 1}
 
 
 # invariant_space takes the one congruence diagonal of the agreed form;

@@ -1,9 +1,10 @@
 """Integer polynomial layer: arithmetic against independent oracles,
 cyclotomic machinery, and the canonical text form."""
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import (ONE, X, CycloFactorization, IntPoly,
@@ -228,6 +229,82 @@ def test_cyclo_factor_partial():
 def test_cyclo_factor_requires_monic():
     with pytest.raises(ValueError):
         cyclo_factor(poly(1, 2))
+
+
+# --------------------------- references for the coefficient-list routes
+
+def ref_divrem(a, b):
+    """divrem on IntPoly one quotient term at a time: the reference for
+    the coefficient-list division that divrem and cyclo_factor share."""
+    if not b.is_monic:
+        raise ValueError("divisor must be monic")
+    quot, rem = IntPoly(()), a
+    while rem.degree >= b.degree:
+        term = IntPoly.monomial(rem.degree - b.degree, rem.leading)
+        quot, rem = quot + term, rem - term * b
+    return quot, rem
+
+
+def ref_cyclo_factor(f):
+    """Trial division of IntPoly values by every cyclotomic of degree at
+    most the remaining degree, each to its full multiplicity."""
+    rem, found = f, []
+    for d in range(1, 2 * max(f.degree, 1) ** 2 + 2):
+        if rem.degree < 1:
+            break
+        if euler_phi(d) > rem.degree:
+            continue
+        mult = 0
+        while True:
+            q, r = ref_divrem(rem, cyclotomic(d))
+            if not r.is_zero:
+                break
+            rem, mult = q, mult + 1
+        if mult:
+            found.append((d, mult))
+    return CycloFactorization(tuple(found), rem)
+
+
+SMALL_CYCLOTOMICS = [d for d in range(1, 61) if euler_phi(d) <= 8]
+
+
+def cyclotomic_products(seed, count):
+    """Seeded products of cyclotomics, with multiplicities, half of them
+    times a random monic cofactor that may or may not factor further."""
+    rng = random.Random(seed)
+    for k in range(count):
+        f = ONE
+        for _ in range(rng.randint(0, 3)):
+            f = f * cyclotomic(rng.choice(SMALL_CYCLOTOMICS)) \
+                ** rng.randint(1, 2)
+        if k % 2:
+            f = f * IntPoly(tuple(rng.randint(-3, 3)
+                                  for _ in range(rng.randint(1, 4))) + (1,))
+        yield f
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=12),
+       st.lists(st.integers(-9, 9), max_size=6))
+def test_divrem_matches_the_reference(a, b_low):
+    p, b = IntPoly(tuple(a)), IntPoly(tuple(b_low) + (1,))
+    assert divrem(p, b) == ref_divrem(p, b)
+
+
+def test_divrem_by_cyclotomics_matches_the_reference():
+    for f in cyclotomic_products(20261018, 200):
+        for d in (1, 2, 3, 5, 12, 15):
+            assert divrem(f, cyclotomic(d)) == ref_divrem(f, cyclotomic(d))
+
+
+def test_cyclo_factor_matches_the_reference():
+    full = 0
+    for f in cyclotomic_products(20261019, 200):
+        fac = cyclo_factor(f)
+        assert fac == ref_cyclo_factor(f), f
+        assert all(type(c) is int for c in fac.remainder.coeffs)
+        full += fac.remainder_is_one
+    assert 100 <= full < 200  # both outcomes are exercised
 
 
 def test_root_parameters_base():

@@ -27,6 +27,8 @@ from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
 
 from conftest import (BASE_F, BASE_G, random_cyclotomic_pairs,
                       random_unimodular)
+from test_linalg import nullspace
+from test_polynomials import ref_divrem
 from test_reports import PADS
 
 F = Fraction
@@ -69,6 +71,79 @@ def test_gram_row_is_top_remainder_coefficient(base_pair):
     for k in range(5):
         shifted = IntPoly.monomial(k) * v_poly
         assert divrem(shifted, f)[1].coeff(4) == row[k]
+
+
+def ref_cyclic_gram_row(f, g, count=None):
+    """The remainder route on IntPoly values, as it was before it stepped
+    on int lists: x^{n-1} coefficients of x^{k-1} (g - f) mod f, every
+    remainder taken by the reference division."""
+    n = f.degree
+    r = ref_divrem(IntPoly(f.coeffs[1:]) * (g - f), f)[1]
+    row = []
+    for _ in range(n if count is None else count):
+        row.append(r.coeff(n - 1))
+        r = ref_divrem(r * IntPoly((0, 1)), f)[1]
+    return tuple(row)
+
+
+def test_cyclic_gram_row_matches_the_reference(cyclotomic_pairs):
+    for f, g in cyclotomic_pairs:
+        for count in (None, 1, 2 * f.degree + 3):
+            assert cyclic_gram_row(f, g, count) == \
+                ref_cyclic_gram_row(f, g, count), (f, g, count)
+
+
+def test_cyclic_gram_row_matches_the_reference_on_pads():
+    f0, g0 = P(BASE_F), P(BASE_G)
+    for p_text, q_text in PADS:
+        pp = pad_pair(f0, g0, parse_poly(p_text, var="y"),
+                      parse_poly(q_text, var="y"))
+        # the padded pair, and the broken-Q controls of padding: g0 times
+        # a wrong Q(x^6), of the right degree or not
+        for g in (pp.g, g0 * P("x^12+x^11+1"), g0 * P("x^12+x^7-1"),
+                  g0 * P("x^13+2"), pp.g * P("x^2+1")):
+            assert cyclic_gram_row(pp.f, g, 5) == \
+                ref_cyclic_gram_row(pp.f, g, 5), (pp.f, g)
+            assert cyclic_gram_row(pp.f, g) == ref_cyclic_gram_row(pp.f, g)
+
+
+def test_cyclic_gram_row_matches_the_reference_on_random_input():
+    # any monic f with f(0) = -1 and any g, of any degree
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        f = IntPoly(tuple([-1] + [rng.randint(-4, 4) for _ in range(n - 1)])
+                    + (1,))
+        g = IntPoly(tuple(rng.randint(-4, 4)
+                          for _ in range(rng.randint(0, 2 * n + 2))))
+        count = rng.randint(0, 2 * n + 2)
+        assert cyclic_gram_row(f, g, count) == \
+            ref_cyclic_gram_row(f, g, count), (f, g, count)
+
+
+def test_invariant_kernel_matches_nullspace(monkeypatch, cyclotomic_pairs):
+    # the invariance route reads its int kernel vector off one
+    # elimination; the reference takes the Fraction kernel of the same
+    # equations and clears it
+    equations = []
+    original = linalg._eliminate
+
+    def capture(rows):
+        equations.append([list(row) for row in rows])
+        return original(rows)
+    monkeypatch.setattr(linalg, "_eliminate", capture)
+    for f, g in cyclotomic_pairs:
+        pair = build_pair(f, g)
+        equations.clear()
+        h, scale = quadform._invariance_solution(pair)
+        [rows] = equations
+        kernel = nullspace(rows)
+        assert len(kernel) == 1
+        assert tuple(h[0]) == linalg.primitive_integer(kernel[0]), (f, g)
+        assert scale == linalg.vec_dot(pair.v, h, pair.v)
+        for m in (pair.A, pair.B):
+            assert linalg.mat_mul(linalg.transpose(m),
+                                  linalg.mat_mul(h, m)) == h
 
 
 def test_invariant_space_is_cyclic_toeplitz(base_pair, base_space):
@@ -330,6 +405,63 @@ def test_signature_interlace_validation():
         signature_interlace((F(0),), (F(1, 2), F(1, 3)))
     with pytest.raises(ValueError):
         signature_interlace((F(0), F(1, 2)), (F(1, 2), F(1, 3)))
+
+
+def ref_signature_interlace(alpha, beta):
+    """The interlacing count as it was: every m_j counted afresh over the
+    Fraction lists, O(n^2)."""
+    if len(alpha) != len(beta):
+        raise ValueError("parameter lists must have equal length")
+    a = sorted(Fraction(x) for x in alpha)
+    b = sorted(Fraction(x) for x in beta)
+    if set(a) & set(b):
+        raise ValueError("parameter lists must be disjoint")
+    return abs(sum((-1) ** (j + sum(1 for bk in b if bk < aj))
+                   for j, aj in enumerate(a, start=1)))
+
+
+def _interlace_outcome(fn, alpha, beta):
+    try:
+        return fn(alpha, beta)
+    except ValueError as exc:
+        return str(exc)
+
+
+arguments = st.builds(Fraction, st.integers(0, 23),
+                      st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12)))
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 9).flatmap(lambda k: st.tuples(
+    st.lists(st.integers(0, 11), min_size=k, max_size=k),
+    st.lists(st.integers(0, 11), min_size=k, max_size=k))))
+def test_signature_interlace_matches_the_reference_on_disjoint_lists(lists):
+    # even and odd numerators over 24 never meet; repeats give
+    # multiplicities, and the values reduce to many denominators
+    alpha = [F(2 * k, 24) for k in lists[0]]
+    beta = [F(2 * k + 1, 24) for k in lists[1]]
+    expected = ref_signature_interlace(alpha, beta)
+    assert signature_interlace(alpha, beta) == expected
+    assert signature_interlace(beta, alpha) == \
+        ref_signature_interlace(beta, alpha)
+
+
+@settings(max_examples=400)
+@given(st.lists(arguments, max_size=9), st.lists(arguments, max_size=9))
+def test_signature_interlace_matches_the_reference(alpha, beta):
+    # overlapping and unequal lists included: the same ValueError
+    beta = beta[:len(alpha)] if len(beta) % 3 else beta
+    assert _interlace_outcome(signature_interlace, alpha, beta) == \
+        _interlace_outcome(ref_signature_interlace, alpha, beta)
+
+
+def test_signature_interlace_takes_ints_and_overlaps_at_the_ends():
+    assert signature_interlace((0, F(1, 2)), (F(1, 4), F(3, 4))) == 2
+    for alpha, beta in (((F(0), F(1, 2)), (F(0), F(3, 4))),
+                        ((F(0), F(1, 2)), (F(1, 4), F(1, 2))),
+                        ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 4)))):
+        with pytest.raises(ValueError, match="disjoint"):
+            signature_interlace(alpha, beta)
 
 
 # -------------------------------------------------------------- square class
