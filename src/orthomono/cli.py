@@ -155,10 +155,10 @@ def _new_doc(inputs: dict, f: IntPoly, g: IntPoly, pair_type: PairType,
     }
 
 
-def _form_fields(doc: dict, pair: HyperPair) -> tuple[QuadSpace,
-                                                       tuple[int, int]]:
-    """Build the route-checked form and its signature once, record them
-    in doc, and hand both back for the rank and witness stages."""
+def _form_fields(doc: dict, pair: HyperPair) -> QuadSpace:
+    """Build the route-checked form once, record it and its signature in
+    doc, and hand it back for the rank and witness stages, which read the
+    signature off its kept diagonal."""
     space = invariant_space(pair)
     sig = signature(space)
     doc["derived"]["det_A"] = pair.det_A
@@ -168,7 +168,7 @@ def _form_fields(doc: dict, pair: HyperPair) -> tuple[QuadSpace,
     doc["signature"] = {"p": sig[0], "q": sig[1],
                         "interlace_abs_diff": _interlace_abs_diff(
                             pair.f, pair.g, sig)}
-    return space, sig
+    return space
 
 
 def build_report(f_text: str, g_text: str,
@@ -176,8 +176,8 @@ def build_report(f_text: str, g_text: str,
                  word_bound: int = DEFAULT_WORD_BOUND) -> dict:
     """Analysis document for one pair given as polynomial text.
 
-    Pair, form, signature, Q-rank certificate and witness context are
-    each built once here and handed down.  Raises PolyParseError or
+    Pair, form, Q-rank certificate and witness context are each built
+    once here and handed down.  Raises PolyParseError or
     PairValidationError for bad input and OracleMismatchError when
     independent routes disagree; the command layer maps those to exit
     codes 2 and 3.
@@ -197,13 +197,13 @@ def build_report(f_text: str, g_text: str,
     doc = _new_doc({"f": f_text, "g": g_text}, f, g, pair_type, shifted)
     if pair_type.kind == ORTHOGONAL:
         pair = build_pair(f, g)
-        space, sig = _form_fields(doc, pair)
+        space = _form_fields(doc, pair)
         t2 = time.perf_counter()
         ctx = WitnessContext(pair, space)
-        cert = q_rank(space, sig, search_bound)
+        cert = q_rank(space, search_bound)
         doc["q_rank"] = _certificate_json(cert)
         doc["witness"] = _witness_json(arithmeticity_report(
-            ctx, sig, cert, search_bound, word_bound))
+            ctx, cert, search_bound, word_bound))
     else:
         # Symplectic pairs carry no symmetric invariant form; report the
         # classification and stop.
@@ -249,15 +249,15 @@ def build_pad_report(f0_text: str, g0_text: str, p_text: str, q_text: str,
             "construction and the base form disagree")
 
     base_space = invariant_space(build_pair(f0, g0))
-    base_cert = q_rank(base_space, signature(base_space), search_bound)
+    base_cert = q_rank(base_space, search_bound)
     seeds = tuple(embed_vector(pp, w) for w in base_cert.isotropic_witnesses)
     t2 = time.perf_counter()
 
     doc = _new_doc({"f0": f0_text, "g0": g0_text, "P": p_text, "Q": q_text,
                     "d": d}, pp.f, pp.g, classify_type(pp.f, pp.g), False)
-    space, sig = _form_fields(doc, pp.pair)
+    space = _form_fields(doc, pp.pair)
     doc["q_rank"] = _certificate_json(
-        q_rank(space, sig, search_bound, seeds=seeds))
+        q_rank(space, search_bound, seeds=seeds))
     t3 = time.perf_counter()
 
     doc["padding"] = {
@@ -487,10 +487,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
                      default=DEFAULT_SEARCH_BOUND,
                      help="coefficient bound for the isotropic vector search, "
                           "at least 1 (default %(default)s)")
-    sub.add_argument("--word-bound", type=_at_least_one,
-                     default=DEFAULT_WORD_BOUND,
-                     help="maximum reflection-word length in the witness "
-                          "hunt, at least 1 (default %(default)s)")
     sub.add_argument("--json", metavar="PATH", default=None,
                      help="also write the report to PATH")
     sub.add_argument("--quiet", action="store_true",
@@ -515,6 +511,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="JSON-lines file of {\"f\": ..., \"g\": ...} "
                               "pairs; per-line failures do not abort")
     _common_flags(analyze)
+    # the witness hunt runs in analyze only
+    analyze.add_argument("--word-bound", type=_at_least_one,
+                         default=DEFAULT_WORD_BOUND,
+                         help="maximum reflection-word length in the witness "
+                              "hunt, at least 1 (default %(default)s)")
     analyze.set_defaults(func=cmd_analyze)
 
     pad = subs.add_parser(

@@ -30,10 +30,10 @@ from . import linalg
 from .monodromy import build_pair
 from .parsing import parse_poly
 from .polynomials import IntPoly, divrem, render
-from .quadform import (DEFAULT_SEARCH_BOUND, cyclic_gram_row,
-                       gram_invariance, invariant_space, q_rank, signature)
+from .quadform import (DEFAULT_SEARCH_BOUND, gram_invariance,
+                       invariant_space, q_rank)
 from .witness import (GroupElement, WitnessContext, _render_reflection,
-                      line_stabilizer_test, reflect)
+                      line_stabilizer_test, reflection_matrix)
 
 ERRATA = {
     "dropped-term": "the stated Av omits the 4x^2 term of g - f; every "
@@ -164,15 +164,15 @@ def _matrix_text(m) -> str:
 
 
 class _Context:
-    """Shared per-entry state: the pair, the cyclic Gram and t-row, and
-    a lazily built witness context that evaluates the reflection words."""
+    """Shared per-entry state: the pair, the cyclic Gram, whose first row
+    is t_k = v . A^k v, and a lazily built witness context that evaluates
+    the reflection words."""
 
     def __init__(self, entry: Entry):
         self.f = parse_poly(entry.f_text)
         self.g = parse_poly(entry.g_text)
         self.pair = build_pair(self.f, self.g)
         self.space = invariant_space(self.pair)
-        self.trow = cyclic_gram_row(self.f, self.g)
 
     @cached_property
     def witness(self) -> WitnessContext:
@@ -215,7 +215,7 @@ def _eval_poly(ctx: _Context, spec: tuple, stated) -> tuple[str, str, bool]:
 
 def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
     if d.kind == "inner":
-        found = ctx.trow[d.spec[0]]
+        found = ctx.space.gram[0][d.spec[0]]
         return DatumResult(d.label, str(d.stated), str(found),
                            found == d.stated, d.erratum)
     if d.kind == "poly":
@@ -249,7 +249,9 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
                            f"pairing {pairing}", pairing == 0, d.erratum)
     if d.kind == "reflection":
         axis, arg = d.spec
-        image = reflect(ctx.space.gram, axis, arg)
+        # every axis is some A^k v, of norm 2, so the reflection is integral
+        image = tuple(linalg.mat_vec(
+            reflection_matrix(ctx.space.gram, axis).matrix, arg))
         return DatumResult(d.label, _combo_text(d.stated),
                            _combo_text(image),
                            image == _fractions(d.stated), d.erratum)
@@ -263,7 +265,7 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
     if d.kind == "unipotent":
         word, eps = d.spec
         u = ctx.word_matrix(word)
-        status = line_stabilizer_test(u, eps, ctx.space.gram)
+        status = line_stabilizer_test(u, eps, ctx.witness)
         nontrivial = not u.is_identity
         found = (f"in_unipotent_radical={status.in_unipotent_radical}, "
                  f"nontrivial={nontrivial}")
@@ -279,7 +281,7 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
         return DatumResult(d.label, _matrix_text(stated),
                            _matrix_text(found), found == stated, d.erratum)
     if d.kind == "witt":
-        cert = q_rank(ctx.space, signature(ctx.space), bound)
+        cert = q_rank(ctx.space, bound)
         found = f"[{cert.lo}, {cert.hi}]"
         if cert.obstructions:
             o = cert.obstructions[0]

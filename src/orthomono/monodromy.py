@@ -73,22 +73,6 @@ def scalar_shift(f: IntPoly) -> IntPoly:
                          for k, c in enumerate(f.coeffs)))
 
 
-def imprimitivity_flag(f: IntPoly, g: IntPoly) -> int | None:
-    """Smallest d > 1 with both f and g in Z[x^d], if any.
-
-    A necessary condition only: absence of a flag does not prove the pair
-    primitive, and reports must say so.
-    """
-    n = f.degree
-    for d in range(2, n + 1):
-        if n % d != 0:
-            continue
-        if all(c == 0 or k % d == 0 for k, c in enumerate(f.coeffs)) and \
-           all(c == 0 or k % d == 0 for k, c in enumerate(g.coeffs)):
-            return d
-    return None
-
-
 @dataclass(frozen=True)
 class HyperPair:
     f: IntPoly

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, build_pair
-from .polynomials import MAX_DEGREE, IntPoly, divrem, gcd
+from .polynomials import MAX_DEGREE, IntPoly, _divrem_coeffs, divrem
 from .quadform import cyclic_gram_row, _toeplitz
 
 DEFAULT_EXPONENT = 6
@@ -24,10 +24,7 @@ DEFAULT_EXPONENT = 6
 class PaddedPair:
     """Plain container; construct through pad_pair for validation.
 
-    embedding is the 5 x n integer matrix whose row k holds the
-    cyclic-basis coordinates of A^k v, i.e. the image of A0^k v0; a base
-    witness in coordinates w lifts to w @ embedding.  pair is the
-    validated HyperPair of the composed (f, g).
+    pair is the validated HyperPair of the composed (f, g).
     """
     f0: IntPoly
     g0: IntPoly
@@ -36,7 +33,6 @@ class PaddedPair:
     d: int
     f: IntPoly
     g: IntPoly
-    embedding: tuple[tuple[int, ...], ...]
     pair: HyperPair
 
     @property
@@ -60,7 +56,11 @@ def pad_pair(f0: IntPoly, g0: IntPoly, P: IntPoly, Q: IntPoly,
         raise PairValidationError("P and Q must have equal degree")
     if P(0) != 1 or Q(0) != 1:
         raise PairValidationError("P and Q must have constant term 1")
-    if gcd(P, Q).degree != 0:
+    # P and Q are coprime iff multiplication by Q is invertible on
+    # Q[y]/(P): its matrix has rows y^j Q mod P, for j < m
+    if not linalg.nonsingular([_divrem_coeffs([0] * j + list(Q.coeffs),
+                                              P.coeffs)[1]
+                               for j in range(P.degree)]):
         raise PairValidationError("P and Q must be coprime")
     if d < 1:
         raise PairValidationError("composition exponent must be >= 1")
@@ -70,11 +70,9 @@ def pad_pair(f0: IntPoly, g0: IntPoly, P: IntPoly, Q: IntPoly,
             f"degree limit {MAX_DEGREE}")
     f = f0 * P.compose_monomial(d)
     g = g0 * Q.compose_monomial(d)
-    n = f.degree
-    embedding = tuple(tuple(int(i == j) for j in range(n)) for i in range(5))
     # build_pair runs the full structural validation of the composed pair
     return PaddedPair(f0=f0, g0=g0, P=P, Q=Q, d=d, f=f, g=g,
-                      embedding=embedding, pair=build_pair(f, g))
+                      pair=build_pair(f, g))
 
 
 def remainder_coeff_check(pp: PaddedPair) -> bool:
@@ -108,9 +106,9 @@ def isometry_check(pp: PaddedPair) -> bool:
 
 
 def embed_vector(pp: PaddedPair, w: tuple[int, ...]) -> tuple[int, ...]:
-    """Lift base cyclic coordinates (length 5) through the embedding."""
+    """Lift base cyclic coordinates (length 5) through the embedding,
+    which sends A0^k v0 to A^k v, the k-th cyclic basis vector: w padded
+    with zeros to length n."""
     if len(w) != 5:
         raise ValueError("base witness must have 5 coordinates")
-    n = pp.f.degree
-    return tuple(sum(w[k] * pp.embedding[k][i] for k in range(5))
-                 for i in range(n))
+    return tuple(w) + (0,) * (pp.f.degree - 5)

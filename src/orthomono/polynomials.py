@@ -192,45 +192,6 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(tuple(int(q) for q in quot))
 
 
-def gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Greatest common divisor over Q, returned as a primitive integer
-    polynomial with positive leading coefficient (monic whenever the monic
-    gcd has integer coefficients, e.g. for products of cyclotomics).
-
-    >>> gcd(IntPoly((-1, 0, 1)), IntPoly((-1, 1)))
-    IntPoly((-1, 1))
-    """
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-
-    def deg(p: list[Fraction]) -> int:
-        return len(p) - 1
-
-    def trim(p: list[Fraction]) -> list[Fraction]:
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    fa, fb = trim(fa), trim(fb)
-    while fb:
-        # fa mod fb over Q
-        while deg(fa) >= deg(fb) and fa:
-            q = fa[-1] / fb[-1]
-            shift = deg(fa) - deg(fb)
-            for j, c in enumerate(fb):
-                fa[shift + j] -= q * c
-            trim(fa)
-        fa, fb = fb, fa
-    if not fa:
-        return IntPoly(())
-    lcm_den = math.lcm(*(c.denominator for c in fa))
-    ints = [c.numerator * (lcm_den // c.denominator) for c in fa]
-    content = math.gcd(*ints)
-    if ints[-1] < 0:
-        content = -content
-    return IntPoly(tuple(c // content for c in ints))
-
-
 def euler_phi(d: int) -> int:
     n, result, p = d, d, 2
     while p * p <= n:

@@ -44,9 +44,13 @@ class SearchBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSpace:
-    dim: int
-    # int entries for the cyclic Gram, Fraction entries for the standard one
+    # int entries for the cyclic Gram, Fraction entries for the standard
+    # one; the dimension and the diagonal are read off it
     gram: tuple[tuple[int | Fraction, ...], ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.gram)
 
     @functools.cached_property
     def diagonal(self) -> tuple[Fraction, ...]:
@@ -122,8 +126,7 @@ def gram_remainder(pair: HyperPair) -> QuadSpace:
     if row[0] != 2:
         raise OracleMismatchError(
             f"v.v must be 2 by normalization, computed {row[0]}")
-    gram = _toeplitz(row, pair.n)
-    return QuadSpace(dim=pair.n, gram=tuple(tuple(r) for r in gram))
+    return QuadSpace(gram=tuple(map(tuple, _toeplitz(row, pair.n))))
 
 
 def gram_invariance(pair: HyperPair) -> QuadSpace:
@@ -131,8 +134,8 @@ def gram_invariance(pair: HyperPair) -> QuadSpace:
     {A^T H A = H, B^T H B = H, H symmetric}, scaled so v.v = 2: the
     Fraction form 2 h / scale of _invariance_solution."""
     h, scale = _invariance_solution(pair)
-    return QuadSpace(dim=pair.n, gram=tuple(tuple(Fraction(2 * x, scale)
-                                                  for x in r) for r in h))
+    return QuadSpace(gram=tuple(tuple(Fraction(2 * x, scale) for x in r)
+                                for r in h))
 
 
 def _invariance_solution(pair: HyperPair) -> tuple[list[list[int]], int]:
@@ -215,32 +218,8 @@ def invariant_space(pair: HyperPair) -> QuadSpace:
     return cyc
 
 
-def _gram_of(space_or_gram) -> list[list]:
-    """The Gram matrix as lists of int entries when every entry is
-    integral (the cyclic Gram always is, and holds ints already), of
-    Fraction entries otherwise.
-
-    This is the one place the number domain is chosen: the searches and
-    the reflection calculus run on whatever it returns without a branch,
-    in int arithmetic on every integral form."""
-    gram = getattr(space_or_gram, "gram", space_or_gram)
-    if all(type(x) is int for row in gram for x in row):
-        return [list(row) for row in gram]
-    rows = [[Fraction(x) for x in row] for row in gram]
-    if all(x.denominator == 1 for row in rows for x in row):
-        return [[int(x) for x in row] for row in rows]
-    return rows
-
-
-def _diagonal_of(space_or_gram) -> tuple[Fraction, ...]:
-    """A QuadSpace's kept diagonal, or the diagonal of a bare Gram."""
-    if isinstance(space_or_gram, QuadSpace):
-        return space_or_gram.diagonal
-    return congruence_diagonal(space_or_gram)
-
-
-def diagonalize(space_or_gram) -> tuple[tuple[Fraction, ...],
-                                        tuple[tuple[Fraction, ...], ...]]:
+def diagonalize(gram: Sequence[Sequence]) -> tuple[
+        tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
     """Congruence diagonalization: returns (diagonal, T) with
     T^T G T = diag.
 
@@ -249,17 +228,17 @@ def diagonalize(space_or_gram) -> tuple[tuple[Fraction, ...],
     some off-diagonal (i,j) is not, apply e_i -> e_i + e_j first.  Zero
     diagonal entries survive only for degenerate inputs.
     """
-    diag, cols = _congruence(space_or_gram, with_t=True)
+    diag, cols = _congruence(gram, with_t=True)
     return diag, tuple(zip(*cols))
 
 
-def congruence_diagonal(space_or_gram) -> tuple[Fraction, ...]:
+def congruence_diagonal(gram: Sequence[Sequence]) -> tuple[Fraction, ...]:
     """The diagonal of diagonalize, from the same elimination with no
     column of T built; every caller in the package needs only this."""
-    return _congruence(space_or_gram, with_t=False)[0]
+    return _congruence(gram, with_t=False)[0]
 
 
-def _congruence(space_or_gram, with_t: bool
+def _congruence(gram: Sequence[Sequence], with_t: bool
                 ) -> tuple[tuple[Fraction, ...], list | None]:
     """(diagonal, the columns of T when with_t, else None) by the pivot
     rule of diagonalize.
@@ -271,7 +250,7 @@ def _congruence(space_or_gram, with_t: bool
     below are exact, so diagonal entry i is pivot i / (d_i * den) and
     column i of T is its int column / d_i.
     """
-    m, den = linalg.clear_denominators(_gram_of(space_or_gram))
+    m, den = linalg.clear_denominators(gram)
     n = len(m)
     cols = linalg.identity(n) if with_t else None  # cols[j]: int column j
     diag: list[Fraction] = []
@@ -330,10 +309,10 @@ def _congruence(space_or_gram, with_t: bool
     return tuple(diag), cols
 
 
-def signature(space_or_gram) -> tuple[int, int]:
-    """(p, q) = counts of positive and negative entries of the congruence
-    diagonal, a QuadSpace's kept one."""
-    diag = _diagonal_of(space_or_gram)
+def signature(space: QuadSpace) -> tuple[int, int]:
+    """(p, q) = counts of positive and negative entries of the space's
+    kept congruence diagonal."""
+    diag = space.diagonal
     if any(d == 0 for d in diag):
         raise ValueError("degenerate form has no signature")
     p = sum(1 for d in diag if d > 0)
@@ -446,10 +425,10 @@ def _box_walk(gram, bound: int, value: int, prefix: tuple[int, ...], q: int,
                              [a + t * b for a, b in zip(g_prefix, row)])
 
 
-def isotropic_search(space_or_gram, bound: int) -> list[tuple[int, ...]]:
+def isotropic_search(gram: Sequence[Sequence], bound: int
+                     ) -> list[tuple[int, ...]]:
     """All primitive isotropic vectors with coefficients in
     [-bound, bound], deduplicated by sign, lexicographic order."""
-    gram = _gram_of(space_or_gram)
     dim = len(gram)
     if (2 * bound + 1) ** dim > SEARCH_CAP:
         raise SearchBudgetError(
@@ -458,7 +437,7 @@ def isotropic_search(space_or_gram, bound: int) -> list[tuple[int, ...]]:
     return list(_box_solutions(gram, bound))
 
 
-def witt_decompose(space_or_gram, bound: int,
+def witt_decompose(space: QuadSpace, bound: int,
                    seeds: Sequence[Sequence[int]] = ()) -> RankCertificate:
     """Greedy hyperbolic-plane splitting.
 
@@ -477,15 +456,15 @@ def witt_decompose(space_or_gram, bound: int,
     projection B row is zero is skipped, and otherwise K = the integer
     kernel of the projection gives B <- K B and R <- K R K^T.
     """
-    gram = _gram_of(space_or_gram)
+    gram = space.gram
     n = len(gram)
     basis, restricted = linalg.identity(n), gram
     witnesses: list[tuple[int, ...]] = []
     constraints: list[tuple[int, ...]] = []
     notes: list[str] = []
     pending = [tuple(int(x) for x in s) for s in seeds]
-    # the first stage's R is G; a QuadSpace keeps its diagonal
-    carried = _diagonal_of(space_or_gram)
+    # the first stage's R is G, whose diagonal the space keeps
+    carried = space.diagonal
 
     while True:
         k = len(basis)
@@ -660,22 +639,22 @@ def find_anisotropy_certificate(diagonal: Sequence[Fraction]
     return None, notes
 
 
-def q_rank(space: QuadSpace, sig: tuple[int, int], bound: int,
+def q_rank(space: QuadSpace, bound: int,
            seeds: Sequence[Sequence[int]] = ()) -> RankCertificate:
-    """Q-rank interval [lo, hi] of the form with signature sig, with
-    witnesses and obstructions attached.
+    """Q-rank interval [lo, hi] of the form, with witnesses and
+    obstructions attached.
 
     lo comes from greedy plane splitting, hi from the residual signature;
     hi is tightened to lo when an anisotropy certificate closes the
     residual, and for a real-isotropic residual in >= 5 variables the
     search bound is doubled (a rational witness is guaranteed to exist)
     until found or the enumeration cap intervenes.  hi is cross-checked
-    against min(p, q).  A bound below 1 is a ValueError: the doubling
-    would never leave it.
+    against min(p, q) of signature(space).  A bound below 1 is a
+    ValueError: the doubling would never leave it.
     """
     if bound < 1:
         raise ValueError(f"search bound must be at least 1, got {bound}")
-    p, q = sig
+    p, q = signature(space)
     current_bound = bound
     while True:
         cert = witt_decompose(space, current_bound, seeds=seeds)
@@ -710,7 +689,7 @@ def q_rank(space: QuadSpace, sig: tuple[int, int], bound: int,
 
 
 def _check_certificate(space: QuadSpace, cert: RankCertificate) -> None:
-    gram = _gram_of(space)
+    gram = space.gram
     ws = cert.isotropic_witnesses
     for w in ws:
         if linalg.vec_dot(w, gram, w) != 0:

@@ -11,9 +11,10 @@ Each group element carries both its matrix and the word over
 {A, A^-1, B, B^-1, C, C[coords]} that produced it, and the two are
 cross-checked at construction, so every certificate is replayable.
 
-arithmeticity_report runs the witness hunt alone: the pair, form,
-signature and Q-rank certificate it needs are built by the caller and
-passed in.
+arithmeticity_report runs the witness hunt alone: the caller builds the
+pair and form once, into the WitnessContext that the hunt's functions
+take, and the Q-rank certificate; the signature is read off the form's
+kept diagonal.  reflection_matrix and orthocomplement take Gram rows.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
 from .quadform import (DEFAULT_SEARCH_BOUND, SEARCH_CAP, OracleMismatchError,
                        QuadSpace, RankCertificate, _box_solutions, _canonical,
-                       _gram_of)
+                       signature)
 
 WITNESSED = "witnessed-arithmetic"
 INCONCLUSIVE = "inconclusive"
@@ -114,7 +115,7 @@ class WitnessContext:
         self.pair = pair
         self.n = pair.n
         self.space = space
-        self.gram = _gram_of(self.space)
+        self.gram = space.gram
         # multiplication by x has the same matrix in the cyclic basis
         self.A = pair.A
         self.A_inv = pair.A_inv
@@ -228,25 +229,14 @@ class WitnessContext:
         return minus, plus
 
 
-def reflect(H, w: Sequence[int], x: Sequence):
-    """x - (2 (x.w) / (w.w)) w; requires w anisotropic."""
-    gram = _gram_of(H)
-    ww = linalg.vec_dot(w, gram, w)
-    if ww == 0:
-        raise ValueError("cannot reflect about an isotropic vector")
-    xw = linalg.vec_dot(x, gram, w)
-    factor = 2 * Fraction(xw) / ww
-    return tuple(Fraction(a) - factor * b for a, b in zip(x, w))
+def reflection_matrix(gram: Sequence[Sequence], w: Sequence[int]
+                      ) -> GroupElement:
+    """GroupElement of the reflection x -> x - (2 (x.w) / (w.w)) w about
+    w; the matrix must come out integral to participate in group
+    computations.
 
-
-def reflection_matrix(H, w: Sequence[int]) -> GroupElement:
-    """GroupElement of the reflection about w; the matrix must come out
-    integral to participate in group computations.
-
-    Column j is reflect(H, w, e_j) = e_j - (2 (Gw)_j / w.w) w, built
-    entry by entry with an exact-divisibility test in place of a
-    division."""
-    gram = _gram_of(H)
+    Column j is the image of e_j, e_j - (2 (Gw)_j / w.w) w, built entry
+    by entry with an exact-divisibility test in place of a division."""
     n = len(gram)
     gw = linalg.mat_vec(gram, w)
     ww = sum(a * b for a, b in zip(w, gw))
@@ -268,7 +258,7 @@ def reflection_matrix(H, w: Sequence[int]) -> GroupElement:
     return GroupElement(word=(word,), matrix=matrix)
 
 
-def orthocomplement(H, eps: Sequence[int]
+def orthocomplement(gram: Sequence[Sequence], eps: Sequence[int]
                     ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """(basis of eps-perp containing eps, quotient representatives).
 
@@ -276,7 +266,6 @@ def orthocomplement(H, eps: Sequence[int]
     vector; the remaining n-2 vectors represent eps-perp modulo the line
     through eps.  Deterministic.
     """
-    gram = _gram_of(H)
     n = len(gram)
     eps = tuple(int(x) for x in eps)
     if all(x == 0 for x in eps):
@@ -305,14 +294,6 @@ def orthocomplement(H, eps: Sequence[int]
     if basis[0] != eps:
         raise AssertionError("perp basis must start with eps")
     return basis, basis[1:]
-
-
-def _perp_of(H, eps: tuple[int, ...]):
-    """orthocomplement(H, eps), through the cache of H when H is a
-    WitnessContext."""
-    if isinstance(H, WitnessContext):
-        return H.perp(eps)
-    return orthocomplement(H, eps)
 
 
 def _parallel_factor(d: Sequence[int], eps: Sequence[int]) -> int | None:
@@ -344,17 +325,17 @@ def _radical_factors(matrix, eps: tuple[int, ...],
     return factors
 
 
-def line_stabilizer_test(g: GroupElement, eps: Sequence[int], H
-                         ) -> LineStabilizer:
+def line_stabilizer_test(g: GroupElement, eps: Sequence[int],
+                         ctx: WitnessContext) -> LineStabilizer:
     """How g interacts with the isotropic line through eps: preserves it,
     fixes eps itself, and acts trivially on both the line and
-    eps-perp/line (the unipotent-radical condition).  H is the form, or a
-    WitnessContext, whose perp basis of eps is then reused."""
+    eps-perp/line (the unipotent-radical condition).  The perp basis of
+    eps comes from ctx's cache."""
     eps = tuple(int(x) for x in eps)
     lam = _parallel_factor(linalg.mat_vec(g.matrix, eps), eps)
     fixes_vector = lam == 1
     radical = fixes_vector and _radical_factors(
-        g.matrix, eps, _perp_of(H, eps)[1]) is not None
+        g.matrix, eps, ctx.perp(eps)[1]) is not None
     return LineStabilizer(fixes_line=lam is not None,
                           fixes_vector=fixes_vector,
                           in_unipotent_radical=radical)
@@ -451,7 +432,7 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
 
 
 def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
-                      eps: Sequence[int], H) -> int:
+                      eps: Sequence[int], ctx: WitnessContext) -> int:
     """Rank over Q of the translation vectors of the conjugates of u by
     products (length <= 3) of the given reflections.
 
@@ -468,13 +449,12 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     Stops early when the rank reaches n - 2, the dimension of the full
     translation group, when SPAN_BUDGET conjugates are spent, or after a
     whole product layer adds no rank.  Every reflection must map eps to a
-    multiple of itself and be its own inverse.  H is the form, or a
-    WitnessContext, whose perp basis of eps is then reused.
+    multiple of itself and be its own inverse.  The perp basis of eps
+    comes from ctx's cache.
     """
-    gram = _gram_of(H)
-    n = len(gram)
+    gram, n = ctx.gram, ctx.n
     eps = tuple(int(x) for x in eps)
-    _, quotient = _perp_of(H, eps)
+    _, quotient = ctx.perp(eps)
     factors = _radical_factors(u.matrix, eps, quotient)
     if factors is None:
         raise ValueError("u is not in the unipotent radical")
@@ -597,11 +577,10 @@ def orbit_candidates(ctx: WitnessContext, search_bound: int,
     return sorted(found)
 
 
-def arithmeticity_report(ctx: WitnessContext, sig: tuple[int, int],
-                         cert: RankCertificate, search_bound: int,
-                         word_bound: int) -> WitnessReport:
-    """The unipotent witness hunt for an orthogonal pair whose form has
-    signature sig and Q-rank certificate cert.
+def arithmeticity_report(ctx: WitnessContext, cert: RankCertificate,
+                         search_bound: int, word_bound: int) -> WitnessReport:
+    """The unipotent witness hunt for an orthogonal pair whose form,
+    ctx.space, has Q-rank certificate cert.
 
     witnessed-arithmetic requires all of: real rank >= 2, a verified
     nontrivial unipotent fixing an isotropic line, and reflection
@@ -609,7 +588,7 @@ def arithmeticity_report(ctx: WitnessContext, sig: tuple[int, int],
     Anything less is reported as inconclusive, with whatever partial
     evidence was found embedded in the report.
     """
-    p, q = sig
+    p, q = signature(ctx.space)
     n = ctx.n
     epsilon = None
     unipotent = None

@@ -1,12 +1,18 @@
-"""Shared fixtures: the reference quintic pair and a reproducible batch
-of random coprime cyclotomic pairs for property checks."""
+"""Shared fixtures: the reference quintic pair, a reproducible batch
+of random coprime cyclotomic pairs for property checks, and the
+Fraction references that the int code is checked against: the
+polynomial gcd over Q for the coprimality certificates, and the
+reflection formula for reflection_matrix."""
 from __future__ import annotations
 
 import json
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from orthomono import linalg
 from orthomono.monodromy import HyperPair, build_pair
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import IntPoly, ONE, cyclotomic, euler_phi
@@ -21,6 +27,52 @@ def strict_json(text: str):
     def refuse(name):
         raise ValueError(f"{name} is not strict JSON")
     return json.loads(text, parse_constant=refuse)
+
+
+def gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Reference: greatest common divisor over Q, returned as a primitive
+    integer polynomial with positive leading coefficient (monic whenever
+    the monic gcd has integer coefficients, e.g. for products of
+    cyclotomics), by the Euclidean algorithm on Fraction coefficients."""
+    fa = [Fraction(c) for c in a.coeffs]
+    fb = [Fraction(c) for c in b.coeffs]
+
+    def deg(p: list[Fraction]) -> int:
+        return len(p) - 1
+
+    def trim(p: list[Fraction]) -> list[Fraction]:
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    fa, fb = trim(fa), trim(fb)
+    while fb:
+        # fa mod fb over Q
+        while deg(fa) >= deg(fb) and fa:
+            q = fa[-1] / fb[-1]
+            shift = deg(fa) - deg(fb)
+            for j, c in enumerate(fb):
+                fa[shift + j] -= q * c
+            trim(fa)
+        fa, fb = fb, fa
+    if not fa:
+        return IntPoly(())
+    lcm_den = math.lcm(*(c.denominator for c in fa))
+    ints = [c.numerator * (lcm_den // c.denominator) for c in fa]
+    content = math.gcd(*ints)
+    if ints[-1] < 0:
+        content = -content
+    return IntPoly(tuple(c // content for c in ints))
+
+
+def reflect(gram, w, x) -> tuple[Fraction, ...]:
+    """Reference: the reflection x - (2 (x.w) / (w.w)) w about the
+    anisotropic w, in Fractions."""
+    ww = linalg.vec_dot(w, gram, w)
+    if ww == 0:
+        raise ValueError("cannot reflect about an isotropic vector")
+    factor = 2 * Fraction(linalg.vec_dot(x, gram, w)) / ww
+    return tuple(Fraction(a) - factor * b for a, b in zip(x, w))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from orthomono.padding import (embed_vector, isometry_check, pad_pair,
                                remainder_coeff_check)
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import cyclo_factor, root_parameters
-from orthomono.quadform import (cyclic_gram_row, gram_invariance,
+from orthomono.quadform import (QuadSpace, cyclic_gram_row, gram_invariance,
                                 invariant_space, isotropic_search, q_rank,
                                 signature, signature_interlace)
 from orthomono.witness import (WitnessContext, line_stabilizer_test,
@@ -27,8 +27,7 @@ def P(text):
 
 
 def rank_certificate(pair):
-    space = invariant_space(pair)
-    return q_rank(space, signature(space), 3)
+    return q_rank(invariant_space(pair), 3)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +85,7 @@ def test_c3_rank_certificates(base):
 def test_c4_interlacing_matches_diagonalization_everywhere():
     for entry in ENTRIES:
         pair = build_pair(P(entry.f_text), P(entry.g_text))
-        p, q = signature(invariant_space(pair).gram)
+        p, q = signature(invariant_space(pair))
         alpha = root_parameters(cyclo_factor(pair.f))
         beta = root_parameters(cyclo_factor(pair.g))
         assert signature_interlace(alpha, beta) == abs(p - q) == 1
@@ -105,12 +104,12 @@ def test_c5_unipotent_stabilizer_and_translation_span(base, base_gram):
     ca2v = reflection_matrix(base_gram, e2)
     u = ctx.verified(ca2v.word + cv.word,
                      linalg.mat_mul(ca2v.matrix, cv.matrix))
-    st = line_stabilizer_test(u, eps, base_gram)
+    st = line_stabilizer_test(u, eps, ctx)
     assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
         == (True, True, True)
     assert tuple(linalg.mat_vec(u.matrix, e0)) == (-1, 0, 2, 0, 0)
     reflections = [reflection_matrix(base_gram, w) for w in (e0, e1, vprime)]
-    assert span_rank_witness(u, reflections, eps, base_gram) == 3
+    assert span_rank_witness(u, reflections, eps, ctx) == 3
 
 
 def test_c6_padded_families_embed_and_keep_rank():
@@ -124,7 +123,7 @@ def test_c6_padded_families_embed_and_keep_rank():
         assert isometry_check(pp)
         space = invariant_space(pp.pair)
         seeds = [embed_vector(pp, w) for w in base_cert.isotropic_witnesses]
-        cert = q_rank(space, signature(space), 3, seeds=seeds)
+        cert = q_rank(space, 3, seeds=seeds)
         assert cert.lo >= 2
 
 
@@ -165,7 +164,8 @@ def test_c8_random_pair_battery(cyclotomic_pairs):
         G = grams[rng.randrange(len(grams))]
         t = random_unimodular(rng, len(G))
         moved = linalg.mat_mul(linalg.transpose(t), linalg.mat_mul(G, t))
-        assert signature(moved) == signature(G)
+        assert signature(QuadSpace(tuple(map(tuple, moved)))) \
+            == signature(QuadSpace(G))
 
 
 def test_c9_edge_cases(capsys):
@@ -181,7 +181,7 @@ def test_c9_edge_cases(capsys):
 
     tiny = build_pair(P("x-1"), P("x+1"))
     space = invariant_space(tiny)
-    p, q = signature(space.gram)
+    p, q = signature(space)
     assert abs(p - q) == 1
     assert isotropic_search(space.gram, 3) == []
     capsys.readouterr()

@@ -164,14 +164,24 @@ def test_search_bound_below_one_exits_2(capsys, command, bound):
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
 @pytest.mark.parametrize("command", [
-    ["analyze", "--f", BASE_F, "--g", BASE_G],
-    ["pad", "--f0", BASE_F, "--g0", BASE_G, "--P", "y^2+y+1", "--Q", "y^2+1"],
-    ["examples"]], ids=["analyze", "pad", "examples"])
+    ["analyze", "--f", BASE_F, "--g", BASE_G]], ids=["analyze"])
 def test_word_bound_below_one_exits_2(capsys, command, bound):
     with pytest.raises(SystemExit) as exc:
         cli.main(command + [f"--word-bound={bound}"])
     assert exc.value.code == 2
     assert "--word-bound: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["pad", "--f0", BASE_F, "--g0", BASE_G, "--P", "y^2+y+1", "--Q", "y^2+1"],
+    ["examples"]], ids=["pad", "examples"])
+def test_word_bound_is_analyze_only(capsys, command):
+    # neither command runs a witness hunt, so neither takes the flag
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--word-bound=8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --word-bound=8" \
+        in capsys.readouterr().err
 
 
 def test_oracle_failure_exits_3(capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """Source hygiene: no module in the package imports a name it never
 uses, every public function has a caller in the package or is
-exported, and every function the benchmark's tracer looks up by name
-exists.  The package's __init__.py is exempt from the first check,
+exported, every exemption from that still names a defined function
+with no caller, and every function the benchmark's tracer looks up by
+name exists.  The package's __init__.py is exempt from the first check,
 since its imports are the public re-exports, and so is `from __future__`."""
 import ast
 import importlib
@@ -47,8 +48,6 @@ UNCALLED_KEPT = {
                         "tests use it as the reference box search",
     "parse_report": "the reader of the canonical report text that "
                     "serialize_report writes",
-    "imprimitivity_flag": "tested in test_monodromy; no report carries "
-                          "the flag yet",
     "rank": "perfbench/tracer.py counts linalg.rank by name and its "
             "install fails on a missing one; the tests use it",
 }
@@ -84,6 +83,41 @@ def test_every_public_function_has_a_caller_or_is_exported():
     sources = {p.name: p.read_text() for p in MODULES}
     exported = set(orthomono.__all__) | set(UNCALLED_KEPT)
     assert _uncalled_functions(sources, exported) == []
+
+
+def _defined_and_called(sources: dict[str, str]) -> tuple[set, set]:
+    """The module-level public functions of the given sources, and the
+    names they call, as f(...) or x.f(...)."""
+    defined, called = set(), set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        defined.update(node.name for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    called.add(func.id)
+                elif isinstance(func, ast.Attribute):
+                    called.add(func.attr)
+    return defined, called
+
+
+def test_finds_defined_and_called_functions():
+    sources = {"a.py": "def f(rank):\n    return g(rank)\n\n"
+                       "def g(x):\n    return m.h(x)\n",
+               "b.py": "def rank():\n    pass\n\ndef _k():\n    f\n"}
+    assert _defined_and_called(sources) == ({"f", "g", "rank"}, {"g", "h"})
+
+
+def test_every_uncalled_kept_name_is_defined_and_still_uncalled():
+    # an exemption whose function is gone, or has gained a caller in the
+    # package, is stale and goes from UNCALLED_KEPT
+    defined, called = _defined_and_called(
+        {p.name: p.read_text() for p in MODULES})
+    assert sorted(name for name in UNCALLED_KEPT
+                  if name not in defined or name in called) == []
 
 
 # the benchmark's tracer rebinds these (module, attribute) names of the

@@ -7,9 +7,11 @@ import pytest
 from orthomono import corpus, linalg
 from orthomono.monodromy import (ORTHOGONAL, SYMPLECTIC, PairValidationError,
                                  build_pair, classify_type, companion,
-                                 imprimitivity_flag, scalar_shift)
+                                 scalar_shift)
 from orthomono.parsing import parse_poly
-from orthomono.polynomials import IntPoly, cyclotomic, euler_phi, gcd
+from orthomono.polynomials import IntPoly, cyclotomic, euler_phi
+
+from conftest import gcd
 
 
 def P(text: str) -> IntPoly:
@@ -199,6 +201,23 @@ def test_scalar_shift():
     assert scalar_shift(f).is_monic
     with pytest.raises(PairValidationError):
         scalar_shift(P("2x-1"))
+
+
+def imprimitivity_flag(f: IntPoly, g: IntPoly) -> int | None:
+    """Smallest d > 1 with both f and g in Z[x^d], if any.
+
+    A necessary condition only: absence of a flag does not prove the pair
+    primitive.  No report carries it; x^2-1, x^2+1 has flag 2 and still
+    gets a plain exit-0 analysis.
+    """
+    n = f.degree
+    for d in range(2, n + 1):
+        if n % d != 0:
+            continue
+        if all(c == 0 or k % d == 0 for k, c in enumerate(f.coeffs)) and \
+           all(c == 0 or k % d == 0 for k, c in enumerate(g.coeffs)):
+            return d
+    return None
 
 
 def test_imprimitivity_flag():

@@ -1,5 +1,7 @@
 """Degree padding: hypothesis validation, the two embedding checks, and
 witness lifting into the padded form."""
+import random
+
 import pytest
 
 from orthomono import linalg
@@ -7,7 +9,10 @@ from orthomono.monodromy import PairValidationError, build_pair
 from orthomono.padding import (DEFAULT_EXPONENT, PaddedPair, embed_vector,
                                isometry_check, pad_pair, remainder_coeff_check)
 from orthomono.parsing import parse_poly
+from orthomono.polynomials import IntPoly, cyclotomic, euler_phi
 from orthomono.quadform import invariant_space, q_rank, signature
+
+from conftest import gcd
 
 F0 = parse_poly("x^5-1")
 G0 = parse_poly("(x+1)*(x^2+1)^2")
@@ -29,14 +34,14 @@ def test_listed_families(family):
 
 
 def test_padded_rank_bound_inherits(base_space):
-    base_cert = q_rank(base_space, signature(base_space), 3)
+    base_cert = q_rank(base_space, 3)
     assert base_cert.lo == 2
     pp = pad_pair(F0, G0, FAMILY_P[1], FAMILY_Q)
     space = invariant_space(pp.pair)
     seeds = [embed_vector(pp, w) for w in base_cert.isotropic_witnesses]
     for seed in seeds:
         assert linalg.vec_dot(seed, space.gram, seed) == 0
-    cert = q_rank(space, signature(space), 3, seeds=seeds)
+    cert = q_rank(space, 3, seeds=seeds)
     assert cert.lo >= 2
     assert cert.hi >= cert.lo
     assert cert.notes  # at this size the search runs into its budget
@@ -45,10 +50,12 @@ def test_padded_rank_bound_inherits(base_space):
 def test_embedding_is_isometric_on_grams(base_space):
     pp = pad_pair(F0, G0, FAMILY_P[2], FAMILY_Q)
     space = invariant_space(pp.pair)
+    images = [embed_vector(pp, tuple(int(i == k) for i in range(5)))
+              for k in range(5)]
     for i in range(5):
         for j in range(5):
-            assert linalg.vec_dot(pp.embedding[i], space.gram,
-                                  pp.embedding[j]) == base_space.gram[i][j]
+            assert linalg.vec_dot(images[i], space.gram,
+                                  images[j]) == base_space.gram[i][j]
 
 
 def test_embed_vector():
@@ -100,11 +107,50 @@ def test_pad_pair_rejects(f0, g0, P, Q, d, fragment):
                  parse_poly(P, var="y"), parse_poly(Q, var="y"), d)
 
 
+def _monic_with_constant_one(rng: random.Random, m: int) -> IntPoly:
+    if m == 0:
+        return IntPoly((1,))
+    return IntPoly(tuple([1] + [rng.randint(-3, 3) for _ in range(m - 1)]
+                         + [1]))
+
+
+def test_pad_coprimality_certificate_agrees_with_gcd():
+    # pad's P, Q check is det(multiplication by Q on Q[y]/(P)) != 0; gcd
+    # is the reference, on P = Q = 1 and random monic (P, Q) with
+    # constant term 1, about half of which share a cyclotomic factor
+    rng = random.Random(20261018)
+    one = IntPoly((1,))
+    cases = [(one, one)]
+    for _ in range(300):
+        m = rng.randint(0, 6)
+        if m >= 1 and rng.random() < 0.5:
+            phi = cyclotomic(rng.choice(
+                [d for d in range(2, 31) if euler_phi(d) <= m]))
+            k = m - phi.degree
+            cases.append((phi * _monic_with_constant_one(rng, k),
+                          phi * _monic_with_constant_one(rng, k)))
+        else:
+            cases.append((_monic_with_constant_one(rng, m),
+                          _monic_with_constant_one(rng, m)))
+    shared = 0
+    for P, Q in cases:
+        coprime = gcd(P, Q).degree == 0
+        shared += not coprime
+        try:
+            pad_pair(F0, G0, P, Q, 1)
+        except PairValidationError as exc:
+            assert ("P and Q must be coprime" in str(exc)) is not coprime, \
+                (P, Q, exc)
+        else:
+            assert coprime, (P, Q)
+    assert 100 <= shared < len(cases)
+
+
 def test_checks_catch_a_broken_pad():
     good = pad_pair(F0, G0, FAMILY_P[1], FAMILY_Q)
     bad = PaddedPair(f0=F0, g0=G0, P=FAMILY_P[1], Q=FAMILY_Q, d=6,
                      f=good.f, g=G0 * parse_poly("x^12+x^11+1"),
-                     embedding=good.embedding, pair=good.pair)
+                     pair=good.pair)
     assert not remainder_coeff_check(bad)
     assert not isometry_check(bad)
 

