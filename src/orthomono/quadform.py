@@ -359,7 +359,11 @@ def _box_solutions(gram: Sequence[Sequence], bound: int, value=0
     Depth first over the coordinates, carrying the form's value on the
     prefix and G times the prefix, so a node costs O(dim).  The frame of
     the second-to-last coordinate loops over it inline and solves for the
-    last one as an integer quadratic, so no frame is opened per leaf."""
+    last one as an integer quadratic, so no frame is opened per leaf.
+    Only prefixes that a canonical tuple can extend are walked: the zero
+    prefix and those whose first nonzero entry is positive, so below a
+    zero prefix the next coordinate runs over 0..bound.  On dim >= 1 that
+    is ((2 bound + 1)^(dim-1) + 1) / 2 quadratic solves."""
     if not gram:
         return
     # on den * G the values are ints, and den * value must be one too
@@ -405,7 +409,8 @@ def _box_walk(gram, bound: int, value: int, prefix: tuple[int, ...], q: int,
                 yield prefix + (s,)
         return
     lin, diag = 2 * g_prefix[k], gram[k][k]
-    span = range(-bound, bound + 1)
+    # below a negative lead no tuple is canonical
+    span = range(-bound if any(prefix) else 0, bound + 1)
     if k == last - 1:
         lin_last, diag_last = 2 * g_prefix[last], gram[last][last]
         cross = 2 * gram[k][last]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -191,22 +192,27 @@ class WitnessContext:
         1 to word_bound, walked on the images g(v) themselves.
 
         The word t1...tk sends v to T1(T2(...Tk(v))), so prepending a
-        token to a word is one matrix-vector product on its image.  Level
-        k+1 takes each new image from the least (token, parent) pair that
-        reaches it, tokens ordered A, A^-1, C and parents in level-k
-        order; every image thus carries its shortest-lexicographic word,
-        and images are indexed in the order of those words.  v itself is
-        never recorded.
+        token to a word is one matrix-vector product on its image, taken
+        through the token's nonzero entries: A and A^-1 are companion
+        matrices with at most two per row, and C differs from I only in
+        row 0.  Level k+1 takes each new image from the least
+        (token, parent) pair that reaches it, tokens ordered A, A^-1, C
+        and parents in level-k order; every image thus carries its
+        shortest-lexicographic word, and images are indexed in the order
+        of those words.  v itself is never recorded.
 
         Returns (minus, plus): maps from g(v) - v resp. g(v) + v to
-        (discovery index, word, g(v)).
+        (discovery index, word, g(v)).  v is the first unit vector, so
+        both keys are g(v) with entry 0 moved by 1.
         """
         if word_bound < 1:
             raise ValueError(f"word bound must be at least 1, got {word_bound}")
         if word_bound in self._orbits:
             return self._orbits[word_bound]
         v = self.v
-        tokens = [(t, self.generators[t]) for t in ("A", "A^-1", "C")]
+        tokens = [(t, [[(j, a) for j, a in enumerate(row) if a]
+                       for row in self.generators[t]])
+                  for t in ("A", "A^-1", "C")]
         minus: dict = {}
         plus: dict = {}
         seen = {v}
@@ -214,16 +220,23 @@ class WitnessContext:
         for _ in range(word_bound):
             # token-major, so the first pair to reach an image is the least
             grown: dict = {}
-            for token, m in tokens:
+            for token, rows in tokens:
                 for y, word in level:
-                    x = tuple(linalg.mat_vec(m, y))
+                    image = []
+                    for row in rows:
+                        acc = 0
+                        for j, a in row:
+                            acc += a * y[j]
+                        image.append(acc)
+                    x = tuple(image)
                     if x not in seen and x not in grown:
                         grown[x] = (token,) + word
             seen.update(grown)
             for x, word in grown.items():
                 entry = (len(minus), word, x)
-                minus[tuple(a - b for a, b in zip(x, v))] = entry
-                plus[tuple(a + b for a, b in zip(x, v))] = entry
+                head, tail = x[0], x[1:]
+                minus[(head - 1,) + tail] = entry
+                plus[(head + 1,) + tail] = entry
             level = list(grown.items())
         self._orbits[word_bound] = (minus, plus)
         return minus, plus
@@ -449,8 +462,11 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     Stops early when the rank reaches n - 2, the dimension of the full
     translation group, when SPAN_BUDGET conjugates are spent, or after a
     whole product layer adds no rank.  Every reflection must map eps to a
-    multiple of itself and be its own inverse.  The perp basis of eps
-    comes from ctx's cache.
+    multiple of itself, be its own inverse, and be the reflection about
+    the axis w of its one C[w] token, r = I - w (2 G w / w.w)^T; so a
+    product is extended by one reflection as the rank-one update
+    prev r = prev - (prev w) (2 G w / w.w)^T, in O(n^2) int steps with an
+    exact-division check.  The perp basis of eps comes from ctx's cache.
     """
     gram, n = ctx.gram, ctx.n
     eps = tuple(int(x) for x in eps)
@@ -460,6 +476,7 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
         raise ValueError("u is not in the unipotent radical")
     identity = int_matrix(linalg.identity(n))
     signs = []
+    axes = []
     for r in reflections:
         sign = _parallel_factor(linalg.mat_vec(r.matrix, eps), eps)
         if sign is None:
@@ -467,6 +484,7 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
         if int_matrix(linalg.mat_mul(r.matrix, r.matrix)) != identity:
             raise ValueError("every reflection must be an involution")
         signs.append(sign)
+        axes.append(_reflection_axis(r, gram))
 
     echelon: list[tuple[int, list[int]]] = []
     rank = int(_echelon_insert(echelon, factors))
@@ -485,8 +503,15 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
         grown = []
         progressed = False
         for prev, prev_sign, prev_word in layer:
-            for i, r in enumerate(reflections):
-                m = int_matrix(linalg.mat_mul(prev, r.matrix))
+            for i, (w, h, d) in enumerate(axes):
+                m = []
+                for row in prev:
+                    shift, rest = divmod(sum(map(operator.mul, row, w)), d)
+                    if rest:
+                        raise ValueError(f"product with the reflection "
+                                         f"about {w} is not integral")
+                    m.append(tuple([x - shift * y for x, y in zip(row, h)]))
+                m = tuple(m)
                 if m in seen:
                     continue
                 seen.add(m)
@@ -508,6 +533,33 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
             break
         layer = grown
     return rank
+
+
+def _reflection_axis(r: GroupElement, gram
+                     ) -> tuple[tuple[int, ...], list[int], int]:
+    """(w, h, d) for the axis w of r's one C[w] token, with
+    2 G w / w.w = h / d in lowest terms, gcd(d, h) = 1; raises
+    ValueError unless r.matrix is the reflection I - w h^T / d.
+
+    As gcd(d, h) = 1, d divides every entry of c h^T for an int c iff it
+    divides c, so one exact division per row builds a product with r."""
+    if len(r.word) != 1 or not r.word[0].startswith("C["):
+        raise ValueError("every reflection must be one C[w] token")
+    w = _parse_reflection(r.word[0])
+    if len(w) != len(gram):
+        raise ValueError(f"reflection axis {w} has the wrong dimension")
+    gw = linalg.mat_vec(gram, w)
+    ww = sum(a * b for a, b in zip(w, gw))
+    if ww == 0:
+        raise ValueError("cannot reflect about an isotropic vector")
+    g = math.gcd(ww, *(2 * x for x in gw))
+    h, d = [2 * x // g for x in gw], ww // g
+    # entry (i, j) of r - I must be -w_i h_j / d
+    if any(d * (x - (i == j)) != -a * b
+           for i, (row, a) in enumerate(zip(r.matrix, w))
+           for j, (x, b) in enumerate(zip(row, h))):
+        raise ValueError(f"matrix is not the reflection about its axis {w}")
+    return w, h, d
 
 
 def _check_conjugate(u: GroupElement, m, product: Sequence[GroupElement],

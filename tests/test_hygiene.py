@@ -53,6 +53,34 @@ UNCALLED_KEPT = {
 }
 
 
+def _local_names(func) -> set[str]:
+    """The names a function binds itself: its parameters, and the targets
+    it assigns, loops over or deletes, nested scopes included."""
+    args = func.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    names.update(node.id for node in ast.walk(func)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, (ast.Store, ast.Del)))
+    return names
+
+
+def _used_names(node, local=frozenset()) -> set[str]:
+    """The names node reads, as a name or an attribute, leaving out a name
+    read inside a function that binds it: that is a local variable, not a
+    use of the module-level function of the same name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        local = local | _local_names(node)
+    used = set()
+    if isinstance(node, ast.Name) and node.id not in local:
+        used.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        used.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        used |= _used_names(child, local)
+    return used
+
+
 def _uncalled_functions(sources: dict[str, str], exported) -> list[str]:
     """Module-level public functions of the given sources whose name no
     source uses, as a name or an attribute, and that are not exported."""
@@ -63,11 +91,7 @@ def _uncalled_functions(sources: dict[str, str], exported) -> list[str]:
             if isinstance(node, ast.FunctionDef) and \
                     not node.name.startswith("_"):
                 defined[node.name] = name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used |= _used_names(tree)
     return sorted(f"{module}: {fn}" for fn, module in defined.items()
                   if fn not in used and fn not in exported)
 
@@ -77,6 +101,12 @@ def test_finds_an_uncalled_function():
                "b.py": "def h():\n    pass\n\ndef _k():\n    pass\n"}
     assert _uncalled_functions(sources, ()) == ["a.py: f", "b.py: h"]
     assert _uncalled_functions(sources, ("f",)) == ["b.py: h"]
+    # a local variable or parameter of the same name is no use of it
+    sources = {"a.py": "def rank():\n    pass\n\ndef f(x, h):\n"
+                       "    rank = x\n    return rank + h\n\n"
+                       "def h():\n    pass\n",
+               "b.py": "from a import f\nf(1, 2)\n"}
+    assert _uncalled_functions(sources, ()) == ["a.py: h", "a.py: rank"]
 
 
 def test_every_public_function_has_a_caller_or_is_exported():

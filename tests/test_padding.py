@@ -56,6 +56,15 @@ def test_embedding_is_isometric_on_grams(base_space):
         for j in range(5):
             assert linalg.vec_dot(images[i], space.gram,
                                   images[j]) == base_space.gram[i][j]
+    # the padded Gram is Toeplitz, so any five consecutive cyclic basis
+    # vectors have the base Gram; in cyclic coordinates the embedding must
+    # also send v0 to v and commute with the generators, A0 w -> A w
+    n = pp.f.degree
+    assert images[0] == tuple(int(i == 0) for i in range(n))
+    a0 = build_pair(F0, G0).A
+    for k in range(4):
+        assert embed_vector(pp, tuple(a0[i][k] for i in range(5))) \
+            == tuple(linalg.mat_vec(pp.pair.A, images[k]))
 
 
 def test_embed_vector():

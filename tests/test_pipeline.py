@@ -208,6 +208,42 @@ def test_analyze_builds_one_perp_basis_per_eps(hunt_calls, entry):
         == hunt_calls["span_rank_witness"] >= 1
 
 
+# span_rank_witness extends a product by one reflection as a rank-one
+# update of its int rows, so it multiplies matrices only to check: once
+# per reflection for the involution check, and k + 1 times for the matrix
+# route of each rank-raising conjugate by k reflections
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
+    spans, inside = [], []
+    original_span = witness.span_rank_witness
+    original_check = witness._check_conjugate
+    original_mul = linalg.mat_mul
+
+    def span(u, reflections, eps, ctx):
+        spans.append({"mat_mul": 0, "checks": len(reflections)})
+        inside.append(spans[-1])
+        try:
+            return original_span(u, reflections, eps, ctx)
+        finally:
+            inside.pop()
+
+    def check(u, m, product, *args):
+        inside[-1]["checks"] += len(product) + 1
+        return original_check(u, m, product, *args)
+
+    def mat_mul(a, b):
+        if inside:
+            inside[-1]["mat_mul"] += 1
+        return original_mul(a, b)
+    monkeypatch.setattr(witness, "span_rank_witness", span)
+    monkeypatch.setattr(witness, "_check_conjugate", check)
+    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+    cli.build_report(entry.f_text, entry.g_text)
+    assert spans
+    assert [s["mat_mul"] for s in spans] == [s["checks"] for s in spans]
+
+
 # the Witt pass carries its lattice and restricted Gram from stage to
 # stage, starting from B = I and R = G, so a definite form, which stops at
 # stage 1, multiplies no matrices there

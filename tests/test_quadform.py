@@ -586,6 +586,25 @@ def test_box_walk_matches_product_enumeration(chunk):
             == (want[0] if want else None)
 
 
+# a canonical tuple has a positive first nonzero entry, so the walk solves
+# one quadratic per zero or positive-lead prefix of length dim - 1
+
+@pytest.mark.parametrize("dim, bound", [(1, 3), (2, 1), (3, 2), (4, 1),
+                                        (5, 3)])
+def test_box_walk_skips_negative_lead_prefixes(monkeypatch, dim, bound):
+    gram = [[2 if i == j else int(abs(i - j) == 1) for j in range(dim)]
+            for i in range(dim)]
+    calls = []
+    original = quadform._quadratic_roots
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(quadform, "_quadratic_roots", counted)
+    list(_box_solutions(gram, bound, 2))
+    assert len(calls) == ((2 * bound + 1) ** (dim - 1) + 1) // 2
+
+
 # ------------------------------------------------------------------ witt / q
 
 def test_witt_hyperbolic_plane():

@@ -352,6 +352,13 @@ def test_span_rank_validation(ctx, u):
     # inverse through the conjugate products
     with pytest.raises(ValueError, match="involution"):
         span_rank_witness(u, [u], EPS, ctx)
+    # products are built from each reflection's C[w] axis, so an
+    # involution fixing the line must also be the reflection its token names
+    c1 = reflection_matrix(ctx.gram, e(1))
+    with pytest.raises(ValueError, match="axis"):
+        span_rank_witness(u, [GroupElement(c1.word, cv.matrix)], EPS, ctx)
+    with pytest.raises(ValueError, match="C\\[w\\] token"):
+        span_rank_witness(u, [ctx.element(("C",))], EPS, ctx)
 
 
 # ------------------------------------------------------------------- reports
