@@ -43,8 +43,8 @@ from .polynomials import IntPoly, cyclo_factor, render, root_parameters
 from .quadform import (DEFAULT_SEARCH_BOUND, OracleMismatchError, QuadSpace,
                        invariant_space, q_rank, signature,
                        signature_interlace)
-from .witness import (OUT_OF_SCOPE, WitnessContext, WitnessReport,
-                      arithmeticity_report)
+from .witness import (MAX_WORD_BOUND, OUT_OF_SCOPE, WitnessContext,
+                      WitnessReport, arithmeticity_report)
 
 SCHEMA_VERSION = "orthomono/1"
 DEFAULT_WORD_BOUND = 8
@@ -324,9 +324,10 @@ def _suite_lines(suite: corpus.SuiteResult, quiet: bool) -> list[str]:
 
 # ----------------------------------------------------------------- commands
 
-def _emit(doc: dict, args) -> None:
-    text = serialize_report(doc)
-    if getattr(args, "json", None):
+def _emit(text: str, args) -> None:
+    """Write text to the --json file, if one is given, and, unless
+    --quiet, to stdout."""
+    if args.json:
         with open(args.json, "w") as fh:
             fh.write(text)
     if not args.quiet:
@@ -345,23 +346,30 @@ def _failure_doc(exc: Exception) -> tuple[int, dict] | None:
     return None
 
 
+def _run_one(build, args) -> int:
+    """Emit the report build() returns, exit 0, or the error record of a
+    failure the exit codes name, with its code; any other exception
+    propagates."""
+    try:
+        code, doc = EXIT_OK, build()
+    except Exception as exc:  # noqa: BLE001 - mapped or re-raised
+        failure = _failure_doc(exc)
+        if failure is None:
+            raise
+        code, doc = failure
+    _emit(serialize_report(doc), args)
+    return code
+
+
 def cmd_analyze(args) -> int:
     if args.batch is not None:
         return _run_batch(args)
     if args.f is None or args.g is None:
         sys.stderr.write("analyze needs --f and --g (or --batch)\n")
         return EXIT_VALIDATION
-    try:
-        doc = build_report(args.f, args.g, search_bound=args.search_bound,
-                           word_bound=args.word_bound)
-    except Exception as exc:  # noqa: BLE001 - mapped or re-raised
-        failure = _failure_doc(exc)
-        if failure is None:
-            raise
-        _emit(failure[1], args)
-        return failure[0]
-    _emit(doc, args)
-    return EXIT_OK
+    return _run_one(lambda: build_report(
+        args.f, args.g, search_bound=args.search_bound,
+        word_bound=args.word_bound), args)
 
 
 def _reject_number(text: str):
@@ -431,27 +439,14 @@ def _run_batch(args) -> int:
                 doc["input"] = {"f": item["f"], "g": item["g"]}
         worst = max(worst, code)
         out_lines.append(json.dumps(doc, sort_keys=True))
-    text = "\n".join(out_lines) + ("\n" if out_lines else "")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text)
-    if not args.quiet:
-        sys.stdout.write(text)
+    _emit("\n".join(out_lines) + ("\n" if out_lines else ""), args)
     return worst
 
 
 def cmd_pad(args) -> int:
-    try:
-        doc = build_pad_report(args.f0, args.g0, args.P, args.Q, d=args.d,
-                               search_bound=args.search_bound)
-    except Exception as exc:  # noqa: BLE001 - mapped or re-raised
-        failure = _failure_doc(exc)
-        if failure is None:
-            raise
-        _emit(failure[1], args)
-        return failure[0]
-    _emit(doc, args)
-    return EXIT_OK
+    return _run_one(lambda: build_pad_report(
+        args.f0, args.g0, args.P, args.Q, d=args.d,
+        search_bound=args.search_bound), args)
 
 
 def cmd_paper_suite(args) -> int:
@@ -479,6 +474,16 @@ def _at_least_one(text: str) -> int:
             f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _word_bound(text: str) -> int:
+    """--word-bound value: an int from 1 to MAX_WORD_BOUND, the input
+    limit that bounds the orbit of v, which about doubles per step."""
+    value = _at_least_one(text)
+    if value > MAX_WORD_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"must be at most MAX_WORD_BOUND = {MAX_WORD_BOUND}, got {value}")
     return value
 
 
@@ -512,10 +517,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                               "pairs; per-line failures do not abort")
     _common_flags(analyze)
     # the witness hunt runs in analyze only
-    analyze.add_argument("--word-bound", type=_at_least_one,
+    analyze.add_argument("--word-bound", type=_word_bound,
                          default=DEFAULT_WORD_BOUND,
                          help="maximum reflection-word length in the witness "
-                              "hunt, at least 1 (default %(default)s)")
+                              f"hunt, 1 to {MAX_WORD_BOUND} "
+                              "(default %(default)s)")
     analyze.set_defaults(func=cmd_analyze)
 
     pad = subs.add_parser(

@@ -8,8 +8,8 @@ from two reflections, and enough reflection conjugates of it to span the
 full translation group of the parabolic fixing the line through eps.
 
 Each group element carries both its matrix and the word over
-{A, A^-1, B, B^-1, C, C[coords]} that produced it, and the two are
-cross-checked at construction, so every certificate is replayable.
+{A, A^-1, C, C[coords]} that produced it, and the two are cross-checked
+at construction, so every certificate is replayable.
 
 arithmeticity_report runs the witness hunt alone: the caller builds the
 pair and form once, into the WitnessContext that the hunt's functions
@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 from . import linalg
@@ -36,12 +36,15 @@ WITNESSED = "witnessed-arithmetic"
 INCONCLUSIVE = "inconclusive"
 OUT_OF_SCOPE = "out-of-scope(symplectic)"
 
-_TOKEN_INVERSE = {"A": "A^-1", "A^-1": "A", "B": "B^-1", "B^-1": "B"}
+_TOKEN_INVERSE = {"A": "A^-1", "A^-1": "A"}
 
 # conjugate-budget for the translation-span search; rank growth usually
 # saturates within the first layer or two
 SPAN_BUDGET = 600
 MAX_SPAN_REFLECTIONS = 12
+# input limit on the word bound: the orbit of v about doubles per step,
+# and at 16 one orbit of a worked quintic pair holds ~126,000 images
+MAX_WORD_BOUND = 16
 # enumeration ceiling for the ambient box of integral_reflection_vectors
 AMBIENT_CAP = 200_000
 
@@ -92,7 +95,7 @@ def _parse_reflection(token: str) -> tuple[int, ...]:
 
 
 def _inverse_word(word: Sequence[str]) -> tuple[str, ...]:
-    # reflections and C are involutions; A, B invert by name
+    # reflections and C are involutions; A inverts by name
     return tuple(_TOKEN_INVERSE.get(t, t) for t in reversed(word))
 
 
@@ -108,9 +111,9 @@ class WitnessContext:
     cached orbit of v under short words for the witness search.
 
     Construction checks only that A preserves the Gram, the one explicit
-    check of the reported form's A-invariance.  C, B and B^-1 are built
-    and checked on first use, so a pair whose hunt never runs (a definite
-    form, or a box over the cap with lo = 0) never builds them."""
+    check of the reported form's A-invariance.  C is built and checked on
+    first use, so a pair whose hunt never runs (a definite form, or a box
+    over the cap with lo = 0) never builds it."""
 
     def __init__(self, pair: HyperPair, space: QuadSpace):
         self.pair = pair
@@ -127,33 +130,16 @@ class WitnessContext:
 
     @cached_property
     def generators(self) -> dict[str, tuple[tuple[int, ...], ...]]:
-        """The matrices of the tokens A, A^-1, B, B^-1 and C, each
-        checked to preserve the form."""
-        c = reflection_matrix(self.gram, self.v).matrix
-        b = int_matrix(linalg.mat_mul(self.A, c))
-        # B = A C with C an involution, so B^-1 = C A^-1
-        b_inv = int_matrix(linalg.mat_mul(c, self.A_inv))
-        if not linalg.mat_eq(linalg.mat_mul(b, b_inv),
-                             linalg.identity(self.n)):
-            raise PairValidationError("C A^-1 does not invert B")
-        gens = {"A": self.A, "A^-1": self.A_inv, "B": b, "B^-1": b_inv,
-                "C": c}
-        # reflection_matrix has checked C, and __init__ A
-        for name in ("A^-1", "B", "B^-1"):
-            _check_isometry(self.gram, gens[name], name)
-        return gens
+        """The matrices of the tokens A, A^-1 and C, each checked to
+        preserve the form; B is the word A C."""
+        # reflection_matrix checks C, and __init__ A
+        _check_isometry(self.gram, self.A_inv, "A^-1")
+        return {"A": self.A, "A^-1": self.A_inv,
+                "C": reflection_matrix(self.gram, self.v).matrix}
 
     @property
     def C(self):
         return self.generators["C"]
-
-    @property
-    def B(self):
-        return self.generators["B"]
-
-    @property
-    def B_inv(self):
-        return self.generators["B^-1"]
 
     def token_matrix(self, token: str):
         gens = self.generators
@@ -207,6 +193,9 @@ class WitnessContext:
         """
         if word_bound < 1:
             raise ValueError(f"word bound must be at least 1, got {word_bound}")
+        if word_bound > MAX_WORD_BOUND:
+            raise ValueError(f"word bound must be at most MAX_WORD_BOUND = "
+                             f"{MAX_WORD_BOUND}, got {word_bound}")
         if word_bound in self._orbits:
             return self._orbits[word_bound]
         v = self.v
@@ -444,29 +433,32 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
     return out
 
 
-def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
+def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
                       eps: Sequence[int], ctx: WitnessContext) -> int:
     """Rank over Q of the translation vectors of the conjugates of u by
-    products (length <= 3) of the given reflections.
+    products (length <= 3) of the reflections about the given axes.
 
     u moves each x in eps-perp by (x . a) eps, where a = sum t_w w over
-    the quotient representatives w and t = _translation_coordinates of u.  A
-    product m fixes the line, m(eps) = mu eps, so m u m^-1 moves x by
-    mu (x . m a) eps: the lambda vector of a conjugate is mu ((w . m a))_w,
-    and no inverse or conjugate matrix is needed to rank it.  The rank is
-    that of these vectors, which the inverse quotient Gram maps invertibly
-    onto the translation vectors.  Each conjugate that raises the rank is also
-    built as a matrix, and its _radical_factors must agree; a disagreement
-    raises OracleMismatchError.
+    the quotient representatives w and t = _translation_coordinates of u.
+    Every axis is orthogonal to eps, so a product m of the reflections
+    fixes eps and m u m^-1 moves x by (x . m a) eps: the lambda vector of
+    a conjugate is ((w . m a))_w, and no inverse or conjugate matrix is
+    needed to rank it.  The rank is that of these vectors, which the
+    inverse quotient Gram maps invertibly onto the translation vectors.
+    Each conjugate that raises the rank is also built as a matrix, and
+    its _radical_factors must agree; a disagreement raises
+    OracleMismatchError.
 
     Stops early when the rank reaches n - 2, the dimension of the full
     translation group, when SPAN_BUDGET conjugates are spent, or after a
-    whole product layer adds no rank.  Every reflection must map eps to a
-    multiple of itself, be its own inverse, and be the reflection about
-    the axis w of its one C[w] token, r = I - w (2 G w / w.w)^T; so a
+    whole product layer adds no rank.  An isotropic axis, or one not
+    orthogonal to eps, raises ValueError.  The reflection about w is
+    I - w h^T / d with 2 G w / w.w = h / d in lowest terms, gcd(d, h) = 1,
+    so d divides every entry of c h^T for an int c iff it divides c, and a
     product is extended by one reflection as the rank-one update
-    prev r = prev - (prev w) (2 G w / w.w)^T, in O(n^2) int steps with an
-    exact-division check.  The perp basis of eps comes from ctx's cache.
+    prev - (prev w) h^T / d: O(n^2) int steps, one exact division per
+    row, which also rejects a reflection that is not integral.  The perp
+    basis of eps comes from ctx's cache.
     """
     gram, n = ctx.gram, ctx.n
     eps = tuple(int(x) for x in eps)
@@ -474,17 +466,18 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     factors = _radical_factors(u.matrix, eps, quotient)
     if factors is None:
         raise ValueError("u is not in the unipotent radical")
-    identity = int_matrix(linalg.identity(n))
-    signs = []
-    axes = []
-    for r in reflections:
-        sign = _parallel_factor(linalg.mat_vec(r.matrix, eps), eps)
-        if sign is None:
-            raise ValueError("every reflection must fix the line through eps")
-        if int_matrix(linalg.mat_mul(r.matrix, r.matrix)) != identity:
-            raise ValueError("every reflection must be an involution")
-        signs.append(sign)
-        axes.append(_reflection_axis(r, gram))
+    updates = []
+    for w in axes:
+        if len(w) != n:
+            raise ValueError(f"reflection axis {w} has the wrong dimension")
+        gw = linalg.mat_vec(gram, w)
+        ww = sum(map(operator.mul, w, gw))
+        if ww == 0:
+            raise ValueError("cannot reflect about an isotropic vector")
+        if sum(map(operator.mul, eps, gw)):
+            raise ValueError(f"reflection axis {w} is not orthogonal to eps")
+        g = math.gcd(ww, *(2 * x for x in gw))
+        updates.append((w, [2 * x // g for x in gw], ww // g))
 
     echelon: list[tuple[int, list[int]]] = []
     rank = int(_echelon_insert(echelon, factors))
@@ -495,15 +488,16 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     den = math.lcm(*(c.denominator for c in t))
     a = linalg.mat_vec(linalg.transpose(quotient), [int(c * den) for c in t])
     g_quotient = [linalg.mat_vec(gram, w) for w in quotient]
-    # each product travels with its sign mu and its reflection indices
-    layer = [(identity, 1, ())]
+    # each product travels with the indices of its axes
+    identity = int_matrix(linalg.identity(n))
+    layer = [(identity, ())]
     seen = {identity}
     spent = 0
     for _ in range(3):
         grown = []
         progressed = False
-        for prev, prev_sign, prev_word in layer:
-            for i, (w, h, d) in enumerate(axes):
+        for prev, prev_word in layer:
+            for i, (w, h, d) in enumerate(updates):
                 m = []
                 for row in prev:
                     shift, rest = divmod(sum(map(operator.mul, row, w)), d)
@@ -515,13 +509,12 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
                 if m in seen:
                     continue
                 seen.add(m)
-                sign, word = prev_sign * signs[i], prev_word + (i,)
-                grown.append((m, sign, word))
-                lam = [sign * x for x in linalg.mat_vec(
-                    g_quotient, linalg.mat_vec(m, a))]
+                word = prev_word + (i,)
+                grown.append((m, word))
+                lam = linalg.mat_vec(g_quotient, linalg.mat_vec(m, a))
                 if _echelon_insert(echelon, lam):
-                    _check_conjugate(u, m, [reflections[j] for j in word],
-                                     eps, quotient, den, lam)
+                    _check_conjugate(u, m, [axes[j] for j in word], eps, ctx,
+                                     den, lam)
                     rank += 1
                     progressed = True
                     if rank >= n - 2:
@@ -535,48 +528,20 @@ def span_rank_witness(u: GroupElement, reflections: Sequence[GroupElement],
     return rank
 
 
-def _reflection_axis(r: GroupElement, gram
-                     ) -> tuple[tuple[int, ...], list[int], int]:
-    """(w, h, d) for the axis w of r's one C[w] token, with
-    2 G w / w.w = h / d in lowest terms, gcd(d, h) = 1; raises
-    ValueError unless r.matrix is the reflection I - w h^T / d.
-
-    As gcd(d, h) = 1, d divides every entry of c h^T for an int c iff it
-    divides c, so one exact division per row builds a product with r."""
-    if len(r.word) != 1 or not r.word[0].startswith("C["):
-        raise ValueError("every reflection must be one C[w] token")
-    w = _parse_reflection(r.word[0])
-    if len(w) != len(gram):
-        raise ValueError(f"reflection axis {w} has the wrong dimension")
-    gw = linalg.mat_vec(gram, w)
-    ww = sum(a * b for a, b in zip(w, gw))
-    if ww == 0:
-        raise ValueError("cannot reflect about an isotropic vector")
-    g = math.gcd(ww, *(2 * x for x in gw))
-    h, d = [2 * x // g for x in gw], ww // g
-    # entry (i, j) of r - I must be -w_i h_j / d
-    if any(d * (x - (i == j)) != -a * b
-           for i, (row, a) in enumerate(zip(r.matrix, w))
-           for j, (x, b) in enumerate(zip(row, h))):
-        raise ValueError(f"matrix is not the reflection about its axis {w}")
-    return w, h, d
-
-
-def _check_conjugate(u: GroupElement, m, product: Sequence[GroupElement],
-                     eps: tuple[int, ...], quotient, den: int,
+def _check_conjugate(u: GroupElement, m, axes: Sequence[tuple[int, ...]],
+                     eps: tuple[int, ...], ctx: WitnessContext, den: int,
                      lam: list[int]) -> None:
     """Second route for one conjugate: m u m^-1 as a matrix, where m is
-    the product of the given involutions and m^-1 their product in
-    reverse order, must move the quotient representatives by
-    lam / den."""
-    m_inv = product[-1].matrix
-    for r in reversed(product[:-1]):
-        m_inv = linalg.mat_mul(m_inv, r.matrix)
+    the product of the reflections about the given axes and m^-1 is the
+    product of their reflection_matrix in reverse order, must move the
+    quotient representatives by lam / den."""
+    m_inv = reduce(linalg.mat_mul, (reflection_matrix(ctx.gram, w).matrix
+                                    for w in reversed(axes)))
     conj = linalg.mat_mul(m, linalg.mat_mul(u.matrix, m_inv))
-    factors = _radical_factors(conj, eps, quotient)
+    factors = _radical_factors(conj, eps, ctx.perp(eps)[1])
     if factors is None or [den * x for x in factors] != lam:
         raise OracleMismatchError(
-            f"conjugate by {len(product)} reflections: translation "
+            f"conjugate by {len(axes)} reflections: translation "
             f"{lam} / {den} from m a, {factors} from the matrix")
 
 
@@ -657,10 +622,9 @@ def arithmeticity_report(ctx: WitnessContext, cert: RankCertificate,
             u = unipotent_from_reflections(ctx, eps, word_bound)
             if u is None:
                 continue
-            refl = [reflection_matrix(ctx.gram, w)
-                    for w in integral_reflection_vectors(ctx, eps,
-                                                         search_bound)]
-            rank = span_rank_witness(u, refl, eps, ctx)
+            rank = span_rank_witness(
+                u, integral_reflection_vectors(ctx, eps, search_bound),
+                eps, ctx)
             if rank > best:
                 best, epsilon, unipotent, translation_rank = \
                     rank, tuple(eps), u, rank

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import orthomono
-from orthomono import cli, quadform
+from orthomono import cli, quadform, witness
 from orthomono.quadform import OracleMismatchError
 
 from conftest import BASE_F, BASE_G, strict_json
@@ -170,6 +170,28 @@ def test_word_bound_below_one_exits_2(capsys, command, bound):
         cli.main(command + [f"--word-bound={bound}"])
     assert exc.value.code == 2
     assert "--word-bound: must be at least 1" in capsys.readouterr().err
+
+
+def test_word_bound_above_the_limit_exits_2_without_an_orbit(capsys,
+                                                            monkeypatch):
+    walked = []
+    monkeypatch.setattr(witness.WitnessContext, "word_orbit",
+                        lambda self, bound: walked.append(bound))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--f", BASE_F, "--g", BASE_G,
+                  f"--word-bound={witness.MAX_WORD_BOUND + 1}"])
+    assert exc.value.code == 2
+    assert "--word-bound: must be at most MAX_WORD_BOUND = 16, got 17" \
+        in capsys.readouterr().err
+    assert walked == []
+
+
+def test_word_bound_at_the_limit_runs(capsys):
+    code, cap = run(capsys, "analyze", "--f", BASE_F, "--g", BASE_G,
+                    f"--word-bound={witness.MAX_WORD_BOUND}")
+    assert code == 0
+    assert json.loads(cap.out)["witness"]["conclusion"] \
+        == "witnessed-arithmetic"
 
 
 @pytest.mark.parametrize("command", [

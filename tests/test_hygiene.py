@@ -1,7 +1,8 @@
 """Source hygiene: no module in the package imports a name it never
 uses, every public function has a caller in the package or is
 exported, every exemption from that still names a defined function
-with no caller, and every function the benchmark's tracer looks up by
+with no caller, every module-level private function or class has a use
+in the package, and every function the benchmark's tracer looks up by
 name exists.  The package's __init__.py is exempt from the first check,
 since its imports are the public re-exports, and so is `from __future__`."""
 import ast
@@ -81,19 +82,32 @@ def _used_names(node, local=frozenset()) -> set[str]:
     return used
 
 
+def _unused(sources: dict[str, str], select, exempt=()) -> list[str]:
+    """The module-level definitions of the given sources that select
+    picks and exempt does not name, whose name no source uses, as a name
+    or an attribute."""
+    defined, used = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined.update((node.name, module) for node in tree.body
+                       if select(node) and node.name not in exempt)
+        used |= _used_names(tree)
+    return sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in used)
+
+
 def _uncalled_functions(sources: dict[str, str], exported) -> list[str]:
     """Module-level public functions of the given sources whose name no
     source uses, as a name or an attribute, and that are not exported."""
-    defined, used = {}, set()
-    for name, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and \
-                    not node.name.startswith("_"):
-                defined[node.name] = name
-        used |= _used_names(tree)
-    return sorted(f"{module}: {fn}" for fn, module in defined.items()
-                  if fn not in used and fn not in exported)
+    return _unused(sources, lambda node: isinstance(node, ast.FunctionDef)
+                   and not node.name.startswith("_"), exported)
+
+
+def _orphaned_private(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes of the given sources
+    whose name no source uses, as a name or an attribute."""
+    return _unused(sources, lambda node: isinstance(
+        node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"))
 
 
 def test_finds_an_uncalled_function():
@@ -113,6 +127,19 @@ def test_every_public_function_has_a_caller_or_is_exported():
     sources = {p.name: p.read_text() for p in MODULES}
     exported = set(orthomono.__all__) | set(UNCALLED_KEPT)
     assert _uncalled_functions(sources, exported) == []
+
+
+def test_finds_an_orphaned_private_helper():
+    sources = {"a.py": "def _f():\n    return _g()\n\ndef _g():\n    pass\n"
+                       "\nclass _K:\n    pass\n\ndef h(_m):\n    return _m\n",
+               "b.py": "import a\na._f\n\ndef _m():\n    pass\n"
+                       "\nclass _L:\n    pass\n\nx = [_L]\n"}
+    # _K and _m have no use: h's parameter _m is a local name
+    assert _orphaned_private(sources) == ["a.py: _K", "b.py: _m"]
+
+
+def test_every_private_helper_has_a_use_in_the_package():
+    assert _orphaned_private({p.name: p.read_text() for p in MODULES}) == []
 
 
 def _defined_and_called(sources: dict[str, str]) -> tuple[set, set]:

@@ -208,40 +208,58 @@ def test_analyze_builds_one_perp_basis_per_eps(hunt_calls, entry):
         == hunt_calls["span_rank_witness"] >= 1
 
 
-# span_rank_witness extends a product by one reflection as a rank-one
-# update of its int rows, so it multiplies matrices only to check: once
-# per reflection for the involution check, and k + 1 times for the matrix
-# route of each rank-raising conjugate by k reflections
+# span_rank_witness takes the axes of its reflections and extends a
+# product by one of them as a rank-one update of its int rows, so it
+# builds no reflection matrix and multiplies no matrices itself: both
+# happen only in _check_conjugate, the matrix route of each rank-raising
+# conjugate, which for a product of k reflections builds their k
+# reflection matrices (two products each for the isometry check) and
+# multiplies k + 1 times more, k - 1 for m^-1 and 2 for m u m^-1
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
-    spans, inside = [], []
+    spans, where = [], []
     original_span = witness.span_rank_witness
     original_check = witness._check_conjugate
+    original_refl = witness.reflection_matrix
     original_mul = linalg.mat_mul
 
-    def span(u, reflections, eps, ctx):
-        spans.append({"mat_mul": 0, "checks": len(reflections)})
-        inside.append(spans[-1])
+    def inside(key, fn, *args):
+        where.append(key)
         try:
-            return original_span(u, reflections, eps, ctx)
+            return fn(*args)
         finally:
-            inside.pop()
+            where.pop()
 
-    def check(u, m, product, *args):
-        inside[-1]["checks"] += len(product) + 1
-        return original_check(u, m, product, *args)
+    def span(u, axes, eps, ctx):
+        spans.append(Counter())
+        return inside("span", original_span, u, axes, eps, ctx)
 
-    def mat_mul(a, b):
-        if inside:
-            inside[-1]["mat_mul"] += 1
-        return original_mul(a, b)
+    def check(u, m, axes, *args):
+        spans[-1]["checks"] += 1
+        spans[-1]["expected reflection_matrix"] += len(axes)
+        spans[-1]["expected mat_mul"] += 3 * len(axes) + 1
+        return inside("check", original_check, u, m, axes, *args)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if where:
+                spans[-1][f"{name} in {where[-1]}"] += 1
+            return fn(*args)
+        return wrapper
     monkeypatch.setattr(witness, "span_rank_witness", span)
     monkeypatch.setattr(witness, "_check_conjugate", check)
-    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+    monkeypatch.setattr(witness, "reflection_matrix",
+                        counted("reflection_matrix", original_refl))
+    monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", original_mul))
     cli.build_report(entry.f_text, entry.g_text)
     assert spans
-    assert [s["mat_mul"] for s in spans] == [s["checks"] for s in spans]
+    assert sum(s["checks"] for s in spans) >= 1
+    for s in spans:
+        assert s["reflection_matrix in span"] == s["mat_mul in span"] == 0
+        assert s["reflection_matrix in check"] \
+            == s["expected reflection_matrix"]
+        assert s["mat_mul in check"] == s["expected mat_mul"]
 
 
 # the Witt pass carries its lattice and restricted Gram from stage to
@@ -272,8 +290,8 @@ def test_definite_witt_pass_multiplies_no_matrices(monkeypatch):
     assert counts["outside"] >= 1
 
 
-# the hunt's generators C, B and B^-1 are built on first use, so a pair
-# whose hunt never runs builds no reflection at all
+# the hunt's generators A, A^-1 and C are checked and built on first
+# use, so a pair whose hunt never runs builds no reflection at all
 
 @pytest.fixture
 def reflection_calls(monkeypatch):

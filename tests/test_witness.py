@@ -122,7 +122,12 @@ def test_conjugate(ctx):
 
 def test_context_generators_preserve_form(ctx):
     H = ctx.gram
-    for m in (ctx.A, ctx.A_inv, ctx.B, ctx.B_inv, ctx.C):
+    assert list(ctx.generators) == ["A", "A^-1", "C"]
+    # A C and its inverse C A^-1 are words in the generators
+    b = ctx.element(("A", "C")).matrix
+    b_inv = ctx.element(("C", "A^-1")).matrix
+    assert linalg.mat_eq(linalg.mat_mul(b, b_inv), linalg.identity(5))
+    for m in (ctx.A, ctx.A_inv, ctx.C, b, b_inv):
         assert linalg.mat_eq(
             linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(H, m)), H)
 
@@ -155,6 +160,13 @@ def test_word_orbit_deterministic_and_cached(ctx):
 def test_word_orbit_rejects_bound_below_one(ctx, bound):
     with pytest.raises(ValueError, match="at least 1"):
         ctx.word_orbit(bound)
+
+
+def test_word_orbit_rejects_bound_above_the_limit(ctx):
+    fresh = WitnessContext(ctx.pair, ctx.space)
+    with pytest.raises(ValueError, match="at most MAX_WORD_BOUND = 16"):
+        fresh.word_orbit(witness.MAX_WORD_BOUND + 1)
+    assert fresh._orbits == {}
 
 
 def _matrix_word_orbit(ctx, word_bound):
@@ -327,38 +339,36 @@ def test_integral_reflection_vectors(ctx):
 # ----------------------------------------------------------------- span rank
 
 def test_span_rank_with_lemma_triple(ctx, u):
-    refl = [reflection_matrix(ctx.gram, w) for w in (e(0), e(1), VPRIME)]
-    assert span_rank_witness(u, refl, EPS, ctx) == 3
+    assert span_rank_witness(u, [e(0), e(1), VPRIME], EPS, ctx) == 3
 
 
 def test_span_rank_with_proof_triple_falls_short(ctx, u):
     # A^2 v is congruent to v modulo eps, so this triple spans only a
     # plane of the quotient and the conjugates cannot fill the
     # translation group
-    refl = [reflection_matrix(ctx.gram, w) for w in (e(0), e(2), VPRIME)]
-    assert span_rank_witness(u, refl, EPS, ctx) == 2
+    assert span_rank_witness(u, [e(0), e(2), VPRIME], EPS, ctx) == 2
     quotient_span = [list(EPS), list(e(0)), list(e(2)), list(VPRIME)]
     assert linalg.rank(quotient_span) == 3  # not all of eps-perp
 
 
 def test_span_rank_validation(ctx, u):
+    # C_v fixes eps but moves v off v + line, so it is no translation
     cv = reflection_matrix(ctx.gram, e(0))
     with pytest.raises(ValueError, match="radical"):
-        span_rank_witness(cv, [cv], EPS, ctx)
-    a = ctx.element(("A",))
-    with pytest.raises(ValueError, match="fix the line"):
-        span_rank_witness(u, [a], EPS, ctx)
-    # u fixes the line but is no involution, so it cannot carry its own
-    # inverse through the conjugate products
-    with pytest.raises(ValueError, match="involution"):
-        span_rank_witness(u, [u], EPS, ctx)
-    # products are built from each reflection's C[w] axis, so an
-    # involution fixing the line must also be the reflection its token names
-    c1 = reflection_matrix(ctx.gram, e(1))
-    with pytest.raises(ValueError, match="axis"):
-        span_rank_witness(u, [GroupElement(c1.word, cv.matrix)], EPS, ctx)
-    with pytest.raises(ValueError, match="C\\[w\\] token"):
-        span_rank_witness(u, [ctx.element(("C",))], EPS, ctx)
+        span_rank_witness(cv, [e(0)], EPS, ctx)
+    # eps is isotropic and orthogonal to itself
+    with pytest.raises(ValueError, match="isotropic"):
+        span_rank_witness(u, [EPS], EPS, ctx)
+    # A^3 v has norm 2 but pairs to -1 with eps, so its reflection moves
+    # the line
+    with pytest.raises(ValueError, match="not orthogonal to eps"):
+        span_rank_witness(u, [e(0), e(3)], EPS, ctx)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        span_rank_witness(u, [e(0, 4)], EPS, ctx)
+    # norm 6 and orthogonal to eps, but 2 (e1 . w) / (w . w) = 1/3, so
+    # the first product, I times the reflection, is not integral
+    with pytest.raises(ValueError, match="not integral"):
+        span_rank_witness(u, [(1, 1, 0, 0, 0)], EPS, ctx)
 
 
 # ------------------------------------------------------------------- reports
@@ -431,8 +441,8 @@ def test_radical_factors_on_worked_pair(entry):
     assert linalg.rank(factors) == rep.translation_rank
 
     # the products themselves include elements outside the radical
-    elements = conjugates + products + [ctx.element((t,))
-                                        for t in ("A", "B", "C")]
+    elements = conjugates + products + [ctx.element(w) for w in (
+        ("A",), ("A", "C"), ("C",))]
     outcomes = set()
     for g in elements:
         radical = line_stabilizer_test(g, eps, ctx).in_unipotent_radical
@@ -556,16 +566,16 @@ def test_span_rank_matches_matrix_reference(monkeypatch, f_text, g_text):
     eps, u = rep.epsilon, rep.unipotent
     assert u is not None
     ctx = WitnessContext(pair, invariant_space(pair))
-    refl = [reflection_matrix(ctx.gram, w)
-            for w in integral_reflection_vectors(ctx, eps)]
-    assert span_rank_witness(u, refl, eps, ctx) \
+    axes = integral_reflection_vectors(ctx, eps)
+    refl = [reflection_matrix(ctx.gram, w) for w in axes]
+    assert span_rank_witness(u, axes, eps, ctx) \
         == _matrix_span_rank(u, refl, eps, ctx.gram) == rep.translation_rank
     for k in range(1, 5):
-        assert span_rank_witness(u, refl[:k], eps, ctx) \
+        assert span_rank_witness(u, axes[:k], eps, ctx) \
             == _matrix_span_rank(u, refl[:k], eps, ctx.gram)
     for budget in (5, 50):
         monkeypatch.setattr(witness, "SPAN_BUDGET", budget)
-        assert span_rank_witness(u, refl, eps, ctx) \
+        assert span_rank_witness(u, axes, eps, ctx) \
             == _matrix_span_rank(u, refl, eps, ctx.gram)
 
 
@@ -573,7 +583,6 @@ def test_span_rank_matches_matrix_reference(monkeypatch, f_text, g_text):
 def test_span_rank_routes_disagreeing_raise(monkeypatch, ctx, u, skew):
     # the first _radical_factors call is u's own; every later one is the
     # matrix route of a conjugate that raised the rank
-    refl = [reflection_matrix(ctx.gram, w) for w in (e(0), e(1), VPRIME)]
     original = _radical_factors
     calls = []
 
@@ -586,5 +595,5 @@ def test_span_rank_routes_disagreeing_raise(monkeypatch, ctx, u, skew):
             [factors[0] + 1] + factors[1:]
     monkeypatch.setattr(witness, "_radical_factors", skewed)
     with pytest.raises(OracleMismatchError, match="conjugate"):
-        span_rank_witness(u, refl, EPS, ctx)
+        span_rank_witness(u, [e(0), e(1), VPRIME], EPS, ctx)
     assert len(calls) == 2
