@@ -156,7 +156,7 @@ def _new_doc(inputs: dict, f: IntPoly, g: IntPoly, pair_type: PairType,
 
 
 def _form_fields(doc: dict, pair: HyperPair) -> QuadSpace:
-    """Build the route-checked form once, record it and its signature in
+    """Build the certified form once, record it and its signature in
     doc, and hand it back for the rank and witness stages, which read the
     signature off its kept diagonal."""
     space = invariant_space(pair)

@@ -238,7 +238,7 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
         return DatumResult(d.label, "isotropic", found, match, d.erratum)
     if d.kind == "isotropic-std":
         w = d.spec[0]
-        std = gram_invariance(ctx.pair)
+        std = gram_invariance(ctx.pair, ctx.space)
         norm = linalg.vec_dot(w, std.gram, w)
         return DatumResult(d.label, "isotropic", f"norm {norm}",
                            norm == 0, d.erratum)

@@ -1,9 +1,10 @@
 """Invariant quadratic form, signatures, and Q-rank certificates.
 
-The form is computed along two independent routes (remainder coefficients
-vs. solving the invariance equations) and cross-checked; disagreement is
-an internal-inconsistency error, never silently resolved.  All arithmetic
-is exact; there are no tolerances anywhere in this module.
+The form is computed once, from remainder coefficients, and certified by
+an invariance check against the generators A and C; nothing is solved
+for it.  A form that fails the check is an internal-inconsistency error,
+never silently resolved.  All arithmetic is exact; there are no
+tolerances anywhere in this module.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError
-from .polynomials import IntPoly, _divrem_coeffs
+from .polynomials import IntPoly, _divrem_coeffs, render
 
 # enumeration ceiling for bounded vector searches (number of tuples)
 SEARCH_CAP = 5_000_000
@@ -35,7 +36,8 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 
 
 class OracleMismatchError(RuntimeError):
-    """The two independent form constructions disagree."""
+    """Two independent routes disagree, or a computed object fails its
+    certificate check."""
 
 
 class SearchBudgetError(RuntimeError):
@@ -44,8 +46,9 @@ class SearchBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSpace:
-    # int entries for the cyclic Gram, Fraction entries for the standard
-    # one; the dimension and the diagonal are read off it
+    # int entries for the cyclic Gram, computed once and certified by
+    # invariant_space, Fraction entries for its standard-basis view; the
+    # dimension and the diagonal are read off it
     gram: tuple[tuple[int | Fraction, ...], ...]
 
     @property
@@ -120,99 +123,84 @@ def _toeplitz(row: Sequence, n: int) -> list[list]:
 
 def gram_remainder(pair: HyperPair) -> QuadSpace:
     """Cyclic-basis Gram matrix from remainder top-coefficients; Toeplitz
-    by A-invariance, entry (0,0) = 2 by normalization."""
+    by A-invariance, entry (0,0) = v.v = 2 by normalization, both
+    certified by invariant_space."""
     _require_orthogonal(pair)
     row = cyclic_gram_row(pair.f, pair.g)
-    if row[0] != 2:
-        raise OracleMismatchError(
-            f"v.v must be 2 by normalization, computed {row[0]}")
     return QuadSpace(gram=tuple(map(tuple, _toeplitz(row, pair.n))))
 
 
-def gram_invariance(pair: HyperPair) -> QuadSpace:
-    """Standard-basis Gram matrix solved from the invariance equations
-    {A^T H A = H, B^T H B = H, H symmetric}, scaled so v.v = 2: the
-    Fraction form 2 h / scale of _invariance_solution."""
-    h, scale = _invariance_solution(pair)
-    return QuadSpace(gram=tuple(tuple(Fraction(2 * x, scale) for x in r)
-                                for r in h))
+def gram_invariance(pair: HyperPair, space: QuadSpace) -> QuadSpace:
+    """The certified cyclic-basis form of invariant_space in the standard
+    basis, S^-T G S^-1, with Fraction entries and v.v = 2."""
+    s_inv = linalg.inverse(pair.S)
+    std = linalg.mat_mul(linalg.transpose(s_inv),
+                         linalg.mat_mul(space.gram, s_inv))
+    return QuadSpace(gram=tuple(tuple(Fraction(x) for x in row)
+                                for row in std))
 
 
-def _invariance_solution(pair: HyperPair) -> tuple[list[list[int]], int]:
-    """(h, scale): the primitive int solution h of the invariance equations
-    and scale = v.h.v, so that H = 2 h / scale.
+def _require_self_reciprocal(pair: HyperPair) -> None:
+    # an invariant form of the irreducible group is nondegenerate, so A is
+    # conjugate to A^-T: the roots of f and of g are closed under
+    # inversion, i.e. x^n p(1/x) = p(0) p
+    for name, p in (("f", pair.f), ("g", pair.g)):
+        if p.coeffs[::-1] != tuple(p(0) * c for c in p.coeffs):
+            raise PairValidationError(
+                f"{name} = {render(p)} is not self-reciprocal, so no "
+                "quadratic form is invariant under the pair")
 
-    Independent of gram_remainder.  Any symmetric solution of
-    A^T H A = H is Toeplitz in the standard basis (for i, j <= n-2 the
-    (i,j) entry of A^T H A is H[i+1][j+1]), so the solver parametrizes
-    H by its first row s_0 .. s_{n-1} and imposes the remaining boundary
-    equations coming from the last columns of A and B.  Whether H is
-    degenerate is left to invariant_space, which reads it off the
-    diagonal of the agreed form.
+
+def _unpreserved_generator(pair: HyperPair, gram: Sequence[Sequence]
+                           ) -> str | None:
+    """"A" or "C", the first generator that fails the invariance check of
+    the cyclic-basis Gram, or None when both pass; O(n^2) comparisons.
+
+    In the cyclic basis A is the companion matrix of f: it sends e_j to
+    e_{j+1} for j < n-1 and e_{n-1} to c = -(f_0, ..., f_{n-1}).  So
+    A^T G A = G reads G[i+1][j+1] = G[i][j] for i, j < n-1, then the last
+    column against G c, the last row against c^T G, and the corner c.G.c.
+    build_pair checked C = 1 - v e_{n-1}^T, which is 1 - e_0 s^T in the
+    cyclic basis, s^T the last row of S, with s_0 = v_{n-1} = 2.  A
+    symmetric G is C-invariant iff its row 0 is a multiple of s, and row
+    0 = s is the normalization v.v = 2 (v pairs as the x^{n-1}
+    coordinate), so the C half checks symmetry and row 0 = s.
     """
-    _require_orthogonal(pair)
     n = pair.n
-    rows: list[list[int]] = []
-    for mat in (pair.A, pair.B):
-        last = [mat[i][n - 1] for i in range(n)]
-        for i in range(n - 1):
-            # (M^T H M)[i][n-1] = H[i][n-1]
-            eq = [0] * n
-            for k in range(n):
-                eq[abs(i + 1 - k)] += last[k]
-            eq[n - 1 - i] -= 1
-            rows.append(eq)
-        eq = [0] * n
-        for k in range(n):
-            for l in range(n):
-                eq[abs(k - l)] += last[k] * last[l]
-        eq[0] -= 1
-        rows.append(eq)
-    pivots, d, _ = linalg._eliminate(rows)
-    if len(pivots) != n - 1:
-        raise PairValidationError(
-            f"invariant-form solution space has dimension {n - len(pivots)}, "
-            "expected 1 (imprimitive or degenerate input)")
-    # rows[k] is d times the reduced row of pivot k, so the kernel vector
-    # with free entry d has entry -rows[k][free] at pivot k: an int
-    # multiple of the solution, and H = 2 h / (v.h.v) whatever it is
-    free = next(c for c in range(n) if c not in pivots)
-    first = [d] * n
-    for k, c in enumerate(pivots):
-        first[c] = -rows[k][free]
-    h = _toeplitz(linalg.primitive_integer(first), n)
-    scale = linalg.vec_dot(pair.v, h, pair.v)
-    if scale == 0:
-        raise PairValidationError("invariant form is degenerate on v")
-    # cross-check: pairing against v extracts the top coefficient,
-    # so H v must be the last standard basis vector
-    hv = linalg.mat_vec(h, pair.v)
-    if [2 * x for x in hv] != [scale * int(i == n - 1) for i in range(n)]:
-        hv = [Fraction(2 * x, scale) for x in hv]
-        raise OracleMismatchError("H v must equal the x^{n-1} coordinate "
-                                  f"functional, got {hv}")
-    return h, scale
+    c = [-x for x in pair.f.coeffs[:n]]
+    gc = [sum(a * b for a, b in zip(row, c)) for row in gram]
+    cg = [sum(a * b for a, b in zip(col, c)) for col in zip(*gram)]
+    if (any(tuple(gram[i + 1][1:]) != tuple(gram[i][:-1])
+            for i in range(n - 1))
+            or any(gc[i + 1] != gram[i][n - 1] or cg[i + 1] != gram[n - 1][i]
+                   for i in range(n - 1))
+            or sum(a * b for a, b in zip(c, gc)) != gram[n - 1][n - 1]):
+        return "A"
+    if tuple(zip(*gram)) != tuple(map(tuple, gram)) \
+            or tuple(gram[0]) != pair.S[n - 1]:
+        return "C"
+    return None
 
 
 def invariant_space(pair: HyperPair) -> QuadSpace:
-    """Cyclic-basis form agreed by both independent routes, carrying its
-    congruence diagonal.
+    """The cyclic-basis form of gram_remainder, certified invariant and
+    carrying its congruence diagonal.
 
-    The routes are compared in ints: the invariance route's H = 2 h / scale
-    in the cyclic basis S (det S != 0, checked by build_pair) is
-    S^T H S, so the check is 2 S^T h S == scale G_cyc.  The agreed form is
-    degenerate iff its diagonal has a zero, which is a validation error."""
+    f and g coprime make the group irreducible, so an invariant form is
+    unique up to scale (Beukers-Heckman, Invent. Math. 95 (1989), sec. 3,
+    with Schur's lemma), and one exists only if f and g are
+    self-reciprocal.  So the remainder Gram is checked, not solved for a
+    second time: a generator that fails _unpreserved_generator is an
+    internal-inconsistency error.  The certified form is degenerate iff
+    its diagonal has a zero, which is a validation error."""
+    _require_orthogonal(pair)
+    _require_self_reciprocal(pair)
     cyc = gram_remainder(pair)
-    h, scale = _invariance_solution(pair)
-    s = pair.S
-    via_std = linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(h, s))
-    if any(2 * x != scale * y for row, cyc_row in zip(via_std, cyc.gram)
-           for x, y in zip(row, cyc_row)):
-        via_std = tuple(tuple(Fraction(2 * x, scale) for x in row)
-                        for row in via_std)
+    gen = _unpreserved_generator(pair, cyc.gram)
+    if gen is not None:
         raise OracleMismatchError(
-            "remainder-route and invariance-route Gram matrices disagree: "
-            f"{cyc.gram} vs {via_std}")
+            f"the remainder-route Gram fails the {gen} invariance check: "
+            f"{cyc.gram}")
     if any(d == 0 for d in cyc.diagonal):
         raise PairValidationError("invariant form is degenerate")
     return cyc

@@ -30,7 +30,7 @@ from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
 from .quadform import (DEFAULT_SEARCH_BOUND, SEARCH_CAP, OracleMismatchError,
                        QuadSpace, RankCertificate, _box_solutions, _canonical,
-                       signature)
+                       _unpreserved_generator, signature)
 
 WITNESSED = "witnessed-arithmetic"
 INCONCLUSIVE = "inconclusive"
@@ -110,10 +110,10 @@ class WitnessContext:
     """Cyclic-basis generators and form for one validated pair, with a
     cached orbit of v under short words for the witness search.
 
-    Construction checks only that A preserves the Gram, the one explicit
-    check of the reported form's A-invariance.  C is built and checked on
-    first use, so a pair whose hunt never runs (a definite form, or a box
-    over the cap with lo = 0) never builds it."""
+    Construction runs invariant_space's O(n^2) invariance check of the
+    Gram against A and C.  The matrix of C is built and checked on first
+    use, so a pair whose hunt never runs (a definite form, or a box over
+    the cap with lo = 0) never builds it."""
 
     def __init__(self, pair: HyperPair, space: QuadSpace):
         self.pair = pair
@@ -124,7 +124,9 @@ class WitnessContext:
         self.A = pair.A
         self.A_inv = pair.A_inv
         self.v = tuple(int(i == 0) for i in range(self.n))
-        _check_isometry(self.gram, self.A, "A")
+        gen = _unpreserved_generator(pair, self.gram)
+        if gen is not None:
+            raise PairValidationError(f"{gen} does not preserve the form")
         self._orbits: dict[int, tuple[dict, dict]] = {}
         self._perps: dict[tuple[int, ...], tuple[list, list]] = {}
 

@@ -144,7 +144,8 @@ def test_c8_random_pair_battery(cyclotomic_pairs):
     assert len(pairs) == 50
     grams = []
     for pair in pairs:
-        G = gram_invariance(pair).gram
+        # raises unless A and C preserve the remainder Gram
+        G = gram_invariance(pair, invariant_space(pair)).gram
         for M in (pair.A, pair.B):
             assert linalg.mat_eq(
                 linalg.mat_mul(linalg.transpose(M),
@@ -155,7 +156,6 @@ def test_c8_random_pair_battery(cyclotomic_pairs):
         c_minus_1 = [[pair.C[i][j] - int(i == j) for j in range(n)]
                      for i in range(n)]
         assert linalg.rank(c_minus_1) == 1
-        invariant_space(pair)  # raises if the two routes disagree
         assert linalg.vec_dot(pair.v, G, pair.v) == 2
         grams.append(G)
     rng = random.Random(20260823)

@@ -144,6 +144,33 @@ def test_analyze_pair_validation_error(capsys):
     assert "coprime" in doc["error"]["message"]
 
 
+# coprime, f(0) = -1 and g(0) = 1, but x^4 f(1/x) != -f: no form is
+# invariant, and the message names f
+NOT_RECIPROCAL = {"f": "x^4-x^2-1", "g": "x^4+x^2+1"}
+NOT_RECIPROCAL_ERROR = {
+    "kind": "validation",
+    "message": "f = (x^4-x^2-1) is not self-reciprocal, so no quadratic "
+               "form is invariant under the pair"}
+
+
+def test_analyze_not_self_reciprocal_exits_2(capsys):
+    code, cap = run(capsys, "analyze", "--f", NOT_RECIPROCAL["f"],
+                    "--g", NOT_RECIPROCAL["g"])
+    assert code == 2
+    assert json.loads(cap.out)["error"] == NOT_RECIPROCAL_ERROR
+
+
+def test_batch_line_not_self_reciprocal(capsys, tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps(NOT_RECIPROCAL) + "\n"
+                    + json.dumps({"f": BASE_F, "g": BASE_G}) + "\n")
+    code, cap = run(capsys, "analyze", "--batch", str(path))
+    assert code == 2
+    bad, good = [json.loads(ln) for ln in cap.out.splitlines()]
+    assert bad == {"error": NOT_RECIPROCAL_ERROR, "input": NOT_RECIPROCAL}
+    assert good["witness"]["conclusion"] == "witnessed-arithmetic"
+
+
 def test_analyze_missing_arguments(capsys):
     code, cap = run(capsys, "analyze", "--f", BASE_F)
     assert code == 2

@@ -130,7 +130,26 @@ def test_build_pair_takes_two_eliminations_and_one_product(monkeypatch):
     assert counts == {"_eliminate": 2, "mat_mul": 1}
 
 
-# invariant_space takes the one congruence diagonal of the agreed form;
+# invariant_space certifies the remainder Gram entry by entry against A
+# and C: it solves nothing and multiplies no matrices, and its one
+# elimination is the congruence diagonal it keeps.  WitnessContext runs
+# the same check, so the package has one invariance check of the form
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_invariant_space_solves_nothing(monkeypatch, entry):
+    pair = monodromy.build_pair(parse_poly(entry.f_text),
+                                parse_poly(entry.g_text))
+    counts = _counted(monkeypatch, ((linalg, "_eliminate"),
+                                    (linalg, "mat_mul"),
+                                    (quadform, "congruence_diagonal"),
+                                    (quadform, "_unpreserved_generator")))
+    space = quadform.invariant_space(pair)
+    assert counts == {"congruence_diagonal": 1, "_unpreserved_generator": 1}
+    witness.WitnessContext(pair, space)
+    assert counts == {"congruence_diagonal": 1, "_unpreserved_generator": 2}
+
+
+# invariant_space takes the one congruence diagonal of the certified form;
 # signature and the first Witt stage read it, each later Witt stage
 # eliminates its smaller lattice once, and no elimination builds T
 

@@ -25,7 +25,7 @@ def built(cyclotomic_pairs):
 
 def test_group_identities_hold_for_every_pair(cyclotomic_pairs):
     for pair in built(cyclotomic_pairs):
-        G = gram_invariance(pair).gram
+        G = gram_invariance(pair, invariant_space(pair)).gram
         for M in (pair.A, pair.B, pair.C):
             assert linalg.mat_eq(
                 linalg.mat_mul(linalg.transpose(M),
@@ -40,8 +40,8 @@ def test_group_identities_hold_for_every_pair(cyclotomic_pairs):
 
 
 def test_route_cross_check_accepts_every_pair(cyclotomic_pairs):
-    # invariant_space raises if the remainder and invariance routes ever
-    # disagree, so surviving the whole batch is the assertion
+    # invariant_space raises if A or C ever fails to preserve the
+    # remainder Gram, so surviving the whole batch is the assertion
     for pair in built(cyclotomic_pairs):
         space = invariant_space(pair)
         assert space.dim == pair.n
@@ -93,8 +93,8 @@ def test_reflections_preserve_the_form(cyclotomic_pairs):
     pairs = [p for p in built(cyclotomic_pairs) if p.n >= 2][:10]
     seen = {"unit": 0, "integral": 0, "not integral": 0}
     for pair in pairs:
-        std = gram_invariance(pair)
-        G = std.gram
+        cyc = invariant_space(pair)
+        G = gram_invariance(pair, cyc).gram
         v = pair.v
         x = tuple(rng.randint(-4, 4) for _ in range(pair.n))
         y = reflect(G, v, x)
@@ -102,7 +102,6 @@ def test_reflections_preserve_the_form(cyclotomic_pairs):
         assert linalg.vec_dot(y, G, y) == linalg.vec_dot(x, G, x)
 
         # the int reflection on the cyclic Gram against its reference
-        cyc = invariant_space(pair)
         H = cyc.gram
         assert all(type(a) is int for row in H for a in row)
         assert all(type(a) is Fraction for row in G for a in row)

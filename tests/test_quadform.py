@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthomono import corpus, linalg, quadform
-from orthomono.monodromy import build_pair
+from orthomono.monodromy import PairValidationError, build_pair
 from orthomono.padding import embed_vector, pad_pair
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import IntPoly, divrem, render
@@ -124,6 +124,46 @@ def test_cyclic_gram_row_matches_the_reference_on_random_input():
             ref_cyclic_gram_row(f, g, count), (f, g, count)
 
 
+def invariance_solution(pair):
+    """(h, scale): the primitive int solution h of the invariance equations
+    {A^T H A = H, B^T H B = H, H symmetric} and scale = v.h.v, so that
+    H = 2 h / scale is the standard-basis form with v.v = 2.
+
+    The solve that invariant_space replaced by its invariance check, kept
+    as the reference.  Any symmetric solution of A^T H A = H is Toeplitz
+    in the standard basis (for i, j <= n-2 the (i,j) entry of A^T H A is
+    H[i+1][j+1]), so H is parametrized by its first row and the boundary
+    equations from the last columns of A and B are imposed on it."""
+    n = pair.n
+    rows = []
+    for mat in (pair.A, pair.B):
+        last = [mat[i][n - 1] for i in range(n)]
+        for i in range(n - 1):
+            # (M^T H M)[i][n-1] = H[i][n-1]
+            eq = [0] * n
+            for k in range(n):
+                eq[abs(i + 1 - k)] += last[k]
+            eq[n - 1 - i] -= 1
+            rows.append(eq)
+        eq = [0] * n
+        for k in range(n):
+            for l in range(n):
+                eq[abs(k - l)] += last[k] * last[l]
+        eq[0] -= 1
+        rows.append(eq)
+    pivots, d, _ = linalg._eliminate(rows)
+    assert len(pivots) == n - 1, "the solution space is not a line"
+    # rows[k] is d times the reduced row of pivot k, so the kernel vector
+    # with free entry d has entry -rows[k][free] at pivot k
+    free = next(c for c in range(n) if c not in pivots)
+    first = [d] * n
+    for k, c in enumerate(pivots):
+        first[c] = -rows[k][free]
+    first = linalg.primitive_integer(first)
+    h = [[first[abs(i - j)] for j in range(n)] for i in range(n)]
+    return h, linalg.vec_dot(pair.v, h, pair.v)
+
+
 def test_invariant_kernel_matches_nullspace(monkeypatch, cyclotomic_pairs):
     # the invariance route reads its int kernel vector off one
     # elimination; the reference takes the Fraction kernel of the same
@@ -138,7 +178,7 @@ def test_invariant_kernel_matches_nullspace(monkeypatch, cyclotomic_pairs):
     for f, g in cyclotomic_pairs:
         pair = build_pair(f, g)
         equations.clear()
-        h, scale = quadform._invariance_solution(pair)
+        h, scale = invariance_solution(pair)
         [rows] = equations
         kernel = nullspace(rows)
         assert len(kernel) == 1
@@ -149,8 +189,26 @@ def test_invariant_kernel_matches_nullspace(monkeypatch, cyclotomic_pairs):
                                   linalg.mat_mul(h, m)) == h
 
 
+def test_certified_form_matches_the_solved_reference(cyclotomic_pairs):
+    # the reference's solution of the invariance equations is the form
+    # invariant_space certifies, 2 S^T h S = scale G, and its
+    # standard-basis view is 2 h / scale
+    pairs = [build_pair(f, g) for f, g in cyclotomic_pairs] + [
+        pair_of(entry.f_text, entry.g_text) for entry in corpus.ENTRIES]
+    assert len(pairs) == 61
+    for pair in pairs:
+        h, scale = invariance_solution(pair)
+        space = invariant_space(pair)
+        via_std = linalg.mat_mul(linalg.transpose(pair.S),
+                                 linalg.mat_mul(h, pair.S))
+        assert [[2 * x for x in row] for row in via_std] \
+            == [[scale * y for y in row] for row in space.gram]
+        assert gram_invariance(pair, space).gram \
+            == tuple(tuple(F(2 * x, scale) for x in row) for row in h)
+
+
 def test_invariant_space_is_cyclic_toeplitz(base_pair, base_space):
-    assert linalg.mat_eq(change_basis(gram_invariance(base_pair),
+    assert linalg.mat_eq(change_basis(gram_invariance(base_pair, base_space),
                                       base_pair.S).gram, base_space.gram)
     assert base_space.dim == 5
     row = cyclic_gram_row(base_pair.f, base_pair.g)
@@ -160,7 +218,8 @@ def test_invariant_space_is_cyclic_toeplitz(base_pair, base_space):
 
 
 def test_two_routes_agree_and_standard_form_is_invariant(base_pair):
-    std = gram_invariance(base_pair)
+    h, scale = invariance_solution(base_pair)
+    std = space_of([[F(2 * x, scale) for x in row] for row in h])
     cyc = gram_remainder(base_pair)
     assert linalg.mat_eq(change_basis(std, base_pair.S).gram,
                          cyc.gram)
@@ -172,9 +231,29 @@ def test_two_routes_agree_and_standard_form_is_invariant(base_pair):
 
 
 def test_invariant_space_requires_orthogonal():
-    from orthomono.monodromy import PairValidationError
     with pytest.raises(PairValidationError):
         cyclic_gram_row(P("x^2-x+1"), P("x^2+x+1"))
+
+
+# f and g coprime with f(0) = -1 and g(0) = 1, but one is not
+# self-reciprocal, so no form is invariant: exit 2, naming it
+
+@pytest.mark.parametrize("f_text, g_text, named", [
+    ("x^4-x^2-1", "x^4+x^2+1", "f = (x^4-x^2-1)"),
+    ("x^3-1", "x^3+x+1", "g = (x^3+x+1)")])
+def test_invariant_space_requires_self_reciprocal(f_text, g_text, named):
+    with pytest.raises(PairValidationError) as err:
+        invariant_space(pair_of(f_text, g_text))
+    assert str(err.value) == (f"{named} is not self-reciprocal, so no "
+                              "quadratic form is invariant under the pair")
+
+
+def test_invariant_space_checks_orthogonality_first(base_pair):
+    # f(0) g(0) = +1 with a non-reciprocal f keeps the orthogonality message
+    flipped = dataclasses.replace(base_pair, f=P("x^5+x+1"))
+    with pytest.raises(PairValidationError,
+                       match="requires an orthogonal pair"):
+        invariant_space(flipped)
 
 
 # ------------------------------------------------------------ diagonalization
@@ -270,8 +349,8 @@ def test_the_diagonal_follows_the_gram():
     assert signature(wider) == (2, 1)
 
 
-# invariant_space compares the routes in ints, 2 S^T h S == scale G_cyc;
-# one entry off on either side raises, with the two Grams in the message
+# invariant_space checks the remainder Gram against A and C entry by
+# entry; any one entry off raises, naming the generator and the Gram
 
 def _bumped(gram, i=0, j=1):
     rows = [list(r) for r in gram]
@@ -280,37 +359,54 @@ def _bumped(gram, i=0, j=1):
     return tuple(map(tuple, rows))
 
 
-def _mismatch(cyc_gram, via_std_gram):
-    return ("remainder-route and invariance-route Gram matrices disagree: "
-            f"{cyc_gram} vs {via_std_gram}")
+def _failure(generator, gram):
+    return (f"the remainder-route Gram fails the {generator} invariance "
+            f"check: {gram}")
 
 
 @pytest.mark.parametrize("i, j", [(0, 1), (3, 4)])
 def test_route_check_catches_a_remainder_route_change(monkeypatch,
                                                       base_pair, i, j):
+    # (3, 4) keeps row 0, so a check of row 0 alone would pass it
     original = quadform.gram_remainder
     monkeypatch.setattr(quadform, "gram_remainder", lambda pair: QuadSpace(
         gram=_bumped(original(pair).gram, i, j)))
     cyc = original(base_pair)
     with pytest.raises(OracleMismatchError) as err:
         invariant_space(base_pair)
-    via_std = tuple(tuple(F(x) for x in row) for row in cyc.gram)
-    assert str(err.value) == _mismatch(_bumped(cyc.gram, i, j), via_std)
+    assert str(err.value) == _failure("A", _bumped(cyc.gram, i, j))
 
 
-def test_route_check_catches_an_invariance_route_change(monkeypatch,
-                                                        base_pair):
-    h, scale = quadform._invariance_solution(base_pair)
-    monkeypatch.setattr(quadform, "_invariance_solution",
-                        lambda pair: (_bumped(h), scale))
+def test_invariance_check_rejects_every_single_entry_bump(
+        monkeypatch, cyclotomic_pairs):
+    original = quadform.gram_remainder
+    bumped = {}
+    monkeypatch.setattr(quadform, "gram_remainder",
+                        lambda pair: QuadSpace(gram=bumped["gram"]))
+    tried = 0
+    for f, g in cyclotomic_pairs:
+        pair = build_pair(f, g)
+        gram = original(pair).gram
+        for i in range(pair.n):
+            for j in range(i, pair.n):
+                bumped["gram"] = _bumped(gram, i, j)
+                with pytest.raises(OracleMismatchError):
+                    invariant_space(pair)
+                tried += 1
+    assert tried == 1793
+
+
+def test_invariance_check_rejects_a_doubled_gram(monkeypatch, base_pair):
+    # A^T (2G) A = 2G, so 2G passes the A half; its row 0 is 2 s, not the
+    # normalization s (v.v = 2), so the C half alone rejects it
+    doubled = tuple(tuple(2 * x for x in row)
+                    for row in gram_remainder(base_pair).gram)
+    assert quadform._unpreserved_generator(base_pair, doubled) == "C"
+    monkeypatch.setattr(quadform, "gram_remainder",
+                        lambda pair: QuadSpace(gram=doubled))
     with pytest.raises(OracleMismatchError) as err:
         invariant_space(base_pair)
-    std = QuadSpace(gram=tuple(tuple(F(2 * x, scale) for x in row)
-                               for row in _bumped(h)))
-    via_std = change_basis(std, base_pair.S).gram
-    assert via_std != gram_remainder(base_pair).gram
-    assert str(err.value) == _mismatch(gram_remainder(base_pair).gram,
-                                       via_std)
+    assert str(err.value) == _failure("C", doubled)
 
 
 def ref_diagonalize(gram):

@@ -143,6 +143,14 @@ def test_context_rejects_a_gram_that_A_does_not_preserve(base_pair,
         WitnessContext(base_pair, bent)
 
 
+def test_context_rejects_a_doubled_gram(base_pair, base_space):
+    # A preserves 2 G, but its row 0 is not the normalization v.v = 2
+    doubled = QuadSpace(gram=tuple(tuple(2 * x for x in row)
+                                   for row in base_space.gram))
+    with pytest.raises(PairValidationError, match="C does not preserve"):
+        WitnessContext(base_pair, doubled)
+
+
 def test_verified_rejects_mismatch(ctx):
     with pytest.raises(ValueError, match="does not match"):
         ctx.verified(("A",), ctx.C)
