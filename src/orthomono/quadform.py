@@ -339,19 +339,25 @@ def _canonical(c: tuple[int, ...]) -> bool:
     return lead is not None and lead > 0 and math.gcd(*c) == 1
 
 
-def _box_solutions(gram: Sequence[Sequence], bound: int, value=0
-                   ) -> Iterator[tuple[int, ...]]:
-    """Canonical tuples c in [-bound, bound]^dim with c.G.c = value, in
-    lexicographic order, lazily; G must be symmetric.
+def _box_solutions(gram: Sequence[Sequence], bound: int, value=0,
+                   normal: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
+    """Canonical tuples c in [-bound, bound]^dim with c.G.c = value, and
+    normal . c = 0 when an int vector normal is given, in lexicographic
+    order, lazily; G must be symmetric.
 
     Depth first over the coordinates, carrying the form's value on the
-    prefix and G times the prefix, so a node costs O(dim).  The frame of
-    the second-to-last coordinate loops over it inline and solves for the
-    last one as an integer quadratic, so no frame is opened per leaf.
-    Only prefixes that a canonical tuple can extend are walked: the zero
-    prefix and those whose first nonzero entry is positive, so below a
-    zero prefix the next coordinate runs over 0..bound.  On dim >= 1 that
-    is ((2 bound + 1)^(dim-1) + 1) / 2 quadratic solves."""
+    prefix, G times the prefix and normal . prefix, so a node costs
+    O(dim).  The frame of the second-to-last coordinate loops over it
+    inline and solves for the last one as an integer quadratic, so no
+    frame is opened per leaf.  Only prefixes that a canonical tuple can
+    extend are walked: the zero prefix and those whose first nonzero
+    entry is positive, so below a zero prefix the next coordinate runs
+    over 0..bound.  On dim >= 1 that is ((2 bound + 1)^(dim-1) + 1) / 2
+    quadratic solves.  The last coordinate normal weights is solved from
+    the linear equation instead of walked; when it is the last one, the
+    second-to-last frame substitutes it into the quadratic and makes one
+    solve, so a constrained walk makes at most
+    ((2 bound + 1)^(dim-2) + 1) / 2 of them."""
     if not gram:
         return
     # on den * G the values are ints, and den * value must be one too
@@ -359,7 +365,10 @@ def _box_solutions(gram: Sequence[Sequence], bound: int, value=0
     value = Fraction(value) * den
     if value.denominator != 1:
         return
-    yield from _box_walk(gram, bound, int(value), (), 0, [0] * len(gram))
+    normal = tuple(normal) or (0,) * len(gram)
+    pivot = max((i for i, x in enumerate(normal) if x), default=-1)
+    yield from _box_walk(gram, bound, int(value), normal, pivot, (), 0,
+                         [0] * len(gram), 0)
 
 
 def _quadratic_roots(a: int, b: int, c: int, bound: int) -> list[int]:
@@ -384,24 +393,47 @@ def _quadratic_roots(a: int, b: int, c: int, bound: int) -> list[int]:
     return sorted(roots)
 
 
-def _box_walk(gram, bound: int, value: int, prefix: tuple[int, ...], q: int,
-              g_prefix: list) -> Iterator[tuple[int, ...]]:
-    # q = prefix.G.prefix and g_prefix = G prefix, prefix zero-padded; the
-    # value with coordinate k set to t is q + t (2 (G prefix)_k + G_kk t)
+def _box_walk(gram, bound: int, value: int, normal: tuple[int, ...],
+              pivot: int, prefix: tuple[int, ...], q: int, g_prefix: list,
+              level: int) -> Iterator[tuple[int, ...]]:
+    # q = prefix.G.prefix, g_prefix = G prefix and level = normal . prefix,
+    # prefix zero-padded; the value with coordinate k set to t is
+    # q + t (2 (G prefix)_k + G_kk t).  Coordinate pivot, the last one
+    # normal weights, takes the one value that makes level 0.
     k = len(prefix)
     last = len(gram) - 1
     if k == last:  # a one-dimensional form
         for s in _quadratic_roots(gram[k][k], 2 * g_prefix[k], q - value,
                                   bound):
-            if _canonical(prefix + (s,)):
+            if level + normal[k] * s == 0 and _canonical(prefix + (s,)):
                 yield prefix + (s,)
         return
     lin, diag = 2 * g_prefix[k], gram[k][k]
     # below a negative lead no tuple is canonical
     span = range(-bound if any(prefix) else 0, bound + 1)
+    if k == pivot:
+        t, rest = divmod(-level, normal[k])
+        span = range(t, t + 1) if rest == 0 and t in span else range(0)
     if k == last - 1:
         lin_last, diag_last = 2 * g_prefix[last], gram[last][last]
         cross = 2 * gram[k][last]
+        if pivot == last:
+            # normal_last s = -(level + normal_k t) =: m; the quadratic
+            # times normal_last^2, as a quadratic in t
+            e, f = normal[k], normal[last]
+            roots = _quadratic_roots(
+                diag * f * f + diag_last * e * e - cross * e * f,
+                lin * f * f - lin_last * e * f + 2 * diag_last * level * e
+                - cross * level * f,
+                (q - value) * f * f - lin_last * level * f
+                + diag_last * level * level, bound)
+            for t in roots:
+                s, rest = divmod(-level - e * t, f)
+                if t in span and rest == 0 and -bound <= s <= bound:
+                    c = prefix + (t, s)
+                    if _canonical(c):
+                        yield c
+            return
         for t in span:
             pre = prefix + (t,)
             for s in _quadratic_roots(diag_last, lin_last + cross * t,
@@ -413,9 +445,10 @@ def _box_walk(gram, bound: int, value: int, prefix: tuple[int, ...], q: int,
         return
     row = gram[k]  # column k, by symmetry
     for t in span:
-        yield from _box_walk(gram, bound, value, prefix + (t,),
+        yield from _box_walk(gram, bound, value, normal, pivot, prefix + (t,),
                              q + t * (lin + diag * t),
-                             [a + t * b for a, b in zip(g_prefix, row)])
+                             [a + t * b for a, b in zip(g_prefix, row)],
+                             level + normal[k] * t)
 
 
 def isotropic_search(gram: Sequence[Sequence], bound: int
@@ -562,8 +595,15 @@ def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int) -> bool:
     work is dim * modulus^2, never an enumeration of tuples).  Success
     certifies Q-anisotropy of the diagonal form.
 
+    For odd p, dim >= 3 and p dividing no d_i the answer is False without
+    counting: Chevalley-Warning gives a nonzero zero mod p, which is
+    nonsingular as 2 d_i x_i is a unit for some i, and Hensel's lemma
+    lifts it to a primitive zero mod every p^k (Serre, A Course in
+    Arithmetic, ch. I-II).
+
     Raises SearchBudgetError when the (p, k, dim) instance is over
-    CERT_WORK_CAP; inputs outside the documented limits are rejected.
+    CERT_WORK_CAP, before the shortcut is taken; inputs outside the
+    documented limits are rejected.
     """
     dim = len(diagonal)
     if dim > CERT_MAX_DIM or p > CERT_MAX_PRIME or k > CERT_MAX_EXPONENT:
@@ -593,11 +633,14 @@ def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int) -> bool:
     def count_zeros(modulus: int) -> int:
         if modulus == 1:
             return 1
-        if dim * modulus * modulus > CERT_WORK_CAP:
-            raise SearchBudgetError(
-                f"certificate counting mod {modulus} exceeds the work cap")
         return residue_counts(diagonal, modulus)[0]
 
+    # mod p^(k-2) is under the cap whenever mod p^k is
+    if dim * q * q > CERT_WORK_CAP:
+        raise SearchBudgetError(
+            f"certificate counting mod {q} exceeds the work cap")
+    if p != 2 and dim >= 3 and all(d % p for d in diagonal):
+        return False
     total = count_zeros(q)
     if k >= 2:
         nonprimitive = count_zeros(p ** (k - 2)) * p ** dim

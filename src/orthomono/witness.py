@@ -38,9 +38,6 @@ OUT_OF_SCOPE = "out-of-scope(symplectic)"
 
 _TOKEN_INVERSE = {"A": "A^-1", "A^-1": "A"}
 
-# conjugate-budget for the translation-span search; rank growth usually
-# saturates within the first layer or two
-SPAN_BUDGET = 600
 MAX_SPAN_REFLECTIONS = 12
 # input limit on the word bound: the orbit of v about doubles per step,
 # and at 16 one orbit of a worked quintic pair holds ~126,000 images
@@ -401,20 +398,21 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
                                 ) -> list[tuple[int, ...]]:
     """Norm-2 vectors orthogonal to eps, whose reflections are therefore
     integral and fix the line through eps: the images A^k v, the
-    perp-basis vectors, then (dimension permitting) a bounded ambient
-    search.  Deduplicated by sign, deterministic order."""
+    perp-basis vectors, then (dimension permitting) the bounded box
+    search, walked inside eps-perp.  Deduplicated by sign, deterministic
+    order."""
     gram, n = ctx.gram, ctx.n
     eps = tuple(int(x) for x in eps)
     # A^k v is the k-th unit vector of the cyclic basis
     images = (tuple(row) for row in linalg.identity(n))
     perp, _ = ctx.perp(eps)
     candidates = itertools.chain(images, perp)
-    if (2 * search_bound + 1) ** n <= AMBIENT_CAP:
-        # lazily: the scan usually stops at MAX_SPAN_REFLECTIONS long
-        # before the box is exhausted
-        candidates = itertools.chain(
-            candidates, _box_solutions(gram, search_bound, 2))
     g_eps = linalg.mat_vec(gram, eps)
+    if (2 * search_bound + 1) ** n <= AMBIENT_CAP:
+        # lazily, and walked inside eps-perp: the scan usually stops at
+        # MAX_SPAN_REFLECTIONS long before the box is exhausted
+        candidates = itertools.chain(
+            candidates, _box_solutions(gram, search_bound, 2, g_eps))
     out: list[tuple[int, ...]] = []
     seen = set()
     for w in candidates:
@@ -447,20 +445,25 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     a conjugate is ((w . m a))_w, and no inverse or conjugate matrix is
     needed to rank it.  The rank is that of these vectors, which the
     inverse quotient Gram maps invertibly onto the translation vectors.
-    Each conjugate that raises the rank is also built as a matrix, and
-    its _radical_factors must agree; a disagreement raises
-    OracleMismatchError.
 
-    Stops early when the rank reaches n - 2, the dimension of the full
-    translation group, when SPAN_BUDGET conjugates are spent, or after a
-    whole product layer adds no rank.  An isotropic axis, or one not
-    orthogonal to eps, raises ValueError.  The reflection about w is
-    I - w h^T / d with 2 G w / w.w = h / d in lowest terms, gcd(d, h) = 1,
-    so d divides every entry of c h^T for an int c iff it divides c, and a
-    product is extended by one reflection as the rank-one update
-    prev - (prev w) h^T / d: O(n^2) int steps, one exact division per
-    row, which also rejects a reflection that is not integral.  The perp
-    basis of eps comes from ctx's cache.
+    By linearity the vectors m a span a closure: V_0 = Q a, and V_k is
+    V_(k-1) plus the reflections r_i(b) of the vectors b that raised the
+    rank in layer k - 1; V_3 is the span over all products of length
+    <= 3.  So layer k reflects only those vectors, at most len(axes) *
+    rank candidates in all, and a layer that adds nothing ends the
+    search.  The reflection about w is x -> x - (h . x) (w / d), with
+    2 G w / w.w = h / d in lowest terms; it is integral iff d divides
+    every entry of w, and an axis for which it is not raises ValueError
+    up front, as do an isotropic axis, one of the wrong dimension and one
+    not orthogonal to eps.
+
+    Each rank-raising vector carries the word of its axis indices; its
+    product is built as a matrix by rank-one int updates,
+    prev - (prev (w / d)) h^T per reflection, and its conjugate of u must
+    agree in _check_conjugate, which raises OracleMismatchError
+    otherwise.  Stops early when the rank reaches n - 2, the dimension of
+    the full translation group.  The perp basis of eps comes from ctx's
+    cache.
     """
     gram, n = ctx.gram, ctx.n
     eps = tuple(int(x) for x in eps)
@@ -479,7 +482,10 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
         if sum(map(operator.mul, eps, gw)):
             raise ValueError(f"reflection axis {w} is not orthogonal to eps")
         g = math.gcd(ww, *(2 * x for x in gw))
-        updates.append((w, [2 * x // g for x in gw], ww // g))
+        d = ww // g
+        if any(x % d for x in w):
+            raise ValueError(f"reflection about {tuple(w)} is not integral")
+        updates.append(([2 * x // g for x in gw], [x // d for x in w]))
 
     echelon: list[tuple[int, list[int]]] = []
     rank = int(_echelon_insert(echelon, factors))
@@ -490,44 +496,39 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     den = math.lcm(*(c.denominator for c in t))
     a = linalg.mat_vec(linalg.transpose(quotient), [int(c * den) for c in t])
     g_quotient = [linalg.mat_vec(gram, w) for w in quotient]
-    # each product travels with the indices of its axes
-    identity = int_matrix(linalg.identity(n))
-    layer = [(identity, ())]
-    seen = {identity}
-    spent = 0
+    # the vectors the last layer added, each with the word of its product
+    added = [(a, ())]
     for _ in range(3):
         grown = []
-        progressed = False
-        for prev, prev_word in layer:
-            for i, (w, h, d) in enumerate(updates):
-                m = []
-                for row in prev:
-                    shift, rest = divmod(sum(map(operator.mul, row, w)), d)
-                    if rest:
-                        raise ValueError(f"product with the reflection "
-                                         f"about {w} is not integral")
-                    m.append(tuple([x - shift * y for x, y in zip(row, h)]))
-                m = tuple(m)
-                if m in seen:
+        for y, word in added:
+            for i, (h, w_d) in enumerate(updates):
+                shift = sum(map(operator.mul, h, y))
+                x = [b - shift * c for b, c in zip(y, w_d)]
+                lam = linalg.mat_vec(g_quotient, x)
+                if not _echelon_insert(echelon, lam):
                     continue
-                seen.add(m)
-                word = prev_word + (i,)
-                grown.append((m, word))
-                lam = linalg.mat_vec(g_quotient, linalg.mat_vec(m, a))
-                if _echelon_insert(echelon, lam):
-                    _check_conjugate(u, m, [axes[j] for j in word], eps, ctx,
-                                     den, lam)
-                    rank += 1
-                    progressed = True
-                    if rank >= n - 2:
-                        return rank
-                spent += 1
-                if spent >= SPAN_BUDGET:
+                x_word = (i,) + word
+                grown.append((x, x_word))
+                _check_conjugate(u, _product(updates, x_word, n),
+                                 [axes[j] for j in x_word], eps, ctx, den,
+                                 lam)
+                rank += 1
+                if rank >= n - 2:
                     return rank
-        if not progressed and rank > 0:
-            break
-        layer = grown
+        added = grown
     return rank
+
+
+def _product(updates, word: Sequence[int], n: int):
+    """The int matrix of the product of the reflections indexed by word,
+    each applied as the rank-one update prev - (prev (w / d)) h^T."""
+    m = linalg.identity(n)
+    for j in word:
+        h, w_d = updates[j]
+        for row in m:
+            shift = sum(map(operator.mul, row, w_d))
+            row[:] = [x - shift * y for x, y in zip(row, h)]
+    return m
 
 
 def _check_conjugate(u: GroupElement, m, axes: Sequence[tuple[int, ...]],

@@ -281,6 +281,34 @@ def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
         assert s["mat_mul in check"] == s["expected mat_mul"]
 
 
+# span_rank_witness ranks a closure: u's own translation, then each axis
+# applied to each vector that raised the rank, so it reduces at most
+# 1 + len(axes) * rank vectors
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_span_rank_reduces_at_most_axes_times_rank_vectors(monkeypatch,
+                                                           entry):
+    spans = []
+    original_span = witness.span_rank_witness
+    original_insert = witness._echelon_insert
+
+    def span(u, axes, eps, ctx):
+        spans.append([len(axes), 0])
+        rank = original_span(u, axes, eps, ctx)
+        spans[-1].append(rank)
+        return rank
+
+    def insert(echelon, vec):
+        spans[-1][1] += 1
+        return original_insert(echelon, vec)
+    monkeypatch.setattr(witness, "span_rank_witness", span)
+    monkeypatch.setattr(witness, "_echelon_insert", insert)
+    cli.build_report(entry.f_text, entry.g_text)
+    assert spans
+    for axes, inserts, rank in spans:
+        assert 1 <= inserts <= 1 + axes * rank
+
+
 # the Witt pass carries its lattice and restricted Gram from stage to
 # stage, starting from B = I and R = G, so a definite form, which stops at
 # stage 1, multiplies no matrices there

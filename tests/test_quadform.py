@@ -1,6 +1,7 @@
 """Invariant form, diagonalization, signatures, and rational isotropy
 certificates, pinned to independently derived values."""
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -611,6 +612,86 @@ def test_find_anisotropy_certificate_isotropic_form():
     assert all("skipped" in note for note in notes)
 
 
+@functools.lru_cache(maxsize=None)
+def _packed_squares(d, modulus):
+    # sum_x t^(d x^2 mod modulus), one 64-bit slot per coefficient
+    counts = [0] * modulus
+    for x in range(modulus):
+        counts[d * x * x % modulus] += 1
+    return int.from_bytes(b"".join(c.to_bytes(8, "little") for c in counts),
+                          "little")
+
+
+def ref_zero_count(diagonal, modulus):
+    """#{x mod modulus : sum d_i x_i^2 = 0}: the constant coefficient of
+    prod_i sum_x t^(d_i x^2 mod modulus) modulo t^modulus - 1, with the
+    polynomials packed into ints (no count comes near 2^64), so the
+    products run as int products."""
+    width = 64 * modulus
+    acc = 1
+    for d in diagonal:
+        acc *= _packed_squares(d % modulus, modulus)
+        acc = (acc & ((1 << width) - 1)) + (acc >> width)
+    return acc & ((1 << 64) - 1)
+
+
+def ref_primitive_zeros(diagonal, p, k):
+    """The primitive zeros mod p^k: all zeros less those divisible by p,
+    which are p^dim lifts of each zero mod p^(k-2)."""
+    trivial = ref_zero_count(diagonal, p ** (k - 2)) * p ** len(diagonal) \
+        if k >= 2 else 1
+    return ref_zero_count(diagonal, p ** k) - trivial
+
+
+def ref_find_certificate(diagonal):
+    """The scan of find_anisotropy_certificate with every instance under
+    the work cap counted, as (prime, exponent) or None, and its notes."""
+    reduced = [squarefree_class(d) for d in diagonal]
+    notes = []
+    for k in range(1, quadform.CERT_MAX_EXPONENT + 1):
+        for p in quadform._PRIMES:
+            if len(reduced) * p ** (2 * k) > quadform.CERT_WORK_CAP:
+                notes.append(f"mod {p}^{k} check skipped (work cap)")
+            elif ref_primitive_zeros(reduced, p, k) == 0:
+                return (p, k), notes
+    return None, notes
+
+
+_SQUAREFREE = (-3, -1, 1, 2, 5)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_anisotropy_shortcut_at_odd_unit_primes(dim):
+    # Chevalley-Warning and Hensel: a unit diagonal in >= 3 variables has
+    # a primitive zero mod every power of an odd prime
+    for diagonal in itertools.combinations_with_replacement(_SQUAREFREE,
+                                                            dim):
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            if any(d % p == 0 for d in diagonal):
+                continue
+            for k in (1, 2):
+                assert anisotropy_certificate(diagonal, p, k) is False
+                assert ref_primitive_zeros(diagonal, p, k) > 0
+
+
+def test_find_anisotropy_certificate_matches_the_counting_scan():
+    rng = random.Random(20261019)
+    cases = [(F(-2), F(14), F(35)), (F(1), F(1), F(-2))]
+    for _ in range(198):
+        cases.append(tuple(F(rng.choice((-1, 1)) * rng.randint(1, 12),
+                             rng.randint(1, 3))
+                           for _ in range(rng.randint(2, 4))))
+    found = []
+    for diagonal in cases:
+        ob, notes = find_anisotropy_certificate(diagonal)
+        got = None if ob is None else (ob.prime, ob.exponent)
+        assert (got, notes) == ref_find_certificate(diagonal), diagonal
+        found.append((got, bool(notes)))
+    assert found[0] == ((5, 2), False)
+    assert found[1] == (None, True)
+    assert {got for got, _ in found} > {None, (5, 2)}
+
+
 # ------------------------------------------------------------------ searches
 
 def test_isotropic_search_base(base_space):
@@ -699,6 +780,24 @@ def test_box_walk_skips_negative_lead_prefixes(monkeypatch, dim, bound):
     monkeypatch.setattr(quadform, "_quadratic_roots", counted)
     list(_box_solutions(gram, bound, 2))
     assert len(calls) == ((2 * bound + 1) ** (dim - 1) + 1) // 2
+
+
+# with a normal e the walk keeps only the c with e.c = 0, solving the last
+# coordinate e weights from the linear equation instead of walking it
+
+@pytest.mark.parametrize("chunk", range(5))
+def test_constrained_box_walk_matches_the_filtered_walk(chunk):
+    rng = random.Random(20261019 + chunk)
+    for i in range(100):
+        gram, bound, value = _box_case(rng, i)
+        dim = len(gram)
+        normal = [rng.randint(-3, 3) for _ in range(dim)]
+        zeros = (i // 4) % 3  # e ends in 0, 1 or 2 zero entries
+        normal[dim - min(zeros, dim):] = [0] * min(zeros, dim)
+        want = [c for c in _box_solutions(gram, bound, value)
+                if sum(a * b for a, b in zip(normal, c)) == 0]
+        assert list(_box_solutions(gram, bound, value, normal)) == want, \
+            (gram, bound, value, normal)
 
 
 # ------------------------------------------------------------------ witt / q

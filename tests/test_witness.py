@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orthomono import cli, corpus, linalg, witness
+from orthomono import cli, corpus, linalg, quadform, witness
 from orthomono.monodromy import PairValidationError, build_pair, int_matrix
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import render
@@ -344,6 +344,32 @@ def test_integral_reflection_vectors(ctx):
         assert next(x for x in w if x != 0) > 0
 
 
+# the box part of the axis scan is walked inside eps-perp: each prefix of
+# length n - 2 takes one quadratic solve, ((2 bound + 1)^(n-2) + 1) / 2 in
+# all, 172 on n = 5 at bound 3, where the ambient box took up to 1,201
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_reflection_axes_walk_one_solve_per_prefix(monkeypatch, entry):
+    pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
+    ctx = WitnessContext(pair, invariant_space(pair))
+    calls = []
+    original = quadform._quadratic_roots
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(quadform, "_quadratic_roots", counted)
+    walked = 0
+    for eps in orbit_candidates(ctx, 3, 8):
+        if unipotent_from_reflections(ctx, eps, 8) is None:
+            continue
+        calls.clear()
+        assert len(integral_reflection_vectors(ctx, eps, 3)) >= 1
+        assert len(calls) <= (7 ** (ctx.n - 2) + 1) // 2 == 172
+        walked += 1
+    assert walked >= 1
+
+
 # ----------------------------------------------------------------- span rank
 
 def test_span_rank_with_lemma_triple(ctx, u):
@@ -377,6 +403,15 @@ def test_span_rank_validation(ctx, u):
     # the first product, I times the reflection, is not integral
     with pytest.raises(ValueError, match="not integral"):
         span_rank_witness(u, [(1, 1, 0, 0, 0)], EPS, ctx)
+
+
+def test_span_rank_rejects_a_non_integral_axis_up_front(ctx, u):
+    # the lemma triple alone reaches rank n - 2 = 3, so the search stops
+    # before it reflects about the fourth axis; the axis is still rejected
+    assert span_rank_witness(u, [e(0), e(1), VPRIME], EPS, ctx) == 3
+    with pytest.raises(ValueError, match="not integral"):
+        span_rank_witness(u, [e(0), e(1), VPRIME, (1, 1, 0, 0, 0)], EPS,
+                          ctx)
 
 
 # ------------------------------------------------------------------- reports
@@ -510,7 +545,8 @@ def test_orbit_candidates_equal_box_hits_with_orbit_keys(f_text, g_text):
 def _matrix_span_rank(u, reflections, eps, gram):
     """Reference: the span rank with every conjugate m u m^-1 built as a
     matrix, each product carrying its inverse, and ranked by its
-    _radical_factors; the same layers, seen set and SPAN_BUDGET stop."""
+    _radical_factors; the same layers, seen set and no-progress stop,
+    over every product of at most three reflections."""
     n = len(gram)
     eps = tuple(eps)
     _, quotient = orthocomplement(gram, eps)
@@ -526,7 +562,6 @@ def _matrix_span_rank(u, reflections, eps, gram):
         return rank
     layer = [(identity, identity)]
     seen = {identity}
-    spent = 0
     for _ in range(3):
         grown = []
         progressed = False
@@ -545,9 +580,6 @@ def _matrix_span_rank(u, reflections, eps, gram):
                     progressed = True
                     if rank >= n - 2:
                         return rank
-                spent += 1
-                if spent >= witness.SPAN_BUDGET:
-                    return rank
         if not progressed and rank > 0:
             break
         layer = grown
@@ -568,7 +600,7 @@ def _span_cases():
 
 
 @pytest.mark.parametrize("f_text, g_text", _span_cases())
-def test_span_rank_matches_matrix_reference(monkeypatch, f_text, g_text):
+def test_span_rank_matches_matrix_reference(f_text, g_text):
     pair = build_pair(parse_poly(f_text), parse_poly(g_text))
     _, _, rep = hunt(pair)
     eps, u = rep.epsilon, rep.unipotent
@@ -581,10 +613,29 @@ def test_span_rank_matches_matrix_reference(monkeypatch, f_text, g_text):
     for k in range(1, 5):
         assert span_rank_witness(u, axes[:k], eps, ctx) \
             == _matrix_span_rank(u, refl[:k], eps, ctx.gram)
-    for budget in (5, 50):
-        monkeypatch.setattr(witness, "SPAN_BUDGET", budget)
-        assert span_rank_witness(u, axes, eps, ctx) \
-            == _matrix_span_rank(u, refl, eps, ctx.gram)
+
+
+# span_rank_witness ranks a closure of vectors where the reference builds
+# every product matrix; they must agree for every eps the hunt can reach,
+# not only the reported one
+
+@pytest.mark.parametrize("f_text, g_text", _span_cases())
+def test_span_closure_matches_matrix_reference_on_every_candidate(
+        f_text, g_text):
+    pair = build_pair(parse_poly(f_text), parse_poly(g_text))
+    ctx = WitnessContext(pair, invariant_space(pair))
+    checked = 0
+    for eps in orbit_candidates(ctx, 3, 8):
+        u = unipotent_from_reflections(ctx, eps, 8)
+        if u is None:
+            continue
+        axes = integral_reflection_vectors(ctx, eps)
+        refl = [reflection_matrix(ctx.gram, w) for w in axes]
+        for k in (1, 2, 3, 4, len(axes)):
+            assert span_rank_witness(u, axes[:k], eps, ctx) \
+                == _matrix_span_rank(u, refl[:k], eps, ctx.gram), (eps, k)
+        checked += 1
+    assert checked >= 1
 
 
 @pytest.mark.parametrize("skew", ["shifted", "off-radical"])
