@@ -354,10 +354,10 @@ def _box_solutions(gram: Sequence[Sequence], bound: int, value=0,
     entry is positive, so below a zero prefix the next coordinate runs
     over 0..bound.  On dim >= 1 that is ((2 bound + 1)^(dim-1) + 1) / 2
     quadratic solves.  The last coordinate normal weights is solved from
-    the linear equation instead of walked; when it is the last one, the
-    second-to-last frame substitutes it into the quadratic and makes one
-    solve, so a constrained walk makes at most
-    ((2 bound + 1)^(dim-2) + 1) / 2 of them."""
+    the linear equation instead of walked, and when it is the last one
+    the second-to-last frame substitutes it into the quadratic and makes
+    one solve; so with a nonzero normal on dim >= 2 the walk makes at
+    most ((2 bound + 1)^(dim-2) + 1) / 2 solves."""
     if not gram:
         return
     # on den * G the values are ints, and den * value must be one too

@@ -783,10 +783,17 @@ def test_box_walk_skips_negative_lead_prefixes(monkeypatch, dim, bound):
 
 
 # with a normal e the walk keeps only the c with e.c = 0, solving the last
-# coordinate e weights from the linear equation instead of walking it
+# coordinate e weights from the linear equation instead of walking it, so
+# a nonzero e saves a factor 2 bound + 1 of the quadratic solves
 
 @pytest.mark.parametrize("chunk", range(5))
-def test_constrained_box_walk_matches_the_filtered_walk(chunk):
+def test_constrained_box_walk_matches_the_filtered_walk(monkeypatch, chunk):
+    calls = []
+    original = quadform._quadratic_roots
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
     rng = random.Random(20261019 + chunk)
     for i in range(100):
         gram, bound, value = _box_case(rng, i)
@@ -796,8 +803,13 @@ def test_constrained_box_walk_matches_the_filtered_walk(chunk):
         normal[dim - min(zeros, dim):] = [0] * min(zeros, dim)
         want = [c for c in _box_solutions(gram, bound, value)
                 if sum(a * b for a, b in zip(normal, c)) == 0]
+        monkeypatch.setattr(quadform, "_quadratic_roots", counted)
+        calls.clear()
         assert list(_box_solutions(gram, bound, value, normal)) == want, \
             (gram, bound, value, normal)
+        monkeypatch.setattr(quadform, "_quadratic_roots", original)
+        if dim >= 2 and any(normal):
+            assert len(calls) <= ((2 * bound + 1) ** (dim - 2) + 1) // 2
 
 
 # ------------------------------------------------------------------ witt / q
