@@ -15,7 +15,7 @@ from .parsing import PolyParseError, parse_poly
 from .polynomials import (CycloFactorization, IntPoly, cyclo_factor,
                           cyclotomic, render, root_parameters)
 from .quadform import (Obstruction, OracleMismatchError, QuadSpace,
-                       RankCertificate, anisotropy_certificate, diagonalize,
+                       RankCertificate, anisotropy_certificate,
                        invariant_space, q_rank, signature, signature_interlace,
                        witt_decompose)
 from .witness import (GroupElement, LineStabilizer, WitnessReport,
@@ -30,7 +30,7 @@ __all__ = [
     "PairType", "PairValidationError", "PolyParseError", "QuadSpace",
     "RankCertificate", "WitnessReport", "anisotropy_certificate",
     "arithmeticity_report", "build_pair", "classify_type", "companion",
-    "cyclo_factor", "cyclotomic", "diagonalize", "embed_vector",
+    "cyclo_factor", "cyclotomic", "embed_vector",
     "invariant_space", "isometry_check", "line_stabilizer_test", "pad_pair",
     "parse_poly", "q_rank", "reflection_matrix", "remainder_coeff_check",
     "render", "root_parameters", "scalar_shift", "signature",

@@ -200,10 +200,9 @@ def build_report(f_text: str, g_text: str,
         space = _form_fields(doc, pair)
         t2 = time.perf_counter()
         ctx = WitnessContext(pair, space)
-        cert = q_rank(space, search_bound)
-        doc["q_rank"] = _certificate_json(cert)
+        doc["q_rank"] = _certificate_json(q_rank(space, search_bound))
         doc["witness"] = _witness_json(arithmeticity_report(
-            ctx, cert, search_bound, word_bound))
+            ctx, search_bound, word_bound))
     else:
         # Symplectic pairs carry no symmetric invariant form; report the
         # classification and stop.

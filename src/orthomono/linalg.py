@@ -1,12 +1,14 @@
 """Exact linear algebra over Q and Z: lists of lists of Fraction/int.
 
 Everything is deterministic (pivot = first usable row/column) and exact;
-no floating point.  Matrices are row-major.  rank, det, inverse and
-coordinates each run one fraction-free elimination over int rows; a
-rational input is cleared of denominators on entry, and a Fraction is
-built only for an entry of the result.  The elimination that inverts a
-matrix also yields its determinant.  nonsingular first runs the
-elimination over GF(DET_PRIME).
+no floating point.  Matrices are row-major.  rank, det and inverse each
+run one fraction-free elimination over int rows; a rational input is
+cleared of denominators on entry, and a Fraction is built only for an
+entry of the result.  The elimination that inverts a matrix also yields
+its determinant.  nonsingular first runs the elimination over
+GF(DET_PRIME).  Integer row kernels and unimodular completions come from
+one extended-gcd column elimination, which builds u and u^-1 together
+and no Fraction.
 """
 from __future__ import annotations
 
@@ -171,24 +173,6 @@ def inverse(m: Mat) -> list[list]:
     return _inverse_det(m)[0]
 
 
-def coordinates(rows: Mat, target: Vec) -> list[Fraction] | None:
-    """Coefficients expressing target as a combination of the given rows,
-    or None if target is outside their span."""
-    if not rows:
-        return None if any(x != 0 for x in target) else []
-    k = len(rows)
-    n = len(rows[0])
-    aug, _ = clear_denominators([[rows[j][i] for j in range(k)] + [target[i]]
-                                 for i in range(n)])
-    pivots, d, _ = _eliminate(aug)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = Fraction(aug[r][k], d)
-    return coeffs
-
-
 def primitive_integer(vec: Vec) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector whose first
     nonzero entry is positive.  An int vector is divided by its content
@@ -207,31 +191,38 @@ def primitive_integer(vec: Vec) -> tuple[int, ...]:
     return tuple(c // g for c in ints)
 
 
-def _column_eliminate(row: Sequence[int]) -> tuple[int, list[list[int]]]:
-    """(r0, u) with u unimodular and row . u = (r0, 0, ..., 0), where
-    |r0| is the gcd of the row, by extended-gcd column operations.
+def _column_eliminate(row: Sequence[int]
+                      ) -> tuple[int, list[list[int]], list[list[int]]]:
+    """(r0, columns of u, rows of u^-1) with u unimodular and
+    row . u = (r0, 0, ..., 0), where |r0| is the gcd of the row, by
+    extended-gcd column operations.  Each step on columns 0 and i of u
+    has determinant s a + t b = 1 and is undone by the matching step on
+    rows 0 and i of u^-1; a column swap swaps the same rows.
     Deterministic."""
     n = len(row)
     r = list(row)
-    u = identity(n)  # columns of u are the generators
+    cols = identity(n)  # cols[j]: column j of u
+    inv = identity(n)   # inv[j]: row j of u^-1
     for i in range(1, n):
         if r[i] == 0:
             continue
         if r[0] == 0:
-            # swap columns 0 and i
             r[0], r[i] = r[i], r[0]
-            for k in range(n):
-                u[k][0], u[k][i] = u[k][i], u[k][0]
+            cols[0], cols[i] = cols[i], cols[0]
+            inv[0], inv[i] = inv[i], inv[0]
             continue
         g = math.gcd(r[0], r[i])
         s, t = _extgcd(r[0], r[i])
         a, b = r[0] // g, r[i] // g
-        for k in range(n):
-            c0, ci = u[k][0], u[k][i]
-            u[k][0] = s * c0 + t * ci
-            u[k][i] = -b * c0 + a * ci
+        # column i of u and row i of u^-1 are still e_i, and column 0 and
+        # row 0 vanish from entry i on, so each step scales one vector
+        c0, i0 = cols[0], inv[0]
+        cols[0], cols[i] = [s * x for x in c0], [-b * x for x in c0]
+        inv[0], inv[i] = [a * x for x in i0], [-t * x for x in i0]
+        cols[0][i], cols[i][i] = t, a
+        inv[0][i], inv[i][i] = b, s
         r[0], r[i] = g, 0
-    return r[0], u
+    return r[0], cols, inv
 
 
 def int_row_kernel(row: Sequence[int]) -> list[list[int]]:
@@ -240,9 +231,7 @@ def int_row_kernel(row: Sequence[int]) -> list[list[int]]:
     Column-eliminates the row by unimodular operations; the columns that map
     to zero form the kernel basis.  Deterministic.
     """
-    n = len(row)
-    _, u = _column_eliminate(row)
-    return [[u[k][j] for k in range(n)] for j in range(1, n)]
+    return _column_eliminate(row)[1][1:]
 
 
 def _extgcd(a: int, b: int) -> tuple[int, int]:
@@ -262,14 +251,13 @@ def _extgcd(a: int, b: int) -> tuple[int, int]:
 
 def unimodular_with_first_row(c: Sequence[int]) -> list[list[int]]:
     """Integer matrix with determinant +-1 whose first row is the primitive
-    vector c."""
-    r0, u = _column_eliminate(c)
+    vector c: the u^-1 of c's column elimination, whose first row is
+    r0 c, as c = (r0, 0, ..., 0) . u^-1."""
+    r0, _, out = _column_eliminate(c)
     if abs(r0) != 1:
         raise ValueError("vector is not primitive")
-    out = inverse(u)
-    if out[0] != list(c):
-        # c . u = (-1, 0, ..., 0): flipping the first column of u negates
-        # the first row of its inverse
+    if r0 == -1:
+        # flipping the first column of u negates the first row of u^-1
         out[0] = [-x for x in out[0]]
     assert out[0] == list(c)
     return out

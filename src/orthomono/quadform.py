@@ -206,41 +206,22 @@ def invariant_space(pair: HyperPair) -> QuadSpace:
     return cyc
 
 
-def diagonalize(gram: Sequence[Sequence]) -> tuple[
-        tuple[Fraction, ...], tuple[tuple[Fraction, ...], ...]]:
-    """Congruence diagonalization: returns (diagonal, T) with
-    T^T G T = diag.
+def congruence_diagonal(gram: Sequence[Sequence]) -> tuple[Fraction, ...]:
+    """The diagonal of a congruence diagonalization T^T G T = diag, with
+    no T built.
 
     Pivot rule (deterministic): use the first nonzero diagonal entry,
     swapping it into place; if every remaining diagonal entry is zero but
     some off-diagonal (i,j) is not, apply e_i -> e_i + e_j first.  Zero
     diagonal entries survive only for degenerate inputs.
-    """
-    diag, cols = _congruence(gram, with_t=True)
-    return diag, tuple(zip(*cols))
-
-
-def congruence_diagonal(gram: Sequence[Sequence]) -> tuple[Fraction, ...]:
-    """The diagonal of diagonalize, from the same elimination with no
-    column of T built; every caller in the package needs only this."""
-    return _congruence(gram, with_t=False)[0]
-
-
-def _congruence(gram: Sequence[Sequence], with_t: bool
-                ) -> tuple[tuple[Fraction, ...], list | None]:
-    """(diagonal, the columns of T when with_t, else None) by the pivot
-    rule of diagonalize.
 
     The elimination is fraction-free (Bareiss) on den * G with int
     entries: before step i the trailing block is d_i times the rational
-    one, and each not yet final column of T is an int column divided by
-    d_i, where d_i is the previous pivot (d_0 = 1).  Both divisions by d_i
-    below are exact, so diagonal entry i is pivot i / (d_i * den) and
-    column i of T is its int column / d_i.
+    one, where d_i is the previous pivot (d_0 = 1).  The division by d_i
+    below is exact, so diagonal entry i is pivot i / (d_i * den).
     """
     m, den = linalg.clear_denominators(gram)
     n = len(m)
-    cols = linalg.identity(n) if with_t else None  # cols[j]: int column j
     diag: list[Fraction] = []
     prev = 1
 
@@ -250,15 +231,11 @@ def _congruence(gram: Sequence[Sequence], with_t: bool
             m[k][dst] += m[k][src]
         for k in range(n):
             m[dst][k] += m[src][k]
-        if with_t:
-            cols[dst] = [a + b for a, b in zip(cols[dst], cols[src])]
 
     def col_swap(a: int, b: int) -> None:
         for k in range(n):
             m[k][a], m[k][b] = m[k][b], m[k][a]
         m[a], m[b] = m[b], m[a]
-        if with_t:
-            cols[a], cols[b] = cols[b], cols[a]
 
     for i in range(n):
         if m[i][i] == 0:
@@ -282,19 +259,11 @@ def _congruence(gram: Sequence[Sequence], with_t: bool
             row = m[j]
             row[i + 1:] = [(pivot * a - f * b) // prev
                            for a, b in zip(row[i + 1:], tail)]
-            if with_t:
-                cols[j] = [(pivot * a - f * b) // prev
-                           for a, b in zip(cols[j], cols[i])]
         diag.append(Fraction(pivot, prev * den))
-        if with_t:
-            cols[i] = [Fraction(a, prev) for a in cols[i]]
         prev = pivot
-    # after a break the trailing block is zero and shares the last d_i
-    for i in range(len(diag), n):
-        diag.append(Fraction(0))
-        if with_t:
-            cols[i] = [Fraction(a, prev) for a in cols[i]]
-    return tuple(diag), cols
+    # after a break the trailing block is zero
+    diag += [Fraction(0)] * (n - len(diag))
+    return tuple(diag)
 
 
 def signature(space: QuadSpace) -> tuple[int, int]:
@@ -595,11 +564,12 @@ def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int) -> bool:
     work is dim * modulus^2, never an enumeration of tuples).  Success
     certifies Q-anisotropy of the diagonal form.
 
-    For odd p, dim >= 3 and p dividing no d_i the answer is False without
-    counting: Chevalley-Warning gives a nonzero zero mod p, which is
-    nonsingular as 2 d_i x_i is a unit for some i, and Hensel's lemma
-    lifts it to a primitive zero mod every p^k (Serre, A Course in
-    Arithmetic, ch. I-II).
+    For dim >= 3 the answer is False without counting when k = 1, or when
+    p is odd and divides no d_i: Chevalley-Warning gives a nonzero zero
+    mod p, which is primitive mod p itself, and which for a unit diagonal
+    and odd p is nonsingular, as 2 d_i x_i is a unit for some i, so
+    Hensel's lemma lifts it to a primitive zero mod every p^k (Serre, A
+    Course in Arithmetic, ch. I-II).
 
     Raises SearchBudgetError when the (p, k, dim) instance is over
     CERT_WORK_CAP, before the shortcut is taken; inputs outside the
@@ -639,7 +609,7 @@ def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int) -> bool:
     if dim * q * q > CERT_WORK_CAP:
         raise SearchBudgetError(
             f"certificate counting mod {q} exceeds the work cap")
-    if p != 2 and dim >= 3 and all(d % p for d in diagonal):
+    if dim >= 3 and (k == 1 or p != 2 and all(d % p for d in diagonal)):
         return False
     total = count_zeros(q)
     if k >= 2:

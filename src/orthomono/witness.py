@@ -13,8 +13,14 @@ at construction, so every certificate is replayable.
 
 arithmeticity_report runs the witness hunt alone: the caller builds the
 pair and form once, into the WitnessContext that the hunt's functions
-take, and the Q-rank certificate; the signature is read off the form's
-kept diagonal.  reflection_matrix and orthocomplement take Gram rows.
+take; the signature is read off the form's kept diagonal.
+reflection_matrix and orthocomplement take Gram rows.
+
+The hunt runs on ints over the integral cyclic Gram, with no elimination:
+eps-perp and eps's coordinates in it come from one unimodular column
+reduction of G eps, which builds the inverse of its matrix as it goes,
+and the translation vector of a unipotent u is read off its matrix as
+y - u(y) for a unit vector y.
 """
 from __future__ import annotations
 
@@ -22,14 +28,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
 from .quadform import (DEFAULT_SEARCH_BOUND, SEARCH_CAP, OracleMismatchError,
-                       QuadSpace, RankCertificate, _box_solutions, _canonical,
+                       QuadSpace, _box_solutions, _canonical,
                        _unpreserved_generator, signature)
 
 WITNESSED = "witnessed-arithmetic"
@@ -109,8 +114,8 @@ class WitnessContext:
 
     Construction runs invariant_space's O(n^2) invariance check of the
     Gram against A and C.  The matrix of C is built and checked on first
-    use, so a pair whose hunt never runs (a definite form, or a box over
-    the cap with lo = 0) never builds it."""
+    use, so a pair whose hunt never runs (a definite form, or a search
+    box over the cap) never builds it."""
 
     def __init__(self, pair: HyperPair, space: QuadSpace):
         self.pair = pair
@@ -230,30 +235,31 @@ class WitnessContext:
         return minus, plus
 
 
+def _reflection_axis(gram: Sequence[Sequence], w: Sequence[int]
+                     ) -> tuple[list[int], list[int]]:
+    """(h, w / d) with 2 G w / (w . w) = h / d in lowest terms, so the
+    reflection about w is x -> x - (h . x) (w / d).  Raises ValueError for
+    an isotropic w and for a reflection that is not integral: as
+    gcd(d, h) = 1, d divides every h_j w_i iff it divides every w_i."""
+    gw = linalg.mat_vec(gram, w)
+    ww = sum(map(operator.mul, w, gw))
+    if ww == 0:
+        raise ValueError("cannot reflect about an isotropic vector")
+    g = math.gcd(ww, *(2 * x for x in gw))
+    d = ww // g
+    if any(x % d for x in w):
+        raise ValueError(f"reflection about {tuple(w)} is not integral")
+    return [2 * x // g for x in gw], [x // d for x in w]
+
+
 def reflection_matrix(gram: Sequence[Sequence], w: Sequence[int]
                       ) -> GroupElement:
     """GroupElement of the reflection x -> x - (2 (x.w) / (w.w)) w about
-    w; the matrix must come out integral to participate in group
-    computations.
-
-    Column j is the image of e_j, e_j - (2 (Gw)_j / w.w) w, built entry
-    by entry with an exact-divisibility test in place of a division."""
-    n = len(gram)
-    gw = linalg.mat_vec(gram, w)
-    ww = sum(a * b for a, b in zip(w, gw))
-    if ww == 0:
-        raise ValueError("cannot reflect about an isotropic vector")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            shift, rest = divmod(2 * gw[j] * w[i], ww)
-            if rest != 0:
-                raise ValueError(
-                    f"reflection about {tuple(w)} is not integral")
-            row.append(int(i == j) - shift)
-        rows.append(tuple(row))
-    matrix = tuple(rows)
+    w, which must be integral: the matrix I - (w / d) h^T of
+    _reflection_axis, checked to preserve the form."""
+    h, w_d = _reflection_axis(gram, w)
+    matrix = tuple(tuple(int(i == j) - c * x for j, x in enumerate(h))
+                   for i, c in enumerate(w_d))
     word = _render_reflection(w)
     _check_isometry(gram, matrix, word)
     return GroupElement(word=(word,), matrix=matrix)
@@ -265,7 +271,8 @@ def orthocomplement(gram: Sequence[Sequence], eps: Sequence[int]
 
     The perp basis is an integral lattice basis with eps as its first
     vector; the remaining n-2 vectors represent eps-perp modulo the line
-    through eps.  Deterministic.
+    through eps.  One column elimination of G eps gives both the kernel
+    basis and eps's coordinates in it.  Deterministic.
     """
     n = len(gram)
     eps = tuple(int(x) for x in eps)
@@ -274,21 +281,15 @@ def orthocomplement(gram: Sequence[Sequence], eps: Sequence[int]
     if linalg.vec_dot(eps, gram, eps) != 0:
         raise ValueError("eps must be isotropic")
     row = linalg.primitive_integer(linalg.mat_vec(gram, eps))
-    kernel = linalg.int_row_kernel(list(row))
-    coords = linalg.coordinates(kernel, eps)
-    if coords is None:
-        raise ValueError("eps does not lie in its own perp")
-    ints = []
-    acc = 0
-    for c in coords:
-        fc = Fraction(c)
-        if fc.denominator != 1:
-            raise ValueError("eps must be primitive")
-        ints.append(int(fc))
-        acc = math.gcd(acc, int(fc))
-    if acc != 1:
+    # the columns of U and the rows of U^-1, with row . U = (r0, 0, ...)
+    _, cols, inv = linalg._column_eliminate(row)
+    kernel = cols[1:]
+    # eps = U (U^-1 eps), and entry 0 of U^-1 eps is (row . eps) / r0 = 0,
+    # so eps's kernel coordinates are the rest; their gcd is eps's content
+    coords = linalg.mat_vec(inv[1:], eps)
+    if math.gcd(*coords) != 1:
         raise ValueError("eps must be primitive")
-    u = linalg.unimodular_with_first_row(tuple(ints))
+    u = linalg.unimodular_with_first_row(coords)
     k = len(kernel)
     basis = [tuple(sum(u[i][j] * kernel[j][col] for j in range(k))
                    for col in range(n)) for i in range(k)]
@@ -340,17 +341,6 @@ def line_stabilizer_test(g: GroupElement, eps: Sequence[int],
     return LineStabilizer(fixes_line=lam is not None,
                           fixes_vector=fixes_vector,
                           in_unipotent_radical=radical)
-
-
-def _translation_coordinates(gram, quotient: Sequence[Sequence[int]],
-                             factors: Sequence[int]) -> tuple[Fraction, ...]:
-    """The coordinates t, in the quotient basis, of the vector a with
-    (w . a) = lambda_w for every quotient representative w."""
-    qgram = [[linalg.vec_dot(wi, gram, wj) for wj in quotient]
-             for wi in quotient]
-    # the form descends nondegenerately to the quotient, so t is unique
-    return tuple(Fraction(c)
-                 for c in linalg.mat_vec(linalg.inverse(qgram), factors))
 
 
 def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
@@ -438,24 +428,27 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     """Rank over Q of the translation vectors of the conjugates of u by
     products (length <= 3) of the reflections about the given axes.
 
-    u moves each x in eps-perp by (x . a) eps, where a = sum t_w w over
-    the quotient representatives w and t = _translation_coordinates of u.
-    Every axis is orthogonal to eps, so a product m of the reflections
-    fixes eps and m u m^-1 moves x by (x . m a) eps: the lambda vector of
-    a conjugate is ((w . m a))_w, and no inverse or conjugate matrix is
-    needed to rank it.  The rank is that of these vectors, which the
-    inverse quotient Gram maps invertibly onto the translation vectors.
+    u fixes eps and moves each quotient representative w by lambda_w eps,
+    lambda = _radical_factors of u; so u moves x in eps-perp by
+    (x . a) eps for a vector a of eps-perp, and for y = e_j, the first
+    unit vector with s = y . eps != 0, y - u(y) = s a + c eps, an int
+    vector read off u's column j.  Every axis is orthogonal to eps, so a
+    product m of the reflections fixes eps and m u m^-1 moves x by
+    (x . m a) eps: the lambda vector of a conjugate is ((w . m a))_w,
+    which is that of m (y - u(y)) divided by s, and no inverse or
+    conjugate matrix is needed to rank it.  The rank is that of these
+    vectors, which the inverse quotient Gram maps invertibly onto the
+    translation vectors.
 
     By linearity the vectors m a span a closure: V_0 = Q a, and V_k is
     V_(k-1) plus the reflections r_i(b) of the vectors b that raised the
     rank in layer k - 1; V_3 is the span over all products of length
     <= 3.  So layer k reflects only those vectors, at most len(axes) *
     rank candidates in all, and a layer that adds nothing ends the
-    search.  The reflection about w is x -> x - (h . x) (w / d), with
-    2 G w / w.w = h / d in lowest terms; it is integral iff d divides
-    every entry of w, and an axis for which it is not raises ValueError
-    up front, as do an isotropic axis, one of the wrong dimension and one
-    not orthogonal to eps.
+    search.  The reflection about w is x -> x - (h . x) (w / d) of
+    _reflection_axis, which raises ValueError up front for an isotropic
+    axis and one whose reflection is not integral; so does one of the
+    wrong dimension and one not orthogonal to eps, h . eps != 0.
 
     Each rank-raising vector carries the word of its axis indices; its
     product is built as a matrix by rank-one int updates,
@@ -475,26 +468,18 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     for w in axes:
         if len(w) != n:
             raise ValueError(f"reflection axis {w} has the wrong dimension")
-        gw = linalg.mat_vec(gram, w)
-        ww = sum(map(operator.mul, w, gw))
-        if ww == 0:
-            raise ValueError("cannot reflect about an isotropic vector")
-        if sum(map(operator.mul, eps, gw)):
+        h, w_d = _reflection_axis(gram, w)
+        if sum(map(operator.mul, eps, h)):
             raise ValueError(f"reflection axis {w} is not orthogonal to eps")
-        g = math.gcd(ww, *(2 * x for x in gw))
-        d = ww // g
-        if any(x % d for x in w):
-            raise ValueError(f"reflection about {tuple(w)} is not integral")
-        updates.append(([2 * x // g for x in gw], [x // d for x in w]))
+        updates.append((h, w_d))
 
     echelon: list[tuple[int, list[int]]] = []
     rank = int(_echelon_insert(echelon, factors))
     if rank >= n - 2:
         return rank
-    # den * a is an int vector, so den * lambda is too
-    t = _translation_coordinates(gram, quotient, factors)
-    den = math.lcm(*(c.denominator for c in t))
-    a = linalg.mat_vec(linalg.transpose(quotient), [int(c * den) for c in t])
+    # a = y - u(y) for y = e_j, so its lambda vector is s * factors
+    j, s = next((j, x) for j, x in enumerate(linalg.mat_vec(gram, eps)) if x)
+    a = [int(i == j) - row[j] for i, row in enumerate(u.matrix)]
     g_quotient = [linalg.mat_vec(gram, w) for w in quotient]
     # the vectors the last layer added, each with the word of its product
     added = [(a, ())]
@@ -510,8 +495,7 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
                 x_word = (i,) + word
                 grown.append((x, x_word))
                 _check_conjugate(u, _product(updates, x_word, n),
-                                 [axes[j] for j in x_word], eps, ctx, den,
-                                 lam)
+                                 [axes[k] for k in x_word], eps, ctx, s, lam)
                 rank += 1
                 if rank >= n - 2:
                     return rank
@@ -532,20 +516,20 @@ def _product(updates, word: Sequence[int], n: int):
 
 
 def _check_conjugate(u: GroupElement, m, axes: Sequence[tuple[int, ...]],
-                     eps: tuple[int, ...], ctx: WitnessContext, den: int,
+                     eps: tuple[int, ...], ctx: WitnessContext, s: int,
                      lam: list[int]) -> None:
     """Second route for one conjugate: m u m^-1 as a matrix, where m is
     the product of the reflections about the given axes and m^-1 is the
     product of their reflection_matrix in reverse order, must move the
-    quotient representatives by lam / den."""
+    quotient representatives by lam / s."""
     m_inv = reduce(linalg.mat_mul, (reflection_matrix(ctx.gram, w).matrix
                                     for w in reversed(axes)))
     conj = linalg.mat_mul(m, linalg.mat_mul(u.matrix, m_inv))
     factors = _radical_factors(conj, eps, ctx.perp(eps)[1])
-    if factors is None or [den * x for x in factors] != lam:
+    if factors is None or [s * x for x in factors] != lam:
         raise OracleMismatchError(
             f"conjugate by {len(axes)} reflections: translation "
-            f"{lam} / {den} from m a, {factors} from the matrix")
+            f"{lam} / {s} from m a, {factors} from the matrix")
 
 
 def _echelon_insert(echelon: list[tuple[int, list[int]]],
@@ -597,31 +581,27 @@ def orbit_candidates(ctx: WitnessContext, search_bound: int,
     return sorted(found)
 
 
-def arithmeticity_report(ctx: WitnessContext, cert: RankCertificate,
-                         search_bound: int, word_bound: int) -> WitnessReport:
-    """The unipotent witness hunt for an orthogonal pair whose form,
-    ctx.space, has Q-rank certificate cert.
+def arithmeticity_report(ctx: WitnessContext, search_bound: int,
+                         word_bound: int) -> WitnessReport:
+    """The unipotent witness hunt for an orthogonal pair whose form is
+    ctx.space.
 
     witnessed-arithmetic requires all of: real rank >= 2, a verified
     nontrivial unipotent fixing an isotropic line, and reflection
     conjugates of it spanning the full n-2 dimensional translation group.
     Anything less is reported as inconclusive, with whatever partial
-    evidence was found embedded in the report.
+    evidence was found embedded in the report.  No hunt runs when the
+    search box is over SEARCH_CAP.
     """
     p, q = signature(ctx.space)
     n = ctx.n
     epsilon = None
     unipotent = None
     translation_rank = None
-    if min(p, q) >= 1 and n >= 3:
-        if (2 * search_bound + 1) ** n > SEARCH_CAP:
-            # over the box search's cap the hunt tries the Q-rank
-            # witnesses only, not the orbit differences
-            candidates = list(cert.isotropic_witnesses)
-        else:
-            candidates = orbit_candidates(ctx, search_bound, word_bound)
+    if min(p, q) >= 1 and n >= 3 \
+            and (2 * search_bound + 1) ** n <= SEARCH_CAP:
         best = -1
-        for eps in candidates:
+        for eps in orbit_candidates(ctx, search_bound, word_bound):
             u = unipotent_from_reflections(ctx, eps, word_bound)
             if u is None:
                 continue

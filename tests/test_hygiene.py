@@ -43,6 +43,34 @@ def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _fraction_uses(source: str) -> list[str]:
+    """The lines of source that import the fractions module or name
+    Fraction, as a name or an attribute."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(
+                alias.name == "fractions" for alias in node.names):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "Fraction" or \
+                isinstance(node, ast.Attribute) and node.attr == "Fraction":
+            lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_finds_a_fraction_use():
+    assert _fraction_uses("import fractions\nx = fractions.Fraction(1)\n"
+                          "from fractions import Fraction as F\n"
+                          "y: Fraction = F(2)\n# a Fraction in a comment\n"
+                          ) == ["line 1", "line 2", "line 3", "line 4"]
+
+
+def test_witness_hunt_builds_no_fraction():
+    # the witness stage runs on ints over the integral cyclic Gram
+    assert _fraction_uses((PACKAGE / "witness.py").read_text()) == []
+
+
 # public functions with no caller in the package that stay, and why
 UNCALLED_KEPT = {
     "isotropic_search": "perfbench/tracer.py spans it by name, and the "

@@ -2,6 +2,7 @@
 oracles on small matrices, and the fraction-free elimination against the
 Fraction Gaussian elimination it replaced, kept here as the reference."""
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -39,7 +40,7 @@ def det_oracle(m):
 
 def rref(m):
     """Reduced row echelon form and pivot columns, read off the
-    fraction-free elimination that rank, inverse and coordinates run."""
+    fraction-free elimination that rank, det and inverse run."""
     rows, _ = linalg.clear_denominators(m)
     pivots, d, _ = linalg._eliminate(rows)
     return [[Fraction(x, d) for x in row] for row in rows], pivots
@@ -132,19 +133,6 @@ def ref_nullspace(m):
     return basis
 
 
-def ref_coordinates(rows, target):
-    k = len(rows)
-    aug = [[Fraction(rows[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(len(target))]
-    reduced, pivots = ref_rref(aug)
-    if k in pivots:
-        return None
-    coeffs = [Fraction(0)] * k
-    for r, pc in enumerate(pivots):
-        coeffs[pc] = reduced[r][k]
-    return coeffs
-
-
 small = st.integers(-3, 3)
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 entries = st.one_of(ints, small, rationals)
@@ -175,13 +163,6 @@ def test_kernel_matches_fraction_reference(m):
     assert rref(m) == ref_rref(m)
     assert linalg.rank(m) == len(ref_rref(m)[1])
     assert nullspace(m) == ref_nullspace(m)
-    for j in range(len(m[0])):  # a column of m lies in the span
-        column = [row[j] for row in m]
-        assert linalg.coordinates(linalg.transpose(m), column) == \
-            ref_coordinates(linalg.transpose(m), column)
-    target = [Fraction(1, 3)] * len(m)
-    assert linalg.coordinates(linalg.transpose(m), target) == \
-        ref_coordinates(linalg.transpose(m), target)
 
 
 @settings(max_examples=300)
@@ -310,16 +291,22 @@ def test_vec_dot():
     assert linalg.vec_dot([3, -2], g, [1, 5]) == linalg.vec_dot([1, 5], g, [3, -2])
 
 
-def test_coordinates():
-    rows = [[1, 0, 1], [0, 1, 1]]
-    assert linalg.coordinates(rows, [2, 3, 5]) == [Fraction(2), Fraction(3)]
-    assert linalg.coordinates(rows, [0, 0, 1]) is None
-
-
 def test_primitive_integer():
     assert linalg.primitive_integer([Fraction(2, 3), Fraction(4, 3)]) == (1, 2)
     assert linalg.primitive_integer([6, -9]) == (2, -3)
     assert linalg.primitive_integer([0, 0, 5]) == (0, 0, 1)
+
+
+def check_column_elimination(row):
+    """The column elimination behind int_row_kernel and
+    unimodular_with_first_row: the rows of u^-1 it builds invert the
+    columns of u, and row . u = (r0, 0, ..., 0) with |r0| the gcd."""
+    n = len(row)
+    r0, cols, inv = linalg._column_eliminate(row)
+    assert linalg.mat_mul(linalg.transpose(cols), inv) == linalg.identity(n)
+    assert linalg.mat_vec(cols, row) == [r0] + [0] * (n - 1)
+    assert abs(r0) == math.gcd(*row)
+    return cols, inv
 
 
 @given(st.lists(ints, min_size=2, max_size=6).filter(lambda r: any(r)))
@@ -331,20 +318,22 @@ def test_int_row_kernel(row):
         assert all(isinstance(x, int) for x in vec)
         assert sum(a * b for a, b in zip(row, vec)) == 0
     assert linalg.rank(kernel) == n - 1
+    cols, _ = check_column_elimination(row)
+    assert kernel == cols[1:]
 
 
 @given(st.lists(ints, min_size=1, max_size=6))
 def test_unimodular_with_first_row(c):
-    import math
-    g = 0
-    for x in c:
-        g = math.gcd(g, x)
-    if g != 1:
+    if math.gcd(*c) != 1:
         return  # completion needs a primitive row
     u = linalg.unimodular_with_first_row(c)
-    assert u[0] == list(c) or tuple(u[0]) == tuple(c)
+    assert u[0] == list(c)
     assert abs(linalg.det(u)) == 1
     assert all(isinstance(x, int) for row in u for x in row)
+    # u is the u^-1 of c's elimination, up to the sign of its first row
+    _, inv = check_column_elimination(c)
+    assert u[1:] == inv[1:]
+    assert u[0] in (inv[0], [-x for x in inv[0]])
 
 
 def test_mat_eq_mixed_types():

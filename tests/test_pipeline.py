@@ -150,8 +150,8 @@ def test_invariant_space_solves_nothing(monkeypatch, entry):
 
 
 # invariant_space takes the one congruence diagonal of the certified form;
-# signature and the first Witt stage read it, each later Witt stage
-# eliminates its smaller lattice once, and no elimination builds T
+# signature and the first Witt stage read it, and each later Witt stage
+# eliminates its smaller lattice once
 
 @pytest.fixture
 def eliminations(monkeypatch):
@@ -162,23 +162,19 @@ def eliminations(monkeypatch):
         dims.append(len(gram))
         return original(gram)
     monkeypatch.setattr(quadform, "congruence_diagonal", counted)
-    return dims, _counted(monkeypatch, ((quadform, "diagonalize"),))
+    return dims
 
 
 def test_analyze_takes_one_congruence_elimination_per_lattice(eliminations):
-    dims, builds = eliminations
     doc = cli.build_report(BASE_F, BASE_G)
     assert doc["q_rank"]["lo"] == 2
-    assert dims == [5, 3, 1]
-    assert builds["diagonalize"] == 0
+    assert eliminations == [5, 3, 1]
 
 
 def test_definite_analyze_takes_one_congruence_elimination(eliminations):
-    dims, builds = eliminations
     doc = cli.build_report("Phi(1)*Phi(3)*Phi(5)", "Phi(2)*Phi(4)*Phi(8)")
     assert doc["signature"] == {"p": 7, "q": 0, "interlace_abs_diff": 7}
-    assert dims == [7]
-    assert builds["diagonalize"] == 0
+    assert eliminations == [7]
 
 
 # no polynomial gcd is taken: build_pair certifies that f and g are
@@ -225,6 +221,35 @@ def test_analyze_builds_one_perp_basis_per_eps(hunt_calls, entry):
     assert hunt_calls["isotropic_search"] == 0
     assert hunt_calls["orthocomplement"] \
         == hunt_calls["span_rank_witness"] >= 1
+
+
+# the hunt runs on ints with no elimination: eps-perp and eps's
+# coordinates in it come from one unimodular column reduction, which
+# builds u^-1 beside u, and the translation vector is read off u
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_witness_hunt_takes_no_elimination(monkeypatch, entry):
+    counts = Counter()
+    inside = []
+    original_report, original_eliminate = (witness.arithmeticity_report,
+                                           linalg._eliminate)
+
+    def report(*args):
+        inside.append(True)
+        try:
+            return original_report(*args)
+        finally:
+            inside.pop()
+
+    def eliminate(rows):
+        counts["inside" if inside else "outside"] += 1
+        return original_eliminate(rows)
+    monkeypatch.setattr(cli, "arithmeticity_report", report)
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    doc = cli.build_report(entry.f_text, entry.g_text)
+    assert doc["witness"]["unipotent"] is not None
+    assert counts["inside"] == 0
+    assert counts["outside"] >= 1
 
 
 # span_rank_witness takes the axes of its reflections and extends a

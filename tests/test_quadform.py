@@ -18,7 +18,6 @@ from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
                                 RankCertificate, _box_solutions,
                                 _canonical, anisotropy_certificate,
                                 congruence_diagonal, cyclic_gram_row,
-                                diagonalize,
                                 find_anisotropy_certificate, gram_invariance,
                                 gram_remainder, invariant_space,
                                 isotropic_search, q_rank, signature,
@@ -265,11 +264,13 @@ def diag_matrix(entries):
 
 
 def check_congruence(gram):
-    diag, t = diagonalize(gram)
-    n = len(gram)
+    """congruence_diagonal(gram), checked to equal the diagonal of the
+    Fraction reference, whose T makes it a congruence diagonal."""
+    diag, t = ref_diagonalize(gram)
     product = linalg.mat_mul(linalg.transpose(t),
                              linalg.mat_mul(gram, t))
     assert linalg.mat_eq(product, diag_matrix(list(diag)))
+    assert congruence_diagonal(gram) == diag
     return diag
 
 
@@ -300,19 +301,20 @@ def test_diagonalize_random_symmetric(m):
     check_congruence(gram)
 
 
-# the pipeline's elimination builds no T; its diagonal is diagonalize's
+# the pipeline's elimination builds no T; its diagonal is the Fraction
+# reference's
 
 @pytest.mark.parametrize("gram", [[[0, 1], [1, 0]], [[0, 0], [0, 0]],
                                   [[1, 1], [1, 1]], [[0, 0], [0, -3]], []])
 def test_congruence_diagonal_on_zero_diagonal_and_degenerate(gram):
-    assert congruence_diagonal(gram) == diagonalize(gram)[0]
+    assert congruence_diagonal(gram) == ref_diagonalize(gram)[0]
 
 
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
                 min_size=4, max_size=4))
 def test_congruence_diagonal_random_symmetric(m):
     gram = [[m[i][j] + m[j][i] for j in range(4)] for i in range(4)]
-    assert congruence_diagonal(gram) == diagonalize(gram)[0]
+    assert congruence_diagonal(gram) == ref_diagonalize(gram)[0]
 
 
 def test_congruence_diagonal_on_the_box_families():
@@ -320,11 +322,11 @@ def test_congruence_diagonal_on_the_box_families():
     rng = random.Random(20261018)
     for i in range(200):
         gram = _box_case(rng, i)[0]
-        assert congruence_diagonal(gram) == diagonalize(gram)[0]
+        assert congruence_diagonal(gram) == ref_diagonalize(gram)[0]
 
 
 def test_invariant_space_carries_its_diagonal(base_space):
-    assert base_space.diagonal == diagonalize(base_space.gram)[0]
+    assert base_space.diagonal == ref_diagonalize(base_space.gram)[0]
     assert signature(base_space) == signature(space_of(base_space.gram)) \
         == (3, 2)
 
@@ -411,8 +413,8 @@ def test_invariance_check_rejects_a_doubled_gram(monkeypatch, base_pair):
 
 
 def ref_diagonalize(gram):
-    """The Fraction congruence diagonalization that diagonalize replaced,
-    with the same pivot rule; the reference for its (diag, T)."""
+    """The Fraction congruence diagonalization (diag, T) with
+    congruence_diagonal's pivot rule; the reference for its diagonal."""
     m = [[Fraction(x) for x in row] for row in gram]
     n = len(m)
     t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -474,10 +476,9 @@ def symmetric(draw):
 @settings(max_examples=300)
 @given(symmetric())
 def test_diagonalize_matches_fraction_reference(m):
-    diag, t = diagonalize(m)
-    assert (diag, t) == ref_diagonalize(m)
+    diag = congruence_diagonal(m)
+    assert diag == ref_diagonalize(m)[0]
     assert all(type(x) is Fraction for x in diag)
-    assert all(type(x) is Fraction for row in t for x in row)
 
 
 def test_cyclic_gram_holds_ints(base_space, cyclotomic_pairs):
@@ -662,14 +663,14 @@ _SQUAREFREE = (-3, -1, 1, 2, 5)
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_anisotropy_shortcut_at_odd_unit_primes(dim):
-    # Chevalley-Warning and Hensel: a unit diagonal in >= 3 variables has
-    # a primitive zero mod every power of an odd prime
+    # Chevalley-Warning: a diagonal in >= 3 variables has a nonzero zero
+    # mod every p, which is primitive mod p; with Hensel, a unit diagonal
+    # has a primitive zero mod every power of an odd prime
     for diagonal in itertools.combinations_with_replacement(_SQUAREFREE,
                                                             dim):
-        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-            if any(d % p == 0 for d in diagonal):
-                continue
-            for k in (1, 2):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            unit = p != 2 and all(d % p for d in diagonal)
+            for k in ((1, 2) if unit else (1,)):
                 assert anisotropy_certificate(diagonal, p, k) is False
                 assert ref_primitive_zeros(diagonal, p, k) > 0
 
@@ -927,7 +928,7 @@ def _reference_witt_decompose(gram, bound, seeds=()):
             break
         restricted = linalg.mat_mul(
             basis, linalg.mat_mul(gram, linalg.transpose(basis)))
-        residual_diag, _ = diagonalize(restricted)
+        residual_diag, _ = ref_diagonalize(restricted)
         w = None
         for s in pending:
             in_lattice = all(

@@ -20,8 +20,7 @@ from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
                                span_rank_witness,
                                unipotent_from_reflections)
 from orthomono.witness import (_echelon_insert, _inverse_word,
-                               _parallel_factor, _radical_factors,
-                               _translation_coordinates)
+                               _parallel_factor, _radical_factors)
 
 from conftest import BASE_F, BASE_G, random_cyclotomic_pairs, reflect
 
@@ -35,6 +34,16 @@ def conjugate(g, h):
                         matrix=matrix)
 
 
+def translation_coordinates(gram, quotient, factors):
+    """The coordinates t, in the quotient basis, of the vector a with
+    (w . a) = lambda_w for every quotient representative w."""
+    qgram = [[linalg.vec_dot(wi, gram, wj) for wj in quotient]
+             for wi in quotient]
+    # the form descends nondegenerately to the quotient, so t is unique
+    return tuple(Fraction(c)
+                 for c in linalg.mat_vec(linalg.inverse(qgram), factors))
+
+
 def translation_vector(u, eps, ctx):
     """Reference: the quotient vector t with u(w) = w + (w.t) eps on
     eps-perp, in the quotient basis of orthocomplement(), read off u's
@@ -44,7 +53,7 @@ def translation_vector(u, eps, ctx):
     factors = _radical_factors(u.matrix, eps, quotient)
     if factors is None:
         raise ValueError("element is not in the unipotent radical")
-    return _translation_coordinates(ctx.gram, quotient, factors)
+    return translation_coordinates(ctx.gram, quotient, factors)
 
 
 @pytest.fixture(scope="module")
@@ -422,7 +431,7 @@ def hunt(pair):
     space = invariant_space(pair)
     cert = q_rank(space, 3)
     return signature(space), cert, arithmeticity_report(
-        WitnessContext(pair, space), cert, 3, 8)
+        WitnessContext(pair, space), 3, 8)
 
 
 def test_report_base(base_pair):
@@ -468,7 +477,7 @@ def test_radical_factors_on_worked_pair(entry):
     pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
     space = invariant_space(pair)
     ctx = WitnessContext(pair, space)
-    rep = arithmeticity_report(ctx, q_rank(space, 3), 3, 8)
+    rep = arithmeticity_report(ctx, 3, 8)
     eps, u = rep.epsilon, rep.unipotent
     refl = [reflection_matrix(ctx.gram, w)
             for w in integral_reflection_vectors(ctx, eps)]
@@ -634,6 +643,37 @@ def test_span_closure_matches_matrix_reference_on_every_candidate(
         for k in (1, 2, 3, 4, len(axes)):
             assert span_rank_witness(u, axes[:k], eps, ctx) \
                 == _matrix_span_rank(u, refl[:k], eps, ctx.gram), (eps, k)
+        checked += 1
+    assert checked >= 1
+
+
+# span_rank_witness reads u's translation vector off one column of u:
+# for y = e_j, the first unit vector with s = y . eps != 0, u fixes eps and
+# moves each quotient representative w by lambda_w eps, so
+# y - u(y) = s a + c eps, where a has coordinates translation_vector
+
+@pytest.mark.parametrize("f_text, g_text", _span_cases())
+def test_translation_vector_read_off_u(f_text, g_text):
+    pair = build_pair(parse_poly(f_text), parse_poly(g_text))
+    ctx = WitnessContext(pair, invariant_space(pair))
+    checked = 0
+    for eps in orbit_candidates(ctx, 3, 8):
+        u = unipotent_from_reflections(ctx, eps, 8)
+        if u is None:
+            continue
+        _, quotient = ctx.perp(eps)
+        g_eps = linalg.mat_vec(ctx.gram, eps)
+        j = next(j for j, x in enumerate(g_eps) if x)
+        s = g_eps[j]
+        y = e(j, ctx.n)
+        moved = [a - b for a, b in zip(y, linalg.mat_vec(u.matrix, y))]
+        g_quotient = [linalg.mat_vec(ctx.gram, w) for w in quotient]
+        factors = _radical_factors(u.matrix, eps, quotient)
+        assert linalg.mat_vec(g_quotient, moved) == [s * x for x in factors]
+        t = translation_vector(u, eps, ctx)
+        a = linalg.mat_vec(linalg.transpose(quotient), t)
+        rest = [m - s * x for m, x in zip(moved, a)]
+        assert linalg.rank([rest, list(eps)]) == 1
         checked += 1
     assert checked >= 1
 
