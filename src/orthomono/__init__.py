@@ -2,10 +2,12 @@
 
 A pair of monic coprime integer polynomials f, g of equal degree with
 f(0) = -1 and g(0) = 1 generates a reflection group through its companion
-matrices.  This package constructs the group, recovers the invariant
-quadratic form by two independent routes, certifies its rational isotropy
-rank, and hunts for the unipotent elements that witness arithmeticity.
-Everything is computed over Z and Q; no floats anywhere.
+matrices.  This package constructs the group, computes the invariant
+quadratic form from remainder coefficients and certifies it against the
+generators, certifies its rational isotropy rank, and hunts for the
+unipotent elements that witness arithmeticity.  Everything is computed
+over Z, with Q only for values that are not integers; no floats
+anywhere.
 """
 from .monodromy import (HyperPair, PairType, PairValidationError, build_pair,
                         classify_type, companion, scalar_shift)

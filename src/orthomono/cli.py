@@ -3,10 +3,11 @@
 Three subcommands:
 
   analyze   full pipeline for one pair: monodromy construction, invariant
-            form by two independent routes, signature, Q-rank certificate,
-            unipotent witness hunt.  This module builds each of those
-            objects once per command and hands it to the next stage; no
-            later stage rebuilds one from the polynomials.
+            form from remainder coefficients certified by the invariance
+            check, signature, Q-rank certificate, unipotent witness hunt.
+            This module builds each of those objects once per command and
+            hands it to the next stage; no later stage rebuilds one from
+            the polynomials.
   pad       degree padding of a quintic pair; verifies the isometric
             embedding and re-certifies the rank bound with lifted seeds.
   examples  recheck the built-in worked-example table against exact
@@ -30,7 +31,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from typing import Sequence
 
 from . import corpus
@@ -57,10 +57,7 @@ EXIT_ORACLE = 3
 # ---------------------------------------------------------------- JSON layer
 
 def _rat(x) -> str:
-    if type(x) is int:
-        return f"{x}/1"
-    fr = Fraction(x)
-    return f"{fr.numerator}/{fr.denominator}"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _gram_json(space: QuadSpace) -> list[list[str]]:

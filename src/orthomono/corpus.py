@@ -22,7 +22,6 @@ literal reading of a misprint that escapes the cyclic lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -137,13 +136,11 @@ def _basis_name(k: int) -> str:
 def _combo_text(c: Sequence) -> str:
     parts = []
     for k, coeff in enumerate(c):
-        coeff = Fraction(coeff)
         if coeff == 0:
             continue
         term = _basis_name(k)
         if abs(coeff) != 1:
-            mag = abs(coeff)
-            term = f"{mag.numerator if mag.denominator == 1 else mag}{term}"
+            term = f"{abs(coeff)}{term}"
         parts.append(("-" if coeff < 0 else "+", term))
     if not parts:
         return "0"
@@ -152,10 +149,6 @@ def _combo_text(c: Sequence) -> str:
     for sign, term in parts[1:]:
         text += f" {sign} {term}"
     return text
-
-
-def _fractions(c: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in c)
 
 
 def _matrix_text(m) -> str:
@@ -178,7 +171,7 @@ class _Context:
     def witness(self) -> WitnessContext:
         return WitnessContext(self.pair, self.space)
 
-    def dot(self, a: Sequence, b: Sequence) -> Fraction:
+    def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
         return linalg.vec_dot(a, self.space.gram, b)
 
     def iterate(self, k: int) -> IntPoly:
@@ -238,8 +231,7 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
         return DatumResult(d.label, "isotropic", found, match, d.erratum)
     if d.kind == "isotropic-std":
         w = d.spec[0]
-        std = gram_invariance(ctx.pair, ctx.space)
-        norm = linalg.vec_dot(w, std.gram, w)
+        norm = linalg.vec_dot(w, gram_invariance(ctx.pair, ctx.space), w)
         return DatumResult(d.label, "isotropic", f"norm {norm}",
                            norm == 0, d.erratum)
     if d.kind == "member":
@@ -253,15 +245,12 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
         image = tuple(linalg.mat_vec(
             reflection_matrix(ctx.space.gram, axis).matrix, arg))
         return DatumResult(d.label, _combo_text(d.stated),
-                           _combo_text(image),
-                           image == _fractions(d.stated), d.erratum)
+                           _combo_text(image), image == d.stated, d.erratum)
     if d.kind == "word-image":
         word, arg = d.spec
-        image = linalg.mat_vec(ctx.word_matrix(word).matrix, arg)
-        image = _fractions(image)
+        image = tuple(linalg.mat_vec(ctx.word_matrix(word).matrix, arg))
         return DatumResult(d.label, _combo_text(d.stated),
-                           _combo_text(image),
-                           image == _fractions(d.stated), d.erratum)
+                           _combo_text(image), image == d.stated, d.erratum)
     if d.kind == "unipotent":
         word, eps = d.spec
         u = ctx.word_matrix(word)
@@ -277,9 +266,8 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
         basis = [tuple(int(i == k) for i in range(ctx.pair.n))
                  for k in exponents]
         found = tuple(tuple(ctx.dot(a, b) for b in basis) for a in basis)
-        stated = tuple(tuple(Fraction(x) for x in row) for row in d.stated)
-        return DatumResult(d.label, _matrix_text(stated),
-                           _matrix_text(found), found == stated, d.erratum)
+        return DatumResult(d.label, _matrix_text(d.stated),
+                           _matrix_text(found), found == d.stated, d.erratum)
     if d.kind == "witt":
         cert = q_rank(ctx.space, bound)
         found = f"[{cert.lo}, {cert.hi}]"

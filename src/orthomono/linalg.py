@@ -1,11 +1,11 @@
-"""Exact linear algebra over Q and Z: lists of lists of Fraction/int.
+"""Exact linear algebra over Z: lists of lists of int.
 
 Everything is deterministic (pivot = first usable row/column) and exact;
 no floating point.  Matrices are row-major.  rank, det and inverse each
-run one fraction-free elimination over int rows; a rational input is
-cleared of denominators on entry, and a Fraction is built only for an
-entry of the result.  The elimination that inverts a matrix also yields
-its determinant.  nonsingular first runs the elimination over
+run one fraction-free elimination over int rows, and take int matrices
+only; a Fraction is built only for an entry of an inverse that is not an
+integer.  The elimination that inverts a matrix also yields its
+determinant.  nonsingular first runs the elimination over
 GF(DET_PRIME).  Integer row kernels and unimodular completions come from
 one extended-gcd column elimination, which builds u and u^-1 together
 and no Fraction.
@@ -50,12 +50,13 @@ def mat_eq(a: Mat, b: Mat) -> bool:
     )
 
 
-def clear_denominators(m: Mat) -> tuple[list[list[int]], int]:
-    """(den * m, den) for a matrix of int or Fraction entries, with den
-    the least common denominator of its entries, so den * m is int."""
-    den = math.lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row]
-            for row in m], den
+def int_rows(m: Mat) -> list[list[int]]:
+    """A copy of m as lists of int rows; a TypeError on any other entry,
+    so a rational matrix never reaches an int kernel."""
+    rows = [list(row) for row in m]
+    if not all(type(x) is int for row in rows for x in row):
+        raise TypeError("expected a matrix of int entries")
+    return rows
 
 
 def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
@@ -104,16 +105,13 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
 
 
 def rank(m: Mat) -> int:
-    rows, _ = clear_denominators(m)
-    return len(_eliminate(rows)[0])
+    return len(_eliminate(int_rows(m))[0])
 
 
-def det(m: Mat) -> Fraction:
-    rows, den = clear_denominators(m)
+def det(m: Mat) -> int:
+    rows = int_rows(m)
     pivots, d, sign = _eliminate(rows)
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    return Fraction(sign * d, den ** len(rows))
+    return sign * d if len(pivots) == len(rows) else 0
 
 
 # the fixed prime of the determinant certificate: the Mersenne prime 2^61 - 1
@@ -151,44 +149,37 @@ def nonsingular(m: Sequence[Sequence[int]]) -> bool:
     return _det_mod(m) != 0 or det(m) != 0
 
 
-def _inverse_det(m: Mat) -> tuple[list[list], Fraction]:
-    """(inverse, determinant) of a square matrix from the one elimination
-    of [m | I]: the inverse has int entries where they are integral and
-    Fraction entries elsewhere, and the determinant is read off the last
-    pivot, as in det."""
+def _inverse_det(m: Mat) -> tuple[list[list], int]:
+    """(inverse, determinant) of a square int matrix from the one
+    elimination of [m | I]: the inverse has int entries where they are
+    integral and Fraction entries elsewhere, and the determinant is read
+    off the last pivot, as in det."""
     n = len(m)
-    aug, den = clear_denominators([list(row) + [int(i == j) for j in range(n)]
-                                   for i, row in enumerate(m)])
+    aug = [row + [int(i == j) for j in range(n)]
+           for i, row in enumerate(int_rows(m))]
     pivots, d, sign = _eliminate(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     inv = [[x // d if x % d == 0 else Fraction(x, d) for x in row[n:]]
            for row in aug[:n]]
-    return inv, Fraction(sign * d, den ** n)
+    return inv, sign * d
 
 
 def inverse(m: Mat) -> list[list]:
-    """Inverse of a square matrix: int entries where they are integral,
-    Fraction entries elsewhere."""
+    """Inverse of a square int matrix: int entries where they are
+    integral, Fraction entries elsewhere."""
     return _inverse_det(m)[0]
 
 
-def primitive_integer(vec: Vec) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector whose first
-    nonzero entry is positive.  An int vector is divided by its content
-    with no Fraction built."""
-    if all(type(x) is int for x in vec):
-        ints = vec
-    else:
-        fracs = [Fraction(x) for x in vec]
-        lcm = math.lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (lcm // f.denominator) for f in fracs]
-    g = math.gcd(*ints)
+def primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:
+    """An int vector divided by its content, signed so that its first
+    nonzero entry is positive."""
+    g = math.gcd(*vec)
     if g == 0:
-        return tuple(ints)  # the zero vector
-    if next(c for c in ints if c != 0) < 0:
+        return tuple(vec)  # the zero vector
+    if next(c for c in vec if c != 0) < 0:
         g = -g
-    return tuple(c // g for c in ints)
+    return tuple(c // g for c in vec)
 
 
 def _column_eliminate(row: Sequence[int]

@@ -9,7 +9,6 @@ with image spanned by the vector v determined by A v = g - f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .polynomials import IntPoly
@@ -92,19 +91,8 @@ class HyperPair:
 
 
 def int_matrix(m) -> tuple[tuple[int, ...], ...]:
-    """m as a tuple of int rows; raises if any entry is not integral."""
-    out = []
-    for row in m:
-        r = []
-        for x in row:
-            if type(x) is not int:
-                x = Fraction(x)
-                if x.denominator != 1:
-                    raise PairValidationError("expected an integral matrix")
-                x = int(x)
-            r.append(x)
-        out.append(tuple(r))
-    return tuple(out)
+    """m as a tuple of int rows; a TypeError on any other entry."""
+    return tuple(map(tuple, linalg.int_rows(m)))
 
 
 def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
@@ -156,7 +144,7 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
     e_last = [int(i == n - 1) for i in range(n)]
     if [x - y for x, y in zip(last, e_last)] != [-x for x in v]:
         raise PairValidationError("(C - 1) x^{n-1} must equal -v")
-    det_a, det_b, det_c = int(det_a), int(linalg.det(b)), c[n - 1][n - 1]
+    det_b, det_c = linalg.det(b), c[n - 1][n - 1]
     if abs(det_a) != 1 or abs(det_b) != 1:
         raise PairValidationError("companion matrices must be unimodular")
     if det_c != -1:

@@ -22,8 +22,9 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 # Largest polynomial degree, and so pair dimension n, that parse_poly and
-# pad_pair accept.  analyze of x^127 -+ 1 takes seconds and x^255 -+ 1
-# tens of seconds; the largest worked example has degree 29.
+# pad_pair accept.  The slowest input measured under it, analyze of
+# (x-1)^127, (x+1)^127, takes about 49 s, nearly all of it the congruence
+# diagonal; the largest worked example has degree 29.
 MAX_DEGREE = 128
 
 

@@ -46,10 +46,9 @@ class SearchBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadSpace:
-    # int entries for the cyclic Gram, computed once and certified by
-    # invariant_space, Fraction entries for its standard-basis view; the
-    # dimension and the diagonal are read off it
-    gram: tuple[tuple[int | Fraction, ...], ...]
+    # the cyclic Gram, computed once and certified by invariant_space;
+    # the dimension and the diagonal are read off it
+    gram: tuple[tuple[int, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -130,14 +129,14 @@ def gram_remainder(pair: HyperPair) -> QuadSpace:
     return QuadSpace(gram=tuple(map(tuple, _toeplitz(row, pair.n))))
 
 
-def gram_invariance(pair: HyperPair, space: QuadSpace) -> QuadSpace:
+def gram_invariance(pair: HyperPair, space: QuadSpace
+                    ) -> tuple[tuple[Fraction, ...], ...]:
     """The certified cyclic-basis form of invariant_space in the standard
-    basis, S^-T G S^-1, with Fraction entries and v.v = 2."""
+    basis, S^-T G S^-1, as Fraction rows with v.v = 2."""
     s_inv = linalg.inverse(pair.S)
     std = linalg.mat_mul(linalg.transpose(s_inv),
                          linalg.mat_mul(space.gram, s_inv))
-    return QuadSpace(gram=tuple(tuple(Fraction(x) for x in row)
-                                for row in std))
+    return tuple(tuple(Fraction(x) for x in row) for row in std)
 
 
 def _require_self_reciprocal(pair: HyperPair) -> None:
@@ -206,7 +205,8 @@ def invariant_space(pair: HyperPair) -> QuadSpace:
     return cyc
 
 
-def congruence_diagonal(gram: Sequence[Sequence]) -> tuple[Fraction, ...]:
+def congruence_diagonal(gram: Sequence[Sequence[int]]
+                        ) -> tuple[Fraction, ...]:
     """The diagonal of a congruence diagonalization T^T G T = diag, with
     no T built.
 
@@ -215,12 +215,12 @@ def congruence_diagonal(gram: Sequence[Sequence]) -> tuple[Fraction, ...]:
     some off-diagonal (i,j) is not, apply e_i -> e_i + e_j first.  Zero
     diagonal entries survive only for degenerate inputs.
 
-    The elimination is fraction-free (Bareiss) on den * G with int
-    entries: before step i the trailing block is d_i times the rational
-    one, where d_i is the previous pivot (d_0 = 1).  The division by d_i
-    below is exact, so diagonal entry i is pivot i / (d_i * den).
+    The elimination is fraction-free (Bareiss) on the int Gram: before
+    step i the trailing block is d_i times the rational one, where d_i
+    is the previous pivot (d_0 = 1).  The division by d_i below is exact,
+    so diagonal entry i is pivot i / d_i.
     """
-    m, den = linalg.clear_denominators(gram)
+    m = linalg.int_rows(gram)
     n = len(m)
     diag: list[Fraction] = []
     prev = 1
@@ -259,7 +259,7 @@ def congruence_diagonal(gram: Sequence[Sequence]) -> tuple[Fraction, ...]:
             row = m[j]
             row[i + 1:] = [(pivot * a - f * b) // prev
                            for a, b in zip(row[i + 1:], tail)]
-        diag.append(Fraction(pivot, prev * den))
+        diag.append(Fraction(pivot, prev))
         prev = pivot
     # after a break the trailing block is zero
     diag += [Fraction(0)] * (n - len(diag))
@@ -286,11 +286,9 @@ def signature_interlace(alpha: Sequence[Fraction], beta: Sequence[Fraction]
     one merge pass reads off every m_j and any value the lists share."""
     if len(alpha) != len(beta):
         raise ValueError("parameter lists must have equal length")
-    fa, fb = ([x if isinstance(x, Fraction) else Fraction(x) for x in xs]
-              for xs in (alpha, beta))
-    den = math.lcm(*(x.denominator for x in fa), *(x.denominator for x in fb))
+    den = math.lcm(*(x.denominator for xs in (alpha, beta) for x in xs))
     a, b = (sorted(x.numerator * (den // x.denominator) for x in xs)
-            for xs in (fa, fb))
+            for xs in (alpha, beta))
     total = 0
     m = 0
     for j, aj in enumerate(a, start=1):
@@ -308,7 +306,7 @@ def _canonical(c: tuple[int, ...]) -> bool:
     return lead is not None and lead > 0 and math.gcd(*c) == 1
 
 
-def _box_solutions(gram: Sequence[Sequence], bound: int, value=0,
+def _box_solutions(gram: Sequence[Sequence[int]], bound: int, value: int = 0,
                    normal: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
     """Canonical tuples c in [-bound, bound]^dim with c.G.c = value, and
     normal . c = 0 when an int vector normal is given, in lexicographic
@@ -329,14 +327,10 @@ def _box_solutions(gram: Sequence[Sequence], bound: int, value=0,
     most ((2 bound + 1)^(dim-2) + 1) / 2 solves."""
     if not gram:
         return
-    # on den * G the values are ints, and den * value must be one too
-    gram, den = linalg.clear_denominators(gram)
-    value = Fraction(value) * den
-    if value.denominator != 1:
-        return
+    gram = linalg.int_rows(gram)
     normal = tuple(normal) or (0,) * len(gram)
     pivot = max((i for i, x in enumerate(normal) if x), default=-1)
-    yield from _box_walk(gram, bound, int(value), normal, pivot, (), 0,
+    yield from _box_walk(gram, bound, value, normal, pivot, (), 0,
                          [0] * len(gram), 0)
 
 
@@ -537,25 +531,20 @@ def witt_decompose(space: QuadSpace, bound: int,
                            notes=tuple(notes))
 
 
-def squarefree_class(d: Fraction) -> int:
-    """Squarefree integer representing the square class of d != 0."""
-    d = Fraction(d)
+def squarefree_at_cert_primes(d: Fraction) -> int:
+    """The integer in the square class of d != 0 that the square of no
+    prime in _PRIMES divides: num * den with those squares divided out.
+
+    The square of a larger prime is left in place.  It is a unit square
+    mod every p^k of the anisotropy scan, so the scan's counts do not
+    see it, and the work stays bounded on entries too large to factor."""
     if d == 0:
         raise ValueError("zero has no square class")
-    n = d.numerator * d.denominator
-    out = 1
-    a = abs(n)
-    p = 2
-    while p * p <= a:
-        e = 0
-        while a % p == 0:
-            a //= p
-            e += 1
-        if e % 2 == 1:
-            out *= p
-        p += 1 if p == 2 else 2
-    out *= a
-    return out if n > 0 else -out
+    a = d.numerator * d.denominator
+    for p in _PRIMES:
+        while a % (p * p) == 0:
+            a //= p * p
+    return a
 
 
 def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int) -> bool:
@@ -625,12 +614,13 @@ def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int) -> bool:
 def find_anisotropy_certificate(diagonal: Sequence[Fraction]
                                 ) -> tuple[Obstruction | None, list[str]]:
     """Scan (k ascending, then p ascending) for an exhaustive-checking
-    anisotropy certificate of the squarefree-reduced diagonal form.
+    anisotropy certificate of the diagonal form, each entry reduced by
+    squarefree_at_cert_primes.
     Returns (obstruction, notes); obstruction None means unknown."""
     if len(diagonal) > CERT_MAX_DIM:
         return None, [f"residual dimension {len(diagonal)} exceeds the "
                       f"certificate limit {CERT_MAX_DIM}"]
-    reduced = [squarefree_class(d) for d in diagonal]
+    reduced = [squarefree_at_cert_primes(d) for d in diagonal]
     notes = []
     for k in range(1, CERT_MAX_EXPONENT + 1):
         for p in _PRIMES:
@@ -656,10 +646,15 @@ def q_rank(space: QuadSpace, bound: int,
     search bound is doubled (a rational witness is guaranteed to exist)
     until found or the enumeration cap intervenes.  hi is cross-checked
     against min(p, q) of signature(space).  A bound below 1 is a
-    ValueError: the doubling would never leave it.
+    ValueError: the doubling would never leave it, and so is a seed whose
+    length is not the dimension.
     """
     if bound < 1:
         raise ValueError(f"search bound must be at least 1, got {bound}")
+    for s in seeds:
+        if len(s) != space.dim:
+            raise ValueError(f"seed {tuple(s)} has length {len(s)}, "
+                             f"not the dimension {space.dim}")
     p, q = signature(space)
     current_bound = bound
     while True:
@@ -698,6 +693,10 @@ def _check_certificate(space: QuadSpace, cert: RankCertificate) -> None:
     gram = space.gram
     ws = cert.isotropic_witnesses
     for w in ws:
+        if len(w) != space.dim:
+            raise OracleMismatchError(
+                f"witness {w} has length {len(w)}, not the dimension "
+                f"{space.dim}")
         if linalg.vec_dot(w, gram, w) != 0:
             raise OracleMismatchError(f"witness {w} is not isotropic")
     for i in range(len(ws)):

@@ -75,6 +75,14 @@ def reflect(gram, w, x) -> tuple[Fraction, ...]:
     return tuple(Fraction(a) - factor * b for a, b in zip(x, w))
 
 
+def cleared(m) -> list[list[int]]:
+    """den * m as int rows, den > 0 the least common denominator of the
+    rational matrix m: the int matrix of the same rank and signature, for
+    the int kernels."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m]
+
+
 @pytest.fixture(scope="session")
 def base_pair() -> HyperPair:
     return build_pair(parse_poly(BASE_F), parse_poly(BASE_G))

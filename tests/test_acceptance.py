@@ -17,7 +17,7 @@ from orthomono.witness import (WitnessContext, line_stabilizer_test,
                                orthocomplement, reflection_matrix,
                                span_rank_witness)
 
-from conftest import BASE_F, BASE_G, random_unimodular
+from conftest import BASE_F, BASE_G, cleared, random_unimodular
 
 import pytest
 
@@ -145,7 +145,7 @@ def test_c8_random_pair_battery(cyclotomic_pairs):
     grams = []
     for pair in pairs:
         # raises unless A and C preserve the remainder Gram
-        G = gram_invariance(pair, invariant_space(pair)).gram
+        G = gram_invariance(pair, invariant_space(pair))
         for M in (pair.A, pair.B):
             assert linalg.mat_eq(
                 linalg.mat_mul(linalg.transpose(M),
@@ -157,7 +157,9 @@ def test_c8_random_pair_battery(cyclotomic_pairs):
                      for i in range(n)]
         assert linalg.rank(c_minus_1) == 1
         assert linalg.vec_dot(pair.v, G, pair.v) == 2
-        grams.append(G)
+        # times its positive common denominator, an int Gram of the same
+        # signature
+        grams.append(tuple(map(tuple, cleared(G))))
     rng = random.Random(20260823)
     for k in range(20):
         G = grams[rng.randrange(len(grams))]

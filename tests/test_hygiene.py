@@ -66,9 +66,20 @@ def test_finds_a_fraction_use():
                           ) == ["line 1", "line 2", "line 3", "line 4"]
 
 
+# the modules that hold a value that is not an integer: an inverse's
+# entries, the congruence diagonal and the standard-basis Gram, and the
+# root parameters
+FRACTION_MODULES = {"linalg.py", "quadform.py", "polynomials.py"}
+
+
 def test_witness_hunt_builds_no_fraction():
-    # the witness stage runs on ints over the integral cyclic Gram
-    assert _fraction_uses((PACKAGE / "witness.py").read_text()) == []
+    # the witness hunt and every other kernel run on int matrices over the
+    # integral cyclic Gram
+    uses = {p.name: _fraction_uses(p.read_text())
+            for p in sorted(PACKAGE.glob("*.py"))
+            if p.name not in FRACTION_MODULES}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+    assert "witness.py" in uses and "__init__.py" in uses
 
 
 # public functions with no caller in the package that stay, and why

@@ -21,10 +21,10 @@ from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
                                 find_anisotropy_certificate, gram_invariance,
                                 gram_remainder, invariant_space,
                                 isotropic_search, q_rank, signature,
-                                signature_interlace, squarefree_class,
+                                signature_interlace, squarefree_at_cert_primes,
                                 witt_decompose)
 
-from conftest import (BASE_F, BASE_G, random_cyclotomic_pairs,
+from conftest import (BASE_F, BASE_G, cleared, random_cyclotomic_pairs,
                       random_unimodular)
 from test_linalg import nullspace
 from test_polynomials import ref_divrem
@@ -182,7 +182,8 @@ def test_invariant_kernel_matches_nullspace(monkeypatch, cyclotomic_pairs):
         [rows] = equations
         kernel = nullspace(rows)
         assert len(kernel) == 1
-        assert tuple(h[0]) == linalg.primitive_integer(kernel[0]), (f, g)
+        assert tuple(h[0]) == linalg.primitive_integer(
+            cleared(kernel)[0]), (f, g)
         assert scale == linalg.vec_dot(pair.v, h, pair.v)
         for m in (pair.A, pair.B):
             assert linalg.mat_mul(linalg.transpose(m),
@@ -203,13 +204,13 @@ def test_certified_form_matches_the_solved_reference(cyclotomic_pairs):
                                  linalg.mat_mul(h, pair.S))
         assert [[2 * x for x in row] for row in via_std] \
             == [[scale * y for y in row] for row in space.gram]
-        assert gram_invariance(pair, space).gram \
+        assert gram_invariance(pair, space) \
             == tuple(tuple(F(2 * x, scale) for x in row) for row in h)
 
 
 def test_invariant_space_is_cyclic_toeplitz(base_pair, base_space):
-    assert linalg.mat_eq(change_basis(gram_invariance(base_pair, base_space),
-                                      base_pair.S).gram, base_space.gram)
+    std = space_of(gram_invariance(base_pair, base_space))
+    assert linalg.mat_eq(change_basis(std, base_pair.S).gram, base_space.gram)
     assert base_space.dim == 5
     row = cyclic_gram_row(base_pair.f, base_pair.g)
     for i in range(5):
@@ -318,7 +319,7 @@ def test_congruence_diagonal_random_symmetric(m):
 
 
 def test_congruence_diagonal_on_the_box_families():
-    # random, zero-diagonal, zero-row and block Grams, some Fraction
+    # random, zero-diagonal, zero-row and block Grams
     rng = random.Random(20261018)
     for i in range(200):
         gram = _box_case(rng, i)[0]
@@ -458,12 +459,11 @@ def ref_diagonalize(gram):
 
 @st.composite
 def symmetric(draw):
-    """Symmetric int or rational matrices up to 6 x 6: zero diagonals
-    (the off-diagonal pivot step) and singular ones are common."""
+    """Symmetric int matrices up to 6 x 6: zero diagonals (the
+    off-diagonal pivot step) and singular ones are common."""
     n = draw(st.integers(1, 6))
-    entry = draw(st.sampled_from((
-        st.integers(-4, 4), st.integers(-60, 60),
-        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))))
+    entry = draw(st.sampled_from((st.integers(-4, 4),
+                                  st.integers(-60, 60))))
     m = [[0] * n for _ in range(n)]
     zero_diag = draw(st.booleans())
     for i in range(n):
@@ -577,11 +577,27 @@ def test_signature_interlace_takes_ints_and_overlaps_at_the_ends():
 # -------------------------------------------------------------- square class
 
 def test_squarefree_class():
-    assert squarefree_class(F(12)) == 3
-    assert squarefree_class(F(-18)) == -2
-    assert squarefree_class(F(1, 2)) == 2
-    assert squarefree_class(F(-4, 9)) == -1
-    assert squarefree_class(F(2)) == 2
+    assert squarefree_at_cert_primes(F(12)) == 3
+    assert squarefree_at_cert_primes(F(-18)) == -2
+    assert squarefree_at_cert_primes(F(1, 2)) == 2
+    assert squarefree_at_cert_primes(F(-4, 9)) == -1
+    assert squarefree_at_cert_primes(F(2)) == 2
+    # two primes of 61 and 59 bits: trial division to a square root of
+    # their product would not finish, and only the squares of _PRIMES go
+    p, q = 2 ** 61 - 1, 2 ** 59 - 55
+    assert squarefree_at_cert_primes(F(12 * p * p * q)) == 3 * p * p * q
+    assert squarefree_at_cert_primes(F(-p * q, 4 * 49)) == -p * q
+
+
+def test_large_prime_squares_leave_the_certificate_alone():
+    # a prime square above CERT_MAX_PRIME is a unit square mod every p^k
+    # the scan uses, so the certificate is that of the form without it
+    p, q = 2 ** 61 - 1, 2 ** 59 - 55
+    ob, _ = find_anisotropy_certificate((F(-2), F(14), F(35)))
+    big, _ = find_anisotropy_certificate((F(-2 * p * p), F(14),
+                                          F(35 * q * q, 9)))
+    assert (big.prime, big.exponent) == (ob.prime, ob.exponent) == (5, 2)
+    assert big.statement.startswith(f"diagonal form ({-2 * p * p}, 14, ")
 
 
 # ----------------------------------------------------- anisotropy certificates
@@ -647,7 +663,7 @@ def ref_primitive_zeros(diagonal, p, k):
 def ref_find_certificate(diagonal):
     """The scan of find_anisotropy_certificate with every instance under
     the work cap counted, as (prime, exponent) or None, and its notes."""
-    reduced = [squarefree_class(d) for d in diagonal]
+    reduced = [squarefree_at_cert_primes(d) for d in diagonal]
     notes = []
     for k in range(1, quadform.CERT_MAX_EXPONENT + 1):
         for p in quadform._PRIMES:
@@ -711,6 +727,16 @@ def test_isotropic_search_definite():
     assert isotropic_search([[1, 0], [0, 3]], 4) == []
 
 
+@pytest.mark.parametrize("kernel", [
+    congruence_diagonal, lambda gram: isotropic_search(gram, 1)],
+    ids=["congruence_diagonal", "isotropic_search"])
+def test_int_kernels_reject_a_fraction_entry(kernel):
+    # an integral Fraction too: the kernels take int Grams only
+    for entry in (F(1, 2), F(3)):
+        with pytest.raises(TypeError, match="int entries"):
+            kernel([[entry, 1], [1, -2]])
+
+
 _BLOCKS = ([[2]], [[1]], [[2, 1], [1, 2]], [[3, 1], [1, 1]], [[-2]],
            [[-1, 1], [1, -2]], [[0, 1], [1, 0]], [[1, 0], [0, -1]],
            [[1, 2], [2, 1]], [[0]], [[0, 2], [2, -1]])
@@ -719,7 +745,7 @@ _BLOCKS = ([[2]], [[1]], [[2, 1], [1, 2]], [[3, 1], [1, 1]], [[-2]],
 def _box_case(rng: random.Random, i: int):
     """A symmetric int Gram of dimension 1-6: random entries, with zero
     diagonals, with a zero row, or block diagonal from definite,
-    indefinite and degenerate blocks; every fourth a Fraction copy."""
+    indefinite and degenerate blocks."""
     dim = rng.randint(1, 6)
     bound = rng.choice([b for b in (1, 2, 3) if (2 * b + 1) ** dim <= 1000])
     gram = [[0] * dim for _ in range(dim)]
@@ -744,9 +770,6 @@ def _box_case(rng: random.Random, i: int):
             for a in range(dim):
                 gram[a][z] = gram[z][a] = 0
     value = rng.randint(-2, 2)
-    if i % 8 == 7:
-        gram = [[Fraction(x, 2) for x in row] for row in gram]
-        value = Fraction(value, 2)
     return gram, bound, value
 
 
@@ -852,7 +875,9 @@ def test_q_rank_anisotropic_residual():
     assert cert.residual_diagonal == (F(-2), F(14), F(20, 7))
     assert [(ob.prime, ob.exponent) for ob in cert.obstructions] == [(5, 2)]
     # the certificate is what closes the lo < min(p, q) gap
-    assert signature(space_of(diag_matrix(list(cert.residual_diagonal)))) \
+    # num * den has the sign of each entry, and is an int
+    assert signature(space_of(diag_matrix(
+        [d.numerator * d.denominator for d in cert.residual_diagonal]))) \
         == (2, 1)
 
 
@@ -870,6 +895,23 @@ def test_q_rank_rejects_bound_below_one(base_space):
     for bound in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
             q_rank(base_space, bound)
+
+
+def test_q_rank_rejects_seeds_of_the_wrong_length(base_space):
+    # a short seed once passed as the witness (1, 0, -1) with lo = 2: the
+    # pairing stops at the shorter vector
+    for seed in ((1, 0, -1), (1, 0, -1, 0, 0, 7, 7)):
+        with pytest.raises(ValueError, match="not the dimension 5"):
+            q_rank(base_space, 3, seeds=[seed])
+    assert q_rank(base_space, 3, seeds=[(1, 0, -1, 0, 0)]).lo == 2
+
+
+def test_certificate_check_rejects_a_witness_of_the_wrong_length(base_space):
+    for w in ((1, 0, -1), (1, 0, -1, 0, 0, 7)):
+        cert = RankCertificate(lo=1, hi=1, isotropic_witnesses=(w,),
+                               residual_diagonal=())
+        with pytest.raises(OracleMismatchError, match="not the dimension"):
+            quadform._check_certificate(base_space, cert)
 
 
 def test_q_rank_checks_hi_against_the_signature(monkeypatch, base_space):
@@ -1026,8 +1068,8 @@ def _witt_case(rng: random.Random, i: int):
     """A symmetric int Gram of dimension 1-7: random entries, with a zero
     row (a radical), or block diagonal from definite, indefinite,
     hyperbolic and degenerate blocks, plain or congruent under a random
-    unimodular matrix; every eighth a Fraction copy.  Every third case
-    takes seeds: isotropic vectors of the form and a random vector."""
+    unimodular matrix.  Every third case takes seeds: isotropic vectors
+    of the form and a random vector."""
     dim = rng.randint(1, 7)
     gram = [[0] * dim for _ in range(dim)]
     kind = i % 4
@@ -1056,8 +1098,6 @@ def _witt_case(rng: random.Random, i: int):
         hits = list(itertools.islice(_box_solutions(gram, 1), 3))
         seeds = rng.sample(hits, min(len(hits), 2))
         seeds.append(tuple(rng.randint(-2, 2) for _ in range(dim)))
-    if i % 8 == 7:
-        gram = [[Fraction(x, 2) for x in row] for row in gram]
     return gram, rng.choice((1, 2)), seeds
 
 

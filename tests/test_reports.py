@@ -4,8 +4,11 @@ block removed, is pinned by SHA-256 together with the command's exit code.
 The cases are the 11 worked examples, all 50 random cyclotomic pairs of
 the shared battery (degree <= 12), the ten pads of the base quintic that
 exit 0 (the nine coprime degree-2 choices of (P, Q) and P = Q = 1),
-`examples --json`, and three inputs that fail validation (exit 2): a pair
-sharing Phi(3), P = Q, and coprime P, Q whose padded f and g share x - 1.  A performance change must leave every digest alone;
+`examples --json`, three inputs that fail validation (exit 2): a pair
+sharing Phi(3), P = Q, and coprime P, Q whose padded f and g share x - 1,
+and a quintic whose residual diagonal has entries of up to 81 bits, which
+the anisotropy scan reduces by the squares of its primes only.  A
+performance change must leave every digest alone;
 a change that alters a report on purpose updates the digests here and
 records the new values, and why, in CHANGES.md.
 """
@@ -42,6 +45,9 @@ def _cases() -> list[tuple[str, list[str]]]:
         cases.append((f"invalid-pad({P},{Q})",
                       ["pad", "--f0", BASE_F, "--g0", BASE_G,
                        "--P", P, "--Q", Q]))
+    cases.append(("anisotropy-large-entries",
+                  ["analyze", "--f", "x^5-8*x^4+22*x^3-22*x^2+8*x-1",
+                   "--g", "x^5-28*x^4+77*x^3+77*x^2-28*x+1"]))
     return cases
 
 
@@ -199,6 +205,8 @@ DIGESTS = {
         2, "bd86e7f47b76d008e5d5ab69b0cf80e47ee6081ccb9891aa76f8740aa02f75ef"),
     "invalid-pad(y^2+1,y^2-2*y+1)": (
         2, "e36054796a87775ec1c0b973a345a4441769143e1e394dc786a55dd908f5bb82"),
+    "anisotropy-large-entries": (
+        0, "6b505d280e2dc7fb447bc391206c193afcea81327e5c229b49200ad86f59f2f9"),
 }
 
 
