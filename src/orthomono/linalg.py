@@ -4,11 +4,10 @@ Everything is deterministic (pivot = first usable row/column) and exact;
 no floating point.  Matrices are row-major.  rank, det and inverse each
 run one fraction-free elimination over int rows, and take int matrices
 only; a Fraction is built only for an entry of an inverse that is not an
-integer.  The elimination that inverts a matrix also yields its
-determinant.  nonsingular first runs the elimination over
-GF(DET_PRIME).  Integer row kernels and unimodular completions come from
+integer.  Integer row kernels and unimodular completions come from
 one extended-gcd column elimination, which builds u and u^-1 together
-and no Fraction.
+and no Fraction.  monodromy.build_pair calls none of these kernels: it
+reads A^-1, C and S off the companion structure.
 """
 from __future__ import annotations
 
@@ -34,6 +33,20 @@ def mat_mul(a: Mat, b: Mat) -> list[list]:
     return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
+def sparse_mul(a: Mat, b: Mat) -> list[list]:
+    """a b, each row a combination of b's rows over the nonzero entries of
+    a's row: O(nonzeros of a * width of b) beyond the scan of a, which for
+    a companion matrix or a lattice cut is O(n^2)."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for j, x in enumerate(row):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b[j])]
+        out.append(acc)
+    return out
+
+
 def mat_vec(a: Mat, x: Vec) -> list:
     return [sum(map(operator.mul, row, x)) for row in a]
 
@@ -57,6 +70,15 @@ def int_rows(m: Mat) -> list[list[int]]:
     if not all(type(x) is int for row in rows for x in row):
         raise TypeError("expected a matrix of int entries")
     return rows
+
+
+def int_vector(vec: Vec) -> tuple[int, ...]:
+    """vec as a tuple of ints; a ValueError on any other coordinate, so a
+    float or a Fraction is rejected rather than truncated."""
+    out = tuple(vec)
+    if not all(type(x) is int for x in out):
+        raise ValueError(f"expected int coordinates, got {out}")
+    return out
 
 
 def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
@@ -114,61 +136,18 @@ def det(m: Mat) -> int:
     return sign * d if len(pivots) == len(rows) else 0
 
 
-# the fixed prime of the determinant certificate: the Mersenne prime 2^61 - 1
-DET_PRIME = 2 ** 61 - 1
-
-
-def _det_mod(m: Sequence[Sequence[int]]) -> int:
-    """det m mod DET_PRIME for a square int matrix, by Gaussian
-    elimination over GF(DET_PRIME) on the trailing block."""
-    p = DET_PRIME
-    rows = [[x % p for x in row] for row in m]
-    d = 1
-    while rows:
-        k = next((k for k, row in enumerate(rows) if row[0]), None)
-        if k is None:
-            return 0
-        top = rows.pop(k)  # moving row k to the top has sign (-1)^k
-        pv = top[0]
-        d = d * (p - pv if k % 2 else pv) % p
-        inv = pow(pv, -1, p)
-        tail = top[1:]
-        reduced = []
-        for row in rows:
-            f = row[0] * inv % p
-            reduced.append([(x - f * y) % p for x, y in zip(row[1:], tail)]
-                           if f else row[1:])
-        rows = reduced
-    return d
-
-
-def nonsingular(m: Sequence[Sequence[int]]) -> bool:
-    """det m != 0 for a square int matrix.  A nonzero determinant mod
-    DET_PRIME certifies it; only a zero residue takes the exact determinant,
-    so the answer is exact either way."""
-    return _det_mod(m) != 0 or det(m) != 0
-
-
-def _inverse_det(m: Mat) -> tuple[list[list], int]:
-    """(inverse, determinant) of a square int matrix from the one
-    elimination of [m | I]: the inverse has int entries where they are
-    integral and Fraction entries elsewhere, and the determinant is read
-    off the last pivot, as in det."""
+def inverse(m: Mat) -> list[list]:
+    """Inverse of a square int matrix, from the one elimination of
+    [m | I]: int entries where they are integral, Fraction entries
+    elsewhere."""
     n = len(m)
     aug = [row + [int(i == j) for j in range(n)]
            for i, row in enumerate(int_rows(m))]
-    pivots, d, sign = _eliminate(aug)
+    pivots, d, _ = _eliminate(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    inv = [[x // d if x % d == 0 else Fraction(x, d) for x in row[n:]]
-           for row in aug[:n]]
-    return inv, sign * d
-
-
-def inverse(m: Mat) -> list[list]:
-    """Inverse of a square int matrix: int entries where they are
-    integral, Fraction entries elsewhere."""
-    return _inverse_det(m)[0]
+    return [[x // d if x % d == 0 else Fraction(x, d) for x in row[n:]]
+            for row in aug[:n]]
 
 
 def primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:

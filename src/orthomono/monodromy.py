@@ -4,13 +4,16 @@ For monic coprime f, g of equal degree n with f(0) = -1 and g(0) = 1
 (orthogonal normalization), the group is generated by the companion
 matrices A of f and B of g acting on Q[x]/(f) in the power basis.
 C = A^-1 B is a reflection: C^2 = 1, det C = -1, and C - 1 has rank one
-with image spanned by the vector v determined by A v = g - f.
+with image spanned by the vector v determined by A v = g - f, so
+C = 1 - v e_(n-1)^T (Beukers-Heckman, Invent. Math. 1989).  The pair is
+built from that structure in O(n^2), with no elimination and no dense
+matrix product, and every identity is re-checked in O(n^2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
+from . import linalg, polynomials
 from .polynomials import IntPoly
 
 ORTHOGONAL = "orthogonal"
@@ -38,9 +41,16 @@ def companion(f: IntPoly) -> tuple[tuple[int, ...], ...]:
     n = f.degree
     if n < 1:
         raise PairValidationError("companion matrix requires degree >= 1")
-    cols = [[1 if i == j + 1 else 0 for i in range(n)] for j in range(n - 1)]
-    cols.append([-f.coeff(i) for i in range(n)])
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    # row i: 1 in column i - 1 (x^(i-1) -> x^i), and -f_i in the last
+    # column (x^(n-1) -> x^n = -(f_0 + ... + f_(n-1) x^(n-1)))
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        if i:
+            row[i - 1] = 1
+        row[-1] -= f.coeffs[i]
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def classify_type(f: IntPoly, g: IntPoly) -> PairType:
@@ -95,9 +105,51 @@ def int_matrix(m) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, linalg.int_rows(m)))
 
 
+def _companion_det(m) -> int:
+    """Determinant of a companion matrix: row 0 has one nonzero entry,
+    -p(0) in the last column, and deleting that row and column leaves the
+    identity, so the expansion along row 0 is (-1)^(n-1) m[0][n-1], that
+    is (-1)^n p(0)."""
+    return (-1) ** (len(m) - 1) * m[0][-1]
+
+
+def _inverse_companion(f: IntPoly) -> tuple[tuple[int, ...], ...]:
+    """Matrix of multiplication by x^-1 on Q[x]/(f) for f(0) = -1: as
+    f = -1 + x (f_1 + f_2 x + ... + x^(n-1)), x^-1 = f_1 + ... + x^(n-1)
+    mod f, so column 0 is (f_1, ..., f_n) and column j >= 1 is e_(j-1)."""
+    n = f.degree
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[0] = f.coeffs[i + 1]
+        if i < n - 1:
+            row[i + 1] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _reflection(v: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """C = 1 - v e_(n-1)^T."""
+    n = len(v)
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        row[-1] -= v[i]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
     """Validate (f, g) and construct A, B, C, v and S, re-verifying every
-    structural identity rather than trusting the formulas."""
+    structural identity rather than trusting the formulas.
+
+    Nothing here is eliminated or multiplied densely: A^-1 and C are read
+    off f and v, the columns of S are v times powers of x mod f, the
+    determinants are read off the companion matrices, and coprimality is
+    one gcd over a prime field (polynomials.coprime).  The products
+    A A^-1 = 1 and A C = B are re-checked through A's at most two nonzero
+    entries per row (linalg.sparse_mul), so the whole build is O(n^2)."""
     if not f.is_monic or not g.is_monic:
         raise PairValidationError("f and g must be monic")
     if f.degree != g.degree:
@@ -116,35 +168,39 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
 
     a = companion(f)
     b = companion(g)
-    # f(0) = -1, so A is unimodular; det A comes with its inverse
-    a_inv, det_a = linalg._inverse_det(a)
-    a_inv = int_matrix(a_inv)
-    c = int_matrix(linalg.mat_mul(a_inv, b))
+    a_inv = _inverse_companion(f)
     w = g - f  # degree <= n-1 since both monic of degree n
     wvec = [w.coeff(i) for i in range(n)]
-    v = tuple(linalg.mat_vec(a_inv, wvec))
+    # v = A^-1 (g - f) = x^-1 (g - f) mod f
+    v = tuple(polynomials._over_x_mod(wvec, f.coeffs))
+    c = _reflection(v)
     # v = x^-1 (g - f) mod f is a cyclic vector of A iff it is a unit mod
     # f, iff gcd(f, g) = 1, as x is a unit when f(0) = -1: det S != 0 is
-    # exactly coprimality
+    # exactly coprimality, which polynomials.coprime decides from f and g
+    if not polynomials.coprime(f, g):
+        raise PairValidationError("f and g must be coprime")
+    # the columns of S: x^k v mod f, each from the last in O(n)
     cols = [v]
     for _ in range(n - 1):
-        cols.append(linalg.mat_vec(a, cols[-1]))
+        cols.append(polynomials._times_x_mod(cols[-1], f.coeffs))
     s = tuple(zip(*cols))
-    if not linalg.nonsingular(s):
-        raise PairValidationError("f and g must be coprime")
 
     # structural re-verification.  C - 1 kills 1, x, ..., x^{n-2} and
     # sends x^{n-1} to -v; given that, C = 1 - v e_{n-1}^T, so det C is
     # its corner entry, C^2 = 1 iff C fixes C e_{n-1}, and C - 1 has
     # rank one iff v != 0
-    for j in range(n - 1):
-        if any(c[i][j] != (i == j) for i in range(n)):
-            raise PairValidationError("C - 1 must vanish on x^j for j < n-1")
-    last = [c[i][n - 1] for i in range(n)]
-    e_last = [int(i == n - 1) for i in range(n)]
+    ident = linalg.identity(n)
+    if any(list(row[:-1]) != e[:-1] for row, e in zip(c, ident)):
+        raise PairValidationError("C - 1 must vanish on x^j for j < n-1")
+    last = [row[-1] for row in c]
+    e_last = ident[-1]
     if [x - y for x, y in zip(last, e_last)] != [-x for x in v]:
         raise PairValidationError("(C - 1) x^{n-1} must equal -v")
-    det_b, det_c = linalg.det(b), c[n - 1][n - 1]
+    if linalg.sparse_mul(a, a_inv) != ident:
+        raise PairValidationError("A^-1 must invert A")
+    if linalg.sparse_mul(a, c) != list(map(list, b)):
+        raise PairValidationError("A C must equal B")
+    det_a, det_b, det_c = _companion_det(a), _companion_det(b), c[n - 1][n - 1]
     if abs(det_a) != 1 or abs(det_b) != 1:
         raise PairValidationError("companion matrices must be unimodular")
     if det_c != -1:
@@ -153,7 +209,7 @@ def build_pair(f: IntPoly, g: IntPoly) -> HyperPair:
         raise PairValidationError("C^2 must be the identity")
     if not any(v):
         raise PairValidationError("C - 1 must have rank one")
-    if list(linalg.mat_vec(a, v)) != wvec:
+    if linalg.mat_vec(a, v) != wvec:
         raise PairValidationError("A v must equal g - f")
 
     return HyperPair(f=f, g=g, n=n, A=a, B=b, C=c, v=v, A_inv=a_inv, S=s,

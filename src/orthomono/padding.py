@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
+from . import linalg, polynomials
 from .monodromy import HyperPair, PairValidationError, build_pair
-from .polynomials import MAX_DEGREE, IntPoly, _divrem_coeffs, divrem
+from .polynomials import MAX_DEGREE, IntPoly, divrem
 from .quadform import cyclic_gram_row, _toeplitz
 
 DEFAULT_EXPONENT = 6
@@ -56,11 +56,7 @@ def pad_pair(f0: IntPoly, g0: IntPoly, P: IntPoly, Q: IntPoly,
         raise PairValidationError("P and Q must have equal degree")
     if P(0) != 1 or Q(0) != 1:
         raise PairValidationError("P and Q must have constant term 1")
-    # P and Q are coprime iff multiplication by Q is invertible on
-    # Q[y]/(P): its matrix has rows y^j Q mod P, for j < m
-    if not linalg.nonsingular([_divrem_coeffs([0] * j + list(Q.coeffs),
-                                              P.coeffs)[1]
-                               for j in range(P.degree)]):
+    if not polynomials.coprime(P, Q):
         raise PairValidationError("P and Q must be coprime")
     if d < 1:
         raise PairValidationError("composition exponent must be >= 1")

@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from . import linalg
+
 # Largest polynomial degree, and so pair dimension n, that parse_poly and
 # pad_pair accept.  The slowest input measured under it, analyze of
 # (x-1)^127, (x+1)^127, takes about 49 s, nearly all of it the congruence
@@ -167,6 +169,69 @@ def _divrem_coeffs(a: Sequence[int], b: Sequence[int]
     return quot, rem[:db]
 
 
+def _times_x_mod(r: Sequence[int], f: Sequence[int]) -> list[int]:
+    """x r mod monic f, on ascending coefficient lists with r of length
+    deg f: shift up, then fold the top coefficient back through
+    x^n = -(f_0 + ... + f_(n-1) x^(n-1))."""
+    top = r[-1]
+    return [-top * f[0]] + [a - top * b for a, b in zip(r, f[1:-1])]
+
+
+def _over_x_mod(r: Sequence[int], f: Sequence[int]) -> list[int]:
+    """r / x mod monic f with f(0) = -1, on ascending coefficient lists
+    with r of length deg f: r + r_0 f has constant term 0, so the quotient
+    is it shifted down one place."""
+    return [a + r[0] * b for a, b in zip(list(r[1:]) + [0], f[1:])]
+
+
+# the prime of the coprimality test: the Mersenne prime 2^61 - 1
+GCD_PRIME = 2 ** 61 - 1
+
+
+def _gcd_degree_mod(a: Sequence[int], b: Sequence[int], p: int) -> int:
+    """Degree of gcd(a, b) over GF(p), by Euclid on ascending coefficient
+    lists; -1 when both vanish mod p.  Each remainder step is one pass
+    over the dividend, so the whole gcd is O(deg a * deg b)."""
+    def trimmed(c):
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
+    a, b = trimmed(a), trimmed(b)
+    while b:
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > db:
+            q = a[-1] * inv % p
+            lo = len(a) - 1 - db
+            a[lo:-1] = [(x - q * y) % p for x, y in zip(a[lo:-1], b)]
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def coprime(a: IntPoly, b: IntPoly) -> bool:
+    """Whether monic a and b have no common factor over Q.
+
+    A common factor over Q can be taken monic in Z[x] (Gauss), and it
+    stays a common factor of degree >= 1 mod every prime, so a gcd of
+    degree 0 over GF(GCD_PRIME) certifies coprimality.  Only a larger gcd
+    mod the prime, which a prime dividing the resultant also gives, takes
+    the exact test: the determinant of multiplication by b on Q[x]/(a),
+    whose rows are x^j b mod a, is the resultant up to sign."""
+    if not a.is_monic or not b.is_monic:
+        raise ValueError("coprime expects monic polynomials")
+    if _gcd_degree_mod(a.coeffs, b.coeffs, GCD_PRIME) == 0:
+        return True
+    n = a.degree
+    row = _divrem_coeffs(b.coeffs, a.coeffs)[1]
+    rows = [(row + [0] * n)[:n]]
+    for _ in range(n - 1):
+        rows.append(_times_x_mod(rows[-1], a.coeffs))
+    return linalg.det(rows) != 0
+
+
 def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     """a / b where the division is exact over Z; b need not be monic."""
     if b.is_zero:
@@ -246,11 +311,15 @@ def cyclo_factor(f: IntPoly) -> CycloFactorization:
 
     Tries every d with phi(d) <= deg f (a finite set since phi(d) >= sqrt(d/2)),
     dividing out each factor to full multiplicity.  remainder_is_one tells
-    whether f was a product of cyclotomics.
+    whether f was a product of cyclotomics.  A trial division is made only
+    when Phi_d(2) divides rem(2), which is carried through each division:
+    Phi_d is monic, so Phi_d | rem in Z[x] forces it, and skipping the
+    others changes no factorization.
     """
     if not f.is_monic:
         raise ValueError("cyclo_factor expects a monic polynomial")
     rem = list(f.coeffs)
+    at_two = f(2)
     found: list[tuple[int, int]] = []
     limit = 2 * max(f.degree, 1) ** 2 + 1
     for d in range(1, limit + 1):
@@ -258,13 +327,15 @@ def cyclo_factor(f: IntPoly) -> CycloFactorization:
             break
         if euler_phi(d) > len(rem) - 1:
             continue
-        phi_d = cyclotomic(d).coeffs
+        phi_d = cyclotomic(d)
+        phi_two = phi_d(2)
         mult = 0
-        while True:
-            q, r = _divrem_coeffs(rem, phi_d)
+        while at_two % phi_two == 0:
+            q, r = _divrem_coeffs(rem, phi_d.coeffs)
             if any(r):
                 break
             rem = q
+            at_two //= phi_two
             mult += 1
         if mult:
             found.append((d, mult))

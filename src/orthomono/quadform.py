@@ -11,13 +11,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError
-from .polynomials import IntPoly, _divrem_coeffs, render
+from .polynomials import (IntPoly, _divrem_coeffs, _over_x_mod, _times_x_mod,
+                          render)
 
 # enumeration ceiling for bounded vector searches (number of tuples)
 SEARCH_CAP = 5_000_000
@@ -101,18 +103,13 @@ def cyclic_gram_row(f: IntPoly, g: IntPoly, count: int | None = None
     if count is None:
         count = n
     fc = f.coeffs
-    # w = (g - f) mod f, then r = w / x mod f: as f(0) = -1, w + w_0 f
-    # has constant term 0, so r is it shifted down one place
+    # w = (g - f) mod f, then r = w / x mod f
     w = _divrem_coeffs((g - f).coeffs, fc)[1]
-    w += [0] * (n + 1 - len(w))
-    r = [a + w[0] * b for a, b in zip(w[1:], fc[1:])]
+    r = _over_x_mod(w + [0] * (n - len(w)), fc)
     row = []
     for _ in range(count):
-        top = r[-1]
-        row.append(top)
-        # r <- x r mod f: shift up, then fold the top coefficient back
-        # through x^n = -(f_0 + ... + f_{n-1} x^{n-1})
-        r = [-top * fc[0]] + [a - top * b for a, b in zip(r, fc[1:n])]
+        row.append(r[-1])
+        r = _times_x_mod(r, fc)
     return tuple(row)
 
 
@@ -426,6 +423,13 @@ def isotropic_search(gram: Sequence[Sequence], bound: int
     return list(_box_solutions(gram, bound))
 
 
+def _restricted_gram(basis: Sequence[Sequence[int]],
+                     gram: Sequence[Sequence[int]]) -> list[list[int]]:
+    """R = B G B^T, the Gram of the lattice spanned by B's rows."""
+    bg = [linalg.mat_vec(gram, row) for row in basis]  # G symmetric
+    return [[sum(map(operator.mul, x, y)) for y in basis] for x in bg]
+
+
 def witt_decompose(space: QuadSpace, bound: int,
                    seeds: Sequence[Sequence[int]] = ()) -> RankCertificate:
     """Greedy hyperbolic-plane splitting.
@@ -436,34 +440,48 @@ def witt_decompose(space: QuadSpace, bound: int,
     repeats.  lo = planes split; the leftover block is diagonalized.
     Stages whose enumeration would exceed SEARCH_CAP stop with a note; a
     stage whose lattice is definite stops without a search, since it has
-    no isotropic vector.
+    no isotropic vector.  A seed of the wrong length or with a coordinate
+    that is not an int is a ValueError.
 
-    The current lattice is carried from stage to stage as a basis B (rows,
-    in ambient coordinates) and its restricted Gram R = B G B^T, starting
-    from B = I and R = G.  A split plane (w, partner) cuts it once per new
-    row, primitive(G w) and then primitive(G partner): a row whose
-    projection B row is zero is skipped, and otherwise K = the integer
-    kernel of the projection gives B <- K B and R <- K R K^T.
+    The current lattice is carried from stage to stage as a basis B
+    (rows, in ambient coordinates), starting from B = I.  A split plane
+    (w, partner) cuts it once per new row, primitive(G w) and then
+    primitive(G partner): a row whose projection B row is zero is
+    skipped, and otherwise K = the integer kernel of the projection gives
+    B <- K B.  The restricted Gram R = B G B^T and its congruence
+    diagonal are formed only at a stage that reads them: one with no
+    unused seed, which searches R and stops on its diagonal, or one whose
+    isotropic vector has no partner, whose diagonal is the residual.  At
+    stage 1 they are G and the diagonal the space keeps.
     """
     gram = space.gram
     n = len(gram)
-    basis, restricted = linalg.identity(n), gram
+    basis = linalg.identity(n)
     witnesses: list[tuple[int, ...]] = []
     constraints: list[tuple[int, ...]] = []
     notes: list[str] = []
-    pending = [tuple(int(x) for x in s) for s in seeds]
-    # the first stage's R is G, whose diagonal the space keeps
-    carried = space.diagonal
+    pending = []
+    for s in seeds:
+        # a wrong length would pair on the shorter prefix, and int() would
+        # truncate a coordinate that is not an int
+        if len(s) != n:
+            raise ValueError(f"seed {tuple(s)} has length {len(s)}, "
+                             f"not the dimension {n}")
+        pending.append(linalg.int_vector(s))
+
+    def form() -> tuple[Sequence[Sequence[int]], tuple[Fraction, ...]]:
+        # this stage's R and its diagonal
+        if not witnesses:
+            return gram, space.diagonal
+        restricted = _restricted_gram(basis, gram)
+        return restricted, congruence_diagonal(restricted)
 
     while True:
         k = len(basis)
         if k == 0:
             residual_diag: tuple[Fraction, ...] = ()
             break
-        # the residual diagonal when this stage is the last
-        residual_diag = carried if carried is not None \
-            else congruence_diagonal(restricted)
-        carried = None
+        residual_diag = None
         # isotropic vector: unused seeds first, then bounded search
         w: tuple[int, ...] | None = None
         for s in pending:
@@ -475,6 +493,7 @@ def witt_decompose(space: QuadSpace, bound: int,
                 pending = [q for q in pending if q != s]
                 break
         if w is None:
+            restricted, residual_diag = form()
             if (2 * bound + 1) ** k > SEARCH_CAP:
                 notes.append(
                     f"stage {len(witnesses) + 1}: search over "
@@ -510,6 +529,8 @@ def witt_decompose(space: QuadSpace, bound: int,
             # w is in the radical of the restricted lattice; cannot split
             notes.append(f"stage {len(witnesses) + 1}: isotropic vector "
                          "without a pairing partner; stopped")
+            if residual_diag is None:
+                residual_diag = form()[1]
             break
         witnesses.append(w)
         for vec in (w, partner):
@@ -517,10 +538,9 @@ def witt_decompose(space: QuadSpace, bound: int,
             constraints.append(row)
             projected = linalg.mat_vec(basis, row)
             if any(x != 0 for x in projected):
-                cut = linalg.int_row_kernel(projected)
-                basis = linalg.mat_mul(cut, basis)
-                restricted = linalg.mat_mul(
-                    cut, linalg.mat_mul(restricted, linalg.transpose(cut)))
+                # the kernel rows of a column elimination are sparse
+                basis = linalg.sparse_mul(linalg.int_row_kernel(projected),
+                                          basis)
 
     pr = sum(1 for d in residual_diag if d > 0)
     qr = sum(1 for d in residual_diag if d < 0)
@@ -646,15 +666,11 @@ def q_rank(space: QuadSpace, bound: int,
     search bound is doubled (a rational witness is guaranteed to exist)
     until found or the enumeration cap intervenes.  hi is cross-checked
     against min(p, q) of signature(space).  A bound below 1 is a
-    ValueError: the doubling would never leave it, and so is a seed whose
-    length is not the dimension.
+    ValueError: the doubling would never leave it, and so is a seed
+    witt_decompose rejects.
     """
     if bound < 1:
         raise ValueError(f"search bound must be at least 1, got {bound}")
-    for s in seeds:
-        if len(s) != space.dim:
-            raise ValueError(f"seed {tuple(s)} has length {len(s)}, "
-                             f"not the dimension {space.dim}")
     p, q = signature(space)
     current_bound = bound
     while True:

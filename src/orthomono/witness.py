@@ -172,7 +172,7 @@ class WitnessContext:
     def perp(self, eps: Sequence[int]
              ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """orthocomplement(self.gram, eps), built once per eps."""
-        eps = tuple(int(x) for x in eps)
+        eps = linalg.int_vector(eps)
         if eps not in self._perps:
             self._perps[eps] = orthocomplement(self.gram, eps)
         return self._perps[eps]
@@ -275,7 +275,7 @@ def orthocomplement(gram: Sequence[Sequence], eps: Sequence[int]
     basis and eps's coordinates in it.  Deterministic.
     """
     n = len(gram)
-    eps = tuple(int(x) for x in eps)
+    eps = linalg.int_vector(eps)
     if all(x == 0 for x in eps):
         raise ValueError("eps must be nonzero")
     if linalg.vec_dot(eps, gram, eps) != 0:
@@ -333,7 +333,7 @@ def line_stabilizer_test(g: GroupElement, eps: Sequence[int],
     fixes eps itself, and acts trivially on both the line and
     eps-perp/line (the unipotent-radical condition).  The perp basis of
     eps comes from ctx's cache."""
-    eps = tuple(int(x) for x in eps)
+    eps = linalg.int_vector(eps)
     lam = _parallel_factor(linalg.mat_vec(g.matrix, eps), eps)
     fixes_vector = lam == 1
     radical = fixes_vector and _radical_factors(
@@ -354,7 +354,7 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
     not an error.
     """
     gram, v = ctx.gram, ctx.v
-    eps = tuple(int(x) for x in eps)
+    eps = linalg.int_vector(eps)
     if linalg.vec_dot(eps, gram, eps) != 0:
         raise ValueError("eps must be isotropic")
     minus, plus = ctx.word_orbit(word_bound)
@@ -392,7 +392,7 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
     search, walked inside eps-perp.  Deduplicated by sign, deterministic
     order."""
     gram, n = ctx.gram, ctx.n
-    eps = tuple(int(x) for x in eps)
+    eps = linalg.int_vector(eps)
     # A^k v is the k-th unit vector of the cyclic basis
     images = (tuple(row) for row in linalg.identity(n))
     perp, _ = ctx.perp(eps)
@@ -459,7 +459,7 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     cache.
     """
     gram, n = ctx.gram, ctx.n
-    eps = tuple(int(x) for x in eps)
+    eps = linalg.int_vector(eps)
     _, quotient = ctx.perp(eps)
     factors = _radical_factors(u.matrix, eps, quotient)
     if factors is None:

@@ -3,15 +3,12 @@ oracles on small matrices, and the fraction-free elimination against the
 Fraction Gaussian elimination it replaced, kept here as the reference."""
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthomono import linalg
-
-from conftest import random_unimodular
 
 ints = st.integers(-9, 9)
 
@@ -178,48 +175,6 @@ def test_det_and_inverse_match_fraction_reference(m):
     assert inv == expected
     assert all(type(x) is int for row in inv for x in row
                if Fraction(x).denominator == 1)
-
-
-# nonsingular takes det mod DET_PRIME first and the exact det only on a
-# zero residue: seeded families of nonsingular, singular and nonsingular
-# matrices whose determinant is a multiple of the prime
-
-def _det_cases(rng: random.Random, count: int):
-    p = linalg.DET_PRIME
-    for i in range(count):
-        n = rng.randint(1, 7)
-        kind = i % 3
-        if kind == 0:  # random entries, nearly always nonsingular
-            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        elif kind == 1:  # rank below n: a product through k < n columns
-            k = rng.randrange(n)
-            left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)]
-            right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
-            m = linalg.mat_mul(left, right) if k else \
-                [[0] * n for _ in range(n)]
-        else:  # U diag(c p, 1, ..., 1) V with U, V unimodular
-            c = rng.choice((-3, -2, -1, 1, 2, 3, 5))
-            d = [[(c * p if i == 0 else 1) if i == j else 0
-                  for j in range(n)] for i in range(n)]
-            m = linalg.mat_mul(random_unimodular(rng, n),
-                               linalg.mat_mul(d, random_unimodular(rng, n)))
-        yield kind, m
-
-
-def test_nonsingular_agrees_with_the_exact_determinant():
-    seen = set()
-    for kind, m in _det_cases(random.Random(20261018), 300):
-        exact = linalg.det(m)
-        residue = linalg._det_mod(m)
-        assert residue == exact % linalg.DET_PRIME
-        assert linalg.nonsingular(m) == (exact != 0)
-        if kind == 1:
-            assert exact == 0
-        if kind == 2:
-            # the residue is zero, so only the exact fallback decides
-            assert residue == 0 and exact != 0
-        seen.add((kind, exact != 0))
-    assert {(0, True), (1, False), (2, True)} <= seen
 
 
 @pytest.mark.parametrize("kernel", [linalg.det, linalg.inverse, linalg.rank])

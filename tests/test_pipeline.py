@@ -7,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from orthomono import cli, corpus, linalg, monodromy, quadform, witness
+from orthomono import (cli, corpus, linalg, monodromy, polynomials,
+                       quadform, witness)
 from orthomono.parsing import parse_poly
 
 from conftest import BASE_F, BASE_G
@@ -42,16 +43,26 @@ def calls(monkeypatch):
 
 @pytest.fixture
 def gcd_calls(monkeypatch):
-    """The sizes of the matrices whose determinant certifies that two
-    polynomials are coprime, in call order."""
-    sizes = []
-    original = linalg.nonsingular
+    """The degrees of the polynomials whose coprimality is tested, in
+    call order, with True for a test that took the exact determinant."""
+    calls, inside = [], []
+    original, original_det = polynomials.coprime, linalg.det
 
-    def counted(m):
-        sizes.append(len(m))
-        return original(m)
-    monkeypatch.setattr(linalg, "nonsingular", counted)
-    return sizes
+    def counted(a, b):
+        calls.append(a.degree)
+        inside.append(True)
+        try:
+            return original(a, b)
+        finally:
+            inside.pop()
+
+    def det(m):
+        if inside:
+            calls.append(True)
+        return original_det(m)
+    monkeypatch.setattr(polynomials, "coprime", counted)
+    monkeypatch.setattr(polynomials.linalg, "det", det)
+    return calls
 
 
 def each(times):
@@ -82,33 +93,46 @@ def test_worked_example_builds_each_object_once(calls, entry):
 
 
 def test_analyze_takes_each_determinant_once(monkeypatch):
-    # det B is the one exact det: det A comes off the elimination that
-    # inverts A, det C is C's corner entry once its columns are checked,
-    # and det S (the coprimality check) is taken only mod DET_PRIME, as
-    # its residue is nonzero
+    # det A and det B are read once each off the one nonzero entry in
+    # row 0 of their companion matrices, det C is C's corner entry once
+    # its columns are checked, and no exact determinant is taken: f and g
+    # are coprime by one gcd over GCD_PRIME
     pair = monodromy.build_pair(parse_poly(BASE_F), parse_poly(BASE_G))
-    seen, residues = [], []
-    original, original_mod = linalg.det, linalg._det_mod
+    seen, read, gcds = [], [], []
+    original, original_read = linalg.det, monodromy._companion_det
+    original_gcd = polynomials._gcd_degree_mod
 
     def counted(m):
         seen.append(tuple(map(tuple, m)))
         return original(m)
 
-    def counted_mod(m):
-        residues.append(tuple(map(tuple, m)))
-        return original_mod(m)
+    def counted_read(m):
+        read.append(m)
+        return original_read(m)
+
+    def counted_gcd(a, b, p):
+        gcds.append((a, b))
+        return original_gcd(a, b, p)
     monkeypatch.setattr(linalg, "det", counted)
-    monkeypatch.setattr(linalg, "_det_mod", counted_mod)
+    monkeypatch.setattr(monodromy, "_companion_det", counted_read)
+    monkeypatch.setattr(polynomials, "_gcd_degree_mod", counted_gcd)
     doc = cli.build_report(BASE_F, BASE_G)
     assert (doc["derived"]["det_A"], doc["derived"]["det_B"],
             doc["derived"]["det_C"]) == (1, -1, -1)
-    assert seen == [pair.B]
-    assert residues == [pair.S]
+    assert seen == []
+    assert read == [pair.A, pair.B]
+    assert gcds == [(pair.f.coeffs, pair.g.coeffs)]
 
 
-def test_build_pair_takes_two_eliminations_and_one_product(monkeypatch):
-    # the inverse of A (with det A) and det B; C = A^-1 B is the one
-    # matrix product, and no rank is taken
+# build_pair reads A^-1, C and S off the companion structure and checks
+# them through A's sparse rows: no elimination, product or rank, and no
+# exact determinant on a coprime pair, at any degree
+
+@pytest.mark.parametrize("f_text, g_text", [
+    (BASE_F, BASE_G), ("(x-1)^127", "(x+1)^127"),
+    ("(x-1)*Phi(3)^63", "(x+1)*Phi(4)^63")], ids=["base", "127", "family"])
+def test_build_pair_takes_no_elimination_and_no_product(monkeypatch, f_text,
+                                                        g_text):
     inside = []
     counts = Counter()
     original_build = monodromy.build_pair
@@ -120,14 +144,18 @@ def test_build_pair_takes_two_eliminations_and_one_product(monkeypatch):
         finally:
             inside.pop()
     monkeypatch.setattr(monodromy, "build_pair", build_pair)
-    for name in ("_eliminate", "mat_mul", "rank"):
+    for name in ("_eliminate", "mat_mul", "rank", "det", "inverse"):
         def counted(*args, _name=name, _original=getattr(linalg, name)):
             if inside:
                 counts[_name] += 1
             return _original(*args)
         monkeypatch.setattr(linalg, name, counted)
-    monodromy.build_pair(parse_poly(BASE_F), parse_poly(BASE_G))
-    assert counts == {"_eliminate": 2, "mat_mul": 1}
+    pair = monodromy.build_pair(parse_poly(f_text), parse_poly(g_text))
+    assert counts == {}
+    # the counters see the kernels: the exact det A is one elimination
+    inside.append(True)
+    assert linalg.det(pair.A) == pair.det_A
+    assert counts == {"det": 1, "_eliminate": 1}
 
 
 # invariant_space certifies the remainder Gram entry by entry against A
@@ -177,10 +205,10 @@ def test_definite_analyze_takes_one_congruence_elimination(eliminations):
     assert eliminations == [7]
 
 
-# no polynomial gcd is taken: build_pair certifies that f and g are
-# coprime by det S != 0 (n x n), and pad that its P and Q are by the
-# determinant of multiplication by Q on Q[y]/(P) (m x m), before it
-# builds the padded and then the base pair
+# no polynomial gcd over Q is taken: build_pair certifies that f and g
+# are coprime by one gcd over GF(GCD_PRIME) (degree n), and pad that its
+# P and Q are (degree m), before it builds the padded and then the base
+# pair; on these pairs that gcd is 1, so no exact determinant is taken
 
 def test_analyze_takes_no_polynomial_gcd(gcd_calls):
     cli.build_report(BASE_F, BASE_G)
@@ -249,7 +277,11 @@ def test_witness_hunt_takes_no_elimination(monkeypatch, entry):
     doc = cli.build_report(entry.f_text, entry.g_text)
     assert doc["witness"]["unipotent"] is not None
     assert counts["inside"] == 0
-    assert counts["outside"] >= 1
+    # nothing in analyze eliminates any more; the counter still sees the
+    # kernels, as the exact determinant of the pair's S shows
+    linalg.det(monodromy.build_pair(parse_poly(entry.f_text),
+                                    parse_poly(entry.g_text)).S)
+    assert counts["outside"] == 1
 
 
 # span_rank_witness takes the axes of its reflections and extends a
@@ -334,9 +366,10 @@ def test_span_rank_reduces_at_most_axes_times_rank_vectors(monkeypatch,
         assert 1 <= inserts <= 1 + axes * rank
 
 
-# the Witt pass carries its lattice and restricted Gram from stage to
-# stage, starting from B = I and R = G, so a definite form, which stops at
-# stage 1, multiplies no matrices there
+# the Witt pass carries only its lattice basis from stage to stage, and
+# cuts it by combining basis rows, so it multiplies no matrices: not on
+# a definite form, which stops at stage 1, nor on the base pair, which
+# splits two planes; the base pair's hunt multiplies outside it
 
 def test_definite_witt_pass_multiplies_no_matrices(monkeypatch):
     inside = []
@@ -358,8 +391,31 @@ def test_definite_witt_pass_multiplies_no_matrices(monkeypatch):
     doc = cli.build_report("Phi(1)*Phi(3)*Phi(5)", "Phi(2)*Phi(4)*Phi(8)")
     assert (doc["signature"]["p"], doc["signature"]["q"]) == (7, 0)
     assert (doc["q_rank"]["lo"], doc["q_rank"]["hi"]) == (0, 0)
+    assert counts == {}
+    doc = cli.build_report(BASE_F, BASE_G)
+    assert doc["q_rank"]["lo"] == 2
     assert counts["inside"] == 0
     assert counts["outside"] >= 1
+
+
+# R = B G B^T is formed only at a stage that reads it: the pad's padded
+# pass takes its first two stages from the lifted base witnesses and
+# forms R once, at the stage after them, which stops at the cap; the
+# base pass searches at stages 2 and 3
+
+def test_seeded_witt_stages_form_no_restricted_gram(monkeypatch,
+                                                    eliminations):
+    formed = []
+    original = quadform._restricted_gram
+
+    def restricted(basis, gram):
+        formed.append((len(basis), len(gram)))
+        return original(basis, gram)
+    monkeypatch.setattr(quadform, "_restricted_gram", restricted)
+    doc = cli.build_pad_report(BASE_F, BASE_G, "y^2+y+1", "y^2+1")
+    assert (doc["q_rank"]["lo"], doc["q_rank"]["hi"]) == (2, 7)
+    assert formed == [(3, 5), (1, 5), (13, 17)]
+    assert eliminations == [5, 3, 1, 17, 13]
 
 
 # the hunt's generators A, A^-1 and C are checked and built on first

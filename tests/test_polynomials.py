@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orthomono import polynomials
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import (ONE, X, CycloFactorization, IntPoly,
                                    cyclo_factor, cyclotomic, divrem,
@@ -308,6 +309,36 @@ def test_cyclo_factor_matches_the_reference():
         assert all(type(c) is int for c in fac.remainder.coeffs)
         full += fac.remainder_is_one
     assert 100 <= full < 200  # both outcomes are exercised
+
+
+def test_cyclo_factor_divides_only_where_the_value_at_2_allows(monkeypatch):
+    # Phi_d | rem forces Phi_d(2) | rem(2), so a trial division is made
+    # only then, and the factorization is the reference's; a factor x - 2
+    # makes rem(2) = 0, which lets every division through
+    made, unskipped = [], []
+    original, original_ref = polynomials._divrem_coeffs, ref_divrem
+
+    def counted(a, b):
+        made.append((IntPoly(tuple(a)), IntPoly(tuple(b))))
+        return original(a, b)
+
+    def counted_ref(a, b):
+        unskipped.append(b)
+        return original_ref(a, b)
+    monkeypatch.setattr(polynomials, "_divrem_coeffs", counted)
+    monkeypatch.setitem(globals(), "ref_divrem", counted_ref)
+    totals = [0, 0]
+    for f in cyclotomic_products(20261021, 100):
+        del made[:], unskipped[:]
+        assert cyclo_factor(f) == ref_cyclo_factor(f), f
+        assert all(rem(2) % phi(2) == 0 for rem, phi in made)
+        totals[0] += len(made)
+        totals[1] += len(unskipped)
+    assert totals[0] < totals[1] / 2
+    f = cyclotomic(6) ** 2 * IntPoly((-2, 1))
+    del made[:], unskipped[:]
+    assert cyclo_factor(f) == ref_cyclo_factor(f)
+    assert len(made) == len(unskipped) > 0
 
 
 def test_root_parameters_base():

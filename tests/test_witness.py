@@ -281,6 +281,26 @@ def test_orthocomplement_validation(ctx):
         orthocomplement(ctx.gram, tuple(2 * x for x in EPS))
 
 
+# a coordinate that is not an int was once truncated, so (-1.9, 0, 1.9,
+# 0, 0) ran as EPS; every entry point that takes eps rejects it instead
+
+@pytest.mark.parametrize("bad", [(-1.9, 0, 1.9, 0, 0),
+                                 (Fraction(-3, 2), 0, Fraction(3, 2), 0, 0),
+                                 (Fraction(-1), 0, Fraction(1), 0, 0)],
+                         ids=["float", "fraction", "integral-fraction"])
+def test_eps_entry_points_reject_non_int_coordinates(ctx, u, bad):
+    calls = [lambda: ctx.perp(bad),
+             lambda: orthocomplement(ctx.gram, bad),
+             lambda: line_stabilizer_test(u, bad, ctx),
+             lambda: unipotent_from_reflections(ctx, bad, 8),
+             lambda: integral_reflection_vectors(ctx, bad),
+             lambda: span_rank_witness(u, [e(0)], bad, ctx)]
+    for call in calls:
+        with pytest.raises(ValueError, match="int coordinates"):
+            call()
+    assert line_stabilizer_test(u, EPS, ctx).in_unipotent_radical
+
+
 # ------------------------------------------------------- stabilizer and u
 
 def test_u_is_the_expected_matrix(u):
