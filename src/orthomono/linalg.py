@@ -150,15 +150,19 @@ def inverse(m: Mat) -> list[list]:
             for row in aug[:n]]
 
 
+def sign_canonical(vec: Sequence[int]) -> tuple[int, ...]:
+    """vec or -vec, whichever has a positive first nonzero entry; the zero
+    vector as it is."""
+    if next((c for c in vec if c != 0), 0) < 0:
+        return tuple(-c for c in vec)
+    return tuple(vec)
+
+
 def primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:
     """An int vector divided by its content, signed so that its first
     nonzero entry is positive."""
-    g = math.gcd(*vec)
-    if g == 0:
-        return tuple(vec)  # the zero vector
-    if next(c for c in vec if c != 0) < 0:
-        g = -g
-    return tuple(c // g for c in vec)
+    g = math.gcd(*vec) or 1  # 1 for the zero vector
+    return sign_canonical([c // g for c in vec])
 
 
 def _column_eliminate(row: Sequence[int]

@@ -35,7 +35,10 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        c = tuple(int(a) for a in self.coeffs)
+        # rejected, as in linalg.int_vector, where int() would truncate
+        c = tuple(self.coeffs)
+        if not all(type(a) is int for a in c):
+            raise ValueError(f"expected int coefficients, got {c}")
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)

@@ -510,8 +510,7 @@ def witt_decompose(space: QuadSpace, bound: int,
                 break
             x = tuple(sum(c[j] * basis[j][i] for j in range(k))
                       for i in range(n))
-            lead = next(t for t in x if t != 0)
-            w = x if lead > 0 else tuple(-t for t in x)
+            w = linalg.sign_canonical(x)
         # partner: first current-lattice vector, the basis rows and then
         # the sums of two of them, pairing nontrivially with w while
         # keeping every unused seed orthogonal (so later stages can still

@@ -21,6 +21,13 @@ eps-perp and eps's coordinates in it come from one unimodular column
 reduction of G eps, which builds the inverse of its matrix as it goes,
 and the translation vector of a unipotent u is read off its matrix as
 y - u(y) for a unit vector y.
+
+The hunt reads the orbit of v once: word_orbit maps each image g(v) to
+its word, and each sign-canonical isotropic difference +-(g(v) -+ v) to
+the images that give it, so the candidates eps are a filter over those
+keys and the unipotent for an eps is one lookup.  Every function that
+takes eps validates it once, through WitnessContext.perp, and works with
+the first vector of that basis.
 """
 from __future__ import annotations
 
@@ -34,8 +41,8 @@ from typing import Sequence
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
 from .quadform import (DEFAULT_SEARCH_BOUND, SEARCH_CAP, OracleMismatchError,
-                       QuadSpace, _box_solutions, _canonical,
-                       _unpreserved_generator, signature)
+                       QuadSpace, _box_solutions, _unpreserved_generator,
+                       signature)
 
 WITNESSED = "witnessed-arithmetic"
 INCONCLUSIVE = "inconclusive"
@@ -191,9 +198,13 @@ class WitnessContext:
         shortest-lexicographic word, and images are indexed in the order
         of those words.  v itself is never recorded.
 
-        Returns (minus, plus): maps from g(v) - v resp. g(v) + v to
-        (discovery index, word, g(v)).  v is the first unit vector, so
-        both keys are g(v) with entry 0 moved by 1.
+        Returns (images, keys).  images maps each g(v) to (discovery
+        index, word).  g(v).g(v) = v.v = 2, so (g(v) -+ v)^2 = 4 -+
+        2 g(v).v vanishes iff g(v).v = +-2; keys maps the sign-canonical
+        form of each such nonzero isotropic difference to its entries
+        (index, 0 for g(v) - v or 1 for g(v) + v, word, g(v)), in
+        discovery order.  v is the first unit vector, so the difference
+        is g(v) with entry 0 moved by 1.
         """
         if word_bound < 1:
             raise ValueError(f"word bound must be at least 1, got {word_bound}")
@@ -206,15 +217,16 @@ class WitnessContext:
         tokens = [(t, [[(j, a) for j, a in enumerate(row) if a]
                        for row in self.generators[t]])
                   for t in ("A", "A^-1", "C")]
-        minus: dict = {}
-        plus: dict = {}
-        seen = {v}
+        # G v, the first column of the Gram, through its nonzero entries
+        g_v = [(j, row[0]) for j, row in enumerate(self.gram) if row[0]]
+        images: dict = {}
+        keys: dict = {}
         level = [(v, ())]
         for _ in range(word_bound):
             # token-major, so the first pair to reach an image is the least
-            grown: dict = {}
+            grown = []
             for token, rows in tokens:
-                for y, word in level:
+                for y, parent in level:
                     image = []
                     for row in rows:
                         acc = 0
@@ -222,25 +234,34 @@ class WitnessContext:
                             acc += a * y[j]
                         image.append(acc)
                     x = tuple(image)
-                    if x not in seen and x not in grown:
-                        grown[x] = (token,) + word
-            seen.update(grown)
-            for x, word in grown.items():
-                entry = (len(minus), word, x)
-                head, tail = x[0], x[1:]
-                minus[(head - 1,) + tail] = entry
-                plus[(head + 1,) + tail] = entry
-            level = list(grown.items())
-        self._orbits[word_bound] = (minus, plus)
-        return minus, plus
+                    if x == v or x in images:
+                        continue
+                    word = (token,) + parent
+                    index = len(images)
+                    images[x] = (index, word)
+                    grown.append((x, word))
+                    pairing = sum(a * x[j] for j, a in g_v)
+                    if pairing in (2, -2):
+                        side = int(pairing < 0)
+                        key = linalg.sign_canonical(
+                            (x[0] + 2 * side - 1,) + x[1:])
+                        if any(key):  # g(v) = -v has no difference
+                            keys.setdefault(key, []).append(
+                                (index, side, word, x))
+            level = grown
+        self._orbits[word_bound] = (images, keys)
+        return images, keys
 
 
 def _reflection_axis(gram: Sequence[Sequence], w: Sequence[int]
                      ) -> tuple[list[int], list[int]]:
     """(h, w / d) with 2 G w / (w . w) = h / d in lowest terms, so the
     reflection about w is x -> x - (h . x) (w / d).  Raises ValueError for
-    an isotropic w and for a reflection that is not integral: as
-    gcd(d, h) = 1, d divides every h_j w_i iff it divides every w_i."""
+    a w of the wrong dimension, an isotropic w and a reflection that is
+    not integral: as gcd(d, h) = 1, d divides every h_j w_i iff it divides
+    every w_i."""
+    if len(w) != len(gram):
+        raise ValueError(f"reflection axis {w} has the wrong dimension")
     gw = linalg.mat_vec(gram, w)
     ww = sum(map(operator.mul, w, gw))
     if ww == 0:
@@ -276,6 +297,8 @@ def orthocomplement(gram: Sequence[Sequence], eps: Sequence[int]
     """
     n = len(gram)
     eps = linalg.int_vector(eps)
+    if len(eps) != n:
+        raise ValueError(f"eps {eps} has the wrong dimension")
     if all(x == 0 for x in eps):
         raise ValueError("eps must be nonzero")
     if linalg.vec_dot(eps, gram, eps) != 0:
@@ -333,11 +356,12 @@ def line_stabilizer_test(g: GroupElement, eps: Sequence[int],
     fixes eps itself, and acts trivially on both the line and
     eps-perp/line (the unipotent-radical condition).  The perp basis of
     eps comes from ctx's cache."""
-    eps = linalg.int_vector(eps)
+    perp, quotient = ctx.perp(eps)
+    eps = perp[0]
     lam = _parallel_factor(linalg.mat_vec(g.matrix, eps), eps)
     fixes_vector = lam == 1
     radical = fixes_vector and _radical_factors(
-        g.matrix, eps, ctx.perp(eps)[1]) is not None
+        g.matrix, eps, quotient) is not None
     return LineStabilizer(fixes_line=lam is not None,
                           fixes_vector=fixes_vector,
                           in_unipotent_radical=radical)
@@ -345,34 +369,20 @@ def line_stabilizer_test(g: GroupElement, eps: Sequence[int],
 
 def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
                                word_bound: int) -> GroupElement | None:
-    """Search words g over {A, A^-1, C} (shortest first, lexicographic
-    tie-break) for g(v) with g(v) -+ v = +-eps; the returned element is
-    u = C_{g(v)} C_v, verified nontrivial and inside the unipotent
-    radical of the parabolic fixing the line through eps.
+    """The words g over {A, A^-1, C} with g(v) -+ v = +-eps, read off the
+    keys of word_orbit(word_bound) at eps's sign-canonical form, in
+    discovery order (shortest first, lexicographic tie-break); the
+    returned element is u = C_{g(v)} C_v for the first of them that gives
+    a u verified nontrivial and inside the unipotent radical of the
+    parabolic fixing the line through eps.  eps is validated by ctx.perp.
 
     None when the bounded search finds nothing; that is a report outcome,
     not an error.
     """
-    gram, v = ctx.gram, ctx.v
-    eps = linalg.int_vector(eps)
-    if linalg.vec_dot(eps, gram, eps) != 0:
-        raise ValueError("eps must be isotropic")
-    minus, plus = ctx.word_orbit(word_bound)
-    hits = []
-    for target in (eps, tuple(-x for x in eps)):
-        for priority, store in ((0, minus), (1, plus)):
-            if target in store:
-                idx, word, x = store[target]
-                hits.append((idx, priority, word, x))
-    for _, _, word, x in sorted(hits):
-        # g isometry forces g(v).g(v) = 2; isotropy of eps = g(v) -+ v
-        # forces eps orthogonal to both v and g(v); checked anyway
-        if linalg.vec_dot(x, gram, x) != 2:
-            continue
-        if linalg.vec_dot(eps, gram, v) != 0 or \
-                linalg.vec_dot(eps, gram, x) != 0:
-            continue
-        cx = reflection_matrix(gram, x)
+    eps = ctx.perp(eps)[0][0]
+    keys = ctx.word_orbit(word_bound)[1]
+    for _, _, word, x in keys.get(linalg.sign_canonical(eps), ()):
+        cx = reflection_matrix(ctx.gram, x)
         u_matrix = int_matrix(linalg.mat_mul(cx.matrix, ctx.C))
         u_word = word + ("C",) + _inverse_word(word) + ("C",)
         u = ctx.verified(u_word, u_matrix)
@@ -392,12 +402,11 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
     search, walked inside eps-perp.  Deduplicated by sign, deterministic
     order."""
     gram, n = ctx.gram, ctx.n
-    eps = linalg.int_vector(eps)
+    perp, _ = ctx.perp(eps)
     # A^k v is the k-th unit vector of the cyclic basis
     images = (tuple(row) for row in linalg.identity(n))
-    perp, _ = ctx.perp(eps)
     candidates = itertools.chain(images, perp)
-    g_eps = linalg.mat_vec(gram, eps)
+    g_eps = linalg.mat_vec(gram, perp[0])
     if (2 * search_bound + 1) ** n <= AMBIENT_CAP:
         # lazily, and walked inside eps-perp: the scan usually stops at
         # MAX_SPAN_REFLECTIONS long before the box is exhausted
@@ -406,10 +415,7 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
     out: list[tuple[int, ...]] = []
     seen = set()
     for w in candidates:
-        lead = next((a for a in w if a != 0), None)
-        if lead is None:
-            continue
-        canon = w if lead > 0 else tuple(-a for a in w)
+        canon = linalg.sign_canonical(w)
         if canon in seen:
             continue
         seen.add(canon)
@@ -446,9 +452,9 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     <= 3.  So layer k reflects only those vectors, at most len(axes) *
     rank candidates in all, and a layer that adds nothing ends the
     search.  The reflection about w is x -> x - (h . x) (w / d) of
-    _reflection_axis, which raises ValueError up front for an isotropic
-    axis and one whose reflection is not integral; so does one of the
-    wrong dimension and one not orthogonal to eps, h . eps != 0.
+    _reflection_axis, which raises ValueError up front for an axis of the
+    wrong dimension, an isotropic one and one whose reflection is not
+    integral; so does one not orthogonal to eps, h . eps != 0.
 
     Each rank-raising vector carries the word of its axis indices; its
     product is built as a matrix by rank-one int updates,
@@ -459,15 +465,13 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     cache.
     """
     gram, n = ctx.gram, ctx.n
-    eps = linalg.int_vector(eps)
-    _, quotient = ctx.perp(eps)
+    perp, quotient = ctx.perp(eps)
+    eps = perp[0]
     factors = _radical_factors(u.matrix, eps, quotient)
     if factors is None:
         raise ValueError("u is not in the unipotent radical")
     updates = []
     for w in axes:
-        if len(w) != n:
-            raise ValueError(f"reflection axis {w} has the wrong dimension")
         h, w_d = _reflection_axis(gram, w)
         if sum(map(operator.mul, eps, h)):
             raise ValueError(f"reflection axis {w} is not orthogonal to eps")
@@ -555,30 +559,13 @@ def _echelon_insert(echelon: list[tuple[int, list[int]]],
 def orbit_candidates(ctx: WitnessContext, search_bound: int,
                      word_bound: int) -> list[tuple[int, ...]]:
     """The hits of isotropic_search(ctx.space, search_bound) that can
-    yield a unipotent, found without walking the box: the sign-canonical
-    primitive isotropic eps in [-search_bound, search_bound]^n with +-eps
-    a key g(v) -+ v of word_orbit(word_bound), in lexicographic order.
-
-    g(v).g(v) = v.v = 2, so (g(v) -+ v)^2 = 0 iff g(v).v = +-2; each
-    image is the entry of one key of each map."""
-    images = [x for _, _, x in ctx.word_orbit(word_bound)[0].values()]
-    v = ctx.v
-    found = set()
-    pairings = linalg.mat_vec(images, linalg.mat_vec(ctx.gram, v))
-    for x, pairing in zip(images, pairings):
-        if pairing == 2:
-            key = tuple(a - b for a, b in zip(x, v))
-        elif pairing == -2:
-            key = tuple(a + b for a, b in zip(x, v))
-        else:
-            continue
-        if max(map(abs, key)) > search_bound:
-            continue
-        if not _canonical(key):
-            key = tuple(-c for c in key)
-        if _canonical(key):
-            found.add(key)
-    return sorted(found)
+    yield a unipotent, found without walking the box: the keys of
+    word_orbit(word_bound), the sign-canonical isotropic differences
+    +-(g(v) -+ v), that are primitive and inside
+    [-search_bound, search_bound]^n, in lexicographic order."""
+    return sorted(key for key in ctx.word_orbit(word_bound)[1]
+                  if max(map(abs, key)) <= search_bound
+                  and math.gcd(*key) == 1)
 
 
 def arithmeticity_report(ctx: WitnessContext, search_bound: int,

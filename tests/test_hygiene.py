@@ -2,16 +2,26 @@
 uses, every public function has a caller in the package or is
 exported, every exemption from that still names a defined function
 with no caller, every module-level private function or class has a use
-in the package, and every function the benchmark's tracer looks up by
-name exists.  The package's __init__.py is exempt from the first check,
+in the package, every function the benchmark's tracer looks up by
+name exists, and the counts its tracer reads off return values match
+the real results.  The package's __init__.py is exempt from the first check,
 since its imports are the public re-exports, and so is `from __future__`."""
 import ast
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
 
 import orthomono
+from orthomono import cli
+from orthomono.quadform import isotropic_search
+from orthomono.witness import (WitnessContext, arithmeticity_report,
+                               integral_reflection_vectors,
+                               span_rank_witness,
+                               unipotent_from_reflections)
+
+from conftest import BASE_F, BASE_G
 
 PACKAGE = pathlib.Path(orthomono.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -243,3 +253,62 @@ def test_every_traced_name_resolves(table):
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+# the tracer reads per-layer counts off return values by shape (the
+# orbit's first map, the rank, a report's conclusion, ...); a change of
+# shape must fail here rather than shift a benchmark metric silently
+
+def _tracer_outcome():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._outcome
+
+
+def test_tracer_outcomes_read_the_real_results(base_pair, base_space):
+    outcome = _tracer_outcome()
+    ctx = WitnessContext(base_pair, base_space)
+
+    # the distinct images g(v) != v, walked on vectors without word_orbit
+    seen = level = {ctx.v}
+    for _ in range(8):
+        level = {tuple(sum(a * b for a, b in zip(row, y))
+                       for row in ctx.token_matrix(token))
+                 for y in level for token in ("A", "A^-1", "C")} - seen
+        seen = seen | level
+    assert outcome("witness.WitnessContext.word_orbit", (ctx, 8),
+                   ctx.word_orbit(8)) == {"orbit_size": len(seen) - 1}
+
+    eps = (-1, 0, 1, 0, 0)
+    u = unipotent_from_reflections(ctx, eps, 8)
+    assert outcome("witness.unipotent_from_reflections", (ctx, eps, 8),
+                   u) == {"hits": 1}
+    missed = unipotent_from_reflections(ctx, eps, 1)
+    assert missed is None
+    assert outcome("witness.unipotent_from_reflections", (ctx, eps, 1),
+                   missed) == {"hits": 0}
+
+    axes = integral_reflection_vectors(ctx, eps)
+    rank = span_rank_witness(u, axes, eps, ctx)
+    assert rank == 3
+    assert outcome("witness.span_rank_witness", (u, axes, eps, ctx),
+                   rank) == {"rank": 3}
+
+    report = arithmeticity_report(ctx, 3, 8)
+    assert report.conclusion == "witnessed-arithmetic"
+    assert outcome("witness.arithmeticity_report", (ctx, 3, 8),
+                   report) == {"witnessed": 1}
+
+    hits = isotropic_search(ctx.gram, 1)
+    assert len(hits) >= 1
+    assert outcome("quadform.isotropic_search", (ctx.gram, 1),
+                   hits) == {"found": len(hits)}
+
+    doc = cli.build_report(BASE_F, BASE_G)
+    assert "timings" in doc
+    text = cli.serialize_report(
+        {k: v for k, v in doc.items() if k != "timings"})
+    assert outcome("cli.serialize_report", (doc,), text) \
+        == {"bytes": len(text.rstrip("\n"))}

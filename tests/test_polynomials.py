@@ -29,6 +29,17 @@ def test_trailing_zeros_trimmed():
     assert poly(0, 0).coeffs == ()
 
 
+# int() once truncated a coefficient, so (3/2, 1.9, 1) became 1 + x + x^2
+
+@pytest.mark.parametrize("coeffs", [(Fraction(3, 2), 1.9, 1), (1.0, 1),
+                                    (Fraction(2), 1), (True, 1)],
+                         ids=["fraction-and-float", "integral-float",
+                              "integral-fraction", "bool"])
+def test_non_int_coefficients_are_rejected(coeffs):
+    with pytest.raises(ValueError, match="int coefficients"):
+        IntPoly(coeffs)
+
+
 def test_degree_and_leading():
     assert poly(-1, 0, 1).degree == 2
     assert poly().degree == -1

@@ -172,6 +172,7 @@ def test_word_orbit_deterministic_and_cached(ctx):
     assert first == again
     fresh = WitnessContext(ctx.pair, ctx.space).word_orbit(4)
     assert first[0] == fresh[0] and first[1] == fresh[1]
+    assert list(first[0].values()) == list(fresh[0].values())
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -218,6 +219,47 @@ def _matrix_word_orbit(ctx, word_bound):
     return minus, plus
 
 
+def _minus_plus_word_orbit(ctx, word_bound):
+    """Reference: the image walk as it stood when word_orbit returned two
+    full-orbit maps, breadth first over g(v), a seen set holding v, every
+    image recorded under both g(v) - v (minus) and g(v) + v (plus) with
+    (discovery index, word, g(v))."""
+    v = ctx.v
+    tokens = [(t, ctx.generators[t]) for t in ("A", "A^-1", "C")]
+    minus, plus = {}, {}
+    seen = {v}
+    level = [(v, ())]
+    for _ in range(word_bound):
+        grown = {}
+        for token, matrix in tokens:
+            for y, word in level:
+                x = tuple(linalg.mat_vec(matrix, y))
+                if x not in seen and x not in grown:
+                    grown[x] = (token,) + word
+        seen.update(grown)
+        for x, word in grown.items():
+            entry = (len(minus), word, x)
+            minus[tuple(a - b for a, b in zip(x, v))] = entry
+            plus[tuple(a + b for a, b in zip(x, v))] = entry
+        level = list(grown.items())
+    return minus, plus
+
+
+def _images_and_keys(ctx, minus, plus):
+    """The (images, keys) of word_orbit derived from the two maps:
+    each image with its index and word, and each nonzero isotropic key of
+    either map, made sign-canonical, with its entries in index order."""
+    images = {x: (idx, word) for idx, word, x in minus.values()}
+    keys = {}
+    for side, store in enumerate((minus, plus)):
+        for key, (idx, word, x) in store.items():
+            if any(key) and linalg.vec_dot(key, ctx.gram, key) == 0:
+                canon = key if next(a for a in key if a) > 0 \
+                    else tuple(-a for a in key)
+                keys.setdefault(canon, []).append((idx, side, word, x))
+    return images, {key: sorted(entries) for key, entries in keys.items()}
+
+
 def _orbit_cases():
     cases = [pytest.param(e.f_text, e.g_text, 8, id=e.name)
              for e in corpus.ENTRIES]
@@ -230,12 +272,15 @@ def _orbit_cases():
 
 @pytest.mark.parametrize("f_text, g_text, bound", _orbit_cases())
 def test_word_orbit_matches_matrix_reference(f_text, g_text, bound):
+    # the two-map image walk against the matrix walk, then word_orbit's
+    # (images, keys) against what its maps give
     pair = build_pair(parse_poly(f_text), parse_poly(g_text))
     ctx = WitnessContext(pair, invariant_space(pair))
     v = ctx.v
     v_keys = (tuple(0 for _ in v), tuple(2 * a for a in v))
-    for got, want, v_key in zip(ctx.word_orbit(bound),
-                                _matrix_word_orbit(ctx, bound), v_keys):
+    two_maps = _minus_plus_word_orbit(ctx, bound)
+    for got, want, v_key in zip(two_maps, _matrix_word_orbit(ctx, bound),
+                                v_keys):
         # the image walk never records v itself
         assert all(x != v for _, _, x in got.values())
         fixed = {key for key, (_, _, x) in want.items() if x == v}
@@ -248,8 +293,22 @@ def test_word_orbit_matches_matrix_reference(f_text, g_text, bound):
         assert [entry[1:] for entry in sorted(got.values())] \
             == [entry[1:] for entry in sorted(want.values())
                 if entry[2] != v]
-    for _, word, x in ctx.word_orbit(bound)[0].values():
+    images, keys = ctx.word_orbit(bound)
+    want_images, want_keys = _images_and_keys(ctx, *two_maps)
+    assert list(images.items()) == sorted(want_images.items(),
+                                          key=lambda item: item[1])
+    assert keys == want_keys
+    assert list(keys) == sorted(want_keys,
+                                key=lambda key: want_keys[key][0][0])
+    for x, (_, word) in images.items():
         assert tuple(row[0] for row in ctx.element(word).matrix) == x
+    # only images with g(v).v = +-2 give a key, g(v) - v or g(v) + v
+    for key, entries in keys.items():
+        for _, side, word, x in entries:
+            assert images[x][1] == word
+            assert linalg.vec_dot(x, ctx.gram, v) == 2 - 4 * side
+            diff = tuple(a + (2 * side - 1) * b for a, b in zip(x, v))
+            assert key in (diff, tuple(-a for a in diff))
 
 
 # ------------------------------------------------------------ orthocomplement
@@ -299,6 +358,39 @@ def test_eps_entry_points_reject_non_int_coordinates(ctx, u, bad):
         with pytest.raises(ValueError, match="int coordinates"):
             call()
     assert line_stabilizer_test(u, EPS, ctx).in_unipotent_radical
+
+
+# an eps of the wrong length once ran into zips that truncate: four entry
+# points failed an internal assertion and the unipotent search came back
+# empty; each raises ValueError instead
+
+@pytest.mark.parametrize("entry", ["perp", "orthocomplement", "line",
+                                   "unipotent", "axes", "span"])
+def test_eps_entry_points_reject_the_wrong_length(ctx, u, entry):
+    short = (1, 0, -1)
+    call = {"perp": lambda: ctx.perp(short),
+            "orthocomplement": lambda: orthocomplement(ctx.gram, short),
+            "line": lambda: line_stabilizer_test(u, short, ctx),
+            "unipotent": lambda: unipotent_from_reflections(ctx, short, 8),
+            "axes": lambda: integral_reflection_vectors(ctx, short),
+            "span": lambda: span_rank_witness(u, [e(0)], short, ctx)}[entry]
+    with pytest.raises(ValueError, match="wrong dimension"):
+        call()
+
+
+# an axis of the wrong length gave a 6 x 5 reflection matrix that the
+# isometry check passed, or a PairValidationError, the error class of a bad
+# input pair
+
+@pytest.mark.parametrize("axis", [(1, 0, 0, 0, 0, 7), (1, 0)],
+                         ids=["long", "short"])
+def test_reflection_axes_of_the_wrong_length_are_rejected(ctx, axis):
+    token = witness._render_reflection(axis)
+    for call in (lambda: reflection_matrix(ctx.gram, axis),
+                 lambda: ctx.element((token,))):
+        with pytest.raises(ValueError, match="wrong dimension") as exc:
+            call()
+        assert not isinstance(exc.value, PairValidationError)
 
 
 # ------------------------------------------------------- stabilizer and u
@@ -564,11 +656,53 @@ def test_orbit_candidates_equal_box_hits_with_orbit_keys(f_text, g_text):
             continue
         hits = isotropic_search(ctx.gram, bound)
         for word_bound in (4, 8):
-            minus, plus = ctx.word_orbit(word_bound)
-            keyed = [e for e in hits
-                     if any(k in minus or k in plus
-                            for k in (e, tuple(-x for x in e)))]
+            # the hits are sign-canonical, as the keys are
+            keys = ctx.word_orbit(word_bound)[1]
+            keyed = [e for e in hits if e in keys]
             assert orbit_candidates(ctx, bound, word_bound) == keyed
+
+
+def _four_way_unipotent(ctx, two_maps, eps):
+    """Reference: unipotent_from_reflections as it stood on the two maps
+    of _minus_plus_word_orbit: eps and -eps looked up in both, the hits
+    sorted by (index, minus before plus), each checked for
+    g(v).g(v) = 2 and eps orthogonal to v and g(v)."""
+    gram, v = ctx.gram, ctx.v
+    minus, plus = two_maps
+    hits = []
+    for target in (eps, tuple(-x for x in eps)):
+        for priority, store in ((0, minus), (1, plus)):
+            if target in store:
+                idx, word, x = store[target]
+                hits.append((idx, priority, word, x))
+    for _, _, word, x in sorted(hits):
+        if linalg.vec_dot(x, gram, x) != 2:
+            continue
+        if linalg.vec_dot(eps, gram, v) != 0 or \
+                linalg.vec_dot(eps, gram, x) != 0:
+            continue
+        cx = reflection_matrix(gram, x)
+        u = ctx.verified(word + ("C",) + _inverse_word(word) + ("C",),
+                         linalg.mat_mul(cx.matrix, ctx.C))
+        if u.is_identity:
+            continue
+        if line_stabilizer_test(u, eps, ctx).in_unipotent_radical:
+            return u
+    return None
+
+
+@pytest.mark.parametrize("f_text, g_text", _pair_cases())
+def test_unipotent_lookup_matches_the_four_way_lookup(f_text, g_text):
+    pair = build_pair(parse_poly(f_text), parse_poly(g_text))
+    ctx = WitnessContext(pair, invariant_space(pair))
+    # the word bound 8 candidates at word bound 4 too, where some miss
+    candidates = orbit_candidates(ctx, 3, 8)
+    for word_bound in (4, 8):
+        two_maps = _minus_plus_word_orbit(ctx, word_bound)
+        for eps in candidates:
+            for signed in (eps, tuple(-x for x in eps)):
+                assert unipotent_from_reflections(ctx, signed, word_bound) \
+                    == _four_way_unipotent(ctx, two_maps, signed), signed
 
 
 # ------------------------------------------------ span rank, matrix route
