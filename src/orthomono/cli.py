@@ -31,6 +31,7 @@ import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import corpus
@@ -39,10 +40,9 @@ from .monodromy import (ORTHOGONAL, HyperPair, PairType, PairValidationError,
 from .padding import (DEFAULT_EXPONENT, embed_vector, isometry_check,
                       pad_pair, remainder_coeff_check)
 from .parsing import PolyParseError, parse_poly
-from .polynomials import IntPoly, cyclo_factor, render, root_parameters
+from .polynomials import IntPoly, cyclo_factor, render, root_arguments
 from .quadform import (DEFAULT_SEARCH_BOUND, OracleMismatchError, QuadSpace,
-                       invariant_space, q_rank, signature,
-                       signature_interlace)
+                       interlace_count, invariant_space, q_rank, signature)
 from .witness import (MAX_WORD_BOUND, OUT_OF_SCOPE, WitnessContext,
                       WitnessReport, arithmeticity_report)
 
@@ -91,9 +91,65 @@ def _witness_json(rep: WitnessReport) -> dict:
     }
 
 
+def _true_false(x: bool) -> str:
+    return "true" if x else "false"
+
+
+# the JSON text of each scalar type a report holds
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: _true_false, type(None): lambda _: "null"}
+
+
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append the canonical text of value, nested at indent, to out."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"report keys must be str, not "
+                                f"{type(key).__name__}")
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write(value[key], inner, out)
+            sep = ",\n" + inner
+        out += ("\n", indent, "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        types = set(map(type, value))
+        if len(types) == 1 and (scalar := _SCALARS.get(types.pop())):
+            # a list of one scalar type, such as a Gram row, in one join
+            out += ("[\n", inner, sep.join(map(scalar, value)), "\n",
+                    indent, "]")
+            return
+        out.append("[\n" + inner)
+        _write(value[0], inner, out)
+        for x in value[1:]:
+            out.append(sep)
+            _write(x, inner, out)
+        out += ("\n", indent, "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not a report value")
+
+
 def serialize_report(doc: dict) -> str:
-    """Canonical text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical text: the bytes of json.dumps(doc, sort_keys=True,
+    indent=2) plus a newline, written directly over str, int, bool,
+    None, list, tuple and dict with str keys; a TypeError on any other
+    value."""
+    out: list[str] = []
+    _write(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def parse_report(text: str) -> dict:
@@ -112,12 +168,15 @@ def _interlace_abs_diff(f: IntPoly, g: IntPoly,
     Only available when both polynomials are products of cyclotomics;
     coprimality makes the two argument lists disjoint.  Disagreement with
     the diagonalization signature means one of the routes is wrong.
+    The arguments are compared as ints over the least common multiple
+    of the factors' d.
     """
     fac_f, fac_g = cyclo_factor(f), cyclo_factor(g)
     if not (fac_f.remainder_is_one and fac_g.remainder_is_one):
         return None
-    expected = signature_interlace(root_parameters(fac_f),
-                                   root_parameters(fac_g))
+    den = math.lcm(*(d for fac in (fac_f, fac_g) for d, _ in fac.factors))
+    expected = interlace_count(root_arguments(fac_f, den),
+                               root_arguments(fac_g, den))
     actual = abs(sig[0] - sig[1])
     if expected != actual:
         raise OracleMismatchError(

@@ -28,7 +28,18 @@ def transpose(m: Mat) -> list[list]:
     return [list(row) for row in zip(*m)]
 
 
+def _check_widths(m: Mat, width: int, what: str) -> None:
+    # zip would truncate a product on a row of another length
+    if any(len(row) != width for row in m):
+        raise ValueError(f"{what}: every row must have length {width}")
+
+
 def mat_mul(a: Mat, b: Mat) -> list[list]:
+    """a b; a ValueError unless every row of a has len(b) entries and
+    the rows of b have one length."""
+    _check_widths(a, len(b), "mat_mul")
+    if b:
+        _check_widths(b, len(b[0]), "mat_mul")
     bt = transpose(b)
     return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
@@ -48,12 +59,18 @@ def sparse_mul(a: Mat, b: Mat) -> list[list]:
 
 
 def mat_vec(a: Mat, x: Vec) -> list:
+    """a x; a ValueError unless every row of a has len(x) entries."""
+    _check_widths(a, len(x), "mat_vec")
     return [sum(map(operator.mul, row, x)) for row in a]
 
 
 def vec_dot(x: Vec, g: Mat, y: Vec):
-    """Bilinear form value x^T g y."""
-    return sum(xi * s for xi, s in zip(x, mat_vec(g, y)))
+    """Bilinear form value x^T g y; a ValueError unless g is
+    len(x) x len(y)."""
+    if len(x) != len(g):
+        raise ValueError(f"vec_dot: x has length {len(x)}, g has "
+                         f"{len(g)} rows")
+    return sum(map(operator.mul, x, mat_vec(g, y)))
 
 
 def mat_eq(a: Mat, b: Mat) -> bool:

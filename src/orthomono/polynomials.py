@@ -25,8 +25,9 @@ from . import linalg
 
 # Largest polynomial degree, and so pair dimension n, that parse_poly and
 # pad_pair accept.  The slowest input measured under it, analyze of
-# (x-1)^127, (x+1)^127, takes about 49 s, nearly all of it the congruence
-# diagonal; the largest worked example has degree 29.
+# (x-1)^127, (x+1)^127, takes about 35 s (a 2-vCPU VM, Python 3.11),
+# nearly all of it the congruence diagonal; the largest worked example
+# has degree 29.
 MAX_DEGREE = 128
 
 
@@ -119,7 +120,10 @@ class IntPoly:
         return out
 
     def __call__(self, value):
-        """Evaluate at an int or Fraction, Horner style."""
+        """Evaluate at an int or Fraction, Horner style; at 0, the
+        constant coefficient."""
+        if value == 0:
+            return self.coeffs[0] if self.coeffs else 0
         acc: int | Fraction = 0
         for a in reversed(self.coeffs):
             acc = acc * value + a
@@ -261,6 +265,7 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(tuple(int(q) for q in quot))
 
 
+@lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
     n, result, p = d, d, 2
     while p * p <= n:
@@ -293,6 +298,12 @@ def cyclotomic(d: int) -> IntPoly:
     return num
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_at_two(d: int) -> int:
+    """Phi_d(2), kept per d as cyclotomic(d) is."""
+    return cyclotomic(d)(2)
+
+
 @dataclass(frozen=True)
 class CycloFactorization:
     """Multiset of cyclotomic factors (d, multiplicity), d ascending, plus
@@ -317,7 +328,9 @@ def cyclo_factor(f: IntPoly) -> CycloFactorization:
     whether f was a product of cyclotomics.  A trial division is made only
     when Phi_d(2) divides rem(2), which is carried through each division:
     Phi_d is monic, so Phi_d | rem in Z[x] forces it, and skipping the
-    others changes no factorization.
+    others changes no factorization.  phi(d) and Phi_d(2) are read from
+    per-d caches, and Phi_d is built only for a d whose phi(d) is at
+    most the degree left.
     """
     if not f.is_monic:
         raise ValueError("cyclo_factor expects a monic polynomial")
@@ -330,11 +343,10 @@ def cyclo_factor(f: IntPoly) -> CycloFactorization:
             break
         if euler_phi(d) > len(rem) - 1:
             continue
-        phi_d = cyclotomic(d)
-        phi_two = phi_d(2)
+        phi_two = _cyclotomic_at_two(d)
         mult = 0
         while at_two % phi_two == 0:
-            q, r = _divrem_coeffs(rem, phi_d.coeffs)
+            q, r = _divrem_coeffs(rem, cyclotomic(d).coeffs)
             if any(r):
                 break
             rem = q
@@ -345,22 +357,35 @@ def cyclo_factor(f: IntPoly) -> CycloFactorization:
     return CycloFactorization(tuple(found), IntPoly(tuple(rem)))
 
 
+def root_arguments(fac: CycloFactorization, den: int) -> list[int]:
+    """Numerators over den of the arguments a/d of the roots
+    e^(2 pi i a/d), ascending with multiplicity; den must be a multiple
+    of every d.  Requires a complete cyclotomic factorization.
+
+    >>> root_arguments(cyclo_factor(IntPoly((1, 0, 1))), 4)   # x^2 + 1
+    [1, 3]
+    """
+    if not fac.remainder_is_one:
+        raise ValueError("root parameters need a full cyclotomic factorization")
+    values: list[int] = []
+    for d, mult in fac.factors:
+        step = den // d
+        for a in range(d):
+            if math.gcd(a, d) == 1:
+                values += [a * step] * mult
+    values.sort()
+    return values
+
+
 def root_parameters(fac: CycloFactorization) -> tuple[Fraction, ...]:
     """Arguments a/d of the roots e^(2 pi i a/d), sorted ascending with
-    multiplicity.  Requires a complete cyclotomic factorization.
+    multiplicity: root_arguments over the least common denominator.
 
     >>> root_parameters(cyclo_factor(IntPoly((-1, 0, 0, 0, 0, 1))))
     (Fraction(0, 1), Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
     """
-    if not fac.remainder_is_one:
-        raise ValueError("root parameters need a full cyclotomic factorization")
-    values: list[Fraction] = []
-    for d, mult in fac.factors:
-        for a in range(d):
-            if math.gcd(a, d) == 1 or (d == 1 and a == 0):
-                values.extend([Fraction(a, d)] * mult)
-    values.sort()
-    return tuple(values)
+    den = math.lcm(*(d for d, _ in fac.factors))
+    return tuple(Fraction(a, den) for a in root_arguments(fac, den))
 
 
 def render(p: IntPoly, var: str = "x") -> str:

@@ -141,7 +141,8 @@ def _require_self_reciprocal(pair: HyperPair) -> None:
     # conjugate to A^-T: the roots of f and of g are closed under
     # inversion, i.e. x^n p(1/x) = p(0) p
     for name, p in (("f", pair.f), ("g", pair.g)):
-        if p.coeffs[::-1] != tuple(p(0) * c for c in p.coeffs):
+        c0 = p(0)
+        if p.coeffs[::-1] != tuple(c0 * c for c in p.coeffs):
             raise PairValidationError(
                 f"{name} = {render(p)} is not self-reciprocal, so no "
                 "quadratic form is invariant under the pair")
@@ -164,13 +165,13 @@ def _unpreserved_generator(pair: HyperPair, gram: Sequence[Sequence]
     """
     n = pair.n
     c = [-x for x in pair.f.coeffs[:n]]
-    gc = [sum(a * b for a, b in zip(row, c)) for row in gram]
-    cg = [sum(a * b for a, b in zip(col, c)) for col in zip(*gram)]
+    gc = [sum(map(operator.mul, row, c)) for row in gram]
+    cg = [sum(map(operator.mul, col, c)) for col in zip(*gram)]
     if (any(tuple(gram[i + 1][1:]) != tuple(gram[i][:-1])
             for i in range(n - 1))
             or any(gc[i + 1] != gram[i][n - 1] or cg[i + 1] != gram[n - 1][i]
                    for i in range(n - 1))
-            or sum(a * b for a, b in zip(c, gc)) != gram[n - 1][n - 1]):
+            or sum(map(operator.mul, c, gc)) != gram[n - 1][n - 1]):
         return "A"
     if tuple(zip(*gram)) != tuple(map(tuple, gram)) \
             or tuple(gram[0]) != pair.S[n - 1]:
@@ -197,7 +198,7 @@ def invariant_space(pair: HyperPair) -> QuadSpace:
         raise OracleMismatchError(
             f"the remainder-route Gram fails the {gen} invariance check: "
             f"{cyc.gram}")
-    if any(d == 0 for d in cyc.diagonal):
+    if any(d.numerator == 0 for d in cyc.diagonal):
         raise PairValidationError("invariant form is degenerate")
     return cyc
 
@@ -265,27 +266,33 @@ def congruence_diagonal(gram: Sequence[Sequence[int]]
 
 def signature(space: QuadSpace) -> tuple[int, int]:
     """(p, q) = counts of positive and negative entries of the space's
-    kept congruence diagonal."""
-    diag = space.diagonal
-    if any(d == 0 for d in diag):
+    kept congruence diagonal, read off their numerators."""
+    nums = [d.numerator for d in space.diagonal]
+    if 0 in nums:
         raise ValueError("degenerate form has no signature")
-    p = sum(1 for d in diag if d > 0)
-    return p, len(diag) - p
+    p = sum(1 for x in nums if x > 0)
+    return p, len(nums) - p
 
 
 def signature_interlace(alpha: Sequence[Fraction], beta: Sequence[Fraction]
                         ) -> int:
-    """|p - q| from the interlacing count: with alpha sorted ascending,
-    m_j = #{k : beta_k < alpha_j} and the result is |sum (-1)^{j+m_j}|
-    over 1-based j.
-
-    Both lists are sorted once as ints over a common denominator, and
-    one merge pass reads off every m_j and any value the lists share."""
-    if len(alpha) != len(beta):
-        raise ValueError("parameter lists must have equal length")
+    """|p - q| from the interlacing count of two lists of root
+    arguments: interlace_count of both, sorted as ints over their least
+    common denominator."""
     den = math.lcm(*(x.denominator for xs in (alpha, beta) for x in xs))
-    a, b = (sorted(x.numerator * (den // x.denominator) for x in xs)
-            for xs in (alpha, beta))
+    return interlace_count(
+        *(sorted(x.numerator * (den // x.denominator) for x in xs)
+          for xs in (alpha, beta)))
+
+
+def interlace_count(a: Sequence[int], b: Sequence[int]) -> int:
+    """|p - q| from the interlacing count of root arguments given as
+    ascending ints over one denominator: m_j = #{k : b_k < a_j} and the
+    result is |sum (-1)^{j+m_j}| over 1-based j.
+
+    One merge pass reads off every m_j and any value the lists share."""
+    if len(a) != len(b):
+        raise ValueError("parameter lists must have equal length")
     total = 0
     m = 0
     for j, aj in enumerate(a, start=1):
@@ -500,8 +507,8 @@ def witt_decompose(space: QuadSpace, bound: int,
                     f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
                     "lower bound may not be tight")
                 break
-            if all(d > 0 for d in residual_diag) or \
-                    all(d < 0 for d in residual_diag):
+            nums = [d.numerator for d in residual_diag]
+            if all(x > 0 for x in nums) or all(x < 0 for x in nums):
                 break  # definite: the search could only come back empty
             # search in lattice coordinates against the restricted Gram;
             # c.(B G B^T).c = x.G.x for x = c B, so the hit is unchanged
@@ -541,8 +548,8 @@ def witt_decompose(space: QuadSpace, bound: int,
                 basis = linalg.sparse_mul(linalg.int_row_kernel(projected),
                                           basis)
 
-    pr = sum(1 for d in residual_diag if d > 0)
-    qr = sum(1 for d in residual_diag if d < 0)
+    pr = sum(1 for d in residual_diag if d.numerator > 0)
+    qr = sum(1 for d in residual_diag if d.numerator < 0)
     lo = len(witnesses)
     return RankCertificate(lo=lo, hi=lo + min(pr, qr),
                            isotropic_witnesses=tuple(witnesses),

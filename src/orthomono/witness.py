@@ -189,14 +189,20 @@ class WitnessContext:
         1 to word_bound, walked on the images g(v) themselves.
 
         The word t1...tk sends v to T1(T2(...Tk(v))), so prepending a
-        token to a word is one matrix-vector product on its image, taken
-        through the token's nonzero entries: A and A^-1 are companion
-        matrices with at most two per row, and C differs from I only in
-        row 0.  Level k+1 takes each new image from the least
-        (token, parent) pair that reaches it, tokens ordered A, A^-1, C
-        and parents in level-k order; every image thus carries its
-        shortest-lexicographic word, and images are indexed in the order
-        of those words.  v itself is never recorded.
+        token to a word is one matrix-vector product on its image.  A and
+        A^-1 are applied through their nonzero entries, at most two per
+        row of a companion matrix.  C is the reflection about v, and
+        v.v = 2 makes it C y = y - (y.v) e_0: entry 0 minus the pairing
+        y.v, which the walk carries with each image (v's is 2, and C
+        negates it), so an image with pairing 0 is fixed by C and
+        skipped.  A token is not applied to an image whose word starts
+        with its inverse (A after A^-1, A^-1 after A, C after C): that
+        product is the grandparent image, already recorded.  Level k+1
+        takes each new image from the least (token, parent) pair that
+        reaches it, tokens ordered A, A^-1, C and parents in level-k
+        order; every image thus carries its shortest-lexicographic word,
+        and images are indexed in the order of those words.  v itself is
+        never recorded.
 
         Returns (images, keys).  images maps each g(v) to (discovery
         index, word).  g(v).g(v) = v.v = 2, so (g(v) -+ v)^2 = 4 -+
@@ -214,19 +220,38 @@ class WitnessContext:
         if word_bound in self._orbits:
             return self._orbits[word_bound]
         v = self.v
-        tokens = [(t, [[(j, a) for j, a in enumerate(row) if a]
-                       for row in self.generators[t]])
-                  for t in ("A", "A^-1", "C")]
+        # the generators are built and checked here, C included, though
+        # the walk applies C through the pairing
+        gens = self.generators
+        tokens = [(t, _TOKEN_INVERSE[t],
+                   [[(j, a) for j, a in enumerate(row) if a]
+                    for row in gens[t]])
+                  for t in ("A", "A^-1")]
         # G v, the first column of the Gram, through its nonzero entries
         g_v = [(j, row[0]) for j, row in enumerate(self.gram) if row[0]]
         images: dict = {}
         keys: dict = {}
-        level = [(v, ())]
+        grown: list = []  # the level being built, which record extends
+
+        def record(x: tuple[int, ...], word: tuple[str, ...],
+                   pairing: int) -> None:
+            index = len(images)
+            images[x] = (index, word)
+            grown.append((x, word, pairing))
+            if pairing in (2, -2):
+                side = int(pairing < 0)
+                key = linalg.sign_canonical((x[0] + 2 * side - 1,) + x[1:])
+                if any(key):  # g(v) = -v has no difference
+                    keys.setdefault(key, []).append((index, side, word, x))
+
+        level = [(v, (), 2)]
         for _ in range(word_bound):
             # token-major, so the first pair to reach an image is the least
             grown = []
-            for token, rows in tokens:
-                for y, parent in level:
+            for token, back, rows in tokens:
+                for y, parent, _ in level:
+                    if parent and parent[0] == back:
+                        continue
                     image = []
                     for row in rows:
                         acc = 0
@@ -236,18 +261,15 @@ class WitnessContext:
                     x = tuple(image)
                     if x == v or x in images:
                         continue
-                    word = (token,) + parent
-                    index = len(images)
-                    images[x] = (index, word)
-                    grown.append((x, word))
-                    pairing = sum(a * x[j] for j, a in g_v)
-                    if pairing in (2, -2):
-                        side = int(pairing < 0)
-                        key = linalg.sign_canonical(
-                            (x[0] + 2 * side - 1,) + x[1:])
-                        if any(key):  # g(v) = -v has no difference
-                            keys.setdefault(key, []).append(
-                                (index, side, word, x))
+                    record(x, (token,) + parent,
+                           sum(a * x[j] for j, a in g_v))
+            for y, parent, pairing in level:
+                if not pairing or parent and parent[0] == "C":
+                    continue
+                x = (y[0] - pairing,) + y[1:]
+                if x == v or x in images:
+                    continue
+                record(x, ("C",) + parent, -pairing)
             level = grown
         self._orbits[word_bound] = (images, keys)
         return images, keys

@@ -1,5 +1,6 @@
 """Command line surface: report construction, serialization, exit codes."""
 import copy
+import gc
 import json
 import os
 import resource
@@ -8,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import orthomono
 from orthomono import cli, quadform, witness
@@ -60,6 +62,66 @@ def test_serialize_round_trip():
     assert cli.parse_report(text) == doc
     with pytest.raises(ValueError):
         cli.parse_report("[1, 2]")
+
+
+# report-shaped documents: every scalar type the writer takes, strings
+# over every code point (non-ASCII, control characters and lone
+# surrogates), ints far past 64 bits, and nested, empty and mixed
+# containers
+TEXT = st.text(st.characters(blacklist_categories=()))
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.integers(-10 ** 1000, -10 ** 200) | TEXT)
+DOCS = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=300)
+@given(DOCS)
+@example({"a": [], "b": {}, "c": [[], {}, [[]]], "d": ({},)})
+@example([True, 1, False, 0, None, "1", -2 ** 4000])
+@example({"\u00e9\x00\x1f\"\\": ["\ud800", "\u2028", "tab\there"]})
+def test_writer_is_the_stdlib_json_text(doc):
+    assert cli.serialize_report(doc) == \
+        json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [0, {"b": 0.5}]},
+    [Fraction(3)], {"a": {(1,): 2}}, {"a": frozenset()}, {"a": b"x"},
+], ids=["float", "fraction", "set", "int-key", "nested-float",
+        "integral-fraction", "tuple-key", "frozenset", "bytes"])
+def test_writer_rejects_what_a_report_does_not_hold(doc):
+    with pytest.raises(TypeError):
+        cli.serialize_report(doc)
+
+
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
+    # a command's garbage must go when its last reference does: cycles
+    # wait for a full collection, so a long-running caller's memory
+    # would grow with the number of commands it runs
+    commands = [
+        ["analyze", "--f", BASE_F, "--g", BASE_G],
+        ["pad", "--f0", BASE_F, "--g0", BASE_G, "--P", "y^2+1",
+         "--Q", "y^2+y+1"],
+        ["examples", "--quiet", "--json", str(tmp_path / "examples.json")],
+        # an error record, exit 2
+        ["analyze", "--f", "x^3-1", "--g", "(x^2+x+1)*(x+1)"],
+    ]
+    for argv in commands:  # the first use fills the per-process caches
+        cli.main(argv)
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands:
+            cli.main(argv)
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
 
 
 def test_all_rationals_are_strings():

@@ -200,6 +200,22 @@ def test_mat_mul_and_vec():
     assert linalg.mat_vec(a, [1, 1]) == [3, 7]
 
 
+@pytest.mark.parametrize("call, args", [
+    (linalg.mat_vec, ([[1, 2, 3], [4, 5, 6]], (1, 2))),
+    (linalg.mat_mul, ([[1, 2, 3]], [[1, 0], [0, 1]])),
+    (linalg.vec_dot, ((1, 2), linalg.identity(3), (1, 2, 3))),
+    # the first row fits, a later one does not
+    (linalg.mat_vec, ([[1, 2], [3]], (1, 2))),
+    (linalg.mat_mul, ([[1, 2]], [[1, 0], [0]])),
+    (linalg.vec_dot, ((1, 2, 3), linalg.identity(3), (1, 2))),
+], ids=["mat_vec", "mat_mul", "vec_dot", "mat_vec-ragged", "mat_mul-ragged",
+        "vec_dot-short-y"])
+def test_kernels_reject_mismatched_shapes(call, args):
+    # zip would truncate each of these to a product of the wrong shape
+    with pytest.raises(ValueError):
+        call(*args)
+
+
 @given(square(3), square(3), square(3))
 def test_mat_mul_associative(a, b, c):
     left = linalg.mat_mul(linalg.mat_mul(a, b), c)

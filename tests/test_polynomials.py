@@ -352,6 +352,29 @@ def test_cyclo_factor_divides_only_where_the_value_at_2_allows(monkeypatch):
     assert len(made) == len(unskipped) > 0
 
 
+def test_cyclo_factor_builds_phi_d_only_within_the_degree_left(monkeypatch):
+    # the scan runs to 2 n^2 + 1 = 801 here, but phi(d) is read before
+    # Phi_d is built, so only a Phi_d that could divide what is left is
+    # ever built; x - 2 makes rem(2) = 0, which the value at 2 lets
+    # through for every d, and x^15 - 2 (Eisenstein) keeps 16 degrees
+    f = IntPoly((-2, 1)) * cyclotomic(6) ** 2 * IntPoly((-2,) + (0,) * 14
+                                                        + (1,))
+    assert 2 * f.degree ** 2 + 1 == 801
+    built = []
+    original = polynomials.cyclotomic
+
+    def recorded(d):
+        built.append(d)
+        return original(d)
+    monkeypatch.setattr(polynomials, "cyclotomic", recorded)
+    polynomials._cyclotomic_at_two.cache_clear()
+    fac = cyclo_factor(f)
+    assert fac.factors == ((6, 2),) and fac.remainder.degree == 16
+    # 20 degrees are left up to d = 6, 16 after Phi_6^2 is divided out
+    assert built and all(euler_phi(d) <= (20 if d <= 6 else 16)
+                         for d in built)
+
+
 def test_root_parameters_base():
     fac = cyclo_factor(poly(-1, 0, 0, 0, 0, 1))
     assert root_parameters(fac) == tuple(Fraction(a, 5) for a in range(5))

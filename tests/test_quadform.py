@@ -1107,8 +1107,10 @@ def _carried_witt_decompose(space, bound, seeds=()):
             if any(x != 0 for x in projected):
                 cut = linalg.int_row_kernel(projected)
                 basis = linalg.mat_mul(cut, basis)
-                restricted = linalg.mat_mul(
-                    cut, linalg.mat_mul(restricted, linalg.transpose(cut)))
+                # cut R cut^T entrywise: a cut with no rows has no
+                # transpose of the right shape to multiply by
+                restricted = [[linalg.vec_dot(x, restricted, y) for y in cut]
+                              for x in cut]
     pr = sum(1 for d in residual_diag if d > 0)
     qr = sum(1 for d in residual_diag if d < 0)
     lo = len(witnesses)

@@ -13,6 +13,7 @@ a change that alters a report on purpose updates the digests here and
 records the new values, and why, in CHANGES.md.
 """
 import hashlib
+import json
 
 import pytest
 
@@ -224,3 +225,16 @@ def test_report_is_byte_identical(label, argv, tmp_path, capsys):
     text = cli.serialize_report(doc)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (code, digest) == DIGESTS[label]
+
+
+@pytest.mark.parametrize("label, argv", CASES, ids=[c[0] for c in CASES])
+def test_report_text_is_the_stdlib_json_text(label, argv, tmp_path, capsys):
+    # what a command writes, timings included, is the text the stdlib
+    # gives for its document, so a reader can reproduce the digests
+    out = tmp_path / "report.json"
+    cli.main(argv + ["--quiet", "--json", str(out)])
+    capsys.readouterr()
+    text = out.read_text()
+    doc = cli.parse_report(text)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert cli.serialize_report(doc) == text

@@ -311,6 +311,50 @@ def test_word_orbit_matches_matrix_reference(f_text, g_text, bound):
             assert key in (diff, tuple(-a for a in diff))
 
 
+def _generator_word_orbit(ctx, word_bound):
+    """Reference: word_orbit's (images, keys) from the walk that applies
+    the generator matrices A, A^-1 and C to every image of the level
+    before, backtracks and C-fixed images included, and takes each
+    image's pairing with v by vec_dot."""
+    v = ctx.v
+    images, keys = {}, {}
+    level = [(v, ())]
+    for _ in range(word_bound):
+        grown = []
+        for token in ("A", "A^-1", "C"):
+            for y, parent in level:
+                x = tuple(linalg.mat_vec(ctx.generators[token], y))
+                if x == v or x in images:
+                    continue
+                word = (token,) + parent
+                images[x] = (len(images), word)
+                grown.append((x, word))
+                pairing = linalg.vec_dot(x, ctx.gram, v)
+                if pairing in (2, -2):
+                    side = int(pairing < 0)
+                    key = linalg.sign_canonical(
+                        [a + (2 * side - 1) * b for a, b in zip(x, v)])
+                    if any(key):
+                        keys.setdefault(key, []).append(
+                            (images[x][0], side, word, x))
+        level = grown
+    return images, keys
+
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_word_orbit_matches_the_generator_walk(entry):
+    # word_orbit skips backtracks and C-fixed images and applies C
+    # through the pairing; the orbit, its order and its keys must be
+    # those of the plain walk at every bound
+    pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
+    ctx = WitnessContext(pair, invariant_space(pair))
+    for bound in range(1, 13):
+        images, keys = ctx.word_orbit(bound)
+        want_images, want_keys = _generator_word_orbit(ctx, bound)
+        assert list(images.items()) == list(want_images.items()), bound
+        assert list(keys.items()) == list(want_keys.items()), bound
+
+
 # ------------------------------------------------------------ orthocomplement
 
 def test_orthocomplement_base(ctx):
