@@ -15,7 +15,7 @@ from .padding import PaddedPair, embed_vector, isometry_check, pad_pair, \
     remainder_coeff_check
 from .parsing import PolyParseError, parse_poly
 from .polynomials import (CycloFactorization, IntPoly, cyclo_factor,
-                          cyclotomic, render, root_parameters)
+                          cyclotomic, render, root_arguments)
 from .quadform import (Obstruction, OracleMismatchError, QuadSpace,
                        RankCertificate, anisotropy_certificate,
                        invariant_space, q_rank, signature, signature_interlace,
@@ -35,6 +35,6 @@ __all__ = [
     "cyclo_factor", "cyclotomic", "embed_vector",
     "invariant_space", "isometry_check", "line_stabilizer_test", "pad_pair",
     "parse_poly", "q_rank", "reflection_matrix", "remainder_coeff_check",
-    "render", "root_parameters", "scalar_shift", "signature",
+    "render", "root_arguments", "scalar_shift", "signature",
     "signature_interlace", "span_rank_witness", "witt_decompose",
 ]

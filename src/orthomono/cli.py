@@ -40,9 +40,9 @@ from .monodromy import (ORTHOGONAL, HyperPair, PairType, PairValidationError,
 from .padding import (DEFAULT_EXPONENT, embed_vector, isometry_check,
                       pad_pair, remainder_coeff_check)
 from .parsing import PolyParseError, parse_poly
-from .polynomials import IntPoly, cyclo_factor, render, root_arguments
+from .polynomials import IntPoly, render
 from .quadform import (DEFAULT_SEARCH_BOUND, OracleMismatchError, QuadSpace,
-                       interlace_count, invariant_space, q_rank, signature)
+                       invariant_space, q_rank, signature, signature_interlace)
 from .witness import (MAX_WORD_BOUND, OUT_OF_SCOPE, WitnessContext,
                       WitnessReport, arithmeticity_report)
 
@@ -161,30 +161,6 @@ def parse_report(text: str) -> dict:
 
 # ------------------------------------------------------------- report build
 
-def _interlace_abs_diff(f: IntPoly, g: IntPoly,
-                        sig: tuple[int, int]) -> int | None:
-    """|p - q| recounted from the unit-circle root arguments.
-
-    Only available when both polynomials are products of cyclotomics;
-    coprimality makes the two argument lists disjoint.  Disagreement with
-    the diagonalization signature means one of the routes is wrong.
-    The arguments are compared as ints over the least common multiple
-    of the factors' d.
-    """
-    fac_f, fac_g = cyclo_factor(f), cyclo_factor(g)
-    if not (fac_f.remainder_is_one and fac_g.remainder_is_one):
-        return None
-    den = math.lcm(*(d for fac in (fac_f, fac_g) for d, _ in fac.factors))
-    expected = interlace_count(root_arguments(fac_f, den),
-                               root_arguments(fac_g, den))
-    actual = abs(sig[0] - sig[1])
-    if expected != actual:
-        raise OracleMismatchError(
-            f"root-argument interlacing gives |p - q| = {expected} but the "
-            f"diagonalized form has |{sig[0]} - {sig[1]}| = {actual}")
-    return expected
-
-
 def _ms(seconds: float) -> int:
     return int(round(seconds * 1000))
 
@@ -217,13 +193,19 @@ def _form_fields(doc: dict, pair: HyperPair) -> QuadSpace:
     signature off its kept diagonal."""
     space = invariant_space(pair)
     sig = signature(space)
+    # the second route to |p - q|; a disagreement means one route is wrong
+    abs_diff = signature_interlace(pair.f, pair.g)
+    if abs_diff not in (None, abs(sig[0] - sig[1])):
+        raise OracleMismatchError(
+            f"root-argument interlacing gives |p - q| = {abs_diff} but the "
+            f"diagonalized form has |{sig[0]} - {sig[1]}| = "
+            f"{abs(sig[0] - sig[1])}")
     doc["derived"]["det_A"] = pair.det_A
     doc["derived"]["det_B"] = pair.det_B
     doc["derived"]["det_C"] = pair.det_C
     doc["gram"] = _gram_json(space)
     doc["signature"] = {"p": sig[0], "q": sig[1],
-                        "interlace_abs_diff": _interlace_abs_diff(
-                            pair.f, pair.g, sig)}
+                        "interlace_abs_diff": abs_diff}
     return space
 
 

@@ -12,13 +12,17 @@ Grammar (whitespace is ignored):
 '/' must divide exactly; 'Phi(d)' is the d-th cyclotomic polynomial.  The
 variable name defaults to 'x' (padding factors use 'y').  Products bind
 tighter than top-level sums, so "x^5-1" and "(x+1)*(x^2+1)^2" both parse
-as written.  Errors carry the offset into the input where parsing failed.
+as written.  full and sum are one signed-sum rule over two operands, and
+one method parses both.  Errors carry the offset into the input where
+parsing failed.
 
 Every power, product and 'Phi(d)' is checked against MAX_DEGREE before it
 is built, and so is every exponent, even of a constant: an input that would
 exceed the limit is a PolyParseError, never a long computation.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 from .polynomials import (MAX_DEGREE, IntPoly, cyclotomic, euler_phi,
                           exact_div)
@@ -73,17 +77,19 @@ class _Parser:
         except ValueError:  # beyond the interpreter's digit limit
             raise PolyParseError("integer literal too long", start) from None
 
-    def full(self) -> IntPoly:
+    def signed_sum(self, operand: Callable[[], IntPoly]) -> IntPoly:
+        """'-'? operand (('+' | '-') operand)*: full over expr, and sum
+        over signed."""
         negate = self.peek() == "-"
         if negate:
             self.pos += 1
-        value = self.expr()
+        value = operand()
         if negate:
             value = -value
         while self.peek() in ("+", "-"):
             op = self.peek()
             self.pos += 1
-            rhs = self.expr()
+            rhs = operand()
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -131,25 +137,10 @@ class _Parser:
             return cyclotomic(d)
         if self.peek() == "(":
             self.pos += 1
-            value = self.sum()
+            value = self.signed_sum(self.signed)
             self.eat(")")
             return value
         return self.signed()
-
-    def sum(self) -> IntPoly:
-        negate = False
-        if self.peek() == "-":
-            self.pos += 1
-            negate = True
-        value = self.signed()
-        if negate:
-            value = -value
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            rhs = self.signed()
-            value = value + rhs if op == "+" else value - rhs
-        return value
 
     def signed(self) -> IntPoly:
         self.skip_ws()
@@ -182,7 +173,7 @@ def parse_poly(text: str, var: str = "x") -> IntPoly:
     (1, 2, 2, 2, 2, 1)
     """
     p = _Parser(text, var)
-    value = p.full()
+    value = p.signed_sum(p.expr)
     p.skip_ws()
     if p.pos != len(text):
         raise p.error("unexpected trailing input")

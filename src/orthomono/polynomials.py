@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -119,12 +118,12 @@ class IntPoly:
             e >>= 1
         return out
 
-    def __call__(self, value):
-        """Evaluate at an int or Fraction, Horner style; at 0, the
-        constant coefficient."""
+    def __call__(self, value: int) -> int:
+        """Evaluate at an int, Horner style; at 0, the constant
+        coefficient."""
         if value == 0:
             return self.coeffs[0] if self.coeffs else 0
-        acc: int | Fraction = 0
+        acc = 0
         for a in reversed(self.coeffs):
             acc = acc * value + a
         return acc
@@ -240,29 +239,36 @@ def coprime(a: IntPoly, b: IntPoly) -> bool:
 
 
 def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
-    """a / b where the division is exact over Z; b need not be monic."""
+    """a / b where the division is exact over Z; b need not be monic.
+
+    Write b = c b' with b' primitive and lead(b') > 0.  b divides a over
+    Q iff b' does, and then a / b' is in Z[x] (Gauss's lemma), so the
+    test is a long division by b' in ints in which every step divides
+    exactly by lead(b') and the remainder is 0.  a / b is then integral
+    iff c divides every coefficient of a / b'.
+    """
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero:
         return a
-    # divide over Q, then insist on integrality and zero remainder
-    ra = [Fraction(c) for c in a.coeffs]
-    db, lead = b.degree, b.leading
-    if a.degree < db:
-        raise ValueError("inexact polynomial division")
-    quot = [Fraction(0)] * (len(ra) - db)
-    for i in range(len(ra) - 1, db - 1, -1):
-        c = ra[i]
-        if c:
-            q = c / lead
+    c = math.gcd(*b.coeffs) * (1 if b.leading > 0 else -1)
+    prim = [x // c for x in b.coeffs]
+    db, lead = len(prim) - 1, prim[-1]
+    rem = list(a.coeffs)
+    quot = [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        q, r = divmod(rem[i], lead)
+        if r:
+            raise ValueError("inexact polynomial division")
+        if q:
             quot[i - db] = q
-            for j, bj in enumerate(b.coeffs):
-                ra[i - db + j] -= q * bj
-    if any(c != 0 for c in ra):
+            rem[i - db:i + 1] = [x - q * y
+                                 for x, y in zip(rem[i - db:i + 1], prim)]
+    if any(rem[:db]):  # a nonzero a of degree below b's ends here too
         raise ValueError("inexact polynomial division")
-    if any(q.denominator != 1 for q in quot):
+    if any(q % c for q in quot):
         raise ValueError("non-integer coefficient in quotient")
-    return IntPoly(tuple(int(q) for q in quot))
+    return IntPoly(tuple(q // c for q in quot))
 
 
 @lru_cache(maxsize=None)
@@ -375,17 +381,6 @@ def root_arguments(fac: CycloFactorization, den: int) -> list[int]:
                 values += [a * step] * mult
     values.sort()
     return values
-
-
-def root_parameters(fac: CycloFactorization) -> tuple[Fraction, ...]:
-    """Arguments a/d of the roots e^(2 pi i a/d), sorted ascending with
-    multiplicity: root_arguments over the least common denominator.
-
-    >>> root_parameters(cyclo_factor(IntPoly((-1, 0, 0, 0, 0, 1))))
-    (Fraction(0, 1), Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
-    """
-    den = math.lcm(*(d for d, _ in fac.factors))
-    return tuple(Fraction(a, den) for a in root_arguments(fac, den))
 
 
 def render(p: IntPoly, var: str = "x") -> str:

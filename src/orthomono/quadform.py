@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 from . import linalg
 from .monodromy import HyperPair, PairValidationError
 from .polynomials import (IntPoly, _divrem_coeffs, _over_x_mod, _times_x_mod,
-                          render)
+                          cyclo_factor, render, root_arguments)
 
 # enumeration ceiling for bounded vector searches (number of tuples)
 SEARCH_CAP = 5_000_000
@@ -274,15 +274,24 @@ def signature(space: QuadSpace) -> tuple[int, int]:
     return p, len(nums) - p
 
 
-def signature_interlace(alpha: Sequence[Fraction], beta: Sequence[Fraction]
-                        ) -> int:
-    """|p - q| from the interlacing count of two lists of root
-    arguments: interlace_count of both, sorted as ints over their least
-    common denominator."""
-    den = math.lcm(*(x.denominator for xs in (alpha, beta) for x in xs))
-    return interlace_count(
-        *(sorted(x.numerator * (den // x.denominator) for x in xs)
-          for xs in (alpha, beta)))
+def signature_interlace(f: IntPoly, g: IntPoly) -> int | None:
+    """|p - q| recounted from the unit-circle root arguments of f and g
+    (Beukers-Heckman), or None unless both are products of cyclotomics.
+
+    The arguments are compared by interlace_count as ints over the least
+    common multiple of the factors' d; coprimality makes the two lists
+    disjoint.
+
+    >>> signature_interlace(IntPoly((-1, 0, 0, 0, 0, 1)),   # x^5 - 1
+    ...                     IntPoly((1, 1, 2, 2, 1, 1)))    # (x+1)(x^2+1)^2
+    1
+    """
+    fac_f, fac_g = cyclo_factor(f), cyclo_factor(g)
+    if not (fac_f.remainder_is_one and fac_g.remainder_is_one):
+        return None
+    den = math.lcm(*(d for fac in (fac_f, fac_g) for d, _ in fac.factors))
+    return interlace_count(root_arguments(fac_f, den),
+                           root_arguments(fac_g, den))
 
 
 def interlace_count(a: Sequence[int], b: Sequence[int]) -> int:
@@ -445,10 +454,10 @@ def witt_decompose(space: QuadSpace, bound: int,
     current orthogonal-complement lattice), pairs it with a deterministic
     non-orthogonal partner, restricts to the complement of the plane, and
     repeats.  lo = planes split; the leftover block is diagonalized.
-    Stages whose enumeration would exceed SEARCH_CAP stop with a note; a
-    stage whose lattice is definite stops without a search, since it has
-    no isotropic vector.  A seed of the wrong length or with a coordinate
-    that is not an int is a ValueError.
+    A stage whose lattice is definite stops without a search or a note,
+    since it has no isotropic vector; otherwise a stage whose enumeration
+    would exceed SEARCH_CAP stops with a note.  A seed of the wrong
+    length or with a coordinate that is not an int is a ValueError.
 
     The current lattice is carried from stage to stage as a basis B
     (rows, in ambient coordinates), starting from B = I.  A split plane
@@ -501,15 +510,15 @@ def witt_decompose(space: QuadSpace, bound: int,
                 break
         if w is None:
             restricted, residual_diag = form()
+            nums = [d.numerator for d in residual_diag]
+            if all(x > 0 for x in nums) or all(x < 0 for x in nums):
+                break  # definite: the search could only come back empty
             if (2 * bound + 1) ** k > SEARCH_CAP:
                 notes.append(
                     f"stage {len(witnesses) + 1}: search over "
                     f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
                     "lower bound may not be tight")
                 break
-            nums = [d.numerator for d in residual_diag]
-            if all(x > 0 for x in nums) or all(x < 0 for x in nums):
-                break  # definite: the search could only come back empty
             # search in lattice coordinates against the restricted Gram;
             # c.(B G B^T).c = x.G.x for x = c B, so the hit is unchanged
             c = next(_box_solutions(restricted, bound), None)
@@ -670,7 +679,10 @@ def q_rank(space: QuadSpace, bound: int,
     hi is tightened to lo when an anisotropy certificate closes the
     residual, and for a real-isotropic residual in >= 5 variables the
     search bound is doubled (a rational witness is guaranteed to exist)
-    until found or the enumeration cap intervenes.  hi is cross-checked
+    until found or the enumeration cap intervenes.  witt_decompose at a
+    doubled bound starts again from stage 1, where the cap may stop it
+    sooner, so the certificate returned at the cap is the one with the
+    highest lo seen (the latest among ties).  hi is cross-checked
     against min(p, q) of signature(space).  A bound below 1 is a
     ValueError: the doubling would never leave it, and so is a seed
     witt_decompose rejects.
@@ -679,12 +691,17 @@ def q_rank(space: QuadSpace, bound: int,
         raise ValueError(f"search bound must be at least 1, got {bound}")
     p, q = signature(space)
     current_bound = bound
+    best = None
     while True:
         cert = witt_decompose(space, current_bound, seeds=seeds)
         _check_certificate(space, cert)
         residual_dim = len(cert.residual_diagonal)
         if cert.hi > min(p, q):
             raise OracleMismatchError("certificate hi exceeds min(p, q)")
+        # a lower lo than best's leaves 2 more variables per plane in a
+        # residual of >= 5, so only the cap path can return best for cert
+        if best is None or cert.lo >= best.lo:
+            best = cert
         if cert.lo == cert.hi:
             return cert
         if residual_dim <= CERT_MAX_DIM:
@@ -697,18 +714,16 @@ def q_rank(space: QuadSpace, bound: int,
                 cert, notes=cert.notes + tuple(notes) + (
                     "interval open: residual neither split nor certified "
                     "anisotropic within the configured bounds",))
-        # lo < hi = lo + min(pr, qr): the residual is indefinite
-        if residual_dim >= 5:
-            doubled = current_bound * 2
-            if (2 * doubled + 1) ** residual_dim > SEARCH_CAP:
-                return replace(
-                    cert, notes=cert.notes + (
-                        "a rational isotropic vector exists in the "
-                        "residual (indefinite, >= 5 variables) but the "
-                        "bounded search stopped at the enumeration cap",))
-            current_bound = doubled
-            continue
-        return cert
+        # lo < hi = lo + min(pr, qr): the residual is indefinite, in
+        # more than CERT_MAX_DIM = 4 variables
+        doubled = current_bound * 2
+        if (2 * doubled + 1) ** residual_dim > SEARCH_CAP:
+            return replace(
+                best, notes=best.notes + (
+                    "a rational isotropic vector exists in the "
+                    "residual (indefinite, >= 5 variables) but the "
+                    "bounded search stopped at the enumeration cap",))
+        current_bound = doubled
 
 
 def _check_certificate(space: QuadSpace, cert: RankCertificate) -> None:

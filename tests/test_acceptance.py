@@ -9,7 +9,6 @@ from orthomono.monodromy import PairValidationError, build_pair
 from orthomono.padding import (embed_vector, isometry_check, pad_pair,
                                remainder_coeff_check)
 from orthomono.parsing import parse_poly
-from orthomono.polynomials import cyclo_factor, root_parameters
 from orthomono.quadform import (QuadSpace, cyclic_gram_row, gram_invariance,
                                 invariant_space, isotropic_search, q_rank,
                                 signature, signature_interlace)
@@ -86,9 +85,7 @@ def test_c4_interlacing_matches_diagonalization_everywhere():
     for entry in ENTRIES:
         pair = build_pair(P(entry.f_text), P(entry.g_text))
         p, q = signature(invariant_space(pair))
-        alpha = root_parameters(cyclo_factor(pair.f))
-        beta = root_parameters(cyclo_factor(pair.g))
-        assert signature_interlace(alpha, beta) == abs(p - q) == 1
+        assert signature_interlace(pair.f, pair.g) == abs(p - q) == 1
         if entry.name == "base":
             assert {p, q} == {2, 3}
 

@@ -305,6 +305,23 @@ def test_oracle_failure_exits_3(capsys, monkeypatch):
     assert doc["error"]["kind"] == "oracle-mismatch"
 
 
+def test_interlacing_that_disagrees_with_the_signature_exits_3(
+        capsys, monkeypatch):
+    # the base pair has |p - q| = |3 - 2| = 1; None (no second route)
+    # is no disagreement
+    monkeypatch.setattr(cli, "signature_interlace", lambda f, g: None)
+    assert cli.build_report(BASE_F, BASE_G)["signature"][
+        "interlace_abs_diff"] is None
+    monkeypatch.setattr(cli, "signature_interlace", lambda f, g: 3)
+    with pytest.raises(OracleMismatchError,
+                       match=r"interlacing gives \|p - q\| = 3 but the "
+                             r"diagonalized form has \|3 - 2\| = 1"):
+        cli.build_report(BASE_F, BASE_G)
+    code, cap = run(capsys, "analyze", "--f", BASE_F, "--g", BASE_G)
+    assert code == 3
+    assert json.loads(cap.out)["error"]["kind"] == "oracle-mismatch"
+
+
 @pytest.mark.parametrize("command", [
     ["analyze", "--f", BASE_F, "--g", BASE_G],
     ["pad", "--f0", BASE_F, "--g0", BASE_G, "--P", "y^2+y+1", "--Q", "y^2+1"]],

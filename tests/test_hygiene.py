@@ -77,9 +77,8 @@ def test_finds_a_fraction_use():
 
 
 # the modules that hold a value that is not an integer: an inverse's
-# entries, the congruence diagonal and the standard-basis Gram, and the
-# root parameters
-FRACTION_MODULES = {"linalg.py", "quadform.py", "polynomials.py"}
+# entries, the congruence diagonal and the standard-basis Gram
+FRACTION_MODULES = {"linalg.py", "quadform.py"}
 
 
 def test_witness_hunt_builds_no_fraction():

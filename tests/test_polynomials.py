@@ -11,7 +11,7 @@ from orthomono.parsing import parse_poly
 from orthomono.polynomials import (ONE, X, CycloFactorization, IntPoly,
                                    cyclo_factor, cyclotomic, divrem,
                                    euler_phi, exact_div, render,
-                                   root_parameters)
+                                   root_arguments)
 
 from conftest import gcd
 
@@ -147,6 +147,76 @@ def test_exact_div_rejects_inexact():
         exact_div(poly(1, 0, 1), poly(1, 1))  # (x^2+1) / (x+1)
     with pytest.raises(ValueError):
         exact_div(poly(0, 1), poly(0, 2))  # x / 2x is not integral
+
+
+def ref_exact_div(a, b):
+    """The division as it was: long division over Q in Fraction, then the
+    remainder checked before the quotient's integrality."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    if a.is_zero:
+        return a
+    ra = [Fraction(c) for c in a.coeffs]
+    db, lead = b.degree, b.leading
+    if a.degree < db:
+        raise ValueError("inexact polynomial division")
+    quot = [Fraction(0)] * (len(ra) - db)
+    for i in range(len(ra) - 1, db - 1, -1):
+        q = ra[i] / lead
+        quot[i - db] = q
+        for j, bj in enumerate(b.coeffs):
+            ra[i - db + j] -= q * bj
+    if any(ra):
+        raise ValueError("inexact polynomial division")
+    if any(q.denominator != 1 for q in quot):
+        raise ValueError("non-integer coefficient in quotient")
+    return IntPoly(tuple(int(q) for q in quot))
+
+
+def _division_outcome(fn, a, b):
+    try:
+        return fn(a, b)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=500)
+@given(coeff_lists, st.lists(st.integers(-9, 9), max_size=4),
+       st.integers(1, 6), st.integers(-6, 6), st.lists(st.integers(-3, 3),
+                                                       max_size=4),
+       st.integers(0, 4))
+def test_exact_div_matches_the_fraction_division(p, b_low, lead, c, r, kind):
+    # b = c b1 with lead(b1) = lead: b is non-monic, non-primitive or of
+    # negative leading coefficient on most draws, and zero when c = 0.
+    # a is p b1 (exact over Q, and non-integral unless c divides p b1),
+    # p b, either plus r (inexact on most draws, and the first also
+    # non-integral), or p alone
+    b1 = IntPoly(tuple(b_low) + (lead,))
+    b = b1 * IntPoly.constant(c)
+    a = IntPoly(tuple(p)) * (b if kind % 2 else b1) if kind < 4 \
+        else IntPoly(tuple(p))
+    if kind in (2, 3):
+        a = a + IntPoly(tuple(r))
+    assert _division_outcome(exact_div, a, b) == \
+        _division_outcome(ref_exact_div, a, b)
+
+
+def test_exact_div_messages_and_their_precedence():
+    # (x^2 + 1) / (2x + 2) over Q is x/2 - 1/2 remainder 2: inexact and
+    # non-integral, and inexactness is reported
+    for a, b in ((poly(1, 0, 1), poly(2, 2)), (poly(1, 0, 1), poly(-2, -2)),
+                 (poly(3, 0, 2), poly(1, 2)), (poly(1), poly(1, 1))):
+        with pytest.raises(ValueError, match="^inexact polynomial"):
+            exact_div(a, b)
+    # (x^2 - 1) / (2x + 2) = (x - 1) / 2: exact over Q, not over Z
+    for a, b in ((poly(-1, 0, 1), poly(2, 2)), (poly(1, 2), poly(2))):
+        with pytest.raises(ValueError, match="^non-integer coefficient"):
+            exact_div(a, b)
+    # a negative or non-unit leading coefficient divides where exact
+    assert exact_div(poly(-1, 0, 1), poly(-1, -1)) == poly(1, -1)
+    assert exact_div(poly(-2, 0, 2), poly(-2, -2)) == poly(1, -1)
+    assert exact_div(poly(3, 5, 2), poly(3, 2)) == poly(1, 1)
+    assert exact_div(poly(4, 6), poly(-2)) == poly(-2, -3)
 
 
 def test_gcd_contract():
@@ -375,20 +445,26 @@ def test_cyclo_factor_builds_phi_d_only_within_the_degree_left(monkeypatch):
                          for d in built)
 
 
+# the root parameters a/d of the roots e^(2 pi i a/d), as ints over one
+# denominator
+
 def test_root_parameters_base():
     fac = cyclo_factor(poly(-1, 0, 0, 0, 0, 1))
-    assert root_parameters(fac) == tuple(Fraction(a, 5) for a in range(5))
+    assert root_arguments(fac, 5) == [0, 1, 2, 3, 4]
+    assert root_arguments(fac, 20) == [0, 4, 8, 12, 16]
 
 
 def test_root_parameters_multiplicity_and_sort():
     fac = cyclo_factor(cyclotomic(4) ** 2)
-    assert root_parameters(fac) == (Fraction(1, 4), Fraction(1, 4),
-                                    Fraction(3, 4), Fraction(3, 4))
+    assert root_arguments(fac, 4) == [1, 1, 3, 3]
+    # 0; 1/6, 5/6; 1/4, 3/4 over 12, sorted across the factors
+    fac = cyclo_factor(cyclotomic(4) * cyclotomic(6) * cyclotomic(1))
+    assert root_arguments(fac, 12) == [0, 2, 3, 9, 10]
 
 
 def test_root_parameters_need_completeness():
     with pytest.raises(ValueError):
-        root_parameters(CycloFactorization((), poly(-2, 0, 1)))
+        root_arguments(CycloFactorization((), poly(-2, 0, 1)), 1)
 
 
 # ------------------------------------------------------------------- render

@@ -11,7 +11,6 @@ from orthomono import linalg
 from orthomono.corpus import ENTRIES
 from orthomono.monodromy import build_pair
 from orthomono.parsing import parse_poly
-from orthomono.polynomials import cyclo_factor, root_parameters
 from orthomono.quadform import (QuadSpace, gram_invariance, invariant_space,
                                 q_rank, signature, signature_interlace)
 from orthomono.witness import reflection_matrix
@@ -51,9 +50,7 @@ def test_signature_and_interlacing_agree_for_every_pair(cyclotomic_pairs):
     for pair in built(cyclotomic_pairs):
         p, q = signature(invariant_space(pair))
         assert p + q == pair.n
-        alpha = root_parameters(cyclo_factor(pair.f))
-        beta = root_parameters(cyclo_factor(pair.g))
-        assert signature_interlace(alpha, beta) == abs(p - q)
+        assert signature_interlace(pair.f, pair.g) == abs(p - q)
 
 
 def test_determinant_identities(cyclotomic_pairs):

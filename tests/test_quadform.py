@@ -3,6 +3,8 @@ certificates, pinned to independently derived values."""
 import dataclasses
 import functools
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,21 +15,21 @@ from orthomono import corpus, linalg, quadform
 from orthomono.monodromy import PairValidationError, build_pair
 from orthomono.padding import embed_vector, pad_pair
 from orthomono.parsing import parse_poly
-from orthomono.polynomials import IntPoly, divrem, render
+from orthomono.polynomials import ONE, IntPoly, cyclotomic, divrem, render
 from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
                                 RankCertificate, _box_solutions,
                                 _canonical, anisotropy_certificate,
                                 congruence_diagonal, cyclic_gram_row,
                                 find_anisotropy_certificate, gram_invariance,
-                                gram_remainder, invariant_space,
-                                isotropic_search, q_rank, signature,
-                                signature_interlace, squarefree_at_cert_primes,
-                                witt_decompose)
+                                gram_remainder, interlace_count,
+                                invariant_space, isotropic_search, q_rank,
+                                signature, signature_interlace,
+                                squarefree_at_cert_primes, witt_decompose)
 
 from conftest import (BASE_F, BASE_G, cleared, random_cyclotomic_pairs,
                       random_unimodular)
 from test_linalg import nullspace
-from test_polynomials import ref_divrem
+from test_polynomials import ref_cyclo_factor, ref_divrem
 from test_reports import PADS
 
 F = Fraction
@@ -500,20 +502,29 @@ def test_signature_values(base_space):
 
 
 def test_signature_interlace_base():
-    alpha = tuple(F(a, 5) for a in range(5))
-    beta = (F(1, 4), F(1, 4), F(1, 2), F(3, 4), F(3, 4))
-    assert signature_interlace(alpha, beta) == 1
+    assert signature_interlace(P(BASE_F), P(BASE_G)) == 1
+    # the same count on the root arguments over 20: a/5 against 1/4,
+    # 1/4, 1/2, 3/4, 3/4
+    assert interlace_count([0, 4, 8, 12, 16], [5, 5, 10, 15, 15]) == 1
 
 
 def test_signature_interlace_degree_one():
-    assert signature_interlace((F(0),), (F(1, 2),)) == 1
+    assert signature_interlace(P("x-1"), P("x+1")) == 1
+    assert interlace_count([0], [1]) == 1
 
 
 def test_signature_interlace_validation():
-    with pytest.raises(ValueError):
-        signature_interlace((F(0),), (F(1, 2), F(1, 3)))
-    with pytest.raises(ValueError):
-        signature_interlace((F(0), F(1, 2)), (F(1, 2), F(1, 3)))
+    # not both products of cyclotomics: no second route
+    assert signature_interlace(P("x^2-x-1"), P("x^2+1")) is None
+    assert signature_interlace(P("x^2-1"), P("x^2+3x+1")) is None
+    with pytest.raises(ValueError, match="equal length"):
+        signature_interlace(P("x-1"), P("x^2+1"))
+    with pytest.raises(ValueError, match="disjoint"):
+        signature_interlace(P("(x-1)*(x+1)"), P("(x+1)^2"))
+    with pytest.raises(ValueError, match="equal length"):
+        interlace_count([0], [3, 2])
+    with pytest.raises(ValueError, match="disjoint"):
+        interlace_count([0, 3], [2, 3])
 
 
 def ref_signature_interlace(alpha, beta):
@@ -529,15 +540,21 @@ def ref_signature_interlace(alpha, beta):
                    for j, aj in enumerate(a, start=1)))
 
 
+def ref_root_parameters(f):
+    """The arguments a/d of the roots e^(2 pi i a/d) of a product of
+    cyclotomics, as Fractions with multiplicity, from the reference
+    factorization."""
+    fac = ref_cyclo_factor(f)
+    assert fac.remainder_is_one
+    return [Fraction(a, d) for d, mult in fac.factors
+            for a in range(d) if math.gcd(a, d) == 1 for _ in range(mult)]
+
+
 def _interlace_outcome(fn, alpha, beta):
     try:
         return fn(alpha, beta)
     except ValueError as exc:
         return str(exc)
-
-
-arguments = st.builds(Fraction, st.integers(0, 23),
-                      st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12)))
 
 
 @settings(max_examples=400)
@@ -546,32 +563,46 @@ arguments = st.builds(Fraction, st.integers(0, 23),
     st.lists(st.integers(0, 11), min_size=k, max_size=k))))
 def test_signature_interlace_matches_the_reference_on_disjoint_lists(lists):
     # even and odd numerators over 24 never meet; repeats give
-    # multiplicities, and the values reduce to many denominators
-    alpha = [F(2 * k, 24) for k in lists[0]]
-    beta = [F(2 * k + 1, 24) for k in lists[1]]
-    assert signature_interlace(alpha, beta) == \
-        ref_signature_interlace(alpha, beta)
-    assert signature_interlace(beta, alpha) == \
-        ref_signature_interlace(beta, alpha)
+    # multiplicities, and the Fraction values reduce to many denominators
+    alpha = sorted(2 * k for k in lists[0])
+    beta = sorted(2 * k + 1 for k in lists[1])
+    for a, b in ((alpha, beta), (beta, alpha)):
+        assert interlace_count(a, b) == ref_signature_interlace(
+            [F(x, 24) for x in a], [F(x, 24) for x in b])
 
 
-@settings(max_examples=400)
-@given(st.lists(arguments, max_size=9), st.lists(arguments, max_size=9))
-def test_signature_interlace_matches_the_reference(alpha, beta):
-    # overlaps and unequal lengths raise the same ValueError; trimming
-    # beta to alpha's length on most draws keeps equal lengths common
-    beta = beta[:len(alpha)] if len(beta) % 3 else beta
-    assert _interlace_outcome(signature_interlace, alpha, beta) == \
-        _interlace_outcome(ref_signature_interlace, alpha, beta)
+# classes of d with equal phi(d): one factor from a class for f and one
+# for g keeps their degrees equal
+PHI_CLASSES = ((1, 2), (3, 4, 6), (5, 8, 10, 12))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(PHI_CLASSES).flatmap(
+    lambda ds: st.tuples(st.sampled_from(ds), st.sampled_from(ds))),
+    max_size=5), st.sampled_from((0, 0, 0, 1, 4)))
+def test_signature_interlace_matches_the_reference(pairs, extra):
+    # a d shared by f and g, and an extra factor of g that makes the
+    # degrees differ, raise the same ValueError as the reference
+    f = functools.reduce(operator.mul, (cyclotomic(d) for d, _ in pairs),
+                         ONE)
+    g = functools.reduce(operator.mul, (cyclotomic(d) for _, d in pairs),
+                         cyclotomic(extra) if extra else ONE)
+
+    def reference(f, g):
+        return ref_signature_interlace(ref_root_parameters(f),
+                                       ref_root_parameters(g))
+    assert _interlace_outcome(signature_interlace, f, g) == \
+        _interlace_outcome(reference, f, g)
 
 
 def test_signature_interlace_takes_ints_and_overlaps_at_the_ends():
-    assert signature_interlace((0, F(1, 2)), (F(1, 4), F(3, 4))) == 2
-    for alpha, beta in (((F(0), F(1, 2)), (F(0), F(3, 4))),
-                        ((F(0), F(1, 2)), (F(1, 4), F(1, 2))),
-                        ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 4)))):
+    # over 4: 0, 1/2 against 1/4, 3/4
+    assert interlace_count([0, 2], [1, 3]) == 2
+    assert signature_interlace(P("x^2-1"), P("x^2+1")) == 2
+    for alpha, beta in (([0, 2], [0, 3]), ([0, 2], [1, 2]),
+                        ([2, 2], [1, 2])):
         with pytest.raises(ValueError, match="disjoint"):
-            signature_interlace(alpha, beta)
+            interlace_count(alpha, beta)
 
 
 # -------------------------------------------------------------- square class
@@ -951,6 +982,34 @@ def test_q_rank_matches_witt_on_the_gram(base_space):
     assert direct.isotropic_witnesses == via_pair.isotropic_witnesses
 
 
+def test_q_rank_keeps_the_best_lo_of_its_doublings(cyclotomic_pairs):
+    # a doubled bound restarts witt_decompose at stage 1, where the cap
+    # can stop it sooner: battery pairs 32 and 34 (n = 7) got lo = 1 from
+    # witt_decompose at bound 3 and lo = 0 from q_rank, which had doubled
+    for f, g in cyclotomic_pairs:
+        space = invariant_space(build_pair(f, g))
+        for bound in (1, 2, 3):
+            assert q_rank(space, bound).lo >= \
+                witt_decompose(space, bound).lo, (render(f), render(g), bound)
+    for i, hi in ((32, 3), (34, 2)):
+        cert = q_rank(invariant_space(build_pair(*cyclotomic_pairs[i])), 3)
+        assert (cert.lo, cert.hi) == (1, hi)
+        assert cert.notes == (
+            "a rational isotropic vector exists in the residual "
+            "(indefinite, >= 5 variables) but the bounded search stopped "
+            "at the enumeration cap",)
+
+
+def test_definite_stage_stops_before_the_cap(cyclotomic_pairs):
+    # battery pair 15 has signature (8, 0): 7^8 tuples are over the cap,
+    # but a definite form has no isotropic vector, so lo = hi = 0 is
+    # certified and no cap note says it may not be tight
+    space = invariant_space(build_pair(*cyclotomic_pairs[15]))
+    assert signature(space) == (8, 0) and 7 ** 8 > SEARCH_CAP
+    for cert in (witt_decompose(space, 3), q_rank(space, 3)):
+        assert (cert.lo, cert.hi, cert.notes) == (0, 0, ())
+
+
 # ------------------------------------------- witt, rebuilt-lattice reference
 
 def _int_kernel(rows, n):
@@ -997,14 +1056,15 @@ def _reference_witt_decompose(gram, bound, seeds=()):
                 pending = [q for q in pending if q != s]
                 break
         if w is None:
+            # a definite stage stops before the cap is checked
+            if all(d > 0 for d in residual_diag) or \
+                    all(d < 0 for d in residual_diag):
+                break
             if (2 * bound + 1) ** k > SEARCH_CAP:
                 notes.append(
                     f"stage {len(witnesses) + 1}: search over "
                     f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
                     "lower bound may not be tight")
-                break
-            if all(d > 0 for d in residual_diag) or \
-                    all(d < 0 for d in residual_diag):
                 break
             c = next(_box_solutions(restricted, bound), None)
             if c is None:
@@ -1070,14 +1130,15 @@ def _carried_witt_decompose(space, bound, seeds=()):
                 pending = [q for q in pending if q != s]
                 break
         if w is None:
+            # a definite stage stops before the cap is checked
+            if all(d > 0 for d in residual_diag) or \
+                    all(d < 0 for d in residual_diag):
+                break
             if (2 * bound + 1) ** k > SEARCH_CAP:
                 notes.append(
                     f"stage {len(witnesses) + 1}: search over "
                     f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
                     "lower bound may not be tight")
-                break
-            if all(d > 0 for d in residual_diag) or \
-                    all(d < 0 for d in residual_diag):
                 break
             c = next(_box_solutions(restricted, bound), None)
             if c is None:

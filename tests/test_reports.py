@@ -109,7 +109,7 @@ DIGESTS = {
     "battery-14": (
         0, "83cb392a40bc9d816a76c9e51d81d9c348c0900887341a88558b2caacfa4d440"),
     "battery-15": (
-        0, "1a8401b74e8f3b87ff9d36893d43c0ac5802f0634848a6d65d5d4b9ac850d422"),
+        0, "9d06a5de6e79f0c9277a5576bff0475f068f06634ffa97fe3ffe01a8cfba19f7"),
     "battery-16": (
         0, "9ad0482b63ee7ffc83ee4ef135199c1f5d5ba659339238c24810d458038fa9e4"),
     "battery-17": (
@@ -143,11 +143,11 @@ DIGESTS = {
     "battery-31": (
         0, "045d179da954bf96f75daa3a8168f7c422c1ce46169592cd4a25a2be309e3a58"),
     "battery-32": (
-        0, "2dfcfb89451f26c05e3ade194560b366b0dc746c8375d36f615da6b683002d69"),
+        0, "016a88531e28edc97d55da3b12051f56504877296de99b651dfad24b3a150b7a"),
     "battery-33": (
         0, "52612c78934f6b2340aa952d731f23bc28dba77b3a9cbb0d2b47351e3d3f7547"),
     "battery-34": (
-        0, "939fc6df0087a0617708cd65fa3863bd289f2d959ffbad71b0f70d4e8ef56ed1"),
+        0, "c6f786f544d5953b4f629a778a55db70a9d705809ed37151f2d722a4c66a3386"),
     "battery-35": (
         0, "d44341a9122b3e8823b8d015e792c4ec91e38cbf319285080c27ada20e59a966"),
     "battery-36": (
