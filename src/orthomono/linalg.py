@@ -4,9 +4,10 @@ Everything is deterministic (pivot = first usable row/column) and exact;
 no floating point.  Matrices are row-major.  rank, det and inverse each
 run one fraction-free elimination over int rows, and take int matrices
 only; a Fraction is built only for an entry of an inverse that is not an
-integer.  Integer row kernels and unimodular completions come from
-one extended-gcd column elimination, which builds u and u^-1 together
-and no Fraction.  monodromy.build_pair calls none of these kernels: it
+integer.  Lattice cuts and unimodular completions run one sequence of
+extended-gcd column steps: a cut applies each step to two rows of the
+lattice basis, and a completion builds u and u^-1 together; neither
+builds a Fraction.  monodromy.build_pair calls none of these kernels: it
 reads A^-1, C and S off the companion structure.
 """
 from __future__ import annotations
@@ -47,7 +48,7 @@ def mat_mul(a: Mat, b: Mat) -> list[list]:
 def sparse_mul(a: Mat, b: Mat) -> list[list]:
     """a b, each row a combination of b's rows over the nonzero entries of
     a's row: O(nonzeros of a * width of b) beyond the scan of a, which for
-    a companion matrix or a lattice cut is O(n^2)."""
+    a companion matrix is O(n^2)."""
     out = []
     for row in a:
         acc = [0] * len(b[0])
@@ -182,29 +183,44 @@ def primitive_integer(vec: Sequence[int]) -> tuple[int, ...]:
     return sign_canonical([c // g for c in vec])
 
 
-def _column_eliminate(row: Sequence[int]
-                      ) -> tuple[int, list[list[int]], list[list[int]]]:
-    """(r0, columns of u, rows of u^-1) with u unimodular and
-    row . u = (r0, 0, ..., 0), where |r0| is the gcd of the row, by
-    extended-gcd column operations.  Each step on columns 0 and i of u
-    has determinant s a + t b = 1 and is undone by the matching step on
-    rows 0 and i of u^-1; a column swap swaps the same rows.
-    Deterministic."""
-    n = len(row)
+def _gcd_steps(row: Sequence[int]
+               ) -> tuple[int, list[tuple[int, tuple[int, ...] | None]]]:
+    """(r0, steps) of the extended-gcd column elimination of an int row,
+    row . u = (r0, 0, ..., 0) with u unimodular and |r0| the gcd of the
+    row.  Step (i, (s, t, a, b)) combines columns 0 and i as
+    (x0, xi) <- (s x0 + t xi, -b x0 + a xi), of determinant s a + t b = 1;
+    step (i, None) swaps them.  Deterministic."""
     r = list(row)
-    cols = identity(n)  # cols[j]: column j of u
-    inv = identity(n)   # inv[j]: row j of u^-1
-    for i in range(1, n):
+    steps: list[tuple[int, tuple[int, ...] | None]] = []
+    for i in range(1, len(r)):
         if r[i] == 0:
             continue
         if r[0] == 0:
-            r[0], r[i] = r[i], r[0]
-            cols[0], cols[i] = cols[i], cols[0]
-            inv[0], inv[i] = inv[i], inv[0]
+            r[0], r[i] = r[i], 0
+            steps.append((i, None))
             continue
         g = math.gcd(r[0], r[i])
         s, t = _extgcd(r[0], r[i])
-        a, b = r[0] // g, r[i] // g
+        steps.append((i, (s, t, r[0] // g, r[i] // g)))
+        r[0], r[i] = g, 0
+    return r[0], steps
+
+
+def _column_eliminate(row: Sequence[int]
+                      ) -> tuple[int, list[list[int]], list[list[int]]]:
+    """(r0, columns of u, rows of u^-1) for the steps of _gcd_steps(row).
+    Each step on columns 0 and i of u is undone by the matching step on
+    rows 0 and i of u^-1; a column swap swaps the same rows."""
+    n = len(row)
+    r0, steps = _gcd_steps(row)
+    cols = identity(n)  # cols[j]: column j of u
+    inv = identity(n)   # inv[j]: row j of u^-1
+    for i, step in steps:
+        if step is None:
+            cols[0], cols[i] = cols[i], cols[0]
+            inv[0], inv[i] = inv[i], inv[0]
+            continue
+        s, t, a, b = step
         # column i of u and row i of u^-1 are still e_i, and column 0 and
         # row 0 vanish from entry i on, so each step scales one vector
         c0, i0 = cols[0], inv[0]
@@ -212,17 +228,29 @@ def _column_eliminate(row: Sequence[int]
         inv[0], inv[i] = [a * x for x in i0], [-t * x for x in i0]
         cols[0][i], cols[i][i] = t, a
         inv[0][i], inv[i][i] = b, s
-        r[0], r[i] = g, 0
-    return r[0], cols, inv
+    return r0, cols, inv
 
 
-def int_row_kernel(row: Sequence[int]) -> list[list[int]]:
-    """Basis of the lattice {x in Z^n : row . x = 0} for an integer row.
-
-    Column-eliminates the row by unimodular operations; the columns that map
-    to zero form the kernel basis.  Deterministic.
-    """
-    return _column_eliminate(row)[1][1:]
+def lattice_cut(basis: Mat, row: Sequence[int]) -> list:
+    """A basis of {x in the lattice spanned by basis's rows : x . row = 0},
+    for int rows: the steps of _gcd_steps(basis . row), each applied to two
+    basis rows, so a cut of k rows of length n is O(k n) beyond the k
+    gcds and builds no kernel.  The rows are those of u^T basis after its
+    first, u of the column elimination of basis . row; basis itself when
+    basis . row = 0."""
+    projected = mat_vec(basis, row)
+    if not any(projected):
+        return basis
+    rows = [list(b) for b in basis]
+    for i, step in _gcd_steps(projected)[1]:
+        if step is None:
+            rows[0], rows[i] = rows[i], rows[0]
+            continue
+        s, t, a, b = step
+        x, y = rows[0], rows[i]
+        rows[0] = [s * p + t * q for p, q in zip(x, y)]
+        rows[i] = [a * q - b * p for p, q in zip(x, y)]
+    return rows[1:]
 
 
 def _extgcd(a: int, b: int) -> tuple[int, int]:

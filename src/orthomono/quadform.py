@@ -216,12 +216,20 @@ def congruence_diagonal(gram: Sequence[Sequence[int]]
     The elimination is fraction-free (Bareiss) on the int Gram: before
     step i the trailing block is d_i times the rational one, where d_i
     is the previous pivot (d_0 = 1).  The division by d_i below is exact,
-    so diagonal entry i is pivot i / d_i.
+    so diagonal entry i is pivot i / d_i.  The trailing block stays
+    symmetric, so a step updates only its upper triangle, and the lower
+    one is copied from it before a pivot move, which reads both.
     """
     m = linalg.int_rows(gram)
     n = len(m)
     diag: list[Fraction] = []
     prev = 1
+
+    def mirror(i: int) -> None:
+        # the trailing block from row i on, lower triangle from the upper
+        for r in range(i, n):
+            for c in range(r + 1, n):
+                m[c][r] = m[r][c]
 
     def col_add(dst: int, src: int) -> None:
         # column dst += column src, symmetrically on rows
@@ -237,6 +245,7 @@ def congruence_diagonal(gram: Sequence[Sequence[int]]
 
     for i in range(n):
         if m[i][i] == 0:
+            mirror(i)
             j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
             if j is not None:
                 col_swap(i, j)
@@ -251,12 +260,11 @@ def congruence_diagonal(gram: Sequence[Sequence[int]]
                     col_swap(i, r)
         pivot = m[i][i]
         top = m[i]
-        tail = top[i + 1:]
         for j in range(i + 1, n):
             f = top[j]
             row = m[j]
-            row[i + 1:] = [(pivot * a - f * b) // prev
-                           for a, b in zip(row[i + 1:], tail)]
+            row[j:] = [(pivot * a - f * b) // prev
+                       for a, b in zip(row[j:], top[j:])]
         diag.append(Fraction(pivot, prev))
         prev = pivot
     # after a break the trailing block is zero
@@ -462,13 +470,12 @@ def witt_decompose(space: QuadSpace, bound: int,
     The current lattice is carried from stage to stage as a basis B
     (rows, in ambient coordinates), starting from B = I.  A split plane
     (w, partner) cuts it once per new row, primitive(G w) and then
-    primitive(G partner): a row whose projection B row is zero is
-    skipped, and otherwise K = the integer kernel of the projection gives
-    B <- K B.  The restricted Gram R = B G B^T and its congruence
-    diagonal are formed only at a stage that reads them: one with no
-    unused seed, which searches R and stops on its diagonal, or one whose
-    isotropic vector has no partner, whose diagonal is the residual.  At
-    stage 1 they are G and the diagonal the space keeps.
+    primitive(G partner), by linalg.lattice_cut: O(k n) for k rows, and
+    no cut when B row = 0.  The restricted Gram R = B G B^T and its
+    congruence diagonal are formed only at a stage that reads them: one
+    with no unused seed, which searches R and stops on its diagonal, or
+    one whose isotropic vector has no partner, whose diagonal is the
+    residual.  At stage 1 they are G and the diagonal the space keeps.
     """
     gram = space.gram
     n = len(gram)
@@ -535,9 +542,10 @@ def witt_decompose(space: QuadSpace, bound: int,
                      for s in pending]
         sums = ([a + b for a, b in zip(bi, bj)]
                 for bi, bj in itertools.combinations(basis, 2))
+        g_w = linalg.mat_vec(gram, w)  # w . u = (G w) . u, as G = G^T
         partner = next(
             (u for u in itertools.chain(basis, sums)
-             if linalg.vec_dot(w, gram, u) != 0
+             if sum(map(operator.mul, g_w, u)) != 0
              and (all(sum(r[i] * u[i] for i in range(n)) == 0
                       for r in seed_rows) or not pending)), None)
         if partner is None:
@@ -548,14 +556,10 @@ def witt_decompose(space: QuadSpace, bound: int,
                 residual_diag = form()[1]
             break
         witnesses.append(w)
-        for vec in (w, partner):
-            row = linalg.primitive_integer(linalg.mat_vec(gram, vec))
+        for g_vec in (g_w, linalg.mat_vec(gram, partner)):
+            row = linalg.primitive_integer(g_vec)
             constraints.append(row)
-            projected = linalg.mat_vec(basis, row)
-            if any(x != 0 for x in projected):
-                # the kernel rows of a column elimination are sparse
-                basis = linalg.sparse_mul(linalg.int_row_kernel(projected),
-                                          basis)
+            basis = linalg.lattice_cut(basis, row)
 
     pr = sum(1 for d in residual_diag if d.numerator > 0)
     qr = sum(1 for d in residual_diag if d.numerator < 0)

@@ -9,7 +9,10 @@ full translation group of the parabolic fixing the line through eps.
 
 Each group element carries both its matrix and the word over
 {A, A^-1, C, C[coords]} that produced it, and the two are cross-checked
-at construction, so every certificate is replayable.
+at construction, so every certificate is replayable.  A matrix is
+multiplied by a token as an update of its rows, O(n) per row: a shift
+and one dot for A and A^-1, a rank-one update for a reflection.  The
+hunt takes a dense product only inside the isometry check.
 
 arithmeticity_report runs the witness hunt alone: the caller builds the
 pair and form once, into the WitnessContext that the hunt's functions
@@ -35,7 +38,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -152,19 +155,41 @@ class WitnessContext:
     def C(self):
         return self.generators["C"]
 
-    def token_matrix(self, token: str):
+    @cached_property
+    def _steps(self) -> dict:
+        """For each generator token T, the map from the rows of a matrix m
+        to the rows of m T, each in O(n), read off the checked generators.
+        A is the companion matrix, A e_j = e_(j+1) for j < n-1, so r A is
+        r shifted left with r . (last column of A) appended; A^-1 e_j =
+        e_(j-1) for j >= 1, so r A^-1 is r . (first column of A^-1)
+        followed by r shifted right; C is the reflection about v."""
         gens = self.generators
-        if token in gens:
-            return gens[token]
-        if token.startswith("C[") and token.endswith("]"):
-            return reflection_matrix(self.gram, _parse_reflection(token)).matrix
-        raise ValueError(f"unknown word token {token!r}")
+        last = [row[-1] for row in gens["A"]]
+        first = [row[0] for row in gens["A^-1"]]
+        c_axis = _reflection_axis(self.gram, self.v)
+        return {
+            "A": lambda rows: [r[1:] + [sum(map(operator.mul, r, last))]
+                               for r in rows],
+            "A^-1": lambda rows: [[sum(map(operator.mul, r, first))] + r[:-1]
+                                  for r in rows],
+            "C": lambda rows: _times_reflection(rows, *c_axis)}
 
     def element(self, word: Sequence[str]) -> GroupElement:
-        m = linalg.identity(self.n)
+        """The element of word, its matrix the product of the token
+        matrices in word order, each applied to the rows of the product so
+        far in O(n^2); a C[w] token's reflection_matrix is built and
+        checked first.  The product is checked to preserve the form."""
+        rows = linalg.identity(self.n)
         for token in word:
-            m = linalg.mat_mul(m, self.token_matrix(token))
-        m = int_matrix(m)
+            step = self._steps.get(token)
+            if step is not None:
+                rows = step(rows)
+            elif token.startswith("C[") and token.endswith("]"):
+                axis = _checked_axis(self.gram, _parse_reflection(token))
+                rows = _times_reflection(rows, *axis)
+            else:
+                raise ValueError(f"unknown word token {token!r}")
+        m = int_matrix(rows)
         _check_isometry(self.gram, m, " ".join(word) if word else "identity")
         return GroupElement(word=tuple(word), matrix=m)
 
@@ -227,8 +252,7 @@ class WitnessContext:
                    [[(j, a) for j, a in enumerate(row) if a]
                     for row in gens[t]])
                   for t in ("A", "A^-1")]
-        # G v, the first column of the Gram, through its nonzero entries
-        g_v = [(j, row[0]) for j, row in enumerate(self.gram) if row[0]]
+        g_v = [row[0] for row in self.gram]  # G v, the Gram's column 0
         images: dict = {}
         keys: dict = {}
         grown: list = []  # the level being built, which record extends
@@ -262,7 +286,7 @@ class WitnessContext:
                     if x == v or x in images:
                         continue
                     record(x, (token,) + parent,
-                           sum(a * x[j] for j, a in g_v))
+                           sum(map(operator.mul, x, g_v)))
             for y, parent, pairing in level:
                 if not pairing or parent and parent[0] == "C":
                     continue
@@ -293,6 +317,25 @@ def _reflection_axis(gram: Sequence[Sequence], w: Sequence[int]
     if any(x % d for x in w):
         raise ValueError(f"reflection about {tuple(w)} is not integral")
     return [2 * x // g for x in gw], [x // d for x in w]
+
+
+def _times_reflection(rows, h: Sequence[int], w_d: Sequence[int]) -> list:
+    """The rows of m R from the rows of m, R = I - (w / d) h^T the
+    reflection of _reflection_axis: each row r becomes r - (r . w / d) h,
+    in O(n)."""
+    out = []
+    for r in rows:
+        shift = sum(map(operator.mul, r, w_d))
+        out.append([x - shift * y for x, y in zip(r, h)] if shift else r)
+    return out
+
+
+def _checked_axis(gram: Sequence[Sequence], w: Sequence[int]
+                  ) -> tuple[list[int], list[int]]:
+    """_reflection_axis(gram, w), once reflection_matrix has built the
+    reflection's matrix and checked that it preserves the form."""
+    reflection_matrix(gram, w)
+    return _reflection_axis(gram, w)
 
 
 def reflection_matrix(gram: Sequence[Sequence], w: Sequence[int]
@@ -405,7 +448,7 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
     keys = ctx.word_orbit(word_bound)[1]
     for _, _, word, x in keys.get(linalg.sign_canonical(eps), ()):
         cx = reflection_matrix(ctx.gram, x)
-        u_matrix = int_matrix(linalg.mat_mul(cx.matrix, ctx.C))
+        u_matrix = ctx._steps["C"](cx.matrix)  # C applied to C_x's rows
         u_word = word + ("C",) + _inverse_word(word) + ("C",)
         u = ctx.verified(u_word, u_matrix)
         if u.is_identity:
@@ -478,13 +521,11 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     wrong dimension, an isotropic one and one whose reflection is not
     integral; so does one not orthogonal to eps, h . eps != 0.
 
-    Each rank-raising vector carries the word of its axis indices; its
-    product is built as a matrix by rank-one int updates,
-    prev - (prev (w / d)) h^T per reflection, and its conjugate of u must
-    agree in _check_conjugate, which raises OracleMismatchError
-    otherwise.  Stops early when the rank reaches n - 2, the dimension of
-    the full translation group.  The perp basis of eps comes from ctx's
-    cache.
+    Each rank-raising vector carries the word of its axis indices, and
+    the conjugate of u by its product must agree in _check_conjugate,
+    which raises OracleMismatchError otherwise.  Stops early when the
+    rank reaches n - 2, the dimension of the full translation group.  The
+    perp basis of eps comes from ctx's cache.
     """
     gram, n = ctx.gram, ctx.n
     perp, quotient = ctx.perp(eps)
@@ -520,8 +561,8 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
                     continue
                 x_word = (i,) + word
                 grown.append((x, x_word))
-                _check_conjugate(u, _product(updates, x_word, n),
-                                 [axes[k] for k in x_word], eps, ctx, s, lam)
+                _check_conjugate(u, [axes[k] for k in x_word], eps, ctx,
+                                 s, lam)
                 rank += 1
                 if rank >= n - 2:
                     return rank
@@ -529,28 +570,23 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     return rank
 
 
-def _product(updates, word: Sequence[int], n: int):
-    """The int matrix of the product of the reflections indexed by word,
-    each applied as the rank-one update prev - (prev (w / d)) h^T."""
-    m = linalg.identity(n)
-    for j in word:
-        h, w_d = updates[j]
-        for row in m:
-            shift = sum(map(operator.mul, row, w_d))
-            row[:] = [x - shift * y for x, y in zip(row, h)]
-    return m
-
-
-def _check_conjugate(u: GroupElement, m, axes: Sequence[tuple[int, ...]],
+def _check_conjugate(u: GroupElement, axes: Sequence[tuple[int, ...]],
                      eps: tuple[int, ...], ctx: WitnessContext, s: int,
                      lam: list[int]) -> None:
     """Second route for one conjugate: m u m^-1 as a matrix, where m is
-    the product of the reflections about the given axes and m^-1 is the
-    product of their reflection_matrix in reverse order, must move the
-    quotient representatives by lam / s."""
-    m_inv = reduce(linalg.mat_mul, (reflection_matrix(ctx.gram, w).matrix
-                                    for w in reversed(axes)))
-    conj = linalg.mat_mul(m, linalg.mat_mul(u.matrix, m_inv))
+    the product of the reflections about the given axes, must move the
+    quotient representatives by lam / s.  A reflection r is its own
+    inverse, so m u m^-1 is u conjugated by each axis's r in reverse
+    order, X <- r X r, two rank-one updates of O(n^2); each r is first
+    built and checked by reflection_matrix."""
+    conj = u.matrix
+    for w in reversed(axes):
+        h, w_d = _checked_axis(ctx.gram, w)
+        conj = _times_reflection(conj, h, w_d)  # X r
+        # r X = X - (w / d) (h^T X)
+        h_x = [sum(map(operator.mul, h, col)) for col in zip(*conj)]
+        conj = [[a - c * b for a, b in zip(row, h_x)] if c else row
+                for c, row in zip(w_d, conj)]
     factors = _radical_factors(conj, eps, ctx.perp(eps)[1])
     if factors is None or [s * x for x in factors] != lam:
         raise OracleMismatchError(

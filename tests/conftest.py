@@ -1,8 +1,9 @@
 """Shared fixtures: the reference quintic pair, a reproducible batch
 of random coprime cyclotomic pairs for property checks, and the
-Fraction references that the int code is checked against: the
-polynomial gcd over Q for the coprimality certificates, and the
-reflection formula for reflection_matrix."""
+references that the int code is checked against: in Fractions, the
+polynomial gcd over Q for the coprimality certificates and the
+reflection formula for reflection_matrix; in ints, the integer row
+kernel behind the Witt stages' lattice cuts."""
 from __future__ import annotations
 
 import json
@@ -73,6 +74,14 @@ def reflect(gram, w, x) -> tuple[Fraction, ...]:
         raise ValueError("cannot reflect about an isotropic vector")
     factor = 2 * Fraction(linalg.vec_dot(x, gram, w)) / ww
     return tuple(Fraction(a) - factor * b for a, b in zip(x, w))
+
+
+def int_row_kernel(row) -> list[list[int]]:
+    """Reference: a basis of the lattice {x in Z^n : row . x = 0}, the
+    columns of u after the first, u of the row's column elimination,
+    row . u = (r0, 0, ..., 0); their kernel rows are K in the cut K B
+    that linalg.lattice_cut makes without forming K."""
+    return linalg._column_eliminate(row)[1][1:]
 
 
 def cleared(m) -> list[list[int]]:

@@ -274,7 +274,7 @@ def test_tracer_outcomes_read_the_real_results(base_pair, base_space):
     seen = level = {ctx.v}
     for _ in range(8):
         level = {tuple(sum(a * b for a, b in zip(row, y))
-                       for row in ctx.token_matrix(token))
+                       for row in ctx.generators[token])
                  for y in level for token in ("A", "A^-1", "C")} - seen
         seen = seen | level
     assert outcome("witness.WitnessContext.word_orbit", (ctx, 8),

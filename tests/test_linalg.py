@@ -6,9 +6,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orthomono import linalg
+
+from conftest import int_row_kernel
 
 ints = st.integers(-9, 9)
 
@@ -277,7 +279,7 @@ def test_primitive_integer():
 
 
 def check_column_elimination(row):
-    """The column elimination behind int_row_kernel and
+    """The column elimination behind lattice_cut and
     unimodular_with_first_row: the rows of u^-1 it builds invert the
     columns of u, and row . u = (r0, 0, ..., 0) with |r0| the gcd."""
     n = len(row)
@@ -290,7 +292,7 @@ def check_column_elimination(row):
 
 @given(st.lists(ints, min_size=2, max_size=6).filter(lambda r: any(r)))
 def test_int_row_kernel(row):
-    kernel = linalg.int_row_kernel(row)
+    kernel = int_row_kernel(row)
     n = len(row)
     assert len(kernel) == n - 1
     for vec in kernel:
@@ -299,6 +301,30 @@ def test_int_row_kernel(row):
     assert linalg.rank(kernel) == n - 1
     cols, _ = check_column_elimination(row)
     assert kernel == cols[1:]
+
+
+# a basis: a short list of rows of one length, with zero entries and
+# zero leading entries of the projection (the swap step) common
+sparse = st.integers(-4, 4) | st.just(0)
+cut_cases = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(sparse, min_size=n, max_size=n),
+             min_size=1, max_size=5),
+    st.lists(sparse, min_size=n, max_size=n)))
+
+
+@given(cut_cases)
+@example(([[0, 1, 2]], [1, 0, 0]))             # 1 x n, projection zero
+@example(([[1, 2, 0]], [3, 0, 1]))             # 1 x n, one row cut away
+@example(([[1, 0], [0, 1], [2, 1]], [0, 5]))   # leading zero: a swap
+def test_lattice_cut_is_the_kernel_times_the_basis(case):
+    basis, row = case
+    projected = linalg.mat_vec(basis, row)
+    got = linalg.lattice_cut(basis, row)
+    if not any(projected):
+        assert got is basis
+        return
+    assert got == linalg.sparse_mul(int_row_kernel(projected), basis)
+    assert not any(linalg.mat_vec(got, row))
 
 
 @given(st.lists(ints, min_size=1, max_size=6))

@@ -290,7 +290,7 @@ def test_witness_hunt_takes_no_elimination(monkeypatch, entry):
 # happen only in _check_conjugate, the matrix route of each rank-raising
 # conjugate, which for a product of k reflections builds their k
 # reflection matrices (two products each for the isometry check) and
-# multiplies k + 1 times more, k - 1 for m^-1 and 2 for m u m^-1
+# conjugates u by each as two rank-one updates, with no product
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
@@ -311,11 +311,11 @@ def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
         spans.append(Counter())
         return inside("span", original_span, u, axes, eps, ctx)
 
-    def check(u, m, axes, *args):
+    def check(u, axes, *args):
         spans[-1]["checks"] += 1
         spans[-1]["expected reflection_matrix"] += len(axes)
-        spans[-1]["expected mat_mul"] += 3 * len(axes) + 1
-        return inside("check", original_check, u, m, axes, *args)
+        spans[-1]["expected mat_mul"] += 2 * len(axes)
+        return inside("check", original_check, u, axes, *args)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -336,6 +336,68 @@ def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
         assert s["reflection_matrix in check"] \
             == s["expected reflection_matrix"]
         assert s["mat_mul in check"] == s["expected mat_mul"]
+
+
+# element applies each token to the rows of the product so far, so the
+# only products it takes are the two of its isometry check, and two more
+# for each C[w] token, in the check of that token's reflection_matrix
+
+@pytest.mark.parametrize("word", [
+    (), ("A",), ("A", "C", "A^-1", "C"), ("C", "A^-1", "A^-1", "C", "A"),
+    ("C[0,1,0,0,0]", "A", "C[0,0,1,0,0]", "C")])
+def test_element_multiplies_matrices_only_to_check(monkeypatch, base_pair,
+                                                   base_space, word):
+    ctx = witness.WitnessContext(base_pair, base_space)
+    ctx.element(("A",))  # the generators are built and checked on first use
+    where, counts = [], Counter()
+    original_check, original_mul = witness._check_isometry, linalg.mat_mul
+
+    def check(*args):
+        where.append(True)
+        try:
+            return original_check(*args)
+        finally:
+            where.pop()
+
+    def mat_mul(a, b):
+        counts["in check" if where else "outside"] += 1
+        return original_mul(a, b)
+    monkeypatch.setattr(witness, "_check_isometry", check)
+    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+    ctx.element(word)
+    reflections = sum(1 for t in word if t.startswith("C["))
+    assert counts == {"in check": 2 + 2 * reflections}
+
+
+# the whole hunt takes a dense product only in an isometry check: of a
+# replayed word, of a reflection_matrix or of a generator
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_hunt_multiplies_matrices_only_to_check(monkeypatch, entry):
+    where, counts = [], Counter()
+    original_hunt = witness.arithmeticity_report
+    original_check, original_mul = witness._check_isometry, linalg.mat_mul
+
+    def inside(key, fn):
+        def wrapper(*args):
+            where.append(key)
+            try:
+                return fn(*args)
+            finally:
+                where.pop()
+        return wrapper
+
+    def mat_mul(a, b):
+        counts[where[-1] if where else "outside"] += 1
+        return original_mul(a, b)
+    monkeypatch.setattr(cli, "arithmeticity_report",
+                        inside("hunt", original_hunt))
+    monkeypatch.setattr(witness, "_check_isometry",
+                        inside("check", original_check))
+    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+    cli.build_report(entry.f_text, entry.g_text)
+    assert counts["check"] >= 2
+    assert counts["hunt"] == 0
 
 
 # span_rank_witness ranks a closure: u's own translation, then each axis
@@ -367,14 +429,15 @@ def test_span_rank_reduces_at_most_axes_times_rank_vectors(monkeypatch,
 
 
 # the Witt pass carries only its lattice basis from stage to stage, and
-# cuts it by combining basis rows, so it multiplies no matrices: not on
-# a definite form, which stops at stage 1, nor on the base pair, which
-# splits two planes; the base pair's hunt multiplies outside it
+# cuts it by steps on two basis rows at a time, so it multiplies no
+# matrices, dense or sparse: not on a definite form, which stops at
+# stage 1, nor on the base pair, which splits two planes; the base
+# pair's hunt multiplies outside it
 
 def test_definite_witt_pass_multiplies_no_matrices(monkeypatch):
     inside = []
     counts = Counter()
-    original_witt, original_mul = quadform.witt_decompose, linalg.mat_mul
+    original_witt = quadform.witt_decompose
 
     def witt(*args, **kwargs):
         inside.append(True)
@@ -383,19 +446,24 @@ def test_definite_witt_pass_multiplies_no_matrices(monkeypatch):
         finally:
             inside.pop()
 
-    def mat_mul(a, b):
-        counts["inside" if inside else "outside"] += 1
-        return original_mul(a, b)
+    def counted(name, original):
+        def product(a, b):
+            counts[f"{name} {'inside' if inside else 'outside'}"] += 1
+            return original(a, b)
+        return product
     monkeypatch.setattr(quadform, "witt_decompose", witt)
-    monkeypatch.setattr(linalg, "mat_mul", mat_mul)
+    for name in ("mat_mul", "sparse_mul"):
+        monkeypatch.setattr(linalg, name,
+                            counted(name, getattr(linalg, name)))
     doc = cli.build_report("Phi(1)*Phi(3)*Phi(5)", "Phi(2)*Phi(4)*Phi(8)")
     assert (doc["signature"]["p"], doc["signature"]["q"]) == (7, 0)
     assert (doc["q_rank"]["lo"], doc["q_rank"]["hi"]) == (0, 0)
-    assert counts == {}
+    # build_pair's two sparse checks of A^-1 and B are outside
+    assert counts == {"sparse_mul outside": 2}
     doc = cli.build_report(BASE_F, BASE_G)
     assert doc["q_rank"]["lo"] == 2
-    assert counts["inside"] == 0
-    assert counts["outside"] >= 1
+    assert counts["mat_mul inside"] == counts["sparse_mul inside"] == 0
+    assert counts["mat_mul outside"] >= 1
 
 
 # R = B G B^T is formed only at a stage that reads it: the pad's padded

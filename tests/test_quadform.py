@@ -26,8 +26,8 @@ from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
                                 signature, signature_interlace,
                                 squarefree_at_cert_primes, witt_decompose)
 
-from conftest import (BASE_F, BASE_G, cleared, random_cyclotomic_pairs,
-                      random_unimodular)
+from conftest import (BASE_F, BASE_G, cleared, int_row_kernel,
+                      random_cyclotomic_pairs, random_unimodular)
 from test_linalg import nullspace
 from test_polynomials import ref_cyclo_factor, ref_divrem
 from test_reports import PADS
@@ -481,6 +481,82 @@ def test_diagonalize_matches_fraction_reference(m):
     diag = congruence_diagonal(m)
     assert diag == ref_diagonalize(m)[0]
     assert all(type(x) is Fraction for x in diag)
+
+
+def full_bareiss_diagonal(gram):
+    """Reference: congruence_diagonal as it stood before it kept only the
+    upper triangle, each Bareiss step updating the whole trailing block
+    and the pivot moves reading the block as it is."""
+    m = linalg.int_rows(gram)
+    n = len(m)
+    diag = []
+    prev = 1
+
+    def col_add(dst, src):
+        for k in range(n):
+            m[k][dst] += m[k][src]
+        for k in range(n):
+            m[dst][k] += m[src][k]
+
+    def col_swap(a, b):
+        for k in range(n):
+            m[k][a], m[k][b] = m[k][b], m[k][a]
+        m[a], m[b] = m[b], m[a]
+
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((k for k in range(i + 1, n) if m[k][k] != 0), None)
+            if j is not None:
+                col_swap(i, j)
+            else:
+                off = next(((r, c) for r in range(i, n)
+                            for c in range(r + 1, n) if m[r][c] != 0), None)
+                if off is None:
+                    break
+                r, c = off
+                col_add(r, c)
+                if r != i:
+                    col_swap(i, r)
+        pivot = m[i][i]
+        top = m[i]
+        tail = top[i + 1:]
+        for j in range(i + 1, n):
+            f = top[j]
+            row = m[j]
+            row[i + 1:] = [(pivot * a - f * b) // prev
+                           for a, b in zip(row[i + 1:], tail)]
+        diag.append(Fraction(pivot, prev))
+        prev = pivot
+    diag += [Fraction(0)] * (n - len(diag))
+    return tuple(diag)
+
+
+# the upper-triangle elimination gives the full-block one's diagonal, on
+# the battery's Grams and on symmetric Grams whose pivots are often zero
+
+def test_upper_triangle_diagonal_on_the_battery(cyclotomic_pairs):
+    for f, g in cyclotomic_pairs:
+        gram = gram_remainder(build_pair(f, g)).gram
+        assert repr(congruence_diagonal(gram)) \
+            == repr(full_bareiss_diagonal(gram))
+
+
+@settings(max_examples=300)
+@given(symmetric())
+def test_upper_triangle_diagonal_on_zero_pivots(m):
+    assert repr(congruence_diagonal(m)) == repr(full_bareiss_diagonal(m))
+
+
+def test_upper_triangle_diagonal_on_larger_zero_pivots():
+    # entries in {-1, 0, 1} up to 12 x 12: pivots that reach zero midway
+    rng = random.Random(20261019)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.choice((-1, 0, 0, 1))
+        assert repr(congruence_diagonal(m)) == repr(full_bareiss_diagonal(m))
 
 
 def test_cyclic_gram_holds_ints(base_space, cyclotomic_pairs):
@@ -1019,7 +1095,7 @@ def _int_kernel(rows, n):
         projected = linalg.mat_vec(basis, r)
         if all(x == 0 for x in projected):
             continue
-        basis = linalg.mat_mul(linalg.int_row_kernel(projected), basis)
+        basis = linalg.mat_mul(int_row_kernel(projected), basis)
     return basis
 
 
@@ -1166,7 +1242,7 @@ def _carried_witt_decompose(space, bound, seeds=()):
             constraints.append(row)
             projected = linalg.mat_vec(basis, row)
             if any(x != 0 for x in projected):
-                cut = linalg.int_row_kernel(projected)
+                cut = int_row_kernel(projected)
                 basis = linalg.mat_mul(cut, basis)
                 # cut R cut^T entrywise: a cut with no rows has no
                 # transpose of the right shape to multiply by

@@ -1,11 +1,13 @@
 """Reflections, parabolic line stabilizers, translation vectors, and the
 unipotent witness machinery, pinned on the reference quintic pair."""
+import random
 from fractions import Fraction
 
 import pytest
 
 from orthomono import cli, corpus, linalg, quadform, witness
 from orthomono.monodromy import PairValidationError, build_pair, int_matrix
+from orthomono.padding import pad_pair
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import render
 from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
@@ -166,6 +168,53 @@ def test_verified_rejects_mismatch(ctx):
         ctx.verified(("A",), ctx.C)
 
 
+# element applies each token to the rows of the running product; the
+# product of the token matrices is the reference, on random words over
+# A, A^-1, C and the reflections C[A^k v] (A^k v is the k-th unit vector)
+
+def _dense_element(ctx, word):
+    """Reference: the matrix of word as the dense product of its token
+    matrices, in word order."""
+    m = linalg.identity(ctx.n)
+    for token in word:
+        if token.startswith("C["):
+            axis = witness._parse_reflection(token)
+            m = linalg.mat_mul(m, reflection_matrix(ctx.gram, axis).matrix)
+        else:
+            m = linalg.mat_mul(m, ctx.generators[token])
+    return int_matrix(m)
+
+
+def _check_random_words(ctx, seed, count=12, length=10):
+    rng = random.Random(seed)
+    tokens = ["A", "A^-1", "C"] + [witness._render_reflection(e(k, ctx.n))
+                                   for k in range(ctx.n)]
+    for _ in range(count):
+        word = tuple(rng.choice(tokens) for _ in range(rng.randint(0, length)))
+        assert ctx.element(word).matrix == _dense_element(ctx, word), word
+
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_element_is_the_dense_product(entry):
+    pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
+    _check_random_words(WitnessContext(pair, invariant_space(pair)), 20261019)
+
+
+@pytest.mark.parametrize("d, n", [(2, 9), (6, 17)])
+def test_element_is_the_dense_product_on_pads(d, n):
+    pair = pad_pair(parse_poly(BASE_F), parse_poly(BASE_G),
+                    parse_poly("y^2+1", var="y"),
+                    parse_poly("y^2-y+1", var="y"), d=d).pair
+    assert pair.n == n
+    _check_random_words(WitnessContext(pair, invariant_space(pair)), n,
+                        count=6)
+
+
+def test_element_rejects_an_unknown_token(ctx):
+    with pytest.raises(ValueError, match="unknown word token 'B'"):
+        ctx.element(("A", "B"))
+
+
 def test_word_orbit_deterministic_and_cached(ctx):
     first = ctx.word_orbit(4)
     again = ctx.word_orbit(4)
@@ -203,7 +252,7 @@ def _matrix_word_orbit(ctx, word_bound):
         grown = []
         for matrix, word in frontier:
             for token in ("A", "A^-1", "C"):
-                m = int_matrix(linalg.mat_mul(matrix, ctx.token_matrix(token)))
+                m = int_matrix(linalg.mat_mul(matrix, ctx.generators[token]))
                 if m in seen:
                     continue
                 seen.add(m)
@@ -896,3 +945,22 @@ def test_span_rank_routes_disagreeing_raise(monkeypatch, ctx, u, skew):
     with pytest.raises(OracleMismatchError, match="conjugate"):
         span_rank_witness(u, [e(0), e(1), VPRIME], EPS, ctx)
     assert len(calls) == 2
+
+
+def test_check_conjugate_rejects_a_bumped_translation(monkeypatch, ctx):
+    # the matrix route, rebuilt by rank-one updates, still disagrees with
+    # a translation vector moved by one in any entry
+    calls = []
+    original = witness._check_conjugate
+
+    def record(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(witness, "_check_conjugate", record)
+    assert arithmeticity_report(ctx, 3, 8).translation_rank == 3
+    assert calls
+    for u, axes, eps, context, s, lam in calls:
+        for i in range(len(lam)):
+            bumped = lam[:i] + [lam[i] + 1] + lam[i + 1:]
+            with pytest.raises(OracleMismatchError, match="conjugate by"):
+                original(u, axes, eps, context, s, bumped)
