@@ -9,7 +9,9 @@ Three subcommands:
             hands it to the next stage; no later stage rebuilds one from
             the polynomials.
   pad       degree padding of a quintic pair; verifies the isometric
-            embedding and re-certifies the rank bound with lifted seeds.
+            embedding, then analyzes the padded pair as analyze does, at
+            the default word bound, its Q-rank search seeded with the
+            lifted base witnesses.
   examples  recheck the built-in worked-example table against exact
             recomputation, reporting catalogued misprints.
 
@@ -187,26 +189,49 @@ def _new_doc(inputs: dict, f: IntPoly, g: IntPoly, pair_type: PairType,
     }
 
 
-def _form_fields(doc: dict, pair: HyperPair) -> QuadSpace:
-    """Build the certified form once, record it and its signature in
-    doc, and hand it back for the rank and witness stages, which read the
-    signature off its kept diagonal."""
-    space = invariant_space(pair)
-    sig = signature(space)
-    # the second route to |p - q|; a disagreement means one route is wrong
-    abs_diff = signature_interlace(pair.f, pair.g)
-    if abs_diff not in (None, abs(sig[0] - sig[1])):
-        raise OracleMismatchError(
-            f"root-argument interlacing gives |p - q| = {abs_diff} but the "
-            f"diagonalized form has |{sig[0]} - {sig[1]}| = "
-            f"{abs(sig[0] - sig[1])}")
-    doc["derived"]["det_A"] = pair.det_A
-    doc["derived"]["det_B"] = pair.det_B
-    doc["derived"]["det_C"] = pair.det_C
-    doc["gram"] = _gram_json(space)
-    doc["signature"] = {"p": sig[0], "q": sig[1],
-                        "interlace_abs_diff": abs_diff}
-    return space
+def _analyze_pair(doc: dict, pair: HyperPair | None, seeds: Sequence,
+                  search_bound: int, word_bound: int, t0: float) -> dict:
+    """Fill in doc, a _new_doc skeleton, with the analysis of pair, the
+    Q-rank search seeded with seeds, and the timings from the command's
+    start t0 (parse_ms is all the caller did first); return doc.  A
+    symplectic pair, None, has no symmetric form and is out of scope.
+
+    The WitnessContext builds and certifies the form once, and the rank
+    and witness stages read the signature off its kept diagonal.
+    """
+    t1 = t2 = time.perf_counter()
+    if pair is None:
+        rep = WitnessReport(epsilon=None, unipotent=None,
+                            translation_rank=None, conclusion=OUT_OF_SCOPE,
+                            caveats=())
+    else:
+        ctx = WitnessContext(pair)
+        space = ctx.space
+        sig = signature(space)
+        # the second route to |p - q|; a disagreement means one is wrong
+        abs_diff = signature_interlace(pair.f, pair.g)
+        if abs_diff not in (None, abs(sig[0] - sig[1])):
+            raise OracleMismatchError(
+                f"root-argument interlacing gives |p - q| = {abs_diff} but "
+                f"the diagonalized form has |{sig[0]} - {sig[1]}| = "
+                f"{abs(sig[0] - sig[1])}")
+        doc["derived"]["det_A"] = pair.det_A
+        doc["derived"]["det_B"] = pair.det_B
+        doc["derived"]["det_C"] = pair.det_C
+        doc["gram"] = _gram_json(space)
+        doc["signature"] = {"p": sig[0], "q": sig[1],
+                            "interlace_abs_diff": abs_diff}
+        t2 = time.perf_counter()
+        doc["q_rank"] = _certificate_json(
+            q_rank(space, search_bound, seeds=seeds))
+        rep = arithmeticity_report(ctx, search_bound, word_bound)
+    doc["witness"] = _witness_json(rep)
+    t3 = time.perf_counter()
+    doc["timings"] = {"parse_ms": _ms(t1 - t0),
+                      "forms_ms": _ms(t2 - t1),
+                      "witness_ms": _ms(t3 - t2),
+                      "total_ms": _ms(t3 - t0)}
+    return doc
 
 
 def build_report(f_text: str, g_text: str,
@@ -214,11 +239,10 @@ def build_report(f_text: str, g_text: str,
                  word_bound: int = DEFAULT_WORD_BOUND) -> dict:
     """Analysis document for one pair given as polynomial text.
 
-    Pair, form, Q-rank certificate and witness context are each built
-    once here and handed down.  Raises PolyParseError or
-    PairValidationError for bad input and OracleMismatchError when
-    independent routes disagree; the command layer maps those to exit
-    codes 2 and 3.
+    The pair is built once here and analyzed by _analyze_pair.  Raises
+    PolyParseError or PairValidationError for bad input and
+    OracleMismatchError when independent routes disagree; the command
+    layer maps those to exit codes 2 and 3.
     """
     t0 = time.perf_counter()
     f = parse_poly(f_text)
@@ -230,43 +254,24 @@ def build_report(f_text: str, g_text: str,
     if shifted:
         f, g = scalar_shift(f), scalar_shift(g)
     pair_type = classify_type(f, g)
-    t1 = time.perf_counter()
-
+    pair = build_pair(f, g) if pair_type.kind == ORTHOGONAL else None
     doc = _new_doc({"f": f_text, "g": g_text}, f, g, pair_type, shifted)
-    if pair_type.kind == ORTHOGONAL:
-        pair = build_pair(f, g)
-        space = _form_fields(doc, pair)
-        t2 = time.perf_counter()
-        ctx = WitnessContext(pair, space)
-        doc["q_rank"] = _certificate_json(q_rank(space, search_bound))
-        doc["witness"] = _witness_json(arithmeticity_report(
-            ctx, search_bound, word_bound))
-    else:
-        # Symplectic pairs carry no symmetric invariant form; report the
-        # classification and stop.
-        t2 = t1
-        doc["witness"] = {"conclusion": OUT_OF_SCOPE,
-                          "epsilon": None, "unipotent": None,
-                          "translation_rank": None, "caveats": []}
-
-    t3 = time.perf_counter()
-    doc["timings"] = {"parse_ms": _ms(t1 - t0),
-                      "forms_ms": _ms(t2 - t1),
-                      "witness_ms": _ms(t3 - t2),
-                      "total_ms": _ms(t3 - t0)}
-    return doc
+    return _analyze_pair(doc, pair, (), search_bound, word_bound, t0)
 
 
 def build_pad_report(f0_text: str, g0_text: str, p_text: str, q_text: str,
                      d: int = DEFAULT_EXPONENT,
                      search_bound: int = DEFAULT_SEARCH_BOUND) -> dict:
-    """Padding document: construction, embedding checks, inherited bound.
+    """Padding document: the analysis of the padded pair, as analyze
+    writes it at DEFAULT_WORD_BOUND, with its Q-rank search seeded, plus
+    the padding block.
 
     The base certificate's isotropic witnesses are lifted through the
     embedding and seed the padded search, so the padded lower bound is at
-    least the base one whenever the isometry check passes.  The unipotent
-    hunt is not run here; analyze the padded polynomials directly for
-    that.
+    least the base one whenever the isometry check passes.  Below
+    d = deg f0 + 1 = 6 the embedding is not guaranteed, and a failed
+    check is bad input (PairValidationError); from d = 6 on it is
+    guaranteed, and a failed check is an OracleMismatchError.
     """
     t0 = time.perf_counter()
     f0 = parse_poly(f0_text)
@@ -274,29 +279,26 @@ def build_pad_report(f0_text: str, g0_text: str, p_text: str, q_text: str,
     P = parse_poly(p_text, var="y")
     Q = parse_poly(q_text, var="y")
     pp = pad_pair(f0, g0, P, Q, d)
-    t1 = time.perf_counter()
 
     remainder_ok = remainder_coeff_check(pp)
     isometry_ok = isometry_check(pp)
     if not (remainder_ok and isometry_ok):
         failed = ("remainder top-coefficient"
                   if not remainder_ok else "Gram isometry")
+        if d <= f0.degree:
+            raise PairValidationError(
+                f"padding embedding failed the {failed} check at d = {d}; "
+                f"d >= {f0.degree + 1} guarantees the embedding")
         raise OracleMismatchError(
             f"padding embedding failed the {failed} check; the direct "
             "construction and the base form disagree")
 
-    base_space = invariant_space(build_pair(f0, g0))
-    base_cert = q_rank(base_space, search_bound)
+    base_cert = q_rank(invariant_space(build_pair(f0, g0)), search_bound)
     seeds = tuple(embed_vector(pp, w) for w in base_cert.isotropic_witnesses)
-    t2 = time.perf_counter()
 
     doc = _new_doc({"f0": f0_text, "g0": g0_text, "P": p_text, "Q": q_text,
                     "d": d}, pp.f, pp.g, classify_type(pp.f, pp.g), False)
-    space = _form_fields(doc, pp.pair)
-    doc["q_rank"] = _certificate_json(
-        q_rank(space, search_bound, seeds=seeds))
-    t3 = time.perf_counter()
-
+    _analyze_pair(doc, pp.pair, seeds, search_bound, DEFAULT_WORD_BOUND, t0)
     doc["padding"] = {
         "m": pp.m,
         "n": pp.f.degree,
@@ -307,10 +309,6 @@ def build_pad_report(f0_text: str, g0_text: str, p_text: str, q_text: str,
         "base_q_rank": _certificate_json(base_cert),
         "embedded_witnesses": [list(w) for w in seeds],
     }
-    doc["timings"] = {"construct_ms": _ms(t1 - t0),
-                      "checks_ms": _ms(t2 - t1),
-                      "analysis_ms": _ms(t3 - t2),
-                      "total_ms": _ms(t3 - t0)}
     return doc
 
 
@@ -553,7 +551,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="JSON-lines file of {\"f\": ..., \"g\": ...} "
                               "pairs; per-line failures do not abort")
     _common_flags(analyze)
-    # the witness hunt runs in analyze only
+    # pad hunts at DEFAULT_WORD_BOUND and examples runs no hunt
     analyze.add_argument("--word-bound", type=_word_bound,
                          default=DEFAULT_WORD_BOUND,
                          help="maximum reflection-word length in the witness "

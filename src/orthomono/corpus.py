@@ -22,15 +22,13 @@ literal reading of a misprint that escapes the cyclic lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from . import linalg
 from .monodromy import build_pair
 from .parsing import parse_poly
 from .polynomials import IntPoly, divrem, render
-from .quadform import (DEFAULT_SEARCH_BOUND, gram_invariance,
-                       invariant_space, q_rank)
+from .quadform import DEFAULT_SEARCH_BOUND, gram_invariance, q_rank
 from .witness import (GroupElement, WitnessContext, _render_reflection,
                       line_stabilizer_test, reflection_matrix)
 
@@ -157,19 +155,16 @@ def _matrix_text(m) -> str:
 
 
 class _Context:
-    """Shared per-entry state: the pair, the cyclic Gram, whose first row
-    is t_k = v . A^k v, and a lazily built witness context that evaluates
-    the reflection words."""
+    """Shared per-entry state: the pair, the witness context that
+    evaluates the reflection words, and its certified form, whose cyclic
+    Gram has first row t_k = v . A^k v."""
 
     def __init__(self, entry: Entry):
         self.f = parse_poly(entry.f_text)
         self.g = parse_poly(entry.g_text)
         self.pair = build_pair(self.f, self.g)
-        self.space = invariant_space(self.pair)
-
-    @cached_property
-    def witness(self) -> WitnessContext:
-        return WitnessContext(self.pair, self.space)
+        self.witness = WitnessContext(self.pair)
+        self.space = self.witness.space
 
     def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
         return linalg.vec_dot(a, self.space.gram, b)

@@ -15,8 +15,9 @@ and one dot for A and A^-1, a rank-one update for a reflection.  The
 hunt takes a dense product only inside the isometry check.
 
 arithmeticity_report runs the witness hunt alone: the caller builds the
-pair and form once, into the WitnessContext that the hunt's functions
-take; the signature is read off the form's kept diagonal.
+pair once, and the WitnessContext that the hunt's functions take builds
+and certifies its form once; the signature is read off the form's kept
+diagonal.
 reflection_matrix and orthocomplement take Gram rows.
 
 The hunt runs on ints over the integral cyclic Gram, with no elimination:
@@ -44,8 +45,7 @@ from typing import Sequence
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
 from .quadform import (DEFAULT_SEARCH_BOUND, SEARCH_CAP, OracleMismatchError,
-                       QuadSpace, _box_solutions, _unpreserved_generator,
-                       signature)
+                       _box_solutions, invariant_space, signature)
 
 WITNESSED = "witnessed-arithmetic"
 INCONCLUSIVE = "inconclusive"
@@ -122,23 +122,21 @@ class WitnessContext:
     """Cyclic-basis generators and form for one validated pair, with a
     cached orbit of v under short words for the witness search.
 
-    Construction runs invariant_space's O(n^2) invariance check of the
-    Gram against A and C.  The matrix of C is built and checked on first
-    use, so a pair whose hunt never runs (a definite form, or a search
-    box over the cap) never builds it."""
+    Construction builds the pair's form through invariant_space, whose
+    invariance check against A and C certifies it, and keeps it as
+    ctx.space; no other form can be handed in.  The matrix of C is built
+    and checked on first use, so a pair whose hunt never runs (a definite
+    form, or a search box over the cap) never builds it."""
 
-    def __init__(self, pair: HyperPair, space: QuadSpace):
+    def __init__(self, pair: HyperPair):
         self.pair = pair
         self.n = pair.n
-        self.space = space
-        self.gram = space.gram
+        self.space = invariant_space(pair)
+        self.gram = self.space.gram
         # multiplication by x has the same matrix in the cyclic basis
         self.A = pair.A
         self.A_inv = pair.A_inv
         self.v = tuple(int(i == 0) for i in range(self.n))
-        gen = _unpreserved_generator(pair, self.gram)
-        if gen is not None:
-            raise PairValidationError(f"{gen} does not preserve the form")
         self._orbits: dict[int, tuple[dict, dict]] = {}
         self._perps: dict[tuple[int, ...], tuple[list, list]] = {}
 
@@ -146,7 +144,7 @@ class WitnessContext:
     def generators(self) -> dict[str, tuple[tuple[int, ...], ...]]:
         """The matrices of the tokens A, A^-1 and C, each checked to
         preserve the form; B is the word A C."""
-        # reflection_matrix checks C, and __init__ A
+        # reflection_matrix checks C, and invariant_space A
         _check_isometry(self.gram, self.A_inv, "A^-1")
         return {"A": self.A, "A^-1": self.A_inv,
                 "C": reflection_matrix(self.gram, self.v).matrix}

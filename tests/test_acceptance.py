@@ -91,7 +91,7 @@ def test_c4_interlacing_matches_diagonalization_everywhere():
 
 
 def test_c5_unipotent_stabilizer_and_translation_span(base, base_gram):
-    ctx = WitnessContext(base, invariant_space(base))
+    ctx = WitnessContext(base)
     e0 = (1, 0, 0, 0, 0)
     e1 = (0, 1, 0, 0, 0)
     e2 = (0, 0, 1, 0, 0)

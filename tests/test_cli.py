@@ -163,7 +163,10 @@ def test_build_pad_report():
     assert pad["base_q_rank"]["lo"] == 2
     assert len(pad["embedded_witnesses"][0]) == 17
     assert doc["q_rank"]["lo"] >= 2
-    assert doc["witness"] is None
+    # the hunt runs as in analyze; 7^17 is over SEARCH_CAP, so it finds
+    # nothing
+    assert doc["witness"]["conclusion"] == "inconclusive"
+    assert doc["witness"]["unipotent"] is None
 
 
 def test_build_pad_report_trivial_exponent():
@@ -287,7 +290,8 @@ def test_word_bound_at_the_limit_runs(capsys):
     ["pad", "--f0", BASE_F, "--g0", BASE_G, "--P", "y^2+y+1", "--Q", "y^2+1"],
     ["examples"]], ids=["pad", "examples"])
 def test_word_bound_is_analyze_only(capsys, command):
-    # neither command runs a witness hunt, so neither takes the flag
+    # pad hunts at the default word bound and examples runs no hunt, so
+    # neither takes the flag
     with pytest.raises(SystemExit) as exc:
         cli.main(command + ["--word-bound=8"])
     assert exc.value.code == 2
@@ -555,6 +559,39 @@ def test_pad_command(capsys):
     doc = json.loads(cap.out)
     assert doc["padding"]["n"] == 17
     assert doc["input"]["d"] == 6
+
+
+def test_pad_exponent_below_six_is_bad_input(capsys):
+    # d >= deg f0 + 1 = 6 guarantees the embedding; below that a failed
+    # embedding check is an input the padding does not cover, not a bug
+    for d in range(1, 9):
+        code, cap = run(capsys, "pad", "--f0", "x^5-1",
+                        "--g0", "(x+1)*(x^2+1)^2",
+                        "--P", "y^2+y+1", "--Q", "y^2+1", "--d", str(d))
+        assert code == (2 if d <= 5 else 0), d
+        if d <= 5:
+            message = json.loads(cap.out)["error"]["message"]
+            assert "remainder top-coefficient check" in message
+            assert "d >= 6 guarantees the embedding" in message
+    # an input that passes both checks below d = 6 is padded as usual
+    code, cap = run(capsys, "pad", "--f0", "x^5-1",
+                    "--g0", "(x+1)*(x^2+1)^2", "--P", "y^4+y^3+y^2+y+1",
+                    "--Q", "y^4+y^3+3*y^2+y+1", "--d", "3")
+    assert code == 0
+    assert json.loads(cap.out)["padding"]["n"] == 17
+
+
+@pytest.mark.parametrize("check", ["remainder_coeff_check",
+                                   "isometry_check"])
+def test_pad_embedding_failure_from_six_on_exits_3(capsys, monkeypatch,
+                                                     check):
+    # from d = 6 on the embedding is guaranteed, so a failed check is a bug
+    monkeypatch.setattr(cli, check, lambda pp: False)
+    code, cap = run(capsys, "pad", "--f0", "x^5-1",
+                    "--g0", "(x+1)*(x^2+1)^2",
+                    "--P", "y^2+y+1", "--Q", "y^2+1", "--d", "6")
+    assert code == 3
+    assert json.loads(cap.out)["error"]["kind"] == "oracle-mismatch"
 
 
 def test_pad_rejects_common_factor(capsys):

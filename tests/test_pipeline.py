@@ -71,8 +71,9 @@ def each(times):
 
 # signature counts the signs of the form's kept diagonal, so each stage
 # that needs (p, q) takes it: the report's form fields, q_rank's
-# hi <= min(p, q) check and the hunt's real-rank test.  The elimination
-# behind the diagonal is counted by the eliminations tests below.
+# hi <= min(p, q) check and the hunt's real-rank test, and in pad the
+# base certificate's q_rank before them.  The elimination behind the
+# diagonal is counted by the eliminations tests below.
 
 def test_analyze_builds_each_object_once(calls):
     doc = cli.build_report(BASE_F, BASE_G)
@@ -83,7 +84,7 @@ def test_analyze_builds_each_object_once(calls):
 def test_pad_builds_base_and_padded_objects_once(calls):
     doc = cli.build_pad_report(BASE_F, BASE_G, "y^2+y+1", "y^2+1")
     assert doc["padding"]["n"] == 17
-    assert calls == {**each(2), "signature": 3}
+    assert calls == {**each(2), "signature": 4}
 
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
@@ -160,8 +161,8 @@ def test_build_pair_takes_no_elimination_and_no_product(monkeypatch, f_text,
 
 # invariant_space certifies the remainder Gram entry by entry against A
 # and C: it solves nothing and multiplies no matrices, and its one
-# elimination is the congruence diagonal it keeps.  WitnessContext runs
-# the same check, so the package has one invariance check of the form
+# elimination is the congruence diagonal it keeps.  WitnessContext builds
+# its form through invariant_space, so the form is certified once
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_invariant_space_solves_nothing(monkeypatch, entry):
@@ -171,10 +172,26 @@ def test_invariant_space_solves_nothing(monkeypatch, entry):
                                     (linalg, "mat_mul"),
                                     (quadform, "congruence_diagonal"),
                                     (quadform, "_unpreserved_generator")))
-    space = quadform.invariant_space(pair)
+    witness.WitnessContext(pair)
     assert counts == {"congruence_diagonal": 1, "_unpreserved_generator": 1}
-    witness.WitnessContext(pair, space)
-    assert counts == {"congruence_diagonal": 1, "_unpreserved_generator": 2}
+
+
+@pytest.mark.parametrize("build, args, degrees", [
+    (cli.build_report, (BASE_F, BASE_G), [5]),
+    # pad certifies the base form for the base certificate, then the
+    # padded one for the analysis of the padded pair
+    (cli.build_pad_report, (BASE_F, BASE_G, "y^2+y+1", "y^2+1"), [5, 17])])
+def test_each_command_certifies_each_form_once(monkeypatch, build, args,
+                                               degrees):
+    checked = []
+    original = quadform._unpreserved_generator
+
+    def counted(pair, gram):
+        checked.append(pair.n)
+        return original(pair, gram)
+    monkeypatch.setattr(quadform, "_unpreserved_generator", counted)
+    build(*args)
+    assert checked == degrees
 
 
 # invariant_space takes the one congruence diagonal of the certified form;
@@ -346,8 +363,8 @@ def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
     (), ("A",), ("A", "C", "A^-1", "C"), ("C", "A^-1", "A^-1", "C", "A"),
     ("C[0,1,0,0,0]", "A", "C[0,0,1,0,0]", "C")])
 def test_element_multiplies_matrices_only_to_check(monkeypatch, base_pair,
-                                                   base_space, word):
-    ctx = witness.WitnessContext(base_pair, base_space)
+                                                   word):
+    ctx = witness.WitnessContext(base_pair)
     ctx.element(("A",))  # the generators are built and checked on first use
     where, counts = [], Counter()
     original_check, original_mul = witness._check_isometry, linalg.mat_mul

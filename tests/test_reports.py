@@ -7,8 +7,9 @@ exit 0 (the nine coprime degree-2 choices of (P, Q) and P = Q = 1),
 `examples --json`, three inputs that fail validation (exit 2): a pair
 sharing Phi(3), P = Q, and coprime P, Q whose padded f and g share x - 1,
 and a quintic whose residual diagonal has entries of up to 81 bits, which
-the anisotropy scan reduces by the squares of its primes only.  A
-performance change must leave every digest alone;
+the anisotropy scan reduces by the squares of its primes only.  Each pad
+is also checked to be the analysis of its padded pair.  A performance
+change must leave every digest alone;
 a change that alters a report on purpose updates the digests here and
 records the new values, and why, in CHANGES.md.
 """
@@ -18,7 +19,11 @@ import json
 import pytest
 
 from orthomono import cli, corpus
+from orthomono.monodromy import classify_type
+from orthomono.padding import pad_pair
+from orthomono.parsing import parse_poly
 from orthomono.polynomials import render
+from orthomono.quadform import DEFAULT_SEARCH_BOUND
 
 from conftest import BASE_F, BASE_G, random_cyclotomic_pairs
 
@@ -179,25 +184,25 @@ DIGESTS = {
     "battery-49": (
         0, "740376bdb023380d99964739a11ff4048903a53fd3da000f6c1f1ea554a660d2"),
     "pad(1,1)": (
-        0, "8a0f234f0a1c7e714944a881e6cb74a14fb1eaf13b2dc0c20e26e6c43155bb00"),
+        0, "c98b531b2cc820a445698ec5c1060b8508d650fbd0de1f379c6ded86810b092d"),
     "pad(y^2-y+1,y^2+1)": (
-        0, "7897657bde36efe0c7a38a05abbc0c5719381a5751f462332dc888b8c207569d"),
+        0, "b69372aa0fc094c731822ff71f4a4b8bb0d982ec011f90a968b40dec248e0154"),
     "pad(y^2-y+1,y^2+y+1)": (
-        0, "95e7add9ec183dd7bb1d7afc85a834322ee97b941fd82146197f83408de17b3c"),
+        0, "00ea9cff8b511753d32d8e3b9dc0b9853453d4dc0e3ce2525229ef8a80436dbc"),
     "pad(y^2-y+1,y^2+2*y+1)": (
-        0, "4c70a4aa012fcc19c2f64c1be2d0048962b3d8e98daf1ad9d8bca289f590b817"),
+        0, "596be06367965ece959a0eaa1bdb6c5584035db44989120152e6ba57d6a100b6"),
     "pad(y^2+1,y^2-y+1)": (
-        0, "7ce9958434231d4bf429881412b8970e7afe209a94d00468929bd223440bdac4"),
+        0, "53e6b46e22253c207f267ee66d026c8332fdd7067ef3ab11f2d411b30ded1fff"),
     "pad(y^2+1,y^2+y+1)": (
-        0, "5ea2232e4cf1b9e6d9a50eafa1f40f83699feb0e1e1a3624e84ddd4722c3d3bd"),
+        0, "0345c442d2b39ec71019d774cccfe4266ffdf1040991f3200217929f3972bb2c"),
     "pad(y^2+1,y^2+2*y+1)": (
-        0, "e24074ef19ab8e30ac46b220829214b75079b476f2ecf6d6e55d18204aa4657a"),
+        0, "11551780f292a498e8286bfcf144a8dfe6119358d43fd5ca059c13b83eabff97"),
     "pad(y^2+y+1,y^2-y+1)": (
-        0, "75737d3fee20733c4ae9e4ecb417003f0cb734c4f77214515a04a640a0c48acf"),
+        0, "8790f0035d1fb8d044e86581c417156da8391a4f536805f3022b2daae34dd7b7"),
     "pad(y^2+y+1,y^2+1)": (
-        0, "c4f06cd995bcc68627e3dc401d4de09a045163ccdfb5f9bd254ec358062b98b2"),
+        0, "4f50796c8fe41e0e7d021a94284dc592c140f3b001737b5670e674ec76e1b707"),
     "pad(y^2+y+1,y^2+2*y+1)": (
-        0, "6018c780c98550fc54b89a7bed1d7652b46413fbcafe753641615db98a900ee7"),
+        0, "ec62f4b4508f21a32186826e277ffd5f3c2428718828a87b76b04bc93ef040a6"),
     "examples": (
         0, "8cf3dd1dbe7fc3ca4411f9403eb4d92b225a99a063ae4c36294a691a0a3f2071"),
     "invalid-analyze-shared-factor": (
@@ -238,3 +243,32 @@ def test_report_text_is_the_stdlib_json_text(label, argv, tmp_path, capsys):
     doc = cli.parse_report(text)
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert cli.serialize_report(doc) == text
+
+
+# a pad is the analysis of its padded pair, with the base quintic's rank
+# witnesses, zero-padded, as the seeds of its Q-rank search: the two
+# documents agree apart from input, padding and timings
+
+def _analysis(doc: dict) -> dict:
+    return {k: v for k, v in doc.items()
+            if k not in ("input", "padding", "timings")}
+
+
+@pytest.mark.parametrize("P, Q", PADS, ids=[f"{P},{Q}" for P, Q in PADS])
+def test_pad_is_the_analysis_of_its_padded_pair(P, Q):
+    pad = cli.build_pad_report(BASE_F, BASE_G, P, Q)
+    pp = pad_pair(parse_poly(BASE_F), parse_poly(BASE_G),
+                  parse_poly(P, var="y"), parse_poly(Q, var="y"))
+    base = cli.build_report(BASE_F, BASE_G)["q_rank"]["witnesses"]
+    seeds = [tuple(w) + (0,) * (pp.f.degree - 5) for w in base]
+    doc = cli._analyze_pair(
+        cli._new_doc({}, pp.f, pp.g, classify_type(pp.f, pp.g), False),
+        pp.pair, seeds, DEFAULT_SEARCH_BOUND, cli.DEFAULT_WORD_BOUND, 0.0)
+    assert _analysis(pad) == _analysis(doc)
+
+
+def test_trivial_pad_is_the_analysis_of_the_base_quintic():
+    pad = cli.build_pad_report(BASE_F, BASE_G, "1", "1")
+    base = cli.build_report(BASE_F, BASE_G)
+    assert _analysis(pad) == _analysis(base)
+    assert pad["witness"]["conclusion"] == "witnessed-arithmetic"

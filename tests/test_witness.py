@@ -11,8 +11,7 @@ from orthomono.padding import pad_pair
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import render
 from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
-                                invariant_space, isotropic_search, q_rank,
-                                signature)
+                                isotropic_search, q_rank, signature)
 from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
                                GroupElement, WitnessContext,
                                arithmeticity_report,
@@ -61,7 +60,7 @@ def translation_vector(u, eps, ctx):
 
 @pytest.fixture(scope="module")
 def ctx(base_pair, base_space):
-    return WitnessContext(base_pair, base_space)
+    return WitnessContext(base_pair)
 
 
 def e(k, n=5):
@@ -144,23 +143,42 @@ def test_context_generators_preserve_form(ctx):
             linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(H, m)), H)
 
 
-def test_context_rejects_a_gram_that_A_does_not_preserve(base_pair,
-                                                          base_space):
-    # the generators are built on first use, but A's check runs at once
+# the context builds its form through invariant_space, so a Gram that the
+# pair's generators do not preserve fails _unpreserved_generator, and a
+# context never holds one
+
+def _context_with_remainder_gram(monkeypatch, pair, gram):
+    monkeypatch.setattr(quadform, "gram_remainder",
+                        lambda pair: QuadSpace(gram=gram))
+    return WitnessContext(pair)
+
+
+def test_unpreserved_generator_names_A_for_a_bent_gram(monkeypatch,
+                                                       base_pair,
+                                                       base_space):
     gram = [list(row) for row in base_space.gram]
     gram[0][1] += 1
     gram[1][0] += 1
-    bent = QuadSpace(gram=tuple(map(tuple, gram)))
-    with pytest.raises(PairValidationError, match="A does not preserve"):
-        WitnessContext(base_pair, bent)
+    bent = tuple(map(tuple, gram))
+    assert quadform._unpreserved_generator(base_pair, bent) == "A"
+    with pytest.raises(OracleMismatchError, match="fails the A invariance"):
+        _context_with_remainder_gram(monkeypatch, base_pair, bent)
 
 
-def test_context_rejects_a_doubled_gram(base_pair, base_space):
+def test_unpreserved_generator_names_C_for_a_doubled_gram(monkeypatch,
+                                                          base_pair,
+                                                          base_space):
     # A preserves 2 G, but its row 0 is not the normalization v.v = 2
-    doubled = QuadSpace(gram=tuple(tuple(2 * x for x in row)
-                                   for row in base_space.gram))
-    with pytest.raises(PairValidationError, match="C does not preserve"):
-        WitnessContext(base_pair, doubled)
+    doubled = tuple(tuple(2 * x for x in row) for row in base_space.gram)
+    assert quadform._unpreserved_generator(base_pair, doubled) == "C"
+    with pytest.raises(OracleMismatchError, match="fails the C invariance"):
+        _context_with_remainder_gram(monkeypatch, base_pair, doubled)
+
+
+def test_context_certifies_its_own_form(base_pair, base_space):
+    ctx = WitnessContext(base_pair)
+    assert ctx.space == base_space
+    assert ctx.gram == base_space.gram
 
 
 def test_verified_rejects_mismatch(ctx):
@@ -197,7 +215,7 @@ def _check_random_words(ctx, seed, count=12, length=10):
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_element_is_the_dense_product(entry):
     pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
-    _check_random_words(WitnessContext(pair, invariant_space(pair)), 20261019)
+    _check_random_words(WitnessContext(pair), 20261019)
 
 
 @pytest.mark.parametrize("d, n", [(2, 9), (6, 17)])
@@ -206,7 +224,7 @@ def test_element_is_the_dense_product_on_pads(d, n):
                     parse_poly("y^2+1", var="y"),
                     parse_poly("y^2-y+1", var="y"), d=d).pair
     assert pair.n == n
-    _check_random_words(WitnessContext(pair, invariant_space(pair)), n,
+    _check_random_words(WitnessContext(pair), n,
                         count=6)
 
 
@@ -219,7 +237,7 @@ def test_word_orbit_deterministic_and_cached(ctx):
     first = ctx.word_orbit(4)
     again = ctx.word_orbit(4)
     assert first == again
-    fresh = WitnessContext(ctx.pair, ctx.space).word_orbit(4)
+    fresh = WitnessContext(ctx.pair).word_orbit(4)
     assert first[0] == fresh[0] and first[1] == fresh[1]
     assert list(first[0].values()) == list(fresh[0].values())
 
@@ -231,7 +249,7 @@ def test_word_orbit_rejects_bound_below_one(ctx, bound):
 
 
 def test_word_orbit_rejects_bound_above_the_limit(ctx):
-    fresh = WitnessContext(ctx.pair, ctx.space)
+    fresh = WitnessContext(ctx.pair)
     with pytest.raises(ValueError, match="at most MAX_WORD_BOUND = 16"):
         fresh.word_orbit(witness.MAX_WORD_BOUND + 1)
     assert fresh._orbits == {}
@@ -324,7 +342,7 @@ def test_word_orbit_matches_matrix_reference(f_text, g_text, bound):
     # the two-map image walk against the matrix walk, then word_orbit's
     # (images, keys) against what its maps give
     pair = build_pair(parse_poly(f_text), parse_poly(g_text))
-    ctx = WitnessContext(pair, invariant_space(pair))
+    ctx = WitnessContext(pair)
     v = ctx.v
     v_keys = (tuple(0 for _ in v), tuple(2 * a for a in v))
     two_maps = _minus_plus_word_orbit(ctx, bound)
@@ -396,7 +414,7 @@ def test_word_orbit_matches_the_generator_walk(entry):
     # through the pairing; the orbit, its order and its keys must be
     # those of the plain walk at every bound
     pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
-    ctx = WitnessContext(pair, invariant_space(pair))
+    ctx = WitnessContext(pair)
     for bound in range(1, 13):
         images, keys = ctx.word_orbit(bound)
         want_images, want_keys = _generator_word_orbit(ctx, bound)
@@ -566,7 +584,7 @@ def test_integral_reflection_vectors(ctx):
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_reflection_axes_walk_one_solve_per_prefix(monkeypatch, entry):
     pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
-    ctx = WitnessContext(pair, invariant_space(pair))
+    ctx = WitnessContext(pair)
     calls = []
     original = quadform._quadratic_roots
 
@@ -634,10 +652,9 @@ def test_span_rank_rejects_a_non_integral_axis_up_front(ctx, u):
 def hunt(pair):
     """Signature, rank certificate and witness report, as analyze runs
     them, with search bound 3 and word bound 8."""
-    space = invariant_space(pair)
-    cert = q_rank(space, 3)
-    return signature(space), cert, arithmeticity_report(
-        WitnessContext(pair, space), 3, 8)
+    ctx = WitnessContext(pair)
+    cert = q_rank(ctx.space, 3)
+    return signature(ctx.space), cert, arithmeticity_report(ctx, 3, 8)
 
 
 def test_report_base(base_pair):
@@ -681,8 +698,7 @@ def test_radical_factors_on_worked_pair(entry):
     # the witnessed (eps, u) of the pair, conjugated by every product of
     # at most two of its span reflections
     pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
-    space = invariant_space(pair)
-    ctx = WitnessContext(pair, space)
+    ctx = WitnessContext(pair)
     rep = arithmeticity_report(ctx, 3, 8)
     eps, u = rep.epsilon, rep.unipotent
     refl = [reflection_matrix(ctx.gram, w)
@@ -743,7 +759,7 @@ def _pair_cases(max_degree=12):
 @pytest.mark.parametrize("f_text, g_text", _pair_cases())
 def test_orbit_candidates_equal_box_hits_with_orbit_keys(f_text, g_text):
     pair = build_pair(parse_poly(f_text), parse_poly(g_text))
-    ctx = WitnessContext(pair, invariant_space(pair))
+    ctx = WitnessContext(pair)
     for bound in (1, 2, 3):
         if (2 * bound + 1) ** ctx.n > SEARCH_CAP:
             continue
@@ -787,7 +803,7 @@ def _four_way_unipotent(ctx, two_maps, eps):
 @pytest.mark.parametrize("f_text, g_text", _pair_cases())
 def test_unipotent_lookup_matches_the_four_way_lookup(f_text, g_text):
     pair = build_pair(parse_poly(f_text), parse_poly(g_text))
-    ctx = WitnessContext(pair, invariant_space(pair))
+    ctx = WitnessContext(pair)
     # the word bound 8 candidates at word bound 4 too, where some miss
     candidates = orbit_candidates(ctx, 3, 8)
     for word_bound in (4, 8):
@@ -863,7 +879,7 @@ def test_span_rank_matches_matrix_reference(f_text, g_text):
     _, _, rep = hunt(pair)
     eps, u = rep.epsilon, rep.unipotent
     assert u is not None
-    ctx = WitnessContext(pair, invariant_space(pair))
+    ctx = WitnessContext(pair)
     axes = integral_reflection_vectors(ctx, eps)
     refl = [reflection_matrix(ctx.gram, w) for w in axes]
     assert span_rank_witness(u, axes, eps, ctx) \
@@ -881,7 +897,7 @@ def test_span_rank_matches_matrix_reference(f_text, g_text):
 def test_span_closure_matches_matrix_reference_on_every_candidate(
         f_text, g_text):
     pair = build_pair(parse_poly(f_text), parse_poly(g_text))
-    ctx = WitnessContext(pair, invariant_space(pair))
+    ctx = WitnessContext(pair)
     checked = 0
     for eps in orbit_candidates(ctx, 3, 8):
         u = unipotent_from_reflections(ctx, eps, 8)
@@ -904,7 +920,7 @@ def test_span_closure_matches_matrix_reference_on_every_candidate(
 @pytest.mark.parametrize("f_text, g_text", _span_cases())
 def test_translation_vector_read_off_u(f_text, g_text):
     pair = build_pair(parse_poly(f_text), parse_poly(g_text))
-    ctx = WitnessContext(pair, invariant_space(pair))
+    ctx = WitnessContext(pair)
     checked = 0
     for eps in orbit_candidates(ctx, 3, 8):
         u = unipotent_from_reflections(ctx, eps, 8)
