@@ -29,8 +29,8 @@ from .monodromy import build_pair
 from .parsing import parse_poly
 from .polynomials import IntPoly, divrem, render
 from .quadform import DEFAULT_SEARCH_BOUND, gram_invariance, q_rank
-from .witness import (GroupElement, WitnessContext, _render_reflection,
-                      line_stabilizer_test, reflection_matrix)
+from .witness import (GroupElement, WitnessContext, line_stabilizer_test,
+                      reflection_matrix)
 
 ERRATA = {
     "dropped-term": "the stated Av omits the 4x^2 term of g - f; every "
@@ -176,11 +176,11 @@ class _Context:
 
     def word_matrix(self, word: Sequence[int]) -> GroupElement:
         """Product of reflections about A^k v, leftmost applied last,
-        matching the written order C_{A^k1 v} C_{A^k2 v} ..."""
-        n = self.pair.n
+        matching the written order C_{A^k1 v} C_{A^k2 v} ...; the
+        reflection about A^k v is the word A^k C A^-k."""
         return self.witness.element(tuple(
-            _render_reflection(tuple(int(i == k) for i in range(n)))
-            for k in word))
+            t for k in word
+            for t in ("A",) * k + ("C",) + ("A^-1",) * k))
 
 
 def _eval_poly(ctx: _Context, spec: tuple, stated) -> tuple[str, str, bool]:
@@ -238,7 +238,7 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
         axis, arg = d.spec
         # every axis is some A^k v, of norm 2, so the reflection is integral
         image = tuple(linalg.mat_vec(
-            reflection_matrix(ctx.space.gram, axis).matrix, arg))
+            reflection_matrix(ctx.space.gram, axis), arg))
         return DatumResult(d.label, _combo_text(d.stated),
                            _combo_text(image), image == d.stated, d.erratum)
     if d.kind == "word-image":

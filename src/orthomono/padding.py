@@ -72,12 +72,15 @@ def pad_pair(f0: IntPoly, g0: IntPoly, P: IntPoly, Q: IntPoly,
 
 
 def remainder_coeff_check(pp: PaddedPair) -> bool:
-    """Top remainder coefficients are padding-invariant: for k = 0..4 the
+    """Top remainder coefficients are padding-invariant: for k = 0..3 the
     x^{n-1} coefficient of rem(x^k (f - g), f) equals the x^4 coefficient
-    of rem(x^k (f0 - g0), f0)."""
+    of rem(x^k (f0 - g0), f0).  That coefficient is -t_(k+1) of the
+    cyclic Gram row t_j = v . A^j v, so the check covers t_1 .. t_4, the
+    rest of the 5x5 block; t_0 = v . v = 2 for every orthogonal pair, as
+    invariant_space certifies."""
     n = pp.f.degree
     diff, diff0 = pp.f - pp.g, pp.f0 - pp.g0
-    for k in range(5):
+    for k in range(4):
         xk = IntPoly.monomial(k)
         top = divrem(xk * diff, pp.f)[1].coeff(n - 1)
         top0 = divrem(xk * diff0, pp.f0)[1].coeff(4)

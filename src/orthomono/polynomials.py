@@ -24,9 +24,10 @@ from . import linalg
 
 # Largest polynomial degree, and so pair dimension n, that parse_poly and
 # pad_pair accept.  The slowest input measured under it, analyze of
-# (x-1)^127, (x+1)^127, takes about 35 s (a 2-vCPU VM, Python 3.11),
-# nearly all of it the congruence diagonal; the largest worked example
-# has degree 29.
+# (x-1)^127, (x+1)^127, takes about 20 s (19.7 s for one in-process
+# build_report on a 2-vCPU Intel Xeon VM, Python 3.11.7, load about
+# 0.5), nearly all of it the congruence diagonal; the largest worked
+# example has degree 29.
 MAX_DEGREE = 128
 
 

@@ -7,12 +7,15 @@ isotropic vector eps, a nontrivial unipotent element fixing eps built
 from two reflections, and enough reflection conjugates of it to span the
 full translation group of the parabolic fixing the line through eps.
 
-Each group element carries both its matrix and the word over
-{A, A^-1, C, C[coords]} that produced it, and the two are cross-checked
-at construction, so every certificate is replayable.  A matrix is
-multiplied by a token as an update of its rows, O(n) per row: a shift
-and one dot for A and A^-1, a rank-one update for a reflection.  The
-hunt takes a dense product only inside the isometry check.
+Each group element is an element of the monodromy group <A, C>: it
+carries both its matrix and the word over {A, A^-1, C} that produced
+it, and the two are cross-checked at construction, so every certificate
+is replayable.  A matrix is multiplied by a token as an update of its
+rows, O(n) per row: a shift and one dot for A and A^-1, a rank-one
+update for C.  The hunt takes a dense product only inside the isometry
+check.  A reflection about any other axis is an int matrix from
+reflection_matrix, not a group element: the span axes of
+integral_reflection_vectors are such axes.
 
 arithmeticity_report runs the witness hunt alone: the caller builds the
 pair once, and the WitnessContext that the hunt's functions take builds
@@ -98,16 +101,8 @@ CAVEATS = (
 )
 
 
-def _render_reflection(w: Sequence[int]) -> str:
-    return "C[" + ",".join(str(int(x)) for x in w) + "]"
-
-
-def _parse_reflection(token: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in token[2:-1].split(","))
-
-
 def _inverse_word(word: Sequence[str]) -> tuple[str, ...]:
-    # reflections and C are involutions; A inverts by name
+    # C is an involution; A inverts by name
     return tuple(_TOKEN_INVERSE.get(t, t) for t in reversed(word))
 
 
@@ -147,11 +142,7 @@ class WitnessContext:
         # reflection_matrix checks C, and invariant_space A
         _check_isometry(self.gram, self.A_inv, "A^-1")
         return {"A": self.A, "A^-1": self.A_inv,
-                "C": reflection_matrix(self.gram, self.v).matrix}
-
-    @property
-    def C(self):
-        return self.generators["C"]
+                "C": reflection_matrix(self.gram, self.v)}
 
     @cached_property
     def _steps(self) -> dict:
@@ -173,20 +164,16 @@ class WitnessContext:
             "C": lambda rows: _times_reflection(rows, *c_axis)}
 
     def element(self, word: Sequence[str]) -> GroupElement:
-        """The element of word, its matrix the product of the token
-        matrices in word order, each applied to the rows of the product so
-        far in O(n^2); a C[w] token's reflection_matrix is built and
-        checked first.  The product is checked to preserve the form."""
+        """The element of a word over {A, A^-1, C}, its matrix the product
+        of the token matrices in word order, each applied to the rows of
+        the product so far in O(n^2); any other token raises ValueError.
+        The product is checked to preserve the form."""
         rows = linalg.identity(self.n)
         for token in word:
             step = self._steps.get(token)
-            if step is not None:
-                rows = step(rows)
-            elif token.startswith("C[") and token.endswith("]"):
-                axis = _checked_axis(self.gram, _parse_reflection(token))
-                rows = _times_reflection(rows, *axis)
-            else:
+            if step is None:
                 raise ValueError(f"unknown word token {token!r}")
+            rows = step(rows)
         m = int_matrix(rows)
         _check_isometry(self.gram, m, " ".join(word) if word else "identity")
         return GroupElement(word=tuple(word), matrix=m)
@@ -328,25 +315,17 @@ def _times_reflection(rows, h: Sequence[int], w_d: Sequence[int]) -> list:
     return out
 
 
-def _checked_axis(gram: Sequence[Sequence], w: Sequence[int]
-                  ) -> tuple[list[int], list[int]]:
-    """_reflection_axis(gram, w), once reflection_matrix has built the
-    reflection's matrix and checked that it preserves the form."""
-    reflection_matrix(gram, w)
-    return _reflection_axis(gram, w)
-
-
 def reflection_matrix(gram: Sequence[Sequence], w: Sequence[int]
-                      ) -> GroupElement:
-    """GroupElement of the reflection x -> x - (2 (x.w) / (w.w)) w about
-    w, which must be integral: the matrix I - (w / d) h^T of
-    _reflection_axis, checked to preserve the form."""
+                      ) -> tuple[tuple[int, ...], ...]:
+    """The int matrix of the reflection x -> x - (2 (x.w) / (w.w)) w
+    about w, which must be integral: I - (w / d) h^T of _reflection_axis,
+    checked to preserve the form.  For an image g(v) of v under a word g
+    it is the group element g C g^-1, as A^k C A^-k for A^k v."""
     h, w_d = _reflection_axis(gram, w)
     matrix = tuple(tuple(int(i == j) - c * x for j, x in enumerate(h))
                    for i, c in enumerate(w_d))
-    word = _render_reflection(w)
-    _check_isometry(gram, matrix, word)
-    return GroupElement(word=(word,), matrix=matrix)
+    _check_isometry(gram, matrix, f"reflection about {tuple(w)}")
+    return matrix
 
 
 def orthocomplement(gram: Sequence[Sequence], eps: Sequence[int]
@@ -445,8 +424,8 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
     eps = ctx.perp(eps)[0][0]
     keys = ctx.word_orbit(word_bound)[1]
     for _, _, word, x in keys.get(linalg.sign_canonical(eps), ()):
-        cx = reflection_matrix(ctx.gram, x)
-        u_matrix = ctx._steps["C"](cx.matrix)  # C applied to C_x's rows
+        # C applied to the rows of C_x
+        u_matrix = ctx._steps["C"](reflection_matrix(ctx.gram, x))
         u_word = word + ("C",) + _inverse_word(word) + ("C",)
         u = ctx.verified(u_word, u_matrix)
         if u.is_identity:
@@ -463,7 +442,9 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
     integral and fix the line through eps: the images A^k v, the
     perp-basis vectors, then (dimension permitting) the bounded box
     search, walked inside eps-perp.  Deduplicated by sign, deterministic
-    order."""
+    order.  The reflection about A^k v is A^k C A^-k, in the group <A, C>;
+    those about the perp-basis and box vectors are not shown to be, so
+    these axes are int vectors, not words."""
     gram, n = ctx.gram, ctx.n
     perp, _ = ctx.perp(eps)
     # A^k v is the k-th unit vector of the cyclic basis
@@ -579,7 +560,8 @@ def _check_conjugate(u: GroupElement, axes: Sequence[tuple[int, ...]],
     built and checked by reflection_matrix."""
     conj = u.matrix
     for w in reversed(axes):
-        h, w_d = _checked_axis(ctx.gram, w)
+        reflection_matrix(ctx.gram, w)
+        h, w_d = _reflection_axis(ctx.gram, w)
         conj = _times_reflection(conj, h, w_d)  # X r
         # r X = X - (w / d) (h^T X)
         h_x = [sum(map(operator.mul, h, col)) for col in zip(*conj)]
@@ -635,6 +617,11 @@ def arithmeticity_report(ctx: WitnessContext, search_bound: int,
     Anything less is reported as inconclusive, with whatever partial
     evidence was found embedded in the report.  No hunt runs when the
     search box is over SEARCH_CAP.
+
+    The unipotent is a word over {A, A^-1, C}, but the span axes of
+    integral_reflection_vectors from the perp basis and the ambient box
+    are not shown to give reflections in <A, C>, so neither are the
+    conjugates that fill the translation group.
     """
     p, q = signature(ctx.space)
     n = ctx.n

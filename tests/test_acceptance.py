@@ -97,10 +97,10 @@ def test_c5_unipotent_stabilizer_and_translation_span(base, base_gram):
     e2 = (0, 0, 1, 0, 0)
     vprime = (-1, 0, 0, 1, 1)
     eps = (-1, 0, 1, 0, 0)  # A^2 v - v; u translates v by twice this
-    cv = reflection_matrix(base_gram, e0)
-    ca2v = reflection_matrix(base_gram, e2)
-    u = ctx.verified(ca2v.word + cv.word,
-                     linalg.mat_mul(ca2v.matrix, cv.matrix))
+    # C_{A^2 v} C_v, the reflection about A^2 v being the word A^2 C A^-2
+    u = ctx.verified(("A", "A", "C", "A^-1", "A^-1", "C"),
+                     linalg.mat_mul(reflection_matrix(base_gram, e2),
+                                    reflection_matrix(base_gram, e0)))
     st = line_stabilizer_test(u, eps, ctx)
     assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
         == (True, True, True)

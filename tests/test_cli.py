@@ -563,16 +563,23 @@ def test_pad_command(capsys):
 
 def test_pad_exponent_below_six_is_bad_input(capsys):
     # d >= deg f0 + 1 = 6 guarantees the embedding; below that a failed
-    # embedding check is an input the padding does not cover, not a bug
+    # embedding check is an input the padding does not cover, not a bug.
+    # At d = 5 this pad changes only t_5 of the Gram row, outside the 5x5
+    # block, so both checks pass
     for d in range(1, 9):
         code, cap = run(capsys, "pad", "--f0", "x^5-1",
                         "--g0", "(x+1)*(x^2+1)^2",
                         "--P", "y^2+y+1", "--Q", "y^2+1", "--d", str(d))
-        assert code == (2 if d <= 5 else 0), d
-        if d <= 5:
+        assert code == (2 if d <= 4 else 0), d
+        if d <= 4:
             message = json.loads(cap.out)["error"]["message"]
             assert "remainder top-coefficient check" in message
             assert "d >= 6 guarantees the embedding" in message
+        else:
+            padding = json.loads(cap.out)["padding"]
+            assert padding["n"] == 2 * d + 5, d
+            assert padding["remainder_coeff_check"] is True, d
+            assert padding["isometry_check"] is True, d
     # an input that passes both checks below d = 6 is padded as usual
     code, cap = run(capsys, "pad", "--f0", "x^5-1",
                     "--g0", "(x+1)*(x^2+1)^2", "--P", "y^4+y^3+y^2+y+1",

@@ -2,8 +2,9 @@
 uses, every public function has a caller in the package or is
 exported, every exemption from that still names a defined function
 with no caller, every module-level private function or class has a use
-in the package, every function the benchmark's tracer looks up by
-name exists, and the counts its tracer reads off return values match
+in the package, every GroupElement is built by WitnessContext from a
+word over A, A^-1 and C, every function the benchmark's tracer looks up
+by name exists, and the counts its tracer reads off return values match
 the real results.  The package's __init__.py is exempt from the first check,
 since its imports are the public re-exports, and so is `from __future__`."""
 import ast
@@ -223,6 +224,50 @@ def test_every_uncalled_kept_name_is_defined_and_still_uncalled():
         {p.name: p.read_text() for p in MODULES})
     assert sorted(name for name in UNCALLED_KEPT
                   if name not in defined or name in called) == []
+
+
+def _group_element_builders(source: str) -> list[str]:
+    """The dotted names of the functions (Class.method for a method) in
+    which source calls GroupElement(...), by name or as an attribute;
+    "<module>" for a call outside every function."""
+    found = []
+
+    def walk(node, scope):
+        if isinstance(node, ast.Call) and "GroupElement" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            walk(child, inner)
+    walk(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_finds_group_element_builders():
+    source = ("x = GroupElement((), m)\n"
+              "class K:\n"
+              "    def f(self):\n"
+              "        def g():\n"
+              "            return GroupElement(w, m)\n"
+              "        return witness.GroupElement(w, m)\n"
+              "def h():\n"
+              "    return GroupElement\n")
+    assert _group_element_builders(source) == ["<module>", "K.f", "K.f.g"]
+
+
+def test_every_group_element_is_a_replayed_word():
+    # an element of the group <A, C> is built only where its word over
+    # A, A^-1 and C is evaluated or checked against its matrix; a
+    # reflection about any other axis stays an int matrix
+    builders = {p.name: _group_element_builders(p.read_text())
+                for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in builders.items() if found} \
+        == {"witness.py": ["WitnessContext.element",
+                           "WitnessContext.verified"]}
 
 
 # the benchmark's tracer rebinds these (module, attribute) names of the

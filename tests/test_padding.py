@@ -76,8 +76,9 @@ def test_embed_vector():
 
 
 def test_exponent_threshold():
-    # below the default exponent the low-degree terms of Q(x^d) interfere
-    expectations = {1: (False, False), 2: (False, False), 5: (False, True),
+    # below d = 5 the low-degree terms of Q(x^d) interfere with the 5x5
+    # block; at d = 5 they reach only t_5, which neither check reads
+    expectations = {1: (False, False), 2: (False, False), 5: (True, True),
                     6: (True, True), 7: (True, True), 12: (True, True)}
     for d, (rem_ok, iso_ok) in expectations.items():
         pp = pad_pair(F0, G0, FAMILY_P[1], FAMILY_Q, d)

@@ -121,7 +121,7 @@ def test_reflections_preserve_the_form(cyclotomic_pairs):
             reference = reflection_by_columns(H, w)
             if all(a.denominator == 1 for row in reference for a in row):
                 seen["integral"] += 1
-                matrix = reflection_matrix(H, w).matrix
+                matrix = reflection_matrix(H, w)
                 assert linalg.mat_eq(matrix, reference)
                 assert all(type(a) is int for row in matrix for a in row)
             else:

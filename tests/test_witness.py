@@ -27,13 +27,15 @@ from conftest import (BASE_F, BASE_G, cleared, random_cyclotomic_pairs,
                       reflect)
 
 
-def conjugate(g, h):
-    """Reference: g h g^-1 as a matrix, with the concatenated word."""
-    g_inv = int_matrix(linalg.inverse(g.matrix))
-    matrix = int_matrix(linalg.mat_mul(g.matrix,
-                                       linalg.mat_mul(h.matrix, g_inv)))
-    return GroupElement(word=g.word + h.word + _inverse_word(g.word),
-                        matrix=matrix)
+def conjugate(m, h):
+    """Reference: the matrix m h m^-1, for a matrix m and an element h."""
+    m_inv = int_matrix(linalg.inverse(m))
+    return int_matrix(linalg.mat_mul(m, linalg.mat_mul(h.matrix, m_inv)))
+
+
+def reflection_word(k):
+    """The word A^k C A^-k of the reflection about A^k v."""
+    return ("A",) * k + ("C",) + ("A^-1",) * k
 
 
 def translation_coordinates(gram, quotient, factors):
@@ -46,13 +48,13 @@ def translation_coordinates(gram, quotient, factors):
                  for c in linalg.mat_vec(linalg.inverse(qgram), factors))
 
 
-def translation_vector(u, eps, ctx):
+def translation_vector(matrix, eps, ctx):
     """Reference: the quotient vector t with u(w) = w + (w.t) eps on
-    eps-perp, in the quotient basis of orthocomplement(), read off u's
-    matrix; zero iff u restricts to the identity on eps-perp."""
+    eps-perp, in the quotient basis of orthocomplement(), read off the
+    matrix of u; zero iff u restricts to the identity on eps-perp."""
     eps = tuple(int(x) for x in eps)
     _, quotient = ctx.perp(eps)
-    factors = _radical_factors(u.matrix, eps, quotient)
+    factors = _radical_factors(matrix, eps, quotient)
     if factors is None:
         raise ValueError("element is not in the unipotent radical")
     return translation_coordinates(ctx.gram, quotient, factors)
@@ -77,10 +79,10 @@ U_MATRIX = ((-1, -1, -2, -2, -1),
 
 @pytest.fixture(scope="module")
 def u(ctx):
-    cv = reflection_matrix(ctx.gram, e(0))
-    ca2v = reflection_matrix(ctx.gram, e(2))
-    return ctx.verified(ca2v.word + cv.word,
-                        linalg.mat_mul(ca2v.matrix, cv.matrix))
+    # C_{A^2 v} C_v, checked against the product of the two reflections
+    return ctx.verified(reflection_word(2) + reflection_word(0),
+                        linalg.mat_mul(reflection_matrix(ctx.gram, e(2)),
+                                       reflection_matrix(ctx.gram, e(0))))
 
 
 # --------------------------------------------------------------- reflections
@@ -105,11 +107,10 @@ def test_reflect_rejects_isotropic_axis(ctx):
 
 def test_reflection_matrix_is_the_generator(ctx):
     cv = reflection_matrix(ctx.gram, e(0))
-    assert cv.matrix == ctx.C
-    assert cv.word == ("C[1,0,0,0,0]",)
-    assert not cv.is_identity
-    assert linalg.mat_eq(linalg.mat_mul(cv.matrix, cv.matrix),
-                         linalg.identity(5))
+    assert cv == ctx.generators["C"] == ctx.element(("C",)).matrix
+    assert all(type(x) is int for row in cv for x in row)
+    assert cv != int_matrix(linalg.identity(5))
+    assert linalg.mat_eq(linalg.mat_mul(cv, cv), linalg.identity(5))
 
 
 def test_reflection_matrix_integrality_guard(ctx):
@@ -121,12 +122,11 @@ def test_reflection_matrix_integrality_guard(ctx):
 def test_conjugate(ctx):
     a = ctx.element(("A",))
     c = ctx.element(("C",))
-    g = conjugate(a, c)
+    g = ctx.element(reflection_word(1))
     assert g.word == ("A", "C", "A^-1")
-    expected = linalg.mat_mul(ctx.A, linalg.mat_mul(ctx.C, ctx.A_inv))
-    assert linalg.mat_eq(g.matrix, expected)
+    assert g.matrix == conjugate(a.matrix, c)
     # C_{Av} = A C_v A^-1: conjugation moves the reflection axis
-    assert g.matrix == reflection_matrix(ctx.gram, e(1)).matrix
+    assert g.matrix == reflection_matrix(ctx.gram, e(1))
 
 
 # ------------------------------------------------------------------- context
@@ -138,7 +138,7 @@ def test_context_generators_preserve_form(ctx):
     b = ctx.element(("A", "C")).matrix
     b_inv = ctx.element(("C", "A^-1")).matrix
     assert linalg.mat_eq(linalg.mat_mul(b, b_inv), linalg.identity(5))
-    for m in (ctx.A, ctx.A_inv, ctx.C, b, b_inv):
+    for m in (ctx.A, ctx.A_inv, ctx.generators["C"], b, b_inv):
         assert linalg.mat_eq(
             linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(H, m)), H)
 
@@ -183,32 +183,33 @@ def test_context_certifies_its_own_form(base_pair, base_space):
 
 def test_verified_rejects_mismatch(ctx):
     with pytest.raises(ValueError, match="does not match"):
-        ctx.verified(("A",), ctx.C)
+        ctx.verified(("A",), ctx.generators["C"])
 
 
 # element applies each token to the rows of the running product; the
-# product of the token matrices is the reference, on random words over
-# A, A^-1, C and the reflections C[A^k v] (A^k v is the k-th unit vector)
+# product of the token matrices is the reference, on random words built
+# from A, A^-1, C and the reflection words A^k C A^-k of A^k v (the k-th
+# unit vector), whose element is reflection_matrix of that vector
 
 def _dense_element(ctx, word):
     """Reference: the matrix of word as the dense product of its token
     matrices, in word order."""
     m = linalg.identity(ctx.n)
     for token in word:
-        if token.startswith("C["):
-            axis = witness._parse_reflection(token)
-            m = linalg.mat_mul(m, reflection_matrix(ctx.gram, axis).matrix)
-        else:
-            m = linalg.mat_mul(m, ctx.generators[token])
+        m = linalg.mat_mul(m, ctx.generators[token])
     return int_matrix(m)
 
 
 def _check_random_words(ctx, seed, count=12, length=10):
+    for k in range(ctx.n):
+        assert ctx.element(reflection_word(k)).matrix \
+            == reflection_matrix(ctx.gram, e(k, ctx.n)), k
     rng = random.Random(seed)
-    tokens = ["A", "A^-1", "C"] + [witness._render_reflection(e(k, ctx.n))
-                                   for k in range(ctx.n)]
+    pieces = [("A",), ("A^-1",), ("C",)] + [reflection_word(k)
+                                            for k in range(ctx.n)]
     for _ in range(count):
-        word = tuple(rng.choice(tokens) for _ in range(rng.randint(0, length)))
+        word = tuple(t for _ in range(rng.randint(0, length))
+                     for t in rng.choice(pieces))
         assert ctx.element(word).matrix == _dense_element(ctx, word), word
 
 
@@ -496,12 +497,23 @@ def test_eps_entry_points_reject_the_wrong_length(ctx, u, entry):
 @pytest.mark.parametrize("axis", [(1, 0, 0, 0, 0, 7), (1, 0)],
                          ids=["long", "short"])
 def test_reflection_axes_of_the_wrong_length_are_rejected(ctx, axis):
-    token = witness._render_reflection(axis)
-    for call in (lambda: reflection_matrix(ctx.gram, axis),
-                 lambda: ctx.element((token,))):
-        with pytest.raises(ValueError, match="wrong dimension") as exc:
-            call()
-        assert not isinstance(exc.value, PairValidationError)
+    with pytest.raises(ValueError, match="wrong dimension") as exc:
+        reflection_matrix(ctx.gram, axis)
+    assert not isinstance(exc.value, PairValidationError)
+
+
+# a word is over A, A^-1 and C alone: a reflection about another axis is
+# no token, even about v itself
+
+@pytest.mark.parametrize("token", [
+    "C[1,0,0,0,0]", "C[0,1,0,0,0]", "B", "a", "A^1", "A^-2", "C^-1", "",
+    " C", "I"])
+def test_element_rejects_tokens_outside_the_alphabet(ctx, token):
+    for word in ((token,), ("A", token, "C")):
+        with pytest.raises(ValueError, match="unknown word token"):
+            ctx.element(word)
+        with pytest.raises(ValueError, match="unknown word token"):
+            ctx.verified(word, linalg.identity(5))
 
 
 # ------------------------------------------------------- stabilizer and u
@@ -523,7 +535,7 @@ def test_u_moves_v_by_twice_eps(ctx, u):
 
 
 def test_reflection_stabilizes_but_is_not_unipotent(ctx):
-    cv = reflection_matrix(ctx.gram, e(0))
+    cv = ctx.element(("C",))
     st = line_stabilizer_test(cv, EPS, ctx)
     assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
         == (True, True, False)
@@ -537,15 +549,17 @@ def test_generic_element_moves_the_line(ctx):
 
 
 def test_translation_vector(ctx, u):
-    assert translation_vector(u, EPS, ctx) == (0, 1, 0)
+    assert translation_vector(u.matrix, EPS, ctx) == (0, 1, 0)
     with pytest.raises(ValueError, match="radical"):
-        translation_vector(reflection_matrix(ctx.gram, e(0)), EPS, ctx)
+        translation_vector(ctx.generators["C"], EPS, ctx)
 
 
 def test_translation_moves_under_conjugation(ctx, u):
-    r = reflection_matrix(ctx.gram, e(1))  # Av is orthogonal to eps
-    moved = conjugate(r, u)
-    t0 = translation_vector(u, EPS, ctx)
+    r = ctx.element(reflection_word(1))  # Av is orthogonal to eps
+    moved = conjugate(r.matrix, u)
+    assert ctx.element(r.word + u.word + _inverse_word(r.word)).matrix \
+        == moved
+    t0 = translation_vector(u.matrix, EPS, ctx)
     t1 = translation_vector(moved, EPS, ctx)
     assert t1 != t0
 
@@ -620,7 +634,7 @@ def test_span_rank_with_proof_triple_falls_short(ctx, u):
 
 def test_span_rank_validation(ctx, u):
     # C_v fixes eps but moves v off v + line, so it is no translation
-    cv = reflection_matrix(ctx.gram, e(0))
+    cv = ctx.element(("C",))
     with pytest.raises(ValueError, match="radical"):
         span_rank_witness(cv, [e(0)], EPS, ctx)
     # eps is isotropic and orthogonal to itself
@@ -696,19 +710,20 @@ def test_report_degree_one():
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_radical_factors_on_worked_pair(entry):
     # the witnessed (eps, u) of the pair, conjugated by every product of
-    # at most two of its span reflections
+    # at most two of its span reflections; their axes are not all images
+    # of v, so the products are matrices, not words
     pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
     ctx = WitnessContext(pair)
     rep = arithmeticity_report(ctx, 3, 8)
     eps, u = rep.epsilon, rep.unipotent
     refl = [reflection_matrix(ctx.gram, w)
             for w in integral_reflection_vectors(ctx, eps)]
-    products = [ctx.element(())] + refl + [ctx.element(a.word + b.word)
-                                           for a in refl for b in refl]
+    products = [int_matrix(linalg.identity(pair.n))] + refl + [
+        int_matrix(linalg.mat_mul(a, b)) for a in refl for b in refl]
     conjugates = [conjugate(m, u) for m in products]
     _, quotient = orthocomplement(ctx.gram, eps)
 
-    factors = [_radical_factors(c.matrix, eps, quotient) for c in conjugates]
+    factors = [_radical_factors(c, eps, quotient) for c in conjugates]
     translations = [translation_vector(c, eps, ctx) for c in conjugates]
     for k in range(1, len(conjugates) + 1):
         assert linalg.rank(factors[:k]) \
@@ -716,8 +731,8 @@ def test_radical_factors_on_worked_pair(entry):
     assert linalg.rank(factors) == rep.translation_rank
 
     # the products themselves include elements outside the radical
-    elements = conjugates + products + [ctx.element(w) for w in (
-        ("A",), ("A", "C"), ("C",))]
+    elements = [GroupElement((), m) for m in conjugates + products] + [
+        ctx.element(w) for w in (("A",), ("A", "C"), ("C",))]
     outcomes = set()
     for g in elements:
         radical = line_stabilizer_test(g, eps, ctx).in_unipotent_radical
@@ -790,9 +805,9 @@ def _four_way_unipotent(ctx, two_maps, eps):
         if linalg.vec_dot(eps, gram, v) != 0 or \
                 linalg.vec_dot(eps, gram, x) != 0:
             continue
-        cx = reflection_matrix(gram, x)
         u = ctx.verified(word + ("C",) + _inverse_word(word) + ("C",),
-                         linalg.mat_mul(cx.matrix, ctx.C))
+                         linalg.mat_mul(reflection_matrix(gram, x),
+                                        ctx.generators["C"]))
         if u.is_identity:
             continue
         if line_stabilizer_test(u, eps, ctx).in_unipotent_radical:
@@ -820,15 +835,14 @@ def _matrix_span_rank(u, reflections, eps, gram):
     """Reference: the span rank with every conjugate m u m^-1 built as a
     matrix, each product carrying its inverse, and ranked by its
     _radical_factors; the same layers, seen set and no-progress stop,
-    over every product of at most three reflections."""
+    over every product of at most three of the reflection matrices."""
     n = len(gram)
     eps = tuple(eps)
     _, quotient = orthocomplement(gram, eps)
     identity = int_matrix(linalg.identity(n))
     for r in reflections:
-        assert _parallel_factor(linalg.mat_vec(r.matrix, eps), eps) \
-            is not None
-        assert int_matrix(linalg.mat_mul(r.matrix, r.matrix)) == identity
+        assert _parallel_factor(linalg.mat_vec(r, eps), eps) is not None
+        assert int_matrix(linalg.mat_mul(r, r)) == identity
     echelon = []
     rank = int(_echelon_insert(echelon,
                                _radical_factors(u.matrix, eps, quotient)))
@@ -841,11 +855,11 @@ def _matrix_span_rank(u, reflections, eps, gram):
         progressed = False
         for prev, prev_inv in layer:
             for r in reflections:
-                m = int_matrix(linalg.mat_mul(prev, r.matrix))
+                m = int_matrix(linalg.mat_mul(prev, r))
                 if m in seen:
                     continue
                 seen.add(m)
-                m_inv = int_matrix(linalg.mat_mul(r.matrix, prev_inv))
+                m_inv = int_matrix(linalg.mat_mul(r, prev_inv))
                 grown.append((m, m_inv))
                 conj = linalg.mat_mul(m, linalg.mat_mul(u.matrix, m_inv))
                 if _echelon_insert(echelon,
@@ -935,7 +949,7 @@ def test_translation_vector_read_off_u(f_text, g_text):
         g_quotient = [linalg.mat_vec(ctx.gram, w) for w in quotient]
         factors = _radical_factors(u.matrix, eps, quotient)
         assert linalg.mat_vec(g_quotient, moved) == [s * x for x in factors]
-        t = translation_vector(u, eps, ctx)
+        t = translation_vector(u.matrix, eps, ctx)
         a = linalg.mat_vec(linalg.transpose(quotient), t)
         rest = [m - s * x for m, x in zip(moved, a)]
         assert linalg.rank(cleared([rest, list(eps)])) == 1
