@@ -20,20 +20,20 @@ from .quadform import (Obstruction, OracleMismatchError, QuadSpace,
                        RankCertificate, anisotropy_certificate,
                        invariant_space, q_rank, signature, signature_interlace,
                        witt_decompose)
-from .witness import (GroupElement, LineStabilizer, WitnessReport,
-                      arithmeticity_report, line_stabilizer_test,
-                      reflection_matrix, span_rank_witness)
+from .witness import (GroupElement, WitnessReport, arithmeticity_report,
+                      in_unipotent_radical, reflection_matrix,
+                      span_rank_witness)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CycloFactorization", "GroupElement", "HyperPair", "IntPoly",
-    "LineStabilizer", "Obstruction", "OracleMismatchError", "PaddedPair",
+    "Obstruction", "OracleMismatchError", "PaddedPair",
     "PairType", "PairValidationError", "PolyParseError", "QuadSpace",
     "RankCertificate", "WitnessReport", "anisotropy_certificate",
     "arithmeticity_report", "build_pair", "classify_type", "companion",
-    "cyclo_factor", "cyclotomic", "embed_vector",
-    "invariant_space", "isometry_check", "line_stabilizer_test", "pad_pair",
+    "cyclo_factor", "cyclotomic", "embed_vector", "in_unipotent_radical",
+    "invariant_space", "isometry_check", "pad_pair",
     "parse_poly", "q_rank", "reflection_matrix", "remainder_coeff_check",
     "render", "root_arguments", "scalar_shift", "signature",
     "signature_interlace", "span_rank_witness", "witt_decompose",

@@ -42,7 +42,7 @@ from .monodromy import (ORTHOGONAL, HyperPair, PairType, PairValidationError,
 from .padding import (DEFAULT_EXPONENT, embed_vector, isometry_check,
                       pad_pair, remainder_coeff_check)
 from .parsing import PolyParseError, parse_poly
-from .polynomials import IntPoly, render
+from .polynomials import IntPoly, coprime, render
 from .quadform import (DEFAULT_SEARCH_BOUND, OracleMismatchError, QuadSpace,
                        invariant_space, q_rank, signature, signature_interlace)
 from .witness import (MAX_WORD_BOUND, OUT_OF_SCOPE, WitnessContext,
@@ -254,7 +254,18 @@ def build_report(f_text: str, g_text: str,
     if shifted:
         f, g = scalar_shift(f), scalar_shift(g)
     pair_type = classify_type(f, g)
-    pair = build_pair(f, g) if pair_type.kind == ORTHOGONAL else None
+    if pair_type.kind == ORTHOGONAL:
+        pair = build_pair(f, g)
+    else:
+        # a symplectic pair builds no form, but its input is held to
+        # build_pair's checks all the same
+        if not (f.is_monic and g.is_monic):
+            raise PairValidationError("f and g must be monic")
+        if f.degree < 1:
+            raise PairValidationError("degree must be at least 1")
+        if not coprime(f, g):
+            raise PairValidationError("f and g must be coprime")
+        pair = None
     doc = _new_doc({"f": f_text, "g": g_text}, f, g, pair_type, shifted)
     return _analyze_pair(doc, pair, (), search_bound, word_bound, t0)
 

@@ -29,8 +29,7 @@ from .monodromy import build_pair
 from .parsing import parse_poly
 from .polynomials import IntPoly, divrem, render
 from .quadform import DEFAULT_SEARCH_BOUND, gram_invariance, q_rank
-from .witness import (GroupElement, WitnessContext, line_stabilizer_test,
-                      reflection_matrix)
+from .witness import GroupElement, WitnessContext, in_unipotent_radical
 
 ERRATA = {
     "dropped-term": "the stated Av omits the 4x^2 term of g - f; every "
@@ -234,13 +233,6 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
         pairing = ctx.dot(w, eps)
         return DatumResult(d.label, "pairing 0 with eps",
                            f"pairing {pairing}", pairing == 0, d.erratum)
-    if d.kind == "reflection":
-        axis, arg = d.spec
-        # every axis is some A^k v, of norm 2, so the reflection is integral
-        image = tuple(linalg.mat_vec(
-            reflection_matrix(ctx.space.gram, axis), arg))
-        return DatumResult(d.label, _combo_text(d.stated),
-                           _combo_text(image), image == d.stated, d.erratum)
     if d.kind == "word-image":
         word, arg = d.spec
         image = tuple(linalg.mat_vec(ctx.word_matrix(word).matrix, arg))
@@ -249,13 +241,11 @@ def _eval_datum(ctx: _Context, d: Datum, bound: int) -> DatumResult:
     if d.kind == "unipotent":
         word, eps = d.spec
         u = ctx.word_matrix(word)
-        status = line_stabilizer_test(u, eps, ctx.witness)
+        radical = in_unipotent_radical(u, eps, ctx.witness)
         nontrivial = not u.is_identity
-        found = (f"in_unipotent_radical={status.in_unipotent_radical}, "
-                 f"nontrivial={nontrivial}")
+        found = f"in_unipotent_radical={radical}, nontrivial={nontrivial}"
         return DatumResult(d.label, "nontrivial unipotent element", found,
-                           status.in_unipotent_radical and nontrivial,
-                           d.erratum)
+                           radical and nontrivial, d.erratum)
     if d.kind == "gram":
         exponents = d.spec[0]
         basis = [tuple(int(i == k) for i in range(ctx.pair.n))
@@ -314,10 +304,10 @@ ENTRIES = (
             Datum("A^2v = 2x^4+2x^3+x^2+2x+1", "poly", ("iterate", 2),
                   (1, 2, 1, 2, 2)),
             _iso("eps = v - A^2v is isotropic", (1, 0, -1, 0, 0)),
-            Datum("C_v(A^4v) = A^4v - v", "reflection",
-                  ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1)), (-1, 0, 0, 0, 1)),
+            Datum("C_v(A^4v) = A^4v - v", "word-image",
+                  ((0,), (0, 0, 0, 0, 1)), (-1, 0, 0, 0, 1)),
             Datum("C_{A^3v}(A^4v - v) = v' = A^3v + A^4v - v",
-                  "reflection", ((0, 0, 0, 1, 0), (-1, 0, 0, 0, 1)),
+                  "word-image", ((3,), (-1, 0, 0, 0, 1)),
                   (-1, 0, 0, 1, 1)),
             _iso("eps' = A^3v + A^4v - Av is isotropic and orthogonal "
                  "to eps", (0, -1, 0, 1, 1), (1, 0, -1, 0, 0)),
@@ -325,7 +315,7 @@ ENTRIES = (
                  "also orthogonal to eps", (-1, 0, 1, 1, 0),
                  (1, 0, -1, 0, 0), erratum="mislabelled-square"),
             Datum("C_{A^2v}(v) = v - (v.A^2v)Av per the stated formula",
-                  "reflection", ((0, 0, 1, 0, 0), (1, 0, 0, 0, 0)),
+                  "word-image", ((2,), (1, 0, 0, 0, 0)),
                   (1, -2, 0, 0, 0), erratum="wrong-reflection-axis"),
             Datum("u = C_{A^2v} C_v lies in the unipotent radical of "
                   "P(eps)", "unipotent", ((2, 0), (1, 0, -1, 0, 0)), True),
@@ -364,8 +354,8 @@ ENTRIES = (
                     (-1, 0, 0, 0, 1)),
             _member("v' = Av + A^3v lies in eps-perp", (0, 1, 0, 1, 0),
                     (-1, 0, 0, 0, 1)),
-            Datum("C_{Av}(A^3v) = A^3v + Av", "reflection",
-                  ((0, 1, 0, 0, 0), (0, 0, 0, 1, 0)), (0, 1, 0, 1, 0)),
+            Datum("C_{Av}(A^3v) = A^3v + Av", "word-image",
+                  ((1,), (0, 0, 0, 1, 0)), (0, 1, 0, 1, 0)),
             _iso("eps' = Av + A^3v - v is isotropic and orthogonal to "
                  "eps", (-1, 1, 0, 1, 0), (-1, 0, 0, 0, 1)),
             Datum("Q-rank = 2", "witt", (), 2),
@@ -435,10 +425,10 @@ ENTRIES = (
                     (-1, 0, 0, 0, 1)),
             _member("v' = A^2v - A^3v - Av lies in eps-perp",
                     (0, -1, 1, -1, 0), (-1, 0, 0, 0, 1)),
-            Datum("C_{A^3v}(A^2v) = A^2v - A^3v", "reflection",
-                  ((0, 0, 0, 1, 0), (0, 0, 1, 0, 0)), (0, 0, 1, -1, 0)),
-            Datum("C_{Av}(A^2v - A^3v) = A^2v - Av - A^3v", "reflection",
-                  ((0, 1, 0, 0, 0), (0, 0, 1, -1, 0)), (0, -1, 1, -1, 0)),
+            Datum("C_{A^3v}(A^2v) = A^2v - A^3v", "word-image",
+                  ((3,), (0, 0, 1, 0, 0)), (0, 0, 1, -1, 0)),
+            Datum("C_{Av}(A^2v - A^3v) = A^2v - Av - A^3v", "word-image",
+                  ((1,), (0, 0, 1, -1, 0)), (0, -1, 1, -1, 0)),
             _iso("w = A^3v + Av - v is isotropic and orthogonal to eps",
                  (-1, 1, 0, 1, 0), (-1, 0, 0, 0, 1)),
             Datum("Q-rank = 2", "witt", (), 2),
@@ -466,8 +456,8 @@ ENTRIES = (
                     (-1, 0, 1, 1, 0)),
             _iso("A^2v - A^4v + Av is isotropic and orthogonal to eps",
                  (0, 1, 1, 0, -1), (-1, 0, 1, 1, 0)),
-            Datum("C_{A^4v}(Av) = Av - A^4v", "reflection",
-                  ((0, 0, 0, 0, 1), (0, 1, 0, 0, 0)), (0, 1, 0, 0, -1)),
+            Datum("C_{A^4v}(Av) = Av - A^4v", "word-image",
+                  ((4,), (0, 1, 0, 0, 0)), (0, 1, 0, 0, -1)),
             _member("the basis listing's A^2v - A^4v lies in eps-perp",
                     (0, 0, 1, 0, -1), (-1, 0, 1, 1, 0),
                     erratum="mismatched-difference"),
@@ -495,10 +485,10 @@ ENTRIES = (
                     (-1, 1, 0, 0, 0)),
             _member("v' = A^2v + A^4v - 2v lies in eps-perp",
                     (-2, 0, 1, 0, 1), (-1, 1, 0, 0, 0)),
-            Datum("C_v(A^4v) = A^4v - 2v", "reflection",
-                  ((1, 0, 0, 0, 0), (0, 0, 0, 0, 1)), (-2, 0, 0, 0, 1)),
-            Datum("C_{A^2v}(A^4v - 2v) = A^4v - 2v + A^2v", "reflection",
-                  ((0, 0, 1, 0, 0), (-2, 0, 0, 0, 1)), (-2, 0, 1, 0, 1)),
+            Datum("C_v(A^4v) = A^4v - 2v", "word-image",
+                  ((0,), (0, 0, 0, 0, 1)), (-2, 0, 0, 0, 1)),
+            Datum("C_{A^2v}(A^4v - 2v) = A^4v - 2v + A^2v", "word-image",
+                  ((2,), (-2, 0, 0, 0, 1)), (-2, 0, 1, 0, 1)),
             _iso("eps' = A^2v + A^4v - 2v - A^3v is isotropic and "
                  "orthogonal to eps", (-2, 0, 1, -1, 1),
                  (-1, 1, 0, 0, 0)),
@@ -517,8 +507,8 @@ ENTRIES = (
                     (-1, 0, 1, 0, 0)),
             _member("v' = A^4v + 2A^3v lies in eps-perp", (0, 0, 0, 2, 1),
                     (-1, 0, 1, 0, 0)),
-            Datum("C_{A^3v}(A^4v) = A^4v + 2A^3v", "reflection",
-                  ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1)), (0, 0, 0, 2, 1)),
+            Datum("C_{A^3v}(A^4v) = A^4v + 2A^3v", "word-image",
+                  ((3,), (0, 0, 0, 0, 1)), (0, 0, 0, 2, 1)),
             Datum("Q-rank = 2", "witt", (), 2),
         )),
     Entry(
@@ -559,8 +549,8 @@ ENTRIES = (
                     (1, -1, 1, 0, 0)),
             _iso("eps' = A^4v - A^3v + A^2v is isotropic and orthogonal "
                  "to eps", (0, 0, 1, -1, 1), (1, -1, 1, 0, 0)),
-            Datum("C_{A^3v}(A^4v) = A^4v - A^3v", "reflection",
-                  ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1)), (0, 0, 0, -1, 1)),
+            Datum("C_{A^3v}(A^4v) = A^4v - A^3v", "word-image",
+                  ((3,), (0, 0, 0, 0, 1)), (0, 0, 0, -1, 1)),
             _iso("the aside's eps = A^2v - Av - v is isotropic",
                  (-1, -1, 1, 0, 0), erratum="aside-sign-slip"),
             Datum("Q-rank = 2", "witt", (), 2),
@@ -578,8 +568,8 @@ ENTRIES = (
                     (-1, 0, 0, 0, 1)),
             _member("v' = Av + A^3v lies in eps-perp", (0, 1, 0, 1, 0),
                     (-1, 0, 0, 0, 1)),
-            Datum("C_{A^3v}(Av) = Av + A^3v", "reflection",
-                  ((0, 0, 0, 1, 0), (0, 1, 0, 0, 0)), (0, 1, 0, 1, 0)),
+            Datum("C_{A^3v}(Av) = Av + A^3v", "word-image",
+                  ((3,), (0, 1, 0, 0, 0)), (0, 1, 0, 1, 0)),
             _iso("eps' = v + A^2v - Av - A^3v is isotropic and "
                  "orthogonal to eps", (1, -1, 1, -1, 0),
                  (-1, 0, 0, 0, 1)),

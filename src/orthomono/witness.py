@@ -10,12 +10,16 @@ full translation group of the parabolic fixing the line through eps.
 Each group element is an element of the monodromy group <A, C>: it
 carries both its matrix and the word over {A, A^-1, C} that produced
 it, and the two are cross-checked at construction, so every certificate
-is replayable.  A matrix is multiplied by a token as an update of its
-rows, O(n) per row: a shift and one dot for A and A^-1, a rank-one
-update for C.  The hunt takes a dense product only inside the isometry
-check.  A reflection about any other axis is an int matrix from
-reflection_matrix, not a group element: the span axes of
-integral_reflection_vectors are such axes.
+is replayable.  Every token acts through one table, the rows of its
+checked generator that are not rows of the identity, by their nonzero
+entries (every row of A and A^-1, at most two entries each, and row 0
+alone of C), and one kernel that recomputes those rows of a vector in
+O(n): word_orbit applies tokens to the images g(v), and element applies
+a word's tokens, last first, to the columns of the identity.  The hunt
+takes a dense product only inside the isometry check.  A reflection
+about any other axis is an int matrix from reflection_matrix, not a
+group element: the span axes of integral_reflection_vectors are such
+axes.
 
 arithmeticity_report runs the witness hunt alone: the caller builds the
 pair once, and the WitnessContext that the hunt's functions take builds
@@ -77,13 +81,6 @@ class GroupElement:
 
 
 @dataclass(frozen=True)
-class LineStabilizer:
-    fixes_line: bool
-    fixes_vector: bool
-    in_unipotent_radical: bool
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     epsilon: tuple[int, ...] | None
     unipotent: GroupElement | None
@@ -133,7 +130,7 @@ class WitnessContext:
         self.A_inv = pair.A_inv
         self.v = tuple(int(i == 0) for i in range(self.n))
         self._orbits: dict[int, tuple[dict, dict]] = {}
-        self._perps: dict[tuple[int, ...], tuple[list, list]] = {}
+        self._perps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     @cached_property
     def generators(self) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -145,36 +142,33 @@ class WitnessContext:
                 "C": reflection_matrix(self.gram, self.v)}
 
     @cached_property
-    def _steps(self) -> dict:
-        """For each generator token T, the map from the rows of a matrix m
-        to the rows of m T, each in O(n), read off the checked generators.
-        A is the companion matrix, A e_j = e_(j+1) for j < n-1, so r A is
-        r shifted left with r . (last column of A) appended; A^-1 e_j =
-        e_(j-1) for j >= 1, so r A^-1 is r . (first column of A^-1)
-        followed by r shifted right; C is the reflection about v."""
-        gens = self.generators
-        last = [row[-1] for row in gens["A"]]
-        first = [row[0] for row in gens["A^-1"]]
-        c_axis = _reflection_axis(self.gram, self.v)
-        return {
-            "A": lambda rows: [r[1:] + [sum(map(operator.mul, r, last))]
-                               for r in rows],
-            "A^-1": lambda rows: [[sum(map(operator.mul, r, first))] + r[:-1]
-                                  for r in rows],
-            "C": lambda rows: _times_reflection(rows, *c_axis)}
+    def _token_rows(self) -> dict[str, list[tuple[int, list]]]:
+        """For each token, the rows of its matrix that are not rows of
+        the identity, as (row index, nonzero (column, value) entries),
+        read off the checked generators: every row of the companion
+        matrix A and of A^-1, at most two entries each, and row 0 alone
+        of C, the reflection about v: C y = y - (y . v) e_0."""
+        return {token: [(i, [(j, a) for j, a in enumerate(row) if a])
+                        for i, row in enumerate(matrix)
+                        if any(a != (i == j) for j, a in enumerate(row))]
+                for token, matrix in self.generators.items()}
 
     def element(self, word: Sequence[str]) -> GroupElement:
         """The element of a word over {A, A^-1, C}, its matrix the product
-        of the token matrices in word order, each applied to the rows of
-        the product so far in O(n^2); any other token raises ValueError.
+        of the token matrices in word order: column j is T1(...Tk(e_j)),
+        so the tokens are applied last first to the columns of the
+        identity, O(n^2) per token; any other token raises ValueError.
         The product is checked to preserve the form."""
-        rows = linalg.identity(self.n)
+        table = self._token_rows
+        steps = []
         for token in word:
-            step = self._steps.get(token)
-            if step is None:
+            if token not in table:
                 raise ValueError(f"unknown word token {token!r}")
-            rows = step(rows)
-        m = int_matrix(rows)
+            steps.append(table[token])
+        cols = linalg.identity(self.n)
+        for rows in reversed(steps):
+            cols = [_apply(rows, y) for y in cols]
+        m = int_matrix(zip(*cols))
         _check_isometry(self.gram, m, " ".join(word) if word else "identity")
         return GroupElement(word=tuple(word), matrix=m)
 
@@ -186,8 +180,7 @@ class WitnessContext:
             raise ValueError("matrix does not match its word")
         return GroupElement(word=tuple(word), matrix=matrix)
 
-    def perp(self, eps: Sequence[int]
-             ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    def perp(self, eps: Sequence[int]) -> list[tuple[int, ...]]:
         """orthocomplement(self.gram, eps), built once per eps."""
         eps = linalg.int_vector(eps)
         if eps not in self._perps:
@@ -199,20 +192,15 @@ class WitnessContext:
         1 to word_bound, walked on the images g(v) themselves.
 
         The word t1...tk sends v to T1(T2(...Tk(v))), so prepending a
-        token to a word is one matrix-vector product on its image.  A and
-        A^-1 are applied through their nonzero entries, at most two per
-        row of a companion matrix.  C is the reflection about v, and
-        v.v = 2 makes it C y = y - (y.v) e_0: entry 0 minus the pairing
-        y.v, which the walk carries with each image (v's is 2, and C
-        negates it), so an image with pairing 0 is fixed by C and
-        skipped.  A token is not applied to an image whose word starts
-        with its inverse (A after A^-1, A^-1 after A, C after C): that
-        product is the grandparent image, already recorded.  Level k+1
-        takes each new image from the least (token, parent) pair that
-        reaches it, tokens ordered A, A^-1, C and parents in level-k
-        order; every image thus carries its shortest-lexicographic word,
-        and images are indexed in the order of those words.  v itself is
-        never recorded.
+        token to a word is one application of its _token_rows to the
+        image.  A token is not applied to an image whose word starts with
+        its inverse (A after A^-1, A^-1 after A, C after C): that product
+        is the grandparent image, already recorded.  Level k+1 takes each
+        new image from the least (token, parent) pair that reaches it,
+        tokens ordered A, A^-1, C and parents in level-k order; every
+        image thus carries its shortest-lexicographic word, and images
+        are indexed in the order of those words.  v itself is never
+        recorded.
 
         Returns (images, keys).  images maps each g(v) to (discovery
         index, word).  g(v).g(v) = v.v = 2, so (g(v) -+ v)^2 = 4 -+
@@ -230,58 +218,51 @@ class WitnessContext:
         if word_bound in self._orbits:
             return self._orbits[word_bound]
         v = self.v
-        # the generators are built and checked here, C included, though
-        # the walk applies C through the pairing
-        gens = self.generators
-        tokens = [(t, _TOKEN_INVERSE[t],
-                   [[(j, a) for j, a in enumerate(row) if a]
-                    for row in gens[t]])
-                  for t in ("A", "A^-1")]
+        tokens = [(t, _TOKEN_INVERSE.get(t, t), rows)
+                  for t, rows in self._token_rows.items()]
         g_v = [row[0] for row in self.gram]  # G v, the Gram's column 0
         images: dict = {}
         keys: dict = {}
-        grown: list = []  # the level being built, which record extends
-
-        def record(x: tuple[int, ...], word: tuple[str, ...],
-                   pairing: int) -> None:
-            index = len(images)
-            images[x] = (index, word)
-            grown.append((x, word, pairing))
-            if pairing in (2, -2):
-                side = int(pairing < 0)
-                key = linalg.sign_canonical((x[0] + 2 * side - 1,) + x[1:])
-                if any(key):  # g(v) = -v has no difference
-                    keys.setdefault(key, []).append((index, side, word, x))
-
-        level = [(v, (), 2)]
+        level = [(v, ())]
         for _ in range(word_bound):
             # token-major, so the first pair to reach an image is the least
             grown = []
             for token, back, rows in tokens:
-                for y, parent, _ in level:
+                for y, parent in level:
                     if parent and parent[0] == back:
                         continue
-                    image = []
-                    for row in rows:
-                        acc = 0
-                        for j, a in row:
-                            acc += a * y[j]
-                        image.append(acc)
-                    x = tuple(image)
+                    x = _apply(rows, y)
                     if x == v or x in images:
                         continue
-                    record(x, (token,) + parent,
-                           sum(map(operator.mul, x, g_v)))
-            for y, parent, pairing in level:
-                if not pairing or parent and parent[0] == "C":
-                    continue
-                x = (y[0] - pairing,) + y[1:]
-                if x == v or x in images:
-                    continue
-                record(x, ("C",) + parent, -pairing)
+                    word = (token,) + parent
+                    index = len(images)
+                    images[x] = (index, word)
+                    grown.append((x, word))
+                    pairing = sum(map(operator.mul, x, g_v))
+                    if pairing in (2, -2):
+                        side = int(pairing < 0)
+                        key = linalg.sign_canonical(
+                            (x[0] + 2 * side - 1,) + x[1:])
+                        if any(key):  # g(v) = -v has no difference
+                            keys.setdefault(key, []).append(
+                                (index, side, word, x))
             level = grown
         self._orbits[word_bound] = (images, keys)
         return images, keys
+
+
+def _apply(rows: Sequence[tuple[int, Sequence[tuple[int, int]]]],
+           y: Sequence[int]) -> tuple[int, ...]:
+    """T y from T's rows in WitnessContext._token_rows: y with each row
+    where T differs from the identity recomputed, O(n) for A, A^-1 and
+    C."""
+    image = list(y)
+    for i, row in rows:
+        acc = 0
+        for j, a in row:
+            acc += a * y[j]
+        image[i] = acc
+    return tuple(image)
 
 
 def _reflection_axis(gram: Sequence[Sequence], w: Sequence[int]
@@ -329,13 +310,12 @@ def reflection_matrix(gram: Sequence[Sequence], w: Sequence[int]
 
 
 def orthocomplement(gram: Sequence[Sequence], eps: Sequence[int]
-                    ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """(basis of eps-perp containing eps, quotient representatives).
-
-    The perp basis is an integral lattice basis with eps as its first
-    vector; the remaining n-2 vectors represent eps-perp modulo the line
-    through eps.  One column elimination of G eps gives both the kernel
-    basis and eps's coordinates in it.  Deterministic.
+                    ) -> list[tuple[int, ...]]:
+    """An integral lattice basis of eps-perp with eps as its first vector;
+    the remaining n-2 vectors, the quotient representatives, represent
+    eps-perp modulo the line through eps.  One column elimination of
+    G eps gives both the kernel basis and eps's coordinates in it.
+    Deterministic.
     """
     n = len(gram)
     eps = linalg.int_vector(eps)
@@ -360,7 +340,7 @@ def orthocomplement(gram: Sequence[Sequence], eps: Sequence[int]
                    for col in range(n)) for i in range(k)]
     if basis[0] != eps:
         raise AssertionError("perp basis must start with eps")
-    return basis, basis[1:]
+    return basis
 
 
 def _parallel_factor(d: Sequence[int], eps: Sequence[int]) -> int | None:
@@ -373,17 +353,18 @@ def _parallel_factor(d: Sequence[int], eps: Sequence[int]) -> int | None:
     return None
 
 
-def _radical_factors(matrix, eps: tuple[int, ...],
-                     quotient: Sequence[Sequence[int]]) -> list[int] | None:
-    """The integers lambda_w with g(w) = w + lambda_w eps, one per quotient
-    representative w of orthocomplement(), or None when g is not in the
-    unipotent radical of the parabolic fixing the line through eps (it
-    moves eps, or moves some w off w + line).  lambda_w is an integer
-    because eps is primitive."""
+def _radical_factors(matrix, perp: Sequence[tuple[int, ...]]
+                     ) -> list[int] | None:
+    """For the basis perp of orthocomplement(), eps first, the integers
+    lambda_w with g(w) = w + lambda_w eps, one per quotient representative
+    w, or None when g is not in the unipotent radical of the parabolic
+    fixing the line through eps (it moves eps, or moves some w off
+    w + line).  lambda_w is an integer because eps is primitive."""
+    eps = perp[0]
     if list(linalg.mat_vec(matrix, eps)) != list(eps):
         return None
     factors = []
-    for w in quotient:
+    for w in perp[1:]:
         lam = _parallel_factor(
             [a - b for a, b in zip(linalg.mat_vec(matrix, w), w)], eps)
         if lam is None:
@@ -392,21 +373,26 @@ def _radical_factors(matrix, eps: tuple[int, ...],
     return factors
 
 
-def line_stabilizer_test(g: GroupElement, eps: Sequence[int],
-                         ctx: WitnessContext) -> LineStabilizer:
-    """How g interacts with the isotropic line through eps: preserves it,
-    fixes eps itself, and acts trivially on both the line and
-    eps-perp/line (the unipotent-radical condition).  The perp basis of
-    eps comes from ctx's cache."""
-    perp, quotient = ctx.perp(eps)
-    eps = perp[0]
-    lam = _parallel_factor(linalg.mat_vec(g.matrix, eps), eps)
-    fixes_vector = lam == 1
-    radical = fixes_vector and _radical_factors(
-        g.matrix, eps, quotient) is not None
-    return LineStabilizer(fixes_line=lam is not None,
-                          fixes_vector=fixes_vector,
-                          in_unipotent_radical=radical)
+def in_unipotent_radical(g: GroupElement, eps: Sequence[int],
+                         ctx: WitnessContext) -> bool:
+    """Whether g lies in the unipotent radical of the parabolic fixing
+    the isotropic line through eps: g fixes eps and acts trivially on
+    eps-perp/line.  eps is validated by ctx.perp.
+
+    On the base pair, u = C_{A^2 v} C_v moves v to v - 2 eps for
+    eps = v - A^2 v, and A moves the line through eps:
+
+    >>> from orthomono.monodromy import build_pair
+    >>> from orthomono.parsing import parse_poly
+    >>> ctx = WitnessContext(build_pair(parse_poly("x^5-1"),
+    ...                                 parse_poly("(x+1)*(x^2+1)^2")))
+    >>> u = ctx.element(("A", "A", "C", "A^-1", "A^-1", "C"))
+    >>> in_unipotent_radical(u, (1, 0, -1, 0, 0), ctx)
+    True
+    >>> in_unipotent_radical(ctx.element(("A",)), (1, 0, -1, 0, 0), ctx)
+    False
+    """
+    return _radical_factors(g.matrix, ctx.perp(eps)) is not None
 
 
 def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
@@ -421,16 +407,17 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
     None when the bounded search finds nothing; that is a report outcome,
     not an error.
     """
-    eps = ctx.perp(eps)[0][0]
+    eps = ctx.perp(eps)[0]
     keys = ctx.word_orbit(word_bound)[1]
+    c_axis = _reflection_axis(ctx.gram, ctx.v)
     for _, _, word, x in keys.get(linalg.sign_canonical(eps), ()):
         # C applied to the rows of C_x
-        u_matrix = ctx._steps["C"](reflection_matrix(ctx.gram, x))
+        u_matrix = _times_reflection(reflection_matrix(ctx.gram, x), *c_axis)
         u_word = word + ("C",) + _inverse_word(word) + ("C",)
         u = ctx.verified(u_word, u_matrix)
         if u.is_identity:
             continue
-        if line_stabilizer_test(u, eps, ctx).in_unipotent_radical:
+        if in_unipotent_radical(u, eps, ctx):
             return u
     return None
 
@@ -446,7 +433,7 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
     those about the perp-basis and box vectors are not shown to be, so
     these axes are int vectors, not words."""
     gram, n = ctx.gram, ctx.n
-    perp, _ = ctx.perp(eps)
+    perp = ctx.perp(eps)
     # A^k v is the k-th unit vector of the cyclic basis
     images = (tuple(row) for row in linalg.identity(n))
     candidates = itertools.chain(images, perp)
@@ -507,9 +494,9 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     perp basis of eps comes from ctx's cache.
     """
     gram, n = ctx.gram, ctx.n
-    perp, quotient = ctx.perp(eps)
+    perp = ctx.perp(eps)
     eps = perp[0]
-    factors = _radical_factors(u.matrix, eps, quotient)
+    factors = _radical_factors(u.matrix, perp)
     if factors is None:
         raise ValueError("u is not in the unipotent radical")
     updates = []
@@ -526,7 +513,7 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     # a = y - u(y) for y = e_j, so its lambda vector is s * factors
     j, s = next((j, x) for j, x in enumerate(linalg.mat_vec(gram, eps)) if x)
     a = [int(i == j) - row[j] for i, row in enumerate(u.matrix)]
-    g_quotient = [linalg.mat_vec(gram, w) for w in quotient]
+    g_quotient = [linalg.mat_vec(gram, w) for w in perp[1:]]
     # the vectors the last layer added, each with the word of its product
     added = [(a, ())]
     for _ in range(3):
@@ -567,7 +554,7 @@ def _check_conjugate(u: GroupElement, axes: Sequence[tuple[int, ...]],
         h_x = [sum(map(operator.mul, h, col)) for col in zip(*conj)]
         conj = [[a - c * b for a, b in zip(row, h_x)] if c else row
                 for c, row in zip(w_d, conj)]
-    factors = _radical_factors(conj, eps, ctx.perp(eps)[1])
+    factors = _radical_factors(conj, ctx.perp(eps))
     if factors is None or [s * x for x in factors] != lam:
         raise OracleMismatchError(
             f"conjugate by {len(axes)} reflections: translation "

@@ -191,6 +191,37 @@ def test_analyze_symplectic_is_ok(capsys):
     assert json.loads(cap.out)["derived"]["type"] == "symplectic"
 
 
+# a symplectic pair builds no form, but its input is held to build_pair's
+# checks: it once exited 0 with an out-of-scope report on any of these
+SYMPLECTIC_INVALID = [
+    ({"f": "2x^2+1", "g": "x^2+1"}, "f and g must be monic"),
+    ({"f": "x^2+1", "g": "x^2+1"}, "f and g must be coprime"),
+    ({"f": "1", "g": "1"}, "degree must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("pair, message", SYMPLECTIC_INVALID,
+                         ids=["not-monic", "not-coprime", "degree-0"])
+def test_analyze_invalid_symplectic_pair_exits_2(capsys, pair, message):
+    code, cap = run(capsys, "analyze", "--f", pair["f"], "--g", pair["g"])
+    assert code == 2
+    assert json.loads(cap.out)["error"] == {"kind": "validation",
+                                            "message": message}
+
+
+def test_batch_line_invalid_symplectic_pair(capsys, tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text("".join(json.dumps(pair) + "\n"
+                            for pair, _ in SYMPLECTIC_INVALID)
+                    + json.dumps({"f": "x^2-x+1", "g": "x^2+x+1"}) + "\n")
+    code, cap = run(capsys, "analyze", "--batch", str(path))
+    assert code == 2
+    *bad, good = [json.loads(ln) for ln in cap.out.splitlines()]
+    assert bad == [{"error": {"kind": "validation", "message": message},
+                    "input": pair} for pair, message in SYMPLECTIC_INVALID]
+    assert good["witness"]["conclusion"] == "out-of-scope(symplectic)"
+
+
 def test_analyze_parse_error(capsys):
     code, cap = run(capsys, "analyze", "--f", "x^5-", "--g", "x+1")
     assert code == 2

@@ -1,21 +1,27 @@
 """Randomized battery over a reproducible batch of coprime cyclotomic
-pairs: the claimed identities have to hold for every generated pair, not
-just the worked examples."""
+pairs, and over hypothesis-drawn orthogonal pairs: the claimed
+identities have to hold for every generated pair, not just the worked
+examples."""
+import math
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from orthomono import linalg
 from orthomono.corpus import ENTRIES
 from orthomono.monodromy import build_pair
+from orthomono.padding import pad_pair
 from orthomono.parsing import parse_poly
+from orthomono.polynomials import IntPoly, coprime, divrem
 from orthomono.quadform import (QuadSpace, gram_invariance, invariant_space,
                                 q_rank, signature, signature_interlace)
 from orthomono.witness import reflection_matrix
 
-from conftest import random_unimodular, reflect
+from conftest import BASE_F, BASE_G, random_unimodular, reflect
 
 
 def built(cyclotomic_pairs):
@@ -143,3 +149,84 @@ def test_signature_survives_unimodular_congruence():
                                    linalg.mat_mul(space.gram, t))
             assert signature(QuadSpace(tuple(map(tuple, moved)))) \
                 == expected
+
+
+# det G = Res(f, g), tested only: the product of the congruence diagonal
+# against the determinant of the rows x^j g mod f (j < n), the matrix of
+# multiplication by g on Q[x]/(f), whose determinant is the resultant of
+# the monic f and g; polynomials.coprime's exact fallback builds it
+
+def resultant_rows(f: IntPoly, g: IntPoly) -> list[list[int]]:
+    rows = []
+    for j in range(f.degree):
+        rem = divrem(IntPoly.monomial(j) * g, f)[1].coeffs
+        rows.append(list(rem) + [0] * (f.degree - len(rem)))
+    return rows
+
+
+def assert_det_is_resultant(pair) -> int:
+    det = math.prod(invariant_space(pair).diagonal)
+    assert det == linalg.det(resultant_rows(pair.f, pair.g)) != 0
+    return det
+
+
+def test_det_gram_is_the_resultant_on_the_entries():
+    dets = {}
+    for entry in ENTRIES:
+        pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
+        dets[entry.name] = assert_det_is_resultant(pair)
+    assert dets["base"] == 8
+
+
+def test_det_gram_is_the_resultant_on_the_battery(cyclotomic_pairs):
+    for pair in built(cyclotomic_pairs):
+        assert_det_is_resultant(pair)
+
+
+@pytest.mark.parametrize("d, n", [(2, 9), (6, 17)])
+def test_det_gram_is_the_resultant_on_pads(d, n):
+    for p_text in ("y^2+y+1", "y^2-y+1"):
+        pair = pad_pair(parse_poly(BASE_F), parse_poly(BASE_G),
+                        parse_poly(p_text, var="y"),
+                        parse_poly("y^2+1", var="y"), d=d).pair
+        assert pair.n == n
+        assert_det_is_resultant(pair)
+
+
+@st.composite
+def orthogonal_pairs(draw):
+    """Monic f, g of degree n with f(0) = -1 and g(0) = 1, f
+    anti-palindromic and g palindromic, so that x^n f(1/x) = -f and
+    x^n g(1/x) = g, with small random inner coefficients: every coprime
+    pair of them is orthogonal and has an invariant form."""
+    n = draw(st.integers(1, 8))
+    small = st.integers(-3, 3)
+    f = [0] * (n + 1)
+    g = [0] * (n + 1)
+    f[0], f[n], g[0], g[n] = -1, 1, 1, 1
+    for i in range(1, (n + 1) // 2):
+        f[i] = draw(small)
+        f[n - i] = -f[i]
+    for i in range(1, n // 2 + 1):
+        g[i] = g[n - i] = draw(small)
+    return IntPoly(tuple(f)), IntPoly(tuple(g))
+
+
+@settings(deadline=None, derandomize=True, max_examples=150,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(orthogonal_pairs())
+def test_det_gram_is_the_resultant_on_random_pairs(fg):
+    f, g = fg
+    assume(coprime(f, g))
+    assert_det_is_resultant(build_pair(f, g))
+
+
+def test_det_gram_is_sympys_resultant_on_the_entries():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for entry in ENTRIES:
+        pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
+        f, g = (sympy.Poly(list(reversed(p.coeffs)), x)
+                for p in (pair.f, pair.g))
+        assert math.prod(invariant_space(pair).diagonal) \
+            == sympy.resultant(f, g)

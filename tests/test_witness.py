@@ -15,8 +15,8 @@ from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
 from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
                                GroupElement, WitnessContext,
                                arithmeticity_report,
-                               integral_reflection_vectors,
-                               line_stabilizer_test, orbit_candidates,
+                               in_unipotent_radical,
+                               integral_reflection_vectors, orbit_candidates,
                                orthocomplement, reflection_matrix,
                                span_rank_witness,
                                unipotent_from_reflections)
@@ -52,12 +52,11 @@ def translation_vector(matrix, eps, ctx):
     """Reference: the quotient vector t with u(w) = w + (w.t) eps on
     eps-perp, in the quotient basis of orthocomplement(), read off the
     matrix of u; zero iff u restricts to the identity on eps-perp."""
-    eps = tuple(int(x) for x in eps)
-    _, quotient = ctx.perp(eps)
-    factors = _radical_factors(matrix, eps, quotient)
+    perp = ctx.perp(tuple(int(x) for x in eps))
+    factors = _radical_factors(matrix, perp)
     if factors is None:
         raise ValueError("element is not in the unipotent radical")
-    return translation_coordinates(ctx.gram, quotient, factors)
+    return translation_coordinates(ctx.gram, perp[1:], factors)
 
 
 @pytest.fixture(scope="module")
@@ -426,10 +425,9 @@ def test_word_orbit_matches_the_generator_walk(entry):
 # ------------------------------------------------------------ orthocomplement
 
 def test_orthocomplement_base(ctx):
-    perp, quotient = orthocomplement(ctx.gram, EPS)
+    perp = orthocomplement(ctx.gram, EPS)
     assert perp == [(-1, 0, 1, 0, 0), (0, 1, 0, 0, 0),
                     (0, 0, 1, 0, 0), (0, 0, 0, 1, 1)]
-    assert quotient == perp[1:]
     for w in perp:
         assert linalg.vec_dot(w, ctx.gram, EPS) == 0
     assert linalg.rank([list(w) for w in perp]) == 4
@@ -437,7 +435,7 @@ def test_orthocomplement_base(ctx):
 
 def test_orthocomplement_matches_lemma_span(ctx):
     # eps-perp is also spanned by eps, v, Av, v' = A^3v + A^4v - v
-    perp, _ = orthocomplement(ctx.gram, EPS)
+    perp = orthocomplement(ctx.gram, EPS)
     stated = [list(EPS), list(e(0)), list(e(1)), list(VPRIME)]
     assert linalg.rank(stated) == 4
     assert linalg.rank(stated + [list(w) for w in perp]) == 4
@@ -462,14 +460,14 @@ def test_orthocomplement_validation(ctx):
 def test_eps_entry_points_reject_non_int_coordinates(ctx, u, bad):
     calls = [lambda: ctx.perp(bad),
              lambda: orthocomplement(ctx.gram, bad),
-             lambda: line_stabilizer_test(u, bad, ctx),
+             lambda: in_unipotent_radical(u, bad, ctx),
              lambda: unipotent_from_reflections(ctx, bad, 8),
              lambda: integral_reflection_vectors(ctx, bad),
              lambda: span_rank_witness(u, [e(0)], bad, ctx)]
     for call in calls:
         with pytest.raises(ValueError, match="int coordinates"):
             call()
-    assert line_stabilizer_test(u, EPS, ctx).in_unipotent_radical
+    assert in_unipotent_radical(u, EPS, ctx)
 
 
 # an eps of the wrong length once ran into zips that truncate: four entry
@@ -482,7 +480,7 @@ def test_eps_entry_points_reject_the_wrong_length(ctx, u, entry):
     short = (1, 0, -1)
     call = {"perp": lambda: ctx.perp(short),
             "orthocomplement": lambda: orthocomplement(ctx.gram, short),
-            "line": lambda: line_stabilizer_test(u, short, ctx),
+            "line": lambda: in_unipotent_radical(u, short, ctx),
             "unipotent": lambda: unipotent_from_reflections(ctx, short, 8),
             "axes": lambda: integral_reflection_vectors(ctx, short),
             "span": lambda: span_rank_witness(u, [e(0)], short, ctx)}[entry]
@@ -523,9 +521,7 @@ def test_u_is_the_expected_matrix(u):
 
 
 def test_u_line_stabilizer(ctx, u):
-    st = line_stabilizer_test(u, EPS, ctx)
-    assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
-        == (True, True, True)
+    assert in_unipotent_radical(u, EPS, ctx)
 
 
 def test_u_moves_v_by_twice_eps(ctx, u):
@@ -536,16 +532,14 @@ def test_u_moves_v_by_twice_eps(ctx, u):
 
 def test_reflection_stabilizes_but_is_not_unipotent(ctx):
     cv = ctx.element(("C",))
-    st = line_stabilizer_test(cv, EPS, ctx)
-    assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
-        == (True, True, False)
+    assert linalg.mat_vec(cv.matrix, EPS) == list(EPS)
+    assert not in_unipotent_radical(cv, EPS, ctx)
 
 
 def test_generic_element_moves_the_line(ctx):
     a = ctx.element(("A",))
-    st = line_stabilizer_test(a, EPS, ctx)
-    assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
-        == (False, False, False)
+    assert _parallel_factor(linalg.mat_vec(a.matrix, EPS), EPS) is None
+    assert not in_unipotent_radical(a, EPS, ctx)
 
 
 def test_translation_vector(ctx, u):
@@ -721,9 +715,9 @@ def test_radical_factors_on_worked_pair(entry):
     products = [int_matrix(linalg.identity(pair.n))] + refl + [
         int_matrix(linalg.mat_mul(a, b)) for a in refl for b in refl]
     conjugates = [conjugate(m, u) for m in products]
-    _, quotient = orthocomplement(ctx.gram, eps)
+    perp = orthocomplement(ctx.gram, eps)
 
-    factors = [_radical_factors(c, eps, quotient) for c in conjugates]
+    factors = [_radical_factors(c, perp) for c in conjugates]
     translations = [translation_vector(c, eps, ctx) for c in conjugates]
     for k in range(1, len(conjugates) + 1):
         assert linalg.rank(factors[:k]) \
@@ -735,8 +729,8 @@ def test_radical_factors_on_worked_pair(entry):
         ctx.element(w) for w in (("A",), ("A", "C"), ("C",))]
     outcomes = set()
     for g in elements:
-        radical = line_stabilizer_test(g, eps, ctx).in_unipotent_radical
-        assert (_radical_factors(g.matrix, eps, quotient) is None) \
+        radical = in_unipotent_radical(g, eps, ctx)
+        assert (_radical_factors(g.matrix, perp) is None) \
             == (not radical)
         outcomes.add(radical)
     assert outcomes == {True, False}
@@ -746,18 +740,17 @@ def test_radical_factors_on_worked_pair(entry):
     def shear(phi):
         return tuple(tuple(int(i == j) + eps[i] * phi[j]
                            for j in range(pair.n)) for i in range(pair.n))
-    q0 = linalg.mat_vec(ctx.gram, quotient[0])  # q0 . eps = 0
-    assert _radical_factors(shear(q0), eps, quotient) \
-        == [linalg.vec_dot(quotient[0], ctx.gram, w) for w in quotient]
+    q0 = linalg.mat_vec(ctx.gram, perp[1])  # q0 . eps = 0
+    assert _radical_factors(shear(q0), perp) \
+        == [linalg.vec_dot(perp[1], ctx.gram, w) for w in perp[1:]]
     # column 0 of the inverse of a unimodular matrix with first row eps
     # pairs with eps to 1
     c = [row[0] for row in linalg.inverse(
         linalg.unimodular_with_first_row(eps))]
     flip = GroupElement((), shear([-2 * x for x in c]))
-    assert _radical_factors(flip.matrix, eps, quotient) is None
-    st = line_stabilizer_test(flip, eps, ctx)
-    assert (st.fixes_line, st.fixes_vector, st.in_unipotent_radical) \
-        == (True, False, False)
+    assert _radical_factors(flip.matrix, perp) is None
+    assert linalg.mat_vec(flip.matrix, eps) == [-x for x in eps]
+    assert not in_unipotent_radical(flip, eps, ctx)
 
 
 # ------------------------------------------------ candidates from the orbit
@@ -810,7 +803,7 @@ def _four_way_unipotent(ctx, two_maps, eps):
                                         ctx.generators["C"]))
         if u.is_identity:
             continue
-        if line_stabilizer_test(u, eps, ctx).in_unipotent_radical:
+        if in_unipotent_radical(u, eps, ctx):
             return u
     return None
 
@@ -838,14 +831,14 @@ def _matrix_span_rank(u, reflections, eps, gram):
     over every product of at most three of the reflection matrices."""
     n = len(gram)
     eps = tuple(eps)
-    _, quotient = orthocomplement(gram, eps)
+    perp = orthocomplement(gram, eps)
     identity = int_matrix(linalg.identity(n))
     for r in reflections:
         assert _parallel_factor(linalg.mat_vec(r, eps), eps) is not None
         assert int_matrix(linalg.mat_mul(r, r)) == identity
     echelon = []
     rank = int(_echelon_insert(echelon,
-                               _radical_factors(u.matrix, eps, quotient)))
+                               _radical_factors(u.matrix, perp)))
     if rank >= n - 2:
         return rank
     layer = [(identity, identity)]
@@ -863,7 +856,7 @@ def _matrix_span_rank(u, reflections, eps, gram):
                 grown.append((m, m_inv))
                 conj = linalg.mat_mul(m, linalg.mat_mul(u.matrix, m_inv))
                 if _echelon_insert(echelon,
-                                   _radical_factors(conj, eps, quotient)):
+                                   _radical_factors(conj, perp)):
                     rank += 1
                     progressed = True
                     if rank >= n - 2:
@@ -940,14 +933,15 @@ def test_translation_vector_read_off_u(f_text, g_text):
         u = unipotent_from_reflections(ctx, eps, 8)
         if u is None:
             continue
-        _, quotient = ctx.perp(eps)
+        perp = ctx.perp(eps)
+        quotient = perp[1:]
         g_eps = linalg.mat_vec(ctx.gram, eps)
         j = next(j for j, x in enumerate(g_eps) if x)
         s = g_eps[j]
         y = e(j, ctx.n)
         moved = [a - b for a, b in zip(y, linalg.mat_vec(u.matrix, y))]
         g_quotient = [linalg.mat_vec(ctx.gram, w) for w in quotient]
-        factors = _radical_factors(u.matrix, eps, quotient)
+        factors = _radical_factors(u.matrix, perp)
         assert linalg.mat_vec(g_quotient, moved) == [s * x for x in factors]
         t = translation_vector(u.matrix, eps, ctx)
         a = linalg.mat_vec(linalg.transpose(quotient), t)
@@ -964,8 +958,8 @@ def test_span_rank_routes_disagreeing_raise(monkeypatch, ctx, u, skew):
     original = _radical_factors
     calls = []
 
-    def skewed(matrix, eps, quotient):
-        factors = original(matrix, eps, quotient)
+    def skewed(matrix, perp):
+        factors = original(matrix, perp)
         calls.append(matrix)
         if len(calls) == 1:
             return factors
