@@ -43,8 +43,9 @@ from .padding import (DEFAULT_EXPONENT, embed_vector, isometry_check,
                       pad_pair, remainder_coeff_check)
 from .parsing import PolyParseError, parse_poly
 from .polynomials import IntPoly, coprime, render
-from .quadform import (DEFAULT_SEARCH_BOUND, OracleMismatchError, QuadSpace,
-                       invariant_space, q_rank, signature, signature_interlace)
+from .quadform import (DEFAULT_SEARCH_BOUND, SEARCH_CAP, OracleMismatchError,
+                       QuadSpace, invariant_space, q_rank, signature,
+                       signature_interlace)
 from .witness import (MAX_WORD_BOUND, OUT_OF_SCOPE, WitnessContext,
                       WitnessReport, arithmeticity_report)
 
@@ -107,7 +108,7 @@ def _write(value, indent: str, out: list[str]) -> None:
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         out.append(scalar(value))
-    elif isinstance(value, dict):
+    elif type(value) is dict:
         if not value:
             out.append("{}")
             return
@@ -121,7 +122,9 @@ def _write(value, indent: str, out: list[str]) -> None:
             _write(value[key], inner, out)
             sep = ",\n" + inner
         out += ("\n", indent, "}")
-    elif isinstance(value, (list, tuple)):
+    elif type(value) is list or type(value) is tuple:
+        # by exact type, as _SCALARS: a record, itself a NamedTuple, is
+        # not a report value
         if not value:
             out.append("[]")
             return
@@ -147,7 +150,7 @@ def serialize_report(doc: dict) -> str:
     """Canonical text: the bytes of json.dumps(doc, sort_keys=True,
     indent=2) plus a newline, written directly over str, int, bool,
     None, list, tuple and dict with str keys; a TypeError on any other
-    value."""
+    value, subclasses of these included."""
     out: list[str] = []
     _write(doc, "", out)
     out.append("\n")
@@ -537,7 +540,11 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--search-bound", type=_at_least_one,
                      default=DEFAULT_SEARCH_BOUND,
                      help="coefficient bound for the isotropic vector search, "
-                          "at least 1 (default %(default)s)")
+                          "at least 1 (default %(default)s); a stage in k "
+                          "variables whose box (2b+1)^k, for bound b, "
+                          f"exceeds SEARCH_CAP = {SEARCH_CAP:,} "
+                          "searches nothing, so at degree 5 a bound above 10 "
+                          "weakens the certificate")
     sub.add_argument("--json", metavar="PATH", default=None,
                      help="also write the report to PATH")
     sub.add_argument("--quiet", action="store_true",

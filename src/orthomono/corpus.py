@@ -21,8 +21,7 @@ literal reading of a misprint that escapes the cyclic lattice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .monodromy import build_pair
@@ -59,8 +58,7 @@ ERRATA = {
 }
 
 
-@dataclass(frozen=True)
-class Datum:
+class Datum(NamedTuple):
     """One stated value: a label for the table, a dispatch kind, the
     parameters needed to recompute it, the value exactly as stated, and
     the erratum tag when the stated value is known to be wrong."""
@@ -71,8 +69,7 @@ class Datum:
     erratum: str | None = None
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     name: str
     f_text: str
     g_text: str
@@ -83,8 +80,7 @@ class Entry:
         return f"f = {self.f_text},  g = {self.g_text}"
 
 
-@dataclass(frozen=True)
-class DatumResult:
+class DatumResult(NamedTuple):
     label: str
     stated: str
     found: str
@@ -97,8 +93,7 @@ class DatumResult:
         return self.match == (self.erratum is None)
 
 
-@dataclass(frozen=True)
-class EntryResult:
+class EntryResult(NamedTuple):
     name: str
     title: str
     results: tuple[DatumResult, ...]
@@ -108,8 +103,7 @@ class EntryResult:
         return all(r.ok for r in self.results)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     entries: tuple[EntryResult, ...]
 
     @property

@@ -11,7 +11,7 @@ matrix product, and every identity is re-checked in O(n^2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg, polynomials
 from .polynomials import IntPoly
@@ -24,8 +24,7 @@ class PairValidationError(ValueError):
     """A hypothesis on the input pair (f, g) fails; message names it."""
 
 
-@dataclass(frozen=True)
-class PairType:
+class PairType(NamedTuple):
     kind: str  # ORTHOGONAL or SYMPLECTIC
     ratio: int  # f(0)/g(0)
 
@@ -82,8 +81,7 @@ def scalar_shift(f: IntPoly) -> IntPoly:
                          for k, c in enumerate(f.coeffs)))
 
 
-@dataclass(frozen=True)
-class HyperPair:
+class HyperPair(NamedTuple):
     f: IntPoly
     g: IntPoly
     n: int

@@ -10,7 +10,7 @@ rank lower bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linalg, polynomials
 from .monodromy import HyperPair, PairValidationError, build_pair
@@ -20,8 +20,7 @@ from .quadform import cyclic_gram_row, _toeplitz
 DEFAULT_EXPONENT = 6
 
 
-@dataclass(frozen=True)
-class PaddedPair:
+class PaddedPair(NamedTuple):
     """Plain container; construct through pad_pair for validation.
 
     pair is the validated HyperPair of the composed (f, g).

@@ -16,9 +16,8 @@ IntPoly((1,))
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 
@@ -31,18 +30,35 @@ from . import linalg
 MAX_DEGREE = 128
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value) -> None:
+    """__setattr__ and __delattr__ of an immutable class."""
+    raise AttributeError(f"{type(self).__name__} is immutable: "
+                         f"{name!r} cannot be set or deleted")
+
+
 class IntPoly:
+    """Immutable; equal, and hash-equal, to an IntPoly with the same
+    coefficients and to nothing else."""
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: Iterable[int]) -> None:
         # rejected, as in linalg.int_vector, where int() would truncate
-        c = tuple(self.coeffs)
+        c = tuple(coeffs)
         if not all(type(a) is int for a in c):
             raise ValueError(f"expected int coefficients, got {c}")
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is IntPoly:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs!r})"
@@ -311,8 +327,7 @@ def _cyclotomic_at_two(d: int) -> int:
     return cyclotomic(d)(2)
 
 
-@dataclass(frozen=True)
-class CycloFactorization:
+class CycloFactorization(NamedTuple):
     """Multiset of cyclotomic factors (d, multiplicity), d ascending, plus
     whatever monic remainder did not factor."""
     factors: tuple[tuple[int, int], ...]

@@ -12,14 +12,14 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError
-from .polynomials import (IntPoly, _divrem_coeffs, _over_x_mod, _times_x_mod,
-                          cyclo_factor, render, root_arguments)
+from .polynomials import (IntPoly, _divrem_coeffs, _frozen, _over_x_mod,
+                          _times_x_mod, cyclo_factor, render,
+                          root_arguments)
 
 # enumeration ceiling for bounded vector searches (number of tuples)
 SEARCH_CAP = 5_000_000
@@ -46,11 +46,28 @@ class SearchBudgetError(RuntimeError):
     """A bounded search would exceed the enumeration cap."""
 
 
-@dataclass(frozen=True)
 class QuadSpace:
-    # the cyclic Gram, computed once and certified by invariant_space;
-    # the dimension and the diagonal are read off it
+    """Immutable; equal, and hash-equal, to a QuadSpace with the same
+    Gram.  The cyclic Gram is computed once and certified by
+    invariant_space; the dimension and the diagonal are read off it."""
     gram: tuple[tuple[int, ...], ...]
+
+    def __init__(self, gram: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "gram", gram)
+
+    # cached_property writes to __dict__ directly, past _frozen
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is QuadSpace:
+            return self.gram == other.gram
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gram,))
+
+    def __repr__(self) -> str:
+        return f"QuadSpace(gram={self.gram!r})"
 
     @property
     def dim(self) -> int:
@@ -64,15 +81,13 @@ class QuadSpace:
         return congruence_diagonal(self.gram)
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     prime: int
     exponent: int
     statement: str
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(NamedTuple):
     lo: int
     hi: int
     isotropic_witnesses: tuple[tuple[int, ...], ...]
@@ -712,18 +727,18 @@ def q_rank(space: QuadSpace, bound: int,
             obstruction, notes = find_anisotropy_certificate(
                 cert.residual_diagonal)
             if obstruction is not None:
-                return replace(cert, hi=cert.lo, obstructions=(obstruction,),
+                return cert._replace(hi=cert.lo, obstructions=(obstruction,),
                                notes=cert.notes + tuple(notes))
-            return replace(
-                cert, notes=cert.notes + tuple(notes) + (
+            return cert._replace(
+                notes=cert.notes + tuple(notes) + (
                     "interval open: residual neither split nor certified "
                     "anisotropic within the configured bounds",))
         # lo < hi = lo + min(pr, qr): the residual is indefinite, in
         # more than CERT_MAX_DIM = 4 variables
         doubled = current_bound * 2
         if (2 * doubled + 1) ** residual_dim > SEARCH_CAP:
-            return replace(
-                best, notes=best.notes + (
+            return best._replace(
+                notes=best.notes + (
                     "a rational isotropic vector exists in the "
                     "residual (indefinite, >= 5 variables) but the "
                     "bounded search stopped at the enumeration cap",))

@@ -45,9 +45,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
@@ -68,8 +67,7 @@ MAX_WORD_BOUND = 16
 AMBIENT_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     word: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]
 
@@ -80,8 +78,7 @@ class GroupElement:
                    for i in range(n) for j in range(n))
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     epsilon: tuple[int, ...] | None
     unipotent: GroupElement | None
     translation_rank: int | None

@@ -13,7 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import orthomono
 from orthomono import cli, quadform, witness
-from orthomono.quadform import OracleMismatchError
+from orthomono.quadform import (Obstruction, OracleMismatchError,
+                                RankCertificate)
+from orthomono.witness import GroupElement
 
 from conftest import BASE_F, BASE_G, strict_json
 
@@ -92,8 +94,14 @@ def test_writer_is_the_stdlib_json_text(doc):
 @pytest.mark.parametrize("doc", [
     1.5, Fraction(1, 2), {1, 2}, {1: "a"}, {"a": [0, {"b": 0.5}]},
     [Fraction(3)], {"a": {(1,): 2}}, {"a": frozenset()}, {"a": b"x"},
+    # records are NamedTuples, so tuples, but not report values
+    RankCertificate(lo=1, hi=1, isotropic_witnesses=((1, 0),),
+                    residual_diagonal=()),
+    GroupElement(word=("C",), matrix=((1,),)),
+    {"a": Obstruction(prime=2, exponent=1, statement="no zero mod 2")},
 ], ids=["float", "fraction", "set", "int-key", "nested-float",
-        "integral-fraction", "tuple-key", "frozenset", "bytes"])
+        "integral-fraction", "tuple-key", "frozenset", "bytes",
+        "rank-certificate", "group-element", "nested-obstruction"])
 def test_writer_rejects_what_a_report_does_not_hold(doc):
     with pytest.raises(TypeError):
         cli.serialize_report(doc)
@@ -328,6 +336,30 @@ def test_word_bound_is_analyze_only(capsys, command):
     assert exc.value.code == 2
     assert "unrecognized arguments: --word-bound=8" \
         in capsys.readouterr().err
+
+
+def test_search_bound_help_names_the_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "exceeds SEARCH_CAP = 5,000,000 searches nothing" \
+        in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("bound", ["10", pytest.param("11", marks=(
+    pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: a stage whose box (2b+1)^k exceeds SEARCH_CAP "
+        "searches nothing, so at degree 5 bound 11 (23^5 > SEARCH_CAP) "
+        "finds less than bound 10 does"))))])
+def test_a_larger_search_bound_never_weakens_the_certificate(capsys, bound):
+    code, cap = run(capsys, "analyze", "--f", BASE_F, "--g", BASE_G,
+                    f"--search-bound={bound}")
+    doc = json.loads(cap.out)
+    assert (code, doc["witness"]["conclusion"]) \
+        == (0, "witnessed-arithmetic")
+    assert (doc["q_rank"]["lo"], doc["q_rank"]["hi"]) == (2, 2)
+    code, cap = run(capsys, "examples", "--quiet", f"--search-bound={bound}")
+    assert code == 0, cap.out
 
 
 def test_oracle_failure_exits_3(capsys, monkeypatch):

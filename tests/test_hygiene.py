@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package imports a name it never
-uses, every public function has a caller in the package or is
-exported, every exemption from that still names a defined function
+uses, no module imports dataclasses and importing the command line
+loads neither dataclasses nor inspect, every public function has a
+caller in the package or is exported, every exemption from that still names a defined function
 with no caller, every module-level private function or class has a use
 in the package, every GroupElement is built by WitnessContext from a
 word over A, A^-1 and C, every function the benchmark's tracer looks up
@@ -10,7 +11,10 @@ since its imports are the public re-exports, and so is `from __future__`."""
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -90,6 +94,46 @@ def test_witness_hunt_builds_no_fraction():
             if p.name not in FRACTION_MODULES}
     assert {name: lines for name, lines in uses.items() if lines} == {}
     assert "witness.py" in uses and "__init__.py" in uses
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The top-level names of the absolute imports anywhere in source,
+    inside functions too."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_finds_imported_modules():
+    assert _imported_modules("import os.path\nfrom . import linalg\n"
+                             "from dataclasses import dataclass\n"
+                             "def f():\n    import inspect\n") \
+        == {"os", "dataclasses", "inspect"}
+
+
+def test_no_module_imports_dataclasses():
+    # its import loads inspect, ast, dis and tokenize, and each class it
+    # builds execs generated methods, all at start-up: records are
+    # NamedTuples or small classes instead
+    found = [p.name for p in sorted(PACKAGE.glob("*.py"))
+             if "dataclasses" in _imported_modules(p.read_text())]
+    assert found == []
+
+
+def test_start_up_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import orthomono.cli\n"
+            "print(sorted({'dataclasses', 'inspect'}\n"
+            "             & (set(sys.modules) - before)))\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 # public functions with no caller in the package that stay, and why

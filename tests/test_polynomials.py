@@ -40,6 +40,21 @@ def test_non_int_coefficients_are_rejected(coeffs):
         IntPoly(coeffs)
 
 
+def test_equal_hash_equal_and_immutable():
+    # equality and hash by the trimmed coefficients, and only between
+    # IntPolys: a bare tuple of the same coefficients is not one
+    a, b = IntPoly((1, 2, 0)), IntPoly([1, 2])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != IntPoly((1, 2, 3)) and a != (1, 2) and (1, 2) != a
+    with pytest.raises(AttributeError):
+        a.coeffs = (5,)
+    with pytest.raises(AttributeError):
+        del a.coeffs
+    with pytest.raises(AttributeError):
+        a.degree_cache = 2
+    assert a.coeffs == (1, 2)
+
+
 def test_degree_and_leading():
     assert poly(-1, 0, 1).degree == 2
     assert poly().degree == -1

@@ -1,6 +1,5 @@
 """Invariant form, diagonalization, signatures, and rational isotropy
 certificates, pinned to independently derived values."""
-import dataclasses
 import functools
 import itertools
 import math
@@ -253,7 +252,7 @@ def test_invariant_space_requires_self_reciprocal(f_text, g_text, named):
 
 def test_invariant_space_checks_orthogonality_first(base_pair):
     # f(0) g(0) = +1 with a non-reciprocal f keeps the orthogonality message
-    flipped = dataclasses.replace(base_pair, f=P("x^5+x+1"))
+    flipped = base_pair._replace(f=P("x^5+x+1"))
     with pytest.raises(PairValidationError,
                        match="requires an orthogonal pair"):
         invariant_space(flipped)
@@ -336,7 +335,7 @@ def test_invariant_space_carries_its_diagonal(base_space):
 
 def test_the_diagonal_follows_the_gram():
     # the dimension and the diagonal are worked out from the Gram, so
-    # neither can be set apart from it, and a replaced Gram gets its own
+    # neither can be set apart from it, and another Gram gets its own
     with pytest.raises(TypeError):
         QuadSpace(gram=((1,),), diagonal=(F(-1),))
     with pytest.raises(TypeError):
@@ -344,15 +343,36 @@ def test_the_diagonal_follows_the_gram():
     space = QuadSpace(gram=((1,),))
     assert space.diagonal == (1,) and signature(space) == (1, 0)
     assert space.dim == 1
-    flipped = dataclasses.replace(space, gram=((-1,),))
+    flipped = QuadSpace(gram=((-1,),))
     assert flipped.diagonal == (-1,) and signature(flipped) == (0, 1)
     assert flipped.dim == 1
-    wider = dataclasses.replace(space, gram=((0, 1, 0), (1, 0, 0),
-                                             (0, 0, 3)))
+    wider = QuadSpace(gram=((0, 1, 0), (1, 0, 0), (0, 0, 3)))
     assert wider.dim == 3
     assert wider.diagonal == congruence_diagonal(wider.gram) \
         == (F(3), F(2), F(-1, 2))
     assert signature(wider) == (2, 1)
+
+
+def test_a_space_is_its_gram(monkeypatch):
+    # equal and hash-equal by the Gram, immutable, and the diagonal is one
+    # congruence_diagonal call however often it is read
+    gram = ((2, 1), (1, 2))
+    space = QuadSpace(gram=gram)
+    assert space == QuadSpace(gram) and hash(space) == hash(QuadSpace(gram))
+    assert space != QuadSpace(gram=((2, 1), (1, 3))) and space != gram
+    assert repr(space) == "QuadSpace(gram=((2, 1), (1, 2)))"
+    with pytest.raises(AttributeError):
+        space.gram = ((1,),)
+    with pytest.raises(AttributeError):
+        space.diagonal = (F(1),)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return congruence_diagonal(g)
+    monkeypatch.setattr(quadform, "congruence_diagonal", counted)
+    assert space.diagonal == space.diagonal == (F(2), F(3, 2))
+    assert calls == [gram]
 
 
 # invariant_space checks the remainder Gram against A and C entry by
@@ -1044,8 +1064,8 @@ def test_q_rank_checks_hi_against_the_signature(monkeypatch, base_space):
     original = quadform.witt_decompose
     monkeypatch.setattr(
         quadform, "witt_decompose", lambda space, bound, seeds=():
-        dataclasses.replace(original(space, bound, seeds),
-                            hi=original(space, bound, seeds).hi + 1))
+        original(space, bound, seeds)._replace(
+            hi=original(space, bound, seeds).hi + 1))
     with pytest.raises(OracleMismatchError,
                        match=r"certificate hi exceeds min\(p, q\)"):
         q_rank(base_space, 3)
