@@ -513,9 +513,9 @@ def cmd_paper_suite(args) -> int:
 # --------------------------------------------------------------- arg parsing
 
 def _at_least_one(text: str) -> int:
-    """--search-bound and --word-bound value: an int of at least 1.  The
-    Q-rank bound doubling never leaves a bound of 0 or less, and a word
-    bound below 1 walks no orbit at all."""
+    """--search-bound and --word-bound value: an int of at least 1.  A
+    Witt stage's bound doubling never leaves a bound of 0 or less, and a
+    word bound below 1 walks no orbit at all."""
     try:
         value = int(text)
     except ValueError:
@@ -548,7 +548,9 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", metavar="PATH", default=None,
                      help="also write the report to PATH")
     sub.add_argument("--quiet", action="store_true",
-                     help="suppress stdout output (files still written)")
+                     help="analyze and pad: no report on stdout (the --json "
+                          "file is still written); examples: print only "
+                          "unexplained values and the summary line")
 
 
 @functools.cache

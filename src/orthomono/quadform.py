@@ -33,6 +33,11 @@ CERT_MAX_PRIME = 97
 CERT_MAX_EXPONENT = 3
 CERT_WORK_CAP = 4_000_000
 
+# an indefinite residual in >= 5 variables stopped by SEARCH_CAP
+_CAP_NOTE = ("a rational isotropic vector exists in the residual "
+             "(indefinite, >= 5 variables) but the bounded search stopped "
+             "at the enumeration cap")
+
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
            59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -479,8 +484,13 @@ def witt_decompose(space: QuadSpace, bound: int,
     repeats.  lo = planes split; the leftover block is diagonalized.
     A stage whose lattice is definite stops without a search or a note,
     since it has no isotropic vector; otherwise a stage whose enumeration
-    would exceed SEARCH_CAP stops with a note.  A seed of the wrong
-    length or with a coordinate that is not an int is a ValueError.
+    would exceed SEARCH_CAP stops with a note.  An indefinite stage in
+    k > CERT_MAX_DIM variables has a rational isotropic vector (Meyer's
+    theorem), so an empty search there doubles the bound, for the later
+    stages too, while the box fits; one stopped by the cap notes that
+    the vector exists.  A bound below 1 is a ValueError, as the doubling
+    would never leave it, and so is a seed of the wrong length or with a
+    coordinate that is not an int.
 
     The current lattice is carried from stage to stage as a basis B
     (rows, in ambient coordinates), starting from B = I.  A split plane
@@ -492,6 +502,8 @@ def witt_decompose(space: QuadSpace, bound: int,
     one whose isotropic vector has no partner, whose diagonal is the
     residual.  At stage 1 they are G and the diagonal the space keeps.
     """
+    if bound < 1:
+        raise ValueError(f"search bound must be at least 1, got {bound}")
     gram = space.gram
     n = len(gram)
     basis = linalg.identity(n)
@@ -540,10 +552,19 @@ def witt_decompose(space: QuadSpace, bound: int,
                     f"stage {len(witnesses) + 1}: search over "
                     f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
                     "lower bound may not be tight")
+                if k > CERT_MAX_DIM:
+                    notes.append(_CAP_NOTE)
                 break
             # search in lattice coordinates against the restricted Gram;
             # c.(B G B^T).c = x.G.x for x = c B, so the hit is unchanged
             c = next(_box_solutions(restricted, bound), None)
+            # indefinite in >= 5 variables: a rational zero exists (Meyer)
+            while c is None and k > CERT_MAX_DIM:
+                if (4 * bound + 1) ** k > SEARCH_CAP:
+                    notes.append(_CAP_NOTE)
+                    break
+                bound *= 2
+                c = next(_box_solutions(restricted, bound), None)
             if c is None:
                 break
             x = tuple(sum(c[j] * basis[j][i] for j in range(k))
@@ -671,9 +692,6 @@ def find_anisotropy_certificate(diagonal: Sequence[Fraction]
     anisotropy certificate of the diagonal form, each entry reduced by
     squarefree_at_cert_primes.
     Returns (obstruction, notes); obstruction None means unknown."""
-    if len(diagonal) > CERT_MAX_DIM:
-        return None, [f"residual dimension {len(diagonal)} exceeds the "
-                      f"certificate limit {CERT_MAX_DIM}"]
     reduced = [squarefree_at_cert_primes(d) for d in diagonal]
     notes = []
     for k in range(1, CERT_MAX_EXPONENT + 1):
@@ -694,55 +712,27 @@ def q_rank(space: QuadSpace, bound: int,
     """Q-rank interval [lo, hi] of the form, with witnesses and
     obstructions attached.
 
-    lo comes from greedy plane splitting, hi from the residual signature;
-    hi is tightened to lo when an anisotropy certificate closes the
-    residual, and for a real-isotropic residual in >= 5 variables the
-    search bound is doubled (a rational witness is guaranteed to exist)
-    until found or the enumeration cap intervenes.  witt_decompose at a
-    doubled bound starts again from stage 1, where the cap may stop it
-    sooner, so the certificate returned at the cap is the one with the
-    highest lo seen (the latest among ties).  hi is cross-checked
-    against min(p, q) of signature(space).  A bound below 1 is a
-    ValueError: the doubling would never leave it, and so is a seed
-    witt_decompose rejects.
+    One witt_decompose gives lo and hi, and hi is cross-checked against
+    min(p, q) of signature(space).  An open residual in at most
+    CERT_MAX_DIM variables is scanned for an anisotropy certificate,
+    which tightens hi to lo; a larger one was searched up to the cap.
+    A bound or a seed that witt_decompose rejects is a ValueError.
     """
-    if bound < 1:
-        raise ValueError(f"search bound must be at least 1, got {bound}")
     p, q = signature(space)
-    current_bound = bound
-    best = None
-    while True:
-        cert = witt_decompose(space, current_bound, seeds=seeds)
-        _check_certificate(space, cert)
-        residual_dim = len(cert.residual_diagonal)
-        if cert.hi > min(p, q):
-            raise OracleMismatchError("certificate hi exceeds min(p, q)")
-        # a lower lo than best's leaves 2 more variables per plane in a
-        # residual of >= 5, so only the cap path can return best for cert
-        if best is None or cert.lo >= best.lo:
-            best = cert
-        if cert.lo == cert.hi:
-            return cert
-        if residual_dim <= CERT_MAX_DIM:
-            obstruction, notes = find_anisotropy_certificate(
-                cert.residual_diagonal)
-            if obstruction is not None:
-                return cert._replace(hi=cert.lo, obstructions=(obstruction,),
-                               notes=cert.notes + tuple(notes))
-            return cert._replace(
-                notes=cert.notes + tuple(notes) + (
-                    "interval open: residual neither split nor certified "
-                    "anisotropic within the configured bounds",))
-        # lo < hi = lo + min(pr, qr): the residual is indefinite, in
-        # more than CERT_MAX_DIM = 4 variables
-        doubled = current_bound * 2
-        if (2 * doubled + 1) ** residual_dim > SEARCH_CAP:
-            return best._replace(
-                notes=best.notes + (
-                    "a rational isotropic vector exists in the "
-                    "residual (indefinite, >= 5 variables) but the "
-                    "bounded search stopped at the enumeration cap",))
-        current_bound = doubled
+    cert = witt_decompose(space, bound, seeds=seeds)
+    _check_certificate(space, cert)
+    if cert.hi > min(p, q):
+        raise OracleMismatchError("certificate hi exceeds min(p, q)")
+    if cert.lo == cert.hi or len(cert.residual_diagonal) > CERT_MAX_DIM:
+        return cert
+    obstruction, notes = find_anisotropy_certificate(cert.residual_diagonal)
+    if obstruction is not None:
+        return cert._replace(hi=cert.lo, obstructions=(obstruction,),
+                             notes=cert.notes + tuple(notes))
+    return cert._replace(
+        notes=cert.notes + tuple(notes) + (
+            "interval open: residual neither split nor certified "
+            "anisotropic within the configured bounds",))
 
 
 def _check_certificate(space: QuadSpace, cert: RankCertificate) -> None:

@@ -1024,6 +1024,14 @@ def test_q_rank_rejects_bound_below_one(base_space):
             q_rank(base_space, bound)
 
 
+def test_witt_rejects_bound_below_one(base_space):
+    # an empty stage in >= 5 variables doubles its own bound, and 0
+    # doubles to 0: the base quintic's first stage would search forever
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            witt_decompose(base_space, bound)
+
+
 def test_q_rank_rejects_seeds_of_the_wrong_length(base_space):
     # a short seed once passed as the witness (1, 0, -1) with lo = 2: the
     # pairing stops at the shorter vector
@@ -1078,22 +1086,47 @@ def test_q_rank_matches_witt_on_the_gram(base_space):
     assert direct.isotropic_witnesses == via_pair.isotropic_witnesses
 
 
-def test_q_rank_keeps_the_best_lo_of_its_doublings(cyclotomic_pairs):
-    # a doubled bound restarts witt_decompose at stage 1, where the cap
-    # can stop it sooner: battery pairs 32 and 34 (n = 7) got lo = 1 from
-    # witt_decompose at bound 3 and lo = 0 from q_rank, which had doubled
-    for f, g in cyclotomic_pairs:
-        space = invariant_space(build_pair(f, g))
-        for bound in (1, 2, 3):
-            assert q_rank(space, bound).lo >= \
-                witt_decompose(space, bound).lo, (render(f), render(g), bound)
-    for i, hi in ((32, 3), (34, 2)):
-        cert = q_rank(invariant_space(build_pair(*cyclotomic_pairs[i])), 3)
-        assert (cert.lo, cert.hi) == (1, hi)
-        assert cert.notes == (
-            "a rational isotropic vector exists in the residual "
+# the note of a stage in >= 5 variables that the cap stopped
+CAP_NOTE = ("a rational isotropic vector exists in the residual "
             "(indefinite, >= 5 variables) but the bounded search stopped "
-            "at the enumeration cap",)
+            "at the enumeration cap")
+
+
+def test_a_doubling_resumes_at_the_empty_stage(cyclotomic_pairs):
+    # battery pairs 32 and 34 (n = 7) split one plane at bound 3 and
+    # find nothing in the 5-variable stage after it.  That stage doubles
+    # to 6 (13^5 tuples) and stops before 12 (25^5 > SEARCH_CAP); a
+    # restart at stage 1 would have been over the cap (13^7) at once
+    cert = q_rank(invariant_space(build_pair(*cyclotomic_pairs[32])), 3)
+    assert (cert.lo, cert.hi) == (2, 3)
+    assert cert.isotropic_witnesses[0] == (0, 0, 0, 0, 1, 0, -1)
+    cert = q_rank(invariant_space(build_pair(*cyclotomic_pairs[34])), 3)
+    assert (cert.lo, cert.hi) == (1, 2)
+    assert cert.notes == (CAP_NOTE,)
+
+
+def test_q_rank_is_one_witt_decompose(monkeypatch, cyclotomic_pairs):
+    # the quintic with an 81-bit residual entry finds its one witness
+    # only after its 5-variable stage doubles from 3 to 6
+    spaces = [invariant_space(build_pair(f, g)) for f, g in cyclotomic_pairs]
+    spaces.append(invariant_space(pair_of(
+        "x^5-8*x^4+22*x^3-22*x^2+8*x-1", "x^5-28*x^4+77*x^3+77*x^2-28*x+1")))
+    original = quadform.witt_decompose
+    calls = []
+
+    def witt(space, bound, seeds=()):
+        calls.append(original(space, bound, seeds))
+        return calls[-1]
+
+    monkeypatch.setattr(quadform, "witt_decompose", witt)
+    for space in spaces:
+        for bound in (1, 2, 3):
+            calls.clear()
+            cert = q_rank(space, bound)
+            assert len(calls) == 1, (space.gram, bound)
+            assert (cert.lo, cert.isotropic_witnesses) == \
+                (calls[0].lo, calls[0].isotropic_witnesses), (space.gram, bound)
+    assert q_rank(spaces[-1], 3).lo == 1
 
 
 def test_definite_stage_stops_before_the_cap(cyclotomic_pairs):
@@ -1161,8 +1194,19 @@ def _reference_witt_decompose(gram, bound, seeds=()):
                     f"stage {len(witnesses) + 1}: search over "
                     f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
                     "lower bound may not be tight")
+                if k >= 5:
+                    notes.append(CAP_NOTE)
                 break
-            c = next(_box_solutions(restricted, bound), None)
+            # an indefinite stage in >= 5 variables has a rational zero:
+            # an empty box doubles the bound while the doubled box fits
+            while True:
+                c = next(_box_solutions(restricted, bound), None)
+                if c is not None or k < 5:
+                    break
+                if (2 * (2 * bound) + 1) ** k > SEARCH_CAP:
+                    notes.append(CAP_NOTE)
+                    break
+                bound = 2 * bound
             if c is None:
                 break
             x = tuple(sum(c[j] * basis[j][i] for j in range(k))
@@ -1230,14 +1274,25 @@ def _carried_witt_decompose(space, bound, seeds=()):
             if all(d > 0 for d in residual_diag) or \
                     all(d < 0 for d in residual_diag):
                 break
-            if (2 * bound + 1) ** k > SEARCH_CAP:
+            over = (2 * bound + 1) ** k > SEARCH_CAP
+            if over:
                 notes.append(
                     f"stage {len(witnesses) + 1}: search over "
                     f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
                     "lower bound may not be tight")
-                break
-            c = next(_box_solutions(restricted, bound), None)
-            if c is None:
+            # the bounds this stage may search: b, 2b, 4b, ... while the
+            # box fits, past b only in >= 5 variables
+            tries = [] if over else [bound]
+            while k > 4 and tries and \
+                    (4 * tries[-1] + 1) ** k <= SEARCH_CAP:
+                tries.append(2 * tries[-1])
+            for bound in tries:
+                c = next(_box_solutions(restricted, bound), None)
+                if c is not None:
+                    break
+            else:
+                if k > 4:
+                    notes.append(CAP_NOTE)
                 break
             x = tuple(sum(c[j] * basis[j][i] for j in range(k))
                       for i in range(n))

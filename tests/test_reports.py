@@ -148,7 +148,7 @@ DIGESTS = {
     "battery-31": (
         0, "045d179da954bf96f75daa3a8168f7c422c1ce46169592cd4a25a2be309e3a58"),
     "battery-32": (
-        0, "016a88531e28edc97d55da3b12051f56504877296de99b651dfad24b3a150b7a"),
+        0, "a661b4e87387a40748c318f92d4f0d7a1d21f5aae4687d37db14efff0d8aae20"),
     "battery-33": (
         0, "52612c78934f6b2340aa952d731f23bc28dba77b3a9cbb0d2b47351e3d3f7547"),
     "battery-34": (
