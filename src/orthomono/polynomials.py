@@ -157,7 +157,6 @@ class IntPoly:
         return IntPoly(tuple(out))
 
 
-X = IntPoly((0, 1))
 ONE = IntPoly((1,))
 
 

@@ -35,10 +35,11 @@ y - u(y) for a unit vector y.
 
 The hunt reads the orbit of v once: word_orbit maps each image g(v) to
 its word, and each sign-canonical isotropic difference +-(g(v) -+ v) to
-the images that give it, so the candidates eps are a filter over those
-keys and the unipotent for an eps is one lookup.  Every function that
-takes eps validates it once, through WitnessContext.perp, and works with
-the first vector of that basis.
+the first image that gives it, with its word, so the candidates eps are
+a filter over those keys and the unipotent for an eps is one lookup.
+Every function that takes eps validates it once, through
+WitnessContext.perp, and works with the first vector of that basis.
+SEARCH_CAP bounds every box of the hunt.
 """
 from __future__ import annotations
 
@@ -63,8 +64,6 @@ MAX_SPAN_REFLECTIONS = 12
 # input limit on the word bound: the orbit of v about doubles per step,
 # and at 16 one orbit of a worked quintic pair holds ~126,000 images
 MAX_WORD_BOUND = 16
-# enumeration ceiling for the ambient box of integral_reflection_vectors
-AMBIENT_CAP = 200_000
 
 
 class GroupElement(NamedTuple):
@@ -196,16 +195,15 @@ class WitnessContext:
         new image from the least (token, parent) pair that reaches it,
         tokens ordered A, A^-1, C and parents in level-k order; every
         image thus carries its shortest-lexicographic word, and images
-        are indexed in the order of those words.  v itself is never
+        are recorded in the order of those words.  v itself is never
         recorded.
 
-        Returns (images, keys).  images maps each g(v) to (discovery
-        index, word).  g(v).g(v) = v.v = 2, so (g(v) -+ v)^2 = 4 -+
-        2 g(v).v vanishes iff g(v).v = +-2; keys maps the sign-canonical
-        form of each such nonzero isotropic difference to its entries
-        (index, 0 for g(v) - v or 1 for g(v) + v, word, g(v)), in
-        discovery order.  v is the first unit vector, so the difference
-        is g(v) with entry 0 moved by 1.
+        Returns (images, keys).  images maps each g(v) to its word.
+        g(v).g(v) = v.v = 2, so (g(v) -+ v)^2 = 4 -+ 2 g(v).v vanishes
+        iff g(v).v = +-2; keys maps the sign-canonical form of each such
+        nonzero isotropic difference to (word, g(v)) of the first image
+        that gives it.  v is the first unit vector, so the difference is
+        g(v) with entry 0 moved by 1.
         """
         if word_bound < 1:
             raise ValueError(f"word bound must be at least 1, got {word_bound}")
@@ -232,17 +230,15 @@ class WitnessContext:
                     if x == v or x in images:
                         continue
                     word = (token,) + parent
-                    index = len(images)
-                    images[x] = (index, word)
+                    images[x] = word
                     grown.append((x, word))
                     pairing = sum(map(operator.mul, x, g_v))
                     if pairing in (2, -2):
-                        side = int(pairing < 0)
+                        # g(v) - v at pairing 2, g(v) + v at -2
                         key = linalg.sign_canonical(
-                            (x[0] + 2 * side - 1,) + x[1:])
+                            (x[0] - pairing // 2,) + x[1:])
                         if any(key):  # g(v) = -v has no difference
-                            keys.setdefault(key, []).append(
-                                (index, side, word, x))
+                            keys.setdefault(key, (word, x))
             level = grown
         self._orbits[word_bound] = (images, keys)
         return images, keys
@@ -394,29 +390,30 @@ def in_unipotent_radical(g: GroupElement, eps: Sequence[int],
 
 def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
                                word_bound: int) -> GroupElement | None:
-    """The words g over {A, A^-1, C} with g(v) -+ v = +-eps, read off the
-    keys of word_orbit(word_bound) at eps's sign-canonical form, in
-    discovery order (shortest first, lexicographic tie-break); the
-    returned element is u = C_{g(v)} C_v for the first of them that gives
-    a u verified nontrivial and inside the unipotent radical of the
-    parabolic fixing the line through eps.  eps is validated by ctx.perp.
+    """u = C_x C_v, the word g C g^-1 C verified against the product of
+    the two reflections, for the one entry (g, x = g(v)) that
+    word_orbit(word_bound) keeps at eps's sign-canonical form.  eps is
+    validated by ctx.perp.
 
-    None when the bounded search finds nothing; that is a report outcome,
-    not an error.
+    As x . v = +-2 and eps = +-(x -+ v), u fixes eps and moves each y in
+    eps-perp by +-(y . v) eps, so it lies in the unipotent radical at eps,
+    and it is not the identity, as v is no multiple of the isotropic eps.
+    Both are checked: a failure raises OracleMismatchError.  None when the
+    bounded orbit does not reach eps, a report outcome, not an error.
     """
     eps = ctx.perp(eps)[0]
-    keys = ctx.word_orbit(word_bound)[1]
-    c_axis = _reflection_axis(ctx.gram, ctx.v)
-    for _, _, word, x in keys.get(linalg.sign_canonical(eps), ()):
-        # C applied to the rows of C_x
-        u_matrix = _times_reflection(reflection_matrix(ctx.gram, x), *c_axis)
-        u_word = word + ("C",) + _inverse_word(word) + ("C",)
-        u = ctx.verified(u_word, u_matrix)
-        if u.is_identity:
-            continue
-        if in_unipotent_radical(u, eps, ctx):
-            return u
-    return None
+    entry = ctx.word_orbit(word_bound)[1].get(linalg.sign_canonical(eps))
+    if entry is None:
+        return None
+    word, x = entry
+    # C applied to the rows of C_x
+    u = ctx.verified(word + ("C",) + _inverse_word(word) + ("C",),
+                     _times_reflection(reflection_matrix(ctx.gram, x),
+                                       *_reflection_axis(ctx.gram, ctx.v)))
+    if u.is_identity or not in_unipotent_radical(u, eps, ctx):
+        raise OracleMismatchError(f"C_x C_v for x = {x} is not a nontrivial "
+                                  f"element of the unipotent radical")
+    return u
 
 
 def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
@@ -424,8 +421,9 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
                                 ) -> list[tuple[int, ...]]:
     """Norm-2 vectors orthogonal to eps, whose reflections are therefore
     integral and fix the line through eps: the images A^k v, the
-    perp-basis vectors, then (dimension permitting) the bounded box
-    search, walked inside eps-perp.  Deduplicated by sign, deterministic
+    perp-basis vectors, then the bounded box search, walked inside
+    eps-perp, when its box fits under SEARCH_CAP, the hunt's own test, so
+    inside the hunt it always runs.  Deduplicated by sign, deterministic
     order.  The reflection about A^k v is A^k C A^-k, in the group <A, C>;
     those about the perp-basis and box vectors are not shown to be, so
     these axes are int vectors, not words."""
@@ -435,7 +433,7 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
     images = (tuple(row) for row in linalg.identity(n))
     candidates = itertools.chain(images, perp)
     g_eps = linalg.mat_vec(gram, perp[0])
-    if (2 * search_bound + 1) ** n <= AMBIENT_CAP:
+    if (2 * search_bound + 1) ** n <= SEARCH_CAP:
         # lazily, and walked inside eps-perp: the scan usually stops at
         # MAX_SPAN_REFLECTIONS long before the box is exhausted
         candidates = itertools.chain(
@@ -600,7 +598,8 @@ def arithmeticity_report(ctx: WitnessContext, search_bound: int,
     conjugates of it spanning the full n-2 dimensional translation group.
     Anything less is reported as inconclusive, with whatever partial
     evidence was found embedded in the report.  No hunt runs when the
-    search box is over SEARCH_CAP.
+    search box is over SEARCH_CAP, which bounds the box of
+    integral_reflection_vectors too; every candidate gives a unipotent.
 
     The unipotent is a word over {A, A^-1, C}, but the span axes of
     integral_reflection_vectors from the perp basis and the ambient box
@@ -617,8 +616,6 @@ def arithmeticity_report(ctx: WitnessContext, search_bound: int,
         best = -1
         for eps in orbit_candidates(ctx, search_bound, word_bound):
             u = unipotent_from_reflections(ctx, eps, word_bound)
-            if u is None:
-                continue
             rank = span_rank_witness(
                 u, integral_reflection_vectors(ctx, eps, search_bound),
                 eps, ctx)

@@ -166,7 +166,8 @@ def _used_names(node, local=frozenset()) -> set[str]:
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
         local = local | _local_names(node)
     used = set()
-    if isinstance(node, ast.Name) and node.id not in local:
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+            and node.id not in local:
         used.add(node.id)
     elif isinstance(node, ast.Attribute):
         used.add(node.attr)
@@ -175,15 +176,15 @@ def _used_names(node, local=frozenset()) -> set[str]:
     return used
 
 
-def _unused(sources: dict[str, str], select, exempt=()) -> list[str]:
-    """The module-level definitions of the given sources that select
-    picks and exempt does not name, whose name no source uses, as a name
-    or an attribute."""
+def _unused(sources: dict[str, str], defines, exempt=()) -> list[str]:
+    """The names that the module-level statements of the given sources
+    define, as defines(statement) lists them, less those exempt names,
+    that no source reads, as a name or an attribute."""
     defined, used = {}, set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined.update((node.name, module) for node in tree.body
-                       if select(node) and node.name not in exempt)
+        defined.update((name, module) for node in tree.body
+                       for name in defines(node) if name not in exempt)
         used |= _used_names(tree)
     return sorted(f"{module}: {name}" for name, module in defined.items()
                   if name not in used)
@@ -192,15 +193,35 @@ def _unused(sources: dict[str, str], select, exempt=()) -> list[str]:
 def _uncalled_functions(sources: dict[str, str], exported) -> list[str]:
     """Module-level public functions of the given sources whose name no
     source uses, as a name or an attribute, and that are not exported."""
-    return _unused(sources, lambda node: isinstance(node, ast.FunctionDef)
-                   and not node.name.startswith("_"), exported)
+    return _unused(sources, lambda node: [node.name] if isinstance(
+        node, ast.FunctionDef) and not node.name.startswith("_") else [],
+        exported)
 
 
 def _orphaned_private(sources: dict[str, str]) -> list[str]:
     """Module-level private functions and classes of the given sources
     whose name no source uses, as a name or an attribute."""
-    return _unused(sources, lambda node: isinstance(
-        node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"))
+    return _unused(sources, lambda node: [node.name] if isinstance(
+        node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") else [])
+
+
+def _constant_names(node) -> list[str]:
+    """The UPPER_CASE names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name) and name.id.isupper()]
+
+
+def _stale_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE constants of the given sources that no
+    source reads, as a name or an attribute."""
+    return _unused(sources, _constant_names)
 
 
 def test_finds_an_uncalled_function():
@@ -233,6 +254,26 @@ def test_finds_an_orphaned_private_helper():
 
 def test_every_private_helper_has_a_use_in_the_package():
     assert _orphaned_private({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_finds_a_stale_constant():
+    sources = {"a.py": "CAP = 5\nLEFT: int = 2\nX, _Y = 1, 2\n"
+                       "lower = 3\n\ndef f(n):\n    return n <= CAP\n",
+               "b.py": "import a\nBOUND = a.X\nCAP = 4\n"}
+    # a constant is read by name or as an attribute; its own assignment
+    # is no read, and neither is a lower-case name
+    assert _stale_constants(sources) == ["a.py: LEFT", "a.py: _Y",
+                                         "b.py: BOUND"]
+
+
+def test_every_constant_is_read_in_the_package():
+    # a cap or table that outlives its last reader goes with it; the one
+    # exception is corpus's errata catalogue, which says what the article
+    # gets wrong for each erratum tag, and which the tests check every
+    # tag against
+    assert _stale_constants({p.name: p.read_text()
+                             for p in PACKAGE.glob("*.py")}) \
+        == ["corpus.py: ERRATA"]
 
 
 def _defined_and_called(sources: dict[str, str]) -> tuple[set, set]:

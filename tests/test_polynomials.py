@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from orthomono import polynomials
 from orthomono.parsing import parse_poly
-from orthomono.polynomials import (ONE, X, CycloFactorization, IntPoly,
+from orthomono.polynomials import (ONE, CycloFactorization, IntPoly,
                                    cyclo_factor, cyclotomic, divrem,
                                    euler_phi, exact_div, render,
                                    root_arguments)
@@ -20,6 +20,9 @@ coeff_lists = st.lists(st.integers(-9, 9), max_size=8)
 
 def poly(*ascending: int) -> IntPoly:
     return IntPoly(tuple(ascending))
+
+
+X = poly(0, 1)
 
 
 # ------------------------------------------------------------- construction

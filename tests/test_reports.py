@@ -124,7 +124,7 @@ DIGESTS = {
     "battery-19": (
         0, "f77fabff571c35865cb6b8a60ea9a5bf8cccf3edadaa227e9cfa3a141d0ef071"),
     "battery-20": (
-        0, "285e1061242d4af7a38b7b883d6bac142ee3f699b887bbf250b93a5d4aca0248"),
+        0, "77ac2e33b79a624a07934f56254731fd3be0ac97aa77edd029116c628b092f8f"),
     "battery-21": (
         0, "f63d60cbe870f9ce51828098dff5b5e8dd45a6087e9e9ff9488141af771fb63d"),
     "battery-22": (
@@ -148,7 +148,7 @@ DIGESTS = {
     "battery-31": (
         0, "045d179da954bf96f75daa3a8168f7c422c1ce46169592cd4a25a2be309e3a58"),
     "battery-32": (
-        0, "a661b4e87387a40748c318f92d4f0d7a1d21f5aae4687d37db14efff0d8aae20"),
+        0, "1444dadcd9ab221330ff7f52d9ac45badd4b63960b11cbda1b25bf7a68a68448"),
     "battery-33": (
         0, "52612c78934f6b2340aa952d731f23bc28dba77b3a9cbb0d2b47351e3d3f7547"),
     "battery-34": (

@@ -1,5 +1,6 @@
 """Reflections, parabolic line stabilizers, translation vectors, and the
 unipotent witness machinery, pinned on the reference quintic pair."""
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from orthomono.padding import pad_pair
 from orthomono.parsing import parse_poly
 from orthomono.polynomials import render
 from orthomono.quadform import (SEARCH_CAP, OracleMismatchError, QuadSpace,
-                                isotropic_search, q_rank, signature)
+                                invariant_space, isotropic_search, q_rank,
+                                signature)
 from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
                                GroupElement, WitnessContext,
                                arithmeticity_report,
@@ -362,17 +364,20 @@ def test_word_orbit_matches_matrix_reference(f_text, g_text, bound):
                 if entry[2] != v]
     images, keys = ctx.word_orbit(bound)
     want_images, want_keys = _images_and_keys(ctx, *two_maps)
-    assert list(images.items()) == sorted(want_images.items(),
-                                          key=lambda item: item[1])
-    assert keys == want_keys
+    assert list(images.items()) == [
+        (x, word) for x, (_, word) in sorted(want_images.items(),
+                                             key=lambda item: item[1])]
+    # each key holds the entry of its smallest discovery index
+    assert keys == {key: min(entries)[2:]
+                    for key, entries in want_keys.items()}
     assert list(keys) == sorted(want_keys,
                                 key=lambda key: want_keys[key][0][0])
-    for x, (_, word) in images.items():
+    for x, word in images.items():
         assert tuple(row[0] for row in ctx.element(word).matrix) == x
     # only images with g(v).v = +-2 give a key, g(v) - v or g(v) + v
-    for key, entries in keys.items():
+    for key, entries in want_keys.items():
         for _, side, word, x in entries:
-            assert images[x][1] == word
+            assert images[x] == word
             assert linalg.vec_dot(x, ctx.gram, v) == 2 - 4 * side
             diff = tuple(a + (2 * side - 1) * b for a, b in zip(x, v))
             assert key in (diff, tuple(-a for a in diff))
@@ -418,8 +423,12 @@ def test_word_orbit_matches_the_generator_walk(entry):
     for bound in range(1, 13):
         images, keys = ctx.word_orbit(bound)
         want_images, want_keys = _generator_word_orbit(ctx, bound)
-        assert list(images.items()) == list(want_images.items()), bound
-        assert list(keys.items()) == list(want_keys.items()), bound
+        assert list(images.items()) == [
+            (x, word) for x, (_, word) in want_images.items()], bound
+        # each key holds the entry of its smallest discovery index
+        assert list(keys.items()) == [
+            (key, min(entries)[2:]) for key, entries in want_keys.items()
+        ], bound
 
 
 # ------------------------------------------------------------ orthocomplement
@@ -575,6 +584,52 @@ def test_unipotent_search_validates_eps(ctx):
         unipotent_from_reflections(ctx, e(0), 8)
 
 
+def test_unipotent_off_the_radical_is_a_mismatch(monkeypatch, ctx):
+    # the key's one entry always gives a u in the radical, so a u that
+    # fails the check means a route is wrong, not that the search missed
+    monkeypatch.setattr(witness, "in_unipotent_radical",
+                        lambda g, eps, context: False)
+    with pytest.raises(OracleMismatchError, match="unipotent radical"):
+        unipotent_from_reflections(ctx, EPS, 8)
+
+
+def _indefinite_cases(max_degree):
+    """The worked entries and the battery pairs of degree 3 to max_degree
+    whose form is indefinite."""
+    cases = [pytest.param(e.f_text, e.g_text, id=e.name)
+             for e in corpus.ENTRIES]
+    for i, (f, g) in enumerate(random_cyclotomic_pairs()):
+        if 3 <= f.degree <= max_degree \
+                and min(signature(invariant_space(build_pair(f, g)))) >= 1:
+            cases.append(pytest.param(render(f), render(g),
+                                      id=f"battery-{i:02d}"))
+    return cases
+
+
+@pytest.mark.parametrize("f_text, g_text", _indefinite_cases(7))
+def test_key_unipotent_moves_w_by_its_pairing_with_v(f_text, g_text):
+    # for the entry (g, x) of a key, x . v = +-2 and the key is
+    # sigma (x -+ v), sigma = +-1 from the sign-canonical form; then
+    # u = C_x C_v sends each w in eps-perp to w + (x . v / 2) sigma (w . v)
+    # eps, so lambda_w is (w . v) up to that sign; an anisotropic form
+    # has no keys
+    ctx = WitnessContext(build_pair(parse_poly(f_text), parse_poly(g_text)))
+    for key, (word, x) in ctx.word_orbit(8)[1].items():
+        if math.gcd(*key) != 1:
+            continue
+        u = unipotent_from_reflections(ctx, key, 8)
+        assert u.word == word + ("C",) + _inverse_word(word) + ("C",)
+        half = linalg.vec_dot(x, ctx.gram, ctx.v) // 2
+        assert half in (1, -1)
+        raw = tuple(a - half * b for a, b in zip(x, ctx.v))
+        sigma = 1 if raw == key else -1
+        assert tuple(sigma * a for a in raw) == key
+        perp = ctx.perp(key)
+        assert _radical_factors(u.matrix, perp) \
+            == [half * sigma * linalg.vec_dot(w, ctx.gram, ctx.v)
+                for w in perp[1:]]
+
+
 def test_integral_reflection_vectors(ctx):
     vectors = integral_reflection_vectors(ctx, EPS)
     assert len(vectors) == 12
@@ -583,6 +638,27 @@ def test_integral_reflection_vectors(ctx):
         assert linalg.vec_dot(w, ctx.gram, w) == 2
         assert linalg.vec_dot(w, ctx.gram, EPS) == 0
         assert next(x for x in w if x != 0) > 0
+
+
+# on these two n = 7 pairs the A^k v and the perp basis reach rank 1 and
+# 2 only; the box axes, walked since the box is under SEARCH_CAP, carry
+# the rank to n - 2 = 5
+
+@pytest.mark.parametrize("index", [20, 32])
+def test_box_axes_witness_the_degree_7_battery_pairs(index):
+    f, g = random_cyclotomic_pairs()[index]
+    ctx = WitnessContext(build_pair(f, g))
+    assert ctx.n == 7 and 7 ** 7 <= SEARCH_CAP
+    rep = arithmeticity_report(ctx, 3, 8)
+    assert rep.conclusion == WITNESSED and rep.translation_rank == 5
+    eps = rep.epsilon
+    axes = integral_reflection_vectors(ctx, eps, 3)
+    basis = {linalg.sign_canonical(w)
+             for w in linalg.identity(7) + ctx.perp(eps)}
+    box = [w for w in axes if w not in basis]
+    assert box
+    assert span_rank_witness(rep.unipotent,
+                             [w for w in axes if w in basis], eps, ctx) < 5
 
 
 # the box part of the axis scan is walked inside eps-perp: each prefix of
