@@ -218,12 +218,6 @@ def _constant_names(node) -> list[str]:
             if isinstance(name, ast.Name) and name.id.isupper()]
 
 
-def _stale_constants(sources: dict[str, str]) -> list[str]:
-    """Module-level UPPER_CASE constants of the given sources that no
-    source reads, as a name or an attribute."""
-    return _unused(sources, _constant_names)
-
-
 def test_finds_an_uncalled_function():
     sources = {"a.py": "def f():\n    return g()\n\ndef g():\n    pass\n",
                "b.py": "def h():\n    pass\n\ndef _k():\n    pass\n"}
@@ -262,8 +256,8 @@ def test_finds_a_stale_constant():
                "b.py": "import a\nBOUND = a.X\nCAP = 4\n"}
     # a constant is read by name or as an attribute; its own assignment
     # is no read, and neither is a lower-case name
-    assert _stale_constants(sources) == ["a.py: LEFT", "a.py: _Y",
-                                         "b.py: BOUND"]
+    assert _unused(sources, _constant_names) == ["a.py: LEFT", "a.py: _Y",
+                                                 "b.py: BOUND"]
 
 
 def test_every_constant_is_read_in_the_package():
@@ -271,9 +265,8 @@ def test_every_constant_is_read_in_the_package():
     # exception is corpus's errata catalogue, which says what the article
     # gets wrong for each erratum tag, and which the tests check every
     # tag against
-    assert _stale_constants({p.name: p.read_text()
-                             for p in PACKAGE.glob("*.py")}) \
-        == ["corpus.py: ERRATA"]
+    assert _unused({p.name: p.read_text() for p in PACKAGE.glob("*.py")},
+                   _constant_names) == ["corpus.py: ERRATA"]
 
 
 def _defined_and_called(sources: dict[str, str]) -> tuple[set, set]:
