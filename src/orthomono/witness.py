@@ -89,8 +89,10 @@ CAVEATS = (
     "Zariski density of the group is assumed via the Beukers-Heckman "
     "criterion for hypergeometric monodromy; it is not re-verified here.",
     "for a witnessed pair, arithmeticity additionally invokes a cited "
-    "finite-index theorem for higher-rank lattices; this report verifies "
-    "that theorem's hypotheses mechanically and does not re-prove it.",
+    "finite-index theorem for higher-rank lattices, not re-proved here; "
+    "only the span axes A^k v give reflections A^k C A^-k in <A, C>, and "
+    "the other axes' reflections, and the conjugates of the unipotent by "
+    "them, are not shown to lie in <A, C>.",
 )
 
 

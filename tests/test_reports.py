@@ -62,147 +62,147 @@ CASES = _cases()
 # label: (exit code, SHA-256 of the canonical report without `timings`)
 DIGESTS = {
     "entry-base": (
-        0, "08c6172cc106d3686310a9339b0a5e830ff3703f13406b172e878132a83a5a12"),
+        0, "8cb3b4336e60772949a54b10debb21eaf87165b293a23311b41172f1fd36950f"),
     "entry-ex01": (
-        0, "3cec620dd2b1212dc141edf0f816b815d6b6cca217431ad43558172edaae4233"),
+        0, "1ea14463fa738c320e03570f679550d4e1f4476617ed251662e813944411a410"),
     "entry-ex02": (
-        0, "3cd546486356acaf19015bb649a07c2501adf2a46364d4f002710818ab56ac5e"),
+        0, "428545fb7d1a0a1eec41c8874733beb64d16a8fa7b215f6ccb68d620a88bd3aa"),
     "entry-ex03": (
-        0, "9d59ada5977d6e3d3a283f8507357148f81a78c796572e006a3814f02d21eac1"),
+        0, "1b4068770fcda86b1dd1800f77d266c3fd1981ce3536478f1a76fe4193b28c92"),
     "entry-ex04": (
-        0, "a40dcc46cfa0aff84bf74913c04fc8153b4287d53f366f7245e8d733a613cda8"),
+        0, "9e5e36b9f2d329f49c79f562361cbc6f6f1046ea0c4feae9f8b00c3186007d7c"),
     "entry-ex05": (
-        0, "59a80592f0af854c370ec3c0e20193e0676679ad45d9fedda76287ffa524922f"),
+        0, "fb8e221f5135422e47d2bf23f2ac3c06c2ee986bf80b72b06bb3e0644aa44fcf"),
     "entry-ex06": (
-        0, "adb743891fe0b9483bc4f8558cdf1d61c4b7c3b844b2adb442e8f035891f2da9"),
+        0, "1856449c94bf552ad96e283c0139a36ae0c47e2ba903177128c268863137d720"),
     "entry-ex07": (
-        0, "07fc4b2c7bb496ef411c75c0333b35e9b2c3bab91c1452913d6d22287ec7669a"),
+        0, "df6f33c23afcd4a58682312ce94cf1b956e41dfac6aa09b6f796ab61ff569e8b"),
     "entry-ex08": (
-        0, "7b28dd41c93a80d38a8ac0dcfe9aac88cad0ae18944e5b5ca1fef01728b92efc"),
+        0, "cdfcb2b615f3641eededfe70cd98d1728c972a54296c66dd7450f402f6f2994e"),
     "entry-ex09": (
-        0, "decbfbd99e324b7828c2ab905d141bfb8b735c685880a50aa922e88d04340837"),
+        0, "2ad12c143b7f892a90339105f5a50af77db3fb615cc1e2d6b352cdbb2af7887f"),
     "entry-ex10": (
-        0, "f3cd847fa66a2ed719180e732fc8be4a2af5959e839d970b393321c07dd3fd92"),
+        0, "2bad3f7a4e3ca3cf5bab852171b8ca71685ff535517eeff3051a0930b7f53871"),
     "battery-00": (
-        0, "3d652eedc6f5693d13b24cfc8fd9ef7c19f9085debef3c19e5c75b3c5efb3365"),
+        0, "aa15b049b011c0344dc4c55c0ef060170091c403beeec38d3e9198aacf09dd6a"),
     "battery-01": (
-        0, "567225322bfafed5e60f296e702fdf549f607920461919b420504be305aea0dc"),
+        0, "ed6d1edad34febe6c53c67d9bb5df194aaa5cc14fbec157e9e42ca3adf1825cb"),
     "battery-02": (
-        0, "9851efeb168ea20cb443d1d672e736d2a2c8adff9ffa07bd9d7494aab51f6789"),
+        0, "229b5d37b0dbe5a3dcc6bc42f2ba29da4476bd64ef896ec8ba6b3d3efb98c73c"),
     "battery-03": (
-        0, "294e15b0cb82a17523ce05f49fe2682ffc326364ab14e9722ce594b8271ccea9"),
+        0, "0675fa8cb3e481539b318908614d44a49ecfc190642dcfe38b216ba6a4bdb1c1"),
     "battery-04": (
-        0, "c1696f67a308f7e523771a05194131b642c89fd0fb2127f80271bdd9147cff5b"),
+        0, "5473e2d1f197d60d62311b37c40f28a132dfaad8adc67378ade0cffed3092c82"),
     "battery-05": (
-        0, "6e2e307b7213b4ccf2aeb58150c182c7661d59b5dc55215ed012ede5800907f0"),
+        0, "c28a4102b0c42bf042f9f825e66a4ee6a0ce78f034bf5ae33f4962ddf9fb1c25"),
     "battery-06": (
-        0, "c324214dd09c4f90e9016f13784f7e57fc96c1b9b5fe04282ee8d2c83270157d"),
+        0, "c8a002bb79f1e64d4f2270169c708f341f788704e264ae5ded32324b7978c12b"),
     "battery-07": (
-        0, "483ce248e3109fd354f2dad213c22a0974beb0ce5017feed9575bc81b5d201bf"),
+        0, "e263aa73e9014d3928fd70368a61f1dbb76184a63ffafbdc1c971098e540cd89"),
     "battery-08": (
-        0, "735248707c3e6543dd26a9465aee225ec769a6d4bfec2e4d310e03e1d579544c"),
+        0, "090a1e6524de7a70d64354f6212f79807ab595527fd9d19c91e21c7e28dd1415"),
     "battery-09": (
-        0, "e66a0ba70c36b7249e63d47ff332f292d267ecf81ad7918a8382abdabedd8869"),
+        0, "cee538f42d8484f6b6ff18553a334dc9e21239a035e7ab39a980ecee91d6b65a"),
     "battery-10": (
-        0, "0d8ec6a6e0b21c807f094b962c721ed072640519e5aae9ee5158e89354180a1b"),
+        0, "87feb3e1a71752154a50ead44ff8b6c0e23c3ba6b742e90e288cb6454ca5ba15"),
     "battery-11": (
-        0, "7132abde6a96b86d8500d0f0da5b72121f20c72c0836ddc787b673fd453f96a2"),
+        0, "911a01421b4614b1405463a183d59e47cc8975e028c72be2a42c93797ba6035d"),
     "battery-12": (
-        0, "df04a94e5ffd4738d8f7ecc2cd81315c8515570ecd67c0bbf1d0972f02ecdaec"),
+        0, "71b6710eeaed79e51d8f8d73e74be76fbba8c1f332086beddaeb5a1bce3bbf90"),
     "battery-13": (
-        0, "70e071a8bffb2a55ebcb652902daca4a7c70bba4a8fc374cd378bdcebdfdae3b"),
+        0, "665c65ab2609eff6166dc3b3b891ae7c7376786ec9dc51cc23ab86d2e4e1f16c"),
     "battery-14": (
-        0, "83cb392a40bc9d816a76c9e51d81d9c348c0900887341a88558b2caacfa4d440"),
+        0, "1eee9239e6933811a2e77bc8f0caf6f39c897abb3d51a6aeae35c977a2373190"),
     "battery-15": (
-        0, "9d06a5de6e79f0c9277a5576bff0475f068f06634ffa97fe3ffe01a8cfba19f7"),
+        0, "0e570615c10be2a688ca7cd25abcd2a7e8631b723e6345a6ed2f61deffb9f2fa"),
     "battery-16": (
-        0, "9ad0482b63ee7ffc83ee4ef135199c1f5d5ba659339238c24810d458038fa9e4"),
+        0, "50426c98422b7fb2ca2eda9a565789b78b56df34c6b0cde28e610725969ad81c"),
     "battery-17": (
-        0, "d516c41d654e03600b7122117c8f14c9ca3130a4270f2c49157235480578e825"),
+        0, "6e0533d1b73494e70dff987a36de0809ef82b2ca54a2cadbd8e9fbd2288b2773"),
     "battery-18": (
-        0, "1ea3ce446df1ca8834b3e903d3e7d771535c12640fbcf4e6408adb5c0455bc82"),
+        0, "bca8f89455460a00e86e172e383a772f3d2c29cd9f0324b369333fc3d5643660"),
     "battery-19": (
-        0, "f77fabff571c35865cb6b8a60ea9a5bf8cccf3edadaa227e9cfa3a141d0ef071"),
+        0, "6b65128a25a537220ceeedf87d4a5787a033b9e1b7f35f5c30c543fea7d963fd"),
     "battery-20": (
-        0, "77ac2e33b79a624a07934f56254731fd3be0ac97aa77edd029116c628b092f8f"),
+        0, "6606daf5fc33d8e4d121f0229d12400f6acec01967397a280a01d67ce5850a4c"),
     "battery-21": (
-        0, "f63d60cbe870f9ce51828098dff5b5e8dd45a6087e9e9ff9488141af771fb63d"),
+        0, "00771bd4ca81ef362e4cd4cc8d1aca0e352acfe6f9d410ec3e3e559bb759102b"),
     "battery-22": (
-        0, "c29dc068e5c9909f061c937a48a0e24aae969387a8337eb3b6f89148a0a8c8ee"),
+        0, "565c378ebc9db0b282a19d19d79035c0427b286bf2f93f3bd15fc5aff8c04bd9"),
     "battery-23": (
-        0, "d25ca83bcba5aaab89c5961757b7195aa5e7b8a3824854a1ef7e84e191d0c3bd"),
+        0, "c2449da2cd0297c1490609c152ebcfbd685ff8c48c0d9c785ab7fb60eaa5fc00"),
     "battery-24": (
-        0, "d14caf09f3cadbedd6094679d0f661c1322346e99e3934fdf89d2d3080e6c4e8"),
+        0, "36a39055191ee622aea59cf0eee6389f958fa945a2eb911fe2e02cb3488d05da"),
     "battery-25": (
-        0, "fd46cf84c9c141c9ebaab50f1cf185a3e8142c11724858a873336d576c4fec3b"),
+        0, "556a8de39bb6392f21e49138777bc7289c6bf14e365a2e1a8ed05b1f87023367"),
     "battery-26": (
-        0, "c83e37fe1375125e64f217b08e8903bf7e29a6b7d9941624526e92494634e506"),
+        0, "ec4180433ade1358af1a41941cf8a45b72d21a0e165bfb861905454507591329"),
     "battery-27": (
-        0, "2cf36e027a4d13daef10673215f29920c4aea965c6f4b73976bed181f284f004"),
+        0, "3368fc573e5ab99f3cde77c0c8eaa7178e889b8b5fb347f953781059245b30e8"),
     "battery-28": (
-        0, "f9461ac88dcca3c8b45cb4fe897c705f3545b4ec11481044eaf9d776f649e2bf"),
+        0, "3f0c676cffac3094f6eae2ee13da8990b52302eee198526e575ae696c67bb5cc"),
     "battery-29": (
-        0, "daee13774a6382c5f3601f3ccf639606a2dcb89efd349ff7b987759af8531a16"),
+        0, "26e50c0e2f9e9300766e593f169f81a1cc6ffcd03f9a2db58de340a478d8eccf"),
     "battery-30": (
-        0, "6ed24a419f2a49533590b11792de6b7e86c2f3f90f18ce2714e9b1e0235e1733"),
+        0, "215b5b8c06ecb7d074509fd8b2ce4bad2e8a982dd300c33d653cf6ee4b475016"),
     "battery-31": (
-        0, "045d179da954bf96f75daa3a8168f7c422c1ce46169592cd4a25a2be309e3a58"),
+        0, "d17be551109bd9b1c08d07d2a9deeb8dead857151bb4ad3127d5a34f9ec283b6"),
     "battery-32": (
-        0, "1444dadcd9ab221330ff7f52d9ac45badd4b63960b11cbda1b25bf7a68a68448"),
+        0, "5bda75dbd7a2171f14082e384bd3ee7c6bd0829ae2830219a2814f255629ccb4"),
     "battery-33": (
-        0, "52612c78934f6b2340aa952d731f23bc28dba77b3a9cbb0d2b47351e3d3f7547"),
+        0, "6808b62d4941a49df44deeb624ae385ff951494fcff72e8f706ca6da71e21208"),
     "battery-34": (
-        0, "c6f786f544d5953b4f629a778a55db70a9d705809ed37151f2d722a4c66a3386"),
+        0, "f6a1d5ee6b355aa3d322d809193bfc6d26b27d7f4170dd56830816e4d9beb712"),
     "battery-35": (
-        0, "d44341a9122b3e8823b8d015e792c4ec91e38cbf319285080c27ada20e59a966"),
+        0, "d3f23a4394bf596df24a3176e579ab6b79f0b143d7620366cd164f61e1259bdf"),
     "battery-36": (
-        0, "bcabfb167b2ab4a5ff4e0b209e5f728b4167eac291a20532beb2a81c4a7ef632"),
+        0, "db17f27fc26b7be35ca64a319a5cd4d631638b9bc2d30ca639c17414a40e9377"),
     "battery-37": (
-        0, "aa38023bb195554fdb2b9f29fc676d51006bc0389b01410af5ce997fb447fe82"),
+        0, "073b376d1c45b7f7ab531b2df85ab21d4123c9605a61511aefa8135958c9c76e"),
     "battery-38": (
-        0, "24c08e6fcecd10ce5cf79f6de87b5f798c5949a531a0cfedebe881573b6bbed2"),
+        0, "e40e21ee6e3273567d102f9c53bce597fb52840c9626a46003b9e4e3c257990d"),
     "battery-39": (
-        0, "a5b7449db75c87663cae042aa8b69925080c80ce6002d83e4e4169d1d9ddaab5"),
+        0, "22a99e95cc9fb299524b8d82c9b2e637a8b11d267d1ba490f525f179ad285063"),
     "battery-40": (
-        0, "560e0a073e38d9e39a5e54485891a3c0369cb66fa6bf266277df8e46a7719f5b"),
+        0, "30aec988116f46a8d1ba22667a024b3ec9bfb50f2c91053e2a09eb1e67054636"),
     "battery-41": (
-        0, "447d99c68398872c36ec6e6a5240ea5f2c4d72cb934df0711c6fde869675a8ab"),
+        0, "fe150d3a9274ba56334feec3611b11c8b414f24330f1fa4e7394e082f4f7248e"),
     "battery-42": (
-        0, "8a0d537d409b27823bfda30efb2be68d3fec9dc35ccb1083f4ad92d2114f50db"),
+        0, "50a1599b269783d943e42ae307c469387a605be070b32cb94c3bd09b06f7efc9"),
     "battery-43": (
-        0, "8ff64dc35347e4ccf726b85caa7625840f5327ae9f24f731bf7cad61cf0863f3"),
+        0, "c0607d9280428e964a00e7627104c542d578a9192de0a60d58babe1d690910b0"),
     "battery-44": (
-        0, "f7ef031be9c1145cd4555ab20f4a980beb7374e765ccdaaa31f4eb0ca9c089d5"),
+        0, "2fe2cf751ead613e8bed0edb69c5b37925e4957358b4ead6d4b6819940d98581"),
     "battery-45": (
-        0, "fa83132dbc04bd7c35d47025bbf861f2343f4fac28f0a11994cf4155c4e222db"),
+        0, "6c6ac000366feb2b932c4f436b409d1782b73a88a9c037f824c003a5f81fabcd"),
     "battery-46": (
-        0, "ea53f19d12ce9b50ad06a73d14a8665072c331e434479ba062c973be963c720c"),
+        0, "3ce61d20f45831f6f95400a8f33c2078ece1300b4b36fb35abf51f746e7d1098"),
     "battery-47": (
-        0, "6cab9a449fcf4fdc0418645ef8d96a0dd3a1272f6fadd12d496279675dc33a83"),
+        0, "01348dff1feef82948284a06904fdcb8693402b6c84f381819a10d1233908ee6"),
     "battery-48": (
-        0, "240e77a21b7f6dbf2292350033d4c816a7aaa5c65d994e5ccc1961536a5b9405"),
+        0, "d06697ad34f8c5bd844e4938642955864af33e07938feb73d8dc033fb95400a7"),
     "battery-49": (
-        0, "740376bdb023380d99964739a11ff4048903a53fd3da000f6c1f1ea554a660d2"),
+        0, "f041730f2246b3c03ec83176bfece5d5c6cb5e5055d912bf46e0c7720a60c719"),
     "pad(1,1)": (
-        0, "c98b531b2cc820a445698ec5c1060b8508d650fbd0de1f379c6ded86810b092d"),
+        0, "442308b8a7bcbc40eb0e262d375a5776ef2c8e7238d7cc5dd4c2cd86df8bc048"),
     "pad(y^2-y+1,y^2+1)": (
-        0, "b69372aa0fc094c731822ff71f4a4b8bb0d982ec011f90a968b40dec248e0154"),
+        0, "568af86d6b03947a28d24a3a765668ea8ee4c48b37f99d07f3f8d40893c66e85"),
     "pad(y^2-y+1,y^2+y+1)": (
-        0, "00ea9cff8b511753d32d8e3b9dc0b9853453d4dc0e3ce2525229ef8a80436dbc"),
+        0, "4fd3f01beede6caeb9b8bd44703239c9fbdcb4f7b8d56ca7bf0c4c60e8b44c97"),
     "pad(y^2-y+1,y^2+2*y+1)": (
-        0, "596be06367965ece959a0eaa1bdb6c5584035db44989120152e6ba57d6a100b6"),
+        0, "69631c53d23e8c11cb43298badc44a164a5eab5c859d95c456233e82fa2050cc"),
     "pad(y^2+1,y^2-y+1)": (
-        0, "53e6b46e22253c207f267ee66d026c8332fdd7067ef3ab11f2d411b30ded1fff"),
+        0, "f7ff7513b6309330530af8027fd58c489d71ba94a27efd7070b2bde8e165cf40"),
     "pad(y^2+1,y^2+y+1)": (
-        0, "0345c442d2b39ec71019d774cccfe4266ffdf1040991f3200217929f3972bb2c"),
+        0, "b725e097e93ca223fd46b37fa06d4fac23f93c39d02ee0f9832719a1b7ad534c"),
     "pad(y^2+1,y^2+2*y+1)": (
-        0, "11551780f292a498e8286bfcf144a8dfe6119358d43fd5ca059c13b83eabff97"),
+        0, "1136c1604f40149ba91b129f4faf3160cbb8ab8a4d6f52546d70c36da63ef5cc"),
     "pad(y^2+y+1,y^2-y+1)": (
-        0, "8790f0035d1fb8d044e86581c417156da8391a4f536805f3022b2daae34dd7b7"),
+        0, "6b72441adadf5690283a01060624d81d68ae3a743c7a8c91878414414c789e4e"),
     "pad(y^2+y+1,y^2+1)": (
-        0, "4f50796c8fe41e0e7d021a94284dc592c140f3b001737b5670e674ec76e1b707"),
+        0, "5d1ca3a40ff4d0612277c31c9fd2a15873db651d8074b40fec7b992707a346cf"),
     "pad(y^2+y+1,y^2+2*y+1)": (
-        0, "ec62f4b4508f21a32186826e277ffd5f3c2428718828a87b76b04bc93ef040a6"),
+        0, "96a1c109c1a58d6812024b2dfb5cce9036fc868e6cabca3d12070f1022b60ec8"),
     "examples": (
         0, "8cf3dd1dbe7fc3ca4411f9403eb4d92b225a99a063ae4c36294a691a0a3f2071"),
     "invalid-analyze-shared-factor": (
@@ -212,7 +212,7 @@ DIGESTS = {
     "invalid-pad(y^2+1,y^2-2*y+1)": (
         2, "e36054796a87775ec1c0b973a345a4441769143e1e394dc786a55dd908f5bb82"),
     "anisotropy-large-entries": (
-        0, "6b505d280e2dc7fb447bc391206c193afcea81327e5c229b49200ad86f59f2f9"),
+        0, "0461935e7c9e4c53f69a30c8eed504b16e1b3b43f4c541814b46459773baf10b"),
 }
 
 
