@@ -5,12 +5,12 @@ with no trailing zeros; the zero polynomial is the empty tuple.  Everything
 here is exact: there is no floating point in this module, and division is
 only defined where it is exact.
 
->>> f = IntPoly.from_coeffs([-1, 0, 0, 0, 0, 1])   # x^5 - 1
+>>> f = IntPoly([-1, 0, 0, 0, 0, 1])   # x^5 - 1
 >>> f.degree
 5
 >>> cyclotomic(12)
 IntPoly((1, 0, -1, 0, 1))
->>> divrem(IntPoly.from_coeffs([0, 0, 0, 0, 0, 1]), f)[1]   # x^5 mod (x^5-1)
+>>> divrem(IntPoly([0, 0, 0, 0, 0, 1]), f)[1]   # x^5 mod (x^5-1)
 IntPoly((1,))
 """
 from __future__ import annotations
@@ -62,10 +62,6 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs!r})"
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[int]) -> "IntPoly":
-        return IntPoly(tuple(coeffs))
 
     @staticmethod
     def constant(a: int) -> "IntPoly":

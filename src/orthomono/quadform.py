@@ -582,8 +582,8 @@ def witt_decompose(space: QuadSpace, bound: int,
         partner = next(
             (u for u in itertools.chain(basis, sums)
              if sum(map(operator.mul, g_w, u)) != 0
-             and (all(sum(r[i] * u[i] for i in range(n)) == 0
-                      for r in seed_rows) or not pending)), None)
+             and all(sum(r[i] * u[i] for i in range(n)) == 0
+                     for r in seed_rows)), None)
         if partner is None:
             # w is in the radical of the restricted lattice; cannot split
             notes.append(f"stage {len(witnesses) + 1}: isotropic vector "

@@ -18,8 +18,9 @@ O(n): word_orbit applies tokens to the images g(v), and element applies
 a word's tokens, last first, to the columns of the identity.  The hunt
 takes a dense product only inside the isometry check.  A reflection
 about any other axis is an int matrix from reflection_matrix, not a
-group element: the span axes of integral_reflection_vectors are such
-axes.
+group element: integral_reflection_vectors returns its span axes, from
+two sources, the A^k v orthogonal to eps and then the hits of a norm-2
+box in eps-perp, as int vectors.
 
 arithmeticity_report runs the witness hunt alone: the caller builds the
 pair once, and the WitnessContext that the hunt's functions take builds
@@ -43,7 +44,6 @@ SEARCH_CAP bounds every box of the hunt.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from functools import cached_property
@@ -422,38 +422,28 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
                                 search_bound: int = DEFAULT_SEARCH_BOUND
                                 ) -> list[tuple[int, ...]]:
     """Norm-2 vectors orthogonal to eps, whose reflections are therefore
-    integral and fix the line through eps: the images A^k v, the
-    perp-basis vectors, then the bounded box search, walked inside
-    eps-perp, when its box fits under SEARCH_CAP, the hunt's own test, so
-    inside the hunt it always runs.  Deduplicated by sign, deterministic
-    order.  The reflection about A^k v is A^k C A^-k, in the group <A, C>;
-    those about the perp-basis and box vectors are not shown to be, so
-    these axes are int vectors, not words."""
+    integral and fix the line through eps, at most MAX_SPAN_REFLECTIONS:
+    the images A^k v with (G eps)_k = 0, then the new hits of the bounded
+    box search, walked inside eps-perp, when its box fits under
+    SEARCH_CAP, the hunt's own test, so inside the hunt it always runs.
+    Each is sign-canonical, in a deterministic order.  The reflection
+    about A^k v is A^k C A^-k, in the group <A, C>; those about the box
+    vectors are not shown to be, so these axes are int vectors, not
+    words."""
     gram, n = ctx.gram, ctx.n
-    perp = ctx.perp(eps)
-    # A^k v is the k-th unit vector of the cyclic basis
-    images = (tuple(row) for row in linalg.identity(n))
-    candidates = itertools.chain(images, perp)
-    g_eps = linalg.mat_vec(gram, perp[0])
-    if (2 * search_bound + 1) ** n <= SEARCH_CAP:
+    g_eps = linalg.mat_vec(gram, ctx.perp(eps)[0])
+    # A^k v is the k-th unit vector of the cyclic basis, of norm G_kk = 2
+    out = [tuple(row) for row, x in zip(linalg.identity(n), g_eps)
+           if x == 0][:MAX_SPAN_REFLECTIONS]
+    if len(out) < MAX_SPAN_REFLECTIONS \
+            and (2 * search_bound + 1) ** n <= SEARCH_CAP:
         # lazily, and walked inside eps-perp: the scan usually stops at
         # MAX_SPAN_REFLECTIONS long before the box is exhausted
-        candidates = itertools.chain(
-            candidates, _box_solutions(gram, search_bound, 2, g_eps))
-    out: list[tuple[int, ...]] = []
-    seen = set()
-    for w in candidates:
-        canon = linalg.sign_canonical(w)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        if sum(a * b for a, b in zip(canon, g_eps)) != 0:
-            continue
-        if linalg.vec_dot(canon, gram, canon) != 2:
-            continue
-        out.append(canon)
-        if len(out) >= MAX_SPAN_REFLECTIONS:
-            break
+        for w in _box_solutions(gram, search_bound, 2, g_eps):
+            if w not in out:
+                out.append(w)
+                if len(out) == MAX_SPAN_REFLECTIONS:
+                    break
     return out
 
 
@@ -603,9 +593,9 @@ def arithmeticity_report(ctx: WitnessContext, search_bound: int,
     search box is over SEARCH_CAP, which bounds the box of
     integral_reflection_vectors too; every candidate gives a unipotent.
 
-    The unipotent is a word over {A, A^-1, C}, but the span axes of
-    integral_reflection_vectors from the perp basis and the ambient box
-    are not shown to give reflections in <A, C>, so neither are the
+    The unipotent is a word over {A, A^-1, C}, but of the span axes of
+    integral_reflection_vectors only the A^k v give reflections in
+    <A, C>; those from its box are not shown to, so neither are the
     conjugates that fill the translation group.
     """
     p, q = signature(ctx.space)

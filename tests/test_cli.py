@@ -15,9 +15,10 @@ import orthomono
 from orthomono import cli, quadform, witness
 from orthomono.quadform import (Obstruction, OracleMismatchError,
                                 RankCertificate)
+from orthomono.polynomials import render
 from orthomono.witness import GroupElement
 
-from conftest import BASE_F, BASE_G, strict_json
+from conftest import BASE_F, BASE_G, random_cyclotomic_pairs, strict_json
 
 SUMMARY = "142 stated values checked, 0 unexplained, " \
     "9 catalogued misprints confirmed"
@@ -360,6 +361,18 @@ def test_a_larger_search_bound_never_weakens_the_certificate(capsys, bound):
     assert (doc["q_rank"]["lo"], doc["q_rank"]["hi"]) == (2, 2)
     code, cap = run(capsys, "examples", "--quiet", f"--search-bound={bound}")
     assert code == 0, cap.out
+
+
+@pytest.mark.parametrize("bound", [2, pytest.param(3, marks=(
+    pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: at n = 8 the default bound's boxes, 7^8, exceed "
+        "SEARCH_CAP, so no Witt stage searches and no hunt runs, where "
+        "bound 2's 5^8 fit"))))])
+def test_battery_pair_18_keeps_its_witness_at_a_larger_bound(bound):
+    f, g = random_cyclotomic_pairs()[18]
+    doc = cli.build_report(render(f), render(g), search_bound=bound)
+    assert doc["witness"]["conclusion"] == "witnessed-arithmetic"
+    assert (doc["q_rank"]["lo"], doc["q_rank"]["hi"]) == (2, 2)
 
 
 def test_oracle_failure_exits_3(capsys, monkeypatch):

@@ -8,13 +8,17 @@ exit 0 (the nine coprime degree-2 choices of (P, Q) and P = Q = 1),
 sharing Phi(3), P = Q, and coprime P, Q whose padded f and g share x - 1,
 and a quintic whose residual diagonal has entries of up to 81 bits, which
 the anisotropy scan reduces by the squares of its primes only.  Each pad
-is also checked to be the analysis of its padded pair.  A performance
-change must leave every digest alone;
+is also checked to be the analysis of its padded pair, and the reports
+of the benchmark's traffic are pinned by the lines of
+tools/traffic_digest.py.  A performance change must leave every digest
+alone;
 a change that alters a report on purpose updates the digests here and
 records the new values, and why, in CHANGES.md.
 """
 import hashlib
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
@@ -174,7 +178,7 @@ DIGESTS = {
     "battery-44": (
         0, "2fe2cf751ead613e8bed0edb69c5b37925e4957358b4ead6d4b6819940d98581"),
     "battery-45": (
-        0, "6c6ac000366feb2b932c4f436b409d1782b73a88a9c037f824c003a5f81fabcd"),
+        0, "b6c06f4d68e7837ddb960d24e751cac921b01e2f8609c493bd3452f3c5acbffa"),
     "battery-46": (
         0, "3ce61d20f45831f6f95400a8f33c2078ece1300b4b36fb35abf51f746e7d1098"),
     "battery-47": (
@@ -214,6 +218,29 @@ DIGESTS = {
     "anisotropy-large-entries": (
         0, "0461935e7c9e4c53f69a30c8eed504b16e1b3b43f4c541814b46459773baf10b"),
 }
+
+
+# the lines of tools/traffic_digest.py: one SHA-256 per benchmark
+# workload over the exit codes and canonical reports of its seed 1-3
+# passes.  A change to perfbench/workloads.py changes the traffic itself
+# and re-pins these lines in the same change; any other change that moves
+# them changes what the benchmark's commands report.
+TRAFFIC = {
+    "quintic":
+        "938c63d5a3dea4ead08af23b28a5bdf2ccae2dd550dee84fed9562fd37a47714",
+    "definite":
+        "f4ed37963608f917117882f601c9ef1c0b184c2aecccadb29a94e50d5a6c37c2",
+    "wide":
+        "d4746ea8a4e9211781e0e87012898964344939903fe5ef7024c8f001a4241658",
+}
+
+
+def test_benchmark_traffic_is_byte_identical():
+    path = pathlib.Path(__file__).parent.parent / "tools" / "traffic_digest.py"
+    spec = importlib.util.spec_from_file_location("traffic_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.digests() == TRAFFIC
 
 
 def test_every_case_is_pinned():

@@ -1,5 +1,6 @@
 """Reflections, parabolic line stabilizers, translation vectors, and the
 unipotent witness machinery, pinned on the reference quintic pair."""
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -640,9 +641,33 @@ def test_integral_reflection_vectors(ctx):
         assert next(x for x in w if x != 0) > 0
 
 
-# on these two n = 7 pairs the A^k v and the perp basis reach rank 1 and
-# 2 only; the box axes, walked since the box is under SEARCH_CAP, carry
-# the rank to n - 2 = 5
+# the axes are the A^k v orthogonal to eps, then the box hits in eps-perp
+# that are new, up to MAX_SPAN_REFLECTIONS; the reference walks the whole
+# box [-3, 3]^5 in lexicographic order, and no perp-basis vector is an
+# axis unless it is one of these
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_axes_are_the_unit_images_then_the_new_box_hits(entry):
+    ctx = WitnessContext(build_pair(parse_poly(entry.f_text),
+                                    parse_poly(entry.g_text)))
+    n = ctx.n
+    norm_2 = [c for c in itertools.product(range(-3, 4), repeat=n)
+              if next((x for x in c if x), 0) > 0
+              and linalg.vec_dot(c, ctx.gram, c) == 2]
+    candidates = orbit_candidates(ctx, 3, 8)
+    assert candidates
+    for eps in candidates:
+        units = [e(k, n) for k in range(n)
+                 if linalg.vec_dot(e(k, n), ctx.gram, eps) == 0]
+        box = [c for c in norm_2
+               if linalg.vec_dot(c, ctx.gram, eps) == 0 and c not in units]
+        assert integral_reflection_vectors(ctx, eps, 3) \
+            == (units + box)[:witness.MAX_SPAN_REFLECTIONS]
+
+
+# on these two n = 7 pairs the A^k v reach rank 1 and 2 only; the box
+# axes, walked since the box is under SEARCH_CAP, carry the rank to
+# n - 2 = 5
 
 @pytest.mark.parametrize("index", [20, 32])
 def test_box_axes_witness_the_degree_7_battery_pairs(index):
@@ -653,12 +678,10 @@ def test_box_axes_witness_the_degree_7_battery_pairs(index):
     assert rep.conclusion == WITNESSED and rep.translation_rank == 5
     eps = rep.epsilon
     axes = integral_reflection_vectors(ctx, eps, 3)
-    basis = {linalg.sign_canonical(w)
-             for w in linalg.identity(7) + ctx.perp(eps)}
-    box = [w for w in axes if w not in basis]
-    assert box
+    units = {e(k, 7) for k in range(7)}
+    assert any(w not in units for w in axes)
     assert span_rank_witness(rep.unipotent,
-                             [w for w in axes if w in basis], eps, ctx) < 5
+                             [w for w in axes if w in units], eps, ctx) < 5
 
 
 # the box part of the axis scan is walked inside eps-perp: each prefix of

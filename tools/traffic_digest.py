@@ -9,6 +9,7 @@ canonical report (sorted keys, indent 2, `timings` removed): the stdout
 of `analyze` and `pad`, and the --json file of `examples`, which is
 written to a temporary directory.  Two checkouts that print the same
 lines gave every command of that traffic the same exit code and report.
+digests() returns the same lines as a dict, for tests/test_reports.py.
 Standard library only; it changes nothing under perfbench/.
 """
 import contextlib
@@ -24,13 +25,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 
 
-def main() -> None:
+def digests() -> dict[str, str]:
+    """The SHA-256 of each workload's traffic, by workload name."""
     src = os.path.join(ROOT, "src")
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
     from orthomono import cli
     import workloads
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
-        sys.exit(f"imported {cli.__file__}, not the checkout's program")
+        raise RuntimeError(f"imported {cli.__file__}, "
+                           "not the checkout's program")
+    result = {}
     with tempfile.TemporaryDirectory() as tmp:
         examples_json = os.path.join(tmp, "examples.json")
         for name in workloads.WORKLOADS:
@@ -53,7 +57,13 @@ def main() -> None:
                     digest.update(f"{code}\n".encode())
                     digest.update(json.dumps(doc, sort_keys=True, indent=2)
                                   .encode() + b"\n")
-            print(f"{name} {digest.hexdigest()}")
+            result[name] = digest.hexdigest()
+    return result
+
+
+def main() -> None:
+    for name, hexdigest in digests().items():
+        print(f"{name} {hexdigest}")
 
 
 if __name__ == "__main__":

@@ -13,8 +13,14 @@ src/, at the default search and word bounds, over two sets of pairs:
   whose f and g both lie in Z[x^k] for some k >= 2: the pairs, the
   witnessed ones, the open intervals and their total gap.
 
+Each set's line ends with the SHA-256 of its pairs' (conclusion,
+translation rank, lo, hi), one line per pair in order, so two checkouts
+that print the same line gave every pair of the set the same verdict
+data, not just the same counts.
+
 Standard library only; it changes nothing under tests/ or perfbench/.
 """
+import hashlib
 import math
 import os
 import sys
@@ -23,17 +29,23 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEGREES = (5, 6, 7)
 
 
-def _tally(reports) -> tuple[int, int, int, int]:
-    """(pairs, witnessed, open intervals, total gap) over the reports."""
+def _tally(reports) -> tuple[int, int, int, int, str]:
+    """(pairs, witnessed, open intervals, total gap, SHA-256 of the
+    per-pair verdict data) over the reports."""
     pairs = witnessed = open_ = gap = 0
+    digest = hashlib.sha256()
     for doc in reports:
         pairs += 1
-        witnessed += doc["witness"]["conclusion"] == "witnessed-arithmetic"
+        witness = doc["witness"]
+        witnessed += witness["conclusion"] == "witnessed-arithmetic"
         rank = doc["q_rank"]
-        if rank is not None and rank["hi"] > rank["lo"]:
+        lo, hi = (rank["lo"], rank["hi"]) if rank else (None, None)
+        if rank and hi > lo:
             open_ += 1
-            gap += rank["hi"] - rank["lo"]
-    return pairs, witnessed, open_, gap
+            gap += hi - lo
+        digest.update(f"{witness['conclusion']} {witness['translation_rank']}"
+                      f" {lo} {hi}\n".encode())
+    return pairs, witnessed, open_, gap, digest.hexdigest()
 
 
 def _in_power_ring(coeffs: list[int]) -> int:
@@ -53,20 +65,21 @@ def main() -> None:
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
         sys.exit(f"imported {cli.__file__}, not the checkout's program")
 
-    _, witnessed, open_, gap = _tally(
+    _, witnessed, open_, gap, sha = _tally(
         cli.build_report(render(f), render(g))
         for f, g in random_cyclotomic_pairs())
-    print(f"battery: {open_} open, gap {gap}, {witnessed} witnessed")
+    print(f"battery: {open_} open, gap {gap}, {witnessed} witnessed; "
+          f"sha256 {sha}")
     for n in DEGREES:
         pairs = [(f, g)
                  for cls, members in sorted(workloads.pairs_by_class(n).items())
                  if cls >= 2 for f, g in members
                  if math.gcd(_in_power_ring(polys.product(f)),
                              _in_power_ring(polys.product(g))) == 1]
-        count, witnessed, open_, gap = _tally(
+        count, witnessed, open_, gap, sha = _tally(
             cli.build_report(polys.text(f), polys.text(g)) for f, g in pairs)
         print(f"n = {n}: {count} pairs, {witnessed} witnessed, "
-              f"{open_} open, gap {gap}")
+              f"{open_} open, gap {gap}; sha256 {sha}")
 
 
 if __name__ == "__main__":
