@@ -544,7 +544,10 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
                           "variables whose box (2b+1)^k, for bound b, "
                           f"exceeds SEARCH_CAP = {SEARCH_CAP:,} "
                           "searches nothing, so at degree 5 a bound above 10 "
-                          "weakens the certificate")
+                          "weakens the certificate; at degree 8 and 9 the "
+                          "default's 7^n is already over the cap, so "
+                          "neither the first Witt stage nor the witness "
+                          "hunt runs there, and bound 2 can do better")
     sub.add_argument("--json", metavar="PATH", default=None,
                      help="also write the report to PATH")
     sub.add_argument("--quiet", action="store_true",

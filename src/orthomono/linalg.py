@@ -4,11 +4,10 @@ Everything is deterministic (pivot = first usable row/column) and exact;
 no floating point.  Matrices are row-major.  rank, det and inverse each
 run one fraction-free elimination over int rows, and take int matrices
 only; a Fraction is built only for an entry of an inverse that is not an
-integer.  Lattice cuts and unimodular completions run one sequence of
-extended-gcd column steps: a cut applies each step to two rows of the
-lattice basis, and a completion builds u and u^-1 together; neither
-builds a Fraction.  monodromy.build_pair calls none of these kernels: it
-reads A^-1, C and S off the companion structure.
+integer.  A lattice cut runs one sequence of extended-gcd column steps
+and applies each step to two rows of the lattice basis; it builds no
+Fraction.  monodromy.build_pair calls none of these kernels: it reads
+A^-1, C and S off the companion structure.
 """
 from __future__ import annotations
 
@@ -206,38 +205,13 @@ def _gcd_steps(row: Sequence[int]
     return r[0], steps
 
 
-def _column_eliminate(row: Sequence[int]
-                      ) -> tuple[int, list[list[int]], list[list[int]]]:
-    """(r0, columns of u, rows of u^-1) for the steps of _gcd_steps(row).
-    Each step on columns 0 and i of u is undone by the matching step on
-    rows 0 and i of u^-1; a column swap swaps the same rows."""
-    n = len(row)
-    r0, steps = _gcd_steps(row)
-    cols = identity(n)  # cols[j]: column j of u
-    inv = identity(n)   # inv[j]: row j of u^-1
-    for i, step in steps:
-        if step is None:
-            cols[0], cols[i] = cols[i], cols[0]
-            inv[0], inv[i] = inv[i], inv[0]
-            continue
-        s, t, a, b = step
-        # column i of u and row i of u^-1 are still e_i, and column 0 and
-        # row 0 vanish from entry i on, so each step scales one vector
-        c0, i0 = cols[0], inv[0]
-        cols[0], cols[i] = [s * x for x in c0], [-b * x for x in c0]
-        inv[0], inv[i] = [a * x for x in i0], [-t * x for x in i0]
-        cols[0][i], cols[i][i] = t, a
-        inv[0][i], inv[i][i] = b, s
-    return r0, cols, inv
-
-
 def lattice_cut(basis: Mat, row: Sequence[int]) -> list:
     """A basis of {x in the lattice spanned by basis's rows : x . row = 0},
     for int rows: the steps of _gcd_steps(basis . row), each applied to two
     basis rows, so a cut of k rows of length n is O(k n) beyond the k
     gcds and builds no kernel.  The rows are those of u^T basis after its
-    first, u of the column elimination of basis . row; basis itself when
-    basis . row = 0."""
+    first, u the unimodular matrix of the steps, (basis . row) u =
+    (r0, 0, ..., 0); basis itself when basis . row = 0."""
     projected = mat_vec(basis, row)
     if not any(projected):
         return basis
@@ -267,16 +241,3 @@ def _extgcd(a: int, b: int) -> tuple[int, int]:
         old_s, old_t = -old_s, -old_t
     return old_s, old_t
 
-
-def unimodular_with_first_row(c: Sequence[int]) -> list[list[int]]:
-    """Integer matrix with determinant +-1 whose first row is the primitive
-    vector c: the u^-1 of c's column elimination, whose first row is
-    r0 c, as c = (r0, 0, ..., 0) . u^-1."""
-    r0, _, out = _column_eliminate(c)
-    if abs(r0) != 1:
-        raise ValueError("vector is not primitive")
-    if r0 == -1:
-        # flipping the first column of u negates the first row of u^-1
-        out[0] = [-x for x in out[0]]
-    assert out[0] == list(c)
-    return out

@@ -29,9 +29,8 @@ diagonal.
 reflection_matrix and orthocomplement take Gram rows.
 
 The hunt runs on ints over the integral cyclic Gram, with no elimination:
-eps-perp and eps's coordinates in it come from one unimodular column
-reduction of G eps, which builds the inverse of its matrix as it goes,
-and the translation vector of a unipotent u is read off its matrix as
+a basis of the lattice eps-perp is one lattice cut of Z^n by G eps, and
+the translation vector of a unipotent u is read off its matrix as
 y - u(y) for a unit vector y.
 
 The hunt reads the orbit of v once: word_orbit maps each image g(v) to
@@ -39,7 +38,7 @@ its word, and each sign-canonical isotropic difference +-(g(v) -+ v) to
 the first image that gives it, with its word, so the candidates eps are
 a filter over those keys and the unipotent for an eps is one lookup.
 Every function that takes eps validates it once, through
-WitnessContext.perp, and works with the first vector of that basis.
+WitnessContext.perp, and works with the first vector of that list, eps.
 SEARCH_CAP bounds every box of the hunt.
 """
 from __future__ import annotations
@@ -306,10 +305,12 @@ def reflection_matrix(gram: Sequence[Sequence], w: Sequence[int]
 
 def orthocomplement(gram: Sequence[Sequence], eps: Sequence[int]
                     ) -> list[tuple[int, ...]]:
-    """An integral lattice basis of eps-perp with eps as its first vector;
-    the remaining n-2 vectors, the quotient representatives, represent
-    eps-perp modulo the line through eps.  One column elimination of
-    G eps gives both the kernel basis and eps's coordinates in it.
+    """eps, validated, followed by a Z-basis of the lattice eps-perp =
+    {x in Z^n : x . G eps = 0}: the n-1 rows of
+    linalg.lattice_cut(I, G eps / content), one sequence of extended-gcd
+    steps.  eps lies in that lattice, so the list is linearly dependent;
+    every use reads only the pairings with the basis vectors, whose
+    kernel on eps-perp is the line through eps for any basis.
     Deterministic.
     """
     n = len(gram)
@@ -320,22 +321,11 @@ def orthocomplement(gram: Sequence[Sequence], eps: Sequence[int]
         raise ValueError("eps must be nonzero")
     if linalg.vec_dot(eps, gram, eps) != 0:
         raise ValueError("eps must be isotropic")
-    row = linalg.primitive_integer(linalg.mat_vec(gram, eps))
-    # the columns of U and the rows of U^-1, with row . U = (r0, 0, ...)
-    _, cols, inv = linalg._column_eliminate(row)
-    kernel = cols[1:]
-    # eps = U (U^-1 eps), and entry 0 of U^-1 eps is (row . eps) / r0 = 0,
-    # so eps's kernel coordinates are the rest; their gcd is eps's content
-    coords = linalg.mat_vec(inv[1:], eps)
-    if math.gcd(*coords) != 1:
+    if math.gcd(*eps) != 1:
         raise ValueError("eps must be primitive")
-    u = linalg.unimodular_with_first_row(coords)
-    k = len(kernel)
-    basis = [tuple(sum(u[i][j] * kernel[j][col] for j in range(k))
-                   for col in range(n)) for i in range(k)]
-    if basis[0] != eps:
-        raise AssertionError("perp basis must start with eps")
-    return basis
+    row = linalg.primitive_integer(linalg.mat_vec(gram, eps))
+    cut = linalg.lattice_cut(linalg.identity(n), row)
+    return [eps] + [tuple(w) for w in cut]
 
 
 def _parallel_factor(d: Sequence[int], eps: Sequence[int]) -> int | None:
@@ -350,8 +340,8 @@ def _parallel_factor(d: Sequence[int], eps: Sequence[int]) -> int | None:
 
 def _radical_factors(matrix, perp: Sequence[tuple[int, ...]]
                      ) -> list[int] | None:
-    """For the basis perp of orthocomplement(), eps first, the integers
-    lambda_w with g(w) = w + lambda_w eps, one per quotient representative
+    """For perp = orthocomplement(), eps then a basis of eps-perp, the
+    integers lambda_w with g(w) = w + lambda_w eps, one per basis vector
     w, or None when g is not in the unipotent radical of the parabolic
     fixing the line through eps (it moves eps, or moves some w off
     w + line).  lambda_w is an integer because eps is primitive."""
@@ -400,7 +390,8 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
     As x . v = +-2 and eps = +-(x -+ v), u fixes eps and moves each y in
     eps-perp by +-(y . v) eps, so it lies in the unipotent radical at eps,
     and it is not the identity, as v is no multiple of the isotropic eps.
-    Both are checked: a failure raises OracleMismatchError.  None when the
+    Both are checked, as is the word against the product of the two
+    reflections: a failure raises OracleMismatchError.  None when the
     bounded orbit does not reach eps, a report outcome, not an error.
     """
     eps = ctx.perp(eps)[0]
@@ -409,9 +400,13 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
         return None
     word, x = entry
     # C applied to the rows of C_x
-    u = ctx.verified(word + ("C",) + _inverse_word(word) + ("C",),
-                     _times_reflection(reflection_matrix(ctx.gram, x),
-                                       *_reflection_axis(ctx.gram, ctx.v)))
+    product = _times_reflection(reflection_matrix(ctx.gram, x),
+                                *_reflection_axis(ctx.gram, ctx.v))
+    try:
+        u = ctx.verified(word + ("C",) + _inverse_word(word) + ("C",),
+                         product)
+    except ValueError as exc:
+        raise OracleMismatchError(f"C_x C_v for x = {x}: {exc}") from exc
     if u.is_identity or not in_unipotent_radical(u, eps, ctx):
         raise OracleMismatchError(f"C_x C_v for x = {x} is not a nontrivial "
                                   f"element of the unipotent radical")
@@ -452,17 +447,18 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     """Rank over Q of the translation vectors of the conjugates of u by
     products (length <= 3) of the reflections about the given axes.
 
-    u fixes eps and moves each quotient representative w by lambda_w eps,
-    lambda = _radical_factors of u; so u moves x in eps-perp by
-    (x . a) eps for a vector a of eps-perp, and for y = e_j, the first
+    u fixes eps and moves each vector w of the basis of eps-perp by
+    lambda_w eps, lambda = _radical_factors of u; so u moves x in eps-perp
+    by (x . a) eps for a vector a of eps-perp, and for y = e_j, the first
     unit vector with s = y . eps != 0, y - u(y) = s a + c eps, an int
     vector read off u's column j.  Every axis is orthogonal to eps, so a
     product m of the reflections fixes eps and m u m^-1 moves x by
     (x . m a) eps: the lambda vector of a conjugate is ((w . m a))_w,
     which is that of m (y - u(y)) divided by s, and no inverse or
     conjugate matrix is needed to rank it.  The rank is that of these
-    vectors, which the inverse quotient Gram maps invertibly onto the
-    translation vectors.
+    vectors: on eps-perp, x -> ((w . x))_w has the line through eps as
+    its kernel, so it maps the translation vectors, taken modulo eps,
+    injectively onto them, whichever basis of eps-perp the w run over.
 
     By linearity the vectors m a span a closure: V_0 = Q a, and V_k is
     V_(k-1) plus the reflections r_i(b) of the vectors b that raised the
@@ -500,7 +496,7 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
     # a = y - u(y) for y = e_j, so its lambda vector is s * factors
     j, s = next((j, x) for j, x in enumerate(linalg.mat_vec(gram, eps)) if x)
     a = [int(i == j) - row[j] for i, row in enumerate(u.matrix)]
-    g_quotient = [linalg.mat_vec(gram, w) for w in perp[1:]]
+    g_perp = [linalg.mat_vec(gram, w) for w in perp[1:]]
     # the vectors the last layer added, each with the word of its product
     added = [(a, ())]
     for _ in range(3):
@@ -509,7 +505,7 @@ def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
             for i, (h, w_d) in enumerate(updates):
                 shift = sum(map(operator.mul, h, y))
                 x = [b - shift * c for b, c in zip(y, w_d)]
-                lam = linalg.mat_vec(g_quotient, x)
+                lam = linalg.mat_vec(g_perp, x)
                 if not _echelon_insert(echelon, lam):
                     continue
                 x_word = (i,) + word
@@ -528,7 +524,7 @@ def _check_conjugate(u: GroupElement, axes: Sequence[tuple[int, ...]],
                      lam: list[int]) -> None:
     """Second route for one conjugate: m u m^-1 as a matrix, where m is
     the product of the reflections about the given axes, must move the
-    quotient representatives by lam / s.  A reflection r is its own
+    basis of eps-perp by lam / s.  A reflection r is its own
     inverse, so m u m^-1 is u conjugated by each axis's r in reverse
     order, X <- r X r, two rank-one updates of O(n^2); each r is first
     built and checked by reflection_matrix."""

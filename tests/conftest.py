@@ -2,8 +2,9 @@
 of random coprime cyclotomic pairs for property checks, and the
 references that the int code is checked against: in Fractions, the
 polynomial gcd over Q for the coprimality certificates and the
-reflection formula for reflection_matrix; in ints, the integer row
-kernel behind the Witt stages' lattice cuts."""
+reflection formula for reflection_matrix; in ints, the column
+elimination and integer row kernel behind the lattice cuts, and the
+eps-first quotient basis of eps-perp that orthocomplement once built."""
 from __future__ import annotations
 
 import json
@@ -76,12 +77,56 @@ def reflect(gram, w, x) -> tuple[Fraction, ...]:
     return tuple(Fraction(a) - factor * b for a, b in zip(x, w))
 
 
+def column_eliminate(row) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Reference: (r0, columns of u, rows of u^-1) for the steps of
+    linalg._gcd_steps(row), row . u = (r0, 0, ..., 0).  Each step on
+    columns 0 and i of u is undone by the matching step on rows 0 and i
+    of u^-1; a column swap swaps the same rows."""
+    n = len(row)
+    r0, steps = linalg._gcd_steps(row)
+    cols = linalg.identity(n)  # cols[j]: column j of u
+    inv = linalg.identity(n)   # inv[j]: row j of u^-1
+    for i, step in steps:
+        if step is None:
+            cols[0], cols[i] = cols[i], cols[0]
+            inv[0], inv[i] = inv[i], inv[0]
+            continue
+        s, t, a, b = step
+        # column i of u and row i of u^-1 are still e_i, and column 0 and
+        # row 0 vanish from entry i on, so each step scales one vector
+        c0, i0 = cols[0], inv[0]
+        cols[0], cols[i] = [s * x for x in c0], [-b * x for x in c0]
+        inv[0], inv[i] = [a * x for x in i0], [-t * x for x in i0]
+        cols[0][i], cols[i][i] = t, a
+        inv[0][i], inv[i][i] = b, s
+    return r0, cols, inv
+
+
 def int_row_kernel(row) -> list[list[int]]:
     """Reference: a basis of the lattice {x in Z^n : row . x = 0}, the
     columns of u after the first, u of the row's column elimination,
     row . u = (r0, 0, ..., 0); their kernel rows are K in the cut K B
     that linalg.lattice_cut makes without forming K."""
-    return linalg._column_eliminate(row)[1][1:]
+    return column_eliminate(row)[1][1:]
+
+
+def quotient_perp(gram, eps) -> list[tuple[int, ...]]:
+    """Reference: a Z-basis of eps-perp with eps first and n - 2 quotient
+    representatives after it, for a primitive isotropic eps: the kernel
+    columns of G eps's column elimination, changed by a unimodular matrix
+    whose first row is eps's coordinates in them, the u^-1 of those
+    coordinates' own elimination."""
+    row = linalg.primitive_integer(linalg.mat_vec(gram, eps))
+    _, cols, inv = column_eliminate(row)
+    # entry 0 of u^-1 eps is (row . eps) / r0 = 0
+    coords = linalg.mat_vec(inv[1:], eps)
+    r0, _, change = column_eliminate(coords)
+    assert abs(r0) == 1, "eps must be primitive"
+    # coords = (r0, 0, ..., 0) u^-1, so row 0 of u^-1 is r0 coords
+    change[0] = [r0 * x for x in change[0]]
+    basis = [tuple(w) for w in linalg.mat_mul(change, cols[1:])]
+    assert basis[0] == tuple(eps)
+    return basis
 
 
 def cleared(m) -> list[list[int]]:

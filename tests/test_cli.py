@@ -402,6 +402,25 @@ def test_interlacing_that_disagrees_with_the_signature_exits_3(
     assert json.loads(cap.out)["error"]["kind"] == "oracle-mismatch"
 
 
+# the hunt builds u = C_x C_v twice, as its word and as the product of
+# the two reflections; a product off the word is a disagreement of the
+# routes, exit 3 with its record, not a traceback
+
+def test_unipotent_off_its_word_exits_3(capsys, monkeypatch):
+    original = witness._times_reflection
+
+    def skewed(rows, h, w_d):
+        out = [list(row) for row in original(rows, h, w_d)]
+        out[0][0] += 1
+        return out
+    monkeypatch.setattr(witness, "_times_reflection", skewed)
+    with pytest.raises(OracleMismatchError, match="does not match its word"):
+        cli.build_report(BASE_F, BASE_G)
+    code, cap = run(capsys, "analyze", "--f", BASE_F, "--g", BASE_G)
+    assert code == 3
+    assert json.loads(cap.out)["error"]["kind"] == "oracle-mismatch"
+
+
 @pytest.mark.parametrize("command", [
     ["analyze", "--f", BASE_F, "--g", BASE_G],
     ["pad", "--f0", BASE_F, "--g0", BASE_G, "--P", "y^2+y+1", "--Q", "y^2+1"]],

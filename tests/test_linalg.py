@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from orthomono import linalg
 
-from conftest import int_row_kernel
+from conftest import column_eliminate, int_row_kernel
 
 ints = st.integers(-9, 9)
 
@@ -279,15 +279,15 @@ def test_primitive_integer():
 
 
 def check_column_elimination(row):
-    """The column elimination behind lattice_cut and
-    unimodular_with_first_row: the rows of u^-1 it builds invert the
-    columns of u, and row . u = (r0, 0, ..., 0) with |r0| the gcd."""
+    """The reference column elimination of the steps behind lattice_cut:
+    the rows of u^-1 it builds invert the columns of u, and
+    row . u = (r0, 0, ..., 0) with |r0| the gcd."""
     n = len(row)
-    r0, cols, inv = linalg._column_eliminate(row)
+    r0, cols, inv = column_eliminate(row)
     assert linalg.mat_mul(linalg.transpose(cols), inv) == linalg.identity(n)
     assert linalg.mat_vec(cols, row) == [r0] + [0] * (n - 1)
     assert abs(r0) == math.gcd(*row)
-    return cols, inv
+    return cols
 
 
 @given(st.lists(ints, min_size=2, max_size=6).filter(lambda r: any(r)))
@@ -299,8 +299,7 @@ def test_int_row_kernel(row):
         assert all(isinstance(x, int) for x in vec)
         assert sum(a * b for a, b in zip(row, vec)) == 0
     assert linalg.rank(kernel) == n - 1
-    cols, _ = check_column_elimination(row)
-    assert kernel == cols[1:]
+    assert kernel == check_column_elimination(row)[1:]
 
 
 # a basis: a short list of rows of one length, with zero entries and
@@ -325,20 +324,6 @@ def test_lattice_cut_is_the_kernel_times_the_basis(case):
         return
     assert got == linalg.sparse_mul(int_row_kernel(projected), basis)
     assert not any(linalg.mat_vec(got, row))
-
-
-@given(st.lists(ints, min_size=1, max_size=6))
-def test_unimodular_with_first_row(c):
-    if math.gcd(*c) != 1:
-        return  # completion needs a primitive row
-    u = linalg.unimodular_with_first_row(c)
-    assert u[0] == list(c)
-    assert abs(linalg.det(u)) == 1
-    assert all(isinstance(x, int) for row in u for x in row)
-    # u is the u^-1 of c's elimination, up to the sign of its first row
-    _, inv = check_column_elimination(c)
-    assert u[1:] == inv[1:]
-    assert u[0] in (inv[0], [-x for x in inv[0]])
 
 
 def test_mat_eq_mixed_types():

@@ -268,9 +268,8 @@ def test_analyze_builds_one_perp_basis_per_eps(hunt_calls, entry):
         == hunt_calls["span_rank_witness"] >= 1
 
 
-# the hunt runs on ints with no elimination: eps-perp and eps's
-# coordinates in it come from one unimodular column reduction, which
-# builds u^-1 beside u, and the translation vector is read off u
+# the hunt runs on ints with no elimination: a basis of eps-perp is one
+# lattice cut of Z^n by G eps, and the translation vector is read off u
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_witness_hunt_takes_no_elimination(monkeypatch, entry):

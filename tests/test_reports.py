@@ -235,12 +235,34 @@ TRAFFIC = {
 }
 
 
-def test_benchmark_traffic_is_byte_identical():
-    path = pathlib.Path(__file__).parent.parent / "tools" / "traffic_digest.py"
-    spec = importlib.util.spec_from_file_location("traffic_digest", path)
+def _tool(name):
+    """The module tools/<name>.py of this checkout."""
+    path = pathlib.Path(__file__).parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.digests() == TRAFFIC
+    return module
+
+
+def test_benchmark_traffic_is_byte_identical():
+    assert _tool("traffic_digest").digests() == TRAFFIC
+
+
+# the n = 5 and n = 6 lines of tools/verdict_census.py: the pairs of
+# min(p, q) >= 2 of degree 5 (the O(2, 3) list) and 6, each set's counts
+# with a SHA-256 of every pair's (conclusion, translation rank, lo, hi).
+# The battery's verdicts are pinned by the report digests above, and
+# n = 7 runs in the tool alone
+CENSUS = [
+    "n = 5: 78 pairs, 39 witnessed, 20 open, gap 20; sha256 "
+    "5aaa17cac48fd0b9d6f58135134505d91b1b6b3e44473fb0ca5a76ce6a789df9",
+    "n = 6: 212 pairs, 138 witnessed, 84 open, gap 84; sha256 "
+    "2c4df0dd4397382768e08ee2b49cc1fc620ddd43ba8a57314450a62bd1259370",
+]
+
+
+def test_degree_5_and_6_census_verdicts_are_pinned():
+    assert _tool("verdict_census").lines((5, 6)) == CENSUS
 
 
 def test_every_case_is_pinned():

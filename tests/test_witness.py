@@ -26,8 +26,8 @@ from orthomono.witness import (INCONCLUSIVE, OUT_OF_SCOPE, WITNESSED,
 from orthomono.witness import (_echelon_insert, _inverse_word,
                                _parallel_factor, _radical_factors)
 
-from conftest import (BASE_F, BASE_G, cleared, random_cyclotomic_pairs,
-                      reflect)
+from conftest import (BASE_F, BASE_G, cleared, column_eliminate,
+                      quotient_perp, random_cyclotomic_pairs, reflect)
 
 
 def conjugate(m, h):
@@ -51,15 +51,31 @@ def translation_coordinates(gram, quotient, factors):
                  for c in linalg.mat_vec(linalg.inverse(qgram), factors))
 
 
+def quotient_indices(perp):
+    """The indices i of the vectors perp[1:][i] that are independent
+    modulo eps = perp[0], chosen greedily: each raises the rank of eps and
+    the vectors chosen before it.  Over Q they represent a basis of
+    eps-perp modulo the line through eps."""
+    chosen, picked = [list(perp[0])], []
+    for i, w in enumerate(perp[1:]):
+        if linalg.rank(chosen + [list(w)]) > len(chosen):
+            chosen.append(list(w))
+            picked.append(i)
+    return picked
+
+
 def translation_vector(matrix, eps, ctx):
     """Reference: the quotient vector t with u(w) = w + (w.t) eps on
-    eps-perp, in the quotient basis of orthocomplement(), read off the
-    matrix of u; zero iff u restricts to the identity on eps-perp."""
+    eps-perp, in the quotient basis of quotient_indices over the basis of
+    orthocomplement(), read off the matrix of u; zero iff u restricts to
+    the identity on eps-perp."""
     perp = ctx.perp(tuple(int(x) for x in eps))
     factors = _radical_factors(matrix, perp)
     if factors is None:
         raise ValueError("element is not in the unipotent radical")
-    return translation_coordinates(ctx.gram, perp[1:], factors)
+    picked = quotient_indices(perp)
+    return translation_coordinates(ctx.gram, [perp[1 + i] for i in picked],
+                                   [factors[i] for i in picked])
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +453,7 @@ def test_word_orbit_matches_the_generator_walk(entry):
 def test_orthocomplement_base(ctx):
     perp = orthocomplement(ctx.gram, EPS)
     assert perp == [(-1, 0, 1, 0, 0), (0, 1, 0, 0, 0),
-                    (0, 0, 1, 0, 0), (0, 0, 0, 1, 1)]
+                    (0, 0, 1, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 1, 1)]
     for w in perp:
         assert linalg.vec_dot(w, ctx.gram, EPS) == 0
     assert linalg.rank([list(w) for w in perp]) == 4
@@ -842,10 +858,11 @@ def test_radical_factors_on_worked_pair(entry):
     q0 = linalg.mat_vec(ctx.gram, perp[1])  # q0 . eps = 0
     assert _radical_factors(shear(q0), perp) \
         == [linalg.vec_dot(perp[1], ctx.gram, w) for w in perp[1:]]
-    # column 0 of the inverse of a unimodular matrix with first row eps
-    # pairs with eps to 1
-    c = [row[0] for row in linalg.inverse(
-        linalg.unimodular_with_first_row(eps))]
+    # eps is primitive, so column 0 of u in eps's column elimination,
+    # eps . u = (r0, 0, ..., 0), r0 = +-1, pairs with eps to 1 up to sign
+    r0, cols, _ = column_eliminate(eps)
+    c = [r0 * x for x in cols[0]]
+    assert sum(a * b for a, b in zip(c, eps)) == 1
     flip = GroupElement((), shear([-2 * x for x in c]))
     assert _radical_factors(flip.matrix, perp) is None
     assert linalg.mat_vec(flip.matrix, eps) == [-x for x in eps]
@@ -1020,8 +1037,9 @@ def test_span_closure_matches_matrix_reference_on_every_candidate(
 
 # span_rank_witness reads u's translation vector off one column of u:
 # for y = e_j, the first unit vector with s = y . eps != 0, u fixes eps and
-# moves each quotient representative w by lambda_w eps, so
-# y - u(y) = s a + c eps, where a has coordinates translation_vector
+# moves each basis vector w of eps-perp by lambda_w eps, so
+# y - u(y) = s a + c eps, where a has coordinates translation_vector in
+# the basis vectors that are independent modulo eps
 
 @pytest.mark.parametrize("f_text, g_text", _span_cases())
 def test_translation_vector_read_off_u(f_text, g_text):
@@ -1033,21 +1051,73 @@ def test_translation_vector_read_off_u(f_text, g_text):
         if u is None:
             continue
         perp = ctx.perp(eps)
-        quotient = perp[1:]
         g_eps = linalg.mat_vec(ctx.gram, eps)
         j = next(j for j, x in enumerate(g_eps) if x)
         s = g_eps[j]
         y = e(j, ctx.n)
         moved = [a - b for a, b in zip(y, linalg.mat_vec(u.matrix, y))]
-        g_quotient = [linalg.mat_vec(ctx.gram, w) for w in quotient]
+        g_basis = [linalg.mat_vec(ctx.gram, w) for w in perp[1:]]
         factors = _radical_factors(u.matrix, perp)
-        assert linalg.mat_vec(g_quotient, moved) == [s * x for x in factors]
+        assert linalg.mat_vec(g_basis, moved) == [s * x for x in factors]
         t = translation_vector(u.matrix, eps, ctx)
+        quotient = [perp[1 + i] for i in quotient_indices(perp)]
         a = linalg.mat_vec(linalg.transpose(quotient), t)
         rest = [m - s * x for m, x in zip(moved, a)]
         assert linalg.rank(cleared([rest, list(eps)])) == 1
         checked += 1
     assert checked >= 1
+
+
+# orthocomplement's basis after eps is a Z-basis of the whole lattice
+# {x in Z^n : x . G eps = 0}: n - 1 vectors orthogonal to eps whose
+# signed maximal minors are one sign times the primitive normal
+# G eps / content, so their gcd is 1 and no finer lattice holds them
+
+@pytest.mark.parametrize("f_text, g_text", _indefinite_cases(7))
+def test_orthocomplement_is_a_z_basis_of_eps_perp(f_text, g_text):
+    ctx = WitnessContext(build_pair(parse_poly(f_text), parse_poly(g_text)))
+    n = ctx.n
+    for eps in orbit_candidates(ctx, 3, 8):
+        basis = [list(w) for w in ctx.perp(eps)[1:]]
+        assert len(basis) == n - 1
+        assert all(linalg.vec_dot(w, ctx.gram, eps) == 0 for w in basis)
+        minors = [(-1) ** i * linalg.det([row[:i] + row[i + 1:]
+                                          for row in basis])
+                  for i in range(n)]
+        normal = list(linalg.primitive_integer(linalg.mat_vec(ctx.gram,
+                                                              eps)))
+        assert minors in (normal, [-x for x in normal]), eps
+
+
+# the span rank and the radical test read pairings with a basis of
+# eps-perp, whose kernel on eps-perp is the line through eps for every
+# basis: with the eps-first quotient basis in place of the lattice cut,
+# every hunt eps gives the same ranks and the same radical verdicts
+
+@pytest.mark.parametrize("f_text, g_text", _indefinite_cases(7))
+def test_quotient_basis_gives_the_same_ranks(monkeypatch, f_text, g_text):
+    ctx = WitnessContext(build_pair(parse_poly(f_text), parse_poly(g_text)))
+    runs = []
+    for eps in orbit_candidates(ctx, 3, 8):
+        u = unipotent_from_reflections(ctx, eps, 8)
+        axes = integral_reflection_vectors(ctx, eps)
+        refl = [reflection_matrix(ctx.gram, w) for w in axes[:3]]
+        elements = [u] + [GroupElement((), m)
+                          for r in refl for m in (r, conjugate(r, u))] + [
+            ctx.element(w) for w in (("A",), ("C",))]
+        runs.append((eps, u, axes, elements))
+
+    def outcomes():
+        return [([span_rank_witness(u, axes[:k], eps, ctx)
+                  for k in (1, 2, 3, len(axes))],
+                 [in_unipotent_radical(g, eps, ctx) for g in elements])
+                for eps, u, axes, elements in runs]
+    cut = outcomes()
+    original = ctx.perp
+    monkeypatch.setattr(ctx, "perp", lambda eps: quotient_perp(
+        ctx.gram, original(eps)[0]))
+    assert all(len(ctx.perp(eps)) == ctx.n - 1 for eps, *_ in runs)
+    assert outcomes() == cut
 
 
 @pytest.mark.parametrize("skew", ["shifted", "off-radical"])

@@ -16,7 +16,8 @@ src/, at the default search and word bounds, over two sets of pairs:
 Each set's line ends with the SHA-256 of its pairs' (conclusion,
 translation rank, lo, hi), one line per pair in order, so two checkouts
 that print the same line gave every pair of the set the same verdict
-data, not just the same counts.
+data, not just the same counts.  lines() returns the lines of the sets
+it names, for tests/test_reports.py.
 
 Standard library only; it changes nothing under tests/ or perfbench/.
 """
@@ -53,7 +54,9 @@ def _in_power_ring(coeffs: list[int]) -> int:
     return math.gcd(*(i for i, c in enumerate(coeffs) if c))
 
 
-def main() -> None:
+def lines(sets=("battery",) + DEGREES) -> list[str]:
+    """The census line of each named set, in order: "battery", or a
+    degree n from DEGREES."""
     src = os.path.join(ROOT, "src")
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench"),
                     os.path.join(ROOT, "tests")]
@@ -63,23 +66,33 @@ def main() -> None:
     import polys
     import workloads
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
-        sys.exit(f"imported {cli.__file__}, not the checkout's program")
-
-    _, witnessed, open_, gap, sha = _tally(
-        cli.build_report(render(f), render(g))
-        for f, g in random_cyclotomic_pairs())
-    print(f"battery: {open_} open, gap {gap}, {witnessed} witnessed; "
-          f"sha256 {sha}")
-    for n in DEGREES:
+        raise RuntimeError(f"imported {cli.__file__}, "
+                           "not the checkout's program")
+    out = []
+    for key in sets:
+        if key == "battery":
+            _, witnessed, open_, gap, sha = _tally(
+                cli.build_report(render(f), render(g))
+                for f, g in random_cyclotomic_pairs())
+            out.append(f"battery: {open_} open, gap {gap}, {witnessed} "
+                       f"witnessed; sha256 {sha}")
+            continue
         pairs = [(f, g)
-                 for cls, members in sorted(workloads.pairs_by_class(n).items())
+                 for cls, members in sorted(
+                     workloads.pairs_by_class(key).items())
                  if cls >= 2 for f, g in members
                  if math.gcd(_in_power_ring(polys.product(f)),
                              _in_power_ring(polys.product(g))) == 1]
         count, witnessed, open_, gap, sha = _tally(
             cli.build_report(polys.text(f), polys.text(g)) for f, g in pairs)
-        print(f"n = {n}: {count} pairs, {witnessed} witnessed, "
-              f"{open_} open, gap {gap}; sha256 {sha}")
+        out.append(f"n = {key}: {count} pairs, {witnessed} witnessed, "
+                   f"{open_} open, gap {gap}; sha256 {sha}")
+    return out
+
+
+def main() -> None:
+    for line in lines():
+        print(line)
 
 
 if __name__ == "__main__":
