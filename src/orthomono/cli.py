@@ -281,8 +281,9 @@ def build_pad_report(f0_text: str, g0_text: str, p_text: str, q_text: str,
     the padding block.
 
     The base certificate's isotropic witnesses are lifted through the
-    embedding and seed the padded search, so the padded lower bound is at
-    least the base one whenever the isometry check passes.  Below
+    embedding and seed the padded search.  They are valid seeds whenever
+    the isometry check passes, and q_rank keeps valid seeds as its first
+    witnesses, so the padded lower bound is at least the base one.  Below
     d = deg f0 + 1 = 6 the embedding is not guaranteed, and a failed
     check is bad input (PairValidationError); from d = 6 on it is
     guaranteed, and a failed check is an OracleMismatchError.

@@ -9,7 +9,6 @@ tolerances anywhere in this module.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -478,7 +477,7 @@ def witt_decompose(space: QuadSpace, bound: int,
                    seeds: Sequence[Sequence[int]] = ()) -> RankCertificate:
     """Greedy hyperbolic-plane splitting.
 
-    Finds an isotropic vector (seeds first, then bounded search in the
+    Finds an isotropic vector (the next seed, else bounded search in the
     current orthogonal-complement lattice), pairs it with a deterministic
     non-orthogonal partner, restricts to the complement of the plane, and
     repeats.  lo = planes split; the leftover block is diagonalized.
@@ -489,8 +488,13 @@ def witt_decompose(space: QuadSpace, bound: int,
     theorem), so an empty search there doubles the bound, for the later
     stages too, while the box fits; one stopped by the cap notes that
     the vector exists.  A bound below 1 is a ValueError, as the doubling
-    would never leave it, and so is a seed of the wrong length or with a
-    coordinate that is not an int.
+    would never leave it, and so is a seed of the wrong length, with a
+    coordinate that is not an int, or that is not a nonzero isotropic
+    vector orthogonal to the seeds before it, and so are two or more
+    linearly dependent seeds.  Stage i takes seed i as it is: its partner
+    is the first row of the lattice, cut by each unused seed's primitive
+    G s, that pairs with it, so the unused seeds stay in the lattice.  On
+    a nondegenerate form that row exists, so lo >= len(seeds).
 
     The current lattice is carried from stage to stage as a basis B
     (rows, in ambient coordinates), starting from B = I.  A split plane
@@ -508,16 +512,21 @@ def witt_decompose(space: QuadSpace, bound: int,
     n = len(gram)
     basis = linalg.identity(n)
     witnesses: list[tuple[int, ...]] = []
-    constraints: list[tuple[int, ...]] = []
     notes: list[str] = []
-    pending = []
+    checked: list[tuple[int, ...]] = []
     for s in seeds:
         # a wrong length would pair on the shorter prefix, and int() would
         # truncate a coordinate that is not an int
         if len(s) != n:
             raise ValueError(f"seed {tuple(s)} has length {len(s)}, "
                              f"not the dimension {n}")
-        pending.append(linalg.int_vector(s))
+        s = linalg.int_vector(s)
+        checked.append(s)
+        if not any(s) or any(linalg.vec_dot(t, gram, s) for t in checked):
+            raise ValueError(f"seed {s} is not a nonzero isotropic vector "
+                             "orthogonal to the seeds before it")
+    if len(checked) >= 2 and linalg.rank(checked) < len(checked):
+        raise ValueError("the seeds are linearly dependent")
 
     def form() -> tuple[Sequence[Sequence[int]], tuple[Fraction, ...]]:
         # this stage's R and its diagonal
@@ -532,24 +541,17 @@ def witt_decompose(space: QuadSpace, bound: int,
             residual_diag: tuple[Fraction, ...] = ()
             break
         residual_diag = None
-        # isotropic vector: unused seeds first, then bounded search
-        w: tuple[int, ...] | None = None
-        for s in pending:
-            in_lattice = all(
-                sum(r[i] * s[i] for i in range(n)) == 0 for r in constraints)
-            if in_lattice and linalg.vec_dot(s, gram, s) == 0 \
-                    and any(x != 0 for x in s):
-                w = s
-                pending = [q for q in pending if q != s]
-                break
-        if w is None:
+        stage = len(witnesses)
+        if stage < len(checked):
+            w = checked[stage]
+        else:
             restricted, residual_diag = form()
             nums = [d.numerator for d in residual_diag]
             if all(x > 0 for x in nums) or all(x < 0 for x in nums):
                 break  # definite: the search could only come back empty
             if (2 * bound + 1) ** k > SEARCH_CAP:
                 notes.append(
-                    f"stage {len(witnesses) + 1}: search over "
+                    f"stage {stage + 1}: search over "
                     f"{(2 * bound + 1) ** k} tuples exceeds the cap; "
                     "lower bound may not be tight")
                 if k > CERT_MAX_DIM:
@@ -570,32 +572,26 @@ def witt_decompose(space: QuadSpace, bound: int,
             x = tuple(sum(c[j] * basis[j][i] for j in range(k))
                       for i in range(n))
             w = linalg.sign_canonical(x)
-        # partner: first current-lattice vector, the basis rows and then
-        # the sums of two of them, pairing nontrivially with w while
-        # keeping every unused seed orthogonal (so later stages can still
-        # accept them)
-        seed_rows = [linalg.primitive_integer(linalg.mat_vec(gram, s))
-                     for s in pending]
-        sums = ([a + b for a, b in zip(bi, bj)]
-                for bi, bj in itertools.combinations(basis, 2))
+        # partner: the first row pairing with w of the lattice orthogonal
+        # to every unused seed
+        candidates = basis
+        for s in checked[stage + 1:]:
+            candidates = linalg.lattice_cut(
+                candidates, linalg.primitive_integer(linalg.mat_vec(gram, s)))
         g_w = linalg.mat_vec(gram, w)  # w . u = (G w) . u, as G = G^T
-        partner = next(
-            (u for u in itertools.chain(basis, sums)
-             if sum(map(operator.mul, g_w, u)) != 0
-             and all(sum(r[i] * u[i] for i in range(n)) == 0
-                     for r in seed_rows)), None)
+        partner = next((u for u in candidates
+                        if sum(map(operator.mul, g_w, u)) != 0), None)
         if partner is None:
             # w is in the radical of the restricted lattice; cannot split
-            notes.append(f"stage {len(witnesses) + 1}: isotropic vector "
+            notes.append(f"stage {stage + 1}: isotropic vector "
                          "without a pairing partner; stopped")
             if residual_diag is None:
                 residual_diag = form()[1]
             break
         witnesses.append(w)
         for g_vec in (g_w, linalg.mat_vec(gram, partner)):
-            row = linalg.primitive_integer(g_vec)
-            constraints.append(row)
-            basis = linalg.lattice_cut(basis, row)
+            basis = linalg.lattice_cut(basis,
+                                       linalg.primitive_integer(g_vec))
 
     pr = sum(1 for d in residual_diag if d.numerator > 0)
     qr = sum(1 for d in residual_diag if d.numerator < 0)
@@ -716,7 +712,8 @@ def q_rank(space: QuadSpace, bound: int,
     min(p, q) of signature(space).  An open residual in at most
     CERT_MAX_DIM variables is scanned for an anisotropy certificate,
     which tightens hi to lo; a larger one was searched up to the cap.
-    A bound or a seed that witt_decompose rejects is a ValueError.
+    A bound or a seed that witt_decompose rejects is a ValueError; valid
+    seeds are the first witnesses, in order, on a nondegenerate form.
     """
     p, q = signature(space)
     cert = witt_decompose(space, bound, seeds=seeds)

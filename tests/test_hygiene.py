@@ -142,8 +142,6 @@ UNCALLED_KEPT = {
                         "tests use it as the reference box search",
     "parse_report": "the reader of the canonical report text that "
                     "serialize_report writes",
-    "rank": "perfbench/tracer.py counts linalg.rank by name and its "
-            "install fails on a missing one; the tests use it",
 }
 
 

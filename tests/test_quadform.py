@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -991,6 +992,10 @@ def test_q_rank_base(base_space):
 def test_q_rank_seeded(base_space):
     seeded = q_rank(base_space, 3, seeds=((0, 0, 1, 0, -1),))
     assert (seeded.lo, seeded.hi) == (2, 2)
+    # both base witnesses as seeds: each is a witness, in order
+    ws = q_rank(base_space, 3).isotropic_witnesses
+    seeded = q_rank(base_space, 3, seeds=ws)
+    assert (seeded.lo, seeded.hi, seeded.isotropic_witnesses) == (2, 2, ws)
 
 
 def test_q_rank_anisotropic_residual():
@@ -1055,6 +1060,75 @@ def test_seeds_with_non_int_coordinates_are_rejected(base_space):
         witt_decompose(base_space, 3, seeds=[(1, 0, -1)])
     assert witt_decompose(base_space, 3, seeds=[(1, 0, -1, 0, 0)]) \
         .isotropic_witnesses[0] == (1, 0, -1, 0, 0)
+
+
+# each once came back as [0, 2] on the base quintic, where unseeded
+# q_rank gives [2, 2]: the first two as "stage 1: isotropic vector without
+# a pairing partner; stopped", since the partner search kept every
+# pending seed orthogonal; the zero vector was skipped
+@pytest.mark.parametrize("seeds, match", [
+    ([(1, 0, 0, 0, 0)], r"\(1, 0, 0, 0, 0\) is not"),  # v, v.v = 2
+    ([(0, 0, 1, 0, -1), (0, 1, 0, -1, -1)], r"\(0, 1, 0, -1, -1\) is not"),
+    ([(1, 0, -1, 0, 0), (-1, 0, 1, 0, 0)], "linearly dependent"),
+    ([(1, 0, -1, 0, 0), (2, 0, -2, 0, 0)], "linearly dependent"),
+    ([(0, 0, 0, 0, 0)], r"\(0, 0, 0, 0, 0\) is not"),
+], ids=["v", "not-orthogonal", "eps,-eps", "eps,2eps", "zero"])
+def test_invalid_seeds_are_rejected(base_space, seeds, match):
+    with pytest.raises(ValueError, match=match):
+        witt_decompose(base_space, 3, seeds=seeds)
+    with pytest.raises(ValueError, match=match):
+        q_rank(base_space, 3, seeds=seeds)
+
+
+def test_the_seed_checks_take_one_elimination_for_two_seeds(monkeypatch,
+                                                            base_space):
+    # independence is one linalg.rank, and only for two or more seeds
+    calls = []
+    original = linalg.rank
+    monkeypatch.setattr(linalg, "rank",
+                        lambda m: calls.append(m) or original(m))
+    ws = witt_decompose(base_space, 3).isotropic_witnesses
+    for seeds, count in (((), 0), (ws[:1], 0), (ws, 1)):
+        calls.clear()
+        assert witt_decompose(base_space, 3, seeds=seeds) \
+            .isotropic_witnesses[:len(seeds)] == seeds
+        assert len(calls) == count, seeds
+
+
+def _seeded_form(rng: random.Random):
+    """A nondegenerate Gram of dimension 3-8 with int entries in [-3, 3],
+    and up to three valid seeds of it (_valid_seeds)."""
+    dim = rng.randint(3, 8)
+    gram = [[0] * dim for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a, dim):
+            gram[a][b] = gram[b][a] = rng.randint(-3, 3)
+    if linalg.det(gram) == 0:
+        return gram, []
+    return gram, _valid_seeds(rng, gram, 3)
+
+
+# the partner search once kept every pending seed orthogonal and looked
+# only among the basis rows and their pair sums: it lost a seed (lo < 2,
+# mostly 0) on about one form in eight with two seeds, and on most forms
+# with three
+@pytest.mark.parametrize("chunk", range(4))
+def test_valid_seeds_are_the_first_witnesses(chunk):
+    rng = random.Random(7 + chunk)
+    counts = Counter()
+    for _ in range(750):
+        gram, seeds = _seeded_form(rng)
+        space = space_of(gram)
+        for count in (2, 3):
+            if len(seeds) < count:
+                continue
+            counts[count] += 1
+            cert = witt_decompose(space, 1, seeds=seeds[:count])
+            assert cert.isotropic_witnesses[:count] == tuple(seeds[:count]), \
+                (gram, seeds[:count])
+            assert cert.lo >= count
+            quadform._check_certificate(space, cert)
+    assert counts[2] > 250 and counts[3] > 10, counts
 
 
 def test_certificate_check_rejects_a_witness_of_the_wrong_length(base_space):
@@ -1160,12 +1234,14 @@ def _scaled_int_row(space_gram, vec):
 def _reference_witt_decompose(gram, bound, seeds=()):
     """Reference: the greedy splitting with every stage's lattice rebuilt
     from all constraints so far and its restricted Gram B G B^T rebuilt
-    from the full form, the partner candidates listed in full."""
+    from the full form, and the partner's lattice rebuilt from them and
+    the unused seeds' rows.  The seeds must be valid: each stage takes
+    the next one."""
     n = len(gram)
     witnesses = []
     constraints = []
     notes = []
-    pending = [tuple(int(x) for x in s) for s in seeds]
+    pending = [tuple(s) for s in seeds]
     while True:
         basis = _int_kernel(constraints, n)
         k = len(basis)
@@ -1175,15 +1251,7 @@ def _reference_witt_decompose(gram, bound, seeds=()):
         restricted = linalg.mat_mul(
             basis, linalg.mat_mul(gram, linalg.transpose(basis)))
         residual_diag, _ = ref_diagonalize(restricted)
-        w = None
-        for s in pending:
-            in_lattice = all(
-                sum(r[i] * s[i] for i in range(n)) == 0 for r in constraints)
-            if in_lattice and linalg.vec_dot(s, gram, s) == 0 \
-                    and any(x != 0 for x in s):
-                w = s
-                pending = [q for q in pending if q != s]
-                break
+        w = pending.pop(0) if pending else None
         if w is None:
             # a definite stage stops before the cap is checked
             if all(d > 0 for d in residual_diag) or \
@@ -1213,19 +1281,12 @@ def _reference_witt_decompose(gram, bound, seeds=()):
                       for i in range(n))
             lead = next(t for t in x if t != 0)
             w = x if lead > 0 else tuple(-t for t in x)
-        lat_rows = [b for b in basis]
-        seed_rows = [_scaled_int_row(gram, s) for s in pending]
-        partner = None
-        pairs = [[bi + bj for bi, bj in zip(lat_rows[i], lat_rows[j])]
-                 for i in range(len(lat_rows))
-                 for j in range(i + 1, len(lat_rows))]
-        for u in list(lat_rows) + pairs:
-            if linalg.vec_dot(w, gram, u) == 0:
-                continue
-            if all(sum(r[i] * u[i] for i in range(n)) == 0
-                   for r in seed_rows) or not pending:
-                partner = u
-                break
+        # the partner lattice, rebuilt from the constraints and the unused
+        # seeds' rows
+        candidates = _int_kernel(
+            constraints + [_scaled_int_row(gram, s) for s in pending], n)
+        partner = next((u for u in candidates
+                        if linalg.vec_dot(w, gram, u) != 0), None)
         if partner is None:
             notes.append(f"stage {len(witnesses) + 1}: isotropic vector "
                          "without a pairing partner; stopped")
@@ -1245,11 +1306,13 @@ def _reference_witt_decompose(gram, bound, seeds=()):
 def _carried_witt_decompose(space, bound, seeds=()):
     """Reference: the loop that carried R beside B, updating it as
     R <- K R K^T by two dense products at every cut, and took every
-    stage's congruence diagonal whether or not the stage read it."""
+    stage's congruence diagonal whether or not the stage read it; each
+    cut, the partner's too, is a matrix product with an int_row_kernel
+    basis."""
     gram = space.gram
     n = len(gram)
     basis, restricted = linalg.identity(n), gram
-    witnesses, constraints, notes = [], [], []
+    witnesses, notes = [], []
     pending = [tuple(s) for s in seeds]
     carried = space.diagonal
     while True:
@@ -1260,15 +1323,7 @@ def _carried_witt_decompose(space, bound, seeds=()):
         residual_diag = carried if carried is not None \
             else congruence_diagonal(restricted)
         carried = None
-        w = None
-        for s in pending:
-            in_lattice = all(
-                sum(r[i] * s[i] for i in range(n)) == 0 for r in constraints)
-            if in_lattice and linalg.vec_dot(s, gram, s) == 0 \
-                    and any(x != 0 for x in s):
-                w = s
-                pending = [q for q in pending if q != s]
-                break
+        w = pending.pop(0) if pending else None
         if w is None:
             # a definite stage stops before the cap is checked
             if all(d > 0 for d in residual_diag) or \
@@ -1298,15 +1353,16 @@ def _carried_witt_decompose(space, bound, seeds=()):
                       for i in range(n))
             lead = next(t for t in x if t != 0)
             w = x if lead > 0 else tuple(-t for t in x)
-        seed_rows = [linalg.primitive_integer(linalg.mat_vec(gram, s))
-                     for s in pending]
-        sums = ([a + b for a, b in zip(bi, bj)]
-                for bi, bj in itertools.combinations(basis, 2))
-        partner = next(
-            (u for u in itertools.chain(basis, sums)
-             if linalg.vec_dot(w, gram, u) != 0
-             and (all(sum(r[i] * u[i] for i in range(n)) == 0
-                      for r in seed_rows) or not pending)), None)
+        # the partner lattice: B cut by each unused seed's row
+        candidates = basis
+        for s in pending:
+            projected = linalg.mat_vec(
+                candidates, linalg.primitive_integer(linalg.mat_vec(gram, s)))
+            if any(x != 0 for x in projected):
+                candidates = linalg.mat_mul(int_row_kernel(projected),
+                                            candidates)
+        partner = next((u for u in candidates
+                        if linalg.vec_dot(w, gram, u) != 0), None)
         if partner is None:
             notes.append(f"stage {len(witnesses) + 1}: isotropic vector "
                          "without a pairing partner; stopped")
@@ -1314,7 +1370,6 @@ def _carried_witt_decompose(space, bound, seeds=()):
         witnesses.append(w)
         for vec in (w, partner):
             row = linalg.primitive_integer(linalg.mat_vec(gram, vec))
-            constraints.append(row)
             projected = linalg.mat_vec(basis, row)
             if any(x != 0 for x in projected):
                 cut = int_row_kernel(projected)
@@ -1373,12 +1428,29 @@ def test_witt_matches_reference_on_pads_with_lifted_seeds(P, Q, bound):
     assert cert.isotropic_witnesses[:len(seeds)] == seeds
 
 
+def _valid_seeds(rng: random.Random, gram, count: int) -> list:
+    """Up to count of the form's nonzero isotropic vectors at bound 1, in
+    random order, each kept if it is orthogonal to the ones kept before
+    it and independent of them: a seed set witt_decompose accepts."""
+    hits = list(_box_solutions(gram, 1))
+    rng.shuffle(hits)
+    seeds = []
+    for h in hits:
+        if len(seeds) == count:
+            break
+        if all(linalg.vec_dot(s, gram, h) == 0 for s in seeds) \
+                and linalg.rank(seeds + [h]) == len(seeds) + 1:
+            seeds.append(h)
+    return seeds
+
+
 def _witt_case(rng: random.Random, i: int):
     """A symmetric int Gram of dimension 1-7: random entries, with a zero
     row (a radical), or block diagonal from definite, indefinite,
     hyperbolic and degenerate blocks, plain or congruent under a random
-    unimodular matrix.  Every third case takes seeds: isotropic vectors
-    of the form and a random vector."""
+    unimodular matrix.  Every third case takes seeds: up to two of the
+    form's isotropic vectors at bound 1, in random order, each kept if
+    it is orthogonal to and independent of those before it."""
     dim = rng.randint(1, 7)
     gram = [[0] * dim for _ in range(dim)]
     kind = i % 4
@@ -1402,11 +1474,7 @@ def _witt_case(rng: random.Random, i: int):
             z = rng.randrange(dim)
             for a in range(dim):
                 gram[a][z] = gram[z][a] = 0
-    seeds = []
-    if i % 3 == 0:
-        hits = list(itertools.islice(_box_solutions(gram, 1), 3))
-        seeds = rng.sample(hits, min(len(hits), 2))
-        seeds.append(tuple(rng.randint(-2, 2) for _ in range(dim)))
+    seeds = _valid_seeds(rng, gram, 2) if i % 3 == 0 else []
     return gram, rng.choice((1, 2)), seeds
 
 

@@ -265,6 +265,21 @@ def test_degree_5_and_6_census_verdicts_are_pinned():
     assert _tool("verdict_census").lines((5, 6)) == CENSUS
 
 
+# the pads line of tools/verdict_census.py: the 11 worked examples padded
+# by each ordered pair P != Q of perfbench's PAD_FACTORS at d = 6 and 12,
+# with a SHA-256 of every pad's (lo, hi, base lo, conclusion).  The base's
+# witnesses seed each padded Q-rank search, so no pad may fall below its
+# base lo
+PADS_CENSUS = [
+    "pads: 240 accepted, 200 rejected, 0 below base lo; sha256 "
+    "cef95ec5975ac6986e82e9c7529b38fdc0cf765e454dd6f95469f6df4fdf819c",
+]
+
+
+def test_pads_census_is_pinned():
+    assert _tool("verdict_census").lines(("pads",)) == PADS_CENSUS
+
+
 def test_every_case_is_pinned():
     assert [label for label, _ in CASES] == list(DIGESTS)
 
