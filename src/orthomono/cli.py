@@ -130,12 +130,6 @@ def _write(value, indent: str, out: list[str]) -> None:
             return
         inner = indent + "  "
         sep = ",\n" + inner
-        types = set(map(type, value))
-        if len(types) == 1 and (scalar := _SCALARS.get(types.pop())):
-            # a list of one scalar type, such as a Gram row, in one join
-            out += ("[\n", inner, sep.join(map(scalar, value)), "\n",
-                    indent, "]")
-            return
         out.append("[\n" + inner)
         _write(value[0], inner, out)
         for x in value[1:]:

@@ -23,7 +23,7 @@ from . import linalg
 
 # Largest polynomial degree, and so pair dimension n, that parse_poly and
 # pad_pair accept.  The slowest input measured under it, analyze of
-# (x-1)^127, (x+1)^127, takes about 20 s (19.7 s for one in-process
+# (x-1)^127, (x+1)^127, takes about 15 s (15.3 s for one in-process
 # build_report on a 2-vCPU Intel Xeon VM, Python 3.11.7, load about
 # 0.5), nearly all of it the congruence diagonal; the largest worked
 # example has degree 29.
@@ -110,8 +110,6 @@ class IntPoly:
         return self + (-other)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero or other.is_zero:
-            return IntPoly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -122,20 +120,15 @@ class IntPoly:
     def __pow__(self, e: int) -> "IntPoly":
         if e < 0:
             raise ValueError("negative power")
+        # e-fold: the parser keeps e and e * degree within MAX_DEGREE
         out = IntPoly((1,))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
+        for _ in range(e):
+            out = out * self
         return out
 
     def __call__(self, value: int) -> int:
-        """Evaluate at an int, Horner style; at 0, the constant
-        coefficient."""
-        if value == 0:
-            return self.coeffs[0] if self.coeffs else 0
+        """Evaluate at an int, Horner style: at 0 the last step adds
+        the constant coefficient to 0, and the zero polynomial is 0."""
         acc = 0
         for a in reversed(self.coeffs):
             acc = acc * value + a
@@ -145,8 +138,6 @@ class IntPoly:
         """Substitute x^d for the variable: p(x) -> p(x^d)."""
         if d < 1:
             raise ValueError("d must be >= 1")
-        if self.is_zero:
-            return self
         out = [0] * (self.degree * d + 1)
         for i, a in enumerate(self.coeffs):
             out[i * d] = a
@@ -172,11 +163,10 @@ def _divrem_coeffs(a: Sequence[int], b: Sequence[int]
                    ) -> tuple[list[int], list[int]]:
     """divrem on ascending coefficient lists, b monic and nonzero: the
     quotient, and the remainder as deg b coefficients, neither trimmed.
-    A dividend of degree below deg b is its own remainder."""
+    A dividend shorter than b makes an empty loop: the quotient is [],
+    and the remainder the dividend, unpadded."""
     db = len(b) - 1
     rem = list(a)
-    if len(rem) <= db:
-        return [], rem
     quot = [0] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
@@ -261,8 +251,6 @@ def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
     """
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    if a.is_zero:
-        return a
     c = math.gcd(*b.coeffs) * (1 if b.leading > 0 else -1)
     prim = [x // c for x in b.coeffs]
     db, lead = len(prim) - 1, prim[-1]
@@ -376,14 +364,17 @@ def cyclo_factor(f: IntPoly) -> CycloFactorization:
 
 def root_arguments(fac: CycloFactorization, den: int) -> list[int]:
     """Numerators over den of the arguments a/d of the roots
-    e^(2 pi i a/d), ascending with multiplicity; den must be a multiple
-    of every d.  Requires a complete cyclotomic factorization.
+    e^(2 pi i a/d), ascending with multiplicity.  Requires a complete
+    cyclotomic factorization, and den a positive multiple of every d.
 
     >>> root_arguments(cyclo_factor(IntPoly((1, 0, 1))), 4)   # x^2 + 1
     [1, 3]
     """
     if not fac.remainder_is_one:
         raise ValueError("root parameters need a full cyclotomic factorization")
+    if den < 1 or any(den % d for d, _ in fac.factors):
+        raise ValueError(f"denominator {den} is not a positive multiple "
+                         f"of every factor's order")
     values: list[int] = []
     for d, mult in fac.factors:
         step = den // d

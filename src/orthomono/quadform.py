@@ -28,7 +28,6 @@ DEFAULT_SEARCH_BOUND = 3
 
 # anisotropy certificates: exhaustive mod-p^k checking stays desk-scale
 CERT_MAX_DIM = 4
-CERT_MAX_PRIME = 97
 CERT_MAX_EXPONENT = 3
 CERT_WORK_CAP = 4_000_000
 
@@ -631,12 +630,18 @@ def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int) -> bool:
     Hensel's lemma lifts it to a primitive zero mod every p^k (Serre, A
     Course in Arithmetic, ch. I-II).
 
+    The primitive zeros are the zeros mod p^k less the p^dim lifts of
+    each zero mod p^(k-2); at k = 2 that modulus is 1, with the one
+    zero the convolution counts there.
+
     Raises SearchBudgetError when the (p, k, dim) instance is over
-    CERT_WORK_CAP, before the shortcut is taken; inputs outside the
-    documented limits are rejected.
+    CERT_WORK_CAP, before the shortcut is taken; ValueError for more
+    than CERT_MAX_DIM entries, p not one of _PRIMES, the primes the scan
+    uses, or k outside 1..CERT_MAX_EXPONENT.
     """
     dim = len(diagonal)
-    if dim > CERT_MAX_DIM or p > CERT_MAX_PRIME or k > CERT_MAX_EXPONENT:
+    if dim > CERT_MAX_DIM or p not in _PRIMES \
+            or not 1 <= k <= CERT_MAX_EXPONENT:
         raise ValueError("certificate instance outside supported limits")
     if any(d == 0 for d in diagonal):
         raise ValueError("diagonal entries must be nonzero")
@@ -660,20 +665,15 @@ def anisotropy_certificate(diagonal: Sequence[int], p: int, k: int) -> bool:
             counts = new
         return counts
 
-    def count_zeros(modulus: int) -> int:
-        if modulus == 1:
-            return 1
-        return residue_counts(diagonal, modulus)[0]
-
     # mod p^(k-2) is under the cap whenever mod p^k is
     if dim * q * q > CERT_WORK_CAP:
         raise SearchBudgetError(
             f"certificate counting mod {q} exceeds the work cap")
     if dim >= 3 and (k == 1 or p != 2 and all(d % p for d in diagonal)):
         return False
-    total = count_zeros(q)
+    total = residue_counts(diagonal, q)[0]
     if k >= 2:
-        nonprimitive = count_zeros(p ** (k - 2)) * p ** dim
+        nonprimitive = residue_counts(diagonal, p ** (k - 2))[0] * p ** dim
     else:
         nonprimitive = 1  # only the zero tuple
     primitive = total - nonprimitive

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orthomono import polynomials
 from orthomono.parsing import parse_poly
@@ -89,6 +89,9 @@ def test_evaluation():
     p = poly(-1, 0, 0, 0, 0, 1)  # x^5 - 1
     assert p(1) == 0
     assert p(2) == 31
+    # Horner at 0 ends on the constant coefficient
+    for q in (p, poly(7, 3), poly(0, 0, 4), poly()):
+        assert q(0) == q.coeff(0)
     assert p(Fraction(1, 2)) == Fraction(-31, 32)
 
 
@@ -96,6 +99,7 @@ def test_compose_monomial():
     p = poly(1, 1, 1)  # 1 + y + y^2
     assert p.compose_monomial(6).coeffs == (1,) + (0,) * 5 + (1,) + (0,) * 5 + (1,)
     assert p.compose_monomial(1) == p
+    assert poly().compose_monomial(3) == poly()
     with pytest.raises(ValueError):
         p.compose_monomial(0)
 
@@ -114,6 +118,9 @@ def convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @given(coeff_lists, coeff_lists)
+@example([], [1, 2])
+@example([3], [])
+@example([], [])
 def test_mul_matches_convolution(a, b):
     p, q = IntPoly(tuple(a)), IntPoly(tuple(b))
     assert (p * q).coeffs == IntPoly(convolve(p.coeffs, q.coeffs)).coeffs
@@ -132,6 +139,11 @@ def test_pow():
     assert (X + ONE) ** 2 == poly(1, 2, 1)
     assert poly(2) ** 5 == poly(32)
     assert poly(1, 1) ** 0 == ONE
+    for p in (poly(-1, 1), poly(1, 2, 1), poly(3), poly()):
+        product = ONE
+        for e in range(7):
+            assert p ** e == product
+            product = product * p
     with pytest.raises(ValueError):
         _ = X ** -1
 
@@ -148,6 +160,13 @@ def test_divrem_identity(a, b_low):
 def test_divrem_requires_monic():
     with pytest.raises(ValueError):
         divrem(X, poly(1, 2))
+
+
+def test_divrem_of_a_shorter_dividend():
+    # no quotient, and the dividend itself, unpadded, as the remainder
+    assert polynomials._divrem_coeffs([5, 7], [1, 0, 0, 1]) == ([], [5, 7])
+    assert polynomials._divrem_coeffs([], [2, 1]) == ([], [])
+    assert divrem(poly(5, 7), poly(1, 0, 0, 1)) == (poly(), poly(5, 7))
 
 
 @given(coeff_lists, coeff_lists)
@@ -235,6 +254,9 @@ def test_exact_div_messages_and_their_precedence():
     assert exact_div(poly(-2, 0, 2), poly(-2, -2)) == poly(1, -1)
     assert exact_div(poly(3, 5, 2), poly(3, 2)) == poly(1, 1)
     assert exact_div(poly(4, 6), poly(-2)) == poly(-2, -3)
+    # a zero dividend divides to zero, whatever b's content and sign
+    for b in (poly(1), poly(3, 2), poly(-4, 0, -6)):
+        assert exact_div(poly(), b) == poly()
 
 
 def test_gcd_contract():
@@ -483,6 +505,15 @@ def test_root_parameters_multiplicity_and_sort():
 def test_root_parameters_need_completeness():
     with pytest.raises(ValueError):
         root_arguments(CycloFactorization((), poly(-2, 0, 1)), 1)
+
+
+def test_root_parameters_need_a_common_denominator():
+    # x^2 + 1 has roots at 1/4 and 3/4, which no denominator 3 holds
+    fac = cyclo_factor(poly(1, 0, 1))
+    for den in (3, 2, 0, -4):
+        with pytest.raises(ValueError, match="not a positive multiple"):
+            root_arguments(fac, den)
+    assert root_arguments(fac, 8) == [2, 6]
 
 
 # ------------------------------------------------------------------- render

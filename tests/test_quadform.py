@@ -742,6 +742,14 @@ def test_anisotropy_certificate_mod_25():
     assert anisotropy_certificate((2, -10, 5), 5, 2)
 
 
+def test_anisotropy_certificate_rejects_instances_outside_the_scan():
+    # x^2 - y^2 is isotropic: a p the scan does not use, or a k outside
+    # 1..CERT_MAX_EXPONENT, is an error, never a certificate
+    for p, k in ((2, 0), (1, 1), (-3, 1), (2, -1)):
+        with pytest.raises(ValueError, match="outside supported limits"):
+            anisotropy_certificate([1, -1], p, k)
+
+
 def test_find_anisotropy_certificate():
     ob, notes = find_anisotropy_certificate((F(-2), F(14), F(20, 7)))
     assert (ob.prime, ob.exponent) == (5, 2)
@@ -817,6 +825,23 @@ def test_anisotropy_shortcut_at_odd_unit_primes(dim):
             for k in ((1, 2) if unit else (1,)):
                 assert anisotropy_certificate(diagonal, p, k) is False
                 assert ref_primitive_zeros(diagonal, p, k) > 0
+
+
+def test_anisotropy_certificate_at_k_2_matches_the_reference():
+    # k = 2 counts the nonprimitive zeros mod p^0 = 1, where every tuple
+    # is the one zero
+    outcomes = set()
+    for dim in (1, 2, 3, 4):
+        for diagonal in itertools.combinations_with_replacement(
+                (-5, -3, -2, -1, 1, 2, 3, 6, 10), dim):
+            for p in (2, 3, 5, 7):
+                if dim * p ** 4 > quadform.CERT_WORK_CAP:
+                    continue
+                got = anisotropy_certificate(diagonal, p, 2)
+                assert got == (ref_primitive_zeros(diagonal, p, 2) == 0), \
+                    (diagonal, p)
+                outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_find_anisotropy_certificate_matches_the_counting_scan():

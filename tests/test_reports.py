@@ -15,10 +15,14 @@ alone;
 a change that alters a report on purpose updates the digests here and
 records the new values, and why, in CHANGES.md.
 """
+import contextlib
+import functools
 import hashlib
 import importlib.util
+import io
 import json
 import pathlib
+import tempfile
 
 import pytest
 
@@ -284,26 +288,34 @@ def test_every_case_is_pinned():
     assert [label for label, _ in CASES] == list(DIGESTS)
 
 
-@pytest.mark.parametrize("label, argv", CASES, ids=[c[0] for c in CASES])
-def test_report_is_byte_identical(label, argv, tmp_path, capsys):
-    out = tmp_path / "report.json"
-    code = cli.main(argv + ["--quiet", "--json", str(out)])
-    capsys.readouterr()
-    doc = cli.parse_report(out.read_text())
+@functools.lru_cache(maxsize=None)
+def _command(label: str) -> tuple[int, str]:
+    """The exit code and --json text of a case's command, run once for
+    both tests below."""
+    argv = dict(CASES)[label]
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        out = pathlib.Path(tmp) / "report.json"
+        code = cli.main(argv + ["--quiet", "--json", str(out)])
+        return code, out.read_text()
+
+
+@pytest.mark.parametrize("label", [label for label, _ in CASES])
+def test_report_is_byte_identical(label):
+    code, text = _command(label)
+    doc = cli.parse_report(text)
     doc.pop("timings", None)
     text = cli.serialize_report(doc)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (code, digest) == DIGESTS[label]
 
 
-@pytest.mark.parametrize("label, argv", CASES, ids=[c[0] for c in CASES])
-def test_report_text_is_the_stdlib_json_text(label, argv, tmp_path, capsys):
+@pytest.mark.parametrize("label", [label for label, _ in CASES])
+def test_report_text_is_the_stdlib_json_text(label):
     # what a command writes, timings included, is the text the stdlib
     # gives for its document, so a reader can reproduce the digests
-    out = tmp_path / "report.json"
-    cli.main(argv + ["--quiet", "--json", str(out)])
-    capsys.readouterr()
-    text = out.read_text()
+    text = _command(label)[1]
     doc = cli.parse_report(text)
     assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert cli.serialize_report(doc) == text
