@@ -572,9 +572,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     # pad hunts at DEFAULT_WORD_BOUND and examples runs no hunt
     analyze.add_argument("--word-bound", type=_word_bound,
                          default=DEFAULT_WORD_BOUND,
-                         help="maximum reflection-word length in the witness "
-                              f"hunt, 1 to {MAX_WORD_BOUND} "
-                              "(default %(default)s)")
+                         help="word length bound of the witness hunt's "
+                              f"orbit of v, 1 to {MAX_WORD_BOUND} (default "
+                              "%(default)s); a hunt that falls short of full "
+                              "rank runs once more at bound + 2, within "
+                              f"{MAX_WORD_BOUND}")
     analyze.set_defaults(func=cmd_analyze)
 
     pad = subs.add_parser(

@@ -23,7 +23,8 @@ from .polynomials import (IntPoly, _divrem_coeffs, _frozen, _over_x_mod,
 # enumeration ceiling for bounded vector searches (number of tuples)
 SEARCH_CAP = 5_000_000
 
-# default coefficient bound of the isotropic and reflection-vector searches
+# default coefficient bound of the isotropic vector searches: each Witt
+# stage's box and the box of the witness hunt's candidates
 DEFAULT_SEARCH_BOUND = 3
 
 # anisotropy certificates: exhaustive mod-p^k checking stays desk-scale
@@ -345,32 +346,23 @@ def _canonical(c: tuple[int, ...]) -> bool:
     return lead is not None and lead > 0 and math.gcd(*c) == 1
 
 
-def _box_solutions(gram: Sequence[Sequence[int]], bound: int, value: int = 0,
-                   normal: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
-    """Canonical tuples c in [-bound, bound]^dim with c.G.c = value, and
-    normal . c = 0 when an int vector normal is given, in lexicographic
-    order, lazily; G must be symmetric.
+def _box_solutions(gram: Sequence[Sequence[int]], bound: int
+                   ) -> Iterator[tuple[int, ...]]:
+    """Canonical tuples c in [-bound, bound]^dim with c.G.c = 0, in
+    lexicographic order, lazily; G must be symmetric.
 
     Depth first over the coordinates, carrying the form's value on the
-    prefix, G times the prefix and normal . prefix, so a node costs
-    O(dim).  The frame of the second-to-last coordinate loops over it
-    inline and solves for the last one as an integer quadratic, so no
-    frame is opened per leaf.  Only prefixes that a canonical tuple can
-    extend are walked: the zero prefix and those whose first nonzero
-    entry is positive, so below a zero prefix the next coordinate runs
-    over 0..bound.  On dim >= 1 that is ((2 bound + 1)^(dim-1) + 1) / 2
-    quadratic solves.  The last coordinate normal weights is solved from
-    the linear equation instead of walked, and when it is the last one
-    the second-to-last frame substitutes it into the quadratic and makes
-    one solve; so with a nonzero normal on dim >= 2 the walk makes at
-    most ((2 bound + 1)^(dim-2) + 1) / 2 solves."""
+    prefix and G times the prefix, so a node costs O(dim).  The frame of
+    the second-to-last coordinate loops over it inline and solves for the
+    last one as an integer quadratic, so no frame is opened per leaf.
+    Only prefixes that a canonical tuple can extend are walked: the zero
+    prefix and those whose first nonzero entry is positive, so below a
+    zero prefix the next coordinate runs over 0..bound.  On dim >= 1 that
+    is ((2 bound + 1)^(dim-1) + 1) / 2 quadratic solves."""
     if not gram:
         return
     gram = linalg.int_rows(gram)
-    normal = tuple(normal) or (0,) * len(gram)
-    pivot = max((i for i, x in enumerate(normal) if x), default=-1)
-    yield from _box_walk(gram, bound, value, normal, pivot, (), 0,
-                         [0] * len(gram), 0)
+    yield from _box_walk(gram, bound, (), 0, [0] * len(gram))
 
 
 def _quadratic_roots(a: int, b: int, c: int, bound: int) -> list[int]:
@@ -395,62 +387,36 @@ def _quadratic_roots(a: int, b: int, c: int, bound: int) -> list[int]:
     return sorted(roots)
 
 
-def _box_walk(gram, bound: int, value: int, normal: tuple[int, ...],
-              pivot: int, prefix: tuple[int, ...], q: int, g_prefix: list,
-              level: int) -> Iterator[tuple[int, ...]]:
-    # q = prefix.G.prefix, g_prefix = G prefix and level = normal . prefix,
-    # prefix zero-padded; the value with coordinate k set to t is
-    # q + t (2 (G prefix)_k + G_kk t).  Coordinate pivot, the last one
-    # normal weights, takes the one value that makes level 0.
+def _box_walk(gram, bound: int, prefix: tuple[int, ...], q: int,
+              g_prefix: list) -> Iterator[tuple[int, ...]]:
+    # q = prefix.G.prefix and g_prefix = G prefix, prefix zero-padded; the
+    # value with coordinate k set to t is q + t (2 (G prefix)_k + G_kk t)
     k = len(prefix)
     last = len(gram) - 1
     if k == last:  # a one-dimensional form
-        for s in _quadratic_roots(gram[k][k], 2 * g_prefix[k], q - value,
-                                  bound):
-            if level + normal[k] * s == 0 and _canonical(prefix + (s,)):
+        for s in _quadratic_roots(gram[k][k], 2 * g_prefix[k], q, bound):
+            if _canonical(prefix + (s,)):
                 yield prefix + (s,)
         return
     lin, diag = 2 * g_prefix[k], gram[k][k]
     # below a negative lead no tuple is canonical
     span = range(-bound if any(prefix) else 0, bound + 1)
-    if k == pivot:
-        t, rest = divmod(-level, normal[k])
-        span = range(t, t + 1) if rest == 0 and t in span else range(0)
     if k == last - 1:
         lin_last, diag_last = 2 * g_prefix[last], gram[last][last]
         cross = 2 * gram[k][last]
-        if pivot == last:
-            # normal_last s = -(level + normal_k t) =: m; the quadratic
-            # times normal_last^2, as a quadratic in t
-            e, f = normal[k], normal[last]
-            roots = _quadratic_roots(
-                diag * f * f + diag_last * e * e - cross * e * f,
-                lin * f * f - lin_last * e * f + 2 * diag_last * level * e
-                - cross * level * f,
-                (q - value) * f * f - lin_last * level * f
-                + diag_last * level * level, bound)
-            for t in roots:
-                s, rest = divmod(-level - e * t, f)
-                if t in span and rest == 0 and -bound <= s <= bound:
-                    c = prefix + (t, s)
-                    if _canonical(c):
-                        yield c
-            return
         for t in span:
             pre = prefix + (t,)
             for s in _quadratic_roots(diag_last, lin_last + cross * t,
-                                      q + t * (lin + diag * t) - value,
-                                      bound):
+                                      q + t * (lin + diag * t), bound):
                 c = pre + (s,)
                 if _canonical(c):
                     yield c
         return
     row = gram[k]  # column k, by symmetry
     for t in span:
-        yield from _box_walk(gram, bound, value, normal, pivot, prefix + (t,),
+        yield from _box_walk(gram, bound, prefix + (t,),
                              q + t * (lin + diag * t),
-                             [a + t * b for a, b in zip(g_prefix, row)],
-                             level + normal[k] * t)
+                             [a + t * b for a, b in zip(g_prefix, row)])
 
 
 def isotropic_search(gram: Sequence[Sequence], bound: int

@@ -4,8 +4,9 @@ Everything here acts in the cyclic basis v, Av, ..., A^{n-1}v, where the
 first companion matrix keeps its shape, v is the first basis vector, and
 the Gram matrix is the integer Toeplitz form.  A witness consists of an
 isotropic vector eps, a nontrivial unipotent element fixing eps built
-from two reflections, and enough reflection conjugates of it to span the
-full translation group of the parabolic fixing the line through eps.
+from two reflections, and elements of the group in the unipotent radical
+at eps whose translations span the full translation group of the
+parabolic fixing the line through eps.
 
 Each group element is an element of the monodromy group <A, C>: it
 carries both its matrix and the word over {A, A^-1, C} that produced
@@ -16,11 +17,8 @@ entries (every row of A and A^-1, at most two entries each, and row 0
 alone of C), and one kernel that recomputes those rows of a vector in
 O(n): word_orbit applies tokens to the images g(v), and element applies
 a word's tokens, last first, to the columns of the identity.  The hunt
-takes a dense product only inside the isometry check.  A reflection
-about any other axis is an int matrix from reflection_matrix, not a
-group element: integral_reflection_vectors returns its span axes, from
-two sources, the A^k v orthogonal to eps and then the hits of a norm-2
-box in eps-perp, as int vectors.
+takes a dense product only inside the isometry check.  It reflects only
+about images g(v), by g C g^-1, so every element it counts is a word.
 
 arithmeticity_report runs the witness hunt alone: the caller builds the
 pair once, and the WitnessContext that the hunt's functions take builds
@@ -30,19 +28,20 @@ reflection_matrix and orthocomplement take Gram rows.
 
 The hunt runs on ints over the integral cyclic Gram, with no elimination:
 a basis of the lattice eps-perp is one lattice cut of Z^n by G eps, and
-the translation vector of a unipotent u is read off its matrix as
-y - u(y) for a unit vector y.
+a translation is ranked by its vector m y modulo eps.
 
-The hunt reads the orbit of v once: word_orbit maps each image g(v) to
-its word, and each sign-canonical isotropic difference +-(g(v) -+ v) to
-the first image that gives it, with its word, so the candidates eps are
-a filter over those keys and the unipotent for an eps is one lookup.
+The hunt reads the orbit of v once per word bound: word_orbit maps each
+image g(v) to its word, and each sign-canonical isotropic difference
++-(g(v) -+ v) to the first image that gives it, with its word, so the
+candidates eps are a filter over those keys, the unipotent for an eps is
+one lookup, and the pairs at eps are two lookups per image.
 Every function that takes eps validates it once, through
 WitnessContext.perp, and works with the first vector of that list, eps.
-SEARCH_CAP bounds every box of the hunt.
+SEARCH_CAP bounds the candidates' box.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from functools import cached_property
@@ -50,8 +49,8 @@ from typing import NamedTuple, Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
-from .quadform import (DEFAULT_SEARCH_BOUND, SEARCH_CAP, OracleMismatchError,
-                       _box_solutions, invariant_space, signature)
+from .quadform import (SEARCH_CAP, OracleMismatchError, invariant_space,
+                       signature)
 
 WITNESSED = "witnessed-arithmetic"
 INCONCLUSIVE = "inconclusive"
@@ -59,7 +58,6 @@ OUT_OF_SCOPE = "out-of-scope(symplectic)"
 
 _TOKEN_INVERSE = {"A": "A^-1", "A^-1": "A"}
 
-MAX_SPAN_REFLECTIONS = 12
 # input limit on the word bound: the orbit of v about doubles per step,
 # and at 16 one orbit of a worked quintic pair holds ~126,000 images
 MAX_WORD_BOUND = 16
@@ -88,10 +86,7 @@ CAVEATS = (
     "Zariski density of the group is assumed via the Beukers-Heckman "
     "criterion for hypergeometric monodromy; it is not re-verified here.",
     "for a witnessed pair, arithmeticity additionally invokes a cited "
-    "finite-index theorem for higher-rank lattices, not re-proved here; "
-    "only the span axes A^k v give reflections A^k C A^-k in <A, C>, and "
-    "the other axes' reflections, and the conjugates of the unipotent by "
-    "them, are not shown to lie in <A, C>.",
+    "finite-index theorem for higher-rank lattices, not re-proved here.",
 )
 
 
@@ -403,8 +398,7 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
     product = _times_reflection(reflection_matrix(ctx.gram, x),
                                 *_reflection_axis(ctx.gram, ctx.v))
     try:
-        u = ctx.verified(word + ("C",) + _inverse_word(word) + ("C",),
-                         product)
+        u = ctx.verified(_reflection_word(word) + ("C",), product)
     except ValueError as exc:
         raise OracleMismatchError(f"C_x C_v for x = {x}: {exc}") from exc
     if u.is_identity or not in_unipotent_radical(u, eps, ctx):
@@ -413,135 +407,150 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
     return u
 
 
+def _orbit_perp(ctx: WitnessContext, eps: Sequence[int], word_bound: int):
+    """The orbit images orthogonal to eps, lazily, each as (word, image):
+    v with the empty word, then the images of word_orbit(word_bound) in
+    orbit order.  eps is validated by ctx.perp."""
+    g_eps = linalg.mat_vec(ctx.gram, ctx.perp(eps)[0])
+    orbit = ctx.word_orbit(word_bound)[0]
+    for y, word in itertools.chain([(ctx.v, ())], orbit.items()):
+        if not sum(map(operator.mul, y, g_eps)):
+            yield word, y
+
+
 def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
-                                search_bound: int = DEFAULT_SEARCH_BOUND
-                                ) -> list[tuple[int, ...]]:
-    """Norm-2 vectors orthogonal to eps, whose reflections are therefore
-    integral and fix the line through eps, at most MAX_SPAN_REFLECTIONS:
-    the images A^k v with (G eps)_k = 0, then the new hits of the bounded
-    box search, walked inside eps-perp, when its box fits under
-    SEARCH_CAP, the hunt's own test, so inside the hunt it always runs.
-    Each is sign-canonical, in a deterministic order.  The reflection
-    about A^k v is A^k C A^-k, in the group <A, C>; those about the box
-    vectors are not shown to be, so these axes are int vectors, not
-    words."""
-    gram, n = ctx.gram, ctx.n
-    g_eps = linalg.mat_vec(gram, ctx.perp(eps)[0])
-    # A^k v is the k-th unit vector of the cyclic basis, of norm G_kk = 2
-    out = [tuple(row) for row, x in zip(linalg.identity(n), g_eps)
-           if x == 0][:MAX_SPAN_REFLECTIONS]
-    if len(out) < MAX_SPAN_REFLECTIONS \
-            and (2 * search_bound + 1) ** n <= SEARCH_CAP:
-        # lazily, and walked inside eps-perp: the scan usually stops at
-        # MAX_SPAN_REFLECTIONS long before the box is exhausted
-        for w in _box_solutions(gram, search_bound, 2, g_eps):
-            if w not in out:
-                out.append(w)
-                if len(out) == MAX_SPAN_REFLECTIONS:
-                    break
-    return out
+                                word_bound: int
+                                ) -> list[tuple[tuple[str, ...],
+                                                tuple[int, ...]]]:
+    """The span axes at eps, every image of _orbit_perp: g(v) has norm 2,
+    so its reflection x -> x - (x . g(v)) g(v), the element g C g^-1,
+    is integral and fixes eps."""
+    return list(_orbit_perp(ctx, eps, word_bound))
 
 
-def span_rank_witness(u: GroupElement, axes: Sequence[Sequence[int]],
-                      eps: Sequence[int], ctx: WitnessContext) -> int:
-    """Rank over Q of the translation vectors of the conjugates of u by
-    products (length <= 3) of the reflections about the given axes.
+def _gamma_pairs(ctx: WitnessContext, eps: Sequence[int], word_bound: int):
+    """Y(eps) as pairs (x axis, y axis), lazily: each image y of
+    _orbit_perp with y + eps, or else y - eps, an orbit image x.  As
+    x . y = 2, C_x C_y moves each z in eps-perp to z + (z . y)(x - y): it
+    lies in the unipotent radical at eps, with translation z -> +-(z . y)."""
+    eps = ctx.perp(eps)[0]
+    orbit = ctx.word_orbit(word_bound)[0]
+    for word, y in _orbit_perp(ctx, eps, word_bound):
+        for x in (tuple(map(operator.add, y, eps)),
+                  tuple(map(operator.sub, y, eps))):
+            x_word = () if x == ctx.v else orbit.get(x)
+            if x_word is not None:
+                yield (x_word, x), (word, y)
+                break
 
-    u fixes eps and moves each vector w of the basis of eps-perp by
-    lambda_w eps, lambda = _radical_factors of u; so u moves x in eps-perp
-    by (x . a) eps for a vector a of eps-perp, and for y = e_j, the first
-    unit vector with s = y . eps != 0, y - u(y) = s a + c eps, an int
-    vector read off u's column j.  Every axis is orthogonal to eps, so a
-    product m of the reflections fixes eps and m u m^-1 moves x by
-    (x . m a) eps: the lambda vector of a conjugate is ((w . m a))_w,
-    which is that of m (y - u(y)) divided by s, and no inverse or
-    conjugate matrix is needed to rank it.  The rank is that of these
-    vectors: on eps-perp, x -> ((w . x))_w has the line through eps as
-    its kernel, so it maps the translation vectors, taken modulo eps,
-    injectively onto them, whichever basis of eps-perp the w run over.
 
-    By linearity the vectors m a span a closure: V_0 = Q a, and V_k is
-    V_(k-1) plus the reflections r_i(b) of the vectors b that raised the
-    rank in layer k - 1; V_3 is the span over all products of length
-    <= 3.  So layer k reflects only those vectors, at most len(axes) *
-    rank candidates in all, and a layer that adds nothing ends the
-    search.  The reflection about w is x -> x - (h . x) (w / d) of
-    _reflection_axis, which raises ValueError up front for an axis of the
-    wrong dimension, an isotropic one and one whose reflection is not
-    integral; so does one not orthogonal to eps, h . eps != 0.
-
-    Each rank-raising vector carries the word of its axis indices, and
-    the conjugate of u by its product must agree in _check_conjugate,
-    which raises OracleMismatchError otherwise.  Stops early when the
-    rank reaches n - 2, the dimension of the full translation group.  The
-    perp basis of eps comes from ctx's cache.
-    """
-    gram, n = ctx.gram, ctx.n
-    perp = ctx.perp(eps)
-    eps = perp[0]
-    factors = _radical_factors(u.matrix, perp)
-    if factors is None:
-        raise ValueError("u is not in the unipotent radical")
-    updates = []
-    for w in axes:
-        h, w_d = _reflection_axis(gram, w)
-        if sum(map(operator.mul, eps, h)):
-            raise ValueError(f"reflection axis {w} is not orthogonal to eps")
-        updates.append((h, w_d))
-
+def _closure(pairs, axes, eps: tuple[int, ...], ctx: WitnessContext
+             ) -> list[tuple[tuple, tuple[int, ...], tuple[int, ...]]]:
+    """The rank-raising vectors m y of the translation closure, each as
+    (pair, path of axis indices of m, outermost first, m y), stopping at
+    n - 2; the pairs are read lazily.  m C_x C_y m^-1 moves z in eps-perp
+    by +-(z . m y) eps, so the rank is that of the m y modulo eps.  Layer
+    k reflects the vectors that raised the rank in layer k - 1 about each
+    axis, which by linearity spans every m of at most three reflections;
+    so the pairs that raise the rank in layer 0 give the same steps
+    alone."""
     echelon: list[tuple[int, list[int]]] = []
-    rank = int(_echelon_insert(echelon, factors))
-    if rank >= n - 2:
-        return rank
-    # a = y - u(y) for y = e_j, so its lambda vector is s * factors
-    j, s = next((j, x) for j, x in enumerate(linalg.mat_vec(gram, eps)) if x)
-    a = [int(i == j) - row[j] for i, row in enumerate(u.matrix)]
-    g_perp = [linalg.mat_vec(gram, w) for w in perp[1:]]
-    # the vectors the last layer added, each with the word of its product
-    added = [(a, ())]
+    _echelon_insert(echelon, eps)
+    raising = []
+    for pair in pairs:
+        y = pair[1][1]
+        if _echelon_insert(echelon, y):
+            raising.append((pair, (), y))
+            if len(raising) == ctx.n - 2:
+                return raising
+    added = list(raising)
     for _ in range(3):
         grown = []
-        for y, word in added:
-            for i, (h, w_d) in enumerate(updates):
-                shift = sum(map(operator.mul, h, y))
-                x = [b - shift * c for b, c in zip(y, w_d)]
-                lam = linalg.mat_vec(g_perp, x)
-                if not _echelon_insert(echelon, lam):
+        for pair, path, y in added:
+            g_y = linalg.mat_vec(ctx.gram, y)
+            for k, (_, z) in enumerate(axes):
+                shift = sum(map(operator.mul, g_y, z))
+                if not shift:
                     continue
-                x_word = (i,) + word
-                grown.append((x, x_word))
-                _check_conjugate(u, [axes[k] for k in x_word], eps, ctx,
-                                 s, lam)
-                rank += 1
-                if rank >= n - 2:
-                    return rank
+                x = tuple(a - shift * b for a, b in zip(y, z))
+                if _echelon_insert(echelon, x):
+                    grown.append((pair, (k,) + path, x))
+                    raising.append(grown[-1])
+                    if len(raising) == ctx.n - 2:
+                        return raising
         added = grown
-    return rank
+    return raising
 
 
-def _check_conjugate(u: GroupElement, axes: Sequence[tuple[int, ...]],
-                     eps: tuple[int, ...], ctx: WitnessContext, s: int,
-                     lam: list[int]) -> None:
-    """Second route for one conjugate: m u m^-1 as a matrix, where m is
-    the product of the reflections about the given axes, must move the
-    basis of eps-perp by lam / s.  A reflection r is its own
-    inverse, so m u m^-1 is u conjugated by each axis's r in reverse
-    order, X <- r X r, two rank-one updates of O(n^2); each r is first
-    built and checked by reflection_matrix."""
-    conj = u.matrix
-    for w in reversed(axes):
-        reflection_matrix(ctx.gram, w)
-        h, w_d = _reflection_axis(ctx.gram, w)
-        conj = _times_reflection(conj, h, w_d)  # X r
-        # r X = X - (w / d) (h^T X)
-        h_x = [sum(map(operator.mul, h, col)) for col in zip(*conj)]
-        conj = [[a - c * b for a, b in zip(row, h_x)] if c else row
-                for c, row in zip(w_d, conj)]
-    factors = _radical_factors(conj, ctx.perp(eps))
-    if factors is None or [s * x for x in factors] != lam:
+def _reflection_word(word: Sequence[str]) -> tuple[str, ...]:
+    """g C g^-1, the word of the reflection about the image g(v)."""
+    return tuple(word) + ("C",) + _inverse_word(word)
+
+
+def _reduced(word: Sequence[str]) -> tuple[str, ...]:
+    """The word with every adjacent pair of inverse tokens (A A^-1, A^-1 A
+    and C C) cancelled: the same element, in fewer tokens to replay."""
+    out: list[str] = []
+    for token in word:
+        if out and out[-1] == _TOKEN_INVERSE.get(token, token):
+            out.pop()
+        else:
+            out.append(token)
+    return tuple(out)
+
+
+def _replay(ctx: WitnessContext, perp: Sequence[tuple[int, ...]],
+            word: tuple[str, ...], lam: list[int]) -> None:
+    """Raise OracleMismatchError unless the element of word, evaluated by
+    ctx.element, lies in the unipotent radical at eps = perp[0] and moves
+    each basis vector w of eps-perp by lam_w eps."""
+    factors = _radical_factors(ctx.element(word).matrix, perp)
+    if factors != lam:
         raise OracleMismatchError(
-            f"conjugate by {len(axes)} reflections: translation "
-            f"{lam} / {s} from m a, {factors} from the matrix")
+            f"replayed word of {len(word)} tokens moves eps-perp by "
+            f"{factors}, not by the claimed {lam}")
+
+
+def span_rank_witness(pairs, axes, eps: Sequence[int],
+                      ctx: WitnessContext) -> int:
+    """Rank over Q of the translations of the elements C_x C_y, one per
+    pair, and of their conjugates by products (length <= 3) of the
+    reflections about the axes: the rank of _closure, at most n - 2.
+
+    An axis is (word, image), an image g(v) with its word g, whose
+    reflection is g C g^-1, and a pair is (x axis, y axis) with
+    x - y = +-eps, as integral_reflection_vectors and _gamma_pairs give
+    them.  An axis of the wrong dimension, not of norm 2 or not
+    orthogonal to eps raises ValueError up front, and so does a
+    rank-raising pair that does not differ by +-eps.  Each rank-raising
+    element, m C_x C_y m^-1 with m the product of the reflections on its
+    path, is replayed from its word by ctx.element, and its translation
+    must be the one read off m y, or OracleMismatchError: so an image
+    whose word does not give it fails there, and every element the rank
+    counts is a checked word over {A, A^-1, C}.  The perp basis of eps
+    comes from ctx's cache."""
+    perp = ctx.perp(eps)
+    eps = perp[0]
+    g_eps = linalg.mat_vec(ctx.gram, eps)
+    for _, z in axes:
+        if linalg.vec_dot(z, ctx.gram, z) != 2:
+            raise ValueError(f"reflection axis {z} does not have norm 2")
+        if sum(map(operator.mul, z, g_eps)):
+            raise ValueError(f"reflection axis {z} is not orthogonal to eps")
+    g_perp = [linalg.mat_vec(ctx.gram, w) for w in perp[1:]]
+    raising = _closure(pairs, axes, eps, ctx)
+    for pair, path, vec in raising:
+        (x_word, x), (y_word, y) = pair
+        sign = _parallel_factor([a - b for a, b in zip(x, y)], eps)
+        if sign not in (1, -1):
+            raise ValueError(f"pair {tuple(x)}, {tuple(y)} does not "
+                             f"differ by +-eps")
+        m = sum((_reflection_word(axes[k][0]) for k in path), ())
+        _replay(ctx, perp, _reduced(m + _reflection_word(x_word)
+                                    + _reflection_word(y_word)
+                                    + _inverse_word(m)),
+                [sign * a for a in linalg.mat_vec(g_perp, vec)])
+    return len(raising)
 
 
 def _echelon_insert(echelon: list[tuple[int, list[int]]],
@@ -566,7 +575,7 @@ def _echelon_insert(echelon: list[tuple[int, list[int]]],
 
 def orbit_candidates(ctx: WitnessContext, search_bound: int,
                      word_bound: int) -> list[tuple[int, ...]]:
-    """The hits of isotropic_search(ctx.space, search_bound) that can
+    """The hits of isotropic_search(ctx.gram, search_bound) that can
     yield a unipotent, found without walking the box: the keys of
     word_orbit(word_bound), the sign-canonical isotropic differences
     +-(g(v) -+ v), that are primitive and inside
@@ -576,42 +585,57 @@ def orbit_candidates(ctx: WitnessContext, search_bound: int,
                   and math.gcd(*key) == 1)
 
 
+def _hunt(ctx: WitnessContext, search_bound: int, word_bound: int):
+    """(rank, eps, pairs, axes) of the first candidate of greatest rank,
+    stopping at n - 2, or None: the pairs that raised its rank in layer
+    0, and its axes, listed only when those pairs fall short."""
+    best = None
+    for eps in orbit_candidates(ctx, search_bound, word_bound):
+        raising = _closure(_gamma_pairs(ctx, eps, word_bound), (), eps, ctx)
+        axes = []
+        if len(raising) < ctx.n - 2:
+            axes = integral_reflection_vectors(ctx, eps, word_bound)
+            raising = _closure([pair for pair, _, _ in raising], axes, eps,
+                               ctx)
+        if best is None or len(raising) > best[0]:
+            best = (len(raising), eps,
+                    [pair for pair, path, _ in raising if not path], axes)
+            if best[0] == ctx.n - 2:
+                break
+    return best
+
+
 def arithmeticity_report(ctx: WitnessContext, search_bound: int,
                          word_bound: int) -> WitnessReport:
     """The unipotent witness hunt for an orthogonal pair whose form is
     ctx.space.
 
     witnessed-arithmetic requires all of: real rank >= 2, a verified
-    nontrivial unipotent fixing an isotropic line, and reflection
-    conjugates of it spanning the full n-2 dimensional translation group.
-    Anything less is reported as inconclusive, with whatever partial
-    evidence was found embedded in the report.  No hunt runs when the
-    search box is over SEARCH_CAP, which bounds the box of
-    integral_reflection_vectors too; every candidate gives a unipotent.
-
-    The unipotent is a word over {A, A^-1, C}, but of the span axes of
-    integral_reflection_vectors only the A^k v give reflections in
-    <A, C>; those from its box are not shown to, so neither are the
-    conjugates that fill the translation group.
+    nontrivial unipotent fixing an isotropic line, and elements of
+    <A, C> in its unipotent radical whose translations span the full
+    n-2 dimensional translation group.  Anything less is reported as
+    inconclusive, with whatever partial evidence was found embedded in
+    the report.  No hunt runs when the search box is over SEARCH_CAP;
+    every candidate gives a unipotent, built for the reported one.  When
+    no candidate reaches rank n - 2, the hunt runs once more at word
+    bound + 2, within MAX_WORD_BOUND.  span_rank_witness replays every
+    element that raised the reported rank.
     """
     p, q = signature(ctx.space)
     n = ctx.n
-    epsilon = None
-    unipotent = None
-    translation_rank = None
+    best = None
     if min(p, q) >= 1 and n >= 3 \
             and (2 * search_bound + 1) ** n <= SEARCH_CAP:
-        best = -1
-        for eps in orbit_candidates(ctx, search_bound, word_bound):
-            u = unipotent_from_reflections(ctx, eps, word_bound)
-            rank = span_rank_witness(
-                u, integral_reflection_vectors(ctx, eps, search_bound),
-                eps, ctx)
-            if rank > best:
-                best, epsilon, unipotent, translation_rank = \
-                    rank, tuple(eps), u, rank
-            if rank == n - 2:
+        for bound in range(word_bound,
+                           min(word_bound + 2, MAX_WORD_BOUND) + 1, 2):
+            best = _hunt(ctx, search_bound, bound)
+            if best is not None and best[0] == n - 2:
                 break
+    epsilon = unipotent = translation_rank = None
+    if best is not None:
+        _, epsilon, pairs, axes = best
+        unipotent = unipotent_from_reflections(ctx, epsilon, bound)
+        translation_rank = span_rank_witness(pairs, axes, epsilon, ctx)
     witnessed = (min(p, q) >= 2 and unipotent is not None
                  and translation_rank == n - 2)
     return WitnessReport(

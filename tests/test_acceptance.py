@@ -103,7 +103,14 @@ def test_c5_unipotent_stabilizer_and_translation_span(base, base_gram):
                                     reflection_matrix(base_gram, e0)))
     assert in_unipotent_radical(u, eps, ctx)
     assert tuple(linalg.mat_vec(u.matrix, e0)) == (-1, 0, 2, 0, 0)
-    assert span_rank_witness(u, [e0, e1, vprime], eps, ctx) == 3
+    # u as the pair (A^2 v, v), and the axes v, Av and v', each an image
+    # of v with its word, so every reflection is a word in <A, C>
+    vprime_word = ("A^-1", "A^-1", "C", "A", "A", "C", "A^-1")
+    assert tuple(col[0] for col in ctx.element(vprime_word).matrix) \
+        == vprime
+    assert span_rank_witness([((("A", "A"), e2), ((), e0))],
+                             [((), e0), (("A",), e1), (vprime_word, vprime)],
+                             eps, ctx) == 3
 
 
 def test_c6_padded_families_embed_and_keep_rank():

@@ -421,6 +421,23 @@ def test_unipotent_off_its_word_exits_3(capsys, monkeypatch):
     assert json.loads(cap.out)["error"]["kind"] == "oracle-mismatch"
 
 
+# every element that raises the translation rank is replayed from its
+# word; a word that gives another element is exit 3 with its record
+
+def test_replayed_word_off_its_translation_exits_3(capsys, monkeypatch):
+    original = witness._reduced
+
+    def skewed(word):
+        word = original(word)
+        return ("C" if word[0] == "A" else "A",) + word[1:]
+    monkeypatch.setattr(witness, "_reduced", skewed)
+    with pytest.raises(OracleMismatchError, match="replayed"):
+        cli.build_report(BASE_F, BASE_G)
+    code, cap = run(capsys, "analyze", "--f", BASE_F, "--g", BASE_G)
+    assert code == 3
+    assert json.loads(cap.out)["error"]["kind"] == "oracle-mismatch"
+
+
 @pytest.mark.parametrize("command", [
     ["analyze", "--f", BASE_F, "--g", BASE_G],
     ["pad", "--f0", BASE_F, "--g0", BASE_G, "--P", "y^2+y+1", "--Q", "y^2+1"]],

@@ -4,7 +4,8 @@ loads neither dataclasses nor inspect, every public function has a
 caller in the package or is exported, every exemption from that still names a defined function
 with no caller, every module-level private function or class has a use
 in the package, every GroupElement is built by WitnessContext from a
-word over A, A^-1 and C, every function the benchmark's tracer looks up
+word over A, A^-1 and C, the isotropic box walk is named only in
+quadform and the tests, every function the benchmark's tracer looks up
 by name exists, and the counts its tracer reads off return values match
 the real results.  The package's __init__.py is exempt from the first check,
 since its imports are the public re-exports, and so is `from __future__`."""
@@ -21,7 +22,8 @@ import pytest
 import orthomono
 from orthomono import cli
 from orthomono.quadform import isotropic_search
-from orthomono.witness import (WitnessContext, arithmeticity_report,
+from orthomono.witness import (WitnessContext, _gamma_pairs,
+                               arithmeticity_report,
                                integral_reflection_vectors,
                                span_rank_witness,
                                unipotent_from_reflections)
@@ -346,6 +348,25 @@ def test_every_group_element_is_a_replayed_word():
                            "WitnessContext.verified"]}
 
 
+# the box walk is quadform's isotropic search: the witness hunt reflects
+# only about orbit images, so no other module of the program, its tools
+# or its benchmark walks a box of its own through these names
+
+BOX_NAMES = ("_box_solutions", "_box_walk")
+
+
+def test_the_box_walk_is_named_only_in_quadform_and_the_tests():
+    root = PACKAGE.parent.parent
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(
+        (root / "tools").glob("*.py")) + sorted(
+        (root / "perfbench").glob("*.py"))
+    assert PACKAGE / "quadform.py" in sources and len(sources) > 10
+    named = {str(p.relative_to(root)): [name for name in BOX_NAMES
+                                        if name in p.read_text()]
+             for p in sources if p.name != "quadform.py"}
+    assert {path: names for path, names in named.items() if names} == {}
+
+
 # the benchmark's tracer rebinds these (module, attribute) names of the
 # package, and fails its traced run on one that does not resolve
 TRACER = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
@@ -417,10 +438,11 @@ def test_tracer_outcomes_read_the_real_results(base_pair):
     assert outcome("witness.unipotent_from_reflections", (ctx, eps, 1),
                    missed) == {"hits": 0}
 
-    axes = integral_reflection_vectors(ctx, eps)
-    rank = span_rank_witness(u, axes, eps, ctx)
+    axes = integral_reflection_vectors(ctx, eps, 8)
+    pairs = list(_gamma_pairs(ctx, eps, 8))
+    rank = span_rank_witness(pairs, axes, eps, ctx)
     assert rank == 3
-    assert outcome("witness.span_rank_witness", (u, axes, eps, ctx),
+    assert outcome("witness.span_rank_witness", (pairs, axes, eps, ctx),
                    rank) == {"rank": 3}
 
     report = arithmeticity_report(ctx, 3, 8)

@@ -244,8 +244,8 @@ def test_worked_example_takes_no_polynomial_gcd(gcd_calls, entry):
 
 
 # the hunt takes its candidates from the word orbit, not from the box, and
-# builds one perp basis per eps that yields a unipotent (span_rank_witness
-# runs once for each such eps)
+# builds one perp basis per eps it walks (span_rank_witness runs once, on
+# the reported eps)
 
 @pytest.fixture
 def hunt_calls(monkeypatch):
@@ -261,11 +261,19 @@ def test_analyze_walks_no_isotropic_box(hunt_calls):
 
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
-def test_analyze_builds_one_perp_basis_per_eps(hunt_calls, entry):
+def test_analyze_builds_one_perp_basis_per_eps(monkeypatch, hunt_calls,
+                                               entry):
+    walked = set()
+    original = witness._gamma_pairs
+
+    def pairs(ctx, eps, word_bound):
+        walked.add(tuple(eps))
+        return original(ctx, eps, word_bound)
+    monkeypatch.setattr(witness, "_gamma_pairs", pairs)
     cli.build_report(entry.f_text, entry.g_text)
     assert hunt_calls["isotropic_search"] == 0
-    assert hunt_calls["orthocomplement"] \
-        == hunt_calls["span_rank_witness"] >= 1
+    assert hunt_calls["orthocomplement"] == len(walked) >= 1
+    assert hunt_calls["span_rank_witness"] == 1
 
 
 # the hunt runs on ints with no elimination: a basis of eps-perp is one
@@ -300,19 +308,15 @@ def test_witness_hunt_takes_no_elimination(monkeypatch, entry):
     assert counts["outside"] == 1
 
 
-# span_rank_witness takes the axes of its reflections and extends a
-# product by one of them as a rank-one update of its int rows, so it
-# builds no reflection matrix and multiplies no matrices itself: both
-# happen only in _check_conjugate, the matrix route of each rank-raising
-# conjugate, which for a product of k reflections builds their k
-# reflection matrices (two products each for the isometry check) and
-# conjugates u by each as two rank-one updates, with no product
+# span_rank_witness reflects vectors, so it builds no reflection matrix
+# and multiplies no matrices itself: the only products are the two of the
+# isometry check of each element it replays, one per rank it counts
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
     spans, where = [], []
     original_span = witness.span_rank_witness
-    original_check = witness._check_conjugate
+    original_replay = witness._replay
     original_refl = witness.reflection_matrix
     original_mul = linalg.mat_mul
 
@@ -323,15 +327,15 @@ def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
         finally:
             where.pop()
 
-    def span(u, axes, eps, ctx):
+    def span(*args):
         spans.append(Counter())
-        return inside("span", original_span, u, axes, eps, ctx)
+        rank = inside("span", original_span, *args)
+        spans[-1]["rank"] = rank
+        return rank
 
-    def check(u, axes, *args):
-        spans[-1]["checks"] += 1
-        spans[-1]["expected reflection_matrix"] += len(axes)
-        spans[-1]["expected mat_mul"] += 2 * len(axes)
-        return inside("check", original_check, u, axes, *args)
+    def replay(*args):
+        spans[-1]["replays"] += 1
+        return inside("replay", original_replay, *args)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -340,18 +344,17 @@ def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
             return fn(*args)
         return wrapper
     monkeypatch.setattr(witness, "span_rank_witness", span)
-    monkeypatch.setattr(witness, "_check_conjugate", check)
+    monkeypatch.setattr(witness, "_replay", replay)
     monkeypatch.setattr(witness, "reflection_matrix",
                         counted("reflection_matrix", original_refl))
     monkeypatch.setattr(linalg, "mat_mul", counted("mat_mul", original_mul))
     cli.build_report(entry.f_text, entry.g_text)
-    assert spans
-    assert sum(s["checks"] for s in spans) >= 1
+    assert len(spans) == 1
     for s in spans:
-        assert s["reflection_matrix in span"] == s["mat_mul in span"] == 0
-        assert s["reflection_matrix in check"] \
-            == s["expected reflection_matrix"]
-        assert s["mat_mul in check"] == s["expected mat_mul"]
+        assert s["rank"] == s["replays"] == 3
+        assert s["reflection_matrix in span"] == s["mat_mul in span"] \
+            == s["reflection_matrix in replay"] == 0
+        assert s["mat_mul in replay"] == 2 * s["replays"]
 
 
 # element applies each token to the rows of the product so far, so the
@@ -414,9 +417,9 @@ def test_hunt_multiplies_matrices_only_to_check(monkeypatch, entry):
     assert counts["hunt"] == 0
 
 
-# span_rank_witness ranks a closure: u's own translation, then each axis
-# applied to each vector that raised the rank, so it reduces at most
-# 1 + len(axes) * rank vectors
+# span_rank_witness ranks a closure: eps, the y of each pair, then each
+# axis applied to each vector that raised the rank, so it reduces at most
+# 1 + len(pairs) + len(axes) * rank vectors
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_span_rank_reduces_at_most_axes_times_rank_vectors(monkeypatch,
@@ -425,21 +428,22 @@ def test_span_rank_reduces_at_most_axes_times_rank_vectors(monkeypatch,
     original_span = witness.span_rank_witness
     original_insert = witness._echelon_insert
 
-    def span(u, axes, eps, ctx):
-        spans.append([len(axes), 0])
-        rank = original_span(u, axes, eps, ctx)
+    def span(pairs, axes, eps, ctx):
+        spans.append([len(pairs), len(axes), 0])
+        rank = original_span(pairs, axes, eps, ctx)
         spans[-1].append(rank)
         return rank
 
     def insert(echelon, vec):
-        spans[-1][1] += 1
+        if spans:
+            spans[-1][2] += 1
         return original_insert(echelon, vec)
     monkeypatch.setattr(witness, "span_rank_witness", span)
     monkeypatch.setattr(witness, "_echelon_insert", insert)
     cli.build_report(entry.f_text, entry.g_text)
     assert spans
-    for axes, inserts, rank in spans:
-        assert 1 <= inserts <= 1 + axes * rank
+    for pairs, axes, inserts, rank in spans:
+        assert 1 <= inserts <= 1 + pairs + axes * rank
 
 
 # the Witt pass carries only its lattice basis from stage to stage, and

@@ -70,147 +70,147 @@ CASES = _cases()
 # label: (exit code, SHA-256 of the canonical report without `timings`)
 DIGESTS = {
     "entry-base": (
-        0, "8cb3b4336e60772949a54b10debb21eaf87165b293a23311b41172f1fd36950f"),
+        0, "8449c6528d3d5f0212fc122df701aad1a9d3f49631be58883fca0a5c4e349412"),
     "entry-ex01": (
-        0, "1ea14463fa738c320e03570f679550d4e1f4476617ed251662e813944411a410"),
+        0, "e182ac6e7faad474e3d4fd493c4553719aaef1374c294064d57505d147bafeb9"),
     "entry-ex02": (
-        0, "428545fb7d1a0a1eec41c8874733beb64d16a8fa7b215f6ccb68d620a88bd3aa"),
+        0, "55d16bd51dba4c43ecd0ed04afaa7f140cbe469da85c12c78f5ba8bc7aba2e29"),
     "entry-ex03": (
-        0, "1b4068770fcda86b1dd1800f77d266c3fd1981ce3536478f1a76fe4193b28c92"),
+        0, "03af8ce34ff825ef944122e7de93a882c979be15dd3c27050e3c6f7450e573ac"),
     "entry-ex04": (
-        0, "9e5e36b9f2d329f49c79f562361cbc6f6f1046ea0c4feae9f8b00c3186007d7c"),
+        0, "ac5f0e8b48fda8dd361fab7203234f8c0397202a5a4d0d3dfa65b378e180710a"),
     "entry-ex05": (
-        0, "fb8e221f5135422e47d2bf23f2ac3c06c2ee986bf80b72b06bb3e0644aa44fcf"),
+        0, "d8f932ab0758aa9f1352ea9a5a799889bd6236e2bb9023497a7d7bce66686989"),
     "entry-ex06": (
-        0, "1856449c94bf552ad96e283c0139a36ae0c47e2ba903177128c268863137d720"),
+        0, "fa1d4d659184b50b5d5503f0a9f0c6d24bb86119be5956da7ce2514a3d183eb7"),
     "entry-ex07": (
-        0, "df6f33c23afcd4a58682312ce94cf1b956e41dfac6aa09b6f796ab61ff569e8b"),
+        0, "0e154f0cc114aa9ed49045c792b64ebe783ef8d1a5174d2cd6d6cdcb9fa9b011"),
     "entry-ex08": (
-        0, "cdfcb2b615f3641eededfe70cd98d1728c972a54296c66dd7450f402f6f2994e"),
+        0, "e8db020b37b9b88364972498b48b27cafb0393d66773378a13dbaf01591c736a"),
     "entry-ex09": (
-        0, "2ad12c143b7f892a90339105f5a50af77db3fb615cc1e2d6b352cdbb2af7887f"),
+        0, "43a9ccc927b607418d0f0b4d35b2595c8163486a99c0303405d6e15c42c1e687"),
     "entry-ex10": (
-        0, "2bad3f7a4e3ca3cf5bab852171b8ca71685ff535517eeff3051a0930b7f53871"),
+        0, "d165c6800c57af56be0b4bfae97a9f54c0f8b43b9014e026921818f04cf8007e"),
     "battery-00": (
-        0, "aa15b049b011c0344dc4c55c0ef060170091c403beeec38d3e9198aacf09dd6a"),
+        0, "0ed549f09650fbde7917788221135f89948e0d6eec0e22305d0ea07f7b7c8966"),
     "battery-01": (
-        0, "ed6d1edad34febe6c53c67d9bb5df194aaa5cc14fbec157e9e42ca3adf1825cb"),
+        0, "56e12cef96ffdd9c59781a1bdd74ac9cec29ba0d00e3ec29de085d9c4ec9edc0"),
     "battery-02": (
-        0, "229b5d37b0dbe5a3dcc6bc42f2ba29da4476bd64ef896ec8ba6b3d3efb98c73c"),
+        0, "4dfbcd0862275a706ca3736214341d696ff68b714090ca6bcc022731ce24baf9"),
     "battery-03": (
-        0, "0675fa8cb3e481539b318908614d44a49ecfc190642dcfe38b216ba6a4bdb1c1"),
+        0, "baa48397640e4cd9f25c01fd107fa28cb0d74bf293502e9011f813d507af253a"),
     "battery-04": (
-        0, "5473e2d1f197d60d62311b37c40f28a132dfaad8adc67378ade0cffed3092c82"),
+        0, "ea933c399ec1084041c7fe6b37e9d16bce9322453be94b7ac4c5be663401132a"),
     "battery-05": (
-        0, "c28a4102b0c42bf042f9f825e66a4ee6a0ce78f034bf5ae33f4962ddf9fb1c25"),
+        0, "519617de42d95d7fa11aa81c592a5842c6c411bb9969c2fe88e367b6e5a7b640"),
     "battery-06": (
-        0, "c8a002bb79f1e64d4f2270169c708f341f788704e264ae5ded32324b7978c12b"),
+        0, "d3f7157fd05df89aacb171fd5ed36e9fb143d55d403e67bfdaddcfce32f93d41"),
     "battery-07": (
-        0, "e263aa73e9014d3928fd70368a61f1dbb76184a63ffafbdc1c971098e540cd89"),
+        0, "679433dd2c5cdbe3f6073e0ff748a1435e45c5b3474a9ac980c2120b79525708"),
     "battery-08": (
-        0, "090a1e6524de7a70d64354f6212f79807ab595527fd9d19c91e21c7e28dd1415"),
+        0, "1786d91ba6a9bb3756d5b6a9c65f5fbcbceef7f4a0d8086c62e793d457845935"),
     "battery-09": (
-        0, "cee538f42d8484f6b6ff18553a334dc9e21239a035e7ab39a980ecee91d6b65a"),
+        0, "182ac1fda02b3075b86af7f77d253f3d12b7b1417260a58e0b346446b71347af"),
     "battery-10": (
-        0, "87feb3e1a71752154a50ead44ff8b6c0e23c3ba6b742e90e288cb6454ca5ba15"),
+        0, "e06523d1523425eb1a5479f2343c670c0ff695e8d5122e05cb9930eaeb0d2fb0"),
     "battery-11": (
-        0, "911a01421b4614b1405463a183d59e47cc8975e028c72be2a42c93797ba6035d"),
+        0, "c07d0311f49e4d73cecae5d3b861be51e6d984fdc2f92855dd28cf94fb58b8ef"),
     "battery-12": (
-        0, "71b6710eeaed79e51d8f8d73e74be76fbba8c1f332086beddaeb5a1bce3bbf90"),
+        0, "47e6f6475355448691968d1a036f6cd7e7aaed50fed28e293df79c87df134486"),
     "battery-13": (
-        0, "665c65ab2609eff6166dc3b3b891ae7c7376786ec9dc51cc23ab86d2e4e1f16c"),
+        0, "cedcfd93dc4b4acb0e465976d881fbcc72342062b38de63671972b893ddea1a6"),
     "battery-14": (
-        0, "1eee9239e6933811a2e77bc8f0caf6f39c897abb3d51a6aeae35c977a2373190"),
+        0, "ad44ca67a5f1d47ebb89a7248d180233ed54524a395871569c1047dbb044ae49"),
     "battery-15": (
-        0, "0e570615c10be2a688ca7cd25abcd2a7e8631b723e6345a6ed2f61deffb9f2fa"),
+        0, "9f9746c3573cc6f14ace9b9adbdd3120c2cfea75a61fff19443c7b374f510454"),
     "battery-16": (
-        0, "50426c98422b7fb2ca2eda9a565789b78b56df34c6b0cde28e610725969ad81c"),
+        0, "0271a380aee096a158eed2000a403f9456264063870ef09b3a341271cd4345f7"),
     "battery-17": (
-        0, "6e0533d1b73494e70dff987a36de0809ef82b2ca54a2cadbd8e9fbd2288b2773"),
+        0, "b60a0dd0b011a778ef2db3ad77134f731fb1f284ba4bf57fc2e8d2c521ff9b71"),
     "battery-18": (
-        0, "bca8f89455460a00e86e172e383a772f3d2c29cd9f0324b369333fc3d5643660"),
+        0, "f421cebc5e0ba7741779869f946e5982950690494f80ef74d223ca1822533dfd"),
     "battery-19": (
-        0, "6b65128a25a537220ceeedf87d4a5787a033b9e1b7f35f5c30c543fea7d963fd"),
+        0, "a223833a642b09095e25d20d6c3f26ed72b87567de722e2bbddc0bcd9e62e8c5"),
     "battery-20": (
-        0, "6606daf5fc33d8e4d121f0229d12400f6acec01967397a280a01d67ce5850a4c"),
+        0, "9a11c5b475775014b33f4fd975324b797e6ed7869c8555fe4569225800643870"),
     "battery-21": (
-        0, "00771bd4ca81ef362e4cd4cc8d1aca0e352acfe6f9d410ec3e3e559bb759102b"),
+        0, "29ec234cf2bc71794387f61bd53ef7630de7c816974ef6184fca68c2d3af5d08"),
     "battery-22": (
-        0, "565c378ebc9db0b282a19d19d79035c0427b286bf2f93f3bd15fc5aff8c04bd9"),
+        0, "e614495e43af31c9cfb904f30ec8a587417b3cced74244c9eb43fd3d3daeb199"),
     "battery-23": (
-        0, "c2449da2cd0297c1490609c152ebcfbd685ff8c48c0d9c785ab7fb60eaa5fc00"),
+        0, "98a77874bff4fc2932a850698610f0e625737296b7bf60d2bcd2ee1989881ff1"),
     "battery-24": (
-        0, "36a39055191ee622aea59cf0eee6389f958fa945a2eb911fe2e02cb3488d05da"),
+        0, "58da3238b843fc9aff473083308b30b0c24c2e14640f95fc17355fa251de9ba7"),
     "battery-25": (
-        0, "556a8de39bb6392f21e49138777bc7289c6bf14e365a2e1a8ed05b1f87023367"),
+        0, "07111e7472b5a5a24ad9d847821caa75a0463b5be649ac823a5da88d79d3faac"),
     "battery-26": (
-        0, "ec4180433ade1358af1a41941cf8a45b72d21a0e165bfb861905454507591329"),
+        0, "6f8a8e59d3fcd57ad67cb8c65eba06790dc15af10de06a454fba2c324af0e902"),
     "battery-27": (
-        0, "3368fc573e5ab99f3cde77c0c8eaa7178e889b8b5fb347f953781059245b30e8"),
+        0, "e039b2e1a8555a21f42f244ab45206ab45c801460421aed5785ba3cea785cc67"),
     "battery-28": (
-        0, "3f0c676cffac3094f6eae2ee13da8990b52302eee198526e575ae696c67bb5cc"),
+        0, "4a61ff383b8f23db7255f2d32b504f5515d4360c6a1951d64a837d69556db6fb"),
     "battery-29": (
-        0, "26e50c0e2f9e9300766e593f169f81a1cc6ffcd03f9a2db58de340a478d8eccf"),
+        0, "2681ab68e87408874af6202b73b9146c5299bf6499120ce132b3cc7942802ba6"),
     "battery-30": (
-        0, "215b5b8c06ecb7d074509fd8b2ce4bad2e8a982dd300c33d653cf6ee4b475016"),
+        0, "98b1cc822b5fb9b7b8f11c76052185e3303951578eeb17ad5820c5434320f125"),
     "battery-31": (
-        0, "d17be551109bd9b1c08d07d2a9deeb8dead857151bb4ad3127d5a34f9ec283b6"),
+        0, "3ed43700ed975ebe985854442acbb3ced86c6f197555bd317d7fc3ffb80a28a8"),
     "battery-32": (
-        0, "5bda75dbd7a2171f14082e384bd3ee7c6bd0829ae2830219a2814f255629ccb4"),
+        0, "8c618ffcd57b5e7638a1e2e6e44838d52e3f60fc1523cc224d38c8e69a985093"),
     "battery-33": (
-        0, "6808b62d4941a49df44deeb624ae385ff951494fcff72e8f706ca6da71e21208"),
+        0, "c8c80edad19923a878d9996239dd7a507e4985c5d791bf51b67faabc20984fa4"),
     "battery-34": (
-        0, "f6a1d5ee6b355aa3d322d809193bfc6d26b27d7f4170dd56830816e4d9beb712"),
+        0, "90e39713ad579f2e52286cda68901594a27c790e72d50fa44f09c5d402ab0845"),
     "battery-35": (
-        0, "d3f23a4394bf596df24a3176e579ab6b79f0b143d7620366cd164f61e1259bdf"),
+        0, "413e360483bb764d59eda1ade84459d130979eadf75f11784b2dbe57b7711ddf"),
     "battery-36": (
-        0, "db17f27fc26b7be35ca64a319a5cd4d631638b9bc2d30ca639c17414a40e9377"),
+        0, "6482c24a900c38a251721638e728dbf1123e006a446fbf85e6d29139d9c52a3a"),
     "battery-37": (
-        0, "073b376d1c45b7f7ab531b2df85ab21d4123c9605a61511aefa8135958c9c76e"),
+        0, "0621a1c68c0103a48399385e4bb195dbe16135a9845b693d32b036801f177637"),
     "battery-38": (
-        0, "e40e21ee6e3273567d102f9c53bce597fb52840c9626a46003b9e4e3c257990d"),
+        0, "bf4601c23dbc2b3c555ba478b754e80eec09808e6ce3b5473aec931074486a07"),
     "battery-39": (
-        0, "22a99e95cc9fb299524b8d82c9b2e637a8b11d267d1ba490f525f179ad285063"),
+        0, "d69b8faa4dd8d87c4e823c0422a55b6bd5b0baabb88715b17c0c2449ce476dc7"),
     "battery-40": (
-        0, "30aec988116f46a8d1ba22667a024b3ec9bfb50f2c91053e2a09eb1e67054636"),
+        0, "e8b86b4110a33eb869442531a3199fc8680a7faa64f89a035e7c935e7c21d67a"),
     "battery-41": (
-        0, "fe150d3a9274ba56334feec3611b11c8b414f24330f1fa4e7394e082f4f7248e"),
+        0, "783e30547fff1ea9f05639d3b4de0672af340cee5ce3000749eceabb95e6e739"),
     "battery-42": (
-        0, "50a1599b269783d943e42ae307c469387a605be070b32cb94c3bd09b06f7efc9"),
+        0, "88baf51a935338f2d754611f57812ba3e30a51ab61f1bc4006261fb70e22dc1a"),
     "battery-43": (
-        0, "c0607d9280428e964a00e7627104c542d578a9192de0a60d58babe1d690910b0"),
+        0, "d31537f94ef244711f830903ab10d7475a2b8a689645913b034a69cc9f3d8f4e"),
     "battery-44": (
-        0, "2fe2cf751ead613e8bed0edb69c5b37925e4957358b4ead6d4b6819940d98581"),
+        0, "d7199a3654473fed8d6eecae27b2f48f971c651111cfc81e091ca3e8a408fa19"),
     "battery-45": (
-        0, "b6c06f4d68e7837ddb960d24e751cac921b01e2f8609c493bd3452f3c5acbffa"),
+        0, "6f9d544d7b504be4a1b75a35680b54091fe2174c2548382148fc229bf2ad8afd"),
     "battery-46": (
-        0, "3ce61d20f45831f6f95400a8f33c2078ece1300b4b36fb35abf51f746e7d1098"),
+        0, "dec3cc7c10ca34d1eda70fd083c2e6569c5738505a7cb032637a951293c71178"),
     "battery-47": (
-        0, "01348dff1feef82948284a06904fdcb8693402b6c84f381819a10d1233908ee6"),
+        0, "c8deab494fc7667ed0e7f7bcded76c421bab6d6e3054def4d5c136ef46588175"),
     "battery-48": (
-        0, "d06697ad34f8c5bd844e4938642955864af33e07938feb73d8dc033fb95400a7"),
+        0, "7140eee2914238a0f7d823073e80b7e6636e1b542e904adfd65f87a0b53c3e84"),
     "battery-49": (
-        0, "f041730f2246b3c03ec83176bfece5d5c6cb5e5055d912bf46e0c7720a60c719"),
+        0, "b33015261ec989e50b2b8388d9a9bda15ae0b35ae0a3f25533850e0a455b611e"),
     "pad(1,1)": (
-        0, "442308b8a7bcbc40eb0e262d375a5776ef2c8e7238d7cc5dd4c2cd86df8bc048"),
+        0, "a0d3412e9c0f8f6e164f1a9a3c73f5806e567157f83a8b8d324e9e8e1089bb1e"),
     "pad(y^2-y+1,y^2+1)": (
-        0, "568af86d6b03947a28d24a3a765668ea8ee4c48b37f99d07f3f8d40893c66e85"),
+        0, "80dabe305f055da486141c96eefacb996bfd7b8117804c122a8b53c6ef38506e"),
     "pad(y^2-y+1,y^2+y+1)": (
-        0, "4fd3f01beede6caeb9b8bd44703239c9fbdcb4f7b8d56ca7bf0c4c60e8b44c97"),
+        0, "474d55550c89e64c8ce4c3c937c1e55ef3cad6be2864743100c0b3e9f8ecb4f4"),
     "pad(y^2-y+1,y^2+2*y+1)": (
-        0, "69631c53d23e8c11cb43298badc44a164a5eab5c859d95c456233e82fa2050cc"),
+        0, "8ded6539f6e8660a80ae525f1ed51ecc226ca4a8c777a0ac68e1869f28df55ac"),
     "pad(y^2+1,y^2-y+1)": (
-        0, "f7ff7513b6309330530af8027fd58c489d71ba94a27efd7070b2bde8e165cf40"),
+        0, "0d08b62088e491efca01b5a4501f1e635f02049e35cdefcc887a002eabeee04f"),
     "pad(y^2+1,y^2+y+1)": (
-        0, "b725e097e93ca223fd46b37fa06d4fac23f93c39d02ee0f9832719a1b7ad534c"),
+        0, "ca540896bd070149e04f5ceeec19890213b3f89bf95949733eeb6cdd4e8791e6"),
     "pad(y^2+1,y^2+2*y+1)": (
-        0, "1136c1604f40149ba91b129f4faf3160cbb8ab8a4d6f52546d70c36da63ef5cc"),
+        0, "25bc82671604d221a53ab47209403cf2f4a1bfdd69a0f86cc13f2235b1d44fcd"),
     "pad(y^2+y+1,y^2-y+1)": (
-        0, "6b72441adadf5690283a01060624d81d68ae3a743c7a8c91878414414c789e4e"),
+        0, "6954429bff5310ee83adf7d84195e0210a1e6f58fc7b11b35c6f77acd24fdc49"),
     "pad(y^2+y+1,y^2+1)": (
-        0, "5d1ca3a40ff4d0612277c31c9fd2a15873db651d8074b40fec7b992707a346cf"),
+        0, "f99f5f93fe8e610a73b96d9c2f85163b26893a518eff74e26cc84ffe577b6ce8"),
     "pad(y^2+y+1,y^2+2*y+1)": (
-        0, "96a1c109c1a58d6812024b2dfb5cce9036fc868e6cabca3d12070f1022b60ec8"),
+        0, "a95add03dbee7f9eba576ec31bb9578e0f8776ae37750427a82f8f14431dfc07"),
     "examples": (
         0, "8cf3dd1dbe7fc3ca4411f9403eb4d92b225a99a063ae4c36294a691a0a3f2071"),
     "invalid-analyze-shared-factor": (
@@ -220,7 +220,7 @@ DIGESTS = {
     "invalid-pad(y^2+1,y^2-2*y+1)": (
         2, "e36054796a87775ec1c0b973a345a4441769143e1e394dc786a55dd908f5bb82"),
     "anisotropy-large-entries": (
-        0, "0461935e7c9e4c53f69a30c8eed504b16e1b3b43f4c541814b46459773baf10b"),
+        0, "486f02fce993ab91146ce347829761f919da4ba0d224f18cd405dee9d1ad9adc"),
 }
 
 
@@ -231,11 +231,11 @@ DIGESTS = {
 # them changes what the benchmark's commands report.
 TRAFFIC = {
     "quintic":
-        "938c63d5a3dea4ead08af23b28a5bdf2ccae2dd550dee84fed9562fd37a47714",
+        "3a7c7f5fc0e8c1229b84424161c12a19ba7dd2ab80253b824f9d7df77b718670",
     "definite":
-        "f4ed37963608f917117882f601c9ef1c0b184c2aecccadb29a94e50d5a6c37c2",
+        "c08673650a2ebf5751bfe05008caecfa2cd9c989a47c9b689a960747607d0ae9",
     "wide":
-        "d4746ea8a4e9211781e0e87012898964344939903fe5ef7024c8f001a4241658",
+        "fa8a93882ecb6b1486f2eb270d72f1a36a1bcf701f6aa01989a82c8d32789c48",
 }
 
 
@@ -252,21 +252,22 @@ def test_benchmark_traffic_is_byte_identical():
     assert _tool("traffic_digest").digests() == TRAFFIC
 
 
-# the n = 5 and n = 6 lines of tools/verdict_census.py: the pairs of
-# min(p, q) >= 2 of degree 5 (the O(2, 3) list) and 6, each set's counts
-# with a SHA-256 of every pair's (conclusion, translation rank, lo, hi).
-# The battery's verdicts are pinned by the report digests above, and
-# n = 7 runs in the tool alone
+# the n = 5, 6 and 7 lines of tools/verdict_census.py: the pairs of
+# min(p, q) >= 2 of degree 5 (the O(2, 3) list), 6 and 7, each set's
+# counts with a SHA-256 of every pair's (conclusion, translation rank, lo,
+# hi).  The battery's verdicts are pinned by the report digests above
 CENSUS = [
-    "n = 5: 78 pairs, 39 witnessed, 20 open, gap 20; sha256 "
-    "5aaa17cac48fd0b9d6f58135134505d91b1b6b3e44473fb0ca5a76ce6a789df9",
-    "n = 6: 212 pairs, 138 witnessed, 84 open, gap 84; sha256 "
-    "2c4df0dd4397382768e08ee2b49cc1fc620ddd43ba8a57314450a62bd1259370",
+    "n = 5: 78 pairs, 51 witnessed, 20 open, gap 20; sha256 "
+    "fa212afa16e3c7b5cb523bf0a0c3a2bd5c9e9bbd74e1b948323381a090c87351",
+    "n = 6: 212 pairs, 139 witnessed, 84 open, gap 84; sha256 "
+    "e73458a73effc65760cd1b5a9c53e5b5e3957368ad848d8e534bfec2126ed75b",
+    "n = 7: 550 pairs, 305 witnessed, 275 open, gap 387; sha256 "
+    "2e62f0bff86fe5437398362f3ac3e4ccf9ceaae8769aeb675c9727b19f592fa7",
 ]
 
 
-def test_degree_5_and_6_census_verdicts_are_pinned():
-    assert _tool("verdict_census").lines((5, 6)) == CENSUS
+def test_degree_5_to_7_census_verdicts_are_pinned():
+    assert _tool("verdict_census").lines((5, 6, 7)) == CENSUS
 
 
 # the pads line of tools/verdict_census.py: the 11 worked examples padded

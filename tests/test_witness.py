@@ -1,6 +1,5 @@
 """Reflections, parabolic line stabilizers, translation vectors, and the
 unipotent witness machinery, pinned on the reference quintic pair."""
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -88,6 +87,24 @@ def e(k, n=5):
 
 EPS = (-1, 0, 1, 0, 0)          # A^2 v - v in the cyclic basis
 VPRIME = (-1, 0, 0, 1, 1)       # A^3 v + A^4 v - v
+# the span axes as the hunt gives them, (word, image): A^k v and v'
+VPRIME_AXIS = (("A^-1", "A^-1", "C", "A", "A", "C", "A^-1"), VPRIME)
+# u = C_{A^2 v} C_v as the pair (A^2 v, v), which differ by EPS
+U_PAIR = ((("A", "A"), e(2)), ((), e(0)))
+
+
+def axis(k, n=5):
+    """A^k v with its word A^k, a span axis."""
+    return (("A",) * k, e(k, n))
+
+
+def u_pair(ctx, eps, word_bound=8):
+    """The pair of unipotent_from_reflections at eps: the key's image x
+    and v, or -v = C(v) when x . v = -2, so C_x C_y is u."""
+    word, x = ctx.word_orbit(word_bound)[1][linalg.sign_canonical(eps)]
+    if linalg.vec_dot(x, ctx.gram, ctx.v) == 2:
+        return (word, x), ((), ctx.v)
+    return (word, x), (("C",), tuple(-a for a in ctx.v))
 U_MATRIX = ((-1, -1, -2, -2, -1),
             (0, 1, 0, 0, 0),
             (2, 1, 3, 3, 0),
@@ -488,8 +505,8 @@ def test_eps_entry_points_reject_non_int_coordinates(ctx, u, bad):
              lambda: orthocomplement(ctx.gram, bad),
              lambda: in_unipotent_radical(u, bad, ctx),
              lambda: unipotent_from_reflections(ctx, bad, 8),
-             lambda: integral_reflection_vectors(ctx, bad),
-             lambda: span_rank_witness(u, [e(0)], bad, ctx)]
+             lambda: integral_reflection_vectors(ctx, bad, 8),
+             lambda: span_rank_witness([U_PAIR], [axis(0)], bad, ctx)]
     for call in calls:
         with pytest.raises(ValueError, match="int coordinates"):
             call()
@@ -508,8 +525,9 @@ def test_eps_entry_points_reject_the_wrong_length(ctx, u, entry):
             "orthocomplement": lambda: orthocomplement(ctx.gram, short),
             "line": lambda: in_unipotent_radical(u, short, ctx),
             "unipotent": lambda: unipotent_from_reflections(ctx, short, 8),
-            "axes": lambda: integral_reflection_vectors(ctx, short),
-            "span": lambda: span_rank_witness(u, [e(0)], short, ctx)}[entry]
+            "axes": lambda: integral_reflection_vectors(ctx, short, 8),
+            "span": lambda: span_rank_witness([U_PAIR], [axis(0)], short,
+                                              ctx)}[entry]
     with pytest.raises(ValueError, match="wrong dimension"):
         call()
 
@@ -648,126 +666,140 @@ def test_key_unipotent_moves_w_by_its_pairing_with_v(f_text, g_text):
 
 
 def test_integral_reflection_vectors(ctx):
-    vectors = integral_reflection_vectors(ctx, EPS)
-    assert len(vectors) == 12
-    assert vectors[:3] == [e(0), e(1), e(2)]
-    for w in vectors:
+    axes = integral_reflection_vectors(ctx, EPS, 8)
+    # v, then the orbit in order: A v, then C v = -v
+    assert axes[:3] == [axis(0), axis(1), (("C",), (-1, 0, 0, 0, 0))]
+    assert axis(2) in axes and VPRIME_AXIS in axes
+    for word, w in axes:
+        assert tuple(col[0] for col in ctx.element(word).matrix) == w
         assert linalg.vec_dot(w, ctx.gram, w) == 2
         assert linalg.vec_dot(w, ctx.gram, EPS) == 0
-        assert next(x for x in w if x != 0) > 0
 
 
-# the axes are the A^k v orthogonal to eps, then the box hits in eps-perp
-# that are new, up to MAX_SPAN_REFLECTIONS; the reference walks the whole
-# box [-3, 3]^5 in lexicographic order, and no perp-basis vector is an
-# axis unless it is one of these
+# the axes are v, then every image of the orbit at the word bound that is
+# orthogonal to eps, in orbit order, each with its word; the reference
+# walks the images on vectors, without word_orbit, and reads each word's
+# image off column 0 of its element
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
-def test_axes_are_the_unit_images_then_the_new_box_hits(entry):
+def test_axes_are_the_orbit_images_orthogonal_to_eps(entry):
     ctx = WitnessContext(build_pair(parse_poly(entry.f_text),
                                     parse_poly(entry.g_text)))
-    n = ctx.n
-    norm_2 = [c for c in itertools.product(range(-3, 4), repeat=n)
-              if next((x for x in c if x), 0) > 0
-              and linalg.vec_dot(c, ctx.gram, c) == 2]
-    candidates = orbit_candidates(ctx, 3, 8)
+    seen = level = {ctx.v}
+    for _ in range(6):
+        level = {tuple(sum(a * b for a, b in zip(row, y))
+                       for row in ctx.generators[token])
+                 for y in level for token in ("A", "A^-1", "C")} - seen
+        seen = seen | level
+    candidates = orbit_candidates(ctx, 3, 6)
     assert candidates
     for eps in candidates:
-        units = [e(k, n) for k in range(n)
-                 if linalg.vec_dot(e(k, n), ctx.gram, eps) == 0]
-        box = [c for c in norm_2
-               if linalg.vec_dot(c, ctx.gram, eps) == 0 and c not in units]
-        assert integral_reflection_vectors(ctx, eps, 3) \
-            == (units + box)[:witness.MAX_SPAN_REFLECTIONS]
+        axes = integral_reflection_vectors(ctx, eps, 6)
+        assert axes[0] == ((), ctx.v)
+        assert {w for _, w in axes} == {
+            w for w in seen if linalg.vec_dot(w, ctx.gram, eps) == 0}
+        assert len(axes) == len({w for _, w in axes})
+        for word, w in axes:
+            assert len(word) <= 6
+            assert tuple(col[0] for col in ctx.element(word).matrix) == w
 
 
-# on these two n = 7 pairs the A^k v reach rank 1 and 2 only; the box
-# axes, walked since the box is under SEARCH_CAP, carry the rank to
-# n - 2 = 5
-
-@pytest.mark.parametrize("index", [20, 32])
-def test_box_axes_witness_the_degree_7_battery_pairs(index):
-    f, g = random_cyclotomic_pairs()[index]
-    ctx = WitnessContext(build_pair(f, g))
-    assert ctx.n == 7 and 7 ** 7 <= SEARCH_CAP
-    rep = arithmeticity_report(ctx, 3, 8)
-    assert rep.conclusion == WITNESSED and rep.translation_rank == 5
-    eps = rep.epsilon
-    axes = integral_reflection_vectors(ctx, eps, 3)
-    units = {e(k, 7) for k in range(7)}
-    assert any(w not in units for w in axes)
-    assert span_rank_witness(rep.unipotent,
-                             [w for w in axes if w in units], eps, ctx) < 5
-
-
-# the box part of the axis scan is walked inside eps-perp: each prefix of
-# length n - 2 takes one quadratic solve, ((2 bound + 1)^(n-2) + 1) / 2 in
-# all, 172 on n = 5 at bound 3, where the ambient box took up to 1,201
+# Y(eps): the axes y with y + eps, or else y - eps, an orbit image x, each
+# as the pair (x, y); C_x C_y, the word of the two reflections, is a
+# nontrivial element of the unipotent radical at eps that moves each
+# basis vector w of eps-perp by +-(w . y) eps
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
-def test_reflection_axes_walk_one_solve_per_prefix(monkeypatch, entry):
-    pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
-    ctx = WitnessContext(pair)
-    calls = []
-    original = quadform._quadratic_roots
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-    monkeypatch.setattr(quadform, "_quadratic_roots", counted)
-    walked = 0
-    for eps in orbit_candidates(ctx, 3, 8):
-        if unipotent_from_reflections(ctx, eps, 8) is None:
-            continue
-        calls.clear()
-        assert len(integral_reflection_vectors(ctx, eps, 3)) >= 1
-        assert len(calls) <= (7 ** (ctx.n - 2) + 1) // 2 == 172
-        walked += 1
-    assert walked >= 1
+def test_gamma_pairs_are_unipotents_with_the_translation_of_y(entry):
+    ctx = WitnessContext(build_pair(parse_poly(entry.f_text),
+                                    parse_poly(entry.g_text)))
+    eps = orbit_candidates(ctx, 3, 8)[0]
+    perp = ctx.perp(eps)
+    axes = integral_reflection_vectors(ctx, eps, 8)
+    by_vector = dict((w, word) for word, w in axes)
+    pairs = list(witness._gamma_pairs(ctx, eps, 8))
+    want = []
+    for word, y in axes:
+        for sign in (1, -1):
+            x = tuple(a + sign * b for a, b in zip(y, eps))
+            if x in by_vector:
+                want.append(((by_vector[x], x), (word, y)))
+                break
+    assert pairs == want
+    # eps is +-(x -+ v) for an image x, so v or -v is in Y(eps)
+    assert {y for _, (_, y) in pairs} & {ctx.v, tuple(-a for a in ctx.v)}
+    for (x_word, x), (y_word, y) in pairs[:8]:
+        sign = 1 if tuple(a - b for a, b in zip(x, y)) == eps else -1
+        g = ctx.element(x_word + ("C",) + _inverse_word(x_word)
+                        + y_word + ("C",) + _inverse_word(y_word))
+        assert not g.is_identity
+        assert _radical_factors(g.matrix, perp) \
+            == [sign * linalg.vec_dot(w, ctx.gram, y) for w in perp[1:]]
 
 
 # ----------------------------------------------------------------- span rank
 
-def test_span_rank_with_lemma_triple(ctx, u):
-    assert span_rank_witness(u, [e(0), e(1), VPRIME], EPS, ctx) == 3
+def test_span_rank_with_lemma_triple(ctx):
+    assert span_rank_witness([U_PAIR], [axis(0), axis(1), VPRIME_AXIS],
+                             EPS, ctx) == 3
 
 
-def test_span_rank_with_proof_triple_falls_short(ctx, u):
+def test_span_rank_with_proof_triple_falls_short(ctx):
     # A^2 v is congruent to v modulo eps, so this triple spans only a
     # plane of the quotient and the conjugates cannot fill the
     # translation group
-    assert span_rank_witness(u, [e(0), e(2), VPRIME], EPS, ctx) == 2
+    assert span_rank_witness([U_PAIR], [axis(0), axis(2), VPRIME_AXIS],
+                             EPS, ctx) == 2
     quotient_span = [list(EPS), list(e(0)), list(e(2)), list(VPRIME)]
     assert linalg.rank(quotient_span) == 3  # not all of eps-perp
 
 
-def test_span_rank_validation(ctx, u):
-    # C_v fixes eps but moves v off v + line, so it is no translation
-    cv = ctx.element(("C",))
-    with pytest.raises(ValueError, match="radical"):
-        span_rank_witness(cv, [e(0)], EPS, ctx)
-    # eps is isotropic and orthogonal to itself
-    with pytest.raises(ValueError, match="isotropic"):
-        span_rank_witness(u, [EPS], EPS, ctx)
+def test_span_rank_validation(ctx):
+    # A v - v is not +-eps, so C_{Av} C_v is no translation at eps
+    with pytest.raises(ValueError, match="does not differ by"):
+        span_rank_witness([(axis(1), axis(0))], [], EPS, ctx)
+    # eps is isotropic: norm 0
+    with pytest.raises(ValueError, match="norm 2"):
+        span_rank_witness([U_PAIR], [((), EPS)], EPS, ctx)
     # A^3 v has norm 2 but pairs to -1 with eps, so its reflection moves
     # the line
     with pytest.raises(ValueError, match="not orthogonal to eps"):
-        span_rank_witness(u, [e(0), e(3)], EPS, ctx)
-    with pytest.raises(ValueError, match="wrong dimension"):
-        span_rank_witness(u, [e(0, 4)], EPS, ctx)
+        span_rank_witness([U_PAIR], [axis(0), axis(3)], EPS, ctx)
+    with pytest.raises(ValueError, match="has length 4"):
+        span_rank_witness([U_PAIR], [axis(0, 4)], EPS, ctx)
     # norm 6 and orthogonal to eps, but 2 (e1 . w) / (w . w) = 1/3, so
-    # the first product, I times the reflection, is not integral
-    with pytest.raises(ValueError, match="not integral"):
-        span_rank_witness(u, [(1, 1, 0, 0, 0)], EPS, ctx)
+    # its reflection is not integral
+    with pytest.raises(ValueError, match="norm 2"):
+        span_rank_witness([U_PAIR], [((), (1, 1, 0, 0, 0))], EPS, ctx)
 
 
-def test_span_rank_rejects_a_non_integral_axis_up_front(ctx, u):
+def test_span_rank_rejects_a_non_integral_axis_up_front(ctx):
     # the lemma triple alone reaches rank n - 2 = 3, so the search stops
     # before it reflects about the fourth axis; the axis is still rejected
-    assert span_rank_witness(u, [e(0), e(1), VPRIME], EPS, ctx) == 3
-    with pytest.raises(ValueError, match="not integral"):
-        span_rank_witness(u, [e(0), e(1), VPRIME, (1, 1, 0, 0, 0)], EPS,
+    axes = [axis(0), axis(1), VPRIME_AXIS]
+    assert span_rank_witness([U_PAIR], axes, EPS, ctx) == 3
+    with pytest.raises(ValueError, match="norm 2"):
+        span_rank_witness([U_PAIR], axes + [((), (1, 1, 0, 0, 0))], EPS,
                           ctx)
+
+
+# an axis is an image of v with its word: v' with a word that does not
+# give it is an element whose replay moves eps-perp otherwise than the
+# translation read off v', and -v', which has the same reflection, with
+# v''s word is the same element
+
+def test_span_rank_rejects_an_axis_that_is_not_an_orbit_image(ctx):
+    word = VPRIME_AXIS[0]
+    assert ctx.word_orbit(8)[0][VPRIME] == word
+    for wrong in (("A", "A", "A"), word[1:], ("C",) + word):
+        assert tuple(col[0] for col in ctx.element(wrong).matrix) \
+            not in (VPRIME, tuple(-x for x in VPRIME))
+        with pytest.raises(OracleMismatchError, match="replayed"):
+            span_rank_witness([U_PAIR], [axis(0), axis(1), (wrong, VPRIME)],
+                              EPS, ctx)
+    assert span_rank_witness([U_PAIR], [axis(0), axis(1),
+                                         (word, tuple(-x for x in VPRIME))],
+                             EPS, ctx) == 3
 
 
 # ------------------------------------------------------------------- reports
@@ -790,6 +822,38 @@ def test_report_base(base_pair):
                                   "A", "C", "A", "C", "A^-1", "C")
     assert len(rep.caveats) == 2
     assert (cert.lo, cert.hi) == (2, 2)
+
+
+# every worked example is witnessed by elements of <A, C> alone at the
+# default bounds; ex03 is witnessed only by the second hunt, at word
+# bound 8 + 2
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_every_worked_entry_is_witnessed_at_the_default_bounds(entry):
+    doc = cli.build_report(entry.f_text, entry.g_text)
+    assert doc["witness"]["conclusion"] == WITNESSED
+    assert doc["witness"]["translation_rank"] == 3
+
+
+def test_the_second_hunt_runs_two_levels_past_the_word_bound(
+        monkeypatch):
+    entry = next(e for e in corpus.ENTRIES if e.name == "ex03")
+    ctx = WitnessContext(build_pair(parse_poly(entry.f_text),
+                                    parse_poly(entry.g_text)))
+    assert witness._hunt(ctx, 3, 8)[0] == 2
+    rep = arithmeticity_report(ctx, 3, 8)
+    assert rep.conclusion == WITNESSED and rep.translation_rank == 3
+    assert sorted(ctx._orbits) == [8, 10]
+    # a hunt that finds no candidate runs twice, but never past the limit
+    hunted = []
+    monkeypatch.setattr(witness, "_hunt",
+                        lambda ctx, search, bound: hunted.append(bound))
+    for bound in (1, 8, witness.MAX_WORD_BOUND - 2,
+                  witness.MAX_WORD_BOUND - 1, witness.MAX_WORD_BOUND):
+        hunted.clear()
+        assert arithmeticity_report(ctx, 3, bound).epsilon is None
+        assert hunted == [b for b in (bound, bound + 2)
+                          if b <= witness.MAX_WORD_BOUND]
 
 
 def test_report_deterministic(base_pair):
@@ -817,19 +881,28 @@ def test_report_degree_one():
 # ------------------------------------------------------- radical factors
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
-def test_radical_factors_on_worked_pair(entry):
-    # the witnessed (eps, u) of the pair, conjugated by every product of
-    # at most two of its span reflections; their axes are not all images
-    # of v, so the products are matrices, not words
+def test_radical_factors_on_worked_pair(monkeypatch, entry):
+    # the witnessed (eps, u) of the pair and the elements that raised its
+    # rank, each conjugated by every product of at most two of its first
+    # six span reflections, as matrices
+    replayed = []
+    original = witness._replay
+
+    def record(context, perp, word, lam):
+        replayed.append(word)
+        return original(context, perp, word, lam)
+    monkeypatch.setattr(witness, "_replay", record)
     pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
     ctx = WitnessContext(pair)
     rep = arithmeticity_report(ctx, 3, 8)
     eps, u = rep.epsilon, rep.unipotent
     refl = [reflection_matrix(ctx.gram, w)
-            for w in integral_reflection_vectors(ctx, eps)]
+            for _, w in integral_reflection_vectors(ctx, eps, 8)[:6]]
     products = [int_matrix(linalg.identity(pair.n))] + refl + [
         int_matrix(linalg.mat_mul(a, b)) for a in refl for b in refl]
-    conjugates = [conjugate(m, u) for m in products]
+    conjugates = [conjugate(m, g) for g in [u] + [ctx.element(w)
+                                                  for w in replayed]
+                  for m in products]
     perp = orthocomplement(ctx.gram, eps)
 
     factors = [_radical_factors(c, perp) for c in conjugates]
@@ -940,11 +1013,12 @@ def test_unipotent_lookup_matches_the_four_way_lookup(f_text, g_text):
 
 # ------------------------------------------------ span rank, matrix route
 
-def _matrix_span_rank(u, reflections, eps, gram):
-    """Reference: the span rank with every conjugate m u m^-1 built as a
-    matrix, each product carrying its inverse, and ranked by its
-    _radical_factors; the same layers, seen set and no-progress stop,
-    over every product of at most three of the reflection matrices."""
+def _matrix_span_rank(seeds, reflections, eps, gram):
+    """Reference: the span rank with every conjugate m s m^-1 of each seed
+    element s built as a matrix, each product carrying its inverse, and
+    ranked by its _radical_factors; the same layers, seen set and
+    no-progress stop, over every product of at most three of the
+    reflection matrices."""
     n = len(gram)
     eps = tuple(eps)
     perp = orthocomplement(gram, eps)
@@ -953,8 +1027,8 @@ def _matrix_span_rank(u, reflections, eps, gram):
         assert _parallel_factor(linalg.mat_vec(r, eps), eps) is not None
         assert int_matrix(linalg.mat_mul(r, r)) == identity
     echelon = []
-    rank = int(_echelon_insert(echelon,
-                               _radical_factors(u.matrix, perp)))
+    rank = sum(_echelon_insert(echelon, _radical_factors(s.matrix, perp))
+               for s in seeds)
     if rank >= n - 2:
         return rank
     layer = [(identity, identity)]
@@ -970,17 +1044,25 @@ def _matrix_span_rank(u, reflections, eps, gram):
                 seen.add(m)
                 m_inv = int_matrix(linalg.mat_mul(r, prev_inv))
                 grown.append((m, m_inv))
-                conj = linalg.mat_mul(m, linalg.mat_mul(u.matrix, m_inv))
-                if _echelon_insert(echelon,
-                                   _radical_factors(conj, perp)):
-                    rank += 1
-                    progressed = True
-                    if rank >= n - 2:
-                        return rank
+                for s in seeds:
+                    conj = linalg.mat_mul(m, linalg.mat_mul(s.matrix, m_inv))
+                    if _echelon_insert(echelon,
+                                       _radical_factors(conj, perp)):
+                        rank += 1
+                        progressed = True
+                        if rank >= n - 2:
+                            return rank
         if not progressed and rank > 0:
             break
         layer = grown
     return rank
+
+
+def pair_element(ctx, pair):
+    """C_x C_y, the element of a pair (x axis, y axis), from its word."""
+    (x_word, _), (y_word, _) = pair
+    return ctx.element(x_word + ("C",) + _inverse_word(x_word)
+                       + y_word + ("C",) + _inverse_word(y_word))
 
 
 # the battery pairs whose report carries a unipotent at search bound 3
@@ -996,6 +1078,11 @@ def _span_cases():
                      id=f"battery-{i:02d}") for i in UNIPOTENT_BATTERY]
 
 
+# the reported rank is that of every pair and every axis at the reported
+# eps and the last word bound hunted, 10 whenever the hunt was short at 8
+# and no smaller where it was not; on u's pair, and on the first three
+# pairs, the vector closure agrees with the matrix reference
+
 @pytest.mark.parametrize("f_text, g_text", _span_cases())
 def test_span_rank_matches_matrix_reference(f_text, g_text):
     pair = build_pair(parse_poly(f_text), parse_poly(g_text))
@@ -1003,13 +1090,16 @@ def test_span_rank_matches_matrix_reference(f_text, g_text):
     eps, u = rep.epsilon, rep.unipotent
     assert u is not None
     ctx = WitnessContext(pair)
-    axes = integral_reflection_vectors(ctx, eps)
-    refl = [reflection_matrix(ctx.gram, w) for w in axes]
-    assert span_rank_witness(u, axes, eps, ctx) \
-        == _matrix_span_rank(u, refl, eps, ctx.gram) == rep.translation_rank
-    for k in range(1, 5):
-        assert span_rank_witness(u, axes[:k], eps, ctx) \
-            == _matrix_span_rank(u, refl[:k], eps, ctx.gram)
+    pairs = list(witness._gamma_pairs(ctx, eps, 10))
+    axes = integral_reflection_vectors(ctx, eps, 10)
+    assert span_rank_witness(pairs, axes, eps, ctx) == rep.translation_rank
+    refl = [reflection_matrix(ctx.gram, w) for _, w in axes[:12]]
+    assert pair_element(ctx, u_pair(ctx, eps, 10)).matrix == u.matrix
+    for seeds in ([u_pair(ctx, eps, 10)], pairs[:3]):
+        elements = [pair_element(ctx, p) for p in seeds]
+        for k in (0, 1, 2, 3, 4, 12):
+            assert span_rank_witness(seeds, axes[:k], eps, ctx) \
+                == _matrix_span_rank(elements, refl[:k], eps, ctx.gram)
 
 
 # span_rank_witness ranks a closure of vectors where the reference builds
@@ -1024,18 +1114,18 @@ def test_span_closure_matches_matrix_reference_on_every_candidate(
     checked = 0
     for eps in orbit_candidates(ctx, 3, 8):
         u = unipotent_from_reflections(ctx, eps, 8)
-        if u is None:
-            continue
-        axes = integral_reflection_vectors(ctx, eps)
-        refl = [reflection_matrix(ctx.gram, w) for w in axes]
-        for k in (1, 2, 3, 4, len(axes)):
-            assert span_rank_witness(u, axes[:k], eps, ctx) \
-                == _matrix_span_rank(u, refl[:k], eps, ctx.gram), (eps, k)
+        seeds = [u_pair(ctx, eps)]
+        assert pair_element(ctx, seeds[0]).matrix == u.matrix
+        axes = integral_reflection_vectors(ctx, eps, 8)
+        refl = [reflection_matrix(ctx.gram, w) for _, w in axes[:12]]
+        for k in (1, 2, 3, 4, 12):
+            assert span_rank_witness(seeds, axes[:k], eps, ctx) \
+                == _matrix_span_rank([u], refl[:k], eps, ctx.gram), (eps, k)
         checked += 1
     assert checked >= 1
 
 
-# span_rank_witness reads u's translation vector off one column of u:
+# u's translation vector can be read off one column of u:
 # for y = e_j, the first unit vector with s = y . eps != 0, u fixes eps and
 # moves each basis vector w of eps-perp by lambda_w eps, so
 # y - u(y) = s a + c eps, where a has coordinates translation_vector in
@@ -1100,18 +1190,19 @@ def test_quotient_basis_gives_the_same_ranks(monkeypatch, f_text, g_text):
     runs = []
     for eps in orbit_candidates(ctx, 3, 8):
         u = unipotent_from_reflections(ctx, eps, 8)
-        axes = integral_reflection_vectors(ctx, eps)
-        refl = [reflection_matrix(ctx.gram, w) for w in axes[:3]]
+        axes = integral_reflection_vectors(ctx, eps, 8)
+        refl = [reflection_matrix(ctx.gram, w) for _, w in axes[:3]]
         elements = [u] + [GroupElement((), m)
                           for r in refl for m in (r, conjugate(r, u))] + [
             ctx.element(w) for w in (("A",), ("C",))]
-        runs.append((eps, u, axes, elements))
+        pairs = [[u_pair(ctx, eps)], list(witness._gamma_pairs(ctx, eps, 8))]
+        runs.append((eps, pairs, axes, elements))
 
     def outcomes():
-        return [([span_rank_witness(u, axes[:k], eps, ctx)
-                  for k in (1, 2, 3, len(axes))],
+        return [([span_rank_witness(seeds, axes[:k], eps, ctx)
+                  for seeds in pairs for k in (0, 1, 2, 3, len(axes))],
                  [in_unipotent_radical(g, eps, ctx) for g in elements])
-                for eps, u, axes, elements in runs]
+                for eps, pairs, axes, elements in runs]
     cut = outcomes()
     original = ctx.perp
     monkeypatch.setattr(ctx, "perp", lambda eps: quotient_perp(
@@ -1121,39 +1212,62 @@ def test_quotient_basis_gives_the_same_ranks(monkeypatch, f_text, g_text):
 
 
 @pytest.mark.parametrize("skew", ["shifted", "off-radical"])
-def test_span_rank_routes_disagreeing_raise(monkeypatch, ctx, u, skew):
-    # the first _radical_factors call is u's own; every later one is the
-    # matrix route of a conjugate that raised the rank
+def test_span_rank_routes_disagreeing_raise(monkeypatch, ctx, skew):
+    # every _radical_factors call of span_rank_witness reads a replayed
+    # element; one that disagrees with the translation read off m y, or
+    # leaves the radical, stops the rank at once
     original = _radical_factors
     calls = []
 
     def skewed(matrix, perp):
         factors = original(matrix, perp)
         calls.append(matrix)
-        if len(calls) == 1:
-            return factors
         return None if skew == "off-radical" else \
             [factors[0] + 1] + factors[1:]
     monkeypatch.setattr(witness, "_radical_factors", skewed)
-    with pytest.raises(OracleMismatchError, match="conjugate"):
-        span_rank_witness(u, [e(0), e(1), VPRIME], EPS, ctx)
-    assert len(calls) == 2
+    with pytest.raises(OracleMismatchError, match="replayed"):
+        span_rank_witness([U_PAIR], [axis(0), axis(1), VPRIME_AXIS], EPS,
+                          ctx)
+    assert len(calls) == 1
 
 
-def test_check_conjugate_rejects_a_bumped_translation(monkeypatch, ctx):
-    # the matrix route, rebuilt by rank-one updates, still disagrees with
-    # a translation vector moved by one in any entry
+@pytest.fixture
+def replays(monkeypatch, ctx):
+    """The (perp, word, translation) of every replay of the base pair's
+    report, recorded; the report is witnessed at rank 3."""
     calls = []
-    original = witness._check_conjugate
+    original = witness._replay
 
-    def record(*args):
-        calls.append(args)
-        return original(*args)
-    monkeypatch.setattr(witness, "_check_conjugate", record)
-    assert arithmeticity_report(ctx, 3, 8).translation_rank == 3
-    assert calls
-    for u, axes, eps, context, s, lam in calls:
+    def record(context, perp, word, lam):
+        calls.append((perp, word, lam))
+        return original(context, perp, word, lam)
+    monkeypatch.setattr(witness, "_replay", record)
+    rep = arithmeticity_report(ctx, 3, 8)
+    assert rep.conclusion == WITNESSED and rep.translation_rank == 3
+    assert len(calls) == 3
+    return list(calls)
+
+
+def test_replay_rejects_a_changed_token(ctx, replays):
+    # each rank-raising element of the reported witness is replayed from
+    # its word, so a word with any one token changed to another token is
+    # another element, whose translation is not the claimed one
+    for perp, word, lam in replays:
+        for i, token in enumerate(word):
+            for other in ("A", "A^-1", "C"):
+                if other == token:
+                    continue
+                changed = word[:i] + (other,) + word[i + 1:]
+                with pytest.raises(OracleMismatchError, match="replayed"):
+                    witness._replay(ctx, perp, changed, lam)
+
+
+def test_replay_rejects_a_bumped_translation(ctx, replays):
+    # the element replayed from its word disagrees with a translation
+    # moved by one in any entry
+    for perp, word, lam in replays:
+        witness._replay(ctx, perp, word, lam)
         for i in range(len(lam)):
             bumped = lam[:i] + [lam[i] + 1] + lam[i + 1:]
-            with pytest.raises(OracleMismatchError, match="conjugate by"):
-                original(u, axes, eps, context, s, bumped)
+            with pytest.raises(OracleMismatchError, match="replayed"):
+                witness._replay(ctx, perp, word, bumped)
