@@ -17,8 +17,9 @@ entries (every row of A and A^-1, at most two entries each, and row 0
 alone of C), and one kernel that recomputes those rows of a vector in
 O(n): word_orbit applies tokens to the images g(v), and element applies
 a word's tokens, last first, to the columns of the identity.  The hunt
-takes a dense product only inside the isometry check.  It reflects only
-about images g(v), by g C g^-1, so every element it counts is a word.
+takes no dense product: the isometry check pairs the columns of m with
+those of G m, one pass.  It reflects only about images g(v), by
+g C g^-1, so every element it counts is a word.
 
 arithmeticity_report runs the witness hunt alone: the caller builds the
 pair once, and the WitnessContext that the hunt's functions take builds
@@ -30,11 +31,14 @@ The hunt runs on ints over the integral cyclic Gram, with no elimination:
 a basis of the lattice eps-perp is one lattice cut of Z^n by G eps, and
 a translation is ranked by its vector m y modulo eps.
 
-The hunt reads the orbit of v once per word bound: word_orbit maps each
-image g(v) to its word, and each sign-canonical isotropic difference
-+-(g(v) -+ v) to the first image that gives it, with its word, so the
-candidates eps are a filter over those keys, the unipotent for an eps is
-one lookup, and the pairs at eps are two lookups per image.
+The hunt walks the orbit of v once per context: word_orbit extends the
+deepest orbit built so far level by level, and gives a smaller word bound
+a prefix of it.  It maps each image g(v) to its word, and each
+sign-canonical isotropic difference +-(g(v) -+ v) to the first image that
+gives it, with its word, so the candidates eps are a filter over those
+keys, the unipotent for an eps is one lookup, and the pairs at eps are two
+lookups per image.  The images orthogonal to one eps are found by one
+walk, shared by its pairs and its axes.
 Every function that takes eps validates it once, through
 WitnessContext.perp, and works with the first vector of that list, eps.
 SEARCH_CAP bounds the candidates' box.
@@ -45,7 +49,7 @@ import itertools
 import math
 import operator
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
@@ -69,9 +73,7 @@ class GroupElement(NamedTuple):
 
     @property
     def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return all(self.matrix[i][j] == (1 if i == j else 0)
-                   for i in range(n) for j in range(n))
+        return linalg.mat_eq(self.matrix, linalg.identity(len(self.matrix)))
 
 
 class WitnessReport(NamedTuple):
@@ -96,10 +98,20 @@ def _inverse_word(word: Sequence[str]) -> tuple[str, ...]:
 
 
 def _check_isometry(gram, m, label: str) -> None:
-    """Raise unless m^T G m = G."""
-    if not linalg.mat_eq(linalg.mat_mul(linalg.transpose(m),
-                                        linalg.mat_mul(gram, m)), gram):
-        raise PairValidationError(f"{label} does not preserve the form")
+    """Raise PairValidationError unless m^T G m = G, and ValueError
+    unless m is n x n.  Entry (i, j) of m^T G m is column i of m paired
+    with column j of G m; each column of G m is formed once, and the
+    first entry that differs from G's stops the check."""
+    n = len(gram)
+    if len(m) != n or any(len(row) != n for row in m):
+        raise ValueError(f"{label}: an isometry check takes an {n} x {n} "
+                         f"matrix")
+    cols = list(zip(*m))
+    for j, col in enumerate(cols):
+        g_col = [sum(map(operator.mul, row, col)) for row in gram]
+        if any(sum(map(operator.mul, c, g_col)) != row[j]
+               for c, row in zip(cols, gram)):
+            raise PairValidationError(f"{label} does not preserve the form")
 
 
 class WitnessContext:
@@ -122,7 +134,14 @@ class WitnessContext:
         self.A_inv = pair.A_inv
         self.v = tuple(int(i == 0) for i in range(self.n))
         self._orbits: dict[int, tuple[dict, dict]] = {}
+        # the last BFS level of the deepest orbit built, and the sizes of
+        # its (images, keys) after each level
+        self._level: list = [(self.v, ())]
+        self._sizes: list[tuple[int, int]] = []
         self._perps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        # per (eps, word bound), the images of _orbit_perp read so far
+        # and the rest of that walk
+        self._walks: dict[tuple, tuple[list, Iterator]] = {}
 
     @cached_property
     def generators(self) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -194,6 +213,11 @@ class WitnessContext:
         are recorded in the order of those words.  v itself is never
         recorded.
 
+        The orbit is built once across bounds: a larger bound extends the
+        deepest orbit built so far from its last level, and a smaller one
+        takes the first images and keys of it, as both run level by level;
+        either equals a fresh walk to that bound, in content and order.
+
         Returns (images, keys).  images maps each g(v) to its word.
         g(v).g(v) = v.v = 2, so (g(v) -+ v)^2 = 4 -+ 2 g(v).v vanishes
         iff g(v).v = +-2; keys maps the sign-canonical form of each such
@@ -208,36 +232,48 @@ class WitnessContext:
                              f"{MAX_WORD_BOUND}, got {word_bound}")
         if word_bound in self._orbits:
             return self._orbits[word_bound]
+        depth = len(self._sizes)
+        if word_bound < depth:
+            # a prefix of the deepest orbit, whose dicts run level by level
+            deepest = self._orbits[depth]
+            orbit = tuple(dict(itertools.islice(d.items(), size))
+                          for d, size in zip(deepest,
+                                             self._sizes[word_bound - 1]))
+        else:
+            orbit = tuple(dict(d) for d in self._orbits[depth]) \
+                if depth else ({}, {})
+            for _ in range(depth, word_bound):
+                self._level = self._grow(self._level, *orbit)
+                self._sizes.append(tuple(map(len, orbit)))
+        self._orbits[word_bound] = orbit
+        return orbit
+
+    def _grow(self, level: list, images: dict, keys: dict) -> list:
+        """The next BFS level of word_orbit after level, its images
+        recorded in images and their isotropic differences in keys."""
         v = self.v
-        tokens = [(t, _TOKEN_INVERSE.get(t, t), rows)
-                  for t, rows in self._token_rows.items()]
         g_v = [row[0] for row in self.gram]  # G v, the Gram's column 0
-        images: dict = {}
-        keys: dict = {}
-        level = [(v, ())]
-        for _ in range(word_bound):
-            # token-major, so the first pair to reach an image is the least
-            grown = []
-            for token, back, rows in tokens:
-                for y, parent in level:
-                    if parent and parent[0] == back:
-                        continue
-                    x = _apply(rows, y)
-                    if x == v or x in images:
-                        continue
-                    word = (token,) + parent
-                    images[x] = word
-                    grown.append((x, word))
-                    pairing = sum(map(operator.mul, x, g_v))
-                    if pairing in (2, -2):
-                        # g(v) - v at pairing 2, g(v) + v at -2
-                        key = linalg.sign_canonical(
-                            (x[0] - pairing // 2,) + x[1:])
-                        if any(key):  # g(v) = -v has no difference
-                            keys.setdefault(key, (word, x))
-            level = grown
-        self._orbits[word_bound] = (images, keys)
-        return images, keys
+        grown = []
+        # token-major, so the first pair to reach an image is the least
+        for token, rows in self._token_rows.items():
+            back = _TOKEN_INVERSE.get(token, token)
+            for y, parent in level:
+                if parent and parent[0] == back:
+                    continue
+                x = _apply(rows, y)
+                if x == v or x in images:
+                    continue
+                word = (token,) + parent
+                images[x] = word
+                grown.append((x, word))
+                pairing = sum(map(operator.mul, x, g_v))
+                if pairing in (2, -2):
+                    # g(v) - v at pairing 2, g(v) + v at -2
+                    key = linalg.sign_canonical(
+                        (x[0] - pairing // 2,) + x[1:])
+                    if any(key):  # g(v) = -v has no difference
+                        keys.setdefault(key, (word, x))
+        return grown
 
 
 def _apply(rows: Sequence[tuple[int, Sequence[tuple[int, int]]]],
@@ -410,12 +446,28 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
 def _orbit_perp(ctx: WitnessContext, eps: Sequence[int], word_bound: int):
     """The orbit images orthogonal to eps, lazily, each as (word, image):
     v with the empty word, then the images of word_orbit(word_bound) in
-    orbit order.  eps is validated by ctx.perp."""
-    g_eps = linalg.mat_vec(ctx.gram, ctx.perp(eps)[0])
-    orbit = ctx.word_orbit(word_bound)[0]
-    for y, word in itertools.chain([(ctx.v, ())], orbit.items()):
-        if not sum(map(operator.mul, y, g_eps)):
-            yield word, y
+    orbit order.  eps is validated by ctx.perp.
+
+    Every reader at one (eps, word bound) shares one walk of the orbit,
+    kept in ctx: it reads the images found so far, and walks on past them
+    only when it needs more, so each image is paired with G eps once."""
+    eps = ctx.perp(eps)[0]
+    walk = ctx._walks.get((eps, word_bound))
+    if walk is None:
+        g_eps = linalg.mat_vec(ctx.gram, eps)
+        orbit = ctx.word_orbit(word_bound)[0]
+        walk = ctx._walks[eps, word_bound] = ([], (
+            (word, y) for y, word in itertools.chain([(ctx.v, ())],
+                                                     orbit.items())
+            if not sum(map(operator.mul, y, g_eps))))
+    found, rest = walk
+    for i in itertools.count():
+        if i == len(found):
+            step = next(rest, None)
+            if step is None:
+                return
+            found.append(step)
+        yield found[i]
 
 
 def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
@@ -424,7 +476,8 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
                                                 tuple[int, ...]]]:
     """The span axes at eps, every image of _orbit_perp: g(v) has norm 2,
     so its reflection x -> x - (x . g(v)) g(v), the element g C g^-1,
-    is integral and fixes eps."""
+    is integral and fixes eps.  The walk goes on from where the readers
+    of _orbit_perp at (eps, word_bound), _gamma_pairs, left it."""
     return list(_orbit_perp(ctx, eps, word_bound))
 
 
@@ -432,7 +485,9 @@ def _gamma_pairs(ctx: WitnessContext, eps: Sequence[int], word_bound: int):
     """Y(eps) as pairs (x axis, y axis), lazily: each image y of
     _orbit_perp with y + eps, or else y - eps, an orbit image x.  As
     x . y = 2, C_x C_y moves each z in eps-perp to z + (z . y)(x - y): it
-    lies in the unipotent radical at eps, with translation z -> +-(z . y)."""
+    lies in the unipotent radical at eps, with translation z -> +-(z . y).
+    The images read here are kept in ctx for integral_reflection_vectors
+    at the same eps and bound."""
     eps = ctx.perp(eps)[0]
     orbit = ctx.word_orbit(word_bound)[0]
     for word, y in _orbit_perp(ctx, eps, word_bound):
@@ -588,7 +643,9 @@ def orbit_candidates(ctx: WitnessContext, search_bound: int,
 def _hunt(ctx: WitnessContext, search_bound: int, word_bound: int):
     """(rank, eps, pairs, axes) of the first candidate of greatest rank,
     stopping at n - 2, or None: the pairs that raised its rank in layer
-    0, and its axes, listed only when those pairs fall short."""
+    0, and its axes, listed only when those pairs fall short.  A
+    candidate's pairs and axes read one walk of the images orthogonal to
+    it, and one whose pairs reach n - 2 reads only as far as they need."""
     best = None
     for eps in orbit_candidates(ctx, search_bound, word_bound):
         raising = _closure(_gamma_pairs(ctx, eps, word_bound), (), eps, ctx)

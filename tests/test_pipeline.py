@@ -309,8 +309,8 @@ def test_witness_hunt_takes_no_elimination(monkeypatch, entry):
 
 
 # span_rank_witness reflects vectors, so it builds no reflection matrix
-# and multiplies no matrices itself: the only products are the two of the
-# isometry check of each element it replays, one per rank it counts
+# and multiplies no matrices, itself or in the isometry check of each
+# element it replays, one per rank it counts
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
@@ -353,12 +353,12 @@ def test_span_rank_multiplies_matrices_only_to_check(monkeypatch, entry):
     for s in spans:
         assert s["rank"] == s["replays"] == 3
         assert s["reflection_matrix in span"] == s["mat_mul in span"] \
-            == s["reflection_matrix in replay"] == 0
-        assert s["mat_mul in replay"] == 2 * s["replays"]
+            == s["reflection_matrix in replay"] == s["mat_mul in replay"] \
+            == 0
 
 
-# element applies each token to the rows of the product so far, so the
-# only products it takes are the two of its isometry check
+# element applies each token to the rows of the product so far, and its
+# isometry check pairs columns, so it takes no dense product
 
 @pytest.mark.parametrize("word", [
     (), ("A",), ("A", "C", "A^-1", "C"), ("C", "A^-1", "A^-1", "C", "A"),
@@ -367,10 +367,11 @@ def test_element_multiplies_matrices_only_to_check(monkeypatch, base_pair,
                                                    word):
     ctx = witness.WitnessContext(base_pair)
     ctx.element(("A",))  # the generators are built and checked on first use
-    where, counts = [], Counter()
+    where, counts, checks = [], Counter(), []
     original_check, original_mul = witness._check_isometry, linalg.mat_mul
 
     def check(*args):
+        checks.append(args[2])
         where.append(True)
         try:
             return original_check(*args)
@@ -383,11 +384,12 @@ def test_element_multiplies_matrices_only_to_check(monkeypatch, base_pair,
     monkeypatch.setattr(witness, "_check_isometry", check)
     monkeypatch.setattr(linalg, "mat_mul", mat_mul)
     ctx.element(word)
-    assert counts == {"in check": 2}
+    assert len(checks) == 1
+    assert counts == {}
 
 
-# the whole hunt takes a dense product only in an isometry check: of a
-# replayed word, of a reflection_matrix or of a generator
+# the whole hunt takes no dense product, not even in an isometry check:
+# of a replayed word, of a reflection_matrix or of a generator
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_hunt_multiplies_matrices_only_to_check(monkeypatch, entry):
@@ -407,14 +409,18 @@ def test_hunt_multiplies_matrices_only_to_check(monkeypatch, entry):
     def mat_mul(a, b):
         counts[where[-1] if where else "outside"] += 1
         return original_mul(a, b)
+
+    def check(*args):
+        checks.append(where[-1] if where else "outside")
+        return inside("check", original_check)(*args)
+    checks = []
     monkeypatch.setattr(cli, "arithmeticity_report",
                         inside("hunt", original_hunt))
-    monkeypatch.setattr(witness, "_check_isometry",
-                        inside("check", original_check))
+    monkeypatch.setattr(witness, "_check_isometry", check)
     monkeypatch.setattr(linalg, "mat_mul", mat_mul)
     cli.build_report(entry.f_text, entry.g_text)
-    assert counts["check"] >= 2
-    assert counts["hunt"] == 0
+    assert len(checks) >= 2 and set(checks) == {"hunt"}
+    assert counts == {}
 
 
 # span_rank_witness ranks a closure: eps, the y of each pair, then each
@@ -449,8 +455,8 @@ def test_span_rank_reduces_at_most_axes_times_rank_vectors(monkeypatch,
 # the Witt pass carries only its lattice basis from stage to stage, and
 # cuts it by steps on two basis rows at a time, so it multiplies no
 # matrices, dense or sparse: not on a definite form, which stops at
-# stage 1, nor on the base pair, which splits two planes; the base
-# pair's hunt multiplies outside it
+# stage 1, nor on the base pair, which splits two planes; the counter
+# sees the product of the base pair's standard-basis form
 
 def test_definite_witt_pass_multiplies_no_matrices(monkeypatch):
     inside = []
@@ -481,7 +487,9 @@ def test_definite_witt_pass_multiplies_no_matrices(monkeypatch):
     doc = cli.build_report(BASE_F, BASE_G)
     assert doc["q_rank"]["lo"] == 2
     assert counts["mat_mul inside"] == counts["sparse_mul inside"] == 0
-    assert counts["mat_mul outside"] >= 1
+    pair = monodromy.build_pair(parse_poly(BASE_F), parse_poly(BASE_G))
+    quadform.gram_invariance(pair, quadform.invariant_space(pair))
+    assert counts["mat_mul outside"] == 2
 
 
 # R = B G B^T is formed only at a stage that reads it: the pad's padded

@@ -1,5 +1,6 @@
 """Reflections, parabolic line stabilizers, translation vectors, and the
 unipotent witness machinery, pinned on the reference quintic pair."""
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -176,6 +177,39 @@ def test_context_generators_preserve_form(ctx):
     for m in (ctx.A, ctx.A_inv, ctx.generators["C"], b, b_inv):
         assert linalg.mat_eq(
             linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(H, m)), H)
+
+
+def _dense_isometry(gram, m) -> bool:
+    return linalg.mat_eq(linalg.mat_mul(linalg.transpose(m),
+                                        linalg.mat_mul(gram, m)), gram)
+
+
+# the isometry check pairs columns of m with columns of G m, entry by
+# entry: moving any one entry of A, A^-1, C or u by one breaks the form,
+# as the dense product m^T G m says too, and each breaks the check
+
+def test_isometry_check_rejects_every_single_entry_change(ctx, u):
+    n = ctx.n
+    for label, m in (("A", ctx.A), ("A^-1", ctx.A_inv),
+                     ("C", ctx.generators["C"]), ("u", u.matrix)):
+        witness._check_isometry(ctx.gram, m, label)
+        for i in range(n):
+            for j in range(n):
+                for delta in (1, -1):
+                    bent = [list(row) for row in m]
+                    bent[i][j] += delta
+                    assert not _dense_isometry(ctx.gram, bent)
+                    with pytest.raises(PairValidationError,
+                                       match="does not preserve the form"):
+                        witness._check_isometry(ctx.gram, bent, label)
+
+
+def test_isometry_check_takes_n_by_n_matrices_only(ctx, u):
+    m = [list(row) for row in u.matrix]
+    for bad in (m[:-1], m + [m[0]], [row + [0] for row in m],
+                m[:-1] + [m[-1][:-1]], [row[:-1] for row in m], []):
+        with pytest.raises(ValueError):
+            witness._check_isometry(ctx.gram, bad, "bad")
 
 
 # the context builds its form through invariant_space, so a Gram that the
@@ -465,6 +499,30 @@ def test_word_orbit_matches_the_generator_walk(entry):
         ], bound
 
 
+# word_orbit extends the deepest orbit built so far from its last level,
+# and serves a smaller bound as a prefix of it: every bound, asked in any
+# order, gives the images and keys of a fresh walk, in the same order
+
+@pytest.mark.parametrize("name", ["ex02", "ex03"])
+def test_word_orbit_across_bounds_equals_a_fresh_orbit(name):
+    entry = next(e for e in corpus.ENTRIES if e.name == name)
+    pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
+
+    def same(got, want):
+        return all(list(a.items()) == list(b.items())
+                   for a, b in zip(got, want))
+    fresh = {b: WitnessContext(pair).word_orbit(b) for b in (3, 8, 10)}
+    ctx = WitnessContext(pair)
+    eight = ctx.word_orbit(8)
+    assert same(ctx.word_orbit(10), fresh[10])
+    assert same(eight, fresh[8]) and ctx.word_orbit(8) is eight
+    ctx = WitnessContext(pair)
+    assert same(ctx.word_orbit(10), fresh[10])
+    assert same(ctx.word_orbit(8), fresh[8])
+    assert same(ctx.word_orbit(3), fresh[3])
+    assert sorted(ctx._orbits) == [3, 8, 10]
+
+
 # ------------------------------------------------------------ orthocomplement
 
 def test_orthocomplement_base(ctx):
@@ -735,6 +793,45 @@ def test_gamma_pairs_are_unipotents_with_the_translation_of_y(entry):
         assert not g.is_identity
         assert _radical_factors(g.matrix, perp) \
             == [sign * linalg.vec_dot(w, ctx.gram, y) for w in perp[1:]]
+
+
+def _fresh_axes(ctx, eps, word_bound):
+    """Reference: the images of v and of word_orbit(word_bound) that are
+    orthogonal to eps, with their words, in orbit order, from one walk of
+    their own."""
+    images = ctx.word_orbit(word_bound)[0]
+    return [(word, y) for y, word in [(ctx.v, ())] + list(images.items())
+            if linalg.vec_dot(y, ctx.gram, eps) == 0]
+
+
+# _gamma_pairs and integral_reflection_vectors share one walk per eps
+# and word bound: the axes are the same list however much of the walk
+# the pairs have read first, and two readers taking turns see the walk
+# in the same order
+
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_axes_do_not_depend_on_how_far_the_pairs_read(entry):
+    pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
+    want = {}
+    for reads in (0, 1, 3, None):
+        ctx = WitnessContext(pair)
+        for eps in orbit_candidates(ctx, 3, 8):
+            if eps not in want:
+                want[eps] = _fresh_axes(ctx, eps, 8)
+            pairs = list(itertools.islice(witness._gamma_pairs(ctx, eps, 8),
+                                          reads))
+            assert integral_reflection_vectors(ctx, eps, 8) == want[eps]
+            assert list(witness._gamma_pairs(ctx, eps, 8))[:len(pairs)] \
+                == pairs
+    ctx = WitnessContext(pair)
+    for eps in orbit_candidates(ctx, 3, 8):
+        # the second reader takes two steps for each step of the first
+        readers = [witness._orbit_perp(ctx, eps, 8) for _ in range(2)]
+        got = [[], []]
+        for step in range(3 * len(want[eps])):
+            k = int(step % 3 != 0)
+            got[k].extend(itertools.islice(readers[k], 1))
+        assert got == [want[eps], want[eps]]
 
 
 # ----------------------------------------------------------------- span rank
@@ -1271,3 +1368,47 @@ def test_replay_rejects_a_bumped_translation(ctx, replays):
             bumped = lam[:i] + [lam[i] + 1] + lam[i + 1:]
             with pytest.raises(OracleMismatchError, match="replayed"):
                 witness._replay(ctx, perp, word, bumped)
+
+
+def _reference_hunt(ctx, search_bound, word_bound):
+    """_hunt with every walk its own: the pairs of each candidate, and
+    the axes of a short one, listed from _fresh_axes."""
+    images = ctx.word_orbit(word_bound)[0]
+    best = None
+    for eps in orbit_candidates(ctx, search_bound, word_bound):
+        axes = _fresh_axes(ctx, eps, word_bound)
+        pairs = []
+        for word, y in axes:
+            for sign in (1, -1):
+                x = tuple(a + sign * b for a, b in zip(y, eps))
+                x_word = () if x == ctx.v else images.get(x)
+                if x_word is not None:
+                    pairs.append(((x_word, x), (word, y)))
+                    break
+        raising = witness._closure(pairs, (), eps, ctx)
+        if len(raising) == ctx.n - 2:
+            axes = []
+        else:
+            raising = witness._closure([p for p, _, _ in raising], axes,
+                                       eps, ctx)
+        if best is None or len(raising) > best[0]:
+            best = (len(raising), eps,
+                    [p for p, path, _ in raising if not path], axes)
+            if best[0] == ctx.n - 2:
+                break
+    return best
+
+
+# the hunt reads each candidate's orbit walk once, shared by its pairs
+# and its axes; it finds the same rank, eps, pairs and axes as a hunt
+# that walks the orbit afresh for each, at both word bounds analyze runs
+
+@pytest.mark.parametrize("f_text, g_text", _pair_cases())
+def test_hunt_with_shared_walks_matches_the_reference(f_text, g_text):
+    pair = build_pair(parse_poly(f_text), parse_poly(g_text))
+    ctx = WitnessContext(pair)
+    if min(signature(ctx.space)) < 1 or (2 * 3 + 1) ** ctx.n > SEARCH_CAP:
+        return
+    for bound in (8, 10):
+        assert witness._hunt(ctx, 3, bound) \
+            == _reference_hunt(WitnessContext(pair), 3, bound)
