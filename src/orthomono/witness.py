@@ -31,9 +31,9 @@ The hunt runs on ints over the integral cyclic Gram, with no elimination:
 a basis of the lattice eps-perp is one lattice cut of Z^n by G eps, and
 a translation is ranked by its vector m y modulo eps.
 
-The hunt walks the orbit of v once per context: word_orbit extends the
-deepest orbit built so far level by level, and gives a smaller word bound
-a prefix of it.  It maps each image g(v) to its word, and each
+Each context walks one orbit of v, as deep as the largest word bound
+asked; a word bound limits what is read of it, by the rule word_orbit
+states.  The orbit maps each image g(v) to its word, and each
 sign-canonical isotropic difference +-(g(v) -+ v) to the first image that
 gives it, with its word, so the candidates eps are a filter over those
 keys, the unipotent for an eps is one lookup, and the pairs at eps are two
@@ -115,8 +115,9 @@ def _check_isometry(gram, m, label: str) -> None:
 
 
 class WitnessContext:
-    """Cyclic-basis generators and form for one validated pair, with a
-    cached orbit of v under short words for the witness search.
+    """Cyclic-basis generators and form for one validated pair, with one
+    orbit of v under short words for the witness search, walked as deep
+    as the largest word bound asked.
 
     Construction builds the pair's form through invariant_space, whose
     invariance check against A and C certifies it, and keeps it as
@@ -133,11 +134,13 @@ class WitnessContext:
         self.A = pair.A
         self.A_inv = pair.A_inv
         self.v = tuple(int(i == 0) for i in range(self.n))
-        self._orbits: dict[int, tuple[dict, dict]] = {}
-        # the last BFS level of the deepest orbit built, and the sizes of
-        # its (images, keys) after each level
-        self._level: list = [(self.v, ())]
-        self._sizes: list[tuple[int, int]] = []
+        # the one orbit of v: word_orbit's (images, keys), every
+        # (word, image) in orbit order from ((), v), and len(_entries) at
+        # the end of each BFS level, level 0 being v
+        self._images: dict = {}
+        self._keys: dict = {}
+        self._entries: list = [((), self.v)]
+        self._ends: list[int] = [1]
         self._perps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         # per (eps, word bound), the images of _orbit_perp read so far
         # and the rest of that walk
@@ -213,51 +216,41 @@ class WitnessContext:
         are recorded in the order of those words.  v itself is never
         recorded.
 
-        The orbit is built once across bounds: a larger bound extends the
-        deepest orbit built so far from its last level, and a smaller one
-        takes the first images and keys of it, as both run level by level;
-        either equals a fresh walk to that bound, in content and order.
-
-        Returns (images, keys).  images maps each g(v) to its word.
+        Returns the context's one (images, keys), not copies, walked to at
+        least word_bound levels.  images maps each g(v) to its word.
         g(v).g(v) = v.v = 2, so (g(v) -+ v)^2 = 4 -+ 2 g(v).v vanishes
         iff g(v).v = +-2; keys maps the sign-canonical form of each such
         nonzero isotropic difference to (word, g(v)) of the first image
         that gives it.  v is the first unit vector, so the difference is
         g(v) with entry 0 moved by 1.
+
+        The read rule: as each image keeps its shortest word and each key
+        its first image, an image or key is in the orbit of word bound b
+        iff its word has at most b tokens; the entries that pass, in
+        order, are those of a fresh walk to b, whatever bounds were asked
+        before.
         """
         if word_bound < 1:
             raise ValueError(f"word bound must be at least 1, got {word_bound}")
         if word_bound > MAX_WORD_BOUND:
             raise ValueError(f"word bound must be at most MAX_WORD_BOUND = "
                              f"{MAX_WORD_BOUND}, got {word_bound}")
-        if word_bound in self._orbits:
-            return self._orbits[word_bound]
-        depth = len(self._sizes)
-        if word_bound < depth:
-            # a prefix of the deepest orbit, whose dicts run level by level
-            deepest = self._orbits[depth]
-            orbit = tuple(dict(itertools.islice(d.items(), size))
-                          for d, size in zip(deepest,
-                                             self._sizes[word_bound - 1]))
-        else:
-            orbit = tuple(dict(d) for d in self._orbits[depth]) \
-                if depth else ({}, {})
-            for _ in range(depth, word_bound):
-                self._level = self._grow(self._level, *orbit)
-                self._sizes.append(tuple(map(len, orbit)))
-        self._orbits[word_bound] = orbit
-        return orbit
+        while len(self._ends) <= word_bound:
+            self._grow()
+        return self._images, self._keys
 
-    def _grow(self, level: list, images: dict, keys: dict) -> list:
-        """The next BFS level of word_orbit after level, its images
-        recorded in images and their isotropic differences in keys."""
-        v = self.v
+    def _grow(self) -> None:
+        """Walk the next BFS level of word_orbit from the last one,
+        _entries[_ends[-2]:] (all of _entries at level 0, v)."""
+        v, images, keys, entries = (self.v, self._images, self._keys,
+                                    self._entries)
         g_v = [row[0] for row in self.gram]  # G v, the Gram's column 0
-        grown = []
+        start = self._ends[-2] if len(self._ends) > 1 else 0
+        end = len(entries)
         # token-major, so the first pair to reach an image is the least
         for token, rows in self._token_rows.items():
             back = _TOKEN_INVERSE.get(token, token)
-            for y, parent in level:
+            for parent, y in itertools.islice(entries, start, end):
                 if parent and parent[0] == back:
                     continue
                 x = _apply(rows, y)
@@ -265,7 +258,7 @@ class WitnessContext:
                     continue
                 word = (token,) + parent
                 images[x] = word
-                grown.append((x, word))
+                entries.append((word, x))
                 pairing = sum(map(operator.mul, x, g_v))
                 if pairing in (2, -2):
                     # g(v) - v at pairing 2, g(v) + v at -2
@@ -273,7 +266,7 @@ class WitnessContext:
                         (x[0] - pairing // 2,) + x[1:])
                     if any(key):  # g(v) = -v has no difference
                         keys.setdefault(key, (word, x))
-        return grown
+        self._ends.append(len(entries))
 
 
 def _apply(rows: Sequence[tuple[int, Sequence[tuple[int, int]]]],
@@ -414,9 +407,9 @@ def in_unipotent_radical(g: GroupElement, eps: Sequence[int],
 def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
                                word_bound: int) -> GroupElement | None:
     """u = C_x C_v, the word g C g^-1 C verified against the product of
-    the two reflections, for the one entry (g, x = g(v)) that
-    word_orbit(word_bound) keeps at eps's sign-canonical form.  eps is
-    validated by ctx.perp.
+    the two reflections, for the one entry (g, x = g(v)) that word_orbit
+    keeps at eps's sign-canonical form, if g has at most word_bound
+    tokens.  eps is validated by ctx.perp.
 
     As x . v = +-2 and eps = +-(x -+ v), u fixes eps and moves each y in
     eps-perp by +-(y . v) eps, so it lies in the unipotent radical at eps,
@@ -427,7 +420,7 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
     """
     eps = ctx.perp(eps)[0]
     entry = ctx.word_orbit(word_bound)[1].get(linalg.sign_canonical(eps))
-    if entry is None:
+    if entry is None or len(entry[0]) > word_bound:
         return None
     word, x = entry
     # C applied to the rows of C_x
@@ -445,8 +438,8 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
 
 def _orbit_perp(ctx: WitnessContext, eps: Sequence[int], word_bound: int):
     """The orbit images orthogonal to eps, lazily, each as (word, image):
-    v with the empty word, then the images of word_orbit(word_bound) in
-    orbit order.  eps is validated by ctx.perp.
+    the context's orbit entries, v first, through BFS level word_bound,
+    in orbit order.  eps is validated by ctx.perp.
 
     Every reader at one (eps, word bound) shares one walk of the orbit,
     kept in ctx: it reads the images found so far, and walks on past them
@@ -455,10 +448,10 @@ def _orbit_perp(ctx: WitnessContext, eps: Sequence[int], word_bound: int):
     walk = ctx._walks.get((eps, word_bound))
     if walk is None:
         g_eps = linalg.mat_vec(ctx.gram, eps)
-        orbit = ctx.word_orbit(word_bound)[0]
+        ctx.word_orbit(word_bound)  # walks levels up to word_bound
         walk = ctx._walks[eps, word_bound] = ([], (
-            (word, y) for y, word in itertools.chain([(ctx.v, ())],
-                                                     orbit.items())
+            (word, y) for word, y in itertools.islice(
+                ctx._entries, ctx._ends[word_bound])
             if not sum(map(operator.mul, y, g_eps))))
     found, rest = walk
     for i in itertools.count():
@@ -483,9 +476,10 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
 
 def _gamma_pairs(ctx: WitnessContext, eps: Sequence[int], word_bound: int):
     """Y(eps) as pairs (x axis, y axis), lazily: each image y of
-    _orbit_perp with y + eps, or else y - eps, an orbit image x.  As
-    x . y = 2, C_x C_y moves each z in eps-perp to z + (z . y)(x - y): it
-    lies in the unipotent radical at eps, with translation z -> +-(z . y).
+    _orbit_perp with y + eps, or else y - eps, an orbit image x within
+    the word bound.  As x . y = 2, C_x C_y moves each z in eps-perp to
+    z + (z . y)(x - y): it lies in the unipotent radical at eps, with
+    translation z -> +-(z . y).
     The images read here are kept in ctx for integral_reflection_vectors
     at the same eps and bound."""
     eps = ctx.perp(eps)[0]
@@ -494,7 +488,7 @@ def _gamma_pairs(ctx: WitnessContext, eps: Sequence[int], word_bound: int):
         for x in (tuple(map(operator.add, y, eps)),
                   tuple(map(operator.sub, y, eps))):
             x_word = () if x == ctx.v else orbit.get(x)
-            if x_word is not None:
+            if x_word is not None and len(x_word) <= word_bound:
                 yield (x_word, x), (word, y)
                 break
 
@@ -632,11 +626,13 @@ def orbit_candidates(ctx: WitnessContext, search_bound: int,
                      word_bound: int) -> list[tuple[int, ...]]:
     """The hits of isotropic_search(ctx.gram, search_bound) that can
     yield a unipotent, found without walking the box: the keys of
-    word_orbit(word_bound), the sign-canonical isotropic differences
-    +-(g(v) -+ v), that are primitive and inside
+    word_orbit within word_bound, the sign-canonical isotropic
+    differences +-(g(v) -+ v), that are primitive and inside
     [-search_bound, search_bound]^n, in lexicographic order."""
-    return sorted(key for key in ctx.word_orbit(word_bound)[1]
-                  if max(map(abs, key)) <= search_bound
+    keys = ctx.word_orbit(word_bound)[1]
+    return sorted(key for key, (word, _) in keys.items()
+                  if len(word) <= word_bound
+                  and max(map(abs, key)) <= search_bound
                   and math.gcd(*key) == 1)
 
 

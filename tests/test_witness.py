@@ -303,13 +303,23 @@ def test_element_rejects_an_unknown_token(ctx):
         ctx.element(("A", "B"))
 
 
+def _within(orbit, bound):
+    """The entries of word_orbit's (images, keys) whose words have at
+    most bound tokens, in order: the orbit of that word bound."""
+    images, keys = orbit
+    return ([(x, word) for x, word in images.items() if len(word) <= bound],
+            [(key, entry) for key, entry in keys.items()
+             if len(entry[0]) <= bound])
+
+
 def test_word_orbit_deterministic_and_cached(ctx):
+    # the module's ctx may already be walked past bound 4, so its entries
+    # are read by the read rule
     first = ctx.word_orbit(4)
     again = ctx.word_orbit(4)
     assert first == again
     fresh = WitnessContext(ctx.pair).word_orbit(4)
-    assert first[0] == fresh[0] and first[1] == fresh[1]
-    assert list(first[0].values()) == list(fresh[0].values())
+    assert _within(first, 4) == tuple(list(d.items()) for d in fresh)
 
 
 @pytest.mark.parametrize("bound", [0, -1])
@@ -322,7 +332,8 @@ def test_word_orbit_rejects_bound_above_the_limit(ctx):
     fresh = WitnessContext(ctx.pair)
     with pytest.raises(ValueError, match="at most MAX_WORD_BOUND = 16"):
         fresh.word_orbit(witness.MAX_WORD_BOUND + 1)
-    assert fresh._orbits == {}
+    # no level past level 0, v, is walked
+    assert fresh._ends == [1] and fresh._entries == [((), fresh.v)]
 
 
 def _matrix_word_orbit(ctx, word_bound):
@@ -499,28 +510,60 @@ def test_word_orbit_matches_the_generator_walk(entry):
         ], bound
 
 
-# word_orbit extends the deepest orbit built so far from its last level,
-# and serves a smaller bound as a prefix of it: every bound, asked in any
-# order, gives the images and keys of a fresh walk, in the same order
+# a context keeps one orbit, walked as deep as the largest bound asked:
+# for every bound, asked in any order, the images and keys whose words
+# have at most that many tokens are those of a fresh walk, in the same
+# order, and every bound returns the same two dicts
 
 @pytest.mark.parametrize("name", ["ex02", "ex03"])
 def test_word_orbit_across_bounds_equals_a_fresh_orbit(name):
     entry = next(e for e in corpus.ENTRIES if e.name == name)
     pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
+    fresh = {b: tuple(list(d.items())
+                      for d in WitnessContext(pair).word_orbit(b))
+             for b in (3, 8, 10)}
+    for order in ((8, 10, 8, 3), (10, 8, 3), (3, 10, 8)):
+        ctx = WitnessContext(pair)
+        for b in order:
+            assert _within(ctx.word_orbit(b), b) == fresh[b], order
+        eight, ten = ctx.word_orbit(8), ctx.word_orbit(10)
+        assert eight[0] is ten[0] and eight[1] is ten[1]
 
-    def same(got, want):
-        return all(list(a.items()) == list(b.items())
-                   for a, b in zip(got, want))
-    fresh = {b: WitnessContext(pair).word_orbit(b) for b in (3, 8, 10)}
+
+def _hunt_reads(ctx, word_bound):
+    """What every reader of the orbit gives at word_bound, each
+    candidate's pairs and axes read in full."""
+    candidates = orbit_candidates(ctx, 3, word_bound)
+    return candidates, [
+        (list(witness._gamma_pairs(ctx, eps, word_bound)),
+         integral_reflection_vectors(ctx, eps, word_bound),
+         unipotent_from_reflections(ctx, eps, word_bound))
+        for eps in candidates]
+
+
+# the readers apply the read rule: a context walked to bound 10 first
+# gives at bounds 8 and 3 what a fresh context walked to that bound gives;
+# ex03 has 8 candidates at bound 8 and 11 at bound 10, and a key first
+# reached by a word of 9 or 10 tokens gives no unipotent at bound 8
+
+@pytest.mark.parametrize("name", ["ex02", "ex03"])
+def test_readers_of_a_deeper_orbit_equal_a_fresh_context(name):
+    entry = next(e for e in corpus.ENTRIES if e.name == name)
+    pair = build_pair(parse_poly(entry.f_text), parse_poly(entry.g_text))
     ctx = WitnessContext(pair)
-    eight = ctx.word_orbit(8)
-    assert same(ctx.word_orbit(10), fresh[10])
-    assert same(eight, fresh[8]) and ctx.word_orbit(8) is eight
-    ctx = WitnessContext(pair)
-    assert same(ctx.word_orbit(10), fresh[10])
-    assert same(ctx.word_orbit(8), fresh[8])
-    assert same(ctx.word_orbit(3), fresh[3])
-    assert sorted(ctx._orbits) == [3, 8, 10]
+    deep = orbit_candidates(ctx, 3, 10)
+    for bound in (8, 3):
+        assert _hunt_reads(ctx, bound) \
+            == _hunt_reads(WitnessContext(pair), bound), bound
+    late = sorted(set(deep) - set(orbit_candidates(ctx, 3, 8)))
+    if name == "ex03":
+        assert (len(orbit_candidates(ctx, 3, 8)), len(deep)) == (8, 11)
+        assert len(late) == 3
+    for eps in late:
+        word, _ = ctx.word_orbit(10)[1][eps]
+        assert len(word) in (9, 10)
+        assert unipotent_from_reflections(ctx, eps, 8) is None
+        assert unipotent_from_reflections(ctx, eps, 10) is not None
 
 
 # ------------------------------------------------------------ orthocomplement
@@ -940,7 +983,8 @@ def test_the_second_hunt_runs_two_levels_past_the_word_bound(
     assert witness._hunt(ctx, 3, 8)[0] == 2
     rep = arithmeticity_report(ctx, 3, 8)
     assert rep.conclusion == WITNESSED and rep.translation_rank == 3
-    assert sorted(ctx._orbits) == [8, 10]
+    # the one orbit holds levels 0 (v) to 10
+    assert len(ctx._ends) == 11
     # a hunt that finds no candidate runs twice, but never past the limit
     hunted = []
     monkeypatch.setattr(witness, "_hunt",
@@ -1059,9 +1103,12 @@ def test_orbit_candidates_equal_box_hits_with_orbit_keys(f_text, g_text):
             continue
         hits = isotropic_search(ctx.gram, bound)
         for word_bound in (4, 8):
-            # the hits are sign-canonical, as the keys are
+            # the hits are sign-canonical, as the keys are; bound 4 is
+            # asked after bound 8, so a key is read only if its word has
+            # at most word_bound tokens
             keys = ctx.word_orbit(word_bound)[1]
-            keyed = [e for e in hits if e in keys]
+            keyed = [e for e in hits
+                     if e in keys and len(keys[e][0]) <= word_bound]
             assert orbit_candidates(ctx, bound, word_bound) == keyed
 
 
