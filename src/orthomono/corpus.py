@@ -28,7 +28,8 @@ from .monodromy import build_pair
 from .parsing import parse_poly
 from .polynomials import IntPoly, divrem, render
 from .quadform import DEFAULT_SEARCH_BOUND, gram_invariance, q_rank
-from .witness import GroupElement, WitnessContext, in_unipotent_radical
+from .witness import (GroupElement, WitnessContext, _reduced,
+                      in_unipotent_radical)
 
 ERRATA = {
     "dropped-term": "the stated Av omits the 4x^2 term of g - f; every "
@@ -170,10 +171,11 @@ class _Context:
     def word_matrix(self, word: Sequence[int]) -> GroupElement:
         """Product of reflections about A^k v, leftmost applied last,
         matching the written order C_{A^k1 v} C_{A^k2 v} ...; the
-        reflection about A^k v is the word A^k C A^-k."""
-        return self.witness.element(tuple(
+        reflection about A^k v is the word A^k C A^-k, and the word is
+        freely reduced before it is evaluated, as replays are."""
+        return self.witness.element(_reduced(tuple(
             t for k in word
-            for t in ("A",) * k + ("C",) + ("A^-1",) * k))
+            for t in ("A",) * k + ("C",) + ("A^-1",) * k)))
 
 
 def _eval_poly(ctx: _Context, spec: tuple, stated) -> tuple[str, str, bool]:

@@ -148,11 +148,14 @@ def gram_remainder(pair: HyperPair) -> QuadSpace:
 def gram_invariance(pair: HyperPair, space: QuadSpace
                     ) -> tuple[tuple[Fraction, ...], ...]:
     """The certified cyclic-basis form of invariant_space in the standard
-    basis, S^-T G S^-1, as Fraction rows with v.v = 2."""
+    basis, S^-T G S^-1, as Fraction rows with v.v = 2.  With d the least
+    common denominator of the entries of S^-1, X = d S^-1 is an int
+    matrix, so the form is X^T G X, formed in ints, over d^2."""
     s_inv = linalg.inverse(pair.S)
-    std = linalg.mat_mul(linalg.transpose(s_inv),
-                         linalg.mat_mul(space.gram, s_inv))
-    return tuple(tuple(Fraction(x) for x in row) for row in std)
+    d = math.lcm(*(x.denominator for row in s_inv for x in row))
+    x = [[e.numerator * (d // e.denominator) for e in row] for row in s_inv]
+    std = linalg.mat_mul(linalg.transpose(x), linalg.mat_mul(space.gram, x))
+    return tuple(tuple(Fraction(e, d * d) for e in row) for row in std)
 
 
 def _require_self_reciprocal(pair: HyperPair) -> None:

@@ -14,12 +14,15 @@ it, and the two are cross-checked at construction, so every certificate
 is replayable.  Every token acts through one table, the rows of its
 checked generator that are not rows of the identity, by their nonzero
 entries (every row of A and A^-1, at most two entries each, and row 0
-alone of C), and one kernel that recomputes those rows of a vector in
-O(n): word_orbit applies tokens to the images g(v), and element applies
-a word's tokens, last first, to the columns of the identity.  The hunt
+alone of C).  word_orbit applies tokens to the images g(v), recomputing
+those entries of a vector in O(n); element left-multiplies the rows of
+its running product by each token, last first, where a unit row of the
+token moves a row with no arithmetic and any other row is one
+combination, led by its entry of value 1 where it has one.  The hunt
 takes no dense product: the isometry check pairs the columns of m with
-those of G m, one pass.  It reflects only about images g(v), by
-g C g^-1, so every element it counts is a word.
+those of G m, one pass over one triangle of the symmetric Gram.  It
+reflects only about images g(v), by g C g^-1, so every element it
+counts is a word.
 
 arithmeticity_report runs the witness hunt alone: the caller builds the
 pair once, and the WitnessContext that the hunt's functions take builds
@@ -101,16 +104,20 @@ def _check_isometry(gram, m, label: str) -> None:
     """Raise PairValidationError unless m^T G m = G, and ValueError
     unless m is n x n.  Entry (i, j) of m^T G m is column i of m paired
     with column j of G m; each column of G m is formed once, and the
-    first entry that differs from G's stops the check."""
+    first entry that differs from G's stops the check.  When G is
+    symmetric, so is m^T G m, and only its entries i <= j are compared;
+    otherwise every entry is."""
     n = len(gram)
     if len(m) != n or any(len(row) != n for row in m):
         raise ValueError(f"{label}: an isometry check takes an {n} x {n} "
                          f"matrix")
+    symmetric = list(zip(*gram)) == list(map(tuple, gram))
     cols = list(zip(*m))
     for j, col in enumerate(cols):
         g_col = [sum(map(operator.mul, row, col)) for row in gram]
         if any(sum(map(operator.mul, c, g_col)) != row[j]
-               for c, row in zip(cols, gram)):
+               for c, row in itertools.islice(zip(cols, gram),
+                                              j + 1 if symmetric else n)):
             raise PairValidationError(f"{label} does not preserve the form")
 
 
@@ -161,28 +168,31 @@ class WitnessContext:
         the identity, as (row index, nonzero (column, value) entries),
         read off the checked generators: every row of the companion
         matrix A and of A^-1, at most two entries each, and row 0 alone
-        of C, the reflection about v: C y = y - (y . v) e_0."""
-        return {token: [(i, [(j, a) for j, a in enumerate(row) if a])
+        of C, the reflection about v: C y = y - (y . v) e_0.  An entry
+        of value 1, where a row has one, comes first."""
+        return {token: [(i, sorted(((j, a) for j, a in enumerate(row) if a),
+                                   key=lambda entry: entry[1] != 1))
                         for i, row in enumerate(matrix)
                         if any(a != (i == j) for j, a in enumerate(row))]
                 for token, matrix in self.generators.items()}
 
     def element(self, word: Sequence[str]) -> GroupElement:
         """The element of a word over {A, A^-1, C}, its matrix the product
-        of the token matrices in word order: column j is T1(...Tk(e_j)),
-        so the tokens are applied last first to the columns of the
-        identity, O(n^2) per token; any other token raises ValueError.
-        The product is checked to preserve the form."""
+        T1 (T2 (... (Tk I))) of the token matrices in word order: the
+        tokens are applied last first to the rows of the running
+        product by _times_rows, O(n) per changed row; any other token
+        raises ValueError.  The product is checked to preserve the
+        form."""
         table = self._token_rows
         steps = []
         for token in word:
             if token not in table:
                 raise ValueError(f"unknown word token {token!r}")
             steps.append(table[token])
-        cols = linalg.identity(self.n)
+        m = linalg.identity(self.n)
         for rows in reversed(steps):
-            cols = [_apply(rows, y) for y in cols]
-        m = int_matrix(zip(*cols))
+            m = _times_rows(rows, m)
+        m = int_matrix(m)
         _check_isometry(self.gram, m, " ".join(word) if word else "identity")
         return GroupElement(word=tuple(word), matrix=m)
 
@@ -281,6 +291,29 @@ def _apply(rows: Sequence[tuple[int, Sequence[tuple[int, int]]]],
             acc += a * y[j]
         image[i] = acc
     return tuple(image)
+
+
+def _times_rows(rows: Sequence[tuple[int, Sequence[tuple[int, int]]]],
+                m: list) -> list:
+    """The rows of T m from T's rows in WitnessContext._token_rows and
+    the rows of m, which are shared, not copied: a row where T is the
+    identity is kept, a unit row e_j of T is row j of m, moved, and any
+    other row is one combination of m's rows led by its first entry,
+    the one of value 1 where it has one."""
+    out = list(m)
+    for i, row in rows:
+        entries = iter(row)
+        j, a = next(entries)
+        acc = m[j] if a == 1 else [a * x for x in m[j]]
+        for j, a in entries:
+            if a == 1:
+                acc = list(map(operator.add, acc, m[j]))
+            elif a == -1:
+                acc = list(map(operator.sub, acc, m[j]))
+            else:
+                acc = [x + a * y for x, y in zip(acc, m[j])]
+        out[i] = acc
+    return out
 
 
 def _reflection_axis(gram: Sequence[Sequence], w: Sequence[int]
@@ -502,7 +535,11 @@ def _closure(pairs, axes, eps: tuple[int, ...], ctx: WitnessContext
     k reflects the vectors that raised the rank in layer k - 1 about each
     axis, which by linearity spans every m of at most three reflections;
     so the pairs that raise the rank in layer 0 give the same steps
-    alone."""
+    alone.  Every vector y reflected lies in the span, so once one
+    nonzero shift s has given x = y - s z, in the span too, the axis z
+    is in the span and no later reflection about it can raise the rank:
+    it is not tried again, and layers 1 to 3 insert at most one vector
+    per axis."""
     echelon: list[tuple[int, list[int]]] = []
     _echelon_insert(echelon, eps)
     raising = []
@@ -513,13 +550,16 @@ def _closure(pairs, axes, eps: tuple[int, ...], ctx: WitnessContext
             if len(raising) == ctx.n - 2:
                 return raising
     added = list(raising)
+    open_axes = [(k, z) for k, (_, z) in enumerate(axes)]
     for _ in range(3):
         grown = []
         for pair, path, y in added:
             g_y = linalg.mat_vec(ctx.gram, y)
-            for k, (_, z) in enumerate(axes):
+            still_open = []
+            for k, z in open_axes:
                 shift = sum(map(operator.mul, g_y, z))
                 if not shift:
+                    still_open.append((k, z))
                     continue
                 x = tuple(a - shift * b for a, b in zip(y, z))
                 if _echelon_insert(echelon, x):
@@ -527,6 +567,7 @@ def _closure(pairs, axes, eps: tuple[int, ...], ctx: WitnessContext
                     raising.append(grown[-1])
                     if len(raising) == ctx.n - 2:
                         return raising
+            open_axes = still_open
         added = grown
     return raising
 

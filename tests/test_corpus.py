@@ -1,6 +1,8 @@
 """The worked-example catalogue must reproduce every stated value, and every
 entry tagged as a misprint must fail to reproduce for the documented reason."""
+from orthomono import corpus, linalg
 from orthomono.corpus import ENTRIES, ERRATA, evaluate_entry, run_suite
+from orthomono.witness import reflection_matrix
 
 
 def test_suite_is_clean():
@@ -50,3 +52,32 @@ def test_entry_titles_show_both_polynomials():
         result = evaluate_entry(entry)
         assert entry.f_text in result.title
         assert entry.g_text in result.title
+
+
+# word_matrix freely reduces its word before evaluating it, as replays
+# do; every word-image and unipotent datum reads as it does from the
+# unreduced word, and a word whose exponents meet loses its cancelled
+# tokens but keeps its matrix, the product of the two reflections
+
+def test_reduced_words_read_as_the_unreduced_ones(monkeypatch):
+    kinds = ("word-image", "unipotent")
+
+    def found():
+        return [(e.name, d.label, r.found) for e in ENTRIES
+                for d, r in zip(e.data, evaluate_entry(e).results)
+                if d.kind in kinds]
+
+    reduced = found()
+    assert len(reduced) == 15
+    monkeypatch.setattr(corpus, "_reduced", tuple)
+    assert found() == reduced
+
+
+def test_word_matrix_cancels_where_exponents_meet():
+    ctx = corpus._Context(ENTRIES[0])
+    u = ctx.word_matrix((2, 3))
+    assert u.word == ("A", "A", "C", "A", "C", "A^-1", "A^-1", "A^-1")
+    gram = ctx.space.gram
+    assert u.matrix == tuple(map(tuple, linalg.mat_mul(
+        reflection_matrix(gram, (0, 0, 1, 0, 0)),
+        reflection_matrix(gram, (0, 0, 0, 1, 0)))))

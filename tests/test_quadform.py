@@ -210,6 +210,46 @@ def test_certified_form_matches_the_solved_reference(cyclotomic_pairs):
             == tuple(tuple(F(2 * x, scale) for x in row) for row in h)
 
 
+def _fraction_gram_invariance(pair, space):
+    """Reference: S^-T G S^-1 as Fraction products of linalg.inverse."""
+    s_inv = linalg.inverse(pair.S)
+    std = linalg.mat_mul(linalg.transpose(s_inv),
+                         linalg.mat_mul(space.gram, s_inv))
+    return tuple(tuple(F(x) for x in row) for row in std)
+
+
+# gram_invariance forms d S^-1 in ints and divides by d^2 once; it must
+# give the Fraction product exactly, on the worked pairs, the battery and
+# pads whose S^-1 has denominators, and the one standard-basis datum of
+# the catalogue must read as before
+
+def test_gram_invariance_equals_the_fraction_reference(cyclotomic_pairs):
+    pads = [pad_pair(P(BASE_F), P(BASE_G), parse_poly("y^2+1", var="y"),
+                     parse_poly("y^2-y+1", var="y"), d=d).pair
+            for d in (2, 6)]
+    assert [pad.n for pad in pads] == [9, 17]
+    pairs = ([pair_of(e.f_text, e.g_text) for e in corpus.ENTRIES]
+             + [build_pair(f, g) for f, g in cyclotomic_pairs] + pads)
+    assert len(pairs) == 63
+    fractional = 0
+    for pair in pairs:
+        space = invariant_space(pair)
+        std = gram_invariance(pair, space)
+        assert std == _fraction_gram_invariance(pair, space)
+        assert all(type(x) is F for row in std for x in row)
+        fractional += any(x.denominator > 1 for row in std for x in row)
+    assert fractional
+    ex06 = next(e for e in corpus.ENTRIES if e.name == "ex06")
+    datum, result = next(
+        (d, r) for d, r in zip(ex06.data, corpus.evaluate_entry(ex06).results)
+        if d.kind == "isotropic-std")
+    pair = pair_of(ex06.f_text, ex06.g_text)
+    w = datum.spec[0]
+    norm = linalg.vec_dot(
+        w, _fraction_gram_invariance(pair, invariant_space(pair)), w)
+    assert (result.found, norm) == ("norm -3/8", F(-3, 8))
+
+
 def test_invariant_space_is_cyclic_toeplitz(base_pair, base_space):
     std = space_of(gram_invariance(base_pair, base_space))
     assert linalg.mat_eq(change_basis(std, base_pair.S).gram, base_space.gram)

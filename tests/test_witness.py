@@ -204,6 +204,22 @@ def test_isometry_check_rejects_every_single_entry_change(ctx, u):
                         witness._check_isometry(ctx.gram, bent, label)
 
 
+# for a symmetric G the check compares m^T G m with G on and above the
+# diagonal only; any other G is compared entry by entry, so a matrix that
+# matches an asymmetric G above the diagonal alone is still rejected
+
+def test_isometry_check_compares_every_entry_of_an_asymmetric_gram():
+    gram = ((2, 2), (0, 2))
+    m = ((1, 1), (0, 0))
+    image = linalg.mat_mul(linalg.transpose(m), linalg.mat_mul(gram, m))
+    assert image == [[2, 2], [2, 2]]
+    assert all(image[i][j] == gram[i][j] for i in range(2)
+               for j in range(i, 2))
+    with pytest.raises(PairValidationError,
+                       match="does not preserve the form"):
+        witness._check_isometry(gram, m, "m")
+
+
 def test_isometry_check_takes_n_by_n_matrices_only(ctx, u):
     m = [list(row) for row in u.matrix]
     for bad in (m[:-1], m + [m[0]], [row + [0] for row in m],
@@ -1459,3 +1475,72 @@ def test_hunt_with_shared_walks_matches_the_reference(f_text, g_text):
     for bound in (8, 10):
         assert witness._hunt(ctx, 3, bound) \
             == _reference_hunt(WitnessContext(pair), 3, bound)
+
+
+def _reference_closure(pairs, axes, eps, ctx):
+    """_closure as it reflects every vector added in a layer about every
+    axis, whether or not an earlier reflection put that axis in the
+    span."""
+    echelon = []
+    _echelon_insert(echelon, eps)
+    raising = []
+    for pair in pairs:
+        y = pair[1][1]
+        if _echelon_insert(echelon, y):
+            raising.append((pair, (), y))
+            if len(raising) == ctx.n - 2:
+                return raising
+    added = list(raising)
+    for _ in range(3):
+        grown = []
+        for pair, path, y in added:
+            g_y = linalg.mat_vec(ctx.gram, y)
+            for k, (_, z) in enumerate(axes):
+                shift = sum(a * b for a, b in zip(g_y, z))
+                if not shift:
+                    continue
+                x = tuple(a - shift * b for a, b in zip(y, z))
+                if _echelon_insert(echelon, x):
+                    grown.append((pair, (k,) + path, x))
+                    raising.append(grown[-1])
+                    if len(raising) == ctx.n - 2:
+                        return raising
+        added = grown
+    return raising
+
+
+# _closure tries an axis no more once a nonzero shift has put it in the
+# span; for every candidate eps of the hunt at both word bounds, from the
+# first pair alone and from the pairs that raise the rank in layer 0, it
+# gives the reference's raising list, and layers 1 to 3 insert at most
+# one vector per axis
+
+@pytest.mark.parametrize("f_text, g_text", _pair_cases())
+def test_closure_matches_the_reference_and_tries_each_axis_once(
+        monkeypatch, f_text, g_text):
+    pair = build_pair(parse_poly(f_text), parse_poly(g_text))
+    ctx = WitnessContext(pair)
+    if min(signature(ctx.space)) < 1 or (2 * 3 + 1) ** ctx.n > SEARCH_CAP:
+        return
+    inserts = 0
+
+    def counted(echelon, vec):
+        nonlocal inserts
+        inserts += 1
+        return _echelon_insert(echelon, vec)
+
+    for bound in (8, 10):
+        for eps in orbit_candidates(ctx, 3, bound):
+            pairs = list(witness._gamma_pairs(ctx, eps, bound))
+            axes = integral_reflection_vectors(ctx, eps, bound)
+            layer_0 = [p for p, _, _ in _reference_closure(pairs, (), eps,
+                                                           ctx)]
+            for seeds in (pairs[:1], layer_0):
+                expected = _reference_closure(seeds, axes, eps, ctx)
+                inserts = 0
+                with monkeypatch.context() as patch:
+                    patch.setattr(witness, "_echelon_insert", counted)
+                    assert witness._closure(seeds, axes, eps, ctx) \
+                        == expected, (eps, bound)
+                # eps and each seed are inserted in layer 0
+                assert inserts - 1 - len(seeds) <= len(axes), (eps, bound)
