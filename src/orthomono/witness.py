@@ -40,10 +40,11 @@ states.  The orbit maps each image g(v) to its word, and each
 sign-canonical isotropic difference +-(g(v) -+ v) to the first image that
 gives it, with its word, so the candidates eps are a filter over those
 keys, the unipotent for an eps is one lookup, and the pairs at eps are two
-lookups per image.  The images orthogonal to one eps are found by one
-walk, shared by its pairs and its axes.
-Every function that takes eps validates it once, through
-WitnessContext.perp, and works with the first vector of that list, eps.
+lookups per image.  The hunt walks the images orthogonal to each
+candidate once: its pairs read them, and its axes are the images read.
+The context keeps nothing per eps.  Every public function that takes eps
+validates it through orthocomplement; the hunt's candidates are orbit
+keys, primitive and isotropic by construction.
 SEARCH_CAP bounds the candidates' box.
 """
 from __future__ import annotations
@@ -52,7 +53,7 @@ import itertools
 import math
 import operator
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .monodromy import HyperPair, PairValidationError, int_matrix
@@ -148,10 +149,6 @@ class WitnessContext:
         self._keys: dict = {}
         self._entries: list = [((), self.v)]
         self._ends: list[int] = [1]
-        self._perps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        # per (eps, word bound), the images of _orbit_perp read so far
-        # and the rest of that walk
-        self._walks: dict[tuple, tuple[list, Iterator]] = {}
 
     @cached_property
     def generators(self) -> dict[str, tuple[tuple[int, ...], ...]]:
@@ -203,13 +200,6 @@ class WitnessContext:
         if self.element(word).matrix != matrix:
             raise ValueError("matrix does not match its word")
         return GroupElement(word=tuple(word), matrix=matrix)
-
-    def perp(self, eps: Sequence[int]) -> list[tuple[int, ...]]:
-        """orthocomplement(self.gram, eps), built once per eps."""
-        eps = linalg.int_vector(eps)
-        if eps not in self._perps:
-            self._perps[eps] = orthocomplement(self.gram, eps)
-        return self._perps[eps]
 
     def word_orbit(self, word_bound: int) -> tuple[dict, dict]:
         """Breadth-first orbit of v under words in {A, A^-1, C} of length
@@ -419,7 +409,7 @@ def in_unipotent_radical(g: GroupElement, eps: Sequence[int],
                          ctx: WitnessContext) -> bool:
     """Whether g lies in the unipotent radical of the parabolic fixing
     the isotropic line through eps: g fixes eps and acts trivially on
-    eps-perp/line.  eps is validated by ctx.perp.
+    eps-perp/line.  eps is validated by orthocomplement.
 
     On the base pair, u = C_{A^2 v} C_v moves v to v - 2 eps for
     eps = v - A^2 v, and A moves the line through eps:
@@ -434,7 +424,8 @@ def in_unipotent_radical(g: GroupElement, eps: Sequence[int],
     >>> in_unipotent_radical(ctx.element(("A",)), (1, 0, -1, 0, 0), ctx)
     False
     """
-    return _radical_factors(g.matrix, ctx.perp(eps)) is not None
+    return _radical_factors(g.matrix, orthocomplement(ctx.gram, eps)) \
+        is not None
 
 
 def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
@@ -442,16 +433,18 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
     """u = C_x C_v, the word g C g^-1 C verified against the product of
     the two reflections, for the one entry (g, x = g(v)) that word_orbit
     keeps at eps's sign-canonical form, if g has at most word_bound
-    tokens.  eps is validated by ctx.perp.
+    tokens.  eps is validated by orthocomplement.
 
     As x . v = +-2 and eps = +-(x -+ v), u fixes eps and moves each y in
     eps-perp by +-(y . v) eps, so it lies in the unipotent radical at eps,
     and it is not the identity, as v is no multiple of the isotropic eps.
-    Both are checked, as is the word against the product of the two
+    Both are checked, the first by _radical_factors on the one basis of
+    eps-perp built here, as is the word against the product of the two
     reflections: a failure raises OracleMismatchError.  None when the
     bounded orbit does not reach eps, a report outcome, not an error.
     """
-    eps = ctx.perp(eps)[0]
+    perp = orthocomplement(ctx.gram, eps)
+    eps = perp[0]
     entry = ctx.word_orbit(word_bound)[1].get(linalg.sign_canonical(eps))
     if entry is None or len(entry[0]) > word_bound:
         return None
@@ -463,7 +456,7 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
         u = ctx.verified(_reflection_word(word) + ("C",), product)
     except ValueError as exc:
         raise OracleMismatchError(f"C_x C_v for x = {x}: {exc}") from exc
-    if u.is_identity or not in_unipotent_radical(u, eps, ctx):
+    if u.is_identity or _radical_factors(u.matrix, perp) is None:
         raise OracleMismatchError(f"C_x C_v for x = {x} is not a nontrivial "
                                   f"element of the unipotent radical")
     return u
@@ -472,28 +465,13 @@ def unipotent_from_reflections(ctx: WitnessContext, eps: Sequence[int],
 def _orbit_perp(ctx: WitnessContext, eps: Sequence[int], word_bound: int):
     """The orbit images orthogonal to eps, lazily, each as (word, image):
     the context's orbit entries, v first, through BFS level word_bound,
-    in orbit order.  eps is validated by ctx.perp.
-
-    Every reader at one (eps, word bound) shares one walk of the orbit,
-    kept in ctx: it reads the images found so far, and walks on past them
-    only when it needs more, so each image is paired with G eps once."""
-    eps = ctx.perp(eps)[0]
-    walk = ctx._walks.get((eps, word_bound))
-    if walk is None:
-        g_eps = linalg.mat_vec(ctx.gram, eps)
-        ctx.word_orbit(word_bound)  # walks levels up to word_bound
-        walk = ctx._walks[eps, word_bound] = ([], (
-            (word, y) for word, y in itertools.islice(
-                ctx._entries, ctx._ends[word_bound])
-            if not sum(map(operator.mul, y, g_eps))))
-    found, rest = walk
-    for i in itertools.count():
-        if i == len(found):
-            step = next(rest, None)
-            if step is None:
-                return
-            found.append(step)
-        yield found[i]
+    in orbit order.  eps is taken as given: each caller passes one that
+    orthocomplement validated or an orbit_candidates key."""
+    g_eps = linalg.mat_vec(ctx.gram, eps)
+    ctx.word_orbit(word_bound)  # walks levels up to word_bound
+    for word, y in itertools.islice(ctx._entries, ctx._ends[word_bound]):
+        if not sum(map(operator.mul, y, g_eps)):
+            yield word, y
 
 
 def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
@@ -502,22 +480,24 @@ def integral_reflection_vectors(ctx: WitnessContext, eps: Sequence[int],
                                                 tuple[int, ...]]]:
     """The span axes at eps, every image of _orbit_perp: g(v) has norm 2,
     so its reflection x -> x - (x . g(v)) g(v), the element g C g^-1,
-    is integral and fixes eps.  The walk goes on from where the readers
-    of _orbit_perp at (eps, word_bound), _gamma_pairs, left it."""
-    return list(_orbit_perp(ctx, eps, word_bound))
+    is integral and fixes eps.  eps is validated by orthocomplement.  The
+    hunt lists the same axes as its pairs read them (_gamma_pairs)."""
+    return list(_orbit_perp(ctx, orthocomplement(ctx.gram, eps)[0],
+                            word_bound))
 
 
-def _gamma_pairs(ctx: WitnessContext, eps: Sequence[int], word_bound: int):
+def _gamma_pairs(ctx: WitnessContext, eps: Sequence[int], word_bound: int,
+                 seen: list):
     """Y(eps) as pairs (x axis, y axis), lazily: each image y of
     _orbit_perp with y + eps, or else y - eps, an orbit image x within
     the word bound.  As x . y = 2, C_x C_y moves each z in eps-perp to
     z + (z . y)(x - y): it lies in the unipotent radical at eps, with
-    translation z -> +-(z . y).
-    The images read here are kept in ctx for integral_reflection_vectors
-    at the same eps and bound."""
-    eps = ctx.perp(eps)[0]
+    translation z -> +-(z . y).  eps is an orbit_candidates key.
+    Every image read is appended to seen, so once the pairs run out,
+    seen is integral_reflection_vectors at eps and the bound."""
     orbit = ctx.word_orbit(word_bound)[0]
     for word, y in _orbit_perp(ctx, eps, word_bound):
+        seen.append((word, y))
         for x in (tuple(map(operator.add, y, eps)),
                   tuple(map(operator.sub, y, eps))):
             x_word = () if x == ctx.v else orbit.get(x)
@@ -530,16 +510,17 @@ def _closure(pairs, axes, eps: tuple[int, ...], ctx: WitnessContext
              ) -> list[tuple[tuple, tuple[int, ...], tuple[int, ...]]]:
     """The rank-raising vectors m y of the translation closure, each as
     (pair, path of axis indices of m, outermost first, m y), stopping at
-    n - 2; the pairs are read lazily.  m C_x C_y m^-1 moves z in eps-perp
-    by +-(z . m y) eps, so the rank is that of the m y modulo eps.  Layer
-    k reflects the vectors that raised the rank in layer k - 1 about each
-    axis, which by linearity spans every m of at most three reflections;
-    so the pairs that raise the rank in layer 0 give the same steps
-    alone.  Every vector y reflected lies in the span, so once one
-    nonzero shift s has given x = y - s z, in the span too, the axis z
-    is in the span and no later reflection about it can raise the rank:
-    it is not tried again, and layers 1 to 3 insert at most one vector
-    per axis."""
+    n - 2; the pairs are read lazily, and the axes only once the pairs
+    have run out, so a list the pairs fill as they are read can be the
+    axes.  m C_x C_y m^-1 moves z in eps-perp by +-(z . m y) eps, so the
+    rank is that of the m y modulo eps.  Layer k reflects the vectors
+    that raised the rank in layer k - 1 about each axis, which by
+    linearity spans every m of at most three reflections; so the pairs
+    that raise the rank in layer 0 give the same steps alone.  Every
+    vector y reflected lies in the span, so once one nonzero shift s has
+    given x = y - s z, in the span too, the axis z is in the span and no
+    later reflection about it can raise the rank: it is not tried again,
+    and layers 1 to 3 insert at most one vector per axis."""
     echelon: list[tuple[int, list[int]]] = []
     _echelon_insert(echelon, eps)
     raising = []
@@ -617,9 +598,9 @@ def span_rank_witness(pairs, axes, eps: Sequence[int],
     path, is replayed from its word by ctx.element, and its translation
     must be the one read off m y, or OracleMismatchError: so an image
     whose word does not give it fails there, and every element the rank
-    counts is a checked word over {A, A^-1, C}.  The perp basis of eps
-    comes from ctx's cache."""
-    perp = ctx.perp(eps)
+    counts is a checked word over {A, A^-1, C}.  eps is validated by
+    orthocomplement, whose basis of eps-perp the replays read."""
+    perp = orthocomplement(ctx.gram, eps)
     eps = perp[0]
     g_eps = linalg.mat_vec(ctx.gram, eps)
     for _, z in axes:
@@ -680,20 +661,20 @@ def orbit_candidates(ctx: WitnessContext, search_bound: int,
 def _hunt(ctx: WitnessContext, search_bound: int, word_bound: int):
     """(rank, eps, pairs, axes) of the first candidate of greatest rank,
     stopping at n - 2, or None: the pairs that raised its rank in layer
-    0, and its axes, listed only when those pairs fall short.  A
-    candidate's pairs and axes read one walk of the images orthogonal to
-    it, and one whose pairs reach n - 2 reads only as far as they need."""
+    0, and its axes, empty when those pairs reach n - 2.  Each candidate
+    takes one walk of the images orthogonal to it and one _closure: the
+    pairs fill the axes list as they read, and _closure reads the axes
+    only once the pairs run out, so a candidate whose pairs reach n - 2
+    reads only as far as they need."""
     best = None
     for eps in orbit_candidates(ctx, search_bound, word_bound):
-        raising = _closure(_gamma_pairs(ctx, eps, word_bound), (), eps, ctx)
         axes = []
-        if len(raising) < ctx.n - 2:
-            axes = integral_reflection_vectors(ctx, eps, word_bound)
-            raising = _closure([pair for pair, _, _ in raising], axes, eps,
-                               ctx)
+        raising = _closure(_gamma_pairs(ctx, eps, word_bound, axes), axes,
+                           eps, ctx)
         if best is None or len(raising) > best[0]:
-            best = (len(raising), eps,
-                    [pair for pair, path, _ in raising if not path], axes)
+            layer_0 = [pair for pair, path, _ in raising if not path]
+            best = (len(raising), eps, layer_0,
+                    [] if len(layer_0) == ctx.n - 2 else axes)
             if best[0] == ctx.n - 2:
                 break
     return best

@@ -140,6 +140,9 @@ def test_start_up_loads_neither_dataclasses_nor_inspect():
 
 # public functions with no caller in the package that stay, and why
 UNCALLED_KEPT = {
+    "integral_reflection_vectors": "perfbench/tracer.py spans it by name, "
+                                   "and the tests use it as the axes of "
+                                   "span_rank_witness",
     "isotropic_search": "perfbench/tracer.py spans it by name, and the "
                         "tests use it as the reference box search",
     "parse_report": "the reader of the canonical report text that "
@@ -439,7 +442,7 @@ def test_tracer_outcomes_read_the_real_results(base_pair):
                    missed) == {"hits": 0}
 
     axes = integral_reflection_vectors(ctx, eps, 8)
-    pairs = list(_gamma_pairs(ctx, eps, 8))
+    pairs = list(_gamma_pairs(ctx, eps, 8, []))
     rank = span_rank_witness(pairs, axes, eps, ctx)
     assert rank == 3
     assert outcome("witness.span_rank_witness", (pairs, axes, eps, ctx),

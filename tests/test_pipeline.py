@@ -244,13 +244,13 @@ def test_worked_example_takes_no_polynomial_gcd(gcd_calls, entry):
 
 
 # the hunt takes its candidates from the word orbit, not from the box, and
-# builds one perp basis per eps it walks (span_rank_witness runs once, on
-# the reported eps)
+# builds no perp basis: its candidates are orbit keys, so orthocomplement
+# runs only for the reported eps, once in unipotent_from_reflections and
+# once in span_rank_witness, which runs once
 
 @pytest.fixture
 def hunt_calls(monkeypatch):
     return _counted(monkeypatch, ((quadform, "isotropic_search"),
-                                  (witness, "orthocomplement"),
                                   (witness, "span_rank_witness")))
 
 
@@ -263,16 +263,22 @@ def test_analyze_walks_no_isotropic_box(hunt_calls):
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_analyze_builds_one_perp_basis_per_eps(monkeypatch, hunt_calls,
                                                entry):
-    walked = set()
-    original = witness._gamma_pairs
+    walked, built = [], []
+    original_walk, original_perp = witness._orbit_perp, witness.orthocomplement
 
-    def pairs(ctx, eps, word_bound):
-        walked.add(tuple(eps))
-        return original(ctx, eps, word_bound)
-    monkeypatch.setattr(witness, "_gamma_pairs", pairs)
-    cli.build_report(entry.f_text, entry.g_text)
+    def walk(ctx, eps, word_bound):
+        walked.append(tuple(eps))
+        return original_walk(ctx, eps, word_bound)
+
+    def perp(gram, eps):
+        built.append(tuple(eps))
+        return original_perp(gram, eps)
+    monkeypatch.setattr(witness, "_orbit_perp", walk)
+    monkeypatch.setattr(witness, "orthocomplement", perp)
+    doc = cli.build_report(entry.f_text, entry.g_text)
+    eps = tuple(doc["witness"]["epsilon"])
     assert hunt_calls["isotropic_search"] == 0
-    assert hunt_calls["orthocomplement"] == len(walked) >= 1
+    assert built == [eps, eps] and eps in walked
     assert hunt_calls["span_rank_witness"] == 1
 
 

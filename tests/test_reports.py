@@ -13,7 +13,9 @@ of the benchmark's traffic are pinned by the lines of
 tools/traffic_digest.py.  A performance change must leave every digest
 alone;
 a change that alters a report on purpose updates the digests here and
-records the new values, and why, in CHANGES.md.
+records the new values, and why, in CHANGES.md.  tools/ab_pass.py, the
+A/B timing of a pass, is run once in a subprocess for the shape of its
+table.
 """
 import contextlib
 import functools
@@ -22,6 +24,8 @@ import importlib.util
 import io
 import json
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -283,6 +287,31 @@ PADS_CENSUS = [
 
 def test_pads_census_is_pinned():
     assert _tool("verdict_census").lines(("pads",)) == PADS_CENSUS
+
+
+# tools/ab_pass.py swaps orthomono's modules in sys.modules, so it runs in
+# a process of its own; against its own checkout, one round of the
+# definite pass gives a row per command kind and one for the pass, each
+# with the ratio's quartiles, which one round makes the ratio itself, and
+# the rounds in which this side was faster
+
+def test_ab_pass_prints_a_row_per_kind_and_the_pass():
+    root = pathlib.Path(__file__).parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "ab_pass.py"), str(root),
+         "--workload", "definite", "--rounds", "1"],
+        capture_output=True, text=True, timeout=300, check=True)
+    title, header, *rows = done.stdout.splitlines()
+    assert title.startswith("workload definite, seed 1, 1 rounds; ")
+    assert header.split() == ["kind", "commands", "this/other", "q1", "q3",
+                              "faster", "this", "ms", "other", "ms"]
+    rows = [row.split() for row in rows]
+    assert [row[0] for row in rows] == ["analyze", "pass"]
+    assert rows[0][1] == rows[1][1]
+    for _, _, ratio, q1, q3, faster, this_ms, other_ms in rows:
+        assert float(ratio) > 0 and q1 == ratio == q3
+        assert faster in ("0/1", "1/1")
+        assert float(this_ms) > 0 and float(other_ms) > 0
 
 
 def test_every_case_is_pinned():

@@ -69,7 +69,7 @@ def translation_vector(matrix, eps, ctx):
     eps-perp, in the quotient basis of quotient_indices over the basis of
     orthocomplement(), read off the matrix of u; zero iff u restricts to
     the identity on eps-perp."""
-    perp = ctx.perp(tuple(int(x) for x in eps))
+    perp = orthocomplement(ctx.gram, tuple(int(x) for x in eps))
     factors = _radical_factors(matrix, perp)
     if factors is None:
         raise ValueError("element is not in the unipotent radical")
@@ -551,7 +551,7 @@ def _hunt_reads(ctx, word_bound):
     candidate's pairs and axes read in full."""
     candidates = orbit_candidates(ctx, 3, word_bound)
     return candidates, [
-        (list(witness._gamma_pairs(ctx, eps, word_bound)),
+        (list(witness._gamma_pairs(ctx, eps, word_bound, [])),
          integral_reflection_vectors(ctx, eps, word_bound),
          unipotent_from_reflections(ctx, eps, word_bound))
         for eps in candidates]
@@ -618,8 +618,7 @@ def test_orthocomplement_validation(ctx):
                                  (Fraction(-1), 0, Fraction(1), 0, 0)],
                          ids=["float", "fraction", "integral-fraction"])
 def test_eps_entry_points_reject_non_int_coordinates(ctx, u, bad):
-    calls = [lambda: ctx.perp(bad),
-             lambda: orthocomplement(ctx.gram, bad),
+    calls = [lambda: orthocomplement(ctx.gram, bad),
              lambda: in_unipotent_radical(u, bad, ctx),
              lambda: unipotent_from_reflections(ctx, bad, 8),
              lambda: integral_reflection_vectors(ctx, bad, 8),
@@ -634,12 +633,11 @@ def test_eps_entry_points_reject_non_int_coordinates(ctx, u, bad):
 # points failed an internal assertion and the unipotent search came back
 # empty; each raises ValueError instead
 
-@pytest.mark.parametrize("entry", ["perp", "orthocomplement", "line",
-                                   "unipotent", "axes", "span"])
+@pytest.mark.parametrize("entry", ["orthocomplement", "line", "unipotent",
+                                   "axes", "span"])
 def test_eps_entry_points_reject_the_wrong_length(ctx, u, entry):
     short = (1, 0, -1)
-    call = {"perp": lambda: ctx.perp(short),
-            "orthocomplement": lambda: orthocomplement(ctx.gram, short),
+    call = {"orthocomplement": lambda: orthocomplement(ctx.gram, short),
             "line": lambda: in_unipotent_radical(u, short, ctx),
             "unipotent": lambda: unipotent_from_reflections(ctx, short, 8),
             "axes": lambda: integral_reflection_vectors(ctx, short, 8),
@@ -739,8 +737,8 @@ def test_unipotent_search_validates_eps(ctx):
 def test_unipotent_off_the_radical_is_a_mismatch(monkeypatch, ctx):
     # the key's one entry always gives a u in the radical, so a u that
     # fails the check means a route is wrong, not that the search missed
-    monkeypatch.setattr(witness, "in_unipotent_radical",
-                        lambda g, eps, context: False)
+    monkeypatch.setattr(witness, "_radical_factors",
+                        lambda matrix, perp: None)
     with pytest.raises(OracleMismatchError, match="unipotent radical"):
         unipotent_from_reflections(ctx, EPS, 8)
 
@@ -776,7 +774,7 @@ def test_key_unipotent_moves_w_by_its_pairing_with_v(f_text, g_text):
         raw = tuple(a - half * b for a, b in zip(x, ctx.v))
         sigma = 1 if raw == key else -1
         assert tuple(sigma * a for a in raw) == key
-        perp = ctx.perp(key)
+        perp = orthocomplement(ctx.gram, key)
         assert _radical_factors(u.matrix, perp) \
             == [half * sigma * linalg.vec_dot(w, ctx.gram, ctx.v)
                 for w in perp[1:]]
@@ -831,10 +829,10 @@ def test_gamma_pairs_are_unipotents_with_the_translation_of_y(entry):
     ctx = WitnessContext(build_pair(parse_poly(entry.f_text),
                                     parse_poly(entry.g_text)))
     eps = orbit_candidates(ctx, 3, 8)[0]
-    perp = ctx.perp(eps)
+    perp = orthocomplement(ctx.gram, eps)
     axes = integral_reflection_vectors(ctx, eps, 8)
     by_vector = dict((w, word) for word, w in axes)
-    pairs = list(witness._gamma_pairs(ctx, eps, 8))
+    pairs = list(witness._gamma_pairs(ctx, eps, 8, []))
     want = []
     for word, y in axes:
         for sign in (1, -1):
@@ -863,10 +861,12 @@ def _fresh_axes(ctx, eps, word_bound):
             if linalg.vec_dot(y, ctx.gram, eps) == 0]
 
 
-# _gamma_pairs and integral_reflection_vectors share one walk per eps
-# and word bound: the axes are the same list however much of the walk
-# the pairs have read first, and two readers taking turns see the walk
-# in the same order
+# the pairs append every image they read to the list they are given, so
+# it is a prefix of the axes however far they are read, and the axes once
+# they run out: whenever layer 0 falls short of n - 2, the one closure
+# of the hunt reads integral_reflection_vectors as its axes.  The axes
+# do not depend on what was read before, and two readers of the walk
+# taking turns see it in the same order
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
 def test_axes_do_not_depend_on_how_far_the_pairs_read(entry):
@@ -877,12 +877,23 @@ def test_axes_do_not_depend_on_how_far_the_pairs_read(entry):
         for eps in orbit_candidates(ctx, 3, 8):
             if eps not in want:
                 want[eps] = _fresh_axes(ctx, eps, 8)
-            pairs = list(itertools.islice(witness._gamma_pairs(ctx, eps, 8),
-                                          reads))
+            seen = []
+            pairs = list(itertools.islice(
+                witness._gamma_pairs(ctx, eps, 8, seen), reads))
+            assert seen == want[eps][:len(seen)]
+            if reads is None:
+                assert seen == want[eps]
             assert integral_reflection_vectors(ctx, eps, 8) == want[eps]
-            assert list(witness._gamma_pairs(ctx, eps, 8))[:len(pairs)] \
+            assert list(witness._gamma_pairs(ctx, eps, 8, []))[:len(pairs)] \
                 == pairs
     ctx = WitnessContext(pair)
+    for eps in orbit_candidates(ctx, 3, 8):
+        seen = []
+        raising = witness._closure(witness._gamma_pairs(ctx, eps, 8, seen),
+                                   seen, eps, ctx)
+        if sum(not path for _, path, _ in raising) < ctx.n - 2:
+            assert seen == integral_reflection_vectors(ctx, eps, 8) \
+                == want[eps]
     for eps in orbit_candidates(ctx, 3, 8):
         # the second reader takes two steps for each step of the first
         readers = [witness._orbit_perp(ctx, eps, 8) for _ in range(2)]
@@ -1250,7 +1261,7 @@ def test_span_rank_matches_matrix_reference(f_text, g_text):
     eps, u = rep.epsilon, rep.unipotent
     assert u is not None
     ctx = WitnessContext(pair)
-    pairs = list(witness._gamma_pairs(ctx, eps, 10))
+    pairs = list(witness._gamma_pairs(ctx, eps, 10, []))
     axes = integral_reflection_vectors(ctx, eps, 10)
     assert span_rank_witness(pairs, axes, eps, ctx) == rep.translation_rank
     refl = [reflection_matrix(ctx.gram, w) for _, w in axes[:12]]
@@ -1300,7 +1311,7 @@ def test_translation_vector_read_off_u(f_text, g_text):
         u = unipotent_from_reflections(ctx, eps, 8)
         if u is None:
             continue
-        perp = ctx.perp(eps)
+        perp = orthocomplement(ctx.gram, eps)
         g_eps = linalg.mat_vec(ctx.gram, eps)
         j = next(j for j, x in enumerate(g_eps) if x)
         s = g_eps[j]
@@ -1328,7 +1339,7 @@ def test_orthocomplement_is_a_z_basis_of_eps_perp(f_text, g_text):
     ctx = WitnessContext(build_pair(parse_poly(f_text), parse_poly(g_text)))
     n = ctx.n
     for eps in orbit_candidates(ctx, 3, 8):
-        basis = [list(w) for w in ctx.perp(eps)[1:]]
+        basis = [list(w) for w in orthocomplement(ctx.gram, eps)[1:]]
         assert len(basis) == n - 1
         assert all(linalg.vec_dot(w, ctx.gram, eps) == 0 for w in basis)
         minors = [(-1) ** i * linalg.det([row[:i] + row[i + 1:]
@@ -1355,7 +1366,8 @@ def test_quotient_basis_gives_the_same_ranks(monkeypatch, f_text, g_text):
         elements = [u] + [GroupElement((), m)
                           for r in refl for m in (r, conjugate(r, u))] + [
             ctx.element(w) for w in (("A",), ("C",))]
-        pairs = [[u_pair(ctx, eps)], list(witness._gamma_pairs(ctx, eps, 8))]
+        pairs = [[u_pair(ctx, eps)],
+                 list(witness._gamma_pairs(ctx, eps, 8, []))]
         runs.append((eps, pairs, axes, elements))
 
     def outcomes():
@@ -1364,10 +1376,10 @@ def test_quotient_basis_gives_the_same_ranks(monkeypatch, f_text, g_text):
                  [in_unipotent_radical(g, eps, ctx) for g in elements])
                 for eps, pairs, axes, elements in runs]
     cut = outcomes()
-    original = ctx.perp
-    monkeypatch.setattr(ctx, "perp", lambda eps: quotient_perp(
-        ctx.gram, original(eps)[0]))
-    assert all(len(ctx.perp(eps)) == ctx.n - 1 for eps, *_ in runs)
+    monkeypatch.setattr(witness, "orthocomplement", lambda gram, eps:
+                        quotient_perp(gram, orthocomplement(gram, eps)[0]))
+    assert all(len(witness.orthocomplement(ctx.gram, eps)) == ctx.n - 1
+               for eps, *_ in runs)
     assert outcomes() == cut
 
 
@@ -1462,9 +1474,10 @@ def _reference_hunt(ctx, search_bound, word_bound):
     return best
 
 
-# the hunt reads each candidate's orbit walk once, shared by its pairs
-# and its axes; it finds the same rank, eps, pairs and axes as a hunt
-# that walks the orbit afresh for each, at both word bounds analyze runs
+# the hunt walks each candidate's images once, its pairs filling its
+# axes; it finds the same rank, eps, pairs and axes as a hunt that walks
+# the orbit afresh for each and closes a short candidate twice, at both
+# word bounds analyze runs
 
 @pytest.mark.parametrize("f_text, g_text", _pair_cases())
 def test_hunt_with_shared_walks_matches_the_reference(f_text, g_text):
@@ -1475,6 +1488,51 @@ def test_hunt_with_shared_walks_matches_the_reference(f_text, g_text):
     for bound in (8, 10):
         assert witness._hunt(ctx, 3, bound) \
             == _reference_hunt(WitnessContext(pair), 3, bound)
+
+
+# one report does each candidate's work once: every hunt walks the
+# images orthogonal to each candidate it tries once, and closes it once,
+# trying the candidates in order until one reaches n - 2; the one more
+# closure is span_rank_witness's, at the reported eps
+
+@pytest.mark.parametrize("f_text, g_text", _pair_cases())
+def test_report_walks_and_closes_each_candidate_once(monkeypatch, f_text,
+                                                     g_text):
+    ctx = WitnessContext(build_pair(parse_poly(f_text), parse_poly(g_text)))
+    if min(signature(ctx.space)) < 1 or (2 * 3 + 1) ** ctx.n > SEARCH_CAP:
+        return
+    hunts, closed = [], []
+    original_hunt, original_walk, original_closure = (
+        witness._hunt, witness._orbit_perp, witness._closure)
+
+    def hunt(context, search_bound, word_bound):
+        hunts.append({"candidates": orbit_candidates(context, search_bound,
+                                                     word_bound),
+                      "walked": []})
+        hunts[-1]["best"] = original_hunt(context, search_bound, word_bound)
+        return hunts[-1]["best"]
+
+    def walk(context, eps, word_bound):
+        hunts[-1]["walked"].append(eps)
+        return original_walk(context, eps, word_bound)
+
+    def closure(pairs, axes, eps, context):
+        closed.append(eps)
+        return original_closure(pairs, axes, eps, context)
+    monkeypatch.setattr(witness, "_hunt", hunt)
+    monkeypatch.setattr(witness, "_orbit_perp", walk)
+    monkeypatch.setattr(witness, "_closure", closure)
+    rep = arithmeticity_report(ctx, 3, 8)
+    assert hunts
+    tried = []
+    for run in hunts:
+        walked, candidates = run["walked"], run["candidates"]
+        assert walked == candidates[:len(walked)]
+        if len(walked) < len(candidates):
+            assert run["best"][:2] == (ctx.n - 2, walked[-1])
+        tried += walked
+    assert closed == tried + ([rep.epsilon] if rep.epsilon is not None
+                             else [])
 
 
 def _reference_closure(pairs, axes, eps, ctx):
@@ -1531,7 +1589,7 @@ def test_closure_matches_the_reference_and_tries_each_axis_once(
 
     for bound in (8, 10):
         for eps in orbit_candidates(ctx, 3, bound):
-            pairs = list(witness._gamma_pairs(ctx, eps, bound))
+            pairs = list(witness._gamma_pairs(ctx, eps, bound, []))
             axes = integral_reflection_vectors(ctx, eps, bound)
             layer_0 = [p for p, _, _ in _reference_closure(pairs, (), eps,
                                                            ctx)]

@@ -12,9 +12,10 @@ command is timed with time.perf_counter, its output discarded.
 
 For each command kind, and for the whole pass, it prints the median over
 the rounds of the time ratio this / other (below 1: this checkout is
-faster) with the two sides' median times.  A command whose exit code
-differs between the two sides stops the run.  Standard library only; it
-changes nothing under perfbench/.
+faster), the lower and upper quartiles of that ratio, the number of
+rounds in which this checkout was faster, and the two sides' median
+times.  A command whose exit code differs between the two sides stops
+the run.  Standard library only; it changes nothing under perfbench/.
 """
 from __future__ import annotations
 
@@ -70,6 +71,15 @@ def run_pass(side: tuple[object, dict], commands) -> list[tuple[int, float]]:
     return out
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """(lower, upper) quartile of values, by the inclusive method, which
+    keeps both within the values; a single value is both."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("other", metavar="OTHER_CHECKOUT")
@@ -107,15 +117,18 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"workload {args.workload}, seed 1, {args.rounds} rounds; "
           f"this = {ROOT}, other = {os.path.abspath(args.other)}")
-    print(f"{'kind':<10} {'commands':>8} {'this/other':>10} "
-          f"{'this ms':>9} {'other ms':>9}")
+    print(f"{'kind':<10} {'commands':>8} {'this/other':>10} {'q1':>6} "
+          f"{'q3':>6} {'faster':>7} {'this ms':>9} {'other ms':>9}")
     for kind in kinds + ["pass"]:
         count = len(commands) if kind == "pass" else sum(
             cmd.kind == kind for cmd in commands)
         this = [t[kind] for t in times["this"]]
         other = [t[kind] for t in times["other"]]
-        ratio = statistics.median(a / b for a, b in zip(this, other))
-        print(f"{kind:<10} {count:>8} {ratio:>10.3f} "
+        ratios = [a / b for a, b in zip(this, other)]
+        q1, q3 = quartiles(ratios)
+        faster = f"{sum(a < b for a, b in zip(this, other))}/{args.rounds}"
+        print(f"{kind:<10} {count:>8} {statistics.median(ratios):>10.3f} "
+              f"{q1:>6.3f} {q3:>6.3f} {faster:>7} "
               f"{1e3 * statistics.median(this):>9.2f} "
               f"{1e3 * statistics.median(other):>9.2f}")
     return 0
